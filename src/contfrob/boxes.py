@@ -52,13 +52,6 @@ class Box:
         hi = np.asarray(self.highs)
         return lo + rng.random((n, self.dim)) * (hi - lo)
 
-    def env(self, points):
-        """Map coordinate names to columns of a point array."""
-        p = np.asarray(points, dtype=float)
-        if p.ndim == 1:
-            return {n: p[i] for i, n in enumerate(self.names)}
-        return {n: p[..., i] for i, n in enumerate(self.names)}
-
     def shrink(self, margin):
         return Box(self.names,
                    tuple(lo + margin for lo in self.lows),

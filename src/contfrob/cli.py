@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .boxes import Box
-from .errors import ContfrobError, ParseError
+from .errors import ContfrobError, EscapeError, ParseError
 from .fields import coord, expand, parse_field
 from .forms import one_form
 from .geometry import FrameSection, frobenius_defect
@@ -111,6 +111,12 @@ class ExperimentConfig:
             if section == "experiment":
                 if key not in _COMMON_KEYS:
                     raise ParseError(f"unknown experiment key {key!r}", ln_no)
+                if key == "seed":
+                    try:
+                        val = int(val)
+                    except ValueError:
+                        raise ParseError(f"seed must be an integer, got "
+                                         f"{val!r}", ln_no) from None
                 top[key] = val
             elif section == "params":
                 params[key] = val
@@ -119,7 +125,7 @@ class ExperimentConfig:
         if "kind" not in top:
             raise ParseError("config is missing kind")
         return cls(top["kind"], top.get("out", "."),
-                   int(top.get("seed", "0")), top.get("expect"), params)
+                   top.get("seed", 0), top.get("expect"), params)
 
     def header_lines(self):
         out = [f"# config.kind={self.kind}", f"# config.seed={self.seed}"]
@@ -130,12 +136,22 @@ class ExperimentConfig:
         return out
 
 
-def _floats(text):
-    return [float(p) for p in str(text).split(",") if p != ""]
+def _numbers(kind, p, key, default):
+    """Comma-separated numbers of one kind under params[key]."""
+    text = str(p.get(key, default))
+    try:
+        return [kind(v) for v in text.split(",") if v != ""]
+    except ValueError:
+        raise ParseError(f"{key} must be a comma-separated list of "
+                         f"{kind.__name__}s, got {text!r}") from None
 
 
-def _ints(text):
-    return [int(p) for p in str(text).split(",") if p != ""]
+def _floats(p, key, default=None):
+    return _numbers(float, p, key, default)
+
+
+def _ints(p, key, default=None):
+    return _numbers(int, p, key, default)
 
 
 def _write(cfg, name, body):
@@ -174,7 +190,7 @@ def _run_mollify_verify(cfg):
     g = GridFunction((xs,), np.asarray(f.evaluate({"x": xs}), dtype=float))
     w = parse_modulus(p.get("w", "lipschitz(k=1)"))
     w_axis = parse_modulus(p["w_axis"]) if "w_axis" in p else w
-    eps_list = _floats(p.get("eps_list", "0.1,0.05,0.025"))
+    eps_list = _floats(p, "eps_list", "0.1,0.05,0.025")
     reports = verify_bounds(g, w, [w_axis], eps_list)
     lines = ["eps,sup_dist,deriv_sup,bound_dist,bound_deriv,fitted_K"]
     for r in reports:
@@ -248,7 +264,7 @@ def _ode_spec(p):
 def _run_ode_check(cfg):
     p = cfg.params
     spec = _ode_spec(p)
-    point = _floats(p.get("point", "0" + ",0" * spec.n))
+    point = _floats(p, "point", "0" + ",0" * spec.n)
     cert = theorem1_check(spec, point)
     rep = cert.report
     rep.params["slope_window_1e-8_1e-3"] = fit_loglog_slope(
@@ -262,8 +278,8 @@ def _run_ode_check(cfg):
 def _run_ode_funnel(cfg):
     p = cfg.params
     spec = _ode_spec(p)
-    point = _floats(p.get("point", "0" + ",0" * spec.n))
-    deltas = _floats(p.get("deltas", "1e-3,1e-4,1e-5,1e-6"))
+    point = _floats(p, "point", "0" + ",0" * spec.n)
+    deltas = _floats(p, "deltas", "1e-3,1e-4,1e-5,1e-6")
     rep = funnel(spec, point, float(p.get("T", 1.0)), deltas,
                  ensemble=int(p.get("ensemble", 8)),
                  cfg=FlowConfig(step=float(p.get("step", 1e-3))),
@@ -290,14 +306,14 @@ def _run_pde_check(cfg):
     p = cfg.params
     _, spec = _pde_spec(p)
     if "point" in p:
-        point = _floats(p["point"])
+        point = _floats(p, "point")
     elif p.get("example", "paper-ex2") == "paper-ex2":
         point = [0.25, 0.25, 0.5, 0.5]
     else:
         point = [0.0] * (spec.m + spec.n)
     default_cols = ",".join(str(i) for i in range(1, spec.n + 1)) \
         if p.get("example", "paper-ex2") == "paper-ex2" else "2,3"
-    columns = tuple(_ints(p.get("columns", default_cols)))
+    columns = tuple(_ints(p, "columns", default_cols))
     cert = theorem2_check(spec, point, columns)
     if cert.report is None:
         print(f"columns={columns} det={cert.det_value:.3g} "
@@ -316,8 +332,8 @@ def _run_pde_solve_special(cfg):
     sf, spec = _pde_spec(p)
     if sf is None:
         raise ParseError("solve-special needs a separable example")
-    x0 = np.asarray(_floats(p.get("x0", "0.3,0.3")))
-    y0 = np.asarray(_floats(p.get("y0", "0.5,0.5")))
+    x0 = np.asarray(_floats(p, "x0", "0.3,0.3"))
+    y0 = np.asarray(_floats(p, "y0", "0.5,0.5"))
     res_grid = int(p.get("targets_res", 3))
     xb = Box(sf.x_names, spec.domain.lows[:sf.m], spec.domain.highs[:sf.m])
     targets = xb.shrink(0.05).lattice(res_grid)
@@ -339,7 +355,7 @@ def _run_pde_frames(cfg):
     sf, _ = _pde_spec(p)
     if sf is None:
         raise ParseError("frames needs a separable example")
-    eps_list = _floats(p.get("eps_list", "0.125,0.0625,0.03125"))
+    eps_list = _floats(p, "eps_list", "0.125,0.0625,0.03125")
     fams = involutive_mollified_frames(sf, eps_list,
                                        check_res=int(p.get("grid", 4)))
     lines = ["eps,wedge_sup"]
@@ -365,8 +381,8 @@ def _run_surface(cfg):
     dist = _surface_dist(p)
     eps1 = float(p.get("eps1", 0.1))
     step = float(p.get("step", eps1 / 32.0))
-    order = tuple(_ints(p["order"])) if "order" in p else None
-    x0 = np.asarray(_floats(p.get("x0", "0,0,0")))
+    order = tuple(_ints(p, "order")) if "order" in p else None
+    x0 = np.asarray(_floats(p, "x0", "0,0,0"))
     patch = build_surface(dist, x0, eps1, int(p.get("grid", 9)),
                           FlowConfig(step=step), order=order)
     rep = tangency_defect(patch, dist, sup_res=5, n_dirs=64, seed=cfg.seed)
@@ -431,7 +447,7 @@ def _run_dyn_transport(cfg):
 def _run_dyn_dominate(cfg):
     p = cfg.params
     phi, e0, f, _, _, pts = _dyn_setup(p, cfg.seed)
-    eps_sweep = tuple(_floats(p.get("eps_sweep", "0.1,0.5,1.0")))
+    eps_sweep = tuple(_floats(p, "eps_sweep", "0.1,0.5,1.0"))
     rep = domination_report(phi, e0, f, int(p.get("k_max", 12)), pts,
                             eps_list=eps_sweep)
     _write(cfg, "dyn_dominate.csv", splitting_report_to_csv(rep))
@@ -649,6 +665,10 @@ def main(argv=None) -> int:
         return run_experiment(cfg)
     except ParseError as err:
         print(f"parse error: {err}", file=sys.stderr)
+        return 1
+    except EscapeError as err:
+        print(f"error [EscapeError]: {err} (node={err.node}, "
+              f"exit_time={err.exit_time})", file=sys.stderr)
         return 1
     except ContfrobError as err:
         print(f"error [{type(err).__name__}]: {err}", file=sys.stderr)

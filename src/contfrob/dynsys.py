@@ -24,7 +24,7 @@ import numpy as np
 
 from .boxes import env_of
 from .errors import ConeError, DegenerateSubspaceError
-from .fields import Field
+from .fields import eval_fields
 from .forms import KForm
 from .geometry import (FrameSection, max_principal_angle, orthonormalize)
 
@@ -68,23 +68,14 @@ class DiffeoSpec:
         pts = np.atleast_2d(np.asarray(pts, dtype=float)).copy()
         fields = self.forward if k >= 0 else self.inverse
         for _ in range(abs(k)):
-            env = env_of(self.coords, pts)
-            new = np.stack([np.broadcast_to(f.evaluate(env), (len(pts),))
-                            for f in fields], axis=-1)
-            pts = self._wrap(new)
+            pts = self._wrap(eval_fields(fields, env_of(self.coords, pts)))
         return pts
 
     def jacobian(self, pts, inverse=False):
         """(N, d, d) jacobians of phi (or phi^{-1}) at the points."""
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        env = env_of(self.coords, self._wrap(pts))
         jac = self._jac_inv if inverse else self._jac_fwd
-        out = np.empty((len(pts), self.dim, self.dim))
-        for r in range(self.dim):
-            for c in range(self.dim):
-                out[:, r, c] = np.broadcast_to(jac[r][c].evaluate(env),
-                                               (len(pts),))
-        return out
+        return eval_fields(jac, env_of(self.coords, self._wrap(pts)))
 
     def check_inverse(self, pts, tol=1.0e-8):
         round_trip = self.apply(self.apply(pts, 1), -1)

@@ -592,17 +592,21 @@ def is_zero_field(f, structural_only=False):
 
 
 def eval_fields(fields, env):
-    """Evaluate a nested list/tuple of fields at a broadcast environment.
+    """Evaluate a list of fields, or a list of equal-length lists, at a
+    broadcast environment.
 
     Returns an array with the structure shape appended after the broadcast
     shape, e.g. a matrix of fields over N points gives shape (N, r, c).
     """
-    arr = np.asarray(fields, dtype=object)
-    shape = np.broadcast_shapes(*(np.shape(v) for v in env.values())) if env else ()
-    out = np.empty(shape + arr.shape, dtype=float)
-    for idx in np.ndindex(arr.shape):
-        out[(...,) + idx] = np.broadcast_to(arr[idx].evaluate(env), shape)
-    return out
+    flat, struct = list(fields), (len(fields),)
+    while flat and isinstance(flat[0], (list, tuple)):
+        struct += (len(flat[0]),)
+        flat = [f for row in flat for f in row]
+    shape = np.broadcast(*env.values()).shape
+    out = np.empty(shape + (len(flat),))
+    for c, f in enumerate(flat):
+        out[..., c] = f.evaluate(env)
+    return out.reshape(shape + struct)
 
 
 # ---------------------------------------------------------------------------

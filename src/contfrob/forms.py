@@ -13,7 +13,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .fields import Field, ZERO, add, is_zero_field, mul, neg
+from .fields import Field, ZERO, add, eval_fields, is_zero_field, mul, neg
 
 __all__ = [
     "KForm", "one_form", "wedge", "exterior_derivative", "zero_form",
@@ -70,12 +70,7 @@ class KForm:
         indices = sorted(self.comps)
         if not indices:
             return indices, None
-        shape = np.broadcast_shapes(*(np.shape(v) for v in env.values())) \
-            if env else ()
-        out = np.empty(shape + (len(indices),), dtype=float)
-        for c, idx in enumerate(indices):
-            out[..., c] = np.broadcast_to(self.comps[idx].evaluate(env), shape)
-        return indices, out
+        return indices, eval_fields([self.comps[i] for i in indices], env)
 
     def norm_at(self, env):
         """Induced Euclidean norm: l2 over sorted components."""

@@ -25,7 +25,7 @@ import numpy as np
 
 from .boxes import Box, env_of
 from .errors import DegenerateSubspaceError, TransversalityError
-from .fields import Const, Field, ZERO, neg
+from .fields import Const, ZERO, eval_fields, neg
 from .forms import (KForm, exterior_derivative, numeric_wedge_norm, one_form,
                     two_form_matrix_norm, wedge_all)
 
@@ -83,13 +83,10 @@ class Distribution:
     def spanning_matrix_at(self, points):
         """Columns X_1..X_m at each point: shape (N, dim, m)."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        env = env_of(self.coords, pts)
         out = np.zeros((len(pts), self.dim, self.m))
-        for i in range(self.m):
-            out[:, i, i] = 1.0
-            for j in range(self.n):
-                out[:, self.m + j, i] = np.broadcast_to(
-                    self.coeffs[i][j].evaluate(env), (len(pts),))
+        out[:, :self.m] = np.eye(self.m)
+        out[:, self.m:] = np.swapaxes(
+            eval_fields(self.coeffs, env_of(self.coords, pts)), 1, 2)
         return out
 
     def orthonormal_bases_at(self, points):

@@ -439,11 +439,15 @@ def _leaf(name, kv, cap, default_cap):
     return f"{name}({', '.join(parts)})"
 
 
+_LEAF_KEYS = {"lipschitz": ("k", "cap"), "hoelder": ("alpha", "k", "cap"),
+              "loglip": ("beta", "k", "cap")}
+
+
 def parse_modulus(text):
     text = text.strip()
     name, body = _split_call(text)
-    if name in ("lipschitz", "hoelder", "loglip"):
-        kv = _parse_kv(body)
+    if name in _LEAF_KEYS:
+        kv = _parse_kv(body, _LEAF_KEYS[name])
         if name == "lipschitz":
             return Lipschitz(K=kv.pop("k", 1.0),
                              domain_cap=kv.pop("cap", math.inf))
@@ -458,12 +462,14 @@ def parse_modulus(text):
         return cls(parse_modulus(a), parse_modulus(b))
     if name == "scale":
         c, w = _split_args(body, 2)
-        return ScaleModulus(float(c), parse_modulus(w))
+        return ScaleModulus(_number(c, text), parse_modulus(w))
     if name == "tabulated":
         pairs = []
         for piece in _split_args(body):
-            s, v = piece.split(":")
-            pairs.append((float(s), float(v)))
+            s, sep, v = piece.partition(":")
+            if not sep:
+                raise ParseError(f"expected scale:value, got {piece!r}")
+            pairs.append((_number(s, piece), _number(v, piece)))
         return Tabulated(tuple(pairs))
     raise ParseError(f"unknown modulus kind {name!r}")
 
@@ -493,11 +499,24 @@ def _split_args(body, expected=None):
     return args
 
 
-def _parse_kv(body):
+def _parse_kv(body, keys):
     kv = {}
     for piece in _split_args(body):
         if not piece:
             continue
-        k, v = piece.split("=")
-        kv[k.strip().lower()] = float(v)
+        k, sep, v = piece.partition("=")
+        if not sep or "=" in v:
+            raise ParseError(f"expected key=value, got {piece!r}")
+        k = k.strip().lower()
+        if k not in keys:
+            raise ParseError(f"unknown key {k!r}, expected one of {keys}")
+        kv[k] = _number(v, piece)
     return kv
+
+
+def _number(text, where):
+    try:
+        return float(text)
+    except ValueError:
+        raise ParseError(f"malformed number {text.strip()!r} in "
+                         f"{where!r}") from None

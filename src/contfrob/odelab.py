@@ -22,9 +22,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .boxes import Box
+from .boxes import Box, env_of
 from .errors import ContfrobError, EscapeError, EvalDomainError
-from .fields import Const, Field, add
+from .fields import Const, add, eval_fields
 from .moduli import (CriterionReport, MaxModulus, Modulus, estimate_modulus,
                      limit_condition_check)
 from .surface import FlowConfig, flow
@@ -103,7 +103,7 @@ def theorem1_check(spec: OdeSpec, xi, grid=None) -> Theorem1Certificate:
     """
     xi = np.asarray(xi, dtype=float)
     env = dict(zip(spec.coords, xi))
-    values = np.array([f.evaluate(env) for f in extend(spec)], dtype=float)
+    values = eval_fields(extend(spec), env)
     nz = np.abs(values) > _NONZERO_THRESHOLD
     if not np.any(nz):
         raise AssertionError("extended field vanished; first component is 1")
@@ -128,9 +128,7 @@ def validate_moduli(spec: OdeSpec, samples_per_axis=9, factor=2.0):
     admissible when the ratio stays below the factor.
     """
     pts = spec.domain.lattice(samples_per_axis)
-    env = {n: pts[:, i] for i, n in enumerate(spec.coords)}
-    vals = np.stack([np.broadcast_to(f.evaluate(env), (len(pts),))
-                     for f in spec.F], axis=-1)
+    vals = eval_fields(spec.F, env_of(spec.coords, pts))
     norm = np.linalg.norm(vals, axis=-1)
     out = {}
     for i, name in enumerate(spec.coords):

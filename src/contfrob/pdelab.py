@@ -33,7 +33,7 @@ from scipy.optimize import brentq
 
 from .boxes import Box, env_of
 from .errors import BranchCrossingError, EvalDomainError
-from .fields import Const, Field, add, mul, neg
+from .fields import Const, add, eval_fields, mul, neg
 from .forms import one_form
 from .geometry import Distribution, FrameSection, frobenius_defect
 from .moduli import CriterionReport, limit_condition_check
@@ -109,8 +109,7 @@ class HatMatrix:
 
     def evaluate(self, xi):
         env = dict(zip(self.spec.coords, np.asarray(xi, dtype=float)))
-        return np.array([[f.evaluate(env) for f in row]
-                         for row in self.fields], dtype=float)
+        return eval_fields(self.fields, env)
 
 
 def hat_matrix(spec: PdeSpec) -> HatMatrix:
@@ -219,14 +218,9 @@ class SpecialFormSpec:
     def matches(self, pde: PdeSpec, points, tol=1.0e-12):
         """Pointwise agreement of the induced right-hand side with a spec."""
         env = env_of(self.coords, np.atleast_2d(points))
-        mine = self.induced_F()
-        for i in range(self.n):
-            for j in range(self.m):
-                a = np.asarray(mine[i][j].evaluate(env), dtype=float)
-                b = np.asarray(pde.F[i][j].evaluate(env), dtype=float)
-                if np.max(np.abs(a - b)) > tol:
-                    return False
-        return True
+        gap = np.abs(eval_fields(self.induced_F(), env)
+                     - eval_fields(pde.F, env))
+        return not np.any(np.max(gap, axis=0) > tol)
 
 
 @dataclass

@@ -24,11 +24,8 @@ __all__ = [
     "ode_example_1", "ode_peano", "ode_contraction", "pde_example_2",
     "pde_example_3", "contact_distribution", "involutive_distribution",
     "cat_map", "skew_product", "cat_contracting_direction",
-    "cat_expanding_direction", "PRESET_NAMES",
+    "cat_expanding_direction",
 ]
-
-PRESET_NAMES = ("paper-ex1", "paper-ex2", "paper-ex3", "peano", "contraction",
-                "cat-map", "skew-product", "contact", "involutive")
 
 
 def ode_example_1(alpha=0.9, beta=0.5, gamma=0.5, delta=0.5) -> OdeSpec:

@@ -7,6 +7,13 @@ sup-norm diagnostics; tangents come from centered differences of the stored
 grid, and the finite-difference error is folded into tolerances as
 10 * (grid spacing)^2.
 
+One RK4 loop serves flow and variational_flow.  It takes one point (d,)
+or a batch (N, d), and a batch gives the same bits as its rows flowed one
+at a time, so build_surface sweeps a whole layer of the lattice per call.
+A batch stops at the first step in which any row leaves the domain box:
+the EscapeError carries that step's time as exit_time, and build_surface
+adds the lattice node (flow index, grid index) being filled.
+
 The three quantitative checks:
 
 * tangency_defect compares |dW/dt_i - X_i(W)| per node against
@@ -25,7 +32,7 @@ import numpy as np
 
 from .boxes import Box, env_of
 from .errors import EscapeError
-from .fields import Field
+from .fields import eval_fields
 from .geometry import (Distribution, FrameSection, annihilator_frame,
                        involutivity_constant, max_principal_angle,
                        orthonormalize, restricted_inverse,
@@ -39,69 +46,76 @@ __all__ = [
 ]
 
 
+MAX_TIME = 10.0  # longest flow time accepted; longer requests escape
+
+
 @dataclass(frozen=True)
 class FlowConfig:
     step: float = 1.0e-3
-    max_time: float = 10.0
-    jacobian_mode: str = "symbolic"  # or "fd"
 
     def __post_init__(self):
         assert self.step > 0.0
-        assert self.jacobian_mode in ("symbolic", "fd")
 
 
-def _eval_vector(fields, coords, x):
-    single = x.ndim == 1
-    pts = np.atleast_2d(x)
-    env = env_of(coords, pts)
-    out = np.empty_like(pts, dtype=float)
-    for c, f in enumerate(fields):
-        out[:, c] = np.broadcast_to(f.evaluate(env), (len(pts),))
-    return out[0] if single else out
+def _integrate(fields, coords, x0, t, step, box, Y0=None):
+    """The RK4 loop behind flow and variational_flow.
 
-
-def flow(fields, coords, x0, t, cfg: FlowConfig, box: Box = None):
-    """RK4 endpoint of the flow of sum_c fields[c] d/dc after time t."""
-    if abs(t) > cfg.max_time:
-        raise EscapeError("requested time beyond max_time", exit_time=t)
-    x = np.asarray(x0, dtype=float).copy()
+    x0 is one point (d,) or a batch (N, d); Y0, when given, has the same
+    shape and is carried along by the variational equation
+    dY/dt = DX(x(t)) Y in the same steps.  Returns (x(t), Y(t)), with
+    Y(t) None when Y0 is.
+    """
+    if abs(t) > MAX_TIME:
+        raise EscapeError("requested time beyond MAX_TIME", exit_time=t)
+    x = np.array(x0, dtype=float)
+    Y = None if Y0 is None else np.array(Y0, dtype=float)
     if t == 0.0:
-        return x
-    n_steps = max(1, int(math.ceil(abs(t) / cfg.step - 1e-12)))
+        return x, Y
+    single = x.ndim == 1
+    x = np.atleast_2d(x)
+    jac = None
+    if Y is not None:
+        Y = np.atleast_2d(Y)
+        jac = [[f.diff(c) for c in coords] for f in fields]
+    n_steps = max(1, int(math.ceil(abs(t) / step - 1e-12)))
     dt = t / n_steps
+
+    def rhs(xs, ys):
+        env = env_of(coords, xs)
+        if ys is None:
+            return eval_fields(fields, env), None
+        return (eval_fields(fields, env),
+                (eval_fields(jac, env) @ ys[..., None])[..., 0])
+
+    def ahead(ys, h, ks):
+        return None if ys is None else ys + h * ks
+
     for k in range(n_steps):
-        x = _rk4_step(fields, coords, x, dt)
+        k1, l1 = rhs(x, Y)
+        k2, l2 = rhs(x + 0.5 * dt * k1, ahead(Y, 0.5 * dt, l1))
+        k3, l3 = rhs(x + 0.5 * dt * k2, ahead(Y, 0.5 * dt, l2))
+        k4, l4 = rhs(x + dt * k3, ahead(Y, dt, l3))
+        x = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if Y is not None:
+            Y = Y + (dt / 6.0) * (l1 + 2.0 * l2 + 2.0 * l3 + l4)
         if box is not None and not np.all(box.contains(x, tol=1e-9)):
             raise EscapeError("trajectory left the domain box",
                               exit_time=(k + 1) * dt)
-    return x
+    if single:
+        return x[0], None if Y is None else Y[0]
+    return x, Y
 
 
-def _rk4_step(fields, coords, x, dt):
-    k1 = _eval_vector(fields, coords, x)
-    k2 = _eval_vector(fields, coords, x + 0.5 * dt * k1)
-    k3 = _eval_vector(fields, coords, x + 0.5 * dt * k2)
-    k4 = _eval_vector(fields, coords, x + dt * k3)
-    return x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+def flow(fields, coords, x0, t, cfg: FlowConfig, box: Box = None):
+    """RK4 endpoint of the flow of sum_c fields[c] d/dc after time t.
 
-
-def _jacobian_fields(fields, coords):
-    return [[f.diff(c) for c in coords] for f in fields]
-
-
-def _jacobian_apply(fields, coords, jac, x, v, mode, fd_step=1.0e-6):
-    if mode == "symbolic":
-        env = env_of(coords, x)
-        J = np.array([[jf.evaluate(env) for jf in row] for row in jac],
-                     dtype=float)
-        return J @ v
-    nv = np.linalg.norm(v)
-    if nv == 0.0:
-        return np.zeros_like(v)
-    u = v / nv
-    fp = _eval_vector(fields, coords, x + fd_step * u)
-    fm = _eval_vector(fields, coords, x - fd_step * u)
-    return nv * (fp - fm) / (2.0 * fd_step)
+    x0 is one point (d,) or a batch of points (N, d); the result has the
+    same shape.  Rows are integrated together in fixed steps and give the
+    same bits as flowing each row alone.  A batch stops at the first step
+    in which any row leaves the box: EscapeError carries that step's time
+    as exit_time.  |t| beyond MAX_TIME raises EscapeError at once.
+    """
+    return _integrate(fields, coords, x0, t, cfg.step, box)[0]
 
 
 def variational_flow(fields, coords, x0, t, Y0, cfg: FlowConfig,
@@ -110,35 +124,9 @@ def variational_flow(fields, coords, x0, t, Y0, cfg: FlowConfig,
 
     The variational equation dY/dt = DX(x(t)) Y runs alongside the base
     trajectory in one RK4 step, so the result is linear in Y0 to rounding.
+    Shapes and the escape contract are those of flow.
     """
-    x = np.asarray(x0, dtype=float).copy()
-    Y = np.asarray(Y0, dtype=float).copy()
-    if t == 0.0:
-        return x, Y
-    if abs(t) > cfg.max_time:
-        raise EscapeError("requested time beyond max_time", exit_time=t)
-    jac = _jacobian_fields(fields, coords) if cfg.jacobian_mode == "symbolic" \
-        else None
-    n_steps = max(1, int(math.ceil(abs(t) / cfg.step - 1e-12)))
-    dt = t / n_steps
-
-    def rhs(state):
-        xs, ys = state
-        return (_eval_vector(fields, coords, xs),
-                _jacobian_apply(fields, coords, jac, xs, ys,
-                                cfg.jacobian_mode))
-
-    for k in range(n_steps):
-        k1 = rhs((x, Y))
-        k2 = rhs((x + 0.5 * dt * k1[0], Y + 0.5 * dt * k1[1]))
-        k3 = rhs((x + 0.5 * dt * k2[0], Y + 0.5 * dt * k2[1]))
-        k4 = rhs((x + dt * k3[0], Y + dt * k3[1]))
-        x = x + (dt / 6.0) * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
-        Y = Y + (dt / 6.0) * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
-        if box is not None and not np.all(box.contains(x, tol=1e-9)):
-            raise EscapeError("trajectory left the domain box",
-                              exit_time=(k + 1) * dt)
-    return x, Y
+    return _integrate(fields, coords, x0, t, cfg.step, box, Y0)
 
 
 @dataclass
@@ -193,22 +181,17 @@ def build_surface(dist: Distribution, x0, eps1, grid_res, cfg: FlowConfig,
         Xi = fields[order[k]]
         new = np.empty((len(pts), grid_res, dist.dim))
         new[:, center] = pts
-        for j in range(center + 1, grid_res):
-            for p in range(len(pts)):
-                try:
-                    new[p, j] = flow(Xi, dist.coords, new[p, j - 1], dt, cfg,
-                                     dist.domain)
-                except EscapeError as err:
-                    err.node = (order[k], j)
-                    raise
-        for j in range(center - 1, -1, -1):
-            for p in range(len(pts)):
-                try:
-                    new[p, j] = flow(Xi, dist.coords, new[p, j + 1], -dt, cfg,
-                                     dist.domain)
-                except EscapeError as err:
-                    err.node = (order[k], j)
-                    raise
+        # sweep outward from the centre: each node flows from its inner
+        # neighbour, all current-layer points in one batch
+        sweep = [(j, j - 1, dt) for j in range(center + 1, grid_res)] + \
+            [(j, j + 1, -dt) for j in range(center - 1, -1, -1)]
+        for j, prev, h in sweep:
+            try:
+                new[:, j] = flow(Xi, dist.coords, new[:, prev], h, cfg,
+                                 dist.domain)
+            except EscapeError as err:
+                err.node = (order[k], j)
+                raise
         shape = shape + (grid_res,)
         pts = new.reshape(-1, dist.dim)
 
@@ -255,16 +238,10 @@ def tangency_defect(patch: SurfacePatch, dist: Distribution, frame=None,
     """Per-node, per-direction defect |dW/dt_i - X_i(W)| and its bound."""
     if frame is None:
         frame = annihilator_frame(dist)
-    flat = patch.flat_points()
-    env = env_of(dist.coords, flat)
-    grid_shape = patch.points.shape[:-1]
-    defects = np.empty((patch.m,) + grid_shape)
-    fields = dist.spanning_fields()
-    for i in range(patch.m):
-        X = np.stack([np.broadcast_to(f.evaluate(env), (len(flat),))
-                      for f in fields[i]], axis=-1)
-        diff = patch.tangents[i].reshape(-1, dist.dim) - X
-        defects[i] = np.linalg.norm(diff, axis=-1).reshape(grid_shape)
+    X = eval_fields(dist.spanning_fields(),
+                    env_of(dist.coords, patch.flat_points()))
+    diff = patch.tangents.reshape(patch.m, -1, dist.dim) - np.swapaxes(X, 0, 1)
+    defects = np.linalg.norm(diff, axis=-1).reshape(patch.tangents.shape[:-1])
 
     d_restr, inv_norm, m_const = _frame_bound_parts(dist, frame, sup_res,
                                                     n_dirs, seed)

@@ -102,3 +102,30 @@ def test_moduli_check_limit_criterion(tmp_path):
                "--w", "hoelder(alpha=0.9,k=1)", "--w2", "loglip(beta=0.5,k=1)",
                "--out", str(tmp_path), "--expect", "holds"])
     assert rc == 0
+
+
+def test_config_bad_seed_is_parse_error(tmp_path, capsys):
+    text = "[experiment]\nkind = ode-check\nseed = abc\n"
+    with pytest.raises(ParseError) as exc:
+        ExperimentConfig.from_text(text)
+    assert exc.value.position == 3
+    path = tmp_path / "bad.cfg"
+    path.write_text(text)
+    assert main(["run", "--config", str(path)]) == 1
+    assert capsys.readouterr().err.startswith("parse error: ")
+
+
+def test_bad_cli_number_is_parse_error(tmp_path, capsys):
+    rc = main(["ode", "check", "--point", "0,abc", "--out", str(tmp_path)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("parse error: ") and "point" in err
+
+
+def test_surface_escape_reports_node_and_exit_time(tmp_path, capsys):
+    rc = main(["surface", "build", "--example", "contact",
+               "--x0", "0.45,0,0", "--grid", "5", "--out", str(tmp_path)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error [EscapeError]: trajectory left the domain")
+    assert "node=(0, 4)" in err and "exit_time=" in err

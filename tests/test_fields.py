@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from contfrob.errors import EvalDomainError, ParseError
-from contfrob.fields import (Const, coord, cos, exp, is_zero_field, log,
-                             parse_field, sin, SplineLeaf)
+from contfrob.fields import (Const, coord, cos, eval_fields, exp,
+                             is_zero_field, log, parse_field, sin, SplineLeaf)
 
 x = coord("x")
 y = coord("y")
@@ -98,6 +98,15 @@ def test_vectorized_eval_broadcast():
     out = f.evaluate({"x": xs, "y": 2.0})
     assert out.shape == (11,)
     assert out[0] == 2.0 and out[-1] == 3.0
+
+    matrix = [[f, Const(1.0), y], [x, Const(0.0), x * y]]
+    vals = eval_fields(matrix, {"x": xs, "y": 2.0})
+    assert vals.shape == (11, 2, 3)
+    for r, row in enumerate(matrix):
+        for c, g in enumerate(row):
+            assert np.array_equal(vals[:, r, c], np.broadcast_to(
+                g.evaluate({"x": xs, "y": 2.0}), xs.shape))
+    assert eval_fields([f, y], {"x": 1.0, "y": 2.0}).tolist() == [3.0, 2.0]
 
 
 class _Poly1D:

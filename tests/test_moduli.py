@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from contfrob.errors import (EvalDomainError, InsufficientDataError,
-                             SingularIntegrandError)
+                             ParseError, SingularIntegrandError)
 from contfrob.moduli import (FAILS, HOLDS, Hoelder, Lipschitz, LogLip,
                              MaxModulus, ScaleModulus, SumModulus, Tabulated,
                              algebra_product, algebra_quotient, algebra_sum,
@@ -168,6 +168,14 @@ def test_serialization_roundtrip(w):
     s = min(w.domain_cap, 0.3) * np.array([0.1, 0.5, 1.0])
     assert np.allclose(w(s), w2(s))
     assert modulus_to_text(w2) == text
+
+
+@pytest.mark.parametrize("text", [
+    "loglip(beta)", "loglip(beta=1=2)", "lipschitz(k=abc)", "tabulated(0.1)",
+    "scale(abc, lipschitz(k=1))", "lipschitz(q=3)"])
+def test_malformed_modulus_text_raises_parse_error(text):
+    with pytest.raises(ParseError):
+        parse_modulus(text)
 
 
 def test_report_csv_format():

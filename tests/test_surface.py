@@ -74,14 +74,30 @@ def test_variational_flow_linear_in_y0():
     assert np.allclose(3.0 * Y1, Y3, atol=1e-10)
 
 
-def test_variational_flow_fd_mode_agrees():
+def test_variational_flow_matches_centered_flow_differences():
     f = [Const(1.0), x * y + y * y]
-    cfg_fd = FlowConfig(step=1e-3, jacobian_mode="fd")
-    _, Ys = variational_flow(f, ("x", "y"), np.array([0.1, 0.2]), 0.4,
-                             np.array([0.2, 1.0]), CFG)
-    _, Yf = variational_flow(f, ("x", "y"), np.array([0.1, 0.2]), 0.4,
-                             np.array([0.2, 1.0]), cfg_fd)
-    assert np.allclose(Ys, Yf, atol=1e-6)
+    x0, Y0, t, h = np.array([0.1, 0.2]), np.array([0.2, 1.0]), 0.4, 1e-6
+    _, Ys = variational_flow(f, ("x", "y"), x0, t, Y0, CFG)
+    fp = flow(f, ("x", "y"), x0 + h * Y0, t, CFG)
+    fm = flow(f, ("x", "y"), x0 - h * Y0, t, CFG)
+    assert np.allclose(Ys, (fp - fm) / (2.0 * h), atol=1e-6)
+
+
+@pytest.mark.parametrize("fields,coords,t,box", [
+    (contact().spanning_fields()[0], ("x", "y", "z"), 0.2, BOX3),
+    (contact().spanning_fields()[1], ("x", "y", "z"), -0.2, BOX3),
+    (involutive().spanning_fields()[0], ("x", "y", "z"), 0.2, BOX3),
+    (involutive().spanning_fields()[1], ("x", "y", "z"), 0.2, BOX3),
+    ([Const(1.0), parse_field("(y^2)^(1/3)")], ("t", "y"), 1.0, None),
+], ids=["contact-X1", "contact-X2", "involutive-X1", "involutive-X2",
+        "peano"])
+def test_batched_flow_equals_rowwise_flow(fields, coords, t, box):
+    rng = np.random.default_rng(2)
+    rows = rng.uniform(-0.3, 0.3, size=(17, len(coords)))
+    batch = flow(fields, coords, rows, t, CFG, box)
+    single = np.stack([flow(fields, coords, r, t, CFG, box) for r in rows])
+    assert batch.shape == rows.shape
+    assert np.array_equal(batch, single)
 
 
 def test_vertical_invariance_of_pushforwards():
