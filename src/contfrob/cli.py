@@ -28,7 +28,7 @@ from .pdelab import (hat_matrix, involutive_mollified_frames, special_solve,
                      theorem2_check)
 from .surface import (FlowConfig, build_surface, converge_surfaces,
                       patch_to_csv, tangency_defect)
-from .dynsys import (PlaneFieldSamples, domination_report,
+from .dynsys import (Cocycle, PlaneFieldSamples, domination_report,
                      splitting_involutivity_pipeline,
                      splitting_report_to_csv, transport)
 from . import presets
@@ -154,6 +154,25 @@ def _ints(p, key, default=None):
     return _numbers(int, p, key, default)
 
 
+def _scalar(kind, p, key, default):
+    """One number of one kind under params[key], or the default."""
+    if key not in p:
+        return default
+    try:
+        return kind(p[key])
+    except ValueError:
+        raise ParseError(f"{key} must be a single {kind.__name__}, got "
+                         f"{p[key]!r}") from None
+
+
+def _float(p, key, default=None):
+    return _scalar(float, p, key, default)
+
+
+def _int(p, key, default=None):
+    return _scalar(int, p, key, default)
+
+
 def _write(cfg, name, body):
     out_dir = Path(cfg.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -171,8 +190,8 @@ def _run_moduli_check(cfg):
     p = cfg.params
     w = parse_modulus(p["w"])
     if p.get("criterion", "osgood") == "osgood":
-        rep = osgood_check(w, eps=float(p["eps"]) if "eps" in p else None,
-                           depth=int(p.get("depth", 40)))
+        rep = osgood_check(w, eps=_float(p, "eps"),
+                           depth=_int(p, "depth", 40))
     else:
         w2 = parse_modulus(p["w2"]) if "w2" in p else w
         rep = limit_condition_check(w, w2)
@@ -183,8 +202,8 @@ def _run_moduli_check(cfg):
 
 def _run_mollify_verify(cfg):
     p = cfg.params
-    lo, hi = float(p.get("lo", -1.0)), float(p.get("hi", 1.0))
-    n = int(p.get("n", 1601))
+    lo, hi = _float(p, "lo", -1.0), _float(p, "hi", 1.0)
+    n = _int(p, "n", 1601)
     f = parse_field(p.get("expr", "(x^2)^0.5"))
     xs = np.linspace(lo, hi, n)
     g = GridFunction((xs,), np.asarray(f.evaluate({"x": xs}), dtype=float))
@@ -234,9 +253,9 @@ def _run_frobenius(cfg):
     coords, comps = _parse_one_form_text(p["form"])
     row = one_form(coords, comps)
     frame = FrameSection((row,), coords, (), None)
-    extent = float(p.get("extent", 0.5))
+    extent = _float(p, "extent", 0.5)
     box = Box.from_dict({c: (-extent, extent) for c in coords})
-    pts = box.lattice(int(p.get("grid", 7)))
+    pts = box.lattice(_int(p, "grid", 7))
     defect = frobenius_defect(frame, pts)
     lines = [",".join(coords) + ",defect"]
     for q, v in zip(pts, defect):
@@ -250,10 +269,10 @@ def _run_frobenius(cfg):
 def _ode_spec(p):
     name = p.get("example", "paper-ex1")
     if name == "paper-ex1":
-        return presets.ode_example_1(float(p.get("alpha", 0.9)),
-                                     float(p.get("beta", 0.5)),
-                                     float(p.get("gamma", 0.5)),
-                                     float(p.get("delta", 0.5)))
+        return presets.ode_example_1(_float(p, "alpha", 0.9),
+                                     _float(p, "beta", 0.5),
+                                     _float(p, "gamma", 0.5),
+                                     _float(p, "delta", 0.5))
     if name == "peano":
         return presets.ode_peano()
     if name == "contraction":
@@ -280,9 +299,9 @@ def _run_ode_funnel(cfg):
     spec = _ode_spec(p)
     point = _floats(p, "point", "0" + ",0" * spec.n)
     deltas = _floats(p, "deltas", "1e-3,1e-4,1e-5,1e-6")
-    rep = funnel(spec, point, float(p.get("T", 1.0)), deltas,
-                 ensemble=int(p.get("ensemble", 8)),
-                 cfg=FlowConfig(step=float(p.get("step", 1e-3))),
+    rep = funnel(spec, point, _float(p, "T", 1.0), deltas,
+                 ensemble=_int(p, "ensemble", 8),
+                 cfg=FlowConfig(step=_float(p, "step", 1e-3)),
                  seed=cfg.seed)
     _write(cfg, "ode_funnel.csv", funnel_to_csv(rep))
     print(f"funnel verdict={rep.verdict} dispersions={rep.dispersions}")
@@ -292,12 +311,12 @@ def _run_ode_funnel(cfg):
 def _pde_spec(p):
     name = p.get("example", "paper-ex2")
     if name == "paper-ex2":
-        sf, spec = presets.pde_example_2(float(p.get("alpha", 0.8)),
-                                         float(p.get("beta", 0.4)))
+        sf, spec = presets.pde_example_2(_float(p, "alpha", 0.8),
+                                         _float(p, "beta", 0.4))
         return sf, spec
     if name == "paper-ex3":
-        kw = {k: float(p[k]) for k in ("a11", "a12", "a21", "a22", "b1", "b2")
-              if k in p}
+        kw = {k: _float(p, k)
+              for k in ("a11", "a12", "a21", "a22", "b1", "b2") if k in p}
         return None, presets.pde_example_3(**kw)
     raise ParseError(f"unknown PDE example {name!r}")
 
@@ -334,7 +353,7 @@ def _run_pde_solve_special(cfg):
         raise ParseError("solve-special needs a separable example")
     x0 = np.asarray(_floats(p, "x0", "0.3,0.3"))
     y0 = np.asarray(_floats(p, "y0", "0.5,0.5"))
-    res_grid = int(p.get("targets_res", 3))
+    res_grid = _int(p, "targets_res", 3)
     xb = Box(sf.x_names, spec.domain.lows[:sf.m], spec.domain.highs[:sf.m])
     targets = xb.shrink(0.05).lattice(res_grid)
     result = special_solve(sf, x0, y0, targets)
@@ -357,7 +376,7 @@ def _run_pde_frames(cfg):
         raise ParseError("frames needs a separable example")
     eps_list = _floats(p, "eps_list", "0.125,0.0625,0.03125")
     fams = involutive_mollified_frames(sf, eps_list,
-                                       check_res=int(p.get("grid", 4)))
+                                       check_res=_int(p, "grid", 4))
     lines = ["eps,wedge_sup"]
     for fam in fams:
         lines.append(f"{float(fam.eps)!r},{float(fam.wedge_sup)!r}")
@@ -379,11 +398,11 @@ def _surface_dist(p):
 def _run_surface(cfg):
     p = cfg.params
     dist = _surface_dist(p)
-    eps1 = float(p.get("eps1", 0.1))
-    step = float(p.get("step", eps1 / 32.0))
+    eps1 = _float(p, "eps1", 0.1)
+    step = _float(p, "step", eps1 / 32.0)
     order = tuple(_ints(p, "order")) if "order" in p else None
     x0 = np.asarray(_floats(p, "x0", "0,0,0"))
-    patch = build_surface(dist, x0, eps1, int(p.get("grid", 9)),
+    patch = build_surface(dist, x0, eps1, _int(p, "grid", 9),
                           FlowConfig(step=step), order=order)
     rep = tangency_defect(patch, dist, sup_res=5, n_dirs=64, seed=cfg.seed)
     _write(cfg, "surface.csv", patch_to_csv(patch, rep))
@@ -403,7 +422,7 @@ def _dyn_setup(p, seed):
         lim = e0
         d = 2
     elif name == "skew-product":
-        phi = presets.skew_product(float(p.get("tau_amp", 0.1)))
+        phi = presets.skew_product(_float(p, "tau_amp", 0.1))
         e0 = presets.skew_seed_bases()
         base = presets.constant_annihilator_frame(
             np.array([[0.0, 1.0, 0.0]]), ("x1", "x2", "x3"), ("x2",))
@@ -412,7 +431,7 @@ def _dyn_setup(p, seed):
         d = 3
     else:
         raise ParseError(f"unknown dynamics example {name!r}")
-    res = int(p.get("res", 5 if d == 2 else 4))
+    res = _int(p, "res", 5 if d == 2 else 4)
     axes = [np.linspace(0.0, 1.0, res, endpoint=False)] * d
     mesh = np.meshgrid(*axes, indexing="ij")
     pts = np.stack([m.ravel() for m in mesh], axis=-1)
@@ -427,13 +446,14 @@ def _run_dyn_transport(cfg):
     p = cfg.params
     phi, e0, _, _, lim, pts = _dyn_setup(p, cfg.seed)
     from .geometry import max_principal_angle
-    k = int(p.get("k", 10))
+    k = _int(p, "k", 10)
     lines = ["k,max_angle_to_next,max_angle_to_limit"]
     prev = None
     lim_b = np.broadcast_to(lim, (len(pts),) + np.shape(lim)) \
         if np.ndim(lim) == 2 else lim
+    cocycle = Cocycle(phi, pts, k)
     for j in range(k + 1):
-        ek = transport(phi, e0, j, pts)
+        ek = cocycle.transport(e0, j)
         to_prev = float(np.max(max_principal_angle(prev, ek.bases))) \
             if prev is not None else float("nan")
         to_lim = float(np.max(max_principal_angle(ek.bases, lim_b)))
@@ -448,7 +468,7 @@ def _run_dyn_dominate(cfg):
     p = cfg.params
     phi, e0, f, _, _, pts = _dyn_setup(p, cfg.seed)
     eps_sweep = tuple(_floats(p, "eps_sweep", "0.1,0.5,1.0"))
-    rep = domination_report(phi, e0, f, int(p.get("k_max", 12)), pts,
+    rep = domination_report(phi, e0, f, _int(p, "k_max", 12), pts,
                             eps_list=eps_sweep)
     _write(cfg, "dyn_dominate.csv", splitting_report_to_csv(rep))
     print(f"dominated={rep.dominated} growth C={rep.growth_C:.4f} "
@@ -459,13 +479,13 @@ def _run_dyn_dominate(cfg):
 def _run_dyn_traces(cfg):
     p = cfg.params
     phi, e0, f, base, lim, pts = _dyn_setup(p, cfg.seed)
-    eps = float(p.get("eps", 1.0))
-    k_max = int(p.get("k_max", 8))
+    eps = _float(p, "eps", 1.0)
+    k_max = _int(p, "k_max", 8)
     lim_b = np.broadcast_to(lim, (len(pts),) + np.shape(lim)).copy() \
         if np.ndim(lim) == 2 else lim
     rep, asym, ext = splitting_involutivity_pipeline(
         phi, e0, base, f, k_max, eps, pts, limit=lim_b,
-        n_dirs=int(p.get("n_dirs", 64)), seed=cfg.seed)
+        n_dirs=_int(p, "n_dirs", 64), seed=cfg.seed)
     if asym is None:
         _write(cfg, "dyn_traces.csv", "# verdict=NotApplicable\n")
         print("domination fails: traces not applicable")

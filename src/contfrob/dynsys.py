@@ -13,6 +13,14 @@ are exact annihilators of the transported plane field; their exterior
 derivative is the pullback of dC_0, so it is computed pointwise from the
 base frame's symbolic derivative and jacobian products, never from
 composed expression trees.
+
+Cost model: every orbit and jacobian product comes from a Cocycle, which
+evaluates phi and Dphi once per orbit step over a fixed point set and
+keeps the cumulative products Dphi^k.  A report, a transport sweep or a
+splitting pipeline up to k_max therefore makes k_max map and k_max
+jacobian evaluations.  Only the matrix work stays O(k_max^2): the
+backward solves of each E_k and the forward chain Dphi^k E_k, both of
+which start afresh at every k.
 """
 
 from __future__ import annotations
@@ -23,14 +31,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .boxes import env_of
-from .errors import ConeError, DegenerateSubspaceError
+from .errors import ConeError, DegenerateSubspaceError, StepCountError
 from .fields import eval_fields
 from .forms import KForm
 from .geometry import (FrameSection, max_principal_angle, orthonormalize)
 
 __all__ = [
-    "DiffeoSpec", "PlaneFieldSamples", "SplittingReport", "PullbackFrame",
-    "transport", "domination_report", "orthonormal_pullback_frames",
+    "DiffeoSpec", "Cocycle", "PlaneFieldSamples", "SplittingReport",
+    "PullbackFrame", "transport", "domination_report",
+    "orthonormal_pullback_frames",
     "splitting_involutivity_pipeline", "splitting_report_to_csv",
 ]
 
@@ -103,39 +112,64 @@ class PlaneFieldSamples:
         return self.bases.shape[-1]
 
 
+class Cocycle:
+    """Orbit and derivative cocycle of phi over fixed points, up to k_max.
+
+    orbit[j] = phi^j(p) for j = 0..k_max, jacobians[j] = Dphi at phi^j(p)
+    for j < k_max, and products[k] = Dphi^k_p, built as P_0 = I and
+    P_k = J_{k-1} @ P_{k-1}.  Everything that needs phi^k or Dphi^k over
+    these points, for any k <= k_max, reads it from here.
+    """
+
+    def __init__(self, phi: DiffeoSpec, points, k_max):
+        if k_max < 0:
+            raise StepCountError(f"k_max must be >= 0, got {k_max}")
+        self.phi = phi
+        self.points = np.array(points, dtype=float, ndmin=2)
+        self.k_max = int(k_max)
+        self.orbit = phi.orbit(self.points, self.k_max)
+        self.jacobians = [phi.jacobian(x) for x in self.orbit[:-1]]
+        P = np.broadcast_to(np.eye(phi.dim),
+                            (len(self.points), phi.dim, phi.dim)).copy()
+        self.products = [P]
+        for J in self.jacobians:
+            P = J @ P
+            self.products.append(P)
+
+    def transport(self, e0_bases, k):
+        """E_k(p) = Dphi^{-k}(E_0 at phi^k(p)); see the module function."""
+        if not 0 <= k <= self.k_max:
+            raise StepCountError(f"k must lie in 0..{self.k_max}, got {k}")
+        if callable(e0_bases):
+            B = np.asarray(e0_bases(self.orbit[k]), dtype=float)
+        else:
+            e0 = np.asarray(e0_bases, dtype=float)
+            B = np.broadcast_to(e0, (len(self.points),) + e0.shape).copy()
+        B = orthonormalize(B)
+        for j in range(k - 1, -1, -1):
+            try:
+                B = np.linalg.solve(self.jacobians[j], B)
+                B = orthonormalize(B)
+            except (np.linalg.LinAlgError, DegenerateSubspaceError) as err:
+                raise ConeError(f"transversality lost at step {j}: {err}",
+                                point=self.points[0]) from None
+        return PlaneFieldSamples(self.points, B)
+
+    def chain(self, bases, k):
+        """Yield Dphi^j bases for j = 1..k, each one step on from the last."""
+        M = bases.copy()
+        for J in self.jacobians[:k]:
+            M = J @ M
+            yield M
+
+
 def transport(phi: DiffeoSpec, e0_bases, k, points):
     """Pull back a plane field: E_k(p) = Dphi^{-k}(E_0 at phi^k(p)).
 
     e0_bases: (d, r) constant or callable points -> (N, d, r).
     Re-orthonormalizes after every jacobian inversion step.
     """
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    orbit = phi.orbit(points, k)
-    if callable(e0_bases):
-        B = np.asarray(e0_bases(orbit[k]), dtype=float)
-    else:
-        e0 = np.asarray(e0_bases, dtype=float)
-        B = np.broadcast_to(e0, (len(points),) + e0.shape).copy()
-    B = orthonormalize(B)
-    for j in range(k - 1, -1, -1):
-        J = phi.jacobian(orbit[j])  # Dphi at phi^j(p)
-        try:
-            B = np.linalg.solve(J, B)
-            B = orthonormalize(B)
-        except (np.linalg.LinAlgError, DegenerateSubspaceError) as err:
-            raise ConeError(f"transversality lost at step {j}: {err}",
-                            point=points[0]) from None
-    return PlaneFieldSamples(points, B)
-
-
-def _restricted_product_norms(phi, points, bases, k):
-    """sigma_max and sigma_min of Dphi^k restricted to span(bases)."""
-    orbit = phi.orbit(points, k)
-    M = bases.copy()
-    for j in range(k):
-        M = phi.jacobian(orbit[j]) @ M
-    s = np.linalg.svd(M, compute_uv=False)
-    return s[:, 0], s[:, -1]
+    return Cocycle(phi, points, k).transport(e0_bases, k)
 
 
 @dataclass
@@ -165,32 +199,43 @@ def domination_report(phi: DiffeoSpec, e0_bases, f_samples, k_max, points,
     empirical minimum of |Dphi^k v| / m(Dphi^k|_F) over unit vertical v,
     the fitted value of the existential comparison constant.
     """
-    points = np.atleast_2d(np.asarray(points, dtype=float))
+    report, _ = _domination(Cocycle(phi, points, k_max), e0_bases, f_samples,
+                            eps_list, y_indices)
+    return report
+
+
+def _domination(cc: Cocycle, e0_bases, f_samples, eps_list, y_indices):
+    """domination_report over a built cocycle; also returns the E_k bases."""
+    if cc.k_max < 1:
+        raise StepCountError(f"domination needs k_max >= 1, got {cc.k_max}")
+    points, dim = cc.points, cc.phi.dim
     f_bases = f_samples.bases if isinstance(f_samples, PlaneFieldSamples) \
         else np.broadcast_to(np.asarray(f_samples, dtype=float),
-                             (len(points), phi.dim,
+                             (len(points), dim,
                               np.asarray(f_samples).shape[-1]))
-    y_bases = None
+    y_chain = None
     if y_indices is not None:
-        y_bases = np.zeros((len(points), phi.dim, len(y_indices)))
+        y_bases = np.zeros((len(points), dim, len(y_indices)))
         for c, idx in enumerate(y_indices):
             y_bases[:, idx, c] = 1.0
-    ks = list(range(1, k_max + 1))
-    norm_E, conorm_F, angles = [], [], []
-    vertical_C = math.inf if y_bases is not None else math.nan
-    prev = None
+        y_chain = cc.chain(y_bases, cc.k_max)
+    f_chain = cc.chain(f_bases, cc.k_max)
+    ks = list(range(1, cc.k_max + 1))
+    e_bases, norm_E, conorm_F, angles = [], [], [], []
+    vertical_C = math.inf if y_chain is not None else math.nan
     for k in ks:
-        ek = transport(phi, e0_bases, k, points)
-        top, _ = _restricted_product_norms(phi, points, ek.bases, k)
+        ek = cc.transport(e0_bases, k).bases
+        *_, M = cc.chain(ek, k)
+        top = np.linalg.svd(M, compute_uv=False)[:, 0]
         norm_E.append(float(np.max(top)))
-        _, bot = _restricted_product_norms(phi, points, f_bases, k)
+        bot = np.linalg.svd(next(f_chain), compute_uv=False)[:, -1]
         conorm_F.append(float(np.min(bot)))
-        if y_bases is not None:
-            _, y_min = _restricted_product_norms(phi, points, y_bases, k)
+        if y_chain is not None:
+            y_min = np.linalg.svd(next(y_chain), compute_uv=False)[:, -1]
             vertical_C = min(vertical_C, float(np.min(y_min / bot)))
-        if prev is not None:
-            angles.append(float(np.max(max_principal_angle(prev, ek.bases))))
-        prev = ek.bases
+        if e_bases:
+            angles.append(float(np.max(max_principal_angle(e_bases[-1], ek))))
+        e_bases.append(ek)
 
     A = np.stack([np.asarray(ks, dtype=float), np.ones(len(ks))], axis=1)
     sol, *_ = np.linalg.lstsq(A, np.asarray(norm_E), rcond=None)
@@ -200,9 +245,11 @@ def domination_report(phi: DiffeoSpec, e0_bases, f_samples, k_max, points,
         q[eps] = [nE ** 2 / cF * math.exp(eps * nE)
                   for nE, cF in zip(norm_E, conorm_F)]
     dominated = norm_E[0] < conorm_F[0]
-    return SplittingReport(ks, norm_E, conorm_F, float(sol[0]), float(sol[1]),
-                           resid, q, dominated, angles, vertical_C,
-                           {"points": len(points), "eps_list": list(eps_list)})
+    report = SplittingReport(ks, norm_E, conorm_F, float(sol[0]),
+                             float(sol[1]), resid, q, dominated, angles,
+                             vertical_C, {"points": len(points),
+                                          "eps_list": list(eps_list)})
+    return report, e_bases
 
 
 class PullbackFrame:
@@ -211,7 +258,9 @@ class PullbackFrame:
     Implements the same pointwise interface as FrameSection: the matrix
     is C_0(phi^k p) Dphi^k_p and the derivative matrices are the pullback
     of dC_0 (zero when C_0 is constant), evaluated with jacobian products
-    rather than composed expression trees.
+    rather than composed expression trees.  The orbit and Dphi^k come
+    from a Cocycle over the queried points; the frame keeps the last one
+    and rebuilds it only when asked about other points.
     """
 
     def __init__(self, phi: DiffeoSpec, base: FrameSection, k: int):
@@ -220,6 +269,7 @@ class PullbackFrame:
         self.k = int(k)
         self.coords = base.coords
         self.y_names = base.y_names
+        self._cocycle = None
 
     @property
     def n(self):
@@ -233,24 +283,22 @@ class PullbackFrame:
     def y_indices(self):
         return tuple(self.coords.index(y) for y in self.y_names)
 
-    def _jac_power(self, points):
-        orbit = self.phi.orbit(points, self.k)
-        J = np.broadcast_to(np.eye(self.dim),
-                            (len(points), self.dim, self.dim)).copy()
-        for j in range(self.k):
-            J = self.phi.jacobian(orbit[j]) @ J
-        return orbit[self.k], J
+    def _cocycle_at(self, points):
+        pts = np.atleast_2d(np.asarray(points, dtype=float))
+        cc = self._cocycle
+        if cc is None or not np.array_equal(cc.points, pts):
+            cc = self._cocycle = Cocycle(self.phi, pts, self.k)
+        return cc
 
     def matrix_at(self, points):
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        end, J = self._jac_power(pts)
-        C = self.base.matrix_at(end)
-        return C @ J
+        cc = self._cocycle_at(points)
+        C = self.base.matrix_at(cc.orbit[self.k])
+        return C @ cc.products[self.k]
 
     def d_matrices_at(self, points):
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        end, J = self._jac_power(pts)
-        dC = self.base.d_matrices_at(end)  # (N, n, d, d)
+        cc = self._cocycle_at(points)
+        J = cc.products[self.k]
+        dC = self.base.d_matrices_at(cc.orbit[self.k])  # (N, n, d, d)
         return np.einsum("pca,pjcd,pdb->pjab", J, dC, J)
 
 
@@ -278,13 +326,13 @@ def splitting_involutivity_pipeline(phi: DiffeoSpec, e0_bases,
     from .geometry import (asymptotic_involutivity_trace,
                            exterior_regularity_trace)
     y_indices = [base_frame.coords.index(y) for y in base_frame.y_names]
-    report = domination_report(phi, e0_bases, f_samples, k_max, points,
-                               eps_list=(eps,), y_indices=y_indices)
+    cc = Cocycle(phi, points, k_max)
+    report, dists = _domination(cc, e0_bases, f_samples, (eps,), y_indices)
     if not report.dominated:
         return report, None, None
     frames = [PullbackFrame(phi, base_frame, k) for k in range(1, k_max + 1)]
-    dists = [transport(phi, e0_bases, k, points).bases
-             for k in range(1, k_max + 1)]
+    for frame in frames:
+        frame._cocycle = cc
     asym = asymptotic_involutivity_trace(frames, dists, eps, points,
                                          n_dirs=n_dirs, seed=seed)
     ext = None

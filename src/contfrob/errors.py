@@ -62,3 +62,7 @@ class BranchCrossingError(ContfrobError):
 
 class DegenerateSubspaceError(ContfrobError):
     """Sampled subspace basis is rank-deficient."""
+
+
+class StepCountError(ContfrobError):
+    """An iteration count (k, k_max) is outside its valid range."""

@@ -445,9 +445,20 @@ _LEAF_KEYS = {"lipschitz": ("k", "cap"), "hoelder": ("alpha", "k", "cap"),
 
 def parse_modulus(text):
     text = text.strip()
+    try:
+        return _build_modulus(text)
+    except ValueError as err:  # a constructor's range check
+        raise ParseError(f"invalid modulus {text!r}: {err}") from None
+
+
+def _build_modulus(text):
     name, body = _split_call(text)
     if name in _LEAF_KEYS:
         kv = _parse_kv(body, _LEAF_KEYS[name])
+        for key in ("k", "beta"):
+            if key in kv and not kv[key] >= 0.0:
+                raise ParseError(f"{key} must be nonnegative, got "
+                                 f"{kv[key]!r} in {text!r}")
         if name == "lipschitz":
             return Lipschitz(K=kv.pop("k", 1.0),
                              domain_cap=kv.pop("cap", math.inf))

@@ -129,3 +129,51 @@ def test_surface_escape_reports_node_and_exit_time(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error [EscapeError]: trajectory left the domain")
     assert "node=(0, 4)" in err and "exit_time=" in err
+
+
+def _run_config(tmp_path, kind, params):
+    cfg = ExperimentConfig(kind, out=str(tmp_path), params=params)
+    path = tmp_path / "exp.cfg"
+    path.write_text(cfg.to_text())
+    return main(["run", "--config", str(path)])
+
+
+@pytest.mark.parametrize("kind,key,value", [
+    ("dyn-traces", "eps", "abc"), ("dyn-dominate", "k_max", "1.5")])
+def test_bad_scalar_param_is_parse_error(tmp_path, capsys, kind, key, value):
+    assert _run_config(tmp_path, kind, {"example": "cat-map",
+                                        key: value}) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"parse error: {key} must be a single ")
+    assert repr(value) in err
+
+
+def test_dyn_dominate_k_max_0_is_step_count_error(tmp_path, capsys):
+    rc = main(["dyn", "dominate", "--example", "cat-map", "--k-max", "0",
+               "--out", str(tmp_path)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error [StepCountError]: ")
+    assert "k_max >= 1, got 0" in err
+    assert not (tmp_path / "dyn_dominate.csv").exists()
+
+
+def test_dyn_traces_config_k_max_0_is_step_count_error(tmp_path, capsys):
+    rc = _run_config(tmp_path, "dyn-traces",
+                     {"example": "skew-product", "k_max": "0"})
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error [StepCountError]: ")
+    assert "k_max >= 1, got 0" in err
+    assert not (tmp_path / "dyn_traces.csv").exists()
+
+
+def test_dyn_transport_negative_k_is_step_count_error(tmp_path, capsys):
+    rc = main(["dyn", "transport", "--example", "cat-map", "--k", "-1",
+               "--out", str(tmp_path)])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error [StepCountError]: ")
+    assert "got -1" in captured.err
+    assert "transported" not in captured.out
+    assert not (tmp_path / "dyn_transport.csv").exists()

@@ -4,16 +4,22 @@ import numpy as np
 import pytest
 
 from contfrob.boxes import Box
-from contfrob.dynsys import (DiffeoSpec, PlaneFieldSamples, domination_report,
+from contfrob.dynsys import (Cocycle, DiffeoSpec, PlaneFieldSamples,
+                             PullbackFrame, domination_report,
                              orthonormal_pullback_frames,
                              splitting_involutivity_pipeline,
                              splitting_report_to_csv, transport)
+from contfrob.errors import StepCountError
 from contfrob.fields import parse_field
-from contfrob.geometry import (compatibility_defect, max_principal_angle,
-                               subspace_distance)
+from contfrob.forms import one_form
+from contfrob.geometry import (FrameSection, asymptotic_involutivity_trace,
+                               compatibility_defect,
+                               exterior_regularity_trace, max_principal_angle,
+                               orthonormalize, subspace_distance)
 from contfrob.presets import (cat_contracting_direction, cat_eigenvalues,
                               cat_expanding_direction, cat_map,
-                              constant_annihilator_frame, skew_product,
+                              constant_annihilator_frame,
+                              skew_center_stable_bases, skew_product,
                               skew_seed_bases)
 
 LAM_MINUS, LAM_PLUS = cat_eigenvalues()
@@ -237,3 +243,186 @@ def test_splitting_report_csv():
     body = [ln for ln in text.splitlines() if not ln.startswith("#")]
     assert body[0].startswith("k,norm_E,conorm_F,q_eps")
     assert len(body) == 6
+
+
+# ---------------------------------------------------------------------------
+# the cocycle against from-scratch per-k evaluation
+
+
+def dyn_case(name):
+    """(phi, e0, f_bases, annihilator base frame, limit bases, points)."""
+    if name == "cat-map":
+        phi = cat_map()
+        pts = torus_lattice(2, res=3)
+        base = constant_annihilator_frame(np.array([[0.0, 1.0]]),
+                                          ("x1", "x2"), ("x2",))
+        lim = cat_contracting_direction()[:, None]
+        return (phi, np.array([[1.0], [0.0]]),
+                cat_expanding_direction()[:, None], base,
+                np.broadcast_to(lim, (len(pts), 2, 1)).copy(), pts)
+    phi = skew_product()
+    pts = torus_lattice(3, res=3)
+    eu = np.concatenate([cat_expanding_direction(), [0.0]])[:, None]
+    f = transport(phi.inverted(), eu, 8, pts).bases
+    base = constant_annihilator_frame(np.array([[0.0, 1.0, 0.0]]),
+                                      phi.coords, ("x2",))
+    lim = np.broadcast_to(skew_center_stable_bases(), (len(pts), 3, 2))
+    return phi, skew_seed_bases(), f, base, lim.copy(), pts
+
+
+def curved_frame(coords):
+    """A one-row frame with a non-constant component, so d of it is not 0."""
+    comps = {coords[1]: parse_field("1"),
+             coords[0]: parse_field("0.3*sin(6.283185307179586*x2)")}
+    return FrameSection((one_form(coords, comps),), coords, (coords[1],))
+
+
+def reference_transport(phi, e0, k, pts):
+    orbit = phi.orbit(pts, k)
+    B = orthonormalize(np.broadcast_to(e0, (len(pts),) + e0.shape).copy())
+    for j in range(k - 1, -1, -1):
+        B = orthonormalize(np.linalg.solve(phi.jacobian(orbit[j]), B))
+    return B
+
+
+def reference_product(phi, pts, bases, k):
+    """phi^k(p) and Dphi^k_p bases, with the orbit and jacobians redone."""
+    orbit = phi.orbit(pts, k)
+    M = bases.copy()
+    for j in range(k):
+        M = phi.jacobian(orbit[j]) @ M
+    return orbit[k], M
+
+
+def reference_frame_matrices(phi, base, k, pts):
+    eye = np.broadcast_to(np.eye(phi.dim), (len(pts), phi.dim, phi.dim))
+    end, J = reference_product(phi, pts, eye, k)
+    A = base.matrix_at(end) @ J
+    dA = np.einsum("pca,pjcd,pdb->pjab", J, base.d_matrices_at(end), J)
+    return A, dA
+
+
+class ReferenceFrame(PullbackFrame):
+    def matrix_at(self, points):
+        return reference_frame_matrices(self.phi, self.base, self.k,
+                                        points)[0]
+
+    def d_matrices_at(self, points):
+        return reference_frame_matrices(self.phi, self.base, self.k,
+                                        points)[1]
+
+
+DYN_CASES = ["cat-map", "skew-product"]
+
+
+@pytest.mark.parametrize("name", DYN_CASES)
+def test_cocycle_transport_equals_per_k_reference(name):
+    phi, e0, _, _, _, pts = dyn_case(name)
+    k_max = 9
+    cc = Cocycle(phi, pts, k_max)
+    for k in range(k_max + 1):
+        ref = reference_transport(phi, e0, k, pts)
+        assert np.array_equal(cc.transport(e0, k).bases, ref)
+        assert np.array_equal(transport(phi, e0, k, pts).bases, ref)
+
+
+@pytest.mark.parametrize("name", DYN_CASES)
+def test_cocycle_restricted_norms_equal_per_k_reference(name):
+    phi, e0, f, _, _, pts = dyn_case(name)
+    k_max = 9
+    f = np.broadcast_to(f, (len(pts),) + np.shape(f)[-2:])
+    y = np.zeros((len(pts), phi.dim, 1))
+    y[:, 1, 0] = 1.0
+    rep = domination_report(phi, e0, f, k_max, pts, y_indices=[1])
+    cc = Cocycle(phi, pts, k_max)
+    f_chain, y_chain = cc.chain(f, k_max), cc.chain(y, k_max)
+    vertical_C = math.inf
+    for k in range(1, k_max + 1):
+        ek = reference_transport(phi, e0, k, pts)
+        s_e = np.linalg.svd(reference_product(phi, pts, ek, k)[1],
+                            compute_uv=False)
+        s_f = np.linalg.svd(reference_product(phi, pts, f, k)[1],
+                            compute_uv=False)
+        s_y = np.linalg.svd(reference_product(phi, pts, y, k)[1],
+                            compute_uv=False)
+        *_, M_e = cc.chain(ek, k)
+        assert np.array_equal(np.linalg.svd(M_e, compute_uv=False), s_e)
+        assert np.array_equal(np.linalg.svd(next(f_chain), compute_uv=False),
+                              s_f)
+        assert np.array_equal(np.linalg.svd(next(y_chain), compute_uv=False),
+                              s_y)
+        assert rep.norm_E[k - 1] == float(np.max(s_e[:, 0]))
+        assert rep.conorm_F[k - 1] == float(np.min(s_f[:, -1]))
+        vertical_C = min(vertical_C,
+                         float(np.min(s_y[:, -1] / s_f[:, -1])))
+    assert rep.vertical_C == vertical_C
+
+
+@pytest.mark.parametrize("name", DYN_CASES)
+def test_pullback_frame_equals_per_k_reference(name):
+    phi, _, _, _, _, pts = dyn_case(name)
+    base = curved_frame(phi.coords)
+    other = np.mod(pts[::2] + 0.137, 1.0)
+    for k in (0, 1, 4, 7):
+        frame = PullbackFrame(phi, base, k)
+        # the frame rebuilds its cocycle whenever the points change
+        for q in (pts, other, pts, pts):
+            A, dA = reference_frame_matrices(phi, base, k, q)
+            assert np.array_equal(frame.matrix_at(q), A)
+            assert np.array_equal(frame.d_matrices_at(q), dA)
+            assert np.max(np.abs(dA)) > 0.0
+
+
+@pytest.mark.parametrize("name", DYN_CASES)
+def test_pipeline_equals_per_k_reference(name):
+    phi, e0, f, _, lim, pts = dyn_case(name)
+    base = curved_frame(phi.coords)
+    k_max, eps = 6, 0.5
+    rep, asym, ext = splitting_involutivity_pipeline(
+        phi, e0, base, f, k_max, eps, pts, limit=lim, n_dirs=8)
+    assert rep.dominated
+    frames = [ReferenceFrame(phi, base, k) for k in range(1, k_max + 1)]
+    dists = [reference_transport(phi, e0, k, pts)
+             for k in range(1, k_max + 1)]
+    ref_asym = asymptotic_involutivity_trace(frames, dists, eps, pts,
+                                             n_dirs=8)
+    ref_ext = exterior_regularity_trace(frames, lim, eps, pts, n_dirs=8)
+    assert [(t.q, t.strong, t.parts) for t in asym] == \
+        [(t.q, t.strong, t.parts) for t in ref_asym]
+    assert [(t.q, t.parts) for t in ext] == [(t.q, t.parts) for t in ref_ext]
+
+
+@pytest.mark.parametrize("name", DYN_CASES)
+@pytest.mark.parametrize("k_max", [8, 16])
+def test_pipeline_evaluates_map_once_per_step(monkeypatch, name, k_max):
+    phi, e0, f, base, lim, pts = dyn_case(name)
+    calls = {"apply": 0, "jacobian": 0}
+
+    def counted(method):
+        inner = getattr(phi, method)
+
+        def wrapper(*args, **kwargs):
+            calls[method] += 1
+            return inner(*args, **kwargs)
+        monkeypatch.setattr(phi, method, wrapper)
+
+    counted("apply")
+    counted("jacobian")
+    rep, asym, ext = splitting_involutivity_pipeline(
+        phi, e0, base, f, k_max, 1.0, pts, limit=lim, n_dirs=4, seed=0)
+    assert rep.dominated and asym is not None and ext is not None
+    assert calls == {"apply": k_max, "jacobian": k_max}
+
+
+def test_step_counts_out_of_range_raise():
+    phi = cat_map()
+    pts = torus_lattice(2, res=3)
+    with pytest.raises(StepCountError, match="got -1"):
+        Cocycle(phi, pts, -1)
+    with pytest.raises(StepCountError, match="got -2"):
+        transport(phi, np.array([[1.0], [0.0]]), -2, pts)
+    with pytest.raises(StepCountError, match="got 0"):
+        domination_report(phi, np.array([[1.0], [0.0]]),
+                          cat_expanding_direction()[:, None], 0, pts)
+    with pytest.raises(StepCountError, match="got 4"):
+        Cocycle(phi, pts, 3).transport(np.array([[1.0], [0.0]]), 4)

@@ -1,9 +1,11 @@
 """Byte-level golden digests of CLI reports.
 
 Each case runs one CLI command and compares the SHA-256 of the CSV it
-writes against a digest captured before the trajectory engine and the
-field evaluator were consolidated.  Refactors must keep every report
-byte-identical; a changed digest means a changed number.
+writes against a digest captured before the code it exercises was last
+restructured (the trajectory engine and field evaluator for the first
+five, the dynsys cocycle for the two dyn dominate/transport cases).
+Refactors must keep every report byte-identical; a changed digest means
+a changed number.
 """
 
 import hashlib
@@ -28,6 +30,12 @@ GOLDEN = [
       "--deltas", "1e-3,1e-4,1e-5", "--ensemble", "4", "--step", "0.004"],
      "ode_funnel.csv",
      "0e3b82f2659b1037c9a22d24f7c846c12613754a500d555e45dcbcd15ea8f4e8"),
+    (["dyn", "dominate", "--example", "cat-map", "--k-max", "15"],
+     "dyn_dominate.csv",
+     "cf801409d391cc9c1b416d9b95fa96a1d01d7705d2fbc947c7c91be5bb09f433"),
+    (["dyn", "transport", "--example", "skew-product", "--k", "10"],
+     "dyn_transport.csv",
+     "906eea957b33123c4abb5bbe0afa23944178c3221dde178e6cc1497cb73dc37d"),
 ]
 
 

@@ -172,7 +172,8 @@ def test_serialization_roundtrip(w):
 
 @pytest.mark.parametrize("text", [
     "loglip(beta)", "loglip(beta=1=2)", "lipschitz(k=abc)", "tabulated(0.1)",
-    "scale(abc, lipschitz(k=1))", "lipschitz(q=3)"])
+    "scale(abc, lipschitz(k=1))", "lipschitz(q=3)", "hoelder(alpha=2)",
+    "tabulated(0.1:0.2)", "lipschitz(k=-1)", "loglip(beta=-1)"])
 def test_malformed_modulus_text_raises_parse_error(text):
     with pytest.raises(ParseError):
         parse_modulus(text)
