@@ -16,6 +16,7 @@ rank-m distribution on a coordinate box is (uniquely) integrable:
                   ODEs/PDEs, plus the separable closed-form solver;
 * dynsys       -- dominated-splitting transport and decay traces on
                   torus maps;
+* report       -- the one text format of every CSV report;
 * cli          -- reproducible experiment runner with CSV reports.
 """
 

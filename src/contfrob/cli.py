@@ -1,36 +1,40 @@
 """Command-line front end: presets, config files, CSV reports.
 
-Every report starts with a '#'-prefixed header block embedding the fully
-resolved configuration (sorted keys, no timestamps), so identical configs
-and seeds produce byte-identical files.  Exit codes: 0 on completion, 2
-when a verdict came out different from a demanded one (--expect), 1 on
-errors.
+The `_KINDS` table declares each experiment kind once: its command words,
+handler and params.  The parser is built from it, config files are
+checked against it and `main` dispatches through it.  Every report starts
+with a '#'-prefixed header block embedding the fully resolved
+configuration (sorted keys, no timestamps), so identical configs and
+seeds produce byte-identical files.  Exit codes: 0 on completion, 2 when
+a verdict came out different from a demanded one (--expect), 1 on errors,
+malformed flag values and config text included.
 """
 
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .boxes import Box
 from .errors import ContfrobError, EscapeError, ParseError
-from .fields import coord, expand, parse_field
+from .fields import Add, Coord, Mul, expand, mul, parse_field
 from .forms import one_form
-from .geometry import FrameSection, frobenius_defect
+from .geometry import FrameSection, frobenius_defect, max_principal_angle
 from .moduli import (fit_loglog_slope, limit_condition_check, osgood_check,
                      parse_modulus)
 from .mollify import GridFunction, verify_bounds
 from .odelab import funnel, funnel_to_csv, theorem1_check
-from .pdelab import (hat_matrix, involutive_mollified_frames, special_solve,
-                     theorem2_check)
-from .surface import (FlowConfig, build_surface, converge_surfaces,
-                      patch_to_csv, tangency_defect)
+from .pdelab import involutive_mollified_frames, special_solve, theorem2_check
+from .surface import FlowConfig, build_surface, patch_to_csv, tangency_defect
 from .dynsys import (Cocycle, PlaneFieldSamples, domination_report,
                      splitting_involutivity_pipeline,
                      splitting_report_to_csv, transport)
+from .report import csv_text
 from . import presets
 
 __all__ = ["main", "ExperimentConfig", "run_experiment"]
@@ -40,24 +44,6 @@ __all__ = ["main", "ExperimentConfig", "run_experiment"]
 # config files
 
 
-_KIND_PARAMS = {
-    "moduli-check": {"criterion", "w", "w2", "eps", "depth"},
-    "mollify-verify": {"expr", "eps_list", "n", "lo", "hi", "w", "w_axis"},
-    "frobenius": {"form", "grid", "extent"},
-    "surface": {"example", "eps1", "grid", "x0", "step", "order"},
-    "ode-check": {"example", "alpha", "beta", "gamma", "delta", "point"},
-    "ode-funnel": {"example", "alpha", "beta", "gamma", "delta", "point",
-                   "T", "deltas", "ensemble", "step"},
-    "pde-check": {"example", "alpha", "beta", "a11", "a12", "a21", "a22",
-                  "b1", "b2", "point", "columns"},
-    "pde-solve-special": {"example", "alpha", "beta", "x0", "y0",
-                          "targets_res"},
-    "pde-frames": {"example", "alpha", "beta", "eps_list", "grid"},
-    "dyn-transport": {"example", "k", "res", "tau_amp"},
-    "dyn-dominate": {"example", "k_max", "res", "eps_sweep", "tau_amp"},
-    "dyn-traces": {"example", "k_max", "eps", "res", "n_dirs", "tau_amp"},
-}
-
 _COMMON_KEYS = {"kind", "out", "seed", "expect"}
 
 
@@ -65,14 +51,14 @@ class ExperimentConfig:
     """Flat key-value config with an [experiment] and a [params] section."""
 
     def __init__(self, kind, out=".", seed=0, expect=None, params=None):
-        if kind not in _KIND_PARAMS:
+        if kind not in _KINDS:
             raise ParseError(f"unknown experiment kind {kind!r}")
         self.kind = kind
         self.out = out
         self.seed = int(seed)
         self.expect = expect
         self.params = dict(params or {})
-        unknown = set(self.params) - _KIND_PARAMS[kind]
+        unknown = set(self.params) - {prm.key for prm in _KINDS[kind].params}
         if unknown:
             raise ParseError(
                 f"unknown keys for {kind!r}: {sorted(unknown)}")
@@ -108,6 +94,8 @@ class ExperimentConfig:
             if "=" not in line:
                 raise ParseError(f"expected key = value, got {line!r}", ln_no)
             key, val = (p.strip() for p in line.split("=", 1))
+            if key in (top if section == "experiment" else params):
+                raise ParseError(f"repeated key {key!r}", ln_no)
             if section == "experiment":
                 if key not in _COMMON_KEYS:
                     raise ParseError(f"unknown experiment key {key!r}", ln_no)
@@ -176,10 +164,7 @@ def _int(p, key, default=None):
 def _write(cfg, name, body):
     out_dir = Path(cfg.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    path = out_dir / name
-    text = "\n".join(cfg.header_lines()) + "\n" + body
-    path.write_text(text)
-    return path
+    (out_dir / name).write_text("\n".join(cfg.header_lines() + [body]))
 
 
 # ---------------------------------------------------------------------------
@@ -211,12 +196,12 @@ def _run_mollify_verify(cfg):
     w_axis = parse_modulus(p["w_axis"]) if "w_axis" in p else w
     eps_list = _floats(p, "eps_list", "0.1,0.05,0.025")
     reports = verify_bounds(g, w, [w_axis], eps_list)
-    lines = ["eps,sup_dist,deriv_sup,bound_dist,bound_deriv,fitted_K"]
-    for r in reports:
-        lines.append(",".join(repr(float(v)) for v in (
-            r.eps, r.sup_dist, r.deriv_sup[0], r.bound_rhs["dist"],
-            r.bound_rhs["deriv"][0], r.fitted_K)))
-    _write(cfg, "mollify_verify.csv", "\n".join(lines) + "\n")
+    rows = [[float(v) for v in (r.eps, r.sup_dist, r.deriv_sup[0],
+                                r.bound_rhs["dist"], r.bound_rhs["deriv"][0],
+                                r.fitted_K)] for r in reports]
+    _write(cfg, "mollify_verify.csv", csv_text(
+        [], ["eps", "sup_dist", "deriv_sup", "bound_dist", "bound_deriv",
+             "fitted_K"], rows))
     ok = all(r.ok() for r in reports)
     print(f"mollify bounds hold={ok} fitted_K={reports[0].fitted_K:.6g}")
     return "Holds" if ok else "Fails"
@@ -224,13 +209,11 @@ def _run_mollify_verify(cfg):
 
 def _parse_one_form_text(text):
     """Differential tokens d<name> become markers, then linear collection."""
-    import re
     diff_names = sorted(set(re.findall(r"\bd([a-zA-Z]\w*)\b", text)))
     if not diff_names:
         raise ParseError("form has no differential terms")
     marked = re.sub(r"\bd([a-zA-Z]\w*)\b", r"_d_\1", text)
     f = expand(parse_field(marked))
-    from .fields import Add, Mul, Coord, ZERO, mul
     terms = f.terms if isinstance(f, Add) else [f]
     comps = {}
     for term in terms:
@@ -257,10 +240,8 @@ def _run_frobenius(cfg):
     box = Box.from_dict({c: (-extent, extent) for c in coords})
     pts = box.lattice(_int(p, "grid", 7))
     defect = frobenius_defect(frame, pts)
-    lines = [",".join(coords) + ",defect"]
-    for q, v in zip(pts, defect):
-        lines.append(",".join(repr(float(x)) for x in q) + f",{float(v)!r}")
-    _write(cfg, "frobenius.csv", "\n".join(lines) + "\n")
+    rows = [[*q, v] for q, v in zip(pts, defect)]
+    _write(cfg, "frobenius.csv", csv_text([], coords + ("defect",), rows))
     print(f"frobenius defect: max={np.max(defect):.6g} "
           f"min={np.min(defect):.6g} points={len(pts)}")
     return "Holds" if np.max(defect) <= 1e-10 else "Fails"
@@ -311,9 +292,8 @@ def _run_ode_funnel(cfg):
 def _pde_spec(p):
     name = p.get("example", "paper-ex2")
     if name == "paper-ex2":
-        sf, spec = presets.pde_example_2(_float(p, "alpha", 0.8),
-                                         _float(p, "beta", 0.4))
-        return sf, spec
+        return presets.pde_example_2(_float(p, "alpha", 0.8),
+                                     _float(p, "beta", 0.4))
     if name == "paper-ex3":
         kw = {k: _float(p, k)
               for k in ("a11", "a12", "a21", "a22", "b1", "b2") if k in p}
@@ -323,16 +303,14 @@ def _pde_spec(p):
 
 def _run_pde_check(cfg):
     p = cfg.params
-    _, spec = _pde_spec(p)
+    sf, spec = _pde_spec(p)
+    if sf is not None:  # paper-ex2
+        point, cols = [0.25, 0.25, 0.5, 0.5], range(1, spec.n + 1)
+    else:
+        point, cols = [0.0] * (spec.m + spec.n), (2, 3)
     if "point" in p:
         point = _floats(p, "point")
-    elif p.get("example", "paper-ex2") == "paper-ex2":
-        point = [0.25, 0.25, 0.5, 0.5]
-    else:
-        point = [0.0] * (spec.m + spec.n)
-    default_cols = ",".join(str(i) for i in range(1, spec.n + 1)) \
-        if p.get("example", "paper-ex2") == "paper-ex2" else "2,3"
-    columns = tuple(_ints(p, "columns", default_cols))
+    columns = tuple(_ints(p, "columns", ",".join(map(str, cols))))
     cert = theorem2_check(spec, point, columns)
     if cert.report is None:
         print(f"columns={columns} det={cert.det_value:.3g} "
@@ -357,13 +335,10 @@ def _run_pde_solve_special(cfg):
     xb = Box(sf.x_names, spec.domain.lows[:sf.m], spec.domain.highs[:sf.m])
     targets = xb.shrink(0.05).lattice(res_grid)
     result = special_solve(sf, x0, y0, targets)
-    lines = [",".join(sf.x_names + sf.y_names) + ",max_residual"]
-    for t in range(len(targets)):
-        row = [repr(float(v)) for v in targets[t]]
-        row += [repr(float(v)) for v in result.values[t]]
-        row.append(repr(float(np.max(np.abs(result.residuals[t])))))
-        lines.append(",".join(row))
-    _write(cfg, "pde_solve.csv", "\n".join(lines) + "\n")
+    rows = [[*targets[t], *result.values[t],
+             np.max(np.abs(result.residuals[t]))] for t in range(len(targets))]
+    _write(cfg, "pde_solve.csv", csv_text(
+        [], sf.x_names + sf.y_names + ("max_residual",), rows))
     print(f"solved {len(targets)} targets, max residual "
           f"{result.max_residual:.3g}")
     return "Holds" if result.max_residual <= 1e-6 else "Fails"
@@ -377,10 +352,9 @@ def _run_pde_frames(cfg):
     eps_list = _floats(p, "eps_list", "0.125,0.0625,0.03125")
     fams = involutive_mollified_frames(sf, eps_list,
                                        check_res=_int(p, "grid", 4))
-    lines = ["eps,wedge_sup"]
-    for fam in fams:
-        lines.append(f"{float(fam.eps)!r},{float(fam.wedge_sup)!r}")
-    _write(cfg, "pde_frames.csv", "\n".join(lines) + "\n")
+    _write(cfg, "pde_frames.csv", csv_text(
+        [], ["eps", "wedge_sup"],
+        [(float(fam.eps), float(fam.wedge_sup)) for fam in fams]))
     worst = max(f.wedge_sup for f in fams)
     print(f"{len(fams)} frames, wedge sup {worst:.3g}")
     return "Holds" if worst <= 1e-10 else "Fails"
@@ -411,7 +385,7 @@ def _run_surface(cfg):
     return "Holds" if rep.ok() else "Fails"
 
 
-def _dyn_setup(p, seed):
+def _dyn_setup(p):
     name = p.get("example", "cat-map")
     if name == "cat-map":
         phi = presets.cat_map()
@@ -437,36 +411,33 @@ def _dyn_setup(p, seed):
     pts = np.stack([m.ravel() for m in mesh], axis=-1)
     if name == "skew-product":
         eu = np.concatenate([presets.cat_expanding_direction(), [0.0]])[:, None]
-        f = transport(phi.inverted(), eu, 8, pts).bases
-        f = PlaneFieldSamples(pts, f)
+        f = PlaneFieldSamples(pts, transport(phi.inverted(), eu, 8, pts).bases)
+    lim = np.broadcast_to(lim, (len(pts),) + lim.shape).copy()
     return phi, e0, f, base, lim, pts
 
 
 def _run_dyn_transport(cfg):
     p = cfg.params
-    phi, e0, _, _, lim, pts = _dyn_setup(p, cfg.seed)
-    from .geometry import max_principal_angle
+    phi, e0, _, _, lim, pts = _dyn_setup(p)
     k = _int(p, "k", 10)
-    lines = ["k,max_angle_to_next,max_angle_to_limit"]
+    rows = []
     prev = None
-    lim_b = np.broadcast_to(lim, (len(pts),) + np.shape(lim)) \
-        if np.ndim(lim) == 2 else lim
     cocycle = Cocycle(phi, pts, k)
     for j in range(k + 1):
         ek = cocycle.transport(e0, j)
         to_prev = float(np.max(max_principal_angle(prev, ek.bases))) \
             if prev is not None else float("nan")
-        to_lim = float(np.max(max_principal_angle(ek.bases, lim_b)))
-        lines.append(f"{j},{to_prev!r},{to_lim!r}")
+        to_lim = float(np.max(max_principal_angle(ek.bases, lim)))
+        rows.append((j, to_prev, to_lim))
         prev = ek.bases
-    _write(cfg, "dyn_transport.csv", "\n".join(lines) + "\n")
+    _write(cfg, "dyn_transport.csv", csv_text(
+        [], ["k", "max_angle_to_next", "max_angle_to_limit"], rows))
     print(f"transported {k} steps over {len(pts)} points")
-    return None
 
 
 def _run_dyn_dominate(cfg):
     p = cfg.params
-    phi, e0, f, _, _, pts = _dyn_setup(p, cfg.seed)
+    phi, e0, f, _, _, pts = _dyn_setup(p)
     eps_sweep = tuple(_floats(p, "eps_sweep", "0.1,0.5,1.0"))
     rep = domination_report(phi, e0, f, _int(p, "k_max", 12), pts,
                             eps_list=eps_sweep)
@@ -478,46 +449,89 @@ def _run_dyn_dominate(cfg):
 
 def _run_dyn_traces(cfg):
     p = cfg.params
-    phi, e0, f, base, lim, pts = _dyn_setup(p, cfg.seed)
+    phi, e0, f, base, lim, pts = _dyn_setup(p)
     eps = _float(p, "eps", 1.0)
     k_max = _int(p, "k_max", 8)
-    lim_b = np.broadcast_to(lim, (len(pts),) + np.shape(lim)).copy() \
-        if np.ndim(lim) == 2 else lim
     rep, asym, ext = splitting_involutivity_pipeline(
-        phi, e0, base, f, k_max, eps, pts, limit=lim_b,
+        phi, e0, base, f, k_max, eps, pts, limit=lim,
         n_dirs=_int(p, "n_dirs", 64), seed=cfg.seed)
     if asym is None:
         _write(cfg, "dyn_traces.csv", "# verdict=NotApplicable\n")
         print("domination fails: traces not applicable")
         return "NotApplicable"
-    lines = ["k,q_asym,strong_asym,q_ext"]
-    for a, e in zip(asym, ext):
-        lines.append(f"{a.k + 1},{float(a.q)!r},{float(a.strong)!r},"
-                     f"{float(e.q)!r}")
-    _write(cfg, "dyn_traces.csv", "\n".join(lines) + "\n")
+    rows = [(a.k + 1, float(a.q), float(a.strong), float(e.q))
+            for a, e in zip(asym, ext)]
+    _write(cfg, "dyn_traces.csv", csv_text(
+        [], ["k", "q_asym", "strong_asym", "q_ext"], rows))
     decay = ext[-1].q <= ext[0].q / 10.0 and asym[-1].q <= asym[0].q / 10.0
     print(f"traces decay={decay} q_ext: {ext[0].q:.3g} -> {ext[-1].q:.3g}")
     return "Holds" if decay else "Fails"
 
 
-_HANDLERS = {
-    "moduli-check": _run_moduli_check,
-    "mollify-verify": _run_mollify_verify,
-    "frobenius": _run_frobenius,
-    "surface": _run_surface,
-    "ode-check": _run_ode_check,
-    "ode-funnel": _run_ode_funnel,
-    "pde-check": _run_pde_check,
-    "pde-solve-special": _run_pde_solve_special,
-    "pde-frames": _run_pde_frames,
-    "dyn-transport": _run_dyn_transport,
-    "dyn-dominate": _run_dyn_dominate,
-    "dyn-traces": _run_dyn_traces,
+class _Param(NamedTuple):
+    """One param of a kind: its config key, the type its flag is read as,
+    and its CLI default or required mark (config files have neither)."""
+
+    key: str
+    type: type = str
+    default: str = None
+    required: bool = False
+
+
+class _Kind(NamedTuple):
+    words: tuple
+    handler: Callable
+    params: tuple
+
+
+def _typed(kind, *keys):
+    return tuple(_Param(key, kind) for key in keys)
+
+
+_ODE = (_Param("example", default="paper-ex1"),
+        *_typed(float, "alpha", "beta", "gamma", "delta"), _Param("point"))
+_PDE = (_Param("example", default="paper-ex2"),
+        *_typed(float, "alpha", "beta"))
+_DYN = (_Param("example", default="cat-map"), _Param("res", int),
+        _Param("tau_amp", float))
+
+_KINDS = {
+    "ode-check": _Kind(("ode", "check"), _run_ode_check, _ODE),
+    "ode-funnel": _Kind(("ode", "funnel"), _run_ode_funnel, _ODE + (
+        _Param("T", float), _Param("deltas"), _Param("ensemble", int),
+        _Param("step", float))),
+    "pde-check": _Kind(("pde", "check"), _run_pde_check, _PDE + _typed(
+        float, "a11", "a12", "a21", "a22", "b1", "b2") + (
+        _Param("point"), _Param("columns"))),
+    "pde-solve-special": _Kind(("pde", "solve-special"),
+                               _run_pde_solve_special, _PDE + (
+        _Param("x0"), _Param("y0"), _Param("targets_res", int))),
+    "pde-frames": _Kind(("pde", "frames"), _run_pde_frames, _PDE + (
+        _Param("eps_list"), _Param("grid", int))),
+    "frobenius": _Kind(("frobenius",), _run_frobenius, (
+        _Param("form", required=True), _Param("grid", int),
+        _Param("extent", float))),
+    "moduli-check": _Kind(("moduli", "check"), _run_moduli_check, (
+        _Param("criterion", default="osgood"), _Param("w", required=True),
+        _Param("w2"), _Param("eps", float), _Param("depth", int))),
+    "mollify-verify": _Kind(("mollify", "verify"), _run_mollify_verify, (
+        _Param("expr"), _Param("eps_list"), _Param("n", int),
+        *_typed(float, "lo", "hi"), _Param("w"), _Param("w_axis"))),
+    "surface": _Kind(("surface", "build"), _run_surface, (
+        _Param("example", default="contact"), _Param("eps1", float),
+        _Param("grid", int), _Param("x0"), _Param("step", float),
+        _Param("order"))),
+    "dyn-transport": _Kind(("dyn", "transport"), _run_dyn_transport,
+                           _DYN + (_Param("k", int),)),
+    "dyn-dominate": _Kind(("dyn", "dominate"), _run_dyn_dominate, _DYN + (
+        _Param("k_max", int), _Param("eps_sweep"))),
+    "dyn-traces": _Kind(("dyn", "traces"), _run_dyn_traces, _DYN + (
+        _Param("k_max", int), _Param("eps", float), _Param("n_dirs", int))),
 }
 
 
 def run_experiment(cfg: ExperimentConfig) -> int:
-    verdict = _HANDLERS[cfg.kind](cfg)
+    verdict = _KINDS[cfg.kind].handler(cfg)
     if cfg.expect is not None and verdict is not None:
         if verdict.lower() != cfg.expect.lower():
             print(f"expected verdict {cfg.expect!r}, got {verdict!r}")
@@ -529,112 +543,44 @@ def run_experiment(cfg: ExperimentConfig) -> int:
 # argument parsing
 
 
-def _add_common(sp):
-    sp.add_argument("--out", default=".")
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--expect", default=None)
-
-
-def _collect(ns, kind, keys):
-    params = {}
-    for key in keys:
-        val = getattr(ns, key.replace("-", "_"), None)
-        if val is not None:
-            params[key] = str(val)
-    return ExperimentConfig(kind, ns.out, ns.seed, ns.expect, params)
-
-
-def main(argv=None) -> int:
+def _parser():
     parser = argparse.ArgumentParser(
         prog="contfrob",
         description="integrability diagnostics for continuous distributions")
     sub = parser.add_subparsers(dest="command", required=True)
-
     run_p = sub.add_parser("run", help="run an experiment from a config file")
     run_p.add_argument("--config", required=True)
+    groups = {}
+    for kind, (words, _, params) in _KINDS.items():
+        parent = sub
+        if len(words) == 2:
+            if words[0] not in groups:
+                groups[words[0]] = sub.add_parser(words[0]).add_subparsers(
+                    dest="action", required=True)
+            parent = groups[words[0]]
+        sp = parent.add_parser(words[-1])
+        sp.set_defaults(kind=kind)
+        sp.add_argument("--out", default=".")
+        sp.add_argument("--seed")
+        sp.add_argument("--expect")
+        for prm in params:
+            sp.add_argument("--" + prm.key.replace("_", "-"),
+                            default=prm.default, required=prm.required)
+    return parser
 
-    ode_p = sub.add_parser("ode")
-    ode_sub = ode_p.add_subparsers(dest="action", required=True)
-    for action in ("check", "funnel"):
-        sp = ode_sub.add_parser(action)
-        _add_common(sp)
-        sp.add_argument("--example", default="paper-ex1")
-        for flag in ("alpha", "beta", "gamma", "delta", "T", "step"):
-            sp.add_argument(f"--{flag}", type=float, default=None)
-        sp.add_argument("--point", default=None)
-        sp.add_argument("--deltas", default=None)
-        sp.add_argument("--ensemble", type=int, default=None)
 
-    pde_p = sub.add_parser("pde")
-    pde_sub = pde_p.add_subparsers(dest="action", required=True)
-    for action in ("check", "solve-special", "frames"):
-        sp = pde_sub.add_parser(action)
-        _add_common(sp)
-        sp.add_argument("--example", default="paper-ex2")
-        for flag in ("alpha", "beta", "a11", "a12", "a21", "a22", "b1", "b2"):
-            sp.add_argument(f"--{flag}", type=float, default=None)
-        sp.add_argument("--point", default=None)
-        sp.add_argument("--columns", default=None)
-        sp.add_argument("--x0", default=None)
-        sp.add_argument("--y0", default=None)
-        sp.add_argument("--targets-res", type=int, default=None)
-        sp.add_argument("--eps-list", default=None)
-        sp.add_argument("--grid", type=int, default=None)
+def _config(ns):
+    """A parsed command's config; flag values are recorded as str() of
+    their typed value, so `--T 1` becomes `T=1.0`."""
+    given = {k: v for k, v in vars(ns).items() if v is not None}
+    params = {prm.key: str(_scalar(prm.type, given, prm.key, None))
+              for prm in _KINDS[ns.kind].params if prm.key in given}
+    return ExperimentConfig(ns.kind, ns.out, _int(given, "seed", 0),
+                            ns.expect, params)
 
-    frob_p = sub.add_parser("frobenius")
-    _add_common(frob_p)
-    frob_p.add_argument("--form", required=True)
-    frob_p.add_argument("--grid", type=int, default=None)
-    frob_p.add_argument("--extent", type=float, default=None)
 
-    mod_p = sub.add_parser("moduli")
-    mod_sub = mod_p.add_subparsers(dest="action", required=True)
-    sp = mod_sub.add_parser("check")
-    _add_common(sp)
-    sp.add_argument("--criterion", default="osgood")
-    sp.add_argument("--w", required=True)
-    sp.add_argument("--w2", default=None)
-    sp.add_argument("--eps", type=float, default=None)
-    sp.add_argument("--depth", type=int, default=None)
-
-    mol_p = sub.add_parser("mollify")
-    mol_sub = mol_p.add_subparsers(dest="action", required=True)
-    sp = mol_sub.add_parser("verify")
-    _add_common(sp)
-    sp.add_argument("--expr", default=None)
-    sp.add_argument("--eps-list", default=None)
-    sp.add_argument("--n", type=int, default=None)
-    sp.add_argument("--lo", type=float, default=None)
-    sp.add_argument("--hi", type=float, default=None)
-    sp.add_argument("--w", default=None)
-    sp.add_argument("--w-axis", default=None)
-
-    surf_p = sub.add_parser("surface")
-    surf_sub = surf_p.add_subparsers(dest="action", required=True)
-    sp = surf_sub.add_parser("build")
-    _add_common(sp)
-    sp.add_argument("--example", default="contact")
-    sp.add_argument("--eps1", type=float, default=None)
-    sp.add_argument("--grid", type=int, default=None)
-    sp.add_argument("--x0", default=None)
-    sp.add_argument("--step", type=float, default=None)
-    sp.add_argument("--order", default=None)
-
-    dyn_p = sub.add_parser("dyn")
-    dyn_sub = dyn_p.add_subparsers(dest="action", required=True)
-    for action in ("transport", "dominate", "traces"):
-        sp = dyn_sub.add_parser(action)
-        _add_common(sp)
-        sp.add_argument("--example", default="cat-map")
-        sp.add_argument("--k", type=int, default=None)
-        sp.add_argument("--k-max", type=int, default=None)
-        sp.add_argument("--res", type=int, default=None)
-        sp.add_argument("--eps", type=float, default=None)
-        sp.add_argument("--eps-sweep", default=None)
-        sp.add_argument("--n-dirs", type=int, default=None)
-        sp.add_argument("--tau-amp", type=float, default=None)
-
-    ns = parser.parse_args(argv)
+def main(argv=None) -> int:
+    ns = _parser().parse_args(argv)
     try:
         if ns.command == "run":
             path = Path(ns.config)
@@ -642,46 +588,8 @@ def main(argv=None) -> int:
                 print(f"config file not found: {path}", file=sys.stderr)
                 return 1
             cfg = ExperimentConfig.from_text(path.read_text())
-            return run_experiment(cfg)
-        kind_map = {
-            ("ode", "check"): ("ode-check",
-                               ["example", "alpha", "beta", "gamma", "delta",
-                                "point"]),
-            ("ode", "funnel"): ("ode-funnel",
-                                ["example", "alpha", "beta", "gamma",
-                                 "delta", "point", "T", "deltas", "ensemble",
-                                 "step"]),
-            ("pde", "check"): ("pde-check",
-                               ["example", "alpha", "beta", "a11", "a12",
-                                "a21", "a22", "b1", "b2", "point",
-                                "columns"]),
-            ("pde", "solve-special"): ("pde-solve-special",
-                                       ["example", "alpha", "beta", "x0",
-                                        "y0", "targets_res"]),
-            ("pde", "frames"): ("pde-frames",
-                                ["example", "alpha", "beta", "eps_list",
-                                 "grid"]),
-            ("frobenius", None): ("frobenius", ["form", "grid", "extent"]),
-            ("moduli", "check"): ("moduli-check",
-                                  ["criterion", "w", "w2", "eps", "depth"]),
-            ("mollify", "verify"): ("mollify-verify",
-                                    ["expr", "eps_list", "n", "lo", "hi",
-                                     "w", "w_axis"]),
-            ("surface", "build"): ("surface",
-                                   ["example", "eps1", "grid", "x0", "step",
-                                    "order"]),
-            ("dyn", "transport"): ("dyn-transport",
-                                   ["example", "k", "res", "tau_amp"]),
-            ("dyn", "dominate"): ("dyn-dominate",
-                                  ["example", "k_max", "res", "eps_sweep",
-                                   "tau_amp"]),
-            ("dyn", "traces"): ("dyn-traces",
-                                ["example", "k_max", "eps", "res", "n_dirs",
-                                 "tau_amp"]),
-        }
-        key = (ns.command, getattr(ns, "action", None))
-        kind, keys = kind_map[key]
-        cfg = _collect(ns, kind, keys)
+        else:
+            cfg = _config(ns)
         return run_experiment(cfg)
     except ParseError as err:
         print(f"parse error: {err}", file=sys.stderr)

@@ -35,6 +35,7 @@ from .errors import ConeError, DegenerateSubspaceError, StepCountError
 from .fields import eval_fields
 from .forms import KForm
 from .geometry import (FrameSection, max_principal_angle, orthonormalize)
+from .report import csv_text
 
 __all__ = [
     "DiffeoSpec", "Cocycle", "PlaneFieldSamples", "SplittingReport",
@@ -345,25 +346,20 @@ def splitting_involutivity_pipeline(phi: DiffeoSpec, e0_bases,
 
 
 def splitting_report_to_csv(rep: SplittingReport):
-    lines = ["# report=splitting",
-             f"# dominated={rep.dominated}",
-             f"# growth_C={rep.growth_C!r}",
-             f"# growth_D={rep.growth_D!r}",
-             f"# growth_residual={rep.growth_residual!r}",
-             f"# vertical_C={rep.vertical_C!r}"]
-    for k in sorted(rep.params):
-        lines.append(f"# param.{k}={rep.params[k]}")
+    meta = [("report", "splitting"), ("dominated", rep.dominated),
+            ("growth_C", rep.growth_C), ("growth_D", rep.growth_D),
+            ("growth_residual", rep.growth_residual),
+            ("vertical_C", rep.vertical_C)]
+    meta += [(f"param.{k}", rep.params[k]) for k in sorted(rep.params)]
     eps_cols = sorted(rep.q)
     header = ["k", "norm_E", "conorm_F"] + [f"q_eps{e}" for e in eps_cols]
     if rep.angles:
         header.append("angle_to_next")
-    lines.append(",".join(header))
+    rows = []
     for i, k in enumerate(rep.k_values):
-        row = [str(k), repr(float(rep.norm_E[i])),
-               repr(float(rep.conorm_F[i]))]
-        row += [repr(float(rep.q[e][i])) for e in eps_cols]
+        row = [k, float(rep.norm_E[i]), float(rep.conorm_F[i])]
+        row += [float(rep.q[e][i]) for e in eps_cols]
         if rep.angles:
-            row.append(repr(float(rep.angles[i])) if i < len(rep.angles)
-                       else "")
-        lines.append(",".join(row))
-    return "\n".join(lines) + "\n"
+            row.append(float(rep.angles[i]) if i < len(rep.angles) else "")
+        rows.append(row)
+    return csv_text(meta, header, rows)

@@ -25,6 +25,7 @@ from scipy.integrate import quad
 
 from .errors import (EvalDomainError, InsufficientDataError, ParseError,
                      SingularIntegrandError)
+from .report import csv_text
 
 __all__ = [
     "Modulus", "Lipschitz", "Hoelder", "LogLip", "SumModulus", "ScaleModulus",
@@ -216,13 +217,9 @@ class CriterionReport:
         assert len(self.trace) > 0, "trace must be nonempty"
 
     def to_csv(self):
-        lines = [f"# criterion={self.criterion}", f"# verdict={self.verdict}"]
-        for k in sorted(self.params):
-            lines.append(f"# param.{k}={self.params[k]}")
-        lines.append("s,quantity")
-        for s, q in self.trace:
-            lines.append(f"{float(s)!r},{float(q)!r}")
-        return "\n".join(lines) + "\n"
+        meta = [("criterion", self.criterion), ("verdict", self.verdict)]
+        meta += [(f"param.{k}", self.params[k]) for k in sorted(self.params)]
+        return csv_text(meta, ["s", "quantity"], self.trace)
 
 
 _SUM_CAP = 1.0e6

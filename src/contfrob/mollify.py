@@ -15,7 +15,6 @@ constant K that makes every inequality hold across the sweep.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,8 +28,7 @@ from .fields import SplineLeaf
 
 __all__ = [
     "GridFunction", "MollifyReport", "kernel", "mollify", "verify_bounds",
-    "grid_from_field", "to_spline_field", "write_grid_binary",
-    "read_grid_binary", "grid_to_csv", "grid_from_csv",
+    "grid_from_field", "to_spline_field",
 ]
 
 _MIN_CELLS_PER_RADIUS = 8
@@ -264,78 +262,3 @@ def to_spline_field(gf: GridFunction, names, label="spl"):
     else:
         raise NotImplementedError("spline fields support 1 or 2 dims")
     return SplineLeaf(ev, names, label=label)
-
-
-# ---------------------------------------------------------------------------
-# flat binary / CSV round trips
-
-_MAGIC = b"CFGF0001"
-
-
-def write_grid_binary(gf: GridFunction, path):
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<i", gf.dim))
-        fh.write(struct.pack("<d", gf.margin))
-        for a in gf.axes:
-            fh.write(struct.pack("<qdd", len(a), float(a[0]),
-                                 float(a[1] - a[0])))
-        fh.write(np.ascontiguousarray(gf.values, dtype="<f8").tobytes())
-
-
-def read_grid_binary(path):
-    with open(path, "rb") as fh:
-        magic = fh.read(8)
-        if magic != _MAGIC:
-            raise EvalDomainError("not a grid-function file")
-        d, = struct.unpack("<i", fh.read(4))
-        margin, = struct.unpack("<d", fh.read(8))
-        axes, shape = [], []
-        for _ in range(d):
-            n, start, step = struct.unpack("<qdd", fh.read(24))
-            axes.append(start + step * np.arange(n))
-            shape.append(n)
-        values = np.frombuffer(fh.read(), dtype="<f8").reshape(shape)
-    return GridFunction(tuple(axes), values.copy(), margin=margin)
-
-
-def grid_to_csv(gf: GridFunction):
-    if gf.dim not in (1, 2):
-        raise NotImplementedError("CSV export supports 1 or 2 dims")
-    lines = [f"# dims={gf.dim}", f"# margin={float(gf.margin)!r}"]
-    if gf.dim == 1:
-        lines.append("x,value")
-        for xv, v in zip(gf.axes[0], gf.values):
-            lines.append(f"{float(xv)!r},{float(v)!r}")
-    else:
-        lines.append("x,y,value")
-        for i, xv in enumerate(gf.axes[0]):
-            for j, yv in enumerate(gf.axes[1]):
-                lines.append(f"{float(xv)!r},{float(yv)!r},"
-                             f"{float(gf.values[i, j])!r}")
-    return "\n".join(lines) + "\n"
-
-
-def grid_from_csv(text):
-    lines = [ln for ln in text.strip().splitlines()]
-    meta = {}
-    rows = []
-    header_seen = False
-    for ln in lines:
-        if ln.startswith("#"):
-            k, v = ln[1:].split("=")
-            meta[k.strip()] = float(v)
-            continue
-        if not header_seen:
-            header_seen = True
-            continue
-        rows.append([float(p) for p in ln.split(",")])
-    arr = np.asarray(rows)
-    d = int(meta["dims"])
-    margin = float(meta.get("margin", 0.0))
-    if d == 1:
-        return GridFunction((arr[:, 0],), arr[:, 1], margin=margin)
-    xs = np.unique(arr[:, 0])
-    ys = np.unique(arr[:, 1])
-    vals = arr[:, 2].reshape(len(xs), len(ys))
-    return GridFunction((xs, ys), vals, margin=margin)

@@ -27,6 +27,7 @@ from .errors import ContfrobError, EscapeError, EvalDomainError
 from .fields import Const, add, eval_fields
 from .moduli import (CriterionReport, MaxModulus, Modulus, estimate_modulus,
                      limit_condition_check)
+from .report import cells, csv_text
 from .surface import FlowConfig, flow
 
 __all__ = [
@@ -242,12 +243,10 @@ def _classify_dispersion(deltas, dispersions):
 
 
 def funnel_to_csv(rep: FunnelReport):
-    lines = ["# report=funnel", f"# verdict={rep.verdict}",
-             f"# basepoint={','.join(repr(float(v)) for v in rep.basepoint)}",
-             f"# horizon={float(rep.horizon)!r}"]
-    for k in sorted(rep.params):
-        lines.append(f"# param.{k}={rep.params[k]}")
-    lines.append("delta,dispersion,escaped")
-    for dlt, disp in zip(rep.delta_list, rep.dispersions):
-        lines.append(f"{float(dlt)!r},{float(disp)!r},{rep.escapes[dlt]}")
-    return "\n".join(lines) + "\n"
+    meta = [("report", "funnel"), ("verdict", rep.verdict),
+            ("basepoint", cells(float(v) for v in rep.basepoint)),
+            ("horizon", float(rep.horizon))]
+    meta += [(f"param.{k}", rep.params[k]) for k in sorted(rep.params)]
+    rows = [(float(dlt), float(disp), rep.escapes[dlt])
+            for dlt, disp in zip(rep.delta_list, rep.dispersions)]
+    return csv_text(meta, ["delta", "dispersion", "escaped"], rows)

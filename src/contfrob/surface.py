@@ -33,6 +33,7 @@ import numpy as np
 from .boxes import Box, env_of
 from .errors import EscapeError
 from .fields import eval_fields
+from .report import cells, csv_text
 from .geometry import (Distribution, FrameSection, annihilator_frame,
                        involutivity_constant, max_principal_angle,
                        orthonormalize, restricted_inverse,
@@ -347,22 +348,17 @@ def converge_surfaces(patches, limit_dist: Distribution, dists=None,
 
 
 def patch_to_csv(patch: SurfacePatch, report: TangencyReport = None):
-    lines = [f"# m={patch.m}", f"# eps1={float(patch.eps1)!r}",
-             f"# order={','.join(str(o) for o in patch.order)}"]
-    if report is not None:
-        lines.append(f"# rhs={float(report.rhs)!r}")
-        lines.append(f"# fd_tol={float(report.fd_tol)!r}")
+    meta = [("m", patch.m), ("eps1", float(patch.eps1)),
+            ("order", cells(patch.order))]
     header = [f"t{i+1}" for i in range(patch.m)] + list(patch.coords)
     if report is not None:
+        meta += [("rhs", float(report.rhs)), ("fd_tol", float(report.fd_tol))]
         header += [f"defect{i+1}" for i in range(patch.m)]
-    lines.append(",".join(header))
-    grid_shape = patch.points.shape[:-1]
-    for idx in np.ndindex(grid_shape):
-        row = [repr(float(patch.param_axes[i][idx[i]]))
-               for i in range(patch.m)]
-        row += [repr(float(v)) for v in patch.points[idx]]
+    rows = []
+    for idx in np.ndindex(patch.points.shape[:-1]):
+        row = [float(patch.param_axes[i][idx[i]]) for i in range(patch.m)]
+        row += [float(v) for v in patch.points[idx]]
         if report is not None:
-            row += [repr(float(report.defects[(i,) + idx]))
-                    for i in range(patch.m)]
-        lines.append(",".join(row))
-    return "\n".join(lines) + "\n"
+            row += [float(report.defects[(i,) + idx]) for i in range(patch.m)]
+        rows.append(row)
+    return csv_text(meta, header, rows)

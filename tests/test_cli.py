@@ -1,8 +1,13 @@
+import shlex
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from contfrob.cli import ExperimentConfig, main
+from contfrob.cli import ExperimentConfig, _parser, main
 from contfrob.errors import ParseError
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def test_config_roundtrip():
@@ -177,3 +182,55 @@ def test_dyn_transport_negative_k_is_step_count_error(tmp_path, capsys):
     assert "got -1" in captured.err
     assert "transported" not in captured.out
     assert not (tmp_path / "dyn_transport.csv").exists()
+
+
+@pytest.mark.parametrize("args", [
+    ["ode", "check", "--T", "7", "--deltas", "1,2"],
+    ["dyn", "transport", "--k-max", "99", "--eps-sweep", "zz"],
+    ["pde", "check", "--x0", "1", "--eps-list", "9"]])
+def test_action_rejects_flags_of_other_actions(tmp_path, args):
+    with pytest.raises(SystemExit):
+        main(args + ["--out", str(tmp_path)])
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("args,key,value", [
+    (["ode", "check", "--alpha", "abc"], "alpha", "abc"),
+    (["dyn", "dominate", "--k-max", "1.5"], "k_max", "1.5"),
+    (["ode", "check", "--seed", "abc"], "seed", "abc")])
+def test_bad_flag_value_is_parse_error(tmp_path, capsys, args, key, value):
+    assert main(args + ["--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"parse error: {key} must be a single ")
+    assert repr(value) in err
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("body,line", [
+    ("[experiment]\nkind = moduli-check\nseed = 1\nseed = 2\n"
+     "[params]\nw = lipschitz(k=1)\n", 4),
+    ("[experiment]\nkind = moduli-check\n[params]\nw = lipschitz(k=1)\n"
+     "w = hoelder(alpha=0.5,k=1)\n", 5)], ids=["experiment", "params"])
+def test_config_repeated_key_is_parse_error(tmp_path, capsys, body, line):
+    with pytest.raises(ParseError) as exc:
+        ExperimentConfig.from_text(body)
+    assert exc.value.position == line
+    path = tmp_path / "dup.cfg"
+    path.write_text(f"{body}[experiment]\nout = {tmp_path}\n")
+    assert main(["run", "--config", str(path)]) == 1
+    assert capsys.readouterr().err.startswith("parse error: repeated key")
+    assert not (tmp_path / "moduli_check.csv").exists()
+
+
+def _readme_commands():
+    """The argument lists of the README's command-line examples."""
+    text = README.read_text().split("## Command line", 1)[1]
+    block = text.split("```", 2)[1].replace("\\\n", " ")
+    return [shlex.split(ln)[1:] for ln in block.splitlines()
+            if ln.startswith("contfrob ")]
+
+
+@pytest.mark.parametrize("words", _readme_commands(),
+                         ids=lambda words: " ".join(words[:2]))
+def test_readme_command_parses(words):
+    assert _parser().parse_args(words).command == words[0]

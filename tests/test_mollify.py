@@ -5,10 +5,8 @@ from contfrob.boxes import Box
 from contfrob.errors import EvalDomainError, MarginError, ResolutionError
 from contfrob.fields import parse_field
 from contfrob.moduli import Hoelder, Lipschitz
-from contfrob.mollify import (GridFunction, grid_from_csv, grid_from_field,
-                              grid_to_csv, kernel, mollify, read_grid_binary,
-                              to_spline_field, verify_bounds,
-                              write_grid_binary)
+from contfrob.mollify import (GridFunction, grid_from_field, kernel, mollify,
+                              to_spline_field, verify_bounds)
 
 
 def _line_grid(n=801, lo=-1.0, hi=1.0, fn=np.abs):
@@ -142,28 +140,6 @@ def test_fitted_K_stable_across_halvings():
         r = verify_bounds(g, Lipschitz(1.0), [Lipschitz(1.0)], [eps])[0]
         ks.append(r.fitted_K)
     assert max(ks) / min(ks) < 2.0
-
-
-def test_binary_roundtrip(tmp_path):
-    box = Box.from_dict({"x": (-1, 1), "y": (0, 2)})
-    g = grid_from_field(parse_field("x^2 + y"), box, [33, 17])
-    p = tmp_path / "g.bin"
-    write_grid_binary(g, p)
-    g2 = read_grid_binary(p)
-    assert np.allclose(g2.values, g.values)
-    assert all(np.allclose(a, b) for a, b in zip(g2.axes, g.axes))
-    assert g2.margin == g.margin
-
-
-def test_csv_roundtrip():
-    g = _line_grid(n=21)
-    g2 = grid_from_csv(grid_to_csv(g))
-    assert np.allclose(g2.values, g.values)
-
-    box = Box.from_dict({"x": (-1, 1), "y": (0, 1)})
-    h = grid_from_field(parse_field("x*y"), box, [9, 7])
-    h2 = grid_from_csv(grid_to_csv(h))
-    assert np.allclose(h2.values, h.values)
 
 
 def test_spline_field_matches_and_differentiates():
