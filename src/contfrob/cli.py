@@ -58,10 +58,15 @@ class ExperimentConfig:
         self.seed = int(seed)
         self.expect = expect
         self.params = dict(params or {})
-        unknown = set(self.params) - {prm.key for prm in _KINDS[kind].params}
+        params_of_kind = _KINDS[kind].params
+        unknown = set(self.params) - {prm.key for prm in params_of_kind}
         if unknown:
             raise ParseError(
                 f"unknown keys for {kind!r}: {sorted(unknown)}")
+        missing = [prm.key for prm in params_of_kind
+                   if prm.required and prm.key not in self.params]
+        if missing:
+            raise ParseError(f"missing keys for {kind!r}: {missing}")
 
     def __eq__(self, other):
         return (isinstance(other, ExperimentConfig)
@@ -470,7 +475,8 @@ def _run_dyn_traces(cfg):
 
 class _Param(NamedTuple):
     """One param of a kind: its config key, the type its flag is read as,
-    and its CLI default or required mark (config files have neither)."""
+    its CLI default (config files have none) and whether every command
+    and config must give it."""
 
     key: str
     type: type = str

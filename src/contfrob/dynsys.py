@@ -16,9 +16,10 @@ composed expression trees.
 
 Cost model: every orbit and jacobian product comes from a Cocycle, which
 evaluates phi and Dphi once per orbit step over a fixed point set and
-keeps the cumulative products Dphi^k.  A report, a transport sweep or a
-splitting pipeline up to k_max therefore makes k_max map and k_max
-jacobian evaluations.  Only the matrix work stays O(k_max^2): the
+keeps the cumulative products Dphi^k.  A report, a transport sweep, a
+splitting pipeline up to k_max or the frames of orthonormal_pullback_frames
+evaluated on one point set therefore make k_max map and k_max jacobian
+evaluations.  Only the matrix work stays O(k_max^2): the
 backward solves of each E_k and the forward chain Dphi^k E_k, both of
 which start afresh at every k.
 """
@@ -253,6 +254,24 @@ def _domination(cc: Cocycle, e0_bases, f_samples, eps_list, y_indices):
     return report, e_bases
 
 
+class _CocycleSource:
+    """The last Cocycle of phi up to k_max, rebuilt only when asked about
+    other points.  Frames sharing one source evaluate phi and Dphi
+    k_max times per point set between them."""
+
+    def __init__(self, phi: DiffeoSpec, k_max, cocycle=None):
+        self.phi = phi
+        self.k_max = k_max
+        self.cocycle = cocycle
+
+    def at(self, points):
+        pts = np.atleast_2d(np.asarray(points, dtype=float))
+        cc = self.cocycle
+        if cc is None or not np.array_equal(cc.points, pts):
+            cc = self.cocycle = Cocycle(self.phi, pts, self.k_max)
+        return cc
+
+
 class PullbackFrame:
     """(phi^k)^* C_0 for a frame C_0 with field components.
 
@@ -260,8 +279,8 @@ class PullbackFrame:
     is C_0(phi^k p) Dphi^k_p and the derivative matrices are the pullback
     of dC_0 (zero when C_0 is constant), evaluated with jacobian products
     rather than composed expression trees.  The orbit and Dphi^k come
-    from a Cocycle over the queried points; the frame keeps the last one
-    and rebuilds it only when asked about other points.
+    from a Cocycle over the queried points, kept until the frame is asked
+    about other points; frames made together share it.
     """
 
     def __init__(self, phi: DiffeoSpec, base: FrameSection, k: int):
@@ -270,7 +289,7 @@ class PullbackFrame:
         self.k = int(k)
         self.coords = base.coords
         self.y_names = base.y_names
-        self._cocycle = None
+        self._source = _CocycleSource(phi, self.k)
 
     @property
     def n(self):
@@ -284,20 +303,13 @@ class PullbackFrame:
     def y_indices(self):
         return tuple(self.coords.index(y) for y in self.y_names)
 
-    def _cocycle_at(self, points):
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        cc = self._cocycle
-        if cc is None or not np.array_equal(cc.points, pts):
-            cc = self._cocycle = Cocycle(self.phi, pts, self.k)
-        return cc
-
     def matrix_at(self, points):
-        cc = self._cocycle_at(points)
+        cc = self._source.at(points)
         C = self.base.matrix_at(cc.orbit[self.k])
         return C @ cc.products[self.k]
 
     def d_matrices_at(self, points):
-        cc = self._cocycle_at(points)
+        cc = self._source.at(points)
         J = cc.products[self.k]
         dC = self.base.d_matrices_at(cc.orbit[self.k])  # (N, n, d, d)
         return np.einsum("pca,pjcd,pdb->pjab", J, dC, J)
@@ -305,13 +317,25 @@ class PullbackFrame:
 
 def orthonormal_pullback_frames(phi: DiffeoSpec, base: FrameSection, k,
                                 check_points=None, tol=1.0e-8):
-    """Frames (phi^j)^* C_0 for j = 0..k from an orthonormal base frame."""
+    """Frames (phi^j)^* C_0 for j = 0..k from an orthonormal base frame.
+
+    The frames share one cocycle, so evaluating all of them on one point
+    set makes k map and k jacobian evaluations.
+    """
     if check_points is not None:
         M = base.matrix_at(check_points)
         gram = M @ np.swapaxes(M, 1, 2)
         if np.max(np.abs(gram - np.eye(base.n))) > tol:
             raise ValueError("base frame rows are not orthonormal")
-    return [PullbackFrame(phi, base, j) for j in range(k + 1)]
+    return _shared_frames(phi, base, range(k + 1), _CocycleSource(phi, k))
+
+
+def _shared_frames(phi, base, ks, source):
+    """PullbackFrames for the steps ks, all reading one _CocycleSource."""
+    frames = [PullbackFrame(phi, base, k) for k in ks]
+    for frame in frames:
+        frame._source = source
+    return frames
 
 
 def splitting_involutivity_pipeline(phi: DiffeoSpec, e0_bases,
@@ -331,9 +355,8 @@ def splitting_involutivity_pipeline(phi: DiffeoSpec, e0_bases,
     report, dists = _domination(cc, e0_bases, f_samples, (eps,), y_indices)
     if not report.dominated:
         return report, None, None
-    frames = [PullbackFrame(phi, base_frame, k) for k in range(1, k_max + 1)]
-    for frame in frames:
-        frame._cocycle = cc
+    frames = _shared_frames(phi, base_frame, range(1, k_max + 1),
+                            _CocycleSource(phi, k_max, cc))
     asym = asymptotic_involutivity_trace(frames, dists, eps, points,
                                          n_dirs=n_dirs, seed=seed)
     ext = None

@@ -218,6 +218,37 @@ def numeric_wedge_norm(rows, two_form):
     return float(np.linalg.norm(coeffs)) if len(coeffs) else 0.0
 
 
+def stacked_wedge_norms(rows, two_forms):
+    """|r_1 ^ ... ^ r_n ^ T_j| per point for the rows and each 2-form T_j.
+
+    rows: (N, n, D) covector components; two_forms: (N, J, D, D)
+    antisymmetric.  Returns (N, J).  Every point and 2-form takes the
+    arithmetic of numeric_wedge_norm in the same order, so the values
+    agree with it bit for bit.
+    """
+    rows = np.asarray(rows, dtype=float)
+    T = np.asarray(two_forms, dtype=float)
+    n, D = rows.shape[1:]
+    k = n + 2
+    if k > D:
+        return np.zeros(T.shape[:2])
+    coeffs = []
+    for J in combinations(range(D), k):
+        total = np.zeros(T.shape[:2])
+        for pa, pb in combinations(range(k), 2):
+            rest = [J[q] for q in range(k) if q not in (pa, pb)]
+            sign = -1.0 if (pa + pb - 1) % 2 else 1.0
+            minor = np.linalg.det(rows[:, :, rest])[:, None] if n else 1.0
+            t = T[:, :, J[pa], J[pb]]
+            # adding an exact 0 where the reference skips a zero t
+            total += np.where(t == 0.0, 0.0, sign * minor * t)
+        coeffs.append(total)
+    c = np.stack(coeffs, axis=-1)
+    # a row times a column is the dot product np.linalg.norm takes of a
+    # vector; a sum over the last axis rounds differently
+    return np.sqrt((c[..., None, :] @ c[..., :, None])[..., 0, 0])
+
+
 def two_form_matrix_norm(T):
     """l2 norm over the sorted components of an antisymmetric matrix."""
     T = np.asarray(T, dtype=float)

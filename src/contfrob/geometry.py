@@ -11,10 +11,13 @@ quantities the integrability diagnostics are made of:
   and unit v in the distribution, and
 * the per-step traces combining them with e^{eps M} weights.
 
-True sup-norms over a region are approximated from below: a point
-lattice, one sampled unit sphere (the second sphere maximization is an
-exact singular-value computation), and a few rounds of coordinate ascent
-around the best sample.  Every estimate records its sampling protocol.
+True sup-norms over a region are approximated from below by a sup over a
+point lattice.  Of the two unit spheres in ||dA|_E|| and M_A, the second
+is always maximized exactly by a singular value.  The first is exact too
+for a frame with one row (n == 1): one SVD or row norm per point, recorded
+as "u_maximization": "exact-svd".  Only when n >= 2 is it sampled, with a
+few rounds of coordinate ascent around the best sample.  Every estimate
+records its protocol.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ import numpy as np
 from .boxes import Box, env_of
 from .errors import DegenerateSubspaceError, TransversalityError
 from .fields import Const, ZERO, eval_fields, neg
-from .forms import (KForm, exterior_derivative, numeric_wedge_norm, one_form,
+from .forms import (KForm, exterior_derivative, one_form, stacked_wedge_norms,
                     two_form_matrix_norm, wedge_all)
 
 __all__ = [
@@ -253,6 +256,12 @@ def _sigma_max(stack):
     return np.linalg.svd(stack, compute_uv=False)[..., 0]
 
 
+def _lattice_sup(vals, pts, protocol):
+    """Max of per-point values over the lattice, with its point."""
+    i = int(np.argmax(vals))
+    return SupEstimate(float(vals[i]), pts[i], protocol)
+
+
 def _frame_inverse_embedded(frame, points):
     """Embedded maps R^n -> R^dim inverting the frame on the y-columns."""
     A = frame.matrix_at(points)
@@ -271,18 +280,14 @@ def sup_inverse_norm(frame, points):
     """sup_p || (A_p|_Y)^{-1} ||: exact per point, max over the lattice."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     _, inv, _ = _frame_inverse_embedded(frame, pts)
-    vals = _sigma_max(inv)
-    i = int(np.argmax(vals))
-    return SupEstimate(float(vals[i]), pts[i], {"points": len(pts)})
+    return _lattice_sup(_sigma_max(inv), pts, {"points": len(pts)})
 
 
 def sup_frame_restricted_norm(frame, bases, points):
     """sup_p ||A_p restricted to span(bases_p)||: exact singular value."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     A = frame.matrix_at(pts)
-    vals = _sigma_max(A @ bases)
-    i = int(np.argmax(vals))
-    return SupEstimate(float(vals[i]), pts[i], {"points": len(pts)})
+    return _lattice_sup(_sigma_max(A @ bases), pts, {"points": len(pts)})
 
 
 def _ascend_on_sphere(value_fn, t0, rounds=3, steps=(0.1, 0.03, 0.01)):
@@ -302,38 +307,64 @@ def _ascend_on_sphere(value_fn, t0, rounds=3, steps=(0.1, 0.03, 0.01)):
     return best, t
 
 
+def _sampled_sphere_sup(T, subscripts, n_dirs, seed, rounds):
+    """Lower bound of max over p and unit u of sigma_max(contract(u, T[p])).
+
+    subscripts = (lattice, one point) einsum strings contracting the unit
+    vector u with T; u is sampled on its sphere and refined by coordinate
+    ascent at the best lattice point.  Returns (value, point index).
+    """
+    rng = np.random.default_rng(seed)
+    dirs = _unit_sphere_samples(rng, n_dirs, T.shape[-1])  # (S, r)
+    vals = _sigma_max(np.einsum(subscripts[0], dirs, T))  # (N, S)
+    p_best, s_best = np.unravel_index(np.argmax(vals), vals.shape)
+
+    def value_fn(u):
+        return float(_sigma_max(np.einsum(subscripts[1], u, T[p_best])))
+
+    best, _ = _ascend_on_sphere(value_fn, dirs[s_best].copy(), rounds)
+    return float(best), p_best
+
+
+# einsum strings contracting u with D2[p, j, a, b] and with C[p, j, l, a]
+_D_RESTRICTED_U = ("sa,pjab->psjb", "a,jab->jb")
+_MIXING_U = ("sa,pjla->psjl", "a,jla->jl")
+
+
 def sup_d_restricted_norm(frame, bases, points, n_dirs=256, seed=0, rounds=3):
     """sup over p and unit u, v in the subspace of |dA_p(u, v)|_l2.
 
     For fixed u the map v -> dA(u, v) is linear, so the v-maximization is
-    an exact singular value; only the u-sphere is sampled and refined.
+    an exact singular value.  With one frame row (n == 1) the value is
+    |u^T D2_p| for one r x r matrix D2_p, whose sup over unit u is
+    sigma_max(D2_p): exact per point.  Otherwise the u-sphere is sampled
+    and refined.  Either way the result is a lower bound of the sup over
+    the region, being a sup over the lattice.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     dA = frame.d_matrices_at(pts)  # (N, n, D, D)
     D2 = np.einsum("pda,pjde,peb->pjab", bases, dA, bases)  # (N,n,r,r)
-    r = D2.shape[-1]
-    rng = np.random.default_rng(seed)
-    dirs = _unit_sphere_samples(rng, n_dirs, r)  # (S, r)
-    stack = np.einsum("sa,pjab->psjb", dirs, D2)
-    vals = _sigma_max(stack)  # (N, S)
-    p_best, s_best = np.unravel_index(np.argmax(vals), vals.shape)
-
-    def value_fn(u):
-        return float(_sigma_max(np.einsum("a,jab->jb", u, D2[p_best])))
-
-    best, _ = _ascend_on_sphere(value_fn, dirs[s_best].copy(), rounds)
+    if frame.n == 1:
+        return _lattice_sup(_sigma_max(D2[:, 0]), pts, {
+            "points": len(pts), "kind": "lower-bound",
+            "u_maximization": "exact-svd"})
+    best, p_best = _sampled_sphere_sup(D2, _D_RESTRICTED_U, n_dirs, seed,
+                                       rounds)
     protocol = {"points": len(pts), "n_dirs": n_dirs, "seed": seed,
                 "rounds": rounds, "kind": "lower-bound"}
-    return SupEstimate(float(best), pts[p_best], protocol)
+    return SupEstimate(best, pts[p_best], protocol)
 
 
 def involutivity_constant(frame, dist_or_bases, points, n_dirs=256, seed=0,
                           rounds=3):
     """M_A = sup |dA_p((A_p|_Y)^{-1} w, v)| over unit w, unit v in E, p.
 
-    The w-maximization is exact (singular value of a linear map); the
-    v-sphere inside E is sampled with refinement, so the result is a
-    lower bound of the true sup under the recorded protocol.
+    The w-maximization is exact (singular value of a linear map).  With
+    one frame row (n == 1) the value is |C_p . t| for the coefficient row
+    C_p of v = B t, whose sup over unit t is the row norm |C_p|: exact
+    per point.  Otherwise the v-sphere inside E is sampled with
+    refinement.  Either way the result is a lower bound of the sup over
+    the region, being a sup over the lattice.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     bases = _as_bases(dist_or_bases, pts)
@@ -341,21 +372,15 @@ def involutivity_constant(frame, dist_or_bases, points, n_dirs=256, seed=0,
     _, _, U = _frame_inverse_embedded(frame, pts)  # (N, D, n)
     # C[p, j, l, a] = (A^{-1} e_l)^T dA_j (B e_a)
     C = np.einsum("pcl,pjcd,pda->pjla", U, dA, bases)
-    rng = np.random.default_rng(seed)
-    r = bases.shape[-1]
-    dirs = _unit_sphere_samples(rng, n_dirs, r)
-    stack = np.einsum("sa,pjla->psjl", dirs, C)
-    vals = _sigma_max(stack)
-    p_best, s_best = np.unravel_index(np.argmax(vals), vals.shape)
-
-    def value_fn(t):
-        return float(_sigma_max(np.einsum("a,jla->jl", t, C[p_best])))
-
-    best, _ = _ascend_on_sphere(value_fn, dirs[s_best].copy(), rounds)
+    if frame.n == 1:
+        return _lattice_sup(np.linalg.norm(C[:, 0, 0], axis=-1), pts, {
+            "points": len(pts), "kind": "lower-bound",
+            "w_maximization": "exact-svd", "u_maximization": "exact-svd"})
+    best, p_best = _sampled_sphere_sup(C, _MIXING_U, n_dirs, seed, rounds)
     protocol = {"points": len(pts), "n_dirs": n_dirs, "seed": seed,
                 "rounds": rounds, "kind": "lower-bound",
                 "w_maximization": "exact-svd"}
-    return SupEstimate(float(best), pts[p_best], protocol)
+    return SupEstimate(best, pts[p_best], protocol)
 
 
 def _as_bases(dist_or_bases, points):
@@ -378,15 +403,20 @@ class TraceEntry:
     parts: dict = field(default_factory=dict)
 
 
+def _weighted(prefactor, eps, exponent):
+    """prefactor * e^{eps * exponent}, and exactly 0.0 for a zero prefactor:
+    the exponential may overflow to inf, and 0 * inf is nan."""
+    if prefactor == 0.0:
+        return 0.0
+    return prefactor * float(np.exp(eps * exponent))
+
+
 def _strong_involutivity_parts(frame, points):
     """sup_j |wedge_j|, max_i |d eta_i| evaluated pointwise."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     A = frame.matrix_at(pts)
     dA = frame.d_matrices_at(pts)
-    wedge_sup = 0.0
-    for p in range(len(pts)):
-        for j in range(frame.n):
-            wedge_sup = max(wedge_sup, numeric_wedge_norm(A[p], dA[p, j]))
+    wedge_sup = float(np.max(stacked_wedge_norms(A, dA), initial=0.0))
     d_sup = float(np.max(two_form_matrix_norm(dA))) if dA.size else 0.0
     return wedge_sup, d_sup
 
@@ -407,9 +437,9 @@ def asymptotic_involutivity_trace(frames, dists, eps, points, n_dirs=256,
         d_restr = sup_d_restricted_norm(frame, bases, pts, n_dirs, seed, rounds)
         inv_norm = sup_inverse_norm(frame, pts)
         m_const = involutivity_constant(frame, bases, pts, n_dirs, seed, rounds)
-        q = d_restr.value * inv_norm.value * float(np.exp(eps * m_const.value))
+        q = _weighted(d_restr.value * inv_norm.value, eps, m_const.value)
         wedge_sup, d_sup = _strong_involutivity_parts(frame, pts)
-        strong = wedge_sup * float(np.exp(eps * d_sup))
+        strong = _weighted(wedge_sup, eps, d_sup)
         out.append(TraceEntry(k, q, strong, {
             "d_restricted": d_restr.value, "inv_norm": inv_norm.value,
             "M": m_const.value, "wedge_sup": wedge_sup, "d_sup": d_sup,
@@ -433,14 +463,14 @@ def exterior_regularity_trace(frames, limit, eps, points, n_dirs=256, seed=0,
         restr = sup_frame_restricted_norm(frame, bases, pts)
         inv_norm = sup_inverse_norm(frame, pts)
         m_const = involutivity_constant(frame, bases, pts, n_dirs, seed, rounds)
-        q = restr.value * inv_norm.value * float(np.exp(eps * m_const.value))
+        q = _weighted(restr.value * inv_norm.value, eps, m_const.value)
         strong = None
         dA = frame.d_matrices_at(pts)
         d_sup = float(np.max(two_form_matrix_norm(dA))) if dA.size else 0.0
         if limit_matrix is not None:
             diff = frame.matrix_at(pts) - limit_matrix
             row_sup = float(np.max(np.linalg.norm(diff, axis=2)))
-            strong = row_sup * float(np.exp(eps * d_sup))
+            strong = _weighted(row_sup, eps, d_sup)
         out.append(TraceEntry(k, q, strong, {
             "restricted": restr.value, "inv_norm": inv_norm.value,
             "M": m_const.value, "d_sup": d_sup, "eps": eps}))

@@ -222,6 +222,23 @@ def test_config_repeated_key_is_parse_error(tmp_path, capsys, body, line):
     assert not (tmp_path / "moduli_check.csv").exists()
 
 
+@pytest.mark.parametrize("kind,params,key", [
+    ("moduli-check", {"criterion": "osgood"}, "w"),
+    ("frobenius", {"grid": "3"}, "form")])
+def test_config_missing_required_param_is_parse_error(tmp_path, capsys, kind,
+                                                      params, key):
+    body = "".join(f"{k} = {v}\n" for k, v in params.items())
+    path = tmp_path / "missing.cfg"
+    path.write_text(f"[experiment]\nkind = {kind}\nout = {tmp_path}\n"
+                    f"[params]\n{body}")
+    with pytest.raises(ParseError, match=f"missing keys for '{kind}'"):
+        ExperimentConfig.from_text(path.read_text())
+    assert main(["run", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("parse error: missing keys") and repr(key) in err
+    assert list(tmp_path.glob("*.csv")) == []
+
+
 def _readme_commands():
     """The argument lists of the README's command-line examples."""
     text = README.read_text().split("## Command line", 1)[1]

@@ -414,6 +414,31 @@ def test_pipeline_evaluates_map_once_per_step(monkeypatch, name, k_max):
     assert calls == {"apply": k_max, "jacobian": k_max}
 
 
+@pytest.mark.parametrize("name", DYN_CASES)
+def test_pullback_frames_share_one_cocycle(monkeypatch, name):
+    phi, _, _, _, _, pts = dyn_case(name)
+    base = curved_frame(phi.coords)
+    k = 12
+    refs = [reference_frame_matrices(phi, base, j, pts) for j in range(k + 1)]
+    calls = {"apply": 0, "jacobian": 0}
+
+    def counted(method):
+        inner = getattr(phi, method)
+
+        def wrapper(*args, **kwargs):
+            calls[method] += 1
+            return inner(*args, **kwargs)
+        monkeypatch.setattr(phi, method, wrapper)
+
+    counted("apply")
+    counted("jacobian")
+    frames = orthonormal_pullback_frames(phi, base, k)
+    for frame, (A, dA) in zip(frames, refs):
+        assert np.array_equal(frame.matrix_at(pts), A)
+        assert np.array_equal(frame.d_matrices_at(pts), dA)
+    assert calls == {"apply": k, "jacobian": k}
+
+
 def test_step_counts_out_of_range_raise():
     phi = cat_map()
     pts = torus_lattice(2, res=3)

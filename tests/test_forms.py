@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from contfrob.fields import Const, coord, exp, log, parse_field, sin
 from contfrob.forms import (KForm, exterior_derivative,
                             numeric_wedge_with_two_form, numeric_wedge_norm,
-                            one_form, two_form_matrix_norm, wedge, wedge_all)
+                            one_form, stacked_wedge_norms,
+                            two_form_matrix_norm, wedge, wedge_all)
 
 XY = ("x", "y")
 XYZ = ("x", "y", "z")
@@ -144,3 +147,23 @@ def test_wedge_all_associativity_numeric():
     env = {}
     assert w1.norm_at(env) == pytest.approx(w2.norm_at(env))
     assert wedge_all(forms).norm_at(env) == pytest.approx(w1.norm_at(env))
+
+
+@settings(max_examples=60, deadline=None)
+@given(D=st.integers(2, 4), n=st.integers(0, 2), N=st.integers(1, 200),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_stacked_wedge_norms_equal_per_point_reference(D, n, N, seed):
+    # generated frames: rows and antisymmetric 2-forms over several
+    # magnitudes, with about a third of the entries exactly zero
+    rng = np.random.default_rng(seed)
+
+    def entries(shape):
+        v = rng.standard_normal(shape) * 10.0 ** rng.integers(-3, 4, shape)
+        return np.where(rng.random(shape) < 0.3, 0.0, v)
+
+    rows = entries((N, n, D))
+    T = np.triu(entries((N, n, D, D)), 1)
+    T = T - np.swapaxes(T, -1, -2)
+    ref = np.array([[numeric_wedge_norm(rows[p], T[p, j]) for j in range(n)]
+                    for p in range(N)]).reshape(N, n)
+    assert np.array_equal(stacked_wedge_norms(rows, T), ref)

@@ -1,15 +1,23 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from contfrob.boxes import Box
 from contfrob.errors import TransversalityError
-from contfrob.fields import Const, coord, parse_field
-from contfrob.geometry import (Distribution, annihilator_frame,
+from contfrob.fields import ZERO, Const, coord, parse_field
+from contfrob.forms import one_form
+from contfrob.geometry import (Distribution, FrameSection, annihilator_frame,
                                asymptotic_involutivity_trace,
                                compatibility_defect, exterior_regularity_trace,
                                frobenius_defect, involutivity_constant,
                                max_principal_angle, restricted_inverse,
+                               sup_d_restricted_norm,
                                sup_frame_restricted_norm, sup_inverse_norm)
+from contfrob.geometry import (_D_RESTRICTED_U, _MIXING_U,
+                               _sampled_sphere_sup)
 from contfrob.mollify import grid_from_field, mollify, to_spline_field
 
 x, y, z = coord("x"), coord("y"), coord("z")
@@ -178,6 +186,153 @@ def test_sphere_sampling_monotone_in_directions():
                                   rounds=0).value
             for nd in (8, 32, 128)]
     assert vals[0] <= vals[1] <= vals[2]
+
+
+def test_sphere_sampling_monotone_in_directions_two_rows():
+    # two frame rows (n = 2): the u-sphere is sampled, not closed-form
+    d = Distribution(("x",), ("y1", "y2"),
+                     [[parse_field("y2"), parse_field("x*y1")]],
+                     Box.from_dict({"x": (-0.5, 0.5), "y1": (-0.5, 0.5),
+                                    "y2": (-0.5, 0.5)}))
+    frame = annihilator_frame(d)
+    pts = d.domain.lattice(5)
+    ests = [involutivity_constant(frame, d, pts, n_dirs=nd, seed=3,
+                                  rounds=0) for nd in (8, 32, 128)]
+    vals = [e.value for e in ests]
+    assert vals[0] <= vals[1] <= vals[2]
+    assert vals[0] > 0.0
+    assert ests[0].protocol["n_dirs"] == 8
+    assert "u_maximization" not in ests[0].protocol
+
+
+_COEFFS = st.sampled_from([-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0])
+
+
+@st.composite
+def codim_one_distributions(draw):
+    """X_i = d/dx_i + a_i d/dy, each a_i a polynomial of degree <= 2 in
+    (x_1..x_m, y), m <= 3, on [-0.5, 0.5]^(m+1)."""
+    m = draw(st.integers(1, 3))
+    names = tuple(f"x{i}" for i in range(1, m + 1)) + ("y",)
+    monomials = [()] + [(a,) for a in names] + \
+        [(a, b) for i, a in enumerate(names) for b in names[i:]]
+    coeffs = []
+    for _ in range(m):
+        f = ZERO
+        for mono in draw(st.lists(st.sampled_from(monomials), max_size=4)):
+            term = Const(draw(_COEFFS))
+            for v in mono:
+                term = term * coord(v)
+            f = f + term
+        coeffs.append([f])
+    box = Box.from_dict({v: (-0.5, 0.5) for v in names})
+    return Distribution(names[:-1], ("y",), coeffs, box)
+
+
+def _unit(v):
+    return v / np.linalg.norm(v, axis=-1, keepdims=True)
+
+
+def _brute_bilinear_sup(T, L, R, n_samples=128, seed=0):
+    """max over p and unit a, b of |(L_p a)^T T_p (R_p b)|.
+
+    Both spheres are sampled densely; each point's best pair is then
+    polished by a pattern search on both spheres with the step halved
+    down to 1e-10.  No singular value is computed.
+    """
+    rng = np.random.default_rng(seed)
+    a = _unit(rng.standard_normal((n_samples, L.shape[-1])))
+    b = _unit(rng.standard_normal((n_samples, R.shape[-1])))
+    La = np.einsum("pcr,sr->psc", L, a)
+    Rb = np.einsum("pdq,tq->pdt", R, b)
+    grid = np.abs(La @ T @ Rb)
+    best = grid.reshape(len(T), -1).argmax(axis=1)
+    ia, ib = np.unravel_index(best, grid.shape[1:])
+    cur = [a[ia], b[ib]]
+
+    def value(pair):
+        u = np.einsum("pcr,pr->pc", L, pair[0])
+        v = np.einsum("pdq,pq->pd", R, pair[1])
+        return np.abs(np.einsum("pc,pcd,pd->p", u, T, v))
+
+    val = value(cur)
+    step = 0.1
+    while step > 1e-10:
+        improved = True
+        while improved:
+            improved = False
+            for s in range(2):
+                for c in range(cur[s].shape[-1]):
+                    for sign in (1.0, -1.0):
+                        cand = [cur[0].copy(), cur[1].copy()]
+                        cand[s][:, c] += sign * step
+                        cand[s] = _unit(cand[s])
+                        v = value(cand)
+                        up = v > val
+                        if np.any(up):
+                            improved = True
+                            val = np.where(up, v, val)
+                            for k in range(2):
+                                cur[k][up] = cand[k][up]
+        step /= 2.0
+    return float(np.max(val))
+
+
+@settings(max_examples=30, deadline=None)
+@given(codim_one_distributions())
+def test_codim_one_sups_are_exact(dist):
+    frame = annihilator_frame(dist)
+    pts = dist.domain.lattice(3)
+    bases = dist.orthonormal_bases_at(pts)
+    dA = frame.d_matrices_at(pts)
+    A = frame.matrix_at(pts)
+    y_idx = list(frame.y_indices)
+    U = np.zeros((len(pts), dist.dim, 1))
+    U[:, y_idx, :] = np.linalg.inv(A[:, :, y_idx])
+    atol = 1e-12 * max(1.0, float(np.max(np.abs(dA))))
+
+    d_restr = sup_d_restricted_norm(frame, bases, pts)
+    m_const = involutivity_constant(frame, bases, pts)
+    for est in (d_restr, m_const):
+        assert est.protocol["u_maximization"] == "exact-svd"
+        assert est.protocol["kind"] == "lower-bound"
+        assert "n_dirs" not in est.protocol
+
+    D2 = np.einsum("pda,pjde,peb->pjab", bases, dA, bases)
+    C = np.einsum("pcl,pjcd,pda->pjla", U, dA, bases)
+    for exact, T, subscripts, left in (
+            (d_restr.value, D2, _D_RESTRICTED_U, bases),
+            (m_const.value, C, _MIXING_U, U)):
+        sampled, _ = _sampled_sphere_sup(T, subscripts, 256, 0, 3)
+        assert exact >= sampled * (1.0 - 1e-12) - atol
+        brute = _brute_bilinear_sup(dA[:, 0], left, bases)
+        assert abs(exact - brute) <= 1e-6 * exact + atol
+
+
+def test_trace_zero_prefactor_skips_overflowing_exponential():
+    # (1 + 1000 x^2) dy is involutive (wedge_sup = 0) with d_sup = 1000,
+    # so e^{eps d_sup} overflows at eps = 1; 0 * e^{...} must stay 0
+    coords = ("x", "z", "y")
+    box = Box.from_dict({"x": (-0.5, 0.5), "z": (-0.5, 0.5),
+                         "y": (-0.5, 0.5)})
+    frame = FrameSection((one_form(coords,
+                                   {"y": parse_field("1 + 1000*x^2")}),),
+                         coords, ("y",), box)
+    dist = Distribution(("x", "z"), ("y",), [[ZERO], [ZERO]], box)
+    # the limit's own annihilator dy - 1000 z^2 dx: no gap, d_sup = 1000
+    limit = Distribution(("x", "z"), ("y",),
+                         [[parse_field("1000*z^2")], [ZERO]], box)
+    pts = box.lattice(5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        asym = asymptotic_involutivity_trace([frame], [dist], 1.0, pts)
+        ext = exterior_regularity_trace([annihilator_frame(limit)], limit,
+                                        1.0, pts)
+    assert asym[0].parts["wedge_sup"] == 0.0
+    assert asym[0].parts["d_sup"] == 1000.0
+    assert asym[0].strong == 0.0
+    assert ext[0].parts["d_sup"] == 1000.0
+    assert ext[0].strong == 0.0
 
 
 def test_asymptotic_trace_involutive_sequence_zero():
