@@ -6,8 +6,9 @@ checked against it and `main` dispatches through it.  Every report starts
 with a '#'-prefixed header block embedding the fully resolved
 configuration (sorted keys, no timestamps), so identical configs and
 seeds produce byte-identical files.  Exit codes: 0 on completion, 2 when
-a verdict came out different from a demanded one (--expect), 1 on errors,
-malformed flag values and config text included.
+a verdict came out different from a demanded one (--expect), 1 on errors:
+argparse usage errors, malformed flag values, out-of-range values and
+config text included.
 """
 
 from __future__ import annotations
@@ -166,6 +167,14 @@ def _int(p, key, default=None):
     return _scalar(int, p, key, default)
 
 
+def _at_least(least, p, key, default):
+    """_int(p, key, default), rejected below the smallest usable value."""
+    value = _int(p, key, default)
+    if value < least:
+        raise ParseError(f"{key} must be at least {least}, got {value}")
+    return value
+
+
 def _write(cfg, name, body):
     out_dir = Path(cfg.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -193,7 +202,9 @@ def _run_moduli_check(cfg):
 def _run_mollify_verify(cfg):
     p = cfg.params
     lo, hi = _float(p, "lo", -1.0), _float(p, "hi", 1.0)
-    n = _int(p, "n", 1601)
+    if not lo < hi:
+        raise ParseError(f"lo must be below hi, got lo={lo}, hi={hi}")
+    n = _at_least(2, p, "n", 1601)
     f = parse_field(p.get("expr", "(x^2)^0.5"))
     xs = np.linspace(lo, hi, n)
     g = GridFunction((xs,), np.asarray(f.evaluate({"x": xs}), dtype=float))
@@ -242,8 +253,10 @@ def _run_frobenius(cfg):
     row = one_form(coords, comps)
     frame = FrameSection((row,), coords, (), None)
     extent = _float(p, "extent", 0.5)
+    if not extent > 0.0:
+        raise ParseError(f"extent must be positive, got {extent}")
     box = Box.from_dict({c: (-extent, extent) for c in coords})
-    pts = box.lattice(_int(p, "grid", 7))
+    pts = box.lattice(_at_least(1, p, "grid", 7))
     defect = frobenius_defect(frame, pts)
     rows = [[*q, v] for q, v in zip(pts, defect)]
     _write(cfg, "frobenius.csv", csv_text([], coords + ("defect",), rows))
@@ -286,7 +299,7 @@ def _run_ode_funnel(cfg):
     point = _floats(p, "point", "0" + ",0" * spec.n)
     deltas = _floats(p, "deltas", "1e-3,1e-4,1e-5,1e-6")
     rep = funnel(spec, point, _float(p, "T", 1.0), deltas,
-                 ensemble=_int(p, "ensemble", 8),
+                 ensemble=_at_least(0, p, "ensemble", 8),
                  cfg=FlowConfig(step=_float(p, "step", 1e-3)),
                  seed=cfg.seed)
     _write(cfg, "ode_funnel.csv", funnel_to_csv(rep))
@@ -336,7 +349,7 @@ def _run_pde_solve_special(cfg):
         raise ParseError("solve-special needs a separable example")
     x0 = np.asarray(_floats(p, "x0", "0.3,0.3"))
     y0 = np.asarray(_floats(p, "y0", "0.5,0.5"))
-    res_grid = _int(p, "targets_res", 3)
+    res_grid = _at_least(1, p, "targets_res", 3)
     xb = Box(sf.x_names, spec.domain.lows[:sf.m], spec.domain.highs[:sf.m])
     targets = xb.shrink(0.05).lattice(res_grid)
     result = special_solve(sf, x0, y0, targets)
@@ -356,7 +369,7 @@ def _run_pde_frames(cfg):
         raise ParseError("frames needs a separable example")
     eps_list = _floats(p, "eps_list", "0.125,0.0625,0.03125")
     fams = involutive_mollified_frames(sf, eps_list,
-                                       check_res=_int(p, "grid", 4))
+                                       check_res=_at_least(1, p, "grid", 4))
     _write(cfg, "pde_frames.csv", csv_text(
         [], ["eps", "wedge_sup"],
         [(float(fam.eps), float(fam.wedge_sup)) for fam in fams]))
@@ -410,7 +423,7 @@ def _dyn_setup(p):
         d = 3
     else:
         raise ParseError(f"unknown dynamics example {name!r}")
-    res = _int(p, "res", 5 if d == 2 else 4)
+    res = _at_least(1, p, "res", 5 if d == 2 else 4)
     axes = [np.linspace(0.0, 1.0, res, endpoint=False)] * d
     mesh = np.meshgrid(*axes, indexing="ij")
     pts = np.stack([m.ravel() for m in mesh], axis=-1)
@@ -549,8 +562,17 @@ def run_experiment(cfg: ExperimentConfig) -> int:
 # argument parsing
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse with usage errors exiting 1; exit 2 means only an --expect
+    mismatch.  Subparsers inherit the class."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def _parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="contfrob",
         description="integrability diagnostics for continuous distributions")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -35,7 +35,9 @@ from .boxes import env_of
 from .errors import ConeError, DegenerateSubspaceError, StepCountError
 from .fields import eval_fields
 from .forms import KForm
-from .geometry import (FrameSection, max_principal_angle, orthonormalize)
+from .geometry import (FrameSection, asymptotic_involutivity_trace,
+                       exterior_regularity_trace, max_principal_angle,
+                       orthonormalize)
 from .report import csv_text
 
 __all__ = [
@@ -348,8 +350,6 @@ def splitting_involutivity_pipeline(phi: DiffeoSpec, e0_bases,
     trace, exterior-regularity trace) where the regularity trace needs a
     limit plane field (samples) to restrict against.
     """
-    from .geometry import (asymptotic_involutivity_trace,
-                           exterior_regularity_trace)
     y_indices = [base_frame.coords.index(y) for y in base_frame.y_names]
     cc = Cocycle(phi, points, k_max)
     report, dists = _domination(cc, e0_bases, f_samples, (eps,), y_indices)

@@ -64,5 +64,9 @@ class DegenerateSubspaceError(ContfrobError):
     """Sampled subspace basis is rank-deficient."""
 
 
+class RangeError(ContfrobError, ValueError):
+    """A numeric parameter lies outside the range its construction needs."""
+
+
 class StepCountError(ContfrobError):
     """An iteration count (k, k_max) is outside its valid range."""

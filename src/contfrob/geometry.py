@@ -18,6 +18,12 @@ for a frame with one row (n == 1): one SVD or row norm per point, recorded
 as "u_maximization": "exact-svd".  Only when n >= 2 is it sampled, with a
 few rounds of coordinate ascent around the best sample.  Every estimate
 records its protocol.
+
+Cost model: evaluate_frame is the one place a frame meets a point set
+and the one transversality check.  It calls matrix_at once and
+d_matrices_at once, and takes one batched SVD and inverse of A|_Y.  The
+sup kernels read those arrays, so a trace step, a tangency bound or a
+wrapper such as involutivity_constant evaluates its frame exactly once.
 """
 
 from __future__ import annotations
@@ -30,12 +36,12 @@ from .boxes import Box, env_of
 from .errors import DegenerateSubspaceError, TransversalityError
 from .fields import Const, ZERO, eval_fields, neg
 from .forms import (KForm, exterior_derivative, one_form, stacked_wedge_norms,
-                    two_form_matrix_norm, wedge_all)
+                    two_form_matrix_norm, wedge, wedge_all)
 
 __all__ = [
     "Distribution", "FrameSection", "SupEstimate", "annihilator_frame",
-    "frobenius_defect", "restricted_inverse", "involutivity_constant",
-    "sup_frame_restricted_norm", "sup_d_restricted_norm", "sup_inverse_norm",
+    "frobenius_defect", "FrameValues", "evaluate_frame", "bound_parts",
+    "involutivity_constant", "sup_inverse_norm",
     "asymptotic_involutivity_trace", "exterior_regularity_trace",
     "compatibility_defect", "orthonormalize", "max_principal_angle",
     "TraceEntry",
@@ -196,33 +202,12 @@ def annihilator_frame(dist: Distribution) -> FrameSection:
     return FrameSection(tuple(rows), dist.coords, dist.y_names, dist.domain)
 
 
-# ---------------------------------------------------------------------------
-# pointwise objects
-
-
-def restricted_inverse(frame, point):
-    """Inverse of the frame restricted to the vertical subspace at a point.
-
-    Returns (inv, norm): inv maps w in R^n to coefficients on the d/dy
-    basis, norm is the spectral norm of that map.
-    """
-    A = frame.matrix_at(np.asarray(point)[None, :])[0]
-    Ay = A[:, list(frame.y_indices)]
-    s = np.linalg.svd(Ay, compute_uv=False)
-    if s[-1] < 1e-12 * max(1.0, s[0]):
-        raise TransversalityError(
-            "frame not transverse to the vertical subspace at the point")
-    inv = np.linalg.inv(Ay)
-    return inv, float(np.linalg.svd(inv, compute_uv=False)[0])
-
-
 def frobenius_defect(frame, points):
     """max_j |eta_1 ^ ... ^ eta_n ^ d eta_j| at each point (l2 norm)."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     env = env_of(frame.coords, pts)
     base = wedge_all(list(frame.rows))
     out = np.zeros(len(pts))
-    from .forms import wedge
     for dr in frame.d_rows():
         w = wedge(base, dr)
         out = np.maximum(out, np.broadcast_to(w.norm_at(env), (len(pts),)))
@@ -230,7 +215,38 @@ def frobenius_defect(frame, points):
 
 
 # ---------------------------------------------------------------------------
-# sampled sup-norm machinery
+# one frame evaluated on a point set
+
+
+@dataclass
+class FrameValues:
+    """A frame evaluated once on a point set: everything the sups read."""
+
+    points: np.ndarray  # (N, D)
+    A: np.ndarray  # (N, n, D) row matrices
+    dA: np.ndarray  # (N, n, D, D) antisymmetric matrices of d(rows)
+    inv: np.ndarray  # (N, n, n) (A|_Y)^{-1}
+    U: np.ndarray  # (N, D, n) (A|_Y)^{-1} embedded in R^D
+
+
+def evaluate_frame(frame, points) -> FrameValues:
+    """One matrix_at, one d_matrices_at and the transversality check:
+    TransversalityError where some A_p|_Y is singular."""
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    A = frame.matrix_at(pts)
+    y_idx = list(frame.y_indices)
+    Ay = A[:, :, y_idx]
+    s = np.linalg.svd(Ay, compute_uv=False)
+    if np.any(s[:, -1] < 1e-12 * np.maximum(1.0, s[:, 0])):
+        raise TransversalityError("frame loses transversality on the lattice")
+    inv = np.linalg.inv(Ay)
+    U = np.zeros((len(pts), A.shape[2], frame.n))
+    U[:, y_idx, :] = inv
+    return FrameValues(pts, A, frame.d_matrices_at(pts), inv, U)
+
+
+# ---------------------------------------------------------------------------
+# sup-norm kernels on evaluated arrays
 
 
 @dataclass
@@ -260,34 +276,6 @@ def _lattice_sup(vals, pts, protocol):
     """Max of per-point values over the lattice, with its point."""
     i = int(np.argmax(vals))
     return SupEstimate(float(vals[i]), pts[i], protocol)
-
-
-def _frame_inverse_embedded(frame, points):
-    """Embedded maps R^n -> R^dim inverting the frame on the y-columns."""
-    A = frame.matrix_at(points)
-    y_idx = list(frame.y_indices)
-    Ay = A[:, :, y_idx]
-    s = np.linalg.svd(Ay, compute_uv=False)
-    if np.any(s[:, -1] < 1e-12 * np.maximum(1.0, s[:, 0])):
-        raise TransversalityError("frame loses transversality on the lattice")
-    inv = np.linalg.inv(Ay)  # (N, n, n)
-    U = np.zeros((len(points), A.shape[2], frame.n))
-    U[:, y_idx, :] = inv
-    return A, inv, U
-
-
-def sup_inverse_norm(frame, points):
-    """sup_p || (A_p|_Y)^{-1} ||: exact per point, max over the lattice."""
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    _, inv, _ = _frame_inverse_embedded(frame, pts)
-    return _lattice_sup(_sigma_max(inv), pts, {"points": len(pts)})
-
-
-def sup_frame_restricted_norm(frame, bases, points):
-    """sup_p ||A_p restricted to span(bases_p)||: exact singular value."""
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    A = frame.matrix_at(pts)
-    return _lattice_sup(_sigma_max(A @ bases), pts, {"points": len(pts)})
 
 
 def _ascend_on_sphere(value_fn, t0, rounds=3, steps=(0.1, 0.03, 0.01)):
@@ -331,8 +319,8 @@ _D_RESTRICTED_U = ("sa,pjab->psjb", "a,jab->jb")
 _MIXING_U = ("sa,pjla->psjl", "a,jla->jl")
 
 
-def sup_d_restricted_norm(frame, bases, points, n_dirs=256, seed=0, rounds=3):
-    """sup over p and unit u, v in the subspace of |dA_p(u, v)|_l2.
+def _d_restricted_sup(dA, bases, pts, n_dirs, seed, rounds):
+    """sup over p and unit u, v in span(bases_p) of |dA_p(u, v)|_l2.
 
     For fixed u the map v -> dA(u, v) is linear, so the v-maximization is
     an exact singular value.  With one frame row (n == 1) the value is
@@ -341,10 +329,8 @@ def sup_d_restricted_norm(frame, bases, points, n_dirs=256, seed=0, rounds=3):
     and refined.  Either way the result is a lower bound of the sup over
     the region, being a sup over the lattice.
     """
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    dA = frame.d_matrices_at(pts)  # (N, n, D, D)
     D2 = np.einsum("pda,pjde,peb->pjab", bases, dA, bases)  # (N,n,r,r)
-    if frame.n == 1:
+    if dA.shape[1] == 1:
         return _lattice_sup(_sigma_max(D2[:, 0]), pts, {
             "points": len(pts), "kind": "lower-bound",
             "u_maximization": "exact-svd"})
@@ -353,6 +339,41 @@ def sup_d_restricted_norm(frame, bases, points, n_dirs=256, seed=0, rounds=3):
     protocol = {"points": len(pts), "n_dirs": n_dirs, "seed": seed,
                 "rounds": rounds, "kind": "lower-bound"}
     return SupEstimate(best, pts[p_best], protocol)
+
+
+def _mixing_sup(dA, U, bases, pts, n_dirs, seed, rounds):
+    """M_A from evaluated arrays; see involutivity_constant."""
+    # C[p, j, l, a] = (A^{-1} e_l)^T dA_j (B e_a)
+    C = np.einsum("pcl,pjcd,pda->pjla", U, dA, bases)
+    if dA.shape[1] == 1:
+        return _lattice_sup(np.linalg.norm(C[:, 0, 0], axis=-1), pts, {
+            "points": len(pts), "kind": "lower-bound",
+            "w_maximization": "exact-svd", "u_maximization": "exact-svd"})
+    best, p_best = _sampled_sphere_sup(C, _MIXING_U, n_dirs, seed, rounds)
+    protocol = {"points": len(pts), "n_dirs": n_dirs, "seed": seed,
+                "rounds": rounds, "kind": "lower-bound",
+                "w_maximization": "exact-svd"}
+    return SupEstimate(best, pts[p_best], protocol)
+
+
+def _d_sup(dA):
+    """max_{p, i} |d eta_i|_p."""
+    return float(np.max(two_form_matrix_norm(dA))) if dA.size else 0.0
+
+
+def bound_parts(values: FrameValues, bases, n_dirs=256, seed=0, rounds=3):
+    """(sup ||dA|_E||, sup ||(A|_Y)^{-1}||, M_A) of one evaluated frame: the
+    factors of the asymptotic involutivity trace and the tangency bound."""
+    pts, dA = values.points, values.dA
+    return (_d_restricted_sup(dA, bases, pts, n_dirs, seed, rounds),
+            _lattice_sup(_sigma_max(values.inv), pts, {"points": len(pts)}),
+            _mixing_sup(dA, values.U, bases, pts, n_dirs, seed, rounds))
+
+
+def sup_inverse_norm(frame, points):
+    """sup_p || (A_p|_Y)^{-1} ||: exact per point, max over the lattice."""
+    v = evaluate_frame(frame, points)
+    return _lattice_sup(_sigma_max(v.inv), v.points, {"points": len(v.points)})
 
 
 def involutivity_constant(frame, dist_or_bases, points, n_dirs=256, seed=0,
@@ -366,21 +387,9 @@ def involutivity_constant(frame, dist_or_bases, points, n_dirs=256, seed=0,
     refinement.  Either way the result is a lower bound of the sup over
     the region, being a sup over the lattice.
     """
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    bases = _as_bases(dist_or_bases, pts)
-    dA = frame.d_matrices_at(pts)
-    _, _, U = _frame_inverse_embedded(frame, pts)  # (N, D, n)
-    # C[p, j, l, a] = (A^{-1} e_l)^T dA_j (B e_a)
-    C = np.einsum("pcl,pjcd,pda->pjla", U, dA, bases)
-    if frame.n == 1:
-        return _lattice_sup(np.linalg.norm(C[:, 0, 0], axis=-1), pts, {
-            "points": len(pts), "kind": "lower-bound",
-            "w_maximization": "exact-svd", "u_maximization": "exact-svd"})
-    best, p_best = _sampled_sphere_sup(C, _MIXING_U, n_dirs, seed, rounds)
-    protocol = {"points": len(pts), "n_dirs": n_dirs, "seed": seed,
-                "rounds": rounds, "kind": "lower-bound",
-                "w_maximization": "exact-svd"}
-    return SupEstimate(best, pts[p_best], protocol)
+    v = evaluate_frame(frame, points)
+    return _mixing_sup(v.dA, v.U, _as_bases(dist_or_bases, v.points),
+                       v.points, n_dirs, seed, rounds)
 
 
 def _as_bases(dist_or_bases, points):
@@ -411,16 +420,6 @@ def _weighted(prefactor, eps, exponent):
     return prefactor * float(np.exp(eps * exponent))
 
 
-def _strong_involutivity_parts(frame, points):
-    """sup_j |wedge_j|, max_i |d eta_i| evaluated pointwise."""
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    A = frame.matrix_at(pts)
-    dA = frame.d_matrices_at(pts)
-    wedge_sup = float(np.max(stacked_wedge_norms(A, dA), initial=0.0))
-    d_sup = float(np.max(two_form_matrix_norm(dA))) if dA.size else 0.0
-    return wedge_sup, d_sup
-
-
 def asymptotic_involutivity_trace(frames, dists, eps, points, n_dirs=256,
                                   seed=0, rounds=3):
     """Per-step quantities q_k = ||dA_k|_{E_k}|| ||A_k^{-1}|| e^{eps M_k}.
@@ -433,17 +432,16 @@ def asymptotic_involutivity_trace(frames, dists, eps, points, n_dirs=256,
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     out = []
     for k, (frame, dist) in enumerate(zip(frames, dists)):
-        bases = _as_bases(dist, pts)
-        d_restr = sup_d_restricted_norm(frame, bases, pts, n_dirs, seed, rounds)
-        inv_norm = sup_inverse_norm(frame, pts)
-        m_const = involutivity_constant(frame, bases, pts, n_dirs, seed, rounds)
-        q = _weighted(d_restr.value * inv_norm.value, eps, m_const.value)
-        wedge_sup, d_sup = _strong_involutivity_parts(frame, pts)
+        v = evaluate_frame(frame, pts)
+        d_restr, inv_norm, m_const = (e.value for e in bound_parts(
+            v, _as_bases(dist, pts), n_dirs, seed, rounds))
+        q = _weighted(d_restr * inv_norm, eps, m_const)
+        wedge_sup = float(np.max(stacked_wedge_norms(v.A, v.dA), initial=0.0))
+        d_sup = _d_sup(v.dA)
         strong = _weighted(wedge_sup, eps, d_sup)
         out.append(TraceEntry(k, q, strong, {
-            "d_restricted": d_restr.value, "inv_norm": inv_norm.value,
-            "M": m_const.value, "wedge_sup": wedge_sup, "d_sup": d_sup,
-            "eps": eps}))
+            "d_restricted": d_restr, "inv_norm": inv_norm, "M": m_const,
+            "wedge_sup": wedge_sup, "d_sup": d_sup, "eps": eps}))
     return out
 
 
@@ -460,20 +458,21 @@ def exterior_regularity_trace(frames, limit, eps, points, n_dirs=256, seed=0,
     limit_matrix = limit_frame.matrix_at(pts) if limit_frame else None
     out = []
     for k, frame in enumerate(frames):
-        restr = sup_frame_restricted_norm(frame, bases, pts)
-        inv_norm = sup_inverse_norm(frame, pts)
-        m_const = involutivity_constant(frame, bases, pts, n_dirs, seed, rounds)
-        q = _weighted(restr.value * inv_norm.value, eps, m_const.value)
+        v = evaluate_frame(frame, pts)
+        restr = float(np.max(_sigma_max(v.A @ bases)))
+        inv_norm = float(np.max(_sigma_max(v.inv)))
+        m_const = _mixing_sup(v.dA, v.U, bases, pts, n_dirs, seed,
+                              rounds).value
+        q = _weighted(restr * inv_norm, eps, m_const)
+        d_sup = _d_sup(v.dA)
         strong = None
-        dA = frame.d_matrices_at(pts)
-        d_sup = float(np.max(two_form_matrix_norm(dA))) if dA.size else 0.0
         if limit_matrix is not None:
-            diff = frame.matrix_at(pts) - limit_matrix
+            diff = v.A - limit_matrix
             row_sup = float(np.max(np.linalg.norm(diff, axis=2)))
             strong = _weighted(row_sup, eps, d_sup)
         out.append(TraceEntry(k, q, strong, {
-            "restricted": restr.value, "inv_norm": inv_norm.value,
-            "M": m_const.value, "d_sup": d_sup, "eps": eps}))
+            "restricted": restr, "inv_norm": inv_norm, "M": m_const,
+            "d_sup": d_sup, "eps": eps}))
     return out
 
 
@@ -481,6 +480,5 @@ def compatibility_defect(frame_a, frame_b, points):
     """max_p | ||A_p o (B_p|_Y)^{-1}|| - 1 | for two frames of one bundle."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     A = frame_a.matrix_at(pts)
-    _, _, U = _frame_inverse_embedded(frame_b, pts)
-    comp = A @ U
+    comp = A @ evaluate_frame(frame_b, pts).U
     return float(np.max(np.abs(_sigma_max(comp) - 1.0)))

@@ -24,7 +24,7 @@ import numpy as np
 from scipy.integrate import quad
 
 from .errors import (EvalDomainError, InsufficientDataError, ParseError,
-                     SingularIntegrandError)
+                     RangeError, SingularIntegrandError)
 from .report import csv_text
 
 __all__ = [
@@ -239,7 +239,7 @@ def osgood_check(w, eps=None, depth=40):
     records that convention explicitly.
     """
     if depth < 8:
-        raise ValueError("depth must be >= 8")
+        raise RangeError(f"depth must be >= 8, got {depth}")
     if eps is None:
         eps = min(w.domain_cap, _E_CAP)
     if eps > w.domain_cap:

@@ -23,7 +23,7 @@ from scipy.integrate import quad
 from scipy.interpolate import CubicSpline, RectBivariateSpline
 
 from .boxes import Box
-from .errors import EvalDomainError, MarginError, ResolutionError
+from .errors import EvalDomainError, MarginError, RangeError, ResolutionError
 from .fields import SplineLeaf
 
 __all__ = [
@@ -52,9 +52,10 @@ class GridFunction:
         assert self.values.shape == tuple(len(a) for a in self.axes)
         for a in self.axes:
             d = np.diff(a)
-            assert len(d) >= 1 and np.allclose(d, d[0], rtol=1e-9), \
-                "axes must be uniform"
-            assert d[0] > 0.0
+            if not (len(d) >= 1 and np.allclose(d, d[0], rtol=1e-9)
+                    and d[0] > 0.0):
+                raise RangeError("grid axes must be uniform and increasing, "
+                                 "with at least 2 points")
 
     @property
     def dim(self):

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .boxes import Box, env_of
-from .errors import ContfrobError, EscapeError, EvalDomainError
+from .errors import ContfrobError, EscapeError, EvalDomainError, RangeError
 from .fields import Const, add, eval_fields
 from .moduli import (CriterionReport, MaxModulus, Modulus, estimate_modulus,
                      limit_condition_check)
@@ -176,7 +176,9 @@ def funnel(spec: OdeSpec, xi0, T, delta_list, ensemble=8,
     """
     cfg = cfg or FlowConfig(step=1.0e-3)
     delta_list = sorted((float(d) for d in delta_list), reverse=True)
-    assert len(delta_list) >= 2 and delta_list[0] > delta_list[-1]
+    if not (len(delta_list) >= 2 and delta_list[0] > delta_list[-1]):
+        raise RangeError(f"deltas must hold at least two distinct values, "
+                         f"got {delta_list}")
     xi0 = np.asarray(xi0, dtype=float)
     coords = spec.coords
     base_fields = extend(spec)

@@ -32,7 +32,7 @@ from scipy.interpolate import CubicSpline
 from scipy.optimize import brentq
 
 from .boxes import Box, env_of
-from .errors import BranchCrossingError, EvalDomainError
+from .errors import BranchCrossingError, EvalDomainError, RangeError
 from .fields import Const, add, eval_fields, mul, neg
 from .forms import one_form
 from .geometry import Distribution, FrameSection, frobenius_defect
@@ -128,8 +128,8 @@ def submatrix_det(hat: HatMatrix, I):
     n, total = hat.shape
     I = tuple(int(i) for i in I)
     if len(I) != n or sorted(set(I)) != list(I) or I[0] < 1 or I[-1] > total:
-        raise ValueError(f"index list must pick {n} distinct columns "
-                         f"in 1..{total}")
+        raise RangeError(f"columns must pick {n} distinct columns "
+                         f"in 1..{total}, got {I}")
     cols = [i - 1 for i in I]
     sub = [[hat.fields[r][c] for c in cols] for r in range(n)]
     terms = []

@@ -12,12 +12,13 @@ import math
 import numpy as np
 
 from .boxes import Box
+from .errors import RangeError
 from .fields import Const, parse_field
 from .forms import one_form
 from .geometry import Distribution, FrameSection
 from .moduli import Hoelder, Lipschitz, LogLip, MaxModulus
 from .odelab import ModuliDecl, OdeSpec
-from .pdelab import SpecialFormSpec
+from .pdelab import PdeSpec, SpecialFormSpec
 from .dynsys import DiffeoSpec
 
 __all__ = [
@@ -36,7 +37,10 @@ def ode_example_1(alpha=0.9, beta=0.5, gamma=0.5, delta=0.5) -> OdeSpec:
     with 0 < beta, gamma, delta < alpha < 1: log-Lipschitz in (t, x),
     Hoelder-alpha in y, and nonvanishing second state component at 0.
     """
-    assert 0.0 < max(beta, gamma, delta) < alpha < 1.0
+    if not 0.0 < max(beta, gamma, delta) < alpha < 1.0:
+        raise RangeError(f"example 1 needs 0 < max(beta, gamma, delta) < "
+                         f"alpha < 1, got alpha={alpha}, beta={beta}, "
+                         f"gamma={gamma}, delta={delta}")
     f1 = parse_field(f"-t*log(t^{beta}) - x*log(x^{gamma})")
     f2 = parse_field(f"1 + y^{alpha} - x*log(x^{delta})")
     domain = Box.from_dict({"t": (0.0, 0.6), "x": (0.0, 0.7),
@@ -78,7 +82,9 @@ def pde_example_2(alpha=0.8, beta=0.4, m=2, n=2,
     uniqueness-favorable regularity split.  The default box keeps a
     smoothing margin away from the x = 0 and y = 0 singular axes.
     """
-    assert 0.0 < beta < alpha < 1.0
+    if not 0.0 < beta < alpha < 1.0:
+        raise RangeError(f"example 2 needs 0 < beta < alpha < 1, got "
+                         f"alpha={alpha}, beta={beta}")
     x_names = tuple(f"x{j+1}" for j in range(m))
     y_names = tuple(f"y{i+1}" for i in range(n))
     ranges = {xn: x_range for xn in x_names}
@@ -123,7 +129,6 @@ def pde_example_3(a11=0.4, a21=0.4, b2=0.4, a12=0.9, a22=0.9, b1=0.9):
                       "x2": Hoelder(min(a12, a22), 1.0),
                       "y1": Hoelder(b1, 1.0),
                       "y2": LogLip(b2, 1.0)})
-    from .pdelab import PdeSpec
     return PdeSpec(("x1", "x2"), ("y1", "y2"), F, domain, moduli)
 
 

@@ -31,13 +31,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .boxes import Box, env_of
-from .errors import EscapeError
+from .errors import EscapeError, RangeError
 from .fields import eval_fields
 from .report import cells, csv_text
 from .geometry import (Distribution, FrameSection, annihilator_frame,
-                       involutivity_constant, max_principal_angle,
-                       orthonormalize, restricted_inverse,
-                       sup_d_restricted_norm, sup_inverse_norm)
+                       bound_parts, evaluate_frame, involutivity_constant,
+                       max_principal_angle, orthonormalize, sup_inverse_norm)
 
 __all__ = [
     "FlowConfig", "SurfacePatch", "flow", "variational_flow", "build_surface",
@@ -55,7 +54,8 @@ class FlowConfig:
     step: float = 1.0e-3
 
     def __post_init__(self):
-        assert self.step > 0.0
+        if not self.step > 0.0:
+            raise RangeError(f"step must be positive, got {self.step}")
 
 
 def _integrate(fields, coords, x0, t, step, box, Y0=None):
@@ -163,13 +163,16 @@ def build_surface(dist: Distribution, x0, eps1, grid_res, cfg: FlowConfig,
     default, a permutation is a diagnostic only.  grid_res must be odd so
     the lattice contains t = 0 and W(0) = x0 is exact by construction.
     """
-    if grid_res % 2 == 0:
-        raise ValueError("grid_res must be odd so the lattice contains 0")
+    if grid_res < 3 or grid_res % 2 == 0:
+        raise RangeError(f"grid must be odd and at least 3 so the lattice "
+                         f"contains 0, got {grid_res}")
     if cfg.step > eps1 / 16.0 + 1e-15:
-        raise ValueError("flow step must satisfy h <= eps1/16 for builds")
+        raise RangeError("flow step must satisfy h <= eps1/16 for builds")
     m = dist.m
     order = tuple(order) if order is not None else tuple(range(m))
-    assert sorted(order) == list(range(m))
+    if sorted(order) != list(range(m)):
+        raise RangeError(f"order must be a permutation of 0..{m - 1}, got "
+                         f"{order}")
     x0 = np.asarray(x0, dtype=float)
     fields = dist.spanning_fields()
     axis = np.linspace(-eps1, eps1, grid_res)
@@ -225,15 +228,6 @@ class TangencyReport:
         return bool(np.all(self.defects <= self.rhs + self.fd_tol))
 
 
-def _frame_bound_parts(dist, frame, sup_res, n_dirs, seed):
-    pts = dist.domain.lattice(sup_res)
-    bases = dist.orthonormal_bases_at(pts)
-    d_restr = sup_d_restricted_norm(frame, bases, pts, n_dirs, seed)
-    inv_norm = sup_inverse_norm(frame, pts)
-    m_const = involutivity_constant(frame, bases, pts, n_dirs, seed)
-    return d_restr.value, inv_norm.value, m_const.value
-
-
 def tangency_defect(patch: SurfacePatch, dist: Distribution, frame=None,
                     sup_res=17, n_dirs=256, seed=0):
     """Per-node, per-direction defect |dW/dt_i - X_i(W)| and its bound."""
@@ -244,8 +238,10 @@ def tangency_defect(patch: SurfacePatch, dist: Distribution, frame=None,
     diff = patch.tangents.reshape(patch.m, -1, dist.dim) - np.swapaxes(X, 0, 1)
     defects = np.linalg.norm(diff, axis=-1).reshape(patch.tangents.shape[:-1])
 
-    d_restr, inv_norm, m_const = _frame_bound_parts(dist, frame, sup_res,
-                                                    n_dirs, seed)
+    pts = dist.domain.lattice(sup_res)
+    d_restr, inv_norm, m_const = (e.value for e in bound_parts(
+        evaluate_frame(frame, pts), dist.orthonormal_bases_at(pts), n_dirs,
+        seed))
     rhs = patch.m * patch.eps1 * d_restr * inv_norm * \
         math.exp(patch.m * patch.eps1 * m_const)
     fd_tol = 10.0 * patch.spacing ** 2
@@ -280,7 +276,7 @@ def pushforward_bound_check(dist: Distribution, frame: FrameSection, x0,
                                 cfg, dist.domain)
     lhs = float(np.linalg.norm(Y))
     A0 = frame.matrix_at(np.asarray(x0, dtype=float)[None])[0]
-    _, inv_norm_end = restricted_inverse(frame, x)
+    inv_norm_end = sup_inverse_norm(frame, x).value
     rhs = float(np.linalg.norm(A0 @ np.asarray(Y0, dtype=float))) * \
         inv_norm_end * math.exp(dist.m * eps1 * m_const)
     return PushforwardCheck(lhs, rhs, lhs <= rhs * (1.0 + slack), {

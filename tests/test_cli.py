@@ -1,3 +1,4 @@
+import re
 import shlex
 from pathlib import Path
 
@@ -204,6 +205,46 @@ def test_bad_flag_value_is_parse_error(tmp_path, capsys, args, key, value):
     assert err.startswith(f"parse error: {key} must be a single ")
     assert repr(value) in err
     assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("args,key", [
+    (["ode", "check", "--example", "paper-ex1", "--alpha", "2"], "alpha"),
+    (["pde", "check", "--alpha", "2"], "alpha"),
+    (["ode", "funnel", "--deltas", "1e-3"], "deltas"),
+    (["ode", "funnel", "--step", "-0.1"], "step"),
+    (["surface", "build", "--step", "0"], "step"),
+    (["surface", "build", "--order", "0,0"], "order"),
+    (["surface", "build", "--grid", "1"], "grid"),
+    (["mollify", "verify", "--n", "1"], "n"),
+    (["mollify", "verify", "--lo", "1", "--hi", "0"], "lo"),
+    (["frobenius", "--form", "dx", "--grid", "0"], "grid"),
+    (["pde", "frames", "--grid", "0"], "grid"),
+    (["pde", "solve-special", "--targets-res", "0"], "targets_res"),
+    (["dyn", "dominate", "--res", "0"], "res"),
+    (["ode", "funnel", "--ensemble", "-1"], "ensemble"),
+    (["frobenius", "--form", "dx", "--extent", "0"], "extent"),
+    (["moduli", "check", "--w", "lipschitz(k=1)", "--depth", "0"], "depth"),
+    (["pde", "check", "--example", "paper-ex3", "--columns", "2,2"],
+     "columns")])
+def test_out_of_range_value_exits_1(tmp_path, capsys, args, key):
+    assert main(args + ["--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(("error [RangeError]: ", "parse error: "))
+    assert re.search(rf"\b{key}\b", err)
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("args", [
+    ["frobenius"],
+    ["ode", "check", "--T", "7"]], ids=["missing-form", "foreign-flag"])
+def test_usage_error_exits_1(tmp_path, capsys, args):
+    with pytest.raises(SystemExit) as exc:
+        main(args + ["--out", str(tmp_path)])
+    assert exc.value.code == 1
+    assert "error:" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main(["frobenius", "--help"])
+    assert exc.value.code == 0
 
 
 @pytest.mark.parametrize("body,line", [

@@ -415,6 +415,37 @@ def test_pipeline_evaluates_map_once_per_step(monkeypatch, name, k_max):
 
 
 @pytest.mark.parametrize("name", DYN_CASES)
+def test_pipeline_evaluates_each_frame_once_per_trace(monkeypatch, name):
+    from contfrob import geometry
+    phi, e0, f, _, lim, pts = dyn_case(name)
+    k_max = 8
+    calls = {}
+
+    def counted(owner, method):
+        inner = getattr(owner, method)
+
+        def wrapper(frame, *args, **kwargs):
+            calls.setdefault(method, {}).setdefault(id(frame), 0)
+            calls[method][id(frame)] += 1
+            return inner(frame, *args, **kwargs)
+        monkeypatch.setattr(owner, method, wrapper)
+
+    counted(PullbackFrame, "matrix_at")
+    counted(PullbackFrame, "d_matrices_at")
+    # evaluate_frame holds the one transversality check
+    counted(geometry, "evaluate_frame")
+    rep, asym, ext = splitting_involutivity_pipeline(
+        phi, e0, curved_frame(phi.coords), f, k_max, 1.0, pts, limit=lim,
+        n_dirs=4, seed=0)
+    assert rep.dominated and len(asym) == len(ext) == k_max
+    # k_max frames, each evaluated once by each of the two traces
+    assert {method: sorted(per_frame.values())
+            for method, per_frame in calls.items()} == {
+        "matrix_at": [2] * k_max, "d_matrices_at": [2] * k_max,
+        "evaluate_frame": [2] * k_max}
+
+
+@pytest.mark.parametrize("name", DYN_CASES)
 def test_pullback_frames_share_one_cocycle(monkeypatch, name):
     phi, _, _, _, _, pts = dyn_case(name)
     base = curved_frame(phi.coords)

@@ -10,12 +10,11 @@ from contfrob.errors import TransversalityError
 from contfrob.fields import ZERO, Const, coord, parse_field
 from contfrob.forms import one_form
 from contfrob.geometry import (Distribution, FrameSection, annihilator_frame,
-                               asymptotic_involutivity_trace,
-                               compatibility_defect, exterior_regularity_trace,
-                               frobenius_defect, involutivity_constant,
-                               max_principal_angle, restricted_inverse,
-                               sup_d_restricted_norm,
-                               sup_frame_restricted_norm, sup_inverse_norm)
+                               asymptotic_involutivity_trace, bound_parts,
+                               compatibility_defect, evaluate_frame,
+                               exterior_regularity_trace, frobenius_defect,
+                               involutivity_constant, max_principal_angle,
+                               sup_inverse_norm)
 from contfrob.geometry import (_D_RESTRICTED_U, _MIXING_U,
                                _sampled_sphere_sup)
 from contfrob.mollify import grid_from_field, mollify, to_spline_field
@@ -85,11 +84,11 @@ def test_defect_zero_set_invariant_under_row_rescaling():
 def test_restricted_inverse_identity_block():
     frame = annihilator_frame(contact_distribution())
     p = np.array([0.1, 0.2, 0.0])
-    inv, norm = restricted_inverse(frame, p)
-    assert np.allclose(inv, np.eye(1))
-    assert norm == pytest.approx(1.0)
-    inv2, norm2 = restricted_inverse(frame.scale(2.0), p)
-    assert norm2 == pytest.approx(0.5)
+    assert np.allclose(evaluate_frame(frame, p).inv[0], np.eye(1))
+    assert sup_inverse_norm(frame, p).value == pytest.approx(1.0)
+    scaled = frame.scale(2.0)
+    assert np.allclose(evaluate_frame(scaled, p).inv[0], 0.5 * np.eye(1))
+    assert sup_inverse_norm(scaled, p).value == pytest.approx(0.5)
 
 
 def test_restricted_inverse_diagonal_and_singular():
@@ -100,14 +99,15 @@ def test_restricted_inverse_diagonal_and_singular():
     rows = (one_form(coords, {"y1": Const(1.0)}),
             one_form(coords, {"y2": Const(eps)}))
     frame = FrameSection(rows, coords, ("y1", "y2"), None)
-    _, norm = restricted_inverse(frame, np.zeros(3))
-    assert norm == pytest.approx(1.0 / eps)
+    assert sup_inverse_norm(frame, np.zeros(3)).value == \
+        pytest.approx(1.0 / eps)
 
     bad = FrameSection((one_form(coords, {"y1": Const(1.0)}),
                         one_form(coords, {"y1": Const(1.0)})),
                        coords, ("y1", "y2"), None)
-    with pytest.raises(TransversalityError):
-        restricted_inverse(bad, np.zeros(3))
+    for evaluate in (sup_inverse_norm, evaluate_frame):
+        with pytest.raises(TransversalityError):
+            evaluate(bad, np.zeros(3))
 
 
 def test_involutivity_constant_involutive_is_zero():
@@ -291,8 +291,8 @@ def test_codim_one_sups_are_exact(dist):
     U[:, y_idx, :] = np.linalg.inv(A[:, :, y_idx])
     atol = 1e-12 * max(1.0, float(np.max(np.abs(dA))))
 
-    d_restr = sup_d_restricted_norm(frame, bases, pts)
-    m_const = involutivity_constant(frame, bases, pts)
+    d_restr, _, m_const = bound_parts(evaluate_frame(frame, pts), bases)
+    assert m_const.value == involutivity_constant(frame, bases, pts).value
     for est in (d_restr, m_const):
         assert est.protocol["u_maximization"] == "exact-svd"
         assert est.protocol["kind"] == "lower-bound"
@@ -454,4 +454,59 @@ def test_sup_helpers_exactness():
     assert sup_inverse_norm(frame, pts).value == pytest.approx(1.0)
     bases = d.orthonormal_bases_at(pts)
     # annihilator restricted to its own kernel is ~0
-    assert sup_frame_restricted_norm(frame, bases, pts).value <= 1e-13
+    ext = exterior_regularity_trace([frame], bases, 1.0, pts, n_dirs=8)
+    assert ext[0].parts["restricted"] <= 1e-13
+
+
+def _special_form_trace_inputs():
+    """Two mollified special-form frames (n = 2, the second rescaled so
+    ||A^{-1}|| != 1) against the symbolic limit of paper example 2."""
+    from contfrob import presets
+    from contfrob.pdelab import involutive_mollified_frames
+    sf, pde = presets.pde_example_2()
+    fams = involutive_mollified_frames(sf, [2.0 ** -3, 2.0 ** -4],
+                                       cells_per_radius=8)
+    frames = [fams[0].frame,
+              fams[1].frame.scale(parse_field("1 + x1*y2"))]
+    return frames, pde.distribution(), sf.domain.shrink(0.02).lattice(3)
+
+
+def test_trace_parts_pinned_two_row_special_form():
+    # values captured before the frame evaluation was shared between
+    # the sup functionals; every field must keep its bits
+    frames, limit, pts = _special_form_trace_inputs()
+    asym = asymptotic_involutivity_trace(frames, [limit] * 2, 0.5, pts,
+                                         n_dirs=32, seed=0)
+    ext = exterior_regularity_trace(frames, limit, 0.5, pts, n_dirs=32,
+                                    seed=0)
+    assert [(e.k, e.q, e.strong, e.parts) for e in asym] == [
+        (0, 4.492965149195506e-05, 8.31402056703682e-18,
+         {"d_restricted": 3.751312597591976e-05, "inv_norm": 1.0,
+          "M": 0.3608141372134587, "wedge_sup": 6.938893903907228e-18,
+          "d_sup": 0.361601865270085, "eps": 0.5}),
+        (1, 0.0007197889788733347, 1.5803013808910454e-16,
+         {"d_restricted": 0.00048475922939685554,
+          "inv_norm": 0.9639483323693849, "M": 0.8640466672988405,
+          "wedge_sup": 7.569399196028258e-17, "d_sup": 1.4721739427708733,
+          "eps": 0.5})]
+    assert [(e.k, e.q, e.strong, e.parts) for e in ext] == [
+        (0, 0.00527653406197944, 0.0037905672259187172,
+         {"restricted": 0.004405538000193672, "inv_norm": 1.0,
+          "M": 0.3608141372134587, "d_sup": 0.361601865270085,
+          "eps": 0.5}),
+        (1, 0.001848940728425438, 1.2614719418446967,
+         {"restricted": 0.0012452136793132272,
+          "inv_norm": 0.9639483323693849, "M": 0.8640466672988405,
+          "d_sup": 1.4721739427708733, "eps": 0.5})]
+
+
+def test_tangency_parts_pinned_contact():
+    from contfrob import presets
+    from contfrob.surface import FlowConfig, build_surface, tangency_defect
+    contact = presets.contact_distribution()
+    patch = build_surface(contact, np.array([0.1, -0.05, 0.02]), 0.1, 9,
+                          FlowConfig(step=0.1 / 16))
+    tan = tangency_defect(patch, contact, sup_res=5, n_dirs=64, seed=0)
+    assert tan.rhs == 0.2
+    assert tan.parts == {"d_restricted": 1.0, "inv_norm": 1.0, "M": 0.0,
+                         "m": 2, "eps1": 0.1, "sup_res": 5}

@@ -305,3 +305,27 @@ def test_patch_csv_export():
     assert lines[-1].count(",") == 2 + 3 + 2 - 1  # t1,t2,x,y,z,defect1,defect2
     assert any(ln.startswith("# rhs=") for ln in lines)
     assert len([ln for ln in lines if not ln.startswith("#")]) == 1 + 25
+
+
+
+def test_tangency_bound_evaluates_frame_once(monkeypatch):
+    from contfrob import geometry, surface
+    calls = {}
+
+    def counted(owner, name):
+        inner = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return inner(*args, **kwargs)
+        monkeypatch.setattr(owner, name, wrapper)
+
+    dist = contact()
+    patch = build_surface(dist, np.zeros(3), 0.1, 5,
+                          FlowConfig(step=0.1 / 16))
+    counted(geometry.FrameSection, "matrix_at")
+    counted(geometry.FrameSection, "d_matrices_at")
+    counted(surface, "evaluate_frame")
+    tangency_defect(patch, dist, sup_res=5, n_dirs=16)
+    assert calls == {"matrix_at": 1, "d_matrices_at": 1,
+                     "evaluate_frame": 1}
