@@ -6,6 +6,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import RangeError
+
 
 @dataclass(frozen=True)
 class Box:
@@ -16,8 +18,14 @@ class Box:
     highs: tuple
 
     def __post_init__(self):
-        assert len(self.names) == len(self.lows) == len(self.highs)
-        assert all(lo < hi for lo, hi in zip(self.lows, self.highs))
+        if not len(self.names) == len(self.lows) == len(self.highs):
+            raise RangeError(f"box needs one low and one high per "
+                             f"coordinate, got {len(self.names)} names, "
+                             f"{len(self.lows)} lows, {len(self.highs)} highs")
+        for name, lo, hi in zip(self.names, self.lows, self.highs):
+            if not lo < hi:
+                raise RangeError(f"box coordinate {name!r} needs low < high, "
+                                 f"got [{lo}, {hi}]")
 
     @classmethod
     def from_dict(cls, ranges):

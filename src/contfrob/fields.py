@@ -15,22 +15,36 @@ Evaluation is vectorized: an environment maps coordinate names to
 scalars or numpy arrays.  The single deliberate evaluation convention is
 that a product with a zero factor is zero even when another factor is
 infinite, which makes terms like s*log(s) evaluate to 0 at s = 0.
+
+The elementary functions log, exp, sin and cos are one node class,
+`Unary`, reading one table, `_FUNCTIONS`: rank in the canonical order,
+numpy ufunc, domain message (log only) and derivative rule.  The
+constructors, `diff`, `evaluate`, `expand`, printing and the parser all
+read that table.  Folding follows evaluation: a unary node with a
+constant argument folds by evaluating itself, so exp(1000) folds to inf
+and sin(1e400) to nan, and a product with an exact-zero constant factor
+folds to 0 as `Mul.evaluate` gives 0 for 0*inf.  `pow_` folds with
+Python's `**`, which differs from `np.power` in the last bit on a few
+percent of inputs; preset exponents such as 1/3 and 1/1.8 fold through
+it, so switching would move report bytes.  Only its overflow, where `**`
+raises, falls back to `np.power` and gives inf.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .errors import EvalDomainError, ParseError
 
 __all__ = [
-    "Field", "Const", "Coord", "Add", "Mul", "Pow", "Log", "Exp", "Sin",
-    "Cos", "SplineLeaf", "add", "mul", "pow_", "neg", "sub", "div", "log",
-    "exp", "sin", "cos", "const", "coord", "parse_field", "is_zero_field",
-    "expand", "eval_fields", "ZERO", "ONE",
+    "Field", "Const", "Coord", "Add", "Mul", "Pow", "Unary", "SplineLeaf",
+    "add", "mul", "pow_", "neg", "sub", "div", "log", "exp", "sin", "cos",
+    "const", "coord", "parse_field", "is_zero_field", "expand",
+    "eval_fields", "ZERO", "ONE",
 ]
 
 _EXPAND_CAP = 50_000
@@ -287,83 +301,60 @@ class Pow(Field):
         return f"{_paren(self.base, 30)}^{_paren(self.exponent, 30)}"
 
 
-class _Unary(Field):
-    __slots__ = ("arg",)
-    _rank = None
-    _name = None
+class Unary(Field):
+    """An elementary function applied to one field.
 
-    def __init__(self, arg):
+    `fn` is the function's row of `_FUNCTIONS`; the node keeps it, so
+    evaluation looks nothing up.
+    """
+
+    __slots__ = ("fn", "arg")
+
+    def __init__(self, fn, arg):
+        self.fn = fn
         self.arg = arg
-        self._key = (self._rank, arg._key)
+        self._key = (fn.rank, arg._key)
         self.free_vars = arg.free_vars
-
-    def __str__(self):
-        return f"{self._name}({self.arg})"
-
-
-class Log(_Unary):
-    __slots__ = ()
-    _rank, _name = 6, "log"
 
     def diff(self, var):
         da = self.arg.diff(var)
         if da == ZERO:
             return ZERO
-        return mul(da, pow_(self.arg, Const(-1.0)))
+        return self.fn.derivative(self, da)
 
     def evaluate(self, env):
         a = np.asarray(self.arg.evaluate(env), dtype=float)
-        if np.any(a < 0.0):
-            raise EvalDomainError("log of a negative value")
-        with np.errstate(divide="ignore"):
-            out = np.log(a)
+        if self.fn.domain_error is not None and np.any(a < 0.0):
+            raise EvalDomainError(self.fn.domain_error)
+        with np.errstate(all="ignore"):
+            out = self.fn.ufunc(a)
         return float(out) if out.ndim == 0 else out
 
-
-class Exp(_Unary):
-    __slots__ = ()
-    _rank, _name = 7, "exp"
-
-    def diff(self, var):
-        da = self.arg.diff(var)
-        if da == ZERO:
-            return ZERO
-        return mul(self, da)
-
-    def evaluate(self, env):
-        with np.errstate(over="ignore"):
-            out = np.exp(np.asarray(self.arg.evaluate(env), dtype=float))
-        return float(out) if out.ndim == 0 else out
+    def __str__(self):
+        return f"{self.fn.name}({self.arg})"
 
 
-class Sin(_Unary):
-    __slots__ = ()
-    _rank, _name = 8, "sin"
+class _Function(NamedTuple):
+    """One elementary function: its name, its rank in the canonical
+    operand order, its numpy ufunc, the message for a negative argument
+    (None when every real argument is allowed) and its derivative rule
+    d(node) = derivative(node, d(arg))."""
 
-    def diff(self, var):
-        da = self.arg.diff(var)
-        if da == ZERO:
-            return ZERO
-        return mul(cos(self.arg), da)
-
-    def evaluate(self, env):
-        out = np.sin(np.asarray(self.arg.evaluate(env), dtype=float))
-        return float(out) if out.ndim == 0 else out
+    name: str
+    rank: int
+    ufunc: np.ufunc
+    domain_error: str | None
+    derivative: Callable
 
 
-class Cos(_Unary):
-    __slots__ = ()
-    _rank, _name = 9, "cos"
-
-    def diff(self, var):
-        da = self.arg.diff(var)
-        if da == ZERO:
-            return ZERO
-        return mul(Const(-1.0), sin(self.arg), da)
-
-    def evaluate(self, env):
-        out = np.cos(np.asarray(self.arg.evaluate(env), dtype=float))
-        return float(out) if out.ndim == 0 else out
+_FUNCTIONS = {fn.name: fn for fn in (
+    _Function("log", 6, np.log, "log of a negative value",
+              lambda f, da: mul(da, pow_(f.arg, Const(-1.0)))),
+    _Function("exp", 7, np.exp, None, lambda f, da: mul(f, da)),
+    _Function("sin", 8, np.sin, None, lambda f, da: mul(cos(f.arg), da)),
+    _Function("cos", 9, np.cos, None,
+              lambda f, da: mul(Const(-1.0), sin(f.arg), da)),
+)}
 
 
 ZERO = Const(0.0)
@@ -436,6 +427,8 @@ def mul(*factors):
             stack = list(f.factors) + stack
             continue
         if isinstance(f, Const):
+            if f.value == 0.0:
+                return ZERO  # 0 * inf = 0, as Mul.evaluate has it
             const_acc *= f.value
             continue
         if isinstance(f, Pow) and isinstance(f.exponent, Const):
@@ -479,7 +472,11 @@ def pow_(base, exponent):
                 raise EvalDomainError("fractional power of a negative constant")
             if b == 0.0 and e < 0.0:
                 raise EvalDomainError("zero constant raised to a negative power")
-            return Const(b ** e)
+            try:
+                return Const(b ** e)
+            except OverflowError:
+                with np.errstate(over="ignore"):
+                    return Const(np.power(b, e))  # +-inf
         if isinstance(base, Pow) and isinstance(base.exponent, Const):
             c1, c2 = base.exponent.value, exponent.value
             # (b^c1)^c2 = b^(c1*c2) is wrong for even c1 with fractional c2
@@ -502,34 +499,26 @@ def div(a, b):
     return mul(_as_field(a), pow_(b, Const(-1.0)))
 
 
+def _apply(fn, f):
+    """fn(f); a constant argument folds by evaluating the same node."""
+    node = Unary(fn, _as_field(f))
+    return Const(node.evaluate({})) if isinstance(node.arg, Const) else node
+
+
 def log(f):
-    f = _as_field(f)
-    if isinstance(f, Const):
-        if f.value < 0.0:
-            raise EvalDomainError("log of a negative constant")
-        return Const(-math.inf) if f.value == 0.0 else Const(math.log(f.value))
-    return Log(f)
+    return _apply(_FUNCTIONS["log"], f)
 
 
 def exp(f):
-    f = _as_field(f)
-    if isinstance(f, Const):
-        return Const(math.exp(f.value))
-    return Exp(f)
+    return _apply(_FUNCTIONS["exp"], f)
 
 
 def sin(f):
-    f = _as_field(f)
-    if isinstance(f, Const):
-        return Const(math.sin(f.value))
-    return Sin(f)
+    return _apply(_FUNCTIONS["sin"], f)
 
 
 def cos(f):
-    f = _as_field(f)
-    if isinstance(f, Const):
-        return Const(math.cos(f.value))
-    return Cos(f)
+    return _apply(_FUNCTIONS["cos"], f)
 
 
 # ---------------------------------------------------------------------------
@@ -565,14 +554,8 @@ def expand(f):
                 out = expand(mul(out, base))
             return out
         return pow_(base, expand(e))
-    if isinstance(f, Log):
-        return log(expand(f.arg))
-    if isinstance(f, Exp):
-        return exp(expand(f.arg))
-    if isinstance(f, Sin):
-        return sin(expand(f.arg))
-    if isinstance(f, Cos):
-        return cos(expand(f.arg))
+    if isinstance(f, Unary):
+        return _apply(f.fn, expand(f.arg))
     raise TypeError(f"cannot expand {type(f).__name__}")
 
 
@@ -612,11 +595,8 @@ def eval_fields(fields, env):
 # ---------------------------------------------------------------------------
 # parsing and printing
 
-_FUNCTIONS = {"log": log, "exp": exp, "sin": sin, "cos": cos}
-
-
 def _fmt_number(v):
-    if v == math.floor(v) and abs(v) < 1e16 and math.isfinite(v):
+    if math.isfinite(v) and v == math.floor(v) and abs(v) < 1e16:
         return str(int(v))
     return repr(v)
 
@@ -757,7 +737,10 @@ def _parse_power(tz):
 def _parse_atom(tz):
     kind, val, pos = tz.next()
     if kind == "num":
-        return Const(float(val))
+        try:
+            return Const(float(val))
+        except ValueError:
+            raise ParseError(f"malformed number {val!r}", pos) from None
     if kind == "ident":
         nkind, _, _ = tz.peek()
         if nkind == "(":
@@ -768,7 +751,7 @@ def _parse_atom(tz):
             ckind, cval, cpos = tz.next()
             if ckind != ")":
                 raise ParseError(f"expected ')', got {cval!r}", cpos)
-            return _FUNCTIONS[val](arg)
+            return _apply(_FUNCTIONS[val], arg)
         return Coord(val)
     if kind == "(":
         f = _parse_sum(tz)

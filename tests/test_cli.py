@@ -225,12 +225,21 @@ def test_bad_flag_value_is_parse_error(tmp_path, capsys, args, key, value):
     (["frobenius", "--form", "dx", "--extent", "0"], "extent"),
     (["moduli", "check", "--w", "lipschitz(k=1)", "--depth", "0"], "depth"),
     (["pde", "check", "--example", "paper-ex3", "--columns", "2,2"],
-     "columns")])
+     "columns"),
+    (["ode", "funnel", "--T", "-1"], "T")])
 def test_out_of_range_value_exits_1(tmp_path, capsys, args, key):
     assert main(args + ["--out", str(tmp_path)]) == 1
     err = capsys.readouterr().err
     assert err.startswith(("error [RangeError]: ", "parse error: "))
     assert re.search(rf"\b{key}\b", err)
+    assert not any(tmp_path.iterdir())
+
+
+def test_malformed_number_is_parse_error(tmp_path, capsys):
+    args = ["mollify", "verify", "--expr", "x*1.2.3", "--out", str(tmp_path)]
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert err == "parse error: malformed number '1.2.3' (at position 2)\n"
     assert not any(tmp_path.iterdir())
 
 

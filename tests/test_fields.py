@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from contfrob.errors import EvalDomainError, ParseError
-from contfrob.fields import (Const, coord, cos, eval_fields, exp,
+from contfrob.fields import (ZERO, Const, coord, cos, eval_fields, exp,
                              is_zero_field, log, parse_field, sin, SplineLeaf)
 
 x = coord("x")
@@ -76,6 +78,56 @@ def test_parse_errors():
         parse_field("foo(x)")
     with pytest.raises(ParseError):
         parse_field("x @ y")
+
+
+def test_malformed_number_is_parse_error():
+    for text, pos in [("1.2.3", 0), ("x + 1.2.3*y", 4)]:
+        with pytest.raises(ParseError, match="malformed number") as exc:
+            parse_field(text)
+        assert exc.value.position == pos
+
+
+def test_folds_follow_evaluation():
+    assert parse_field("exp(1000)") == Const(math.inf)
+    assert exp(x).evaluate({"x": 1000.0}) == math.inf
+    assert math.isnan(parse_field("sin(1e400)").value)
+    assert math.isnan(sin(x).evaluate({"x": math.inf}))
+    assert parse_field("10^400") == Const(math.inf)
+    assert parse_field("(-10)^401") == Const(-math.inf)
+    assert (x ** 400).evaluate({"x": 10.0}) == math.inf
+    assert parse_field("log(0)") == Const(-math.inf)
+    assert str(Const(-math.inf)) == "-inf"
+    assert str(Const(math.nan)) == "nan"
+    with pytest.raises(EvalDomainError, match="log of a negative value"):
+        log(Const(-1.0))
+
+
+def test_zero_constant_factor_folds_to_zero():
+    # 0 * log(0) = 0 * -inf folds to 0, as s*log(s) evaluates at s = 0
+    assert parse_field("0*log(0)") is ZERO
+    assert Const(math.inf) * 0.0 is ZERO
+    assert (x * log(x)).evaluate({"x": 0.0}) == 0.0
+    assert parse_field("2*log(0)") == Const(-math.inf)
+
+
+_FOLDED = {"log": log, "exp": exp, "sin": sin, "cos": cos}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(sorted(_FOLDED)),
+       st.one_of(st.sampled_from([0.0, -0.0, -1.0, 1e3, -1e3, 710.0]),
+                 st.floats(allow_nan=False, allow_infinity=False)))
+def test_fold_equals_evaluation_bitwise(name, c):
+    fn = _FOLDED[name]
+    try:
+        folded = fn(Const(c))
+    except EvalDomainError:
+        with pytest.raises(EvalDomainError):
+            fn(x).evaluate({"x": c})
+        return
+    assert isinstance(folded, Const)
+    value = fn(x).evaluate({"x": c})
+    assert np.float64(folded.value).tobytes() == np.float64(value).tobytes()
 
 
 def test_precedence():

@@ -205,6 +205,21 @@ def test_sphere_sampling_monotone_in_directions_two_rows():
     assert "u_maximization" not in ests[0].protocol
 
 
+def test_sphere_sampling_monotone_in_directions_sampled_u_sphere():
+    # m = 2 and n = 2: both the x-sphere and the u-sphere are sampled
+    names = ("x1", "x2", "y1", "y2")
+    d = Distribution(("x1", "x2"), ("y1", "y2"),
+                     [[parse_field("y2"), parse_field("x1*y1")],
+                      [parse_field("x2*y2"), parse_field("y1")]],
+                     Box.from_dict({v: (-0.5, 0.5) for v in names}))
+    frame = annihilator_frame(d)
+    pts = d.domain.lattice(4)
+    vals = [involutivity_constant(frame, d, pts, n_dirs=nd, seed=3,
+                                  rounds=0).value for nd in (2, 8, 32, 128)]
+    assert vals == sorted(vals)
+    assert vals[1] > vals[0]
+
+
 _COEFFS = st.sampled_from([-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0])
 
 

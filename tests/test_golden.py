@@ -9,6 +9,8 @@ must keep every report byte-identical; a changed digest means a changed
 number.  The surface.csv digest was captured again when the contact
 tangency bound's ||dA|_E|| became the exact closed form: the sampled
 1.0000000000000002 became 1.0, so rhs went 0.20000000000000007 -> 0.2.
+The elementary-functions case was captured before log, exp, sin and cos
+moved into one table-driven node.
 """
 
 import hashlib
@@ -76,3 +78,12 @@ def test_config_file_report_digest(tmp_path):
     data = (tmp_path / "ode_funnel.csv").read_bytes()
     assert hashlib.sha256(data).hexdigest() == \
         "4f19b687c667cd560c90368b3983545dd3262f12746d521bb2c9437336cad4ae"
+
+
+def test_elementary_functions_report_digest(tmp_path):
+    # evaluates log, exp, sin and cos and their derivatives on a lattice
+    form = "dz - exp(x*y)*dx - sin(x)*log(1+y^2)*dy"
+    assert main(["frobenius", "--form", form, "--out", str(tmp_path)]) == 0
+    data = (tmp_path / "frobenius.csv").read_bytes()
+    assert hashlib.sha256(data).hexdigest() == \
+        "5a9716949d8f7af5a18659706b7b868d257f32a772377e7f47429d34d47895cf"

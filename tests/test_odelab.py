@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from contfrob.boxes import Box
+from contfrob.errors import RangeError
 from contfrob.fields import Const, parse_field
 from contfrob.moduli import FAILS, HOLDS, Hoelder, Lipschitz, fit_loglog_slope
 from contfrob.odelab import (ModuliDecl, OdeSpec, extend, funnel,
@@ -108,3 +109,9 @@ def test_funnel_csv_shape():
             if not ln.startswith("#")]
     assert body[0] == "delta,dispersion,escaped"
     assert len(body) == 3
+
+
+@pytest.mark.parametrize("T", [-1.0, 0.0])
+def test_funnel_rejects_non_positive_horizon(T):
+    with pytest.raises(RangeError, match="horizon T must be positive"):
+        funnel(ode_peano(), [0.0, 0.0], T, [1e-3, 1e-4])
