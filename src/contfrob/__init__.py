@@ -3,8 +3,9 @@
 Numerical machinery around the question of when a merely continuous
 rank-m distribution on a coordinate box is (uniquely) integrable:
 
-* moduli       -- moduli of continuity, their algebra, and the divergence
-                  and limit uniqueness criteria;
+* moduli       -- moduli of continuity (leaves, sums, multiples, maxima,
+                  tabulated) and the divergence and limit uniqueness
+                  criteria;
 * mollify      -- bump-kernel smoothing of sampled data with verified
                   error/derivative bounds;
 * fields/forms -- exact symbolic scalar fields and exterior calculus;

@@ -34,7 +34,6 @@ import numpy as np
 from .boxes import env_of
 from .errors import ConeError, DegenerateSubspaceError, StepCountError
 from .fields import eval_fields
-from .forms import KForm
 from .geometry import (FrameSection, asymptotic_involutivity_trace,
                        exterior_regularity_trace, max_principal_angle,
                        orthonormalize)
@@ -89,13 +88,6 @@ class DiffeoSpec:
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         jac = self._jac_inv if inverse else self._jac_fwd
         return eval_fields(jac, env_of(self.coords, self._wrap(pts)))
-
-    def check_inverse(self, pts, tol=1.0e-8):
-        round_trip = self.apply(self.apply(pts, 1), -1)
-        diff = np.abs(round_trip - self._wrap(np.atleast_2d(pts)))
-        if self.torus:
-            diff = np.minimum(diff, 1.0 - diff)
-        return float(np.max(diff)) <= tol
 
     def orbit(self, pts, k):
         """[p, phi(p), ..., phi^k(p)]: shape (k+1, N, d)."""

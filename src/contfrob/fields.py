@@ -43,7 +43,7 @@ from .errors import EvalDomainError, ParseError
 __all__ = [
     "Field", "Const", "Coord", "Add", "Mul", "Pow", "Unary", "SplineLeaf",
     "add", "mul", "pow_", "neg", "sub", "div", "log", "exp", "sin", "cos",
-    "const", "coord", "parse_field", "is_zero_field", "expand",
+    "coord", "parse_field", "is_zero_field", "expand",
     "eval_fields", "ZERO", "ONE",
 ]
 
@@ -298,7 +298,8 @@ class Pow(Field):
         return float(out) if out.ndim == 0 else out
 
     def __str__(self):
-        return f"{_paren(self.base, 30)}^{_paren(self.exponent, 30)}"
+        # ^ is right-associative, so a power base needs parentheses
+        return f"{_paren(self.base, 31)}^{_paren(self.exponent, 30)}"
 
 
 class Unary(Field):
@@ -363,10 +364,6 @@ ONE = Const(1.0)
 
 # ---------------------------------------------------------------------------
 # smart constructors
-
-
-def const(v):
-    return Const(v)
 
 
 def coord(name):
@@ -675,8 +672,9 @@ def parse_field(text):
     """Parse an expression over named coordinates into a Field.
 
     Grammar: numbers, identifiers, + - * / ^ (right-assoc), parentheses,
-    and the functions log, exp, sin, cos.  Any other identifier is a
-    coordinate name.
+    and the functions log, exp, sin, cos.  The identifiers inf and nan are
+    the non-finite constants, as printing writes them; any other
+    identifier is a coordinate name.
     """
     tz = _Tokenizer(text)
     f = _parse_sum(tz)
@@ -752,6 +750,8 @@ def _parse_atom(tz):
             if ckind != ")":
                 raise ParseError(f"expected ')', got {cval!r}", cpos)
             return _apply(_FUNCTIONS[val], arg)
+        if val in ("inf", "nan"):
+            return Const(float(val))
         return Coord(val)
     if kind == "(":
         f = _parse_sum(tz)

@@ -41,9 +41,6 @@ class KForm:
     def dim(self):
         return len(self.coords)
 
-    def is_structurally_zero(self):
-        return not self.comps
-
     def is_zero(self):
         return all(is_zero_field(f) for f in self.comps.values())
 
@@ -87,7 +84,7 @@ class KForm:
         terms = [mul(f, vector_fields[idx[0]]) for idx, f in self.comps.items()]
         return add(*terms) if terms else ZERO
 
-    def two_form_matrices_at(self, env, n_points=None):
+    def two_form_matrices_at(self, env):
         """Antisymmetric matrices of a 2-form at broadcast points."""
         assert self.degree == 2
         D = self.dim

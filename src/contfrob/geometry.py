@@ -35,7 +35,7 @@ import numpy as np
 from .boxes import Box, env_of
 from .errors import DegenerateSubspaceError, TransversalityError
 from .fields import Const, ZERO, eval_fields, neg
-from .forms import (KForm, exterior_derivative, one_form, stacked_wedge_norms,
+from .forms import (exterior_derivative, one_form, stacked_wedge_norms,
                     two_form_matrix_norm, wedge, wedge_all)
 
 __all__ = [
@@ -43,7 +43,7 @@ __all__ = [
     "frobenius_defect", "FrameValues", "evaluate_frame", "bound_parts",
     "involutivity_constant", "sup_inverse_norm",
     "asymptotic_involutivity_trace", "exterior_regularity_trace",
-    "compatibility_defect", "orthonormalize", "max_principal_angle",
+    "orthonormalize", "max_principal_angle",
     "TraceEntry",
 ]
 
@@ -184,11 +184,6 @@ class FrameSection:
     def scale(self, c):
         return FrameSection(tuple(r.scale(c) for r in self.rows),
                             self.coords, self.y_names, self.domain)
-
-    def to_text(self):
-        """Component-wise serialization with coordinate names."""
-        return "\n".join(f"row{j+1}: {row}"
-                         for j, row in enumerate(self.rows)) + "\n"
 
 
 def annihilator_frame(dist: Distribution) -> FrameSection:
@@ -474,11 +469,3 @@ def exterior_regularity_trace(frames, limit, eps, points, n_dirs=256, seed=0,
             "restricted": restr, "inv_norm": inv_norm, "M": m_const,
             "d_sup": d_sup, "eps": eps}))
     return out
-
-
-def compatibility_defect(frame_a, frame_b, points):
-    """max_p | ||A_p o (B_p|_Y)^{-1}|| - 1 | for two frames of one bundle."""
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    A = frame_a.matrix_at(pts)
-    comp = A @ evaluate_frame(frame_b, pts).U
-    return float(np.max(np.abs(_sigma_max(comp) - 1.0)))

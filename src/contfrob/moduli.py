@@ -1,9 +1,10 @@
-"""Moduli of continuity: the closed algebraic family and uniqueness criteria.
+"""Moduli of continuity: a small family of kinds and uniqueness criteria.
 
 A modulus is an increasing continuous w with w(0+) = 0 bounding increments
-|f(p) - f(q)| <= K w(|p - q|).  The family is closed under the operations
-needed to propagate moduli through sums, products and quotients of
-functions, and two numerical uniqueness criteria are evaluated on it:
+|f(p) - f(q)| <= K w(|p - q|).  The kinds are the Lipschitz, Hoelder and
+log-Lipschitz leaves, their sums, positive multiples and maxima, and
+tabulated empirical moduli; two numerical uniqueness criteria are
+evaluated on them:
 
 * the classical divergence criterion for int ds / w(s) near 0, probed by
   adaptive quadrature on a geometric grid (divergence is the verdict that
@@ -30,9 +31,8 @@ from .report import csv_text
 __all__ = [
     "Modulus", "Lipschitz", "Hoelder", "LogLip", "SumModulus", "ScaleModulus",
     "MaxModulus", "Tabulated", "CriterionReport", "HOLDS", "FAILS",
-    "INCONCLUSIVE", "algebra_sum", "algebra_product", "algebra_quotient",
-    "osgood_check", "limit_condition_check", "estimate_modulus",
-    "fit_loglog_slope", "modulus_to_text", "parse_modulus", "check_monotone",
+    "INCONCLUSIVE", "osgood_check", "limit_condition_check",
+    "estimate_modulus", "fit_loglog_slope", "parse_modulus",
 ]
 
 HOLDS = "Holds"
@@ -61,11 +61,8 @@ class Modulus:
             out = np.where(arr == 0.0, 0.0, self._raw(np.maximum(arr, 1e-300)))
         return float(out) if out.ndim == 0 else out
 
-    def __repr__(self):
-        return f"<modulus {modulus_to_text(self)}>"
 
-
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True)
 class Lipschitz(Modulus):
     K: float = 1.0
     domain_cap: float = math.inf
@@ -74,7 +71,7 @@ class Lipschitz(Modulus):
         return self.K * s
 
 
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True)
 class Hoelder(Modulus):
     alpha: float = 0.5
     K: float = 1.0
@@ -88,7 +85,7 @@ class Hoelder(Modulus):
         return self.K * s ** self.alpha
 
 
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True)
 class LogLip(Modulus):
     """s -> -K * beta * s * log(s), valid up to 1/e by default."""
 
@@ -100,7 +97,7 @@ class LogLip(Modulus):
         return -self.K * self.beta * s * np.log(s)
 
 
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True)
 class SumModulus(Modulus):
     a: Modulus = None
     b: Modulus = None
@@ -113,7 +110,7 @@ class SumModulus(Modulus):
         return self.a._raw(s) + self.b._raw(s)
 
 
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True)
 class ScaleModulus(Modulus):
     c: float = 1.0
     w: Modulus = None
@@ -130,7 +127,7 @@ class ScaleModulus(Modulus):
         return self.c * self.w._raw(s)
 
 
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True)
 class MaxModulus(Modulus):
     a: Modulus = None
     b: Modulus = None
@@ -143,7 +140,7 @@ class MaxModulus(Modulus):
         return np.maximum(self.a._raw(s), self.b._raw(s))
 
 
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True)
 class Tabulated(Modulus):
     """Empirical modulus from (scale, increment-sup) breakpoints."""
 
@@ -169,36 +166,6 @@ class Tabulated(Modulus):
         xs = np.asarray([0.0] + [b[0] for b in self.breakpoints])
         ys = np.asarray([0.0] + [b[1] for b in self.breakpoints])
         return np.interp(s, xs, ys)
-
-
-def check_monotone(w, k_max=40):
-    """Nondecreasing and nonnegative on the geometric probe grid."""
-    cap = w.domain_cap if math.isfinite(w.domain_cap) else 1.0
-    s = cap * 2.0 ** (-np.arange(k_max + 1, dtype=float))
-    vals = w(s)
-    return bool(np.all(vals >= 0.0) and np.all(np.diff(vals) <= 1e-15))
-
-
-# ---------------------------------------------------------------------------
-# algebra (propagating moduli through arithmetic on functions)
-
-
-def algebra_sum(w_f, w_g, K=None, c=None):
-    return SumModulus(w_f, w_g)
-
-
-def algebra_product(w_f, w_g, K, c=None):
-    """Modulus of f*g from a shared sup bound K on |f|, |g|."""
-    if not math.isfinite(K):
-        raise EvalDomainError("product rule needs a finite sup bound")
-    return ScaleModulus(K, SumModulus(w_f, w_g))
-
-
-def algebra_quotient(w_f, w_g, K, c):
-    """Modulus of f/g; c > 0 is the infimum of |g| (the 1/c^2 factor)."""
-    if c <= 0.0:
-        raise EvalDomainError("quotient rule needs inf of denominator > 0")
-    return ScaleModulus(K, SumModulus(w_f, ScaleModulus(1.0 / c ** 2, w_g)))
 
 
 # ---------------------------------------------------------------------------
@@ -283,28 +250,17 @@ def osgood_check(w, eps=None, depth=40):
     return CriterionReport("Osgood", verdict, trace, params)
 
 
-def default_scale_grid(w1, w2, n_points=40, s_min=1.0e-12):
-    cap = min(w1.domain_cap, w2.domain_cap)
-    s_max = cap if math.isfinite(cap) else 1.0
-    return np.geomspace(s_max, s_min, n_points)
-
-
-def limit_condition_check(w1, w2, grid=None):
+def limit_condition_check(w1, w2):
     """Evaluate q(s) = w1(s) * e^{w2(s)/s} on a geometric grid.
 
-    Holds iff q is eventually decreasing and the final value is below
-    1e-3 of the initial one.  Computed as log q = log w1 + w2(s)/s so
-    that exponent overflow cannot occur before the comparison.
+    The grid has 40 scales from the smaller domain cap (1 when both are
+    infinite) down to 1e-12.  Holds iff q is eventually decreasing and the
+    final value is below 1e-3 of the initial one.  Computed as
+    log q = log w1 + w2(s)/s so that exponent overflow cannot occur before
+    the comparison.
     """
-    if grid is None:
-        grid = default_scale_grid(w1, w2)
-    grid = np.asarray(grid, dtype=float)
-    if len(grid) < 20:
-        raise ValueError("grid must have at least 20 points")
-    grid = np.sort(grid)[::-1]  # descending scales
     cap = min(w1.domain_cap, w2.domain_cap)
-    if grid[0] > cap * (1.0 + 1e-12):
-        raise EvalDomainError("grid exceeds the smaller domain cap")
+    grid = np.geomspace(cap if math.isfinite(cap) else 1.0, 1.0e-12, 40)
 
     v1 = w1(grid)
     with np.errstate(divide="ignore"):
@@ -353,13 +309,13 @@ def fit_loglog_slope(trace, window=None):
 # empirical moduli
 
 
-def estimate_modulus(points, values, direction_mask=None, n_buckets=12,
-                     off_tol=1.0e-9):
+def estimate_modulus(points, values, direction_mask=None, n_buckets=12):
     """Tabulate sup |f(p)-f(q)| over scale buckets from sampled data.
 
     Only pairs whose displacement is supported on the coordinates in
-    direction_mask count (all coordinates when the mask is None).  The
-    running max over ascending buckets makes the table nondecreasing by
+    direction_mask count (all coordinates when the mask is None): the
+    other coordinates of a pair may differ by at most 1e-9.  The running
+    max over ascending buckets makes the table nondecreasing by
     construction.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
@@ -379,7 +335,7 @@ def estimate_modulus(points, values, direction_mask=None, n_buckets=12,
     disp = disp[iu]
     df = np.abs(vals[:, None] - vals[None, :])[iu]
     if np.any(~mask):
-        admissible = np.all(np.abs(disp[:, ~mask]) <= off_tol, axis=1)
+        admissible = np.all(np.abs(disp[:, ~mask]) <= 1.0e-9, axis=1)
         disp, df = disp[admissible], df[admissible]
     dist = np.linalg.norm(disp[:, mask], axis=1)
     keep = dist > 0.0
@@ -405,35 +361,7 @@ def estimate_modulus(points, values, direction_mask=None, n_buckets=12,
 
 
 # ---------------------------------------------------------------------------
-# text serialization
-
-
-def modulus_to_text(w):
-    if isinstance(w, Lipschitz):
-        return _leaf("lipschitz", {"k": w.K}, w.domain_cap, math.inf)
-    if isinstance(w, Hoelder):
-        return _leaf("hoelder", {"alpha": w.alpha, "k": w.K}, w.domain_cap,
-                     math.inf)
-    if isinstance(w, LogLip):
-        return _leaf("loglip", {"beta": w.beta, "k": w.K}, w.domain_cap,
-                     _E_CAP)
-    if isinstance(w, SumModulus):
-        return f"sum({modulus_to_text(w.a)}, {modulus_to_text(w.b)})"
-    if isinstance(w, MaxModulus):
-        return f"max({modulus_to_text(w.a)}, {modulus_to_text(w.b)})"
-    if isinstance(w, ScaleModulus):
-        return f"scale({w.c!r}, {modulus_to_text(w.w)})"
-    if isinstance(w, Tabulated):
-        body = ", ".join(f"{s!r}:{v!r}" for s, v in w.breakpoints)
-        return f"tabulated({body})"
-    raise TypeError(f"cannot serialize {type(w).__name__}")
-
-
-def _leaf(name, kv, cap, default_cap):
-    parts = [f"{k}={v!r}" for k, v in kv.items()]
-    if cap != default_cap:
-        parts.append(f"cap={cap!r}")
-    return f"{name}({', '.join(parts)})"
+# text form
 
 
 _LEAF_KEYS = {"lipschitz": ("k", "cap"), "hoelder": ("alpha", "k", "cap"),

@@ -79,9 +79,6 @@ class GridFunction:
             out.append(slice(k, len(a) - k if k else None))
         return tuple(out)
 
-    def interior_values(self, extra=0.0):
-        return self.values[self.interior_slices(extra)]
-
 
 def grid_from_field(f, box: Box, n):
     """Sample a field on a box lattice (n points per axis, int or list)."""
@@ -95,15 +92,13 @@ def grid_from_field(f, box: Box, n):
     return GridFunction(tuple(axes), vals.copy())
 
 
-def kernel(eps, spacings, d=None):
+def kernel(eps, spacings):
     """Bump kernel sampled on the grid's spacings, discrete mass exactly 1.
 
     Returns a GridFunction of kernel *density* values; the discrete sum
     times the cell volume is 1 up to rounding (the analytic normalizing
     constant is absorbed by the renormalization).
     """
-    if np.isscalar(spacings):
-        spacings = (float(spacings),) * (d or 1)
     spacings = tuple(float(h) for h in spacings)
     if eps <= 0.0:
         raise EvalDomainError("smoothing scale must be positive")

@@ -22,17 +22,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .boxes import Box, env_of
-from .errors import ContfrobError, EscapeError, EvalDomainError, RangeError
+from .boxes import Box
+from .errors import EscapeError, EvalDomainError, RangeError
 from .fields import Const, add, eval_fields
-from .moduli import (CriterionReport, MaxModulus, Modulus, estimate_modulus,
-                     limit_condition_check)
+from .moduli import CriterionReport, MaxModulus, Modulus, limit_condition_check
 from .report import cells, csv_text
 from .surface import FlowConfig, flow
 
 __all__ = [
     "ModuliDecl", "OdeSpec", "FunnelReport", "Theorem1Certificate", "extend",
-    "theorem1_check", "funnel", "validate_moduli", "funnel_to_csv",
+    "theorem1_check", "funnel", "funnel_to_csv",
 ]
 
 _NONZERO_THRESHOLD = 1.0e-9
@@ -95,7 +94,7 @@ class Theorem1Certificate:
         return self.report.verdict
 
 
-def theorem1_check(spec: OdeSpec, xi, grid=None) -> Theorem1Certificate:
+def theorem1_check(spec: OdeSpec, xi) -> Theorem1Certificate:
     """Uniqueness certificate at a point of the extended phase space.
 
     Chooses the largest-magnitude component above 1e-9 (ties break to the
@@ -105,9 +104,8 @@ def theorem1_check(spec: OdeSpec, xi, grid=None) -> Theorem1Certificate:
     xi = np.asarray(xi, dtype=float)
     env = dict(zip(spec.coords, xi))
     values = eval_fields(extend(spec), env)
+    # never all False: the first component of the extended field is 1
     nz = np.abs(values) > _NONZERO_THRESHOLD
-    if not np.any(nz):
-        raise AssertionError("extended field vanished; first component is 1")
     best = np.max(np.abs(values[nz]))
     candidates = [i for i in range(len(values))
                   if nz[i] and abs(values[i]) >= best * (1.0 - 1e-12)]
@@ -115,43 +113,11 @@ def theorem1_check(spec: OdeSpec, xi, grid=None) -> Theorem1Certificate:
     others = [c for j, c in enumerate(spec.coords) if j != chosen]
     w2 = spec.moduli.group_modulus(others)
     w1 = spec.moduli.overall
-    report = limit_condition_check(w1, w2, grid)
+    report = limit_condition_check(w1, w2)
     report.params["component"] = chosen + 1
     report.params["component_value"] = float(values[chosen])
     return Theorem1Certificate(chosen + 1, float(values[chosen]), w1, w2,
                                report)
-
-
-def validate_moduli(spec: OdeSpec, samples_per_axis=9, factor=2.0):
-    """Spot-check declared per-variable moduli against empirical ones.
-
-    Returns {variable: worst ratio empirical/declared}; a declaration is
-    admissible when the ratio stays below the factor.
-    """
-    pts = spec.domain.lattice(samples_per_axis)
-    vals = eval_fields(spec.F, env_of(spec.coords, pts))
-    norm = np.linalg.norm(vals, axis=-1)
-    out = {}
-    for i, name in enumerate(spec.coords):
-        if name not in spec.moduli.per_variable:
-            continue
-        try:
-            tab = estimate_modulus(pts, norm, direction_mask=[i])
-        except ContfrobError:
-            continue
-        declared = spec.moduli.per_variable[name]
-        worst = 0.0
-        for s, v in tab.breakpoints:
-            if s > declared.domain_cap:
-                continue
-            ref = declared(s)
-            if ref > 0.0:
-                worst = max(worst, v / ref)
-        out[name] = worst
-        if worst > factor:
-            raise EvalDomainError(
-                f"declared modulus for {name!r} violated by factor {worst:.2f}")
-    return out
 
 
 @dataclass

@@ -27,7 +27,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.interpolate import CubicSpline
 from scipy.optimize import brentq
 
@@ -38,15 +37,17 @@ from .forms import one_form
 from .geometry import Distribution, FrameSection, frobenius_defect
 from .moduli import CriterionReport, limit_condition_check
 from .mollify import grid_from_field, mollify, to_spline_field
-from .odelab import ModuliDecl, OdeSpec
+from .odelab import ModuliDecl
 
 __all__ = [
     "PdeSpec", "SpecialFormSpec", "HatMatrix", "hat_matrix", "submatrix_det",
     "theorem2_check", "Theorem2Certificate", "special_solve", "SolveResult",
-    "involutive_mollified_frames", "MollifiedFamily", "pde_spec_from_ode",
+    "involutive_mollified_frames", "MollifiedFamily",
 ]
 
 _NONZERO_THRESHOLD = 1.0e-9
+FD_STEP = 1.0e-5  # centered-difference step of the special_solve residuals
+WEDGE_TOL = 1.0e-10  # largest top-wedge sup a mollified frame may show
 
 
 @dataclass
@@ -83,12 +84,6 @@ class PdeSpec:
         return Distribution(self.x_names, self.y_names, coeffs, self.domain)
 
 
-def pde_spec_from_ode(spec: OdeSpec) -> PdeSpec:
-    """View an ODE as the m = 1 case (x_1 is the time variable)."""
-    F = [[f] for f in spec.F]
-    return PdeSpec((spec.t_name,), spec.y_names, F, spec.domain, spec.moduli)
-
-
 @dataclass
 class HatMatrix:
     """n x (n+m) extension [I_n | F] with its column-variable pairing."""
@@ -106,10 +101,6 @@ class HatMatrix:
         if 1 <= j <= n:
             return self.spec.y_names[j - 1]
         return self.spec.x_names[j - n - 1]
-
-    def evaluate(self, xi):
-        env = dict(zip(self.spec.coords, np.asarray(xi, dtype=float)))
-        return eval_fields(self.fields, env)
 
 
 def hat_matrix(spec: PdeSpec) -> HatMatrix:
@@ -154,7 +145,7 @@ class Theorem2Certificate:
         return self.report.verdict if self.report else "NotApplicable"
 
 
-def theorem2_check(spec: PdeSpec, xi, I, grid=None) -> Theorem2Certificate:
+def theorem2_check(spec: PdeSpec, xi, I) -> Theorem2Certificate:
     """Uniqueness certificate from an invertible column choice of [I_n | F]."""
     hat = hat_matrix(spec)
     _, det = submatrix_det(hat, I)
@@ -165,7 +156,7 @@ def theorem2_check(spec: PdeSpec, xi, I, grid=None) -> Theorem2Certificate:
     variables = [hat.column_variable(j) for j in I]
     w2 = spec.moduli.group_modulus(variables)
     w1 = spec.moduli.overall
-    report = limit_condition_check(w1, w2, grid)
+    report = limit_condition_check(w1, w2)
     report.params["columns"] = ",".join(str(j) for j in I)
     report.params["det"] = det_val
     return Theorem2Certificate(tuple(I), det_val, w1, w2, report)
@@ -215,13 +206,6 @@ class SpecialFormSpec:
         return PdeSpec(self.x_names, self.y_names, self.induced_F(),
                        self.domain, moduli)
 
-    def matches(self, pde: PdeSpec, points, tol=1.0e-12):
-        """Pointwise agreement of the induced right-hand side with a spec."""
-        env = env_of(self.coords, np.atleast_2d(points))
-        gap = np.abs(eval_fields(self.induced_F(), env)
-                     - eval_fields(pde.F, env))
-        return not np.any(np.max(gap, axis=0) > tol)
-
 
 @dataclass
 class SolveResult:
@@ -241,26 +225,27 @@ class _SeparableComponent:
     of y0, with monotone inversion."""
 
     _ZERO_TOL = 1.0e-12
+    _N_GRID = 4001
 
-    def __init__(self, g_field, y_name, y0, y_lo, y_hi, n_grid=4001):
+    def __init__(self, g_field, y_name, y0, y_lo, y_hi):
         self.y0 = float(y0)
         g0 = float(g_field.evaluate({y_name: self.y0}))
         self.constant = abs(g0) < self._ZERO_TOL
         if self.constant:
             return
         self.sign = math.copysign(1.0, g0)
-        ys = np.linspace(y_lo, y_hi, n_grid)
+        ys = np.linspace(y_lo, y_hi, self._N_GRID)
         gs = np.broadcast_to(np.asarray(g_field.evaluate({y_name: ys}),
                                         dtype=float), ys.shape)
         # restrict to the maximal same-sign interval containing y0
         ok = self.sign * gs > self._ZERO_TOL
         i0 = int(np.searchsorted(ys, self.y0))
-        i0 = min(max(i0, 0), n_grid - 1)
+        i0 = min(max(i0, 0), len(ys) - 1)
         lo = i0
         while lo > 0 and ok[lo - 1]:
             lo -= 1
         hi = i0
-        while hi < n_grid - 1 and ok[hi + 1]:
+        while hi < len(ys) - 1 and ok[hi + 1]:
             hi += 1
         self.ys = ys[lo:hi + 1]
         if len(self.ys) < 8:
@@ -302,13 +287,13 @@ def _cumulative_quadrature(xs, vals):
     return out
 
 
-def special_solve(sf: SpecialFormSpec, x0, y0, targets, fd_step=1.0e-5,
-                  residual_check=True):
+def special_solve(sf: SpecialFormSpec, x0, y0, targets, residual_check=True):
     """Solve the separable system through (x0, y0) at the target x points.
 
     Per component: int_{y0_i}^{y_i} ds/G_i = H_i(x) - H_i(x0), inverted by
     monotone root-finding on a tabulated antiderivative; components with
-    G_i(y0_i) = 0 stay constant (equilibrium branch).
+    G_i(y0_i) = 0 stay constant (equilibrium branch).  The residuals are
+    centered differences of the solution with step FD_STEP minus F.
     """
     x0 = np.asarray(x0, dtype=float)
     y0 = np.asarray(y0, dtype=float)
@@ -318,31 +303,28 @@ def special_solve(sf: SpecialFormSpec, x0, y0, targets, fd_step=1.0e-5,
                 for i in range(n)]
     comps = [_SeparableComponent(sf.G[i], sf.y_names[i], y0[i],
                                  *y_bounds[i]) for i in range(n)]
-    h_at = [lambda xv, hf=sf.H[i]: float(hf.evaluate(
-        dict(zip(sf.x_names, xv)))) for i in range(n)]
-    h0 = [h_at[i](x0) for i in range(n)]
-
-    def solve_at(xv):
-        return np.array([comps[i].solve(h_at[i](xv) - h0[i])
-                         for i in range(n)])
-
-    values = np.array([solve_at(xv) for xv in targets])
+    # the targets, then each one moved by +FD_STEP and -FD_STEP along x_j
+    xs = [targets]
+    if residual_check:
+        for j in range(m):
+            xp, xm = targets.copy(), targets.copy()
+            xp[:, j] += FD_STEP
+            xm[:, j] -= FD_STEP
+            xs += [xp, xm]
+    h0 = eval_fields(sf.H, env_of(sf.x_names, x0))
+    dh = eval_fields(sf.H, env_of(sf.x_names, np.concatenate(xs))) - h0
+    ys = np.array([[comps[i].solve(row[i]) for i in range(n)] for row in dh])
+    ys = ys.reshape(len(xs), len(targets), n)
+    values = ys[0]
     residuals = np.zeros((len(targets), n, m))
     if residual_check:
-        env_names = sf.coords
-        for t, xv in enumerate(targets):
-            for j in range(m):
-                xp, xm = xv.copy(), xv.copy()
-                xp[j] += fd_step
-                xm[j] -= fd_step
-                dy = (solve_at(xp) - solve_at(xm)) / (2.0 * fd_step)
-                env = dict(zip(env_names, np.concatenate([xv, values[t]])))
-                for i in range(n):
-                    residuals[t, i, j] = dy[i] - float(
-                        mul(sf.G[i], sf.H[i].diff(sf.x_names[j]))
-                        .evaluate(env))
+        F = eval_fields(sf.induced_F(), env_of(
+            sf.coords, np.concatenate([targets, values], axis=1)))
+        for j in range(m):
+            dy = (ys[1 + 2 * j] - ys[2 + 2 * j]) / (2.0 * FD_STEP)
+            residuals[:, :, j] = dy - F[:, :, j]
     return SolveResult(targets, values, residuals,
-                       {"fd_step": fd_step, "x0": x0, "y0": y0})
+                       {"fd_step": FD_STEP, "x0": x0, "y0": y0})
 
 
 # ---------------------------------------------------------------------------
@@ -360,13 +342,12 @@ class MollifiedFamily:
 
 
 def involutive_mollified_frames(sf: SpecialFormSpec, eps_list, pad=None,
-                                cells_per_radius=10, check_res=5,
-                                wedge_tol=1.0e-10):
+                                cells_per_radius=10, check_res=5):
     """Smooth G_i and H_i at each scale and build eta_i = dy_i - G_i d_x H_i.
 
     The top wedge eta_1 ^ ... ^ eta_n ^ d eta_l collapses structurally
     (repeated dy_l and alpha_l ^ alpha_l), which is asserted numerically
-    on a lattice at every scale.
+    on a lattice at every scale: its sup may not exceed WEDGE_TOL.
     """
     eps_list = [float(e) for e in eps_list]
     pad = pad if pad is not None else max(eps_list) * 1.05
@@ -407,7 +388,7 @@ def involutive_mollified_frames(sf: SpecialFormSpec, eps_list, pad=None,
         dist = Distribution(sf.x_names, sf.y_names, coeffs, sf.domain)
         wedge_sup = float(np.max(frobenius_defect(
             frame, sf.domain.lattice(check_res))))
-        if wedge_sup > wedge_tol:
+        if wedge_sup > WEDGE_TOL:
             raise EvalDomainError(
                 f"structural involutivity violated: wedge sup {wedge_sup:g}")
         families.append(MollifiedFamily(eps, frame, dist, g_smooth, h_smooth,

@@ -228,11 +228,10 @@ class TangencyReport:
         return bool(np.all(self.defects <= self.rhs + self.fd_tol))
 
 
-def tangency_defect(patch: SurfacePatch, dist: Distribution, frame=None,
-                    sup_res=17, n_dirs=256, seed=0):
-    """Per-node, per-direction defect |dW/dt_i - X_i(W)| and its bound."""
-    if frame is None:
-        frame = annihilator_frame(dist)
+def tangency_defect(patch: SurfacePatch, dist: Distribution, sup_res=17,
+                    n_dirs=256, seed=0):
+    """Per-node, per-direction defect |dW/dt_i - X_i(W)| and its bound,
+    from the annihilator frame of the distribution."""
     X = eval_fields(dist.spanning_fields(),
                     env_of(dist.coords, patch.flat_points()))
     diff = patch.tangents.reshape(patch.m, -1, dist.dim) - np.swapaxes(X, 0, 1)
@@ -240,8 +239,8 @@ def tangency_defect(patch: SurfacePatch, dist: Distribution, frame=None,
 
     pts = dist.domain.lattice(sup_res)
     d_restr, inv_norm, m_const = (e.value for e in bound_parts(
-        evaluate_frame(frame, pts), dist.orthonormal_bases_at(pts), n_dirs,
-        seed))
+        evaluate_frame(annihilator_frame(dist), pts),
+        dist.orthonormal_bases_at(pts), n_dirs, seed))
     rhs = patch.m * patch.eps1 * d_restr * inv_norm * \
         math.exp(patch.m * patch.eps1 * m_const)
     fd_tol = 10.0 * patch.spacing ** 2
@@ -260,8 +259,9 @@ class PushforwardCheck:
 
 def pushforward_bound_check(dist: Distribution, frame: FrameSection, x0,
                             times, Y0, cfg: FlowConfig, m_const=None,
-                            sup_res=17, n_dirs=256, seed=0, slack=1.0e-3):
-    """Composed variational flow of a vertical vector against its bound."""
+                            sup_res=17, n_dirs=256, seed=0):
+    """Composed variational flow of a vertical vector against its bound,
+    passed when lhs <= rhs * (1 + 1e-3)."""
     times = np.asarray(times, dtype=float)
     eps1 = float(np.max(np.abs(times))) if len(times) else 0.0
     if m_const is None:
@@ -279,7 +279,7 @@ def pushforward_bound_check(dist: Distribution, frame: FrameSection, x0,
     inv_norm_end = sup_inverse_norm(frame, x).value
     rhs = float(np.linalg.norm(A0 @ np.asarray(Y0, dtype=float))) * \
         inv_norm_end * math.exp(dist.m * eps1 * m_const)
-    return PushforwardCheck(lhs, rhs, lhs <= rhs * (1.0 + slack), {
+    return PushforwardCheck(lhs, rhs, lhs <= rhs * (1.0 + 1.0e-3), {
         "M": m_const, "inv_norm_end": inv_norm_end, "eps1": eps1,
         "endpoint": x})
 
@@ -293,13 +293,16 @@ class ConvergenceReport:
     params: dict = field(default_factory=dict)
 
 
-def converge_surfaces(patches, limit_dist: Distribution, dists=None,
-                      angle_tol=1.0e-3, decay_factor=10.0):
+_ANGLE_TOL = 1.0e-3
+_DECAY_FACTOR = 10.0
+
+
+def converge_surfaces(patches, limit_dist: Distribution):
     """Cauchy trace plus tangent-angle trace for a patch sequence.
 
-    Converged   : displacements shrink by >= decay_factor overall (or are
+    Converged   : displacements shrink by >= 10x overall (or are
                   identically zero) and the final tangent planes align
-                  with the limit distribution within angle_tol.
+                  with the limit distribution within 1e-3 rad.
     NotConverged: the angle trace stays away from zero.
     Inconclusive: decay below the threshold (slow convergence and
                   divergence are indistinguishable at finite depth).
@@ -317,29 +320,28 @@ def converge_surfaces(patches, limit_dist: Distribution, dists=None,
             b.points - a.points, axis=-1))))
 
     angles = []
-    per_k = dists if dists is not None else [limit_dist] * len(patches)
-    for p, dk in zip(patches, per_k):
+    for p in patches:
         flat = p.flat_points()
         tng = np.stack([p.tangents[i].reshape(-1, len(p.coords))
                         for i in range(p.m)], axis=-1)
         t_bases = orthonormalize(tng)
-        e_bases = dk.orthonormal_bases_at(flat)
+        e_bases = limit_dist.orthonormal_bases_at(flat)
         angles.append(float(np.max(max_principal_angle(t_bases, e_bases))))
 
     d0, dlast = displacements[0], displacements[-1]
     all_zero = max(displacements) <= 1e-14
-    decay_ok = all_zero or dlast <= 1e-14 or d0 / dlast >= decay_factor
+    decay_ok = all_zero or dlast <= 1e-14 or d0 / dlast >= _DECAY_FACTOR
     final_angle = angles[-1]
-    if decay_ok and final_angle <= angle_tol:
+    if decay_ok and final_angle <= _ANGLE_TOL:
         verdict = "Converged"
-    elif final_angle > angle_tol and final_angle >= 0.9 * angles[0]:
+    elif final_angle > _ANGLE_TOL and final_angle >= 0.9 * angles[0]:
         verdict = "NotConverged"
     else:
         verdict = "Inconclusive"
     return ConvergenceReport(displacements, angles, verdict,
                              len(patches) - 1,
-                             {"angle_tol": angle_tol,
-                              "decay_factor": decay_factor,
+                             {"angle_tol": _ANGLE_TOL,
+                              "decay_factor": _DECAY_FACTOR,
                               "final_angle": final_angle})
 
 

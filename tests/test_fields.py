@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from contfrob import presets
 from contfrob.errors import EvalDomainError, ParseError
 from contfrob.fields import (ZERO, Const, coord, cos, eval_fields, exp,
                              is_zero_field, log, parse_field, sin, SplineLeaf)
@@ -61,14 +62,48 @@ def test_parse_roundtrip():
         "sin(2*x) * cos(y)",
         "x^-2",
         "1 + y^0.9 - x*log(x^0.5)",
+        "x + exp(1000)",  # folds to inf + x
+        "x*log(0)",  # folds to (-inf)*x
+        "(x^y)^2",
     ]
-    rng = np.random.default_rng(3)
     for t in texts:
         f = parse_field(t)
         g = parse_field(str(f))
         assert f == g
         env = {"x": 0.3, "y": 0.7, "t": 0.2}
         assert f.evaluate(env) == pytest.approx(g.evaluate(env))
+
+
+def _preset_fields():
+    """Every field of the presets, each with its first partials."""
+    sf, pde = presets.pde_example_2()
+    fields = (presets.ode_example_1().F + presets.ode_peano().F
+              + presets.ode_contraction().F + sf.G + sf.H
+              + [f for row in pde.F + presets.pde_example_3().F for f in row])
+    for dist in (presets.contact_distribution(),
+                 presets.involutive_distribution()):
+        fields += [f for row in dist.coeffs for f in row]
+    for phi in (presets.cat_map(), presets.skew_product()):
+        fields += phi.forward + phi.inverse
+    return fields + [f.diff(v) for f in fields for v in sorted(f.free_vars)]
+
+
+def test_printing_round_trips_preset_fields():
+    fields = _preset_fields()
+    assert len(fields) == 81
+    for f in fields:
+        assert parse_field(str(f))._key == f._key, str(f)
+    # Peano's (y^2)^(1/3) printed as y^2^0.333..., which parses as y^1.2599
+    f = presets.ode_peano().F[0]
+    assert parse_field(str(f)).evaluate({"y": 0.5}) == f.evaluate({"y": 0.5})
+
+
+def test_non_finite_constants_are_not_coordinates():
+    # a nan key never equals itself, so compare what the text parses to
+    g = parse_field(str(parse_field("sin(1e400)*x")))
+    assert g.free_vars == {"x"}
+    assert math.isnan(g.evaluate({"x": 1.0}))
+    assert parse_field("inf - nan").free_vars == frozenset()
 
 
 def test_parse_errors():

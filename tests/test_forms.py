@@ -43,7 +43,7 @@ def test_wedge_degree_overflow_is_zero_form():
     eta = one_form(XY, {"y": Const(1.0), "x": -x})
     deta = exterior_derivative(eta)
     w = wedge(eta, deta)  # 3-form over 2 coordinates
-    assert w.is_structurally_zero()
+    assert w.comps == {}
 
 
 def test_contact_wedge_expansion():

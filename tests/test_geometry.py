@@ -11,7 +11,7 @@ from contfrob.fields import ZERO, Const, coord, parse_field
 from contfrob.forms import one_form
 from contfrob.geometry import (Distribution, FrameSection, annihilator_frame,
                                asymptotic_involutivity_trace, bound_parts,
-                               compatibility_defect, evaluate_frame,
+                               evaluate_frame,
                                exterior_regularity_trace, frobenius_defect,
                                involutivity_constant, max_principal_angle,
                                sup_inverse_norm)
@@ -452,7 +452,10 @@ def test_compatibility_defect_orthonormal_rotated():
     a = FrameSection(rows_a, coords, ("y1", "y2"), None)
     b = FrameSection(rows_b, coords, ("y1", "y2"), None)
     pts = np.zeros((1, 3))
-    assert compatibility_defect(a, b, pts) <= 1e-12
+    # A o (B|_Y)^{-1} is a rotation: every singular value is 1
+    comp = a.matrix_at(pts) @ evaluate_frame(b, pts).U
+    sigma = np.linalg.svd(comp, compute_uv=False)
+    assert np.max(np.abs(sigma - 1.0)) <= 1e-12
 
 
 def test_max_principal_angle():

@@ -10,7 +10,8 @@ number.  The surface.csv digest was captured again when the contact
 tangency bound's ||dA|_E|| became the exact closed form: the sampled
 1.0000000000000002 became 1.0, so rhs went 0.20000000000000007 -> 0.2.
 The elementary-functions case was captured before log, exp, sin and cos
-moved into one table-driven node.
+moved into one table-driven node, and the limit-criterion case before the
+criterion's scale grid stopped being a caller option.
 """
 
 import hashlib
@@ -87,3 +88,15 @@ def test_elementary_functions_report_digest(tmp_path):
     data = (tmp_path / "frobenius.csv").read_bytes()
     assert hashlib.sha256(data).hexdigest() == \
         "5a9716949d8f7af5a18659706b7b868d257f32a772377e7f47429d34d47895cf"
+
+
+def test_limit_criterion_report_digest(tmp_path):
+    # pins the limit criterion's built-in 40-point scale grid; --w2 builds
+    # SumModulus and ScaleModulus the one way the library does, by parsing
+    assert main(["moduli", "check", "--criterion", "limit",
+                 "--w", "hoelder(alpha=0.9)",
+                 "--w2", "sum(loglip(beta=0.5), scale(0.5, lipschitz(k=1)))",
+                 "--out", str(tmp_path)]) == 0
+    data = (tmp_path / "moduli_check.csv").read_bytes()
+    assert hashlib.sha256(data).hexdigest() == \
+        "69523155ed7fa381ecc56afede5360f9f49701ca801347ffe2926ac8c2ff394d"

@@ -3,14 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from contfrob.boxes import Box
+from contfrob.boxes import Box, env_of
 from contfrob.errors import BranchCrossingError
-from contfrob.fields import Const, parse_field
+from contfrob.fields import Const, eval_fields, parse_field
 from contfrob.moduli import HOLDS, Lipschitz
 from contfrob.odelab import ModuliDecl, theorem1_check
 from contfrob.pdelab import (PdeSpec, SpecialFormSpec, hat_matrix,
-                             involutive_mollified_frames, pde_spec_from_ode,
-                             special_solve, submatrix_det, theorem2_check)
+                             involutive_mollified_frames, special_solve,
+                             submatrix_det, theorem2_check)
 from contfrob.presets import (ode_example_1, ode_peano, pde_example_2,
                               pde_example_3)
 
@@ -22,7 +22,7 @@ from contfrob.presets import (ode_example_1, ode_peano, pde_example_2,
 def test_hat_matrix_example3_displayed():
     spec = pde_example_3()
     hat = hat_matrix(spec)
-    M = hat.evaluate([0.0, 0.0, 0.0, 0.0])
+    M = eval_fields(hat.fields, dict(zip(spec.coords, [0.0] * 4)))
     assert np.allclose(M, [[1.0, 0.0, 1.0, 0.0],
                            [0.0, 1.0, 0.0, 0.0]])
     _, det = submatrix_det(hat, (2, 3))
@@ -51,7 +51,7 @@ def test_hat_matrix_scalar_case():
     c = 0.7
     spec = PdeSpec(("x",), ("y",), [[Const(c)]], domain, None)
     hat = hat_matrix(spec)
-    assert hat.evaluate([0.3, 0.4]).tolist() == [[1.0, c]]
+    assert eval_fields(hat.fields, {"x": 0.3, "y": 0.4}).tolist() == [[1.0, c]]
     _, det = submatrix_det(hat, (2,))
     assert det.evaluate({"x": 0.3, "y": 0.4}) == c
 
@@ -103,7 +103,10 @@ def test_theorem2_m1_reproduces_theorem1():
     for ode_spec, xi in ((ode_example_1(), [0.0, 0.0, 0.0]),
                          (ode_peano(), [0.0, 0.0])):
         cert1 = theorem1_check(ode_spec, xi)
-        pde = pde_spec_from_ode(ode_spec)
+        # the ODE as the m = 1 case, with time as the x variable
+        pde = PdeSpec((ode_spec.t_name,), ode_spec.y_names,
+                      [[f] for f in ode_spec.F], ode_spec.domain,
+                      ode_spec.moduli)
         n = pde.n
         i = cert1.component  # 1-based over (t, y_1..y_n)
         if i == 1:
@@ -173,8 +176,9 @@ def test_special_solve_branch_crossing():
 
 def test_special_form_matches_pde():
     sf, pde = pde_example_2()
-    pts = pde.domain.lattice(3)
-    assert sf.matches(pde, pts, tol=1e-12)
+    env = env_of(sf.coords, pde.domain.lattice(3))
+    gap = eval_fields(sf.induced_F(), env) - eval_fields(pde.F, env)
+    assert np.max(np.abs(gap)) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
