@@ -27,6 +27,12 @@ class Box:
                 raise RangeError(f"box coordinate {name!r} needs low < high, "
                                  f"got [{lo}, {hi}]")
 
+    def require_names(self, names, owner):
+        """RangeError unless the box is over exactly these coordinates."""
+        if self.names != tuple(names):
+            raise RangeError(f"{owner} needs a domain box over "
+                             f"{tuple(names)}, got one over {self.names}")
+
     @classmethod
     def from_dict(cls, ranges):
         names = tuple(ranges)

@@ -32,7 +32,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .boxes import env_of
-from .errors import ConeError, DegenerateSubspaceError, StepCountError
+from .errors import (ConeError, DegenerateSubspaceError, RangeError,
+                     StepCountError)
 from .fields import eval_fields
 from .geometry import (FrameSection, asymptotic_involutivity_trace,
                        exterior_regularity_trace, max_principal_angle,
@@ -58,7 +59,11 @@ class DiffeoSpec:
 
     def __post_init__(self):
         self.coords = tuple(self.coords)
-        assert len(self.forward) == len(self.inverse) == self.dim
+        if not len(self.forward) == len(self.inverse) == self.dim:
+            raise RangeError(f"diffeo spec needs one forward and one inverse "
+                             f"field per coordinate {self.coords}, got "
+                             f"{len(self.forward)} forward and "
+                             f"{len(self.inverse)} inverse")
         self._jac_fwd = [[f.diff(c) for c in self.coords]
                          for f in self.forward]
         self._jac_inv = [[f.diff(c) for c in self.coords]

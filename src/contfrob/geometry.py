@@ -33,7 +33,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .boxes import Box, env_of
-from .errors import DegenerateSubspaceError, TransversalityError
+from .errors import (DegenerateSubspaceError, RangeError,
+                     TransversalityError)
 from .fields import Const, ZERO, eval_fields, neg
 from .forms import (exterior_derivative, one_form, stacked_wedge_norms,
                     two_form_matrix_norm, wedge, wedge_all)
@@ -41,7 +42,7 @@ from .forms import (exterior_derivative, one_form, stacked_wedge_norms,
 __all__ = [
     "Distribution", "FrameSection", "SupEstimate", "annihilator_frame",
     "frobenius_defect", "FrameValues", "evaluate_frame", "bound_parts",
-    "involutivity_constant", "sup_inverse_norm",
+    "involutivity_constant",
     "asymptotic_involutivity_trace", "exterior_regularity_trace",
     "orthonormalize", "max_principal_angle",
     "TraceEntry",
@@ -60,9 +61,12 @@ class Distribution:
     def __post_init__(self):
         self.x_names = tuple(self.x_names)
         self.y_names = tuple(self.y_names)
-        assert len(self.coeffs) == self.m
-        assert all(len(row) == self.n for row in self.coeffs)
-        assert self.domain.names == self.coords
+        if len(self.coeffs) != self.m or \
+                any(len(row) != self.n for row in self.coeffs):
+            raise RangeError(f"distribution needs {self.m} rows of {self.n} "
+                             f"coefficients, got rows of "
+                             f"{[len(row) for row in self.coeffs]}")
+        self.domain.require_names(self.coords, "distribution")
 
     @property
     def m(self):
@@ -363,12 +367,6 @@ def bound_parts(values: FrameValues, bases, n_dirs=256, seed=0, rounds=3):
     return (_d_restricted_sup(dA, bases, pts, n_dirs, seed, rounds),
             _lattice_sup(_sigma_max(values.inv), pts, {"points": len(pts)}),
             _mixing_sup(dA, values.U, bases, pts, n_dirs, seed, rounds))
-
-
-def sup_inverse_norm(frame, points):
-    """sup_p || (A_p|_Y)^{-1} ||: exact per point, max over the lattice."""
-    v = evaluate_frame(frame, points)
-    return _lattice_sup(_sigma_max(v.inv), v.points, {"points": len(v.points)})
 
 
 def involutivity_constant(frame, dist_or_bases, points, n_dirs=256, seed=0,

@@ -22,7 +22,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import (EvalDomainError, InsufficientDataError, ParseError,
                      RangeError, SingularIntegrandError)
@@ -218,6 +217,7 @@ def osgood_check(w, eps=None, depth=40):
         raise SingularIntegrandError(
             "modulus vanishes at an interior probe point")
 
+    from scipy.integrate import quad
     increments = []
     for k in range(depth):
         val, _ = quad(lambda s: 1.0 / w(s), deltas[k + 1], deltas[k],

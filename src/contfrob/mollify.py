@@ -18,9 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import ndimage
-from scipy.integrate import quad
-from scipy.interpolate import CubicSpline, RectBivariateSpline
 
 from .boxes import Box
 from .errors import EvalDomainError, MarginError, RangeError, ResolutionError
@@ -129,6 +126,7 @@ def mollify(f: GridFunction, eps):
         if eps >= ext / 2.0:
             raise MarginError(
                 f"smoothing scale {eps:g} too large for extent {ext:g}")
+    from scipy import ndimage
     ker = kernel(eps, f.spacings)
     weights = ker.values * float(np.prod(f.spacings))
     out = ndimage.convolve(f.values, weights, mode="constant", cval=0.0)
@@ -161,6 +159,7 @@ def verify_bounds(f: GridFunction, w, per_axis_w, eps_list):
     d = f.dim
     if len(per_axis_w) != d:
         raise ValueError("need one directional modulus per axis")
+    from scipy.integrate import quad
     rows = []
     for eps in eps_list:
         for h in f.spacings:
@@ -203,6 +202,7 @@ def verify_bounds(f: GridFunction, w, per_axis_w, eps_list):
 
 class _Spline1DEvaluator:
     def __init__(self, axis, values, margin):
+        from scipy.interpolate import CubicSpline
         self.spline = CubicSpline(axis, values)
         self.lo = axis[0] + margin
         self.hi = axis[-1] - margin
@@ -219,6 +219,7 @@ class _Spline1DEvaluator:
 
 class _Spline2DEvaluator:
     def __init__(self, axes, values, margin):
+        from scipy.interpolate import RectBivariateSpline
         self.spline = RectBivariateSpline(axes[0], axes[1], values, kx=3, ky=3)
         self.lo = (axes[0][0] + margin, axes[1][0] + margin)
         self.hi = (axes[0][-1] - margin, axes[1][-1] - margin)

@@ -9,10 +9,15 @@ w1(s) e^{w2(s)/s} -> 0.
 The funnel probe is numerical evidence only: it integrates an ensemble
 of vertically perturbed initial conditions together with field-offset
 runs F +- delta and watches how the terminal dispersion scales with
-delta.  Linear scaling is the unique-like signature; a plateau far above
-the smallest probe is the funnel signature.  Forward integration from a
-single point cannot exhibit non-uniqueness by itself, which is why the
-field-offset probe exists: it brackets the funnel from outside.
+delta.  All of its trajectories, for every delta, run as one batch of
+the RK4 engine in surface.py: the offset rides along as an extra state
+column with zero velocity, so F + off replaces the rebuilt F + delta
+trees and evaluates to the same bits, and a row that escapes or leaves
+the field's domain is retired without stopping its neighbours.  Linear
+scaling is the unique-like signature; a plateau far above the smallest
+probe is the funnel signature.  Forward integration from a single point
+cannot exhibit non-uniqueness by itself, which is why the field-offset
+probe exists: it brackets the funnel from outside.
 """
 
 from __future__ import annotations
@@ -23,11 +28,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .boxes import Box
-from .errors import EscapeError, EvalDomainError, RangeError
-from .fields import Const, add, eval_fields
+from .errors import RangeError
+from .fields import ZERO, Const, Coord, add, eval_fields
 from .moduli import CriterionReport, MaxModulus, Modulus, limit_condition_check
 from .report import cells, csv_text
-from .surface import FlowConfig, flow
+from .surface import FlowConfig, _integrate
 
 __all__ = [
     "ModuliDecl", "OdeSpec", "FunnelReport", "Theorem1Certificate", "extend",
@@ -64,8 +69,10 @@ class OdeSpec:
 
     def __post_init__(self):
         self.y_names = tuple(self.y_names)
-        assert len(self.F) == len(self.y_names)
-        assert self.domain.names == self.coords
+        if len(self.F) != len(self.y_names):
+            raise RangeError(f"ode spec needs one field per state variable "
+                             f"{self.y_names}, got {len(self.F)} fields")
+        self.domain.require_names(self.coords, "ode spec")
 
     @property
     def coords(self):
@@ -131,6 +138,9 @@ class FunnelReport:
     escapes: dict = field(default_factory=dict)
 
 
+_OFFSET = "!off"  # reserved: no identifier, and sorts before every one
+
+
 def funnel(spec: OdeSpec, xi0, T, delta_list, ensemble=8,
            cfg: FlowConfig = None, seed=0) -> FunnelReport:
     """Perturbation-ensemble probe of the solution funnel through xi0.
@@ -139,6 +149,12 @@ def funnel(spec: OdeSpec, xi0, T, delta_list, ensemble=8,
     and with the field offset by +-delta on every state component; the
     dispersion is the diameter of the terminal points.  Escaped
     trajectories are recorded, not fatal.
+
+    Every trajectory runs in one batch: the base start once, then per
+    delta the ensemble starts and two offset rows.  The offset is an
+    extra state column with zero velocity that every state component
+    adds, so F + off evaluates as add(F, Const(off)) would, bit for bit,
+    and the base and ensemble rows carry off = 0.
     """
     cfg = cfg or FlowConfig(step=1.0e-3)
     if not T > 0.0:
@@ -148,44 +164,45 @@ def funnel(spec: OdeSpec, xi0, T, delta_list, ensemble=8,
         raise RangeError(f"deltas must hold at least two distinct values, "
                          f"got {delta_list}")
     xi0 = np.asarray(xi0, dtype=float)
-    coords = spec.coords
-    base_fields = extend(spec)
     rng = np.random.default_rng(seed)
     dirs = rng.standard_normal((ensemble, spec.n))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
 
-    dispersions, escapes = [], {}
+    # rows: the base start, then per delta the ensemble and +delta, -delta
+    starts, offsets = [xi0], [0.0]
     for delta in delta_list:
-        terminals, escaped = [], 0
-
-        def run(fields, start):
-            nonlocal escaped
-            if not spec.domain.contains(start, tol=1e-12):
-                escaped += 1
-                return
-            try:
-                terminals.append(flow(fields, coords, start, T, cfg,
-                                      spec.domain))
-            except (EscapeError, EvalDomainError):
-                escaped += 1
-
-        run(base_fields, xi0)
         for u in dirs:
             start = xi0.copy()
             start[1:] += delta * u
-            run(base_fields, start)
-        for sign in (+1.0, -1.0):
-            offset = [base_fields[0]] + [add(f, Const(sign * delta))
-                                         for f in spec.F]
-            run(offset, xi0)
+            starts.append(start)
+            offsets.append(0.0)
+        starts += [xi0, xi0]
+        offsets += [delta, -delta]
+    states = np.column_stack([np.asarray(starts), offsets])
+    off = Coord(_OFFSET)
+    fields = extend(spec)[:1] + [add(f, off) for f in spec.F] + [ZERO]
+    dom = spec.domain
+    box = Box(dom.names + (_OFFSET,), dom.lows + (-math.inf,),
+              dom.highs + (math.inf,))
+    inside = dom.contains(states[:, :-1], tol=1e-12)
+    run = _integrate(fields, box.names, states[inside], T, cfg.step, box)
+    done = np.zeros(len(states), dtype=bool)
+    done[inside] = np.isnan(run.exit_time)
+    ends = np.zeros_like(states)
+    ends[inside] = run.x
 
+    dispersions, escapes = [], {}
+    per_delta = ensemble + 2
+    for j, delta in enumerate(delta_list):
+        group = [0] + list(range(1 + j * per_delta, 1 + (j + 1) * per_delta))
+        terminals = [ends[i, :-1] for i in group if done[i]]
         if len(terminals) >= 2:
             pts = np.asarray(terminals)
             diff = pts[:, None, :] - pts[None, :, :]
             dispersions.append(float(np.max(np.linalg.norm(diff, axis=-1))))
         else:
             dispersions.append(0.0)
-        escapes[delta] = escaped
+        escapes[delta] = len(group) - len(terminals)
 
     verdict, fit = _classify_dispersion(delta_list, dispersions)
     params = {"ensemble": ensemble, "seed": seed, "T": T,

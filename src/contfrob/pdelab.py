@@ -27,8 +27,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import CubicSpline
-from scipy.optimize import brentq
 
 from .boxes import Box, env_of
 from .errors import BranchCrossingError, EvalDomainError, RangeError
@@ -61,9 +59,11 @@ class PdeSpec:
     def __post_init__(self):
         self.x_names = tuple(self.x_names)
         self.y_names = tuple(self.y_names)
-        assert len(self.F) == self.n
-        assert all(len(row) == self.m for row in self.F)
-        assert self.domain.names == self.coords
+        if len(self.F) != self.n or any(len(row) != self.m for row in self.F):
+            raise RangeError(f"pde spec needs {self.n} rows of {self.m} "
+                             f"fields, got rows of "
+                             f"{[len(row) for row in self.F]}")
+        self.domain.require_names(self.coords, "pde spec")
 
     @property
     def m(self):
@@ -179,12 +179,18 @@ class SpecialFormSpec:
     def __post_init__(self):
         self.x_names = tuple(self.x_names)
         self.y_names = tuple(self.y_names)
-        assert len(self.G) == len(self.H) == self.n
+        if not len(self.G) == len(self.H) == self.n:
+            raise RangeError(f"special-form spec needs one G and one H per "
+                             f"y variable {self.y_names}, got {len(self.G)} "
+                             f"G and {len(self.H)} H")
         for i, g in enumerate(self.G):
-            assert g.free_vars <= {self.y_names[i]}, \
-                "G_i may only depend on y_i"
-        for h in self.H:
-            assert h.free_vars <= set(self.x_names)
+            if not g.free_vars <= {self.y_names[i]}:
+                raise RangeError(f"special-form spec: G{i + 1} may only "
+                                 f"depend on {self.y_names[i]}, got {g}")
+        for i, h in enumerate(self.H):
+            if not h.free_vars <= set(self.x_names):
+                raise RangeError(f"special-form spec: H{i + 1} may only "
+                                 f"depend on {self.x_names}, got {h}")
 
     @property
     def m(self):
@@ -254,6 +260,7 @@ class _SeparableComponent:
         inv = 1.0 / gs[lo:hi + 1]
         phi = _cumulative_quadrature(self.ys, inv)
         phi -= np.interp(self.y0, self.ys, phi)
+        from scipy.interpolate import CubicSpline
         self.phi = CubicSpline(self.ys, phi)
         self.phi_min = float(min(phi[0], phi[-1]))
         self.phi_max = float(max(phi[0], phi[-1]))
@@ -270,6 +277,7 @@ class _SeparableComponent:
                 "(it vanishes, or the domain box ends, before the "
                 "required displacement)")
         delta_h = min(max(delta_h, self.phi_min), self.phi_max)
+        from scipy.optimize import brentq
         f = lambda yv: float(self.phi(yv)) - delta_h
         a, b = self.ys[0], self.ys[-1]
         return float(brentq(f, a, b, xtol=1.0e-12, rtol=8.9e-16))

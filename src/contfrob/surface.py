@@ -7,12 +7,18 @@ sup-norm diagnostics; tangents come from centered differences of the stored
 grid, and the finite-difference error is folded into tolerances as
 10 * (grid spacing)^2.
 
-One RK4 loop serves flow and variational_flow.  It takes one point (d,)
-or a batch (N, d), and a batch gives the same bits as its rows flowed one
-at a time, so build_surface sweeps a whole layer of the lattice per call.
-A batch stops at the first step in which any row leaves the domain box:
-the EscapeError carries that step's time as exit_time, and build_surface
-adds the lattice node (flow index, grid index) being filled.
+One RK4 loop, _integrate, serves flow, variational_flow and the funnel
+probe of odelab.  It takes one point (d,) or a batch (N, d), with one time
+for every row or one time per row, and each row gives the same bits as
+its solo run: build_surface sweeps a whole layer of the lattice per call,
+and pushforward_bound_check flows a batch of checks in one call per
+spanning field.  A per-row alive mask retires a row once it has taken its
+steps, once a step ends outside the domain box, or once its field raises
+EvalDomainError, and records that row's exit time and cause while its
+neighbours go on; only live rows are evaluated.  flow and
+variational_flow still raise: the error of the row that stopped first,
+an EscapeError carrying its exit_time, to which build_surface adds the
+lattice node (flow index, grid index) being filled.
 
 The three quantitative checks:
 
@@ -27,16 +33,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from .boxes import Box, env_of
-from .errors import EscapeError, RangeError
+from .errors import EscapeError, EvalDomainError, RangeError
 from .fields import eval_fields
 from .report import cells, csv_text
-from .geometry import (Distribution, FrameSection, annihilator_frame,
-                       bound_parts, evaluate_frame, involutivity_constant,
-                       max_principal_angle, orthonormalize, sup_inverse_norm)
+from .geometry import (Distribution, FrameSection, _sigma_max,
+                       annihilator_frame, bound_parts, evaluate_frame,
+                       involutivity_constant, max_principal_angle,
+                       orthonormalize)
 
 __all__ = [
     "FlowConfig", "SurfacePatch", "flow", "variational_flow", "build_surface",
@@ -58,28 +66,84 @@ class FlowConfig:
             raise RangeError(f"step must be positive, got {self.step}")
 
 
-def _integrate(fields, coords, x0, t, step, box, Y0=None):
-    """The RK4 loop behind flow and variational_flow.
+class Trajectories(NamedTuple):
+    """What _integrate returns: the endpoints x (and the carried vectors Y,
+    None when no Y0 was given) with one exit record per row.  A row that
+    stopped early keeps the state it stopped at; exit_time[i] is then the
+    time it stopped and error[i] the EscapeError or EvalDomainError that
+    stopped it.  Rows that ran their full time have nan and None."""
+
+    x: np.ndarray
+    Y: np.ndarray
+    exit_time: np.ndarray
+    error: list
+
+    def raise_first_exit(self):
+        """(x, Y), or the error of the row that stopped earliest.  A box
+        exit at the end of step k and a domain error in step k + 1 record
+        the same time; the box exit came first."""
+        if any(self.error):
+            stopped = np.flatnonzero(~np.isnan(self.exit_time))
+            raise self.error[min(stopped, key=lambda i: (
+                abs(self.exit_time[i]),
+                isinstance(self.error[i], EvalDomainError)))]
+        return self.x, self.Y
+
+
+def _rk4_step(rhs, x, Y, dt):
+    half, sixth = 0.5 * dt, dt / 6.0
+    k1, l1 = rhs(x, Y)
+    k2, l2 = rhs(x + half * k1, _ahead(Y, half, l1))
+    k3, l3 = rhs(x + half * k2, _ahead(Y, half, l2))
+    k4, l4 = rhs(x + dt * k3, _ahead(Y, dt, l3))
+    x = x + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    if Y is not None:
+        Y = Y + sixth * (l1 + 2.0 * l2 + 2.0 * l3 + l4)
+    return x, Y
+
+
+def _ahead(Y, h, ls):
+    return None if Y is None else Y + h * ls
+
+
+def _integrate(fields, coords, x0, t, step, box, Y0=None) -> Trajectories:
+    """The one RK4 loop, behind flow, variational_flow and the funnel.
 
     x0 is one point (d,) or a batch (N, d); Y0, when given, has the same
     shape and is carried along by the variational equation
-    dY/dt = DX(x(t)) Y in the same steps.  Returns (x(t), Y(t)), with
-    Y(t) None when Y0 is.
+    dY/dt = DX(x(t)) Y in the same steps.  t is a scalar or one time per
+    row: row i takes n_i = ceil(|t_i|/step) steps of t_i/n_i (none when
+    t_i = 0).  A row stops once it has taken its steps, once a step ends
+    outside the box (exit time: the end of that step), or once its field
+    evaluation raises EvalDomainError (exit time: the start of that step);
+    |t_i| beyond MAX_TIME stops it at once.  Only live rows are evaluated,
+    and the arithmetic is per row, so each row's bits and exit record are
+    those of its solo run.  When a stage raises for the batch, the step is
+    redone one row at a time to find the rows that raise; the rest keep
+    their solo results.
     """
-    if abs(t) > MAX_TIME:
-        raise EscapeError("requested time beyond MAX_TIME", exit_time=t)
     x = np.array(x0, dtype=float)
-    Y = None if Y0 is None else np.array(Y0, dtype=float)
-    if t == 0.0:
-        return x, Y
     single = x.ndim == 1
     x = np.atleast_2d(x)
-    jac = None
-    if Y is not None:
-        Y = np.atleast_2d(Y)
-        jac = [[f.diff(c) for c in coords] for f in fields]
-    n_steps = max(1, int(math.ceil(abs(t) / step - 1e-12)))
-    dt = t / n_steps
+    Y = None if Y0 is None else np.atleast_2d(np.array(Y0, dtype=float))
+    N = len(x)
+    exit_time = np.full(N, np.nan)
+    error = [None] * N
+    live = np.ones(N, dtype=bool)
+
+    def stop(i, time, err):
+        nonlocal refresh
+        exit_time[i], error[i], live[i], refresh = time, err, False, True
+
+    t = np.full(N, t, dtype=float)
+    within = np.abs(t) <= MAX_TIME
+    n = np.where(within, np.maximum(
+        np.ceil(np.abs(t) / step - 1e-12), t != 0.0), 0.0)
+    dt = (t / np.maximum(n, 1.0))[:, None]
+    for i in np.flatnonzero(~within):
+        stop(i, t[i], EscapeError("requested time beyond MAX_TIME",
+                                  exit_time=float(t[i])))
+    jac = None if Y is None else [[f.diff(c) for c in coords] for f in fields]
 
     def rhs(xs, ys):
         env = env_of(coords, xs)
@@ -88,35 +152,58 @@ def _integrate(fields, coords, x0, t, step, box, Y0=None):
         return (eval_fields(fields, env),
                 (eval_fields(jac, env) @ ys[..., None])[..., 0])
 
-    def ahead(ys, h, ks):
-        return None if ys is None else ys + h * ks
-
-    for k in range(n_steps):
-        k1, l1 = rhs(x, Y)
-        k2, l2 = rhs(x + 0.5 * dt * k1, ahead(Y, 0.5 * dt, l1))
-        k3, l3 = rhs(x + 0.5 * dt * k2, ahead(Y, 0.5 * dt, l2))
-        k4, l4 = rhs(x + dt * k3, ahead(Y, dt, l3))
-        x = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    # the live rows change only when a row stops or has taken its steps;
+    # while every row is live they are a slice, which copies nothing
+    refresh, ends = True, set(n.tolist())
+    for k in range(int(n.max(initial=0))):
+        if refresh or k in ends:
+            live &= n > k
+            rows = slice(None) if live.all() else np.flatnonzero(live)
+            refresh = False
+        xs, ys, h = x[rows], None if Y is None else Y[rows], dt[rows]
+        try:
+            xs, ys = _rk4_step(rhs, xs, ys, h)
+        except EvalDomainError:
+            for j, i in enumerate(np.arange(N)[rows]):
+                try:
+                    xj, yj = _rk4_step(rhs, xs[j:j + 1], None if ys is None
+                                       else ys[j:j + 1], h[j:j + 1])
+                except EvalDomainError as err:
+                    stop(i, k * dt[i, 0], err)
+                    continue
+                xs[j] = xj[0]
+                if ys is not None:
+                    ys[j] = yj[0]
+        x[rows] = xs
         if Y is not None:
-            Y = Y + (dt / 6.0) * (l1 + 2.0 * l2 + 2.0 * l3 + l4)
-        if box is not None and not np.all(box.contains(x, tol=1e-9)):
-            raise EscapeError("trajectory left the domain box",
-                              exit_time=(k + 1) * dt)
+            Y[rows] = ys
+        if box is not None:
+            inside = box.contains(xs, tol=1e-9)
+            if not inside.all():
+                idx = np.arange(N)[rows]
+                for i in idx[live[idx] & ~inside]:
+                    time = (k + 1) * dt[i, 0]
+                    stop(i, time, EscapeError(
+                        "trajectory left the domain box",
+                        exit_time=float(time)))
     if single:
-        return x[0], None if Y is None else Y[0]
-    return x, Y
+        return Trajectories(x[0], None if Y is None else Y[0], exit_time,
+                            error)
+    return Trajectories(x, Y, exit_time, error)
 
 
 def flow(fields, coords, x0, t, cfg: FlowConfig, box: Box = None):
     """RK4 endpoint of the flow of sum_c fields[c] d/dc after time t.
 
     x0 is one point (d,) or a batch of points (N, d); the result has the
-    same shape.  Rows are integrated together in fixed steps and give the
-    same bits as flowing each row alone.  A batch stops at the first step
-    in which any row leaves the box: EscapeError carries that step's time
-    as exit_time.  |t| beyond MAX_TIME raises EscapeError at once.
+    same shape, and t is a scalar or one time per row.  Each row gives the
+    bits of its solo run.  When a row leaves the box the call raises
+    EscapeError with the earliest exit time in the batch, the end of the
+    step that left; a row whose field raises EvalDomainError raises that.
+    |t| beyond MAX_TIME raises EscapeError at once.
     """
-    return _integrate(fields, coords, x0, t, cfg.step, box)[0]
+    run = _integrate(fields, coords, x0, t, cfg.step, box)
+    return run.raise_first_exit()[0]
 
 
 def variational_flow(fields, coords, x0, t, Y0, cfg: FlowConfig,
@@ -127,7 +214,8 @@ def variational_flow(fields, coords, x0, t, Y0, cfg: FlowConfig,
     trajectory in one RK4 step, so the result is linear in Y0 to rounding.
     Shapes and the escape contract are those of flow.
     """
-    return _integrate(fields, coords, x0, t, cfg.step, box, Y0)
+    return _integrate(fields, coords, x0, t, cfg.step, box,
+                      Y0).raise_first_exit()
 
 
 @dataclass
@@ -261,27 +349,41 @@ def pushforward_bound_check(dist: Distribution, frame: FrameSection, x0,
                             times, Y0, cfg: FlowConfig, m_const=None,
                             sup_res=17, n_dirs=256, seed=0):
     """Composed variational flow of a vertical vector against its bound,
-    passed when lhs <= rhs * (1 + 1e-3)."""
-    times = np.asarray(times, dtype=float)
-    eps1 = float(np.max(np.abs(times))) if len(times) else 0.0
+    passed when lhs <= rhs * (1 + 1e-3).
+
+    One check takes x0 (d,), times (m,) and Y0 (d,) and returns a
+    PushforwardCheck.  A batch takes x0 (N, d), times (N, m) and Y0
+    (N, d), flows every row in one call per spanning field with per-row
+    times, and returns a list of N checks, each equal to its solo check.
+    An escape raises as in flow: the earliest exit time of the batch.
+    """
+    x0 = np.asarray(x0, dtype=float)
+    single = x0.ndim == 1
+    x0 = np.atleast_2d(x0)
+    times = np.asarray(times, dtype=float).reshape(len(x0), -1)
+    Y0 = np.atleast_2d(np.asarray(Y0, dtype=float))
     if m_const is None:
         pts = dist.domain.lattice(sup_res)
         bases = dist.orthonormal_bases_at(pts)
         m_const = involutivity_constant(frame, bases, pts, n_dirs, seed).value
     fields = dist.spanning_fields()
-    x = np.asarray(x0, dtype=float)
-    Y = np.asarray(Y0, dtype=float)
+    x, Y = x0, Y0
     for i in range(dist.m):
-        x, Y = variational_flow(fields[i], dist.coords, x, float(times[i]), Y,
+        x, Y = variational_flow(fields[i], dist.coords, x, times[:, i], Y,
                                 cfg, dist.domain)
-    lhs = float(np.linalg.norm(Y))
-    A0 = frame.matrix_at(np.asarray(x0, dtype=float)[None])[0]
-    inv_norm_end = sup_inverse_norm(frame, x).value
-    rhs = float(np.linalg.norm(A0 @ np.asarray(Y0, dtype=float))) * \
-        inv_norm_end * math.exp(dist.m * eps1 * m_const)
-    return PushforwardCheck(lhs, rhs, lhs <= rhs * (1.0 + 1.0e-3), {
-        "M": m_const, "inv_norm_end": inv_norm_end, "eps1": eps1,
-        "endpoint": x})
+    A0 = frame.matrix_at(x0)
+    inv_norm_end = _sigma_max(evaluate_frame(frame, x).inv)
+    checks = []
+    for r in range(len(x0)):
+        eps1 = float(np.max(np.abs(times[r]))) if times.shape[1] else 0.0
+        lhs = float(np.linalg.norm(Y[r]))
+        inv_norm = float(inv_norm_end[r])
+        rhs = float(np.linalg.norm(A0[r] @ Y0[r])) * inv_norm * \
+            math.exp(dist.m * eps1 * m_const)
+        checks.append(PushforwardCheck(lhs, rhs, lhs <= rhs * (1.0 + 1.0e-3), {
+            "M": m_const, "inv_norm_end": inv_norm, "eps1": eps1,
+            "endpoint": x[r]}))
+    return checks[0] if single else checks
 
 
 @dataclass

@@ -109,6 +109,22 @@ def test_c4_tangency_inequality():
             f"fd_tol={rep.fd_tol:.2e} rhs-ratio={ratio:.3f}")
 
 
+def c5_draws(dist, margin, rng, count):
+    """C5's (x0, times, Y0) rows: a start inside the box shrunk by margin,
+    times in (-0.1, 0.1) and a unit vertical Y0, drawn in this order per
+    row."""
+    inner = dist.domain.shrink(margin)
+    x0 = np.empty((count, dist.dim))
+    times = np.empty((count, dist.m))
+    Y0 = np.zeros((count, dist.dim))
+    for r in range(count):
+        x0[r] = inner.sample(rng, 1)[0]
+        times[r] = rng.uniform(-0.1, 0.1, size=dist.m)
+        y = rng.uniform(-1.0, 1.0, size=dist.n)
+        Y0[r, dist.m:] = y / max(np.linalg.norm(y), 1e-9)
+    return x0, times, Y0
+
+
 def test_c5_pushforward_inequality():
     """100 randomized pushforward checks per distribution all pass."""
     sf, pde = pde_example_2()
@@ -125,20 +141,36 @@ def test_c5_pushforward_inequality():
         bases = dist.orthonormal_bases_at(pts)
         m_const = involutivity_constant(frame, bases, pts, n_dirs=256,
                                         seed=0).value
-        inner = dist.domain.shrink(margin)
-        passed = 0
-        for _ in range(100):
-            x0 = inner.sample(rng, 1)[0]
-            times = rng.uniform(-0.1, 0.1, size=dist.m)
-            y = rng.uniform(-1.0, 1.0, size=dist.n)
-            Y0 = np.zeros(dist.dim)
-            Y0[dist.m:] = y / max(np.linalg.norm(y), 1e-9)
-            chk = pushforward_bound_check(dist, frame, x0, times, Y0, cfg,
-                                          m_const=m_const)
-            passed += chk.passed
+        x0, times, Y0 = c5_draws(dist, margin, rng, 100)
+        checks = pushforward_bound_check(dist, frame, x0, times, Y0, cfg,
+                                         m_const=m_const)
+        passed = sum(chk.passed for chk in checks)
         detail.append(f"{name}:{passed}/100")
         ok = ok and passed == 100
     _report("C5 pushforward bound", ok, " ".join(detail))
+
+
+def test_c5_batched_checks_equal_per_check_path():
+    """On the first 10 of C5's draws per distribution, the batched call's
+    lhs, rhs and verdicts equal one call per check, bit for bit."""
+    sf, pde = pde_example_2()
+    cases = [(involutive_distribution(), 0.15),
+             (contact_distribution(), 0.15), (pde.distribution(), 0.1)]
+    cfg = FlowConfig(step=2.5e-3)
+    rng = np.random.default_rng(0)
+    for dist, margin in cases:
+        frame = annihilator_frame(dist)
+        pts = dist.domain.lattice(5)
+        m_const = involutivity_constant(frame, dist.orthonormal_bases_at(pts),
+                                        pts, n_dirs=256, seed=0).value
+        x0, times, Y0 = c5_draws(dist, margin, rng, 100)
+        batch = pushforward_bound_check(dist, frame, x0[:10], times[:10],
+                                        Y0[:10], cfg, m_const=m_const)
+        for r, chk in enumerate(batch):
+            solo = pushforward_bound_check(dist, frame, x0[r], times[r],
+                                           Y0[r], cfg, m_const=m_const)
+            assert (chk.lhs, chk.rhs, chk.passed) == \
+                (solo.lhs, solo.rhs, solo.passed)
 
 
 def test_c6_oracle_equivalence():

@@ -9,7 +9,7 @@ from contfrob.dynsys import (Cocycle, DiffeoSpec, PlaneFieldSamples,
                              orthonormal_pullback_frames,
                              splitting_involutivity_pipeline,
                              splitting_report_to_csv, transport)
-from contfrob.errors import StepCountError
+from contfrob.errors import RangeError, StepCountError
 from contfrob.fields import parse_field
 from contfrob.forms import one_form
 from contfrob.geometry import (FrameSection, asymptotic_involutivity_trace,
@@ -491,3 +491,10 @@ def test_step_counts_out_of_range_raise():
                           cat_expanding_direction()[:, None], 0, pts)
     with pytest.raises(StepCountError, match="got 4"):
         Cocycle(phi, pts, 3).transport(np.array([[1.0], [0.0]]), 4)
+
+
+def test_diffeo_spec_mismatch_is_range_error():
+    x = parse_field("x")
+    with pytest.raises(RangeError, match="one forward and one inverse field "
+                       "per coordinate"):
+        DiffeoSpec(("x", "y"), [x, x], [x])

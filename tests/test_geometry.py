@@ -6,15 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from contfrob.boxes import Box
-from contfrob.errors import TransversalityError
+from contfrob.errors import RangeError, TransversalityError
 from contfrob.fields import ZERO, Const, coord, parse_field
 from contfrob.forms import one_form
 from contfrob.geometry import (Distribution, FrameSection, annihilator_frame,
                                asymptotic_involutivity_trace, bound_parts,
                                evaluate_frame,
                                exterior_regularity_trace, frobenius_defect,
-                               involutivity_constant, max_principal_angle,
-                               sup_inverse_norm)
+                               involutivity_constant, max_principal_angle)
 from contfrob.geometry import (_D_RESTRICTED_U, _MIXING_U,
                                _sampled_sphere_sup)
 from contfrob.mollify import grid_from_field, mollify, to_spline_field
@@ -85,10 +84,8 @@ def test_restricted_inverse_identity_block():
     frame = annihilator_frame(contact_distribution())
     p = np.array([0.1, 0.2, 0.0])
     assert np.allclose(evaluate_frame(frame, p).inv[0], np.eye(1))
-    assert sup_inverse_norm(frame, p).value == pytest.approx(1.0)
     scaled = frame.scale(2.0)
     assert np.allclose(evaluate_frame(scaled, p).inv[0], 0.5 * np.eye(1))
-    assert sup_inverse_norm(scaled, p).value == pytest.approx(0.5)
 
 
 def test_restricted_inverse_diagonal_and_singular():
@@ -99,15 +96,14 @@ def test_restricted_inverse_diagonal_and_singular():
     rows = (one_form(coords, {"y1": Const(1.0)}),
             one_form(coords, {"y2": Const(eps)}))
     frame = FrameSection(rows, coords, ("y1", "y2"), None)
-    assert sup_inverse_norm(frame, np.zeros(3)).value == \
-        pytest.approx(1.0 / eps)
+    inv = evaluate_frame(frame, np.zeros(3)).inv[0]
+    assert np.linalg.norm(inv, 2) == pytest.approx(1.0 / eps)
 
     bad = FrameSection((one_form(coords, {"y1": Const(1.0)}),
                         one_form(coords, {"y1": Const(1.0)})),
                        coords, ("y1", "y2"), None)
-    for evaluate in (sup_inverse_norm, evaluate_frame):
-        with pytest.raises(TransversalityError):
-            evaluate(bad, np.zeros(3))
+    with pytest.raises(TransversalityError):
+        evaluate_frame(bad, np.zeros(3))
 
 
 def test_involutivity_constant_involutive_is_zero():
@@ -469,7 +465,8 @@ def test_sup_helpers_exactness():
     d = contact_distribution()
     frame = annihilator_frame(d)
     pts = BOX3.lattice(5)
-    assert sup_inverse_norm(frame, pts).value == pytest.approx(1.0)
+    inv = evaluate_frame(frame, pts).inv
+    assert np.max(np.linalg.norm(inv, 2, axis=(1, 2))) == pytest.approx(1.0)
     bases = d.orthonormal_bases_at(pts)
     # annihilator restricted to its own kernel is ~0
     ext = exterior_regularity_trace([frame], bases, 1.0, pts, n_dirs=8)
@@ -528,3 +525,10 @@ def test_tangency_parts_pinned_contact():
     assert tan.rhs == 0.2
     assert tan.parts == {"d_restricted": 1.0, "inv_norm": 1.0, "M": 0.0,
                          "m": 2, "eps1": 0.1, "sup_res": 5}
+
+
+def test_distribution_mismatch_is_range_error():
+    with pytest.raises(RangeError, match="distribution needs 2 rows of 1"):
+        Distribution(("x", "y"), ("z",), [[Const(0.0)]], BOX3)
+    with pytest.raises(RangeError, match="distribution needs a domain box"):
+        Distribution(("x",), ("y",), [[Const(0.0)]], BOX3)

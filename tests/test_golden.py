@@ -11,7 +11,12 @@ tangency bound's ||dA|_E|| became the exact closed form: the sampled
 1.0000000000000002 became 1.0, so rhs went 0.20000000000000007 -> 0.2.
 The elementary-functions case was captured before log, exp, sin and cos
 moved into one table-driven node, and the limit-criterion case before the
-criterion's scale grid stopped being a caller option.
+criterion's scale grid stopped being a caller option.  The two funnel
+escape-path cases were captured before the funnel became one masked RK4
+batch: paper-ex1 starts rows outside the box and has a -delta row whose
+field raises EvalDomainError (5 escapes per delta), and peano from
+(0, 0.125) has rows leave the box mid-flow next to rows that finish
+(4, 3 and 0 escapes).
 """
 
 import hashlib
@@ -100,3 +105,21 @@ def test_limit_criterion_report_digest(tmp_path):
     data = (tmp_path / "moduli_check.csv").read_bytes()
     assert hashlib.sha256(data).hexdigest() == \
         "69523155ed7fa381ecc56afede5360f9f49701ca801347ffe2926ac8c2ff394d"
+
+
+FUNNEL_ESCAPES = [
+    (["--example", "paper-ex1", "--T", "0.5", "--deltas", "1e-2,1e-3,1e-4",
+      "--ensemble", "6", "--step", "0.002"],
+     "6a34777d42e2e8927ae23a21dddbb710ca41a895e11f69266b8e80c89026071a"),
+    (["--example", "peano", "--point", "0,0.125", "--T", "1",
+      "--deltas", "3e-2,1e-2,1e-3", "--ensemble", "4", "--step", "0.004"],
+     "31a1e67a01d6f77359d893dfce9d1e6630cc14f3a67c943e1cf5a5a01e469368"),
+]
+
+
+@pytest.mark.parametrize("args,digest", FUNNEL_ESCAPES,
+                         ids=["paper-ex1", "peano-off-axis"])
+def test_funnel_escape_report_digest(tmp_path, args, digest):
+    assert main(["ode", "funnel"] + args + ["--out", str(tmp_path)]) == 0
+    data = (tmp_path / "ode_funnel.csv").read_bytes()
+    assert hashlib.sha256(data).hexdigest() == digest

@@ -6,6 +6,9 @@ weight left behind by a deletion or a dependency nobody meant to keep.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -34,3 +37,18 @@ def unused_imports(path):
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_no_unused_module_imports(path):
     assert unused_imports(path) == []
+
+
+def test_importing_the_package_leaves_scipy_unloaded():
+    # SciPy is imported inside the functions that call quad, brentq,
+    # ndimage and the splines, so the CLI starts without it
+    code = ("import sys, contfrob, contfrob.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == "
+            "'scipy'))")
+    src = str(Path(contfrob.__file__).parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True)
+    assert out.stdout.strip() == "[]"

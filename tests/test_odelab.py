@@ -125,3 +125,27 @@ def test_funnel_csv_shape():
 def test_funnel_rejects_non_positive_horizon(T):
     with pytest.raises(RangeError, match="horizon T must be positive"):
         funnel(ode_peano(), [0.0, 0.0], T, [1e-3, 1e-4])
+
+
+def test_funnel_is_one_engine_call(monkeypatch):
+    from contfrob import odelab
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(len(args[2]))
+        return engine(*args, **kwargs)
+    engine = odelab._integrate
+    monkeypatch.setattr(odelab, "_integrate", counted)
+    funnel(ode_peano(), [0.0, 0.0], 1.0, [1e-3, 1e-4, 1e-5], ensemble=4,
+           cfg=FlowConfig(step=0.01))
+    # the base start once, then per delta 4 ensemble and 2 offset rows
+    assert calls == [1 + 3 * (4 + 2)]
+
+
+def test_ode_spec_mismatch_is_range_error():
+    box = Box.from_dict({"t": (0.0, 1.0), "y": (-1.0, 1.0)})
+    with pytest.raises(RangeError, match="one field per state variable"):
+        OdeSpec("t", ("y",), [Const(1.0), Const(2.0)], box)
+    with pytest.raises(RangeError, match=r"ode spec needs a domain box over "
+                       r"\('t', 'z'\)"):
+        OdeSpec("t", ("z",), [Const(1.0)], box)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from contfrob.boxes import Box, env_of
-from contfrob.errors import BranchCrossingError
+from contfrob.errors import BranchCrossingError, RangeError
 from contfrob.fields import Const, eval_fields, parse_field
 from contfrob.moduli import HOLDS, Lipschitz
 from contfrob.odelab import ModuliDecl, theorem1_check
@@ -223,3 +223,22 @@ def test_mollified_frames_track_rough_coefficients():
             b = np.broadcast_to(exact[i][j].evaluate(env), (len(pts),))
             # smoothing bias away from the singular axes is O(eps^2) small
             assert np.max(np.abs(a - b)) <= 0.02
+
+
+def test_pde_spec_mismatch_is_range_error():
+    box = Box.from_dict({"x": (0.0, 1.0), "y": (0.0, 1.0)})
+    with pytest.raises(RangeError, match="pde spec needs 1 rows of 1"):
+        PdeSpec(("x",), ("y",), [[Const(1.0), Const(2.0)]], box)
+    with pytest.raises(RangeError, match="pde spec needs a domain box"):
+        PdeSpec(("x",), ("z",), [[Const(1.0)]], box)
+
+
+def test_special_form_spec_mismatch_is_range_error():
+    box = Box.from_dict({"x": (0.0, 1.0), "y": (0.1, 1.0)})
+    y, x = parse_field("y"), parse_field("x")
+    with pytest.raises(RangeError, match="one G and one H per y variable"):
+        SpecialFormSpec(("x",), ("y",), [y, y], [x], box)
+    with pytest.raises(RangeError, match="G1 may only depend on y"):
+        SpecialFormSpec(("x",), ("y",), [x * y], [x], box)
+    with pytest.raises(RangeError, match="H1 may only depend on"):
+        SpecialFormSpec(("x",), ("y",), [y], [x * y], box)

@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 
 from contfrob.boxes import Box
-from contfrob.errors import EscapeError
+from contfrob.errors import EscapeError, EvalDomainError
 from contfrob.fields import Const, coord, parse_field
 from contfrob.geometry import Distribution, annihilator_frame
-from contfrob.surface import (FlowConfig, build_surface, converge_surfaces,
-                              flow, patch_to_csv, pushforward_bound_check,
-                              tangency_defect, variational_flow)
+from contfrob.surface import (FlowConfig, _integrate, build_surface,
+                              converge_surfaces, flow, patch_to_csv,
+                              pushforward_bound_check, tangency_defect,
+                              variational_flow)
 
 x, y, z = coord("x"), coord("y"), coord("z")
 CFG = FlowConfig(step=1.0e-3)
@@ -98,6 +99,75 @@ def test_batched_flow_equals_rowwise_flow(fields, coords, t, box):
     single = np.stack([flow(fields, coords, r, t, CFG, box) for r in rows])
     assert batch.shape == rows.shape
     assert np.array_equal(batch, single)
+
+
+def test_per_row_times_equal_solo_runs():
+    f = contact().spanning_fields()[0]
+    rng = np.random.default_rng(5)
+    rows = rng.uniform(-0.3, 0.3, size=(6, 3))
+    ts = np.array([0.2, -0.15, 0.0, 0.0371, -0.2, 0.05])
+    Y0 = rng.uniform(-1.0, 1.0, size=(6, 3))
+    xs, Ys = variational_flow(f, ("x", "y", "z"), rows, ts, Y0, CFG, BOX3)
+    for r, t, y0, xe, Ye in zip(rows, ts, Y0, xs, Ys):
+        xo, Yo = variational_flow(f, ("x", "y", "z"), r, t, y0, CFG, BOX3)
+        assert np.array_equal(xe, xo) and np.array_equal(Ye, Yo)
+    assert np.array_equal(xs[2], rows[2]) and np.array_equal(Ys[2], Y0[2])
+
+
+# dy/dt = sqrt(y) - 1/2 in a box reaching below y = 0: a row that sinks to
+# y < 0 raises EvalDomainError in a stage, rows that climb past 0.6 leave
+# the box, and the others finish next to them.  The last row starts outside
+# the box at y < 0: its first step raises, which is its only exit record.
+SQRT_FIELD = [Const(1.0), parse_field("y^0.5 - 0.5")]
+SQRT_BOX = Box.from_dict({"t": (-2.0, 2.0), "y": (-1.0, 0.6)})
+SQRT_ROWS = np.array([[0.0, 0.05], [0.0, 0.5], [0.1, 0.3], [0.0, 0.2],
+                      [0.2, 0.35], [0.0, 0.4], [3.0, -0.5]])
+SQRT_TIMES = np.array([1.0, 1.0, 0.7, -0.4, 0.0, 1.3, 0.5])
+
+
+def test_stopped_rows_do_not_stop_their_neighbours():
+    step = 1.0e-2
+    Y0 = np.tile([0.0, 1.0], (len(SQRT_ROWS), 1))
+    run = _integrate(SQRT_FIELD, ("t", "y"), SQRT_ROWS, SQRT_TIMES, step,
+                     SQRT_BOX, Y0)
+    assert [type(e) for e in run.error] == [
+        EvalDomainError, EscapeError, type(None), type(None), type(None),
+        EscapeError, EvalDomainError]
+    for i, (r, t) in enumerate(zip(SQRT_ROWS, SQRT_TIMES)):
+        try:
+            xo, Yo = variational_flow(SQRT_FIELD, ("t", "y"), r, t, Y0[i],
+                                      FlowConfig(step=step), SQRT_BOX)
+        except (EscapeError, EvalDomainError) as err:
+            assert type(run.error[i]) is type(err)
+            if isinstance(err, EscapeError):
+                assert run.exit_time[i] == err.exit_time
+            continue
+        assert run.error[i] is None and np.isnan(run.exit_time[i])
+        assert np.array_equal(run.x[i], xo) and np.array_equal(run.Y[i], Yo)
+    # row 0 raises in the step that starts at t = 0.14 and row 6 in its
+    # first step; a stopped row keeps the state it stopped at, so its
+    # clock coordinate has advanced by its exit time
+    assert run.exit_time[0] == 14 * 0.01 and run.exit_time[6] == 0.0
+    stopped = ~np.isnan(run.exit_time)
+    assert np.allclose(run.x[stopped, 0],
+                       SQRT_ROWS[stopped, 0] + run.exit_time[stopped])
+
+
+def test_flow_on_a_batch_with_stopped_rows_still_raises():
+    cfg = FlowConfig(step=1.0e-2)
+    # row 0 raises in the step that starts at t = 0.14, before row 1 leaves
+    # the box at the end of the step ending at t = 0.42 and row 5 at 1.02:
+    # flow raises the earliest
+    with pytest.raises(EvalDomainError):
+        flow(SQRT_FIELD, ("t", "y"), SQRT_ROWS[:6], SQRT_TIMES[:6], cfg,
+             SQRT_BOX)
+    with pytest.raises(EscapeError) as batch:
+        flow(SQRT_FIELD, ("t", "y"), SQRT_ROWS[1:6], SQRT_TIMES[1:6], cfg,
+             SQRT_BOX)
+    with pytest.raises(EscapeError) as solo:
+        flow(SQRT_FIELD, ("t", "y"), SQRT_ROWS[1], SQRT_TIMES[1], cfg,
+             SQRT_BOX)
+    assert batch.value.exit_time == solo.value.exit_time == 0.42
 
 
 def test_vertical_invariance_of_pushforwards():
