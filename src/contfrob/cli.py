@@ -396,7 +396,7 @@ def _run_surface(cfg):
     x0 = np.asarray(_floats(p, "x0", "0,0,0"))
     patch = build_surface(dist, x0, eps1, _int(p, "grid", 9),
                           FlowConfig(step=step), order=order)
-    rep = tangency_defect(patch, dist, sup_res=5, n_dirs=64, seed=cfg.seed)
+    rep = tangency_defect(patch, dist, sup_res=5)
     _write(cfg, "surface.csv", patch_to_csv(patch, rep))
     print(f"surface nodes={patch.points.size // len(dist.coords)} "
           f"max_defect={rep.max_defect:.6g} rhs={rep.rhs:.6g} ok={rep.ok()}")
@@ -471,8 +471,7 @@ def _run_dyn_traces(cfg):
     eps = _float(p, "eps", 1.0)
     k_max = _int(p, "k_max", 8)
     rep, asym, ext = splitting_involutivity_pipeline(
-        phi, e0, base, f, k_max, eps, pts, limit=lim,
-        n_dirs=_int(p, "n_dirs", 64), seed=cfg.seed)
+        phi, e0, base, f, k_max, eps, pts, limit=lim)
     if asym is None:
         _write(cfg, "dyn_traces.csv", "# verdict=NotApplicable\n")
         print("domination fails: traces not applicable")
@@ -545,7 +544,7 @@ _KINDS = {
     "dyn-dominate": _Kind(("dyn", "dominate"), _run_dyn_dominate, _DYN + (
         _Param("k_max", int), _Param("eps_sweep"))),
     "dyn-traces": _Kind(("dyn", "traces"), _run_dyn_traces, _DYN + (
-        _Param("k_max", int), _Param("eps", float), _Param("n_dirs", int))),
+        _Param("k_max", int), _Param("eps", float))),
 }
 
 

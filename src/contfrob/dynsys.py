@@ -339,13 +339,14 @@ def _shared_frames(phi, base, ks, source):
 
 def splitting_involutivity_pipeline(phi: DiffeoSpec, e0_bases,
                                     base_frame: FrameSection, f_samples,
-                                    k_max, eps, points, limit=None,
-                                    n_dirs=64, seed=0):
+                                    k_max, eps, points, limit=None, *,
+                                    n_dirs=None, seed=None):
     """Assemble pullback frames and transported fields, run both traces.
 
     Requires domination on the lattice; returns (report, asymptotic
     trace, exterior-regularity trace) where the regularity trace needs a
-    limit plane field (samples) to restrict against.
+    limit plane field (samples) to restrict against.  n_dirs and seed
+    are ignored, as in geometry.involutivity_constant.
     """
     y_indices = [base_frame.coords.index(y) for y in base_frame.y_names]
     cc = Cocycle(phi, points, k_max)
@@ -354,14 +355,12 @@ def splitting_involutivity_pipeline(phi: DiffeoSpec, e0_bases,
         return report, None, None
     frames = _shared_frames(phi, base_frame, range(1, k_max + 1),
                             _CocycleSource(phi, k_max, cc))
-    asym = asymptotic_involutivity_trace(frames, dists, eps, points,
-                                         n_dirs=n_dirs, seed=seed)
+    asym = asymptotic_involutivity_trace(frames, dists, eps, points)
     ext = None
     if limit is not None:
         lim_bases = limit.bases if isinstance(limit, PlaneFieldSamples) \
             else limit
-        ext = exterior_regularity_trace(frames, lim_bases, eps, points,
-                                        n_dirs=n_dirs, seed=seed)
+        ext = exterior_regularity_trace(frames, lim_bases, eps, points)
     return report, asym, ext
 
 

@@ -13,6 +13,7 @@ from itertools import combinations
 
 import numpy as np
 
+from .errors import RangeError
 from .fields import Field, ZERO, add, eval_fields, is_zero_field, mul, neg
 
 __all__ = [
@@ -30,9 +31,9 @@ class KForm:
         clean = {}
         for idx, f in (comps or {}).items():
             idx = tuple(idx)
-            assert len(idx) == self.degree
-            assert all(a < b for a, b in zip(idx, idx[1:])), \
-                "component indices must be strictly ascending"
+            if len(idx) != self.degree or list(idx) != sorted(set(idx)):
+                raise RangeError(f"index {idx} of a {self.degree}-form is "
+                                 f"not {self.degree} ascending coordinates")
             if isinstance(f, Field) and not is_zero_field(f, structural_only=True):
                 clean[idx] = f
         self.comps = clean
@@ -45,7 +46,10 @@ class KForm:
         return all(is_zero_field(f) for f in self.comps.values())
 
     def __add__(self, other):
-        assert self.degree == other.degree and self.coords == other.coords
+        if (self.degree, self.coords) != (other.degree, other.coords):
+            raise RangeError(f"cannot add a {self.degree}-form over "
+                             f"{self.coords} to a {other.degree}-form over "
+                             f"{other.coords}")
         out = dict(self.comps)
         for idx, f in other.comps.items():
             out[idx] = add(out[idx], f) if idx in out else f
@@ -80,13 +84,17 @@ class KForm:
 
     def pair_vector(self, vector_fields):
         """Contract a 1-form with a coordinate vector of fields."""
-        assert self.degree == 1
+        if self.degree != 1:
+            raise RangeError(f"pair_vector needs a 1-form, got a "
+                             f"{self.degree}-form")
         terms = [mul(f, vector_fields[idx[0]]) for idx, f in self.comps.items()]
         return add(*terms) if terms else ZERO
 
     def two_form_matrices_at(self, env):
         """Antisymmetric matrices of a 2-form at broadcast points."""
-        assert self.degree == 2
+        if self.degree != 2:
+            raise RangeError(f"two_form_matrices_at needs a 2-form, got a "
+                             f"{self.degree}-form")
         D = self.dim
         shape = np.broadcast_shapes(*(np.shape(v) for v in env.values())) \
             if env else ()
@@ -134,7 +142,9 @@ def _merge_sign(idx_a, idx_b):
 
 def wedge(a: KForm, b: KForm):
     """Exterior product; degrees beyond the ambient dimension give 0."""
-    assert a.coords == b.coords
+    if a.coords != b.coords:
+        raise RangeError(f"cannot wedge forms over {a.coords} and "
+                         f"{b.coords}")
     k = a.degree + b.degree
     if k > a.dim:
         return zero_form(a.coords, k)

@@ -11,13 +11,10 @@ quantities the integrability diagnostics are made of:
   and unit v in the distribution, and
 * the per-step traces combining them with e^{eps M} weights.
 
-True sup-norms over a region are approximated from below by a sup over a
-point lattice.  Of the two unit spheres in ||dA|_E|| and M_A, the second
-is always maximized exactly by a singular value.  The first is exact too
-for a frame with one row (n == 1): one SVD or row norm per point, recorded
-as "u_maximization": "exact-svd".  Only when n >= 2 is it sampled, with a
-few rounds of coordinate ascent around the best sample.  Every estimate
-records its protocol.
+A sup over a region is approximated from below by a sup over a point
+lattice, exact per point for each frame shape the toolkit builds (n rows,
+r = dim E): ||dA|_E|| for n == 1 or r <= 2, M_A for n == 1, r == 1 or
+n == r == 2 (the kernels below say how).  Other shapes raise RangeError.
 
 Cost model: evaluate_frame is the one place a frame meets a point set
 and the one transversality check.  It calls matrix_at once and
@@ -146,8 +143,11 @@ class FrameSection:
         self.rows = tuple(self.rows)
         self.coords = tuple(self.coords)
         self.y_names = tuple(self.y_names)
-        assert all(r.degree == 1 and r.coords == self.coords
-                   for r in self.rows)
+        for i, r in enumerate(self.rows):
+            if r.degree != 1 or r.coords != self.coords:
+                raise RangeError(f"frame row {i} must be a 1-form over "
+                                 f"{self.coords}, got a {r.degree}-form "
+                                 f"over {r.coords}")
 
     @property
     def n(self):
@@ -250,21 +250,12 @@ def evaluate_frame(frame, points) -> FrameValues:
 
 @dataclass
 class SupEstimate:
-    """Certified lower bound of a sup, with the sampling protocol."""
+    """A lattice sup, a lower bound of the region's sup, with its
+    protocol."""
 
     value: float
     argmax_point: np.ndarray = None
     protocol: dict = field(default_factory=dict)
-
-    def __float__(self):
-        return self.value
-
-
-def _unit_sphere_samples(rng, n_dirs, dim):
-    if dim == 1:
-        return np.ones((min(n_dirs, 1) or 1, 1))
-    v = rng.standard_normal((n_dirs, dim))
-    return v / np.linalg.norm(v, axis=1, keepdims=True)
 
 
 def _sigma_max(stack):
@@ -277,82 +268,106 @@ def _lattice_sup(vals, pts, protocol):
     return SupEstimate(float(vals[i]), pts[i], protocol)
 
 
-def _ascend_on_sphere(value_fn, t0, rounds=3, steps=(0.1, 0.03, 0.01)):
-    """Deterministic coordinate ascent on the unit sphere."""
-    t = t0.copy()
-    best = value_fn(t)
-    for r in range(rounds):
-        step = steps[min(r, len(steps) - 1)]
-        for a in range(len(t)):
-            for sgn in (1.0, -1.0):
-                cand = t.copy()
-                cand[a] += sgn * step
-                cand /= np.linalg.norm(cand)
-                v = value_fn(cand)
-                if v > best:
-                    best, t = v, cand
-    return best, t
+def _shape_error(n, r):
+    return RangeError(f"no exact sup for n = {n} frame rows on rank r = {r}: "
+                      f"supported are n = 1, r = 1 and n = r = 2")
 
 
-def _sampled_sphere_sup(T, subscripts, n_dirs, seed, rounds):
-    """Lower bound of max over p and unit u of sigma_max(contract(u, T[p])).
-
-    subscripts = (lattice, one point) einsum strings contracting the unit
-    vector u with T; u is sampled on its sphere and refined by coordinate
-    ascent at the best lattice point.  Returns (value, point index).
-    """
-    rng = np.random.default_rng(seed)
-    dirs = _unit_sphere_samples(rng, n_dirs, T.shape[-1])  # (S, r)
-    vals = _sigma_max(np.einsum(subscripts[0], dirs, T))  # (N, S)
-    p_best, s_best = np.unravel_index(np.argmax(vals), vals.shape)
-
-    def value_fn(u):
-        return float(_sigma_max(np.einsum(subscripts[1], u, T[p_best])))
-
-    best, _ = _ascend_on_sphere(value_fn, dirs[s_best].copy(), rounds)
-    return float(best), p_best
-
-
-# einsum strings contracting u with D2[p, j, a, b] and with C[p, j, l, a]
-_D_RESTRICTED_U = ("sa,pjab->psjb", "a,jab->jb")
-_MIXING_U = ("sa,pjla->psjl", "a,jla->jl")
-
-
-def _d_restricted_sup(dA, bases, pts, n_dirs, seed, rounds):
-    """sup over p and unit u, v in span(bases_p) of |dA_p(u, v)|_l2.
-
-    For fixed u the map v -> dA(u, v) is linear, so the v-maximization is
-    an exact singular value.  With one frame row (n == 1) the value is
-    |u^T D2_p| for one r x r matrix D2_p, whose sup over unit u is
-    sigma_max(D2_p): exact per point.  Otherwise the u-sphere is sampled
-    and refined.  Either way the result is a lower bound of the sup over
-    the region, being a sup over the lattice.
-    """
+def _d_restricted_sup(dA, bases, pts):
+    """sup over p and unit u, v in span(bases_p) of |dA_p(u, v)|_l2, from
+    the r x r antisymmetric matrices D2_j = B^T dA_j B: sigma_max(D2_0)
+    for n == 1, and for r <= 2, where D2_j = a_j J, |a|_2."""
     D2 = np.einsum("pda,pjde,peb->pjab", bases, dA, bases)  # (N,n,r,r)
-    if dA.shape[1] == 1:
-        return _lattice_sup(_sigma_max(D2[:, 0]), pts, {
-            "points": len(pts), "kind": "lower-bound",
-            "u_maximization": "exact-svd"})
-    best, p_best = _sampled_sphere_sup(D2, _D_RESTRICTED_U, n_dirs, seed,
-                                       rounds)
-    protocol = {"points": len(pts), "n_dirs": n_dirs, "seed": seed,
-                "rounds": rounds, "kind": "lower-bound"}
-    return SupEstimate(best, pts[p_best], protocol)
+    n, r = D2.shape[1:3]
+    if n == 1:
+        vals, how = _sigma_max(D2[:, 0]), "exact-svd"
+    elif r <= 2:
+        vals = np.linalg.norm(D2[:, :, 0, 1], axis=1) if r == 2 \
+            else np.zeros(len(pts))
+        how = "exact-antisymmetric"
+    else:
+        raise _shape_error(n, r)
+    return _lattice_sup(vals, pts, {"points": len(pts), "kind": "lower-bound",
+                                    "u_maximization": how})
 
 
-def _mixing_sup(dA, U, bases, pts, n_dirs, seed, rounds):
+def _polymul(a, b):
+    """Row-wise product of coefficient rows."""
+    out = np.zeros((len(a), a.shape[1] + b.shape[1] - 1))
+    for i in range(a.shape[1]):
+        out[:, i:i + b.shape[1]] += a[:, i:i + 1] * b
+    return out
+
+
+def _root_real_parts(coeffs):
+    """Real parts of the roots of each row of coeffs (lowest degree
+    first), padded with 0.  Coefficients below 1e-14 of their row's
+    largest are dropped; one batched companion-matrix eigvals serves the
+    rows of full degree, np.roots the others."""
+    c = coeffs[:, ::-1].copy()
+    c[np.abs(c) <= 1e-14 * np.max(np.abs(c), axis=1, keepdims=True)] = 0.0
+    out = np.zeros((len(c), c.shape[1] - 1))
+    full = c[:, 0] != 0.0
+    comp = np.tile(np.eye(c.shape[1] - 1, k=-1), (int(np.sum(full)), 1, 1))
+    comp[:, 0] = -c[full, 1:] / c[full, :1]
+    out[full] = np.linalg.eigvals(comp).real
+    for p in np.flatnonzero(~full):
+        roots = np.roots(c[p]).real
+        out[p, :len(roots)] = roots
+    return out
+
+
+def _two_by_two_sup(C0, C1):
+    """Per point, max over theta of sigma_max(cos(theta) C0 + sin(theta) C1)
+    for (N, 2, 2) stacks.
+
+    sigma_max([[a, b], [c, d]]) = (|(a + d, b - c)| + |(a - d, b + c)|) / 2
+    = (sqrt(P) + sqrt(Q)) / 2, with P and Q quadratic forms in (cos, sin).
+    Smooth maxima solve P'^2 Q = Q'^2 P, a degree-6 polynomial in
+    tan(theta).  Where it vanishes identically, sqrt(P) +- sqrt(Q) is
+    constant and the max lies at a critical point of P or Q.  Kinks are
+    never maxima, so theta = 0, pi/2, the roots and those critical points
+    hold the max; any angle gives a lower bound.
+    """
+    w = [np.stack([K[:, 0, 0] + s * K[:, 1, 1], K[:, 0, 1] - s * K[:, 1, 0]],
+                  -1) for s in (1.0, -1.0) for K in (C0, C1)]
+    pairs = (w[:2], w[2:])  # sqrt(P) = |cos w0 + sin w1|, likewise sqrt(Q)
+    theta = [np.zeros(len(C0)), np.full(len(C0), 0.5 * np.pi)]
+    polys = []
+    for w0, w1 in pairs:
+        # |cos w0 + sin w1|^2 = A cos^2 + 2 B cos sin + C sin^2; over
+        # cos^2, it and half its derivative are polynomials in tan(theta)
+        A, B, C = (np.sum(x * y, -1)
+                   for x, y in ((w0, w0), (w0, w1), (w1, w1)))
+        crit = 0.5 * np.arctan2(2.0 * B, A - C)
+        theta += [crit, crit + 0.5 * np.pi]
+        polys += [np.stack([A, 2.0 * B, C], -1), np.stack([B, C - A, -B], -1)]
+    p, dp, q, dq = polys
+    g = _polymul(_polymul(dp, dp), q) - _polymul(_polymul(dq, dq), p)
+    theta = np.concatenate([np.stack(theta, -1),
+                            np.arctan(_root_real_parts(g))], axis=1)
+    cos, sin = np.cos(theta)[..., None], np.sin(theta)[..., None]
+    sig = sum(np.linalg.norm(cos * w0[:, None] + sin * w1[:, None], axis=-1)
+              for w0, w1 in pairs)
+    return 0.5 * np.max(sig, axis=1)
+
+
+def _mixing_sup(dA, U, bases, pts):
     """M_A from evaluated arrays; see involutivity_constant."""
     # C[p, j, l, a] = (A^{-1} e_l)^T dA_j (B e_a)
     C = np.einsum("pcl,pjcd,pda->pjla", U, dA, bases)
-    if dA.shape[1] == 1:
-        return _lattice_sup(np.linalg.norm(C[:, 0, 0], axis=-1), pts, {
-            "points": len(pts), "kind": "lower-bound",
-            "w_maximization": "exact-svd", "u_maximization": "exact-svd"})
-    best, p_best = _sampled_sphere_sup(C, _MIXING_U, n_dirs, seed, rounds)
-    protocol = {"points": len(pts), "n_dirs": n_dirs, "seed": seed,
-                "rounds": rounds, "kind": "lower-bound",
-                "w_maximization": "exact-svd"}
-    return SupEstimate(best, pts[p_best], protocol)
+    n, r = C.shape[1], C.shape[3]
+    if n == 1:
+        vals, how = np.linalg.norm(C[:, 0, 0], axis=-1), "exact-svd"
+    elif r == 1:
+        vals, how = _sigma_max(C[..., 0]), "exact-svd"
+    elif n == r == 2:
+        vals, how = _two_by_two_sup(C[..., 0], C[..., 1]), "exact-angles"
+    else:
+        raise _shape_error(n, r)
+    return _lattice_sup(vals, pts, {
+        "points": len(pts), "kind": "lower-bound",
+        "w_maximization": "exact-svd", "u_maximization": how})
 
 
 def _d_sup(dA):
@@ -360,36 +375,36 @@ def _d_sup(dA):
     return float(np.max(two_form_matrix_norm(dA))) if dA.size else 0.0
 
 
-def bound_parts(values: FrameValues, bases, n_dirs=256, seed=0, rounds=3):
+def bound_parts(values: FrameValues, bases):
     """(sup ||dA|_E||, sup ||(A|_Y)^{-1}||, M_A) of one evaluated frame: the
     factors of the asymptotic involutivity trace and the tangency bound."""
     pts, dA = values.points, values.dA
-    return (_d_restricted_sup(dA, bases, pts, n_dirs, seed, rounds),
+    return (_d_restricted_sup(dA, bases, pts),
             _lattice_sup(_sigma_max(values.inv), pts, {"points": len(pts)}),
-            _mixing_sup(dA, values.U, bases, pts, n_dirs, seed, rounds))
+            _mixing_sup(dA, values.U, bases, pts))
 
 
-def involutivity_constant(frame, dist_or_bases, points, n_dirs=256, seed=0,
-                          rounds=3):
+def involutivity_constant(frame, dist_or_bases, points, *, n_dirs=None,
+                          seed=None):
     """M_A = sup |dA_p((A_p|_Y)^{-1} w, v)| over unit w, unit v in E, p.
 
-    The w-maximization is exact (singular value of a linear map).  With
-    one frame row (n == 1) the value is |C_p . t| for the coefficient row
-    C_p of v = B t, whose sup over unit t is the row norm |C_p|: exact
-    per point.  Otherwise the v-sphere inside E is sampled with
-    refinement.  Either way the result is a lower bound of the sup over
-    the region, being a sup over the lattice.
+    Exact per lattice point (see the module docstring), so a lower bound
+    of the region's sup only through the lattice.  n_dirs and seed are
+    ignored: they set the sphere sampler this replaced, and the cfbench
+    workloads still pass them.
     """
     v = evaluate_frame(frame, points)
     return _mixing_sup(v.dA, v.U, _as_bases(dist_or_bases, v.points),
-                       v.points, n_dirs, seed, rounds)
+                       v.points)
 
 
 def _as_bases(dist_or_bases, points):
     if isinstance(dist_or_bases, Distribution):
         return dist_or_bases.orthonormal_bases_at(points)
     b = np.asarray(dist_or_bases, dtype=float)
-    assert b.shape[0] == len(points)
+    if b.shape[0] != len(points):
+        raise RangeError(f"bases for {b.shape[0]} points given on a lattice "
+                         f"of {len(points)} points")
     return b
 
 
@@ -413,8 +428,7 @@ def _weighted(prefactor, eps, exponent):
     return prefactor * float(np.exp(eps * exponent))
 
 
-def asymptotic_involutivity_trace(frames, dists, eps, points, n_dirs=256,
-                                  seed=0, rounds=3):
+def asymptotic_involutivity_trace(frames, dists, eps, points):
     """Per-step quantities q_k = ||dA_k|_{E_k}|| ||A_k^{-1}|| e^{eps M_k}.
 
     Also returns the strong-form surrogate
@@ -427,7 +441,7 @@ def asymptotic_involutivity_trace(frames, dists, eps, points, n_dirs=256,
     for k, (frame, dist) in enumerate(zip(frames, dists)):
         v = evaluate_frame(frame, pts)
         d_restr, inv_norm, m_const = (e.value for e in bound_parts(
-            v, _as_bases(dist, pts), n_dirs, seed, rounds))
+            v, _as_bases(dist, pts)))
         q = _weighted(d_restr * inv_norm, eps, m_const)
         wedge_sup = float(np.max(stacked_wedge_norms(v.A, v.dA), initial=0.0))
         d_sup = _d_sup(v.dA)
@@ -438,12 +452,13 @@ def asymptotic_involutivity_trace(frames, dists, eps, points, n_dirs=256,
     return out
 
 
-def exterior_regularity_trace(frames, limit, eps, points, n_dirs=256, seed=0,
-                              rounds=3):
+def exterior_regularity_trace(frames, limit, eps, points, *, n_dirs=None,
+                              seed=None):
     """Per-step quantities ||B_k|_E|| ||B_k^{-1}|| e^{eps M_k} against the
     limit distribution E, plus the strong surrogate
     max_j |beta^k_j - beta_j|_inf * e^{eps max_i |d beta^k_i|_inf} when a
-    symbolic limit frame is available (limit given as a Distribution)."""
+    symbolic limit frame is available (limit given as a Distribution).
+    n_dirs and seed are ignored, as in involutivity_constant."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     bases = _as_bases(limit, pts)
     limit_frame = annihilator_frame(limit) if isinstance(limit, Distribution) \
@@ -454,8 +469,7 @@ def exterior_regularity_trace(frames, limit, eps, points, n_dirs=256, seed=0,
         v = evaluate_frame(frame, pts)
         restr = float(np.max(_sigma_max(v.A @ bases)))
         inv_norm = float(np.max(_sigma_max(v.inv)))
-        m_const = _mixing_sup(v.dA, v.U, bases, pts, n_dirs, seed,
-                              rounds).value
+        m_const = _mixing_sup(v.dA, v.U, bases, pts).value
         q = _weighted(restr * inv_norm, eps, m_const)
         d_sup = _d_sup(v.dA)
         strong = None

@@ -180,7 +180,9 @@ class CriterionReport:
 
     def __post_init__(self):
         self.trace = np.asarray(self.trace, dtype=float)
-        assert len(self.trace) > 0, "trace must be nonempty"
+        if len(self.trace) == 0:
+            raise RangeError(f"{self.criterion} report needs a nonempty "
+                             f"trace")
 
     def to_csv(self):
         meta = [("criterion", self.criterion), ("verdict", self.verdict)]

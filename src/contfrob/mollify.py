@@ -46,7 +46,10 @@ class GridFunction:
     def __post_init__(self):
         self.axes = tuple(np.asarray(a, dtype=float) for a in self.axes)
         self.values = np.asarray(self.values, dtype=float)
-        assert self.values.shape == tuple(len(a) for a in self.axes)
+        axes_shape = tuple(len(a) for a in self.axes)
+        if self.values.shape != axes_shape:
+            raise RangeError(f"grid values of shape {self.values.shape} do "
+                             f"not match axes of lengths {axes_shape}")
         for a in self.axes:
             d = np.diff(a)
             if not (len(d) >= 1 and np.allclose(d, d[0], rtol=1e-9)

@@ -316,10 +316,11 @@ class TangencyReport:
         return bool(np.all(self.defects <= self.rhs + self.fd_tol))
 
 
-def tangency_defect(patch: SurfacePatch, dist: Distribution, sup_res=17,
-                    n_dirs=256, seed=0):
+def tangency_defect(patch: SurfacePatch, dist: Distribution, sup_res=17, *,
+                    n_dirs=None, seed=None):
     """Per-node, per-direction defect |dW/dt_i - X_i(W)| and its bound,
-    from the annihilator frame of the distribution."""
+    from the annihilator frame of the distribution.  n_dirs and seed are
+    ignored, as in geometry.involutivity_constant."""
     X = eval_fields(dist.spanning_fields(),
                     env_of(dist.coords, patch.flat_points()))
     diff = patch.tangents.reshape(patch.m, -1, dist.dim) - np.swapaxes(X, 0, 1)
@@ -328,7 +329,7 @@ def tangency_defect(patch: SurfacePatch, dist: Distribution, sup_res=17,
     pts = dist.domain.lattice(sup_res)
     d_restr, inv_norm, m_const = (e.value for e in bound_parts(
         evaluate_frame(annihilator_frame(dist), pts),
-        dist.orthonormal_bases_at(pts), n_dirs, seed))
+        dist.orthonormal_bases_at(pts)))
     rhs = patch.m * patch.eps1 * d_restr * inv_norm * \
         math.exp(patch.m * patch.eps1 * m_const)
     fd_tol = 10.0 * patch.spacing ** 2
@@ -347,7 +348,7 @@ class PushforwardCheck:
 
 def pushforward_bound_check(dist: Distribution, frame: FrameSection, x0,
                             times, Y0, cfg: FlowConfig, m_const=None,
-                            sup_res=17, n_dirs=256, seed=0):
+                            sup_res=17):
     """Composed variational flow of a vertical vector against its bound,
     passed when lhs <= rhs * (1 + 1e-3).
 
@@ -365,7 +366,7 @@ def pushforward_bound_check(dist: Distribution, frame: FrameSection, x0,
     if m_const is None:
         pts = dist.domain.lattice(sup_res)
         bases = dist.orthonormal_bases_at(pts)
-        m_const = involutivity_constant(frame, bases, pts, n_dirs, seed).value
+        m_const = involutivity_constant(frame, bases, pts).value
     fields = dist.spanning_fields()
     x, Y = x0, Y0
     for i in range(dist.m):

@@ -95,12 +95,12 @@ def test_c4_tangency_inequality():
     dist = contact_distribution()
     cfg = FlowConfig(step=0.1 / 16.0)
     patch = build_surface(dist, np.zeros(3), 0.1, 17, cfg)
-    rep = tangency_defect(patch, dist, sup_res=7, n_dirs=256, seed=0)
+    rep = tangency_defect(patch, dist, sup_res=7)
     all_nodes_ok = bool(np.all(rep.defects <= rep.rhs + rep.fd_tol))
 
     patch2 = build_surface(dist, np.zeros(3), 0.05, 17,
                            FlowConfig(step=0.05 / 16.0))
-    rep2 = tangency_defect(patch2, dist, sup_res=7, n_dirs=256, seed=0)
+    rep2 = tangency_defect(patch2, dist, sup_res=7)
     ratio = rep2.rhs / rep.rhs
     halving_ok = abs(ratio - 0.5) <= 0.2 * 0.5
     ok = all_nodes_ok and halving_ok
@@ -139,8 +139,7 @@ def test_c5_pushforward_inequality():
         frame = annihilator_frame(dist)
         pts = dist.domain.lattice(5)
         bases = dist.orthonormal_bases_at(pts)
-        m_const = involutivity_constant(frame, bases, pts, n_dirs=256,
-                                        seed=0).value
+        m_const = involutivity_constant(frame, bases, pts).value
         x0, times, Y0 = c5_draws(dist, margin, rng, 100)
         checks = pushforward_bound_check(dist, frame, x0, times, Y0, cfg,
                                          m_const=m_const)
@@ -162,7 +161,7 @@ def test_c5_batched_checks_equal_per_check_path():
         frame = annihilator_frame(dist)
         pts = dist.domain.lattice(5)
         m_const = involutivity_constant(frame, dist.orthonormal_bases_at(pts),
-                                        pts, n_dirs=256, seed=0).value
+                                        pts).value
         x0, times, Y0 = c5_draws(dist, margin, rng, 100)
         batch = pushforward_bound_check(dist, frame, x0[:10], times[:10],
                                         Y0[:10], cfg, m_const=m_const)
@@ -265,7 +264,7 @@ def test_c9_skew_product_growth_and_traces():
     for eps in (0.1, 0.5, 1.0):
         _, asym, ext = splitting_involutivity_pipeline(
             phi, skew_seed_bases(), base, f_samples, 8, eps, pts,
-            limit=lim, n_dirs=64, seed=0)
+            limit=lim)
         a_ok = asym[-1].q <= asym[0].q / 10.0
         e_ok = ext[-1].q <= ext[0].q / 10.0
         traces_ok = traces_ok and a_ok and e_ok

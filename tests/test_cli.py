@@ -174,6 +174,22 @@ def test_dyn_traces_config_k_max_0_is_step_count_error(tmp_path, capsys):
     assert not (tmp_path / "dyn_traces.csv").exists()
 
 
+def test_dyn_traces_n_dirs_is_gone(tmp_path, capsys):
+    # the traces' sups are exact, so dyn traces has no n_dirs any more
+    path = tmp_path / "exp.cfg"
+    path.write_text("[experiment]\nkind = dyn-traces\n[params]\n"
+                    "example = skew-product\nn_dirs = 64\n")
+    assert main(["run", "--config", str(path)]) == 1
+    assert capsys.readouterr().err == (
+        "parse error: unknown keys for 'dyn-traces': ['n_dirs']\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["dyn", "traces", "--example", "skew-product", "--n-dirs", "64",
+              "--out", str(tmp_path)])
+    assert exc.value.code == 1
+    assert "unrecognized arguments: --n-dirs 64" in capsys.readouterr().err
+    assert not (tmp_path / "dyn_traces.csv").exists()
+
+
 def test_dyn_transport_negative_k_is_step_count_error(tmp_path, capsys):
     rc = main(["dyn", "transport", "--example", "cat-map", "--k", "-1",
                "--out", str(tmp_path)])

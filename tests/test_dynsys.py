@@ -219,7 +219,7 @@ def test_pipeline_cat_map_traces():
                           (len(pts), 2, 1))
     rep, asym, ext = splitting_involutivity_pipeline(
         phi, e0, base, cat_expanding_direction()[:, None], 10, 1.0, pts,
-        limit=lim, n_dirs=16)
+        limit=lim)
     assert rep.dominated
     # constant base frame: d of the pullback vanishes identically
     assert all(t.q == 0.0 for t in asym)
@@ -388,14 +388,13 @@ def test_pipeline_equals_per_k_reference(name):
     base = curved_frame(phi.coords)
     k_max, eps = 6, 0.5
     rep, asym, ext = splitting_involutivity_pipeline(
-        phi, e0, base, f, k_max, eps, pts, limit=lim, n_dirs=8)
+        phi, e0, base, f, k_max, eps, pts, limit=lim)
     assert rep.dominated
     frames = [ReferenceFrame(phi, base, k) for k in range(1, k_max + 1)]
     dists = [reference_transport(phi, e0, k, pts)
              for k in range(1, k_max + 1)]
-    ref_asym = asymptotic_involutivity_trace(frames, dists, eps, pts,
-                                             n_dirs=8)
-    ref_ext = exterior_regularity_trace(frames, lim, eps, pts, n_dirs=8)
+    ref_asym = asymptotic_involutivity_trace(frames, dists, eps, pts)
+    ref_ext = exterior_regularity_trace(frames, lim, eps, pts)
     assert [(t.q, t.strong, t.parts) for t in asym] == \
         [(t.q, t.strong, t.parts) for t in ref_asym]
     assert [(t.q, t.parts) for t in ext] == [(t.q, t.parts) for t in ref_ext]
@@ -418,7 +417,7 @@ def test_pipeline_evaluates_map_once_per_step(monkeypatch, name, k_max):
     counted("apply")
     counted("jacobian")
     rep, asym, ext = splitting_involutivity_pipeline(
-        phi, e0, base, f, k_max, 1.0, pts, limit=lim, n_dirs=4, seed=0)
+        phi, e0, base, f, k_max, 1.0, pts, limit=lim)
     assert rep.dominated and asym is not None and ext is not None
     assert calls == {"apply": k_max, "jacobian": k_max}
 
@@ -444,8 +443,7 @@ def test_pipeline_evaluates_each_frame_once_per_trace(monkeypatch, name):
     # evaluate_frame holds the one transversality check
     counted(geometry, "evaluate_frame")
     rep, asym, ext = splitting_involutivity_pipeline(
-        phi, e0, curved_frame(phi.coords), f, k_max, 1.0, pts, limit=lim,
-        n_dirs=4, seed=0)
+        phi, e0, curved_frame(phi.coords), f, k_max, 1.0, pts, limit=lim)
     assert rep.dominated and len(asym) == len(ext) == k_max
     # k_max frames, each evaluated once by each of the two traces
     assert {method: sorted(per_frame.values())

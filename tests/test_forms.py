@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from contfrob.errors import RangeError
 from contfrob.fields import Const, coord, exp, log, parse_field, sin
 from contfrob.forms import (KForm, exterior_derivative,
                             numeric_wedge_with_two_form, numeric_wedge_norm,
@@ -167,3 +168,37 @@ def test_stacked_wedge_norms_equal_per_point_reference(D, n, N, seed):
     ref = np.array([[numeric_wedge_norm(rows[p], T[p, j]) for j in range(n)]
                     for p in range(N)]).reshape(N, n)
     assert np.array_equal(stacked_wedge_norms(rows, T), ref)
+
+
+def test_kform_index_mismatch_is_range_error():
+    with pytest.raises(RangeError, match=r"index \(0,\) of a 2-form is not"):
+        KForm(XY, 2, {(0,): Const(1.0)})
+    with pytest.raises(RangeError, match=r"index \(1, 0\) of a 2-form"):
+        KForm(XY, 2, {(1, 0): Const(1.0)})
+
+
+def test_kform_add_across_spaces_is_range_error():
+    with pytest.raises(RangeError, match="cannot add a 1-form"):
+        one_form(XY, {"x": y}) + one_form(XYZ, {"x": y})
+    with pytest.raises(RangeError, match="to a 2-form over"):
+        one_form(XY, {"x": y}) + exterior_derivative(one_form(XY, {"x": y}))
+
+
+def test_pair_vector_of_a_two_form_is_range_error():
+    two = exterior_derivative(one_form(XY, {"x": y}))
+    with pytest.raises(RangeError, match="pair_vector needs a 1-form, got "
+                                         "a 2-form"):
+        two.pair_vector([Const(1.0), Const(0.0)])
+
+
+def test_two_form_matrices_of_a_one_form_is_range_error():
+    with pytest.raises(RangeError, match="two_form_matrices_at needs a "
+                                         "2-form"):
+        one_form(XY, {"x": y}).two_form_matrices_at(
+            {"x": np.zeros(2), "y": np.zeros(2)})
+
+
+def test_wedge_across_coordinates_is_range_error():
+    with pytest.raises(RangeError, match=r"cannot wedge forms over "
+                                         r"\('x', 'y'\) and"):
+        wedge(one_form(XY, {"x": y}), one_form(XYZ, {"z": x}))

@@ -2,7 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from contfrob.boxes import Box
@@ -14,8 +14,6 @@ from contfrob.geometry import (Distribution, FrameSection, annihilator_frame,
                                evaluate_frame,
                                exterior_regularity_trace, frobenius_defect,
                                involutivity_constant, max_principal_angle)
-from contfrob.geometry import (_D_RESTRICTED_U, _MIXING_U,
-                               _sampled_sphere_sup)
 from contfrob.mollify import grid_from_field, mollify, to_spline_field
 
 x, y, z = coord("x"), coord("y"), coord("z")
@@ -116,8 +114,7 @@ def test_involutivity_constant_contact_vertical_insensitive():
     # d eta = dx ^ dy pairs to zero against the vertical d/dz, so the
     # mixing constant vanishes even though the defect is 1.
     d = contact_distribution()
-    m = involutivity_constant(annihilator_frame(d), d, BOX3.lattice(5),
-                              n_dirs=64)
+    m = involutivity_constant(annihilator_frame(d), d, BOX3.lattice(5))
     assert m.value <= 1e-12
     assert m.protocol["kind"] == "lower-bound"
 
@@ -130,10 +127,10 @@ def test_involutivity_constant_scale_invariance():
                                     "y2": (-0.5, 0.5)}))
     frame = annihilator_frame(d)
     pts = d.domain.lattice(5)
-    m1 = involutivity_constant(frame, d, pts, n_dirs=64, seed=1)
+    m1 = involutivity_constant(frame, d, pts)
     assert m1.value > 0.0
     for c in (3.0, 0.25):
-        m2 = involutivity_constant(frame.scale(c), d, pts, n_dirs=64, seed=1)
+        m2 = involutivity_constant(frame.scale(c), d, pts)
         assert abs(m2.value - m1.value) <= 1e-12 * max(1.0, m1.value)
 
 
@@ -171,48 +168,68 @@ def test_involutivity_constant_against_brute_force():
     assert est.value <= brute * 1.05
 
 
+def _sampled_involutivity_constants(frame, dist, pts, counts, seed=3):
+    """M_A with (w, v) restricted to the first k of one seeded sample of
+    unit directions on each sphere, for each k in counts: a sphere of
+    dimension 0 ({+-1}) is not sampled.  The sets are nested, so the
+    values are a lower bound that grows with k."""
+    rng = np.random.default_rng(seed)
+    bases = dist.orthonormal_bases_at(pts)
+    values = evaluate_frame(frame, pts)
+    n, r = values.U.shape[-1], bases.shape[-1]
+    k_max = max(counts)
+    w = _unit(rng.standard_normal((k_max if n > 1 else 1, n)))
+    t = _unit(rng.standard_normal((k_max if r > 1 else 1, r)))
+    u = np.einsum("pcl,sl->psc", values.U, w)
+    v = np.einsum("pda,ta->ptd", bases, t)
+    # (P, S, T): |dA_p(u_s, v_t)| over the frame rows j
+    grid = np.linalg.norm(np.einsum("psc,pjcd,ptd->pstj", u, values.dA, v),
+                          axis=-1)
+    return [float(np.max(grid[:, :k, :k])) for k in counts]
+
+
+def _assert_sampling_climbs_to_exact(frame, dist, pts, counts):
+    exact = involutivity_constant(frame, dist, pts).value
+    vals = _sampled_involutivity_constants(frame, dist, pts, counts)
+    assert vals == sorted(vals)
+    assert vals[-1] <= exact * (1.0 + 1e-12)
+    assert exact <= vals[-1] * 1.001
+    return vals
+
+
 def test_sphere_sampling_monotone_in_directions():
+    # one frame row (n = 1): only the E-sphere is sampled
     d = Distribution(("x1", "x2"), ("y1",),
                      [[parse_field("y1 + x2")], [parse_field("x1*y1")]],
                      Box.from_dict({"x1": (-0.5, 0.5), "x2": (-0.5, 0.5),
                                     "y1": (-0.5, 0.5)}))
     frame = annihilator_frame(d)
-    pts = d.domain.lattice(5)
-    vals = [involutivity_constant(frame, d, pts, n_dirs=nd, seed=3,
-                                  rounds=0).value
-            for nd in (8, 32, 128)]
-    assert vals[0] <= vals[1] <= vals[2]
+    _assert_sampling_climbs_to_exact(frame, d, d.domain.lattice(5),
+                                     (8, 32, 128))
 
 
 def test_sphere_sampling_monotone_in_directions_two_rows():
-    # two frame rows (n = 2): the u-sphere is sampled, not closed-form
+    # two frame rows (n = 2), rank-one E: only the u-sphere is sampled
     d = Distribution(("x",), ("y1", "y2"),
                      [[parse_field("y2"), parse_field("x*y1")]],
                      Box.from_dict({"x": (-0.5, 0.5), "y1": (-0.5, 0.5),
                                     "y2": (-0.5, 0.5)}))
     frame = annihilator_frame(d)
-    pts = d.domain.lattice(5)
-    ests = [involutivity_constant(frame, d, pts, n_dirs=nd, seed=3,
-                                  rounds=0) for nd in (8, 32, 128)]
-    vals = [e.value for e in ests]
-    assert vals[0] <= vals[1] <= vals[2]
+    vals = _assert_sampling_climbs_to_exact(frame, d, d.domain.lattice(5),
+                                            (8, 32, 128))
     assert vals[0] > 0.0
-    assert ests[0].protocol["n_dirs"] == 8
-    assert "u_maximization" not in ests[0].protocol
 
 
 def test_sphere_sampling_monotone_in_directions_sampled_u_sphere():
-    # m = 2 and n = 2: both the x-sphere and the u-sphere are sampled
+    # m = 2 and n = 2: both the E-sphere and the u-sphere are sampled
     names = ("x1", "x2", "y1", "y2")
     d = Distribution(("x1", "x2"), ("y1", "y2"),
                      [[parse_field("y2"), parse_field("x1*y1")],
                       [parse_field("x2*y2"), parse_field("y1")]],
                      Box.from_dict({v: (-0.5, 0.5) for v in names}))
     frame = annihilator_frame(d)
-    pts = d.domain.lattice(4)
-    vals = [involutivity_constant(frame, d, pts, n_dirs=nd, seed=3,
-                                  rounds=0).value for nd in (2, 8, 32, 128)]
-    assert vals == sorted(vals)
+    vals = _assert_sampling_climbs_to_exact(frame, d, d.domain.lattice(4),
+                                            (2, 8, 32, 128))
     assert vals[1] > vals[0]
 
 
@@ -220,24 +237,26 @@ _COEFFS = st.sampled_from([-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0])
 
 
 @st.composite
-def codim_one_distributions(draw):
-    """X_i = d/dx_i + a_i d/dy, each a_i a polynomial of degree <= 2 in
-    (x_1..x_m, y), m <= 3, on [-0.5, 0.5]^(m+1)."""
-    m = draw(st.integers(1, 3))
-    names = tuple(f"x{i}" for i in range(1, m + 1)) + ("y",)
+def graph_distributions(draw, max_m, y_names):
+    """X_i = d/dx_i + sum_j a_ij d/dy_j, each a_ij a polynomial of degree
+    <= 2 in (x_1..x_m, y_names), 1 <= m <= max_m, on [-0.5, 0.5]^(m+n)."""
+    m = draw(st.integers(1, max_m))
+    names = tuple(f"x{i}" for i in range(1, m + 1)) + y_names
     monomials = [()] + [(a,) for a in names] + \
         [(a, b) for i, a in enumerate(names) for b in names[i:]]
-    coeffs = []
-    for _ in range(m):
+
+    def polynomial():
         f = ZERO
         for mono in draw(st.lists(st.sampled_from(monomials), max_size=4)):
             term = Const(draw(_COEFFS))
             for v in mono:
                 term = term * coord(v)
             f = f + term
-        coeffs.append([f])
+        return f
+
+    coeffs = [[polynomial() for _ in y_names] for _ in range(m)]
     box = Box.from_dict({v: (-0.5, 0.5) for v in names})
-    return Distribution(names[:-1], ("y",), coeffs, box)
+    return Distribution(names[:m], y_names, coeffs, box)
 
 
 def _unit(v):
@@ -290,7 +309,7 @@ def _brute_bilinear_sup(T, L, R, n_samples=128, seed=0):
 
 
 @settings(max_examples=30, deadline=None)
-@given(codim_one_distributions())
+@given(graph_distributions(3, ("y",)))
 def test_codim_one_sups_are_exact(dist):
     frame = annihilator_frame(dist)
     pts = dist.domain.lattice(3)
@@ -309,15 +328,137 @@ def test_codim_one_sups_are_exact(dist):
         assert est.protocol["kind"] == "lower-bound"
         assert "n_dirs" not in est.protocol
 
-    D2 = np.einsum("pda,pjde,peb->pjab", bases, dA, bases)
-    C = np.einsum("pcl,pjcd,pda->pjla", U, dA, bases)
-    for exact, T, subscripts, left in (
-            (d_restr.value, D2, _D_RESTRICTED_U, bases),
-            (m_const.value, C, _MIXING_U, U)):
-        sampled, _ = _sampled_sphere_sup(T, subscripts, 256, 0, 3)
-        assert exact >= sampled * (1.0 - 1e-12) - atol
+    for exact, left in ((d_restr.value, bases), (m_const.value, U)):
         brute = _brute_bilinear_sup(dA[:, 0], left, bases)
         assert abs(exact - brute) <= 1e-6 * exact + atol
+
+
+def rotation_pencil_distribution():
+    """X1 = d/dx1 - y1 d/dy1 - y2 d/dy2, X2 = d/dx2 + y2 d/dy1 - y1 d/dy2:
+    at each point C[:, :, 0] = I / s and C[:, :, 1] = J / s with
+    s = sqrt(1 + |y|^2), so sigma_1 = sigma_2 at every angle and the
+    degree-6 stationarity polynomial of the exact M_A vanishes."""
+    names = ("x1", "x2", "y1", "y2")
+    return Distribution(("x1", "x2"), ("y1", "y2"),
+                        [[parse_field("-y1"), parse_field("-y2")],
+                         [parse_field("y2"), parse_field("-y1")]],
+                        Box.from_dict({v: (-0.5, 0.5) for v in names}))
+
+
+def _angle_grid_sup(value, n_points, n_angles=512, n_peaks=3):
+    """Per-point max over theta of value(theta), theta of period pi.
+
+    value maps angles (P, S) to values (P, S).  Returns the max over a
+    grid of n_angles angles, and the max after refining the grid's
+    n_peaks best local maxima by golden-section search over their
+    neighbouring grid cells.
+    """
+    h = np.pi / n_angles
+    theta = np.broadcast_to(np.arange(n_angles) * h - 0.5 * np.pi,
+                            (n_points, n_angles))
+    grid = value(theta)
+    peak = (grid >= np.roll(grid, 1, axis=1)) & \
+        (grid >= np.roll(grid, -1, axis=1))
+    best = np.argsort(np.where(peak, grid, -np.inf), axis=1)[:, -n_peaks:]
+    lo = np.take_along_axis(theta, best, axis=1) - h
+    hi = lo + 2.0 * h
+    g = 0.5 * (np.sqrt(5.0) - 1.0)
+    c, d = hi - g * (hi - lo), lo + g * (hi - lo)
+    fc, fd = value(c), value(d)
+    for _ in range(60):
+        left = fc >= fd  # the max lies in [lo, d]
+        lo, hi = np.where(left, lo, c), np.where(left, d, hi)
+        new = np.where(left, hi - g * (hi - lo), lo + g * (hi - lo))
+        fnew = value(new)
+        c, d = np.where(left, new, d), np.where(left, c, new)
+        fc, fd = np.where(left, fnew, fd), np.where(left, fc, fnew)
+    refined = np.maximum(np.max(fc, axis=1), np.max(fd, axis=1))
+    return np.max(grid, axis=1), np.maximum(refined, np.max(grid, axis=1))
+
+
+def _sigma_max_on_angles(K0, K1):
+    """theta (P, S) -> sigma_max(cos(theta) K0_p + sin(theta) K1_p)."""
+    def value(theta):
+        K = np.cos(theta)[..., None, None] * K0[:, None] + \
+            np.sin(theta)[..., None, None] * K1[:, None]
+        return np.linalg.svd(K, compute_uv=False)[..., 0]
+    return value
+
+
+@settings(max_examples=30, deadline=None)
+@given(graph_distributions(2, ("y1", "y2")))
+@example(rotation_pencil_distribution())
+def test_two_row_sups_are_exact(dist):
+    # n = 2 rows with r = 1 or 2: the exact sups are >= every direction
+    # of a dense angle grid and within 1e-12 of its refined maximum
+    frame = annihilator_frame(dist)
+    pts = dist.domain.lattice(3)
+    bases = dist.orthonormal_bases_at(pts)
+    values = evaluate_frame(frame, pts)
+    d_restr, _, m_const = bound_parts(values, bases)
+    assert m_const.value == involutivity_constant(frame, bases, pts).value
+    r = dist.m
+    C = np.einsum("pcl,pjcd,pda->pjla", values.U, values.dA, bases)
+    D2 = np.einsum("pda,pjde,peb->pjab", bases, values.dA, bases)
+    if r == 1:
+        # the unit v in E is +-B e_0; the angle is that of unit w in R^2
+        M_grid, M_brute = _angle_grid_sup(
+            lambda th: np.linalg.norm(
+                np.cos(th)[..., None] * C[:, None, :, 0, 0]
+                + np.sin(th)[..., None] * C[:, None, :, 1, 0], axis=-1),
+            len(pts))
+        D_grid = D_brute = np.zeros(len(pts))
+    else:
+        # the angle is that of unit v = B t in E; w is an exact SVD
+        M_grid, M_brute = _angle_grid_sup(
+            _sigma_max_on_angles(C[..., 0], C[..., 1]), len(pts))
+        # the angle is that of unit u = B t in E; v is an exact SVD
+        D_grid, D_brute = _angle_grid_sup(
+            _sigma_max_on_angles(D2[:, :, 0], D2[:, :, 1]), len(pts))
+    # an exactly vanishing sup may read as rounding of the dA entries
+    atol = 1e-13 * max(1.0, float(np.max(np.abs(values.dA))))
+    for est, grid, brute in ((m_const, M_grid, M_brute),
+                             (d_restr, D_grid, D_brute)):
+        assert est.protocol["kind"] == "lower-bound"
+        assert np.max(grid) <= est.value * (1.0 + 1e-14) + atol
+        assert abs(est.value - np.max(brute)) <= 1e-12 * est.value + atol
+
+
+_I2, _J2 = np.eye(2), np.array([[0.0, -1.0], [1.0, 0.0]])
+
+
+@pytest.mark.parametrize("C0, C1, expected", [
+    (_I2, _J2, 1.0),
+    (_I2, 2.0 * _J2, 2.0),
+    (_I2, _I2 + _J2, 0.5 * (1.0 + np.sqrt(5.0))),
+    (np.diag([1.0, 0.0]), np.diag([0.0, 1.0]), 1.0)],
+    ids=["rotations", "scaled", "golden", "diagonal"])
+def test_two_by_two_sup_on_conformal_and_diagonal_pencils(C0, C1, expected):
+    # the first three pencils are conformal at every angle (sigma_1 =
+    # sigma_2), so the degree-6 polynomial vanishes; the golden one peaks
+    # off both axes, at a critical point of |(a + d, b - c)|
+    from contfrob.geometry import _two_by_two_sup
+    assert _two_by_two_sup(C0[None], C1[None])[0] == \
+        pytest.approx(expected, rel=1e-14)
+
+
+@pytest.mark.parametrize("m, n", [(3, 2), (2, 3)])
+def test_unsupported_frame_shapes_are_range_errors(m, n):
+    # r = m, n rows: (n, r) = (2, 3) and (3, 2) have no exact sup
+    xs = tuple(f"x{i}" for i in range(m))
+    ys = tuple(f"y{j}" for j in range(n))
+    coeffs = [[coord(ys[(i + j) % n]) * coord(xs[i]) for j in range(n)]
+              for i in range(m)]
+    dist = Distribution(xs, ys, coeffs,
+                        Box.from_dict({v: (-0.5, 0.5) for v in xs + ys}))
+    frame = annihilator_frame(dist)
+    pts = dist.domain.lattice(2)
+    shape = f"n = {n} frame rows on rank r = {m}"
+    with pytest.raises(RangeError, match=shape):
+        involutivity_constant(frame, dist, pts)
+    with pytest.raises(RangeError, match=shape):
+        bound_parts(evaluate_frame(frame, pts),
+                    dist.orthonormal_bases_at(pts))
 
 
 def test_trace_zero_prefactor_skips_overflowing_exponential():
@@ -350,8 +491,7 @@ def test_asymptotic_trace_involutive_sequence_zero():
     d = involutive_distribution()
     frame = annihilator_frame(d)
     pts = BOX3.lattice(5)
-    trace = asymptotic_involutivity_trace([frame] * 3, [d] * 3, 1.0, pts,
-                                          n_dirs=32)
+    trace = asymptotic_involutivity_trace([frame] * 3, [d] * 3, 1.0, pts)
     assert all(t.q == 0.0 and t.strong == 0.0 for t in trace)
 
 
@@ -359,8 +499,7 @@ def test_asymptotic_trace_contact_no_decay():
     d = contact_distribution()
     frame = annihilator_frame(d)
     pts = BOX3.lattice(5)
-    trace = asymptotic_involutivity_trace([frame] * 3, [d] * 3, 1.0, pts,
-                                          n_dirs=32)
+    trace = asymptotic_involutivity_trace([frame] * 3, [d] * 3, 1.0, pts)
     qs = [t.q for t in trace]
     assert qs[0] > 0.0
     assert qs[0] == pytest.approx(qs[-1])
@@ -372,7 +511,7 @@ def test_exterior_regularity_annihilator_sequence_zero():
     d = contact_distribution()
     frame = annihilator_frame(d)
     pts = BOX3.lattice(5)
-    trace = exterior_regularity_trace([frame] * 3, d, 1.0, pts, n_dirs=32)
+    trace = exterior_regularity_trace([frame] * 3, d, 1.0, pts)
     assert all(t.q <= 1e-13 for t in trace)
     assert all(t.strong == 0.0 for t in trace)
 
@@ -409,7 +548,7 @@ def test_exterior_regularity_mollified_lipschitz_decays():
         [[parse_field("((x - 0.1)^2)^0.5 + 0.5*((y + 0.05)^2)^0.5")]],
         Box.from_dict({"x": (-0.4, 0.4), "y": (-0.4, 0.4)}))
     pts = limit.domain.lattice(7)
-    trace = exterior_regularity_trace(frames, limit, 1.0, pts, n_dirs=32)
+    trace = exterior_regularity_trace(frames, limit, 1.0, pts)
     strongs = [t.strong for t in trace]
     # |a^eps - a| ~ eps while |d eta| stays bounded: geometric decay
     assert strongs[-1] < strongs[0] / 4.0
@@ -429,7 +568,7 @@ def test_exterior_regularity_mollified_hoelder_diverges():
                 {s * e for e in eps_list for s in (0.25, 0.5, 1.0, 2.0)} |
                 {-s * e for e in eps_list for s in (0.25, 0.5, 1.0)})
     pts = np.array([[xv, yv] for xv in (-0.3, 0.0, 0.3) for yv in ys])
-    trace = exterior_regularity_trace(frames, limit, 1.0, pts, n_dirs=32)
+    trace = exterior_regularity_trace(frames, limit, 1.0, pts)
     strongs = [t.strong for t in trace]
     # sqrt-kernel derivative blows up like eps^{-1/2}: e^{eps0 |d eta|} wins
     assert strongs[-1] > 10.0 * strongs[0]
@@ -469,7 +608,7 @@ def test_sup_helpers_exactness():
     assert np.max(np.linalg.norm(inv, 2, axis=(1, 2))) == pytest.approx(1.0)
     bases = d.orthonormal_bases_at(pts)
     # annihilator restricted to its own kernel is ~0
-    ext = exterior_regularity_trace([frame], bases, 1.0, pts, n_dirs=8)
+    ext = exterior_regularity_trace([frame], bases, 1.0, pts)
     assert ext[0].parts["restricted"] <= 1e-13
 
 
@@ -487,31 +626,29 @@ def _special_form_trace_inputs():
 
 
 def test_trace_parts_pinned_two_row_special_form():
-    # values captured before the frame evaluation was shared between
-    # the sup functionals; every field must keep its bits
+    # d_restricted and M are the exact lattice sups of the n = r = 2
+    # closed forms; every field must keep its bits
     frames, limit, pts = _special_form_trace_inputs()
-    asym = asymptotic_involutivity_trace(frames, [limit] * 2, 0.5, pts,
-                                         n_dirs=32, seed=0)
-    ext = exterior_regularity_trace(frames, limit, 0.5, pts, n_dirs=32,
-                                    seed=0)
+    asym = asymptotic_involutivity_trace(frames, [limit] * 2, 0.5, pts)
+    ext = exterior_regularity_trace(frames, limit, 0.5, pts)
     assert [(e.k, e.q, e.strong, e.parts) for e in asym] == [
-        (0, 4.492965149195506e-05, 8.31402056703682e-18,
-         {"d_restricted": 3.751312597591976e-05, "inv_norm": 1.0,
-          "M": 0.3608141372134587, "wedge_sup": 6.938893903907228e-18,
+        (0, 4.4929657522725885e-05, 8.31402056703682e-18,
+         {"d_restricted": 3.7513125975918504e-05, "inv_norm": 1.0,
+          "M": 0.3608144056674402, "wedge_sup": 6.938893903907228e-18,
           "d_sup": 0.361601865270085, "eps": 0.5}),
-        (1, 0.0007197889788733347, 1.5803013808910454e-16,
-         {"d_restricted": 0.00048475922939685554,
-          "inv_norm": 0.9639483323693849, "M": 0.8640466672988405,
+        (1, 0.0007197904221143618, 1.5803013808910454e-16,
+         {"d_restricted": 0.00048475922939683597,
+          "inv_norm": 0.9639483323693849, "M": 0.8640506774730764,
           "wedge_sup": 7.569399196028258e-17, "d_sup": 1.4721739427708733,
           "eps": 0.5})]
     assert [(e.k, e.q, e.strong, e.parts) for e in ext] == [
-        (0, 0.00527653406197944, 0.0037905672259187172,
+        (0, 0.005276534770232777, 0.0037905672259187172,
          {"restricted": 0.004405538000193672, "inv_norm": 1.0,
-          "M": 0.3608141372134587, "d_sup": 0.361601865270085,
+          "M": 0.3608144056674402, "d_sup": 0.361601865270085,
           "eps": 0.5}),
-        (1, 0.001848940728425438, 1.2614719418446967,
+        (1, 0.0018489444357163909, 1.2614719418446967,
          {"restricted": 0.0012452136793132272,
-          "inv_norm": 0.9639483323693849, "M": 0.8640466672988405,
+          "inv_norm": 0.9639483323693849, "M": 0.8640506774730764,
           "d_sup": 1.4721739427708733, "eps": 0.5})]
 
 
@@ -521,7 +658,7 @@ def test_tangency_parts_pinned_contact():
     contact = presets.contact_distribution()
     patch = build_surface(contact, np.array([0.1, -0.05, 0.02]), 0.1, 9,
                           FlowConfig(step=0.1 / 16))
-    tan = tangency_defect(patch, contact, sup_res=5, n_dirs=64, seed=0)
+    tan = tangency_defect(patch, contact, sup_res=5)
     assert tan.rhs == 0.2
     assert tan.parts == {"d_restricted": 1.0, "inv_norm": 1.0, "M": 0.0,
                          "m": 2, "eps1": 0.1, "sup_res": 5}
@@ -532,3 +669,21 @@ def test_distribution_mismatch_is_range_error():
         Distribution(("x", "y"), ("z",), [[Const(0.0)]], BOX3)
     with pytest.raises(RangeError, match="distribution needs a domain box"):
         Distribution(("x",), ("y",), [[Const(0.0)]], BOX3)
+
+
+def test_frame_rows_must_be_one_forms_over_its_coords():
+    coords = ("x", "y")
+    with pytest.raises(RangeError, match=r"frame row 1 must be a 1-form "
+                                         r"over \('x', 'y'\)"):
+        FrameSection((one_form(coords, {"y": Const(1.0)}),
+                      one_form(("x", "z"), {"z": Const(1.0)})),
+                     coords, ("y",), BOX2)
+
+
+def test_bases_for_another_lattice_are_range_error():
+    d = contact_distribution()
+    pts = BOX3.lattice(3)
+    bases = d.orthonormal_bases_at(pts[:5])
+    with pytest.raises(RangeError, match="bases for 5 points given on a "
+                                         "lattice of 27 points"):
+        involutivity_constant(annihilator_frame(d), bases, pts)

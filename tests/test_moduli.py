@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 from contfrob.errors import (EvalDomainError, InsufficientDataError,
-                             ParseError, SingularIntegrandError)
-from contfrob.moduli import (FAILS, HOLDS, Hoelder, Lipschitz, LogLip,
-                             MaxModulus, ScaleModulus, SumModulus, Tabulated,
-                             estimate_modulus, fit_loglog_slope,
-                             limit_condition_check, osgood_check,
-                             parse_modulus)
+                             ParseError, RangeError, SingularIntegrandError)
+from contfrob.moduli import (FAILS, HOLDS, CriterionReport, Hoelder,
+                             Lipschitz, LogLip, MaxModulus, ScaleModulus,
+                             SumModulus, Tabulated, estimate_modulus,
+                             fit_loglog_slope, limit_condition_check,
+                             osgood_check, parse_modulus)
 
 ALL_KINDS = [
     Lipschitz(K=2.0),
@@ -190,3 +190,8 @@ def test_fit_loglog_slope_window():
     s = np.geomspace(1.0, 1e-10, 60)
     trace = np.stack([s, s ** 0.4], axis=1)
     assert fit_loglog_slope(trace, (1e-8, 1e-3)) == pytest.approx(0.4)
+
+
+def test_empty_criterion_trace_is_range_error():
+    with pytest.raises(RangeError, match="osgood report needs a nonempty"):
+        CriterionReport("osgood", HOLDS, np.zeros((0, 2)))

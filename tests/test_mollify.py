@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from contfrob.boxes import Box
-from contfrob.errors import EvalDomainError, MarginError, ResolutionError
+from contfrob.errors import (EvalDomainError, MarginError, RangeError,
+                             ResolutionError)
 from contfrob.fields import parse_field
 from contfrob.moduli import Hoelder, Lipschitz
 from contfrob.mollify import (GridFunction, grid_from_field, kernel, mollify,
@@ -163,3 +164,10 @@ def test_spline_2d_mixed_partials_identical():
     assert fxy == fyx  # interned leaf: identical object, identical floats
     env = {"x": 0.4, "y": 0.6}
     assert fxy.evaluate(env) == fyx.evaluate(env)
+
+
+def test_grid_values_against_axes_is_range_error():
+    xs = np.linspace(0.0, 1.0, 5)
+    with pytest.raises(RangeError, match=r"shape \(4,\) do not match axes "
+                                         r"of lengths \(5,\)"):
+        GridFunction((xs,), np.zeros(4))

@@ -259,7 +259,7 @@ def test_tangency_defect_involutive():
     d = involutive()
     cfg = FlowConfig(step=0.1 / 32)
     patch = build_surface(d, np.zeros(3), 0.1, 9, cfg)
-    rep = tangency_defect(patch, d, sup_res=5, n_dirs=32)
+    rep = tangency_defect(patch, d, sup_res=5)
     # bound right side vanishes (dA restricted to the distribution is 0)
     assert rep.rhs <= 1e-12
     assert rep.max_defect <= rep.fd_tol
@@ -270,14 +270,14 @@ def test_tangency_defect_contact_bound_and_scaling():
     d = contact()
     cfg = FlowConfig(step=0.1 / 32)
     patch = build_surface(d, np.zeros(3), 0.1, 9, cfg)
-    rep = tangency_defect(patch, d, sup_res=5, n_dirs=64)
+    rep = tangency_defect(patch, d, sup_res=5)
     assert rep.max_defect > 0.0
     assert rep.ok()
     # defect_1 = |t2| for the contact build: max ~ eps1
     assert rep.max_defect == pytest.approx(0.1, rel=0.05)
 
     patch2 = build_surface(d, np.zeros(3), 0.05, 9, FlowConfig(step=0.05 / 32))
-    rep2 = tangency_defect(patch2, d, sup_res=5, n_dirs=64)
+    rep2 = tangency_defect(patch2, d, sup_res=5)
     assert rep2.rhs == pytest.approx(rep.rhs / 2.0, rel=0.2)
     assert rep2.max_defect <= rep.max_defect / 2.0 + rep.fd_tol
 
@@ -286,8 +286,7 @@ def test_pushforward_bound_trivial_times():
     d = involutive()
     frame = annihilator_frame(d)
     chk = pushforward_bound_check(d, frame, np.zeros(3), [0.0, 0.0],
-                                  np.array([0.0, 0.0, 1.0]), CFG, sup_res=3,
-                                  n_dirs=16)
+                                  np.array([0.0, 0.0, 1.0]), CFG, sup_res=3)
     assert chk.passed
     assert chk.lhs == pytest.approx(1.0)
 
@@ -300,7 +299,7 @@ def test_pushforward_bound_randomized():
         pts = d.domain.lattice(5)
         bases = d.orthonormal_bases_at(pts)
         from contfrob.geometry import involutivity_constant
-        m_const = involutivity_constant(frame, bases, pts, n_dirs=64).value
+        m_const = involutivity_constant(frame, bases, pts).value
         for _ in range(25):
             x0 = rng.uniform(-0.2, 0.2, size=3)
             times = rng.uniform(-0.1, 0.1, size=2)
@@ -369,7 +368,7 @@ def test_patch_csv_export():
     d = contact()
     cfg = FlowConfig(step=0.1 / 16)
     patch = build_surface(d, np.zeros(3), 0.1, 5, cfg)
-    rep = tangency_defect(patch, d, sup_res=3, n_dirs=16)
+    rep = tangency_defect(patch, d, sup_res=3)
     text = patch_to_csv(patch, rep)
     lines = text.strip().splitlines()
     assert lines[-1].count(",") == 2 + 3 + 2 - 1  # t1,t2,x,y,z,defect1,defect2
@@ -396,6 +395,6 @@ def test_tangency_bound_evaluates_frame_once(monkeypatch):
     counted(geometry.FrameSection, "matrix_at")
     counted(geometry.FrameSection, "d_matrices_at")
     counted(surface, "evaluate_frame")
-    tangency_defect(patch, dist, sup_res=5, n_dirs=16)
+    tangency_defect(patch, dist, sup_res=5)
     assert calls == {"matrix_at": 1, "d_matrices_at": 1,
                      "evaluate_frame": 1}
