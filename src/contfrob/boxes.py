@@ -47,10 +47,15 @@ class Box:
     def contains(self, points, tol=0.0):
         """Boolean mask for points (d,) or (N, d)."""
         p = np.atleast_2d(np.asarray(points, dtype=float))
+        ok = self.container(tol)(p)
+        return bool(ok[0]) if np.ndim(points) == 1 else ok
+
+    def container(self, tol=0.0):
+        """contains(., tol) for float arrays (N, d), with the bounds
+        computed once: a loop that tests every step calls this."""
         lo = np.asarray(self.lows) - tol
         hi = np.asarray(self.highs) + tol
-        ok = np.all((p >= lo) & (p <= hi), axis=1)
-        return bool(ok[0]) if np.ndim(points) == 1 else ok
+        return lambda p: np.all((p >= lo) & (p <= hi), axis=1)
 
     def lattice(self, res=17):
         """Regular lattice, res points per axis (int or per-axis list)."""

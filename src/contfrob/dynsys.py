@@ -31,7 +31,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .boxes import env_of
 from .errors import (ConeError, DegenerateSubspaceError, RangeError,
                      StepCountError)
 from .fields import eval_fields
@@ -85,14 +84,14 @@ class DiffeoSpec:
         pts = np.atleast_2d(np.asarray(pts, dtype=float)).copy()
         fields = self.forward if k >= 0 else self.inverse
         for _ in range(abs(k)):
-            pts = self._wrap(eval_fields(fields, env_of(self.coords, pts)))
+            pts = self._wrap(eval_fields(fields, self.coords, pts))
         return pts
 
     def jacobian(self, pts, inverse=False):
         """(N, d, d) jacobians of phi (or phi^{-1}) at the points."""
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         jac = self._jac_inv if inverse else self._jac_fwd
-        return eval_fields(jac, env_of(self.coords, self._wrap(pts)))
+        return eval_fields(jac, self.coords, self._wrap(pts))
 
     def orbit(self, pts, k):
         """[p, phi(p), ..., phi^k(p)]: shape (k+1, N, d)."""

@@ -11,9 +11,17 @@ data and knows its own exact derivatives; smoothing pipelines use it to
 feed grid data through the same exterior-calculus code paths as closed
 forms.
 
-Evaluation is vectorized: an environment maps coordinate names to
-scalars or numpy arrays.  The single deliberate evaluation convention is
-that a product with a zero factor is zero even when another factor is
+Evaluation has two paths that give the same bits.  Field.evaluate is
+the reference: a tree walk over an environment mapping coordinate names
+to scalars or numpy arrays; constant folding and the tests use it.  The
+library evaluates through compile_fields and eval_fields instead: a
+field list becomes one generated numpy function of points (..., d),
+each distinct subexpression computed once, with the reference's operand
+order, ufuncs, guard and domain-error texts.  Both paths keep one
+errstate rule: Mul, Pow and the elementary functions run under
+np.errstate(all="ignore"), Add does not, so an array inf + -inf warns on
+either path.  The single deliberate evaluation convention is that a
+product with a zero factor is zero even when another factor is
 infinite, which makes terms like s*log(s) evaluate to 0 at s = 0.
 
 The elementary functions log, exp, sin and cos are one node class,
@@ -34,6 +42,8 @@ from __future__ import annotations
 
 import itertools
 import math
+import weakref
+from collections import OrderedDict
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -44,7 +54,7 @@ __all__ = [
     "Field", "Const", "Coord", "Add", "Mul", "Pow", "Unary", "SplineLeaf",
     "add", "mul", "pow_", "neg", "sub", "div", "log", "exp", "sin", "cos",
     "coord", "parse_field", "is_zero_field", "expand",
-    "eval_fields", "ZERO", "ONE",
+    "compile_fields", "eval_fields", "ZERO", "ONE",
 ]
 
 _EXPAND_CAP = 50_000
@@ -53,7 +63,7 @@ _EXPAND_CAP = 50_000
 class Field:
     """Base class; operators build canonicalized nodes."""
 
-    __slots__ = ("_key", "free_vars")
+    __slots__ = ("_key", "free_vars", "__weakref__")
 
     def diff(self, var: str) -> "Field":
         raise NotImplementedError
@@ -465,7 +475,7 @@ def pow_(base, exponent):
             return base
         if isinstance(base, Const):
             b, e = base.value, exponent.value
-            if b < 0.0 and e != round(e):
+            if b < 0.0 and e != np.round(e):  # round(nan) raises
                 raise EvalDomainError("fractional power of a negative constant")
             if b == 0.0 and e < 0.0:
                 raise EvalDomainError("zero constant raised to a negative power")
@@ -478,8 +488,9 @@ def pow_(base, exponent):
             c1, c2 = base.exponent.value, exponent.value
             # (b^c1)^c2 = b^(c1*c2) is wrong for even c1 with fractional c2
             # (it would drop the absolute value), so only fold safe cases
-            even_inner = c1 == round(c1) and int(round(c1)) % 2 == 0
-            if not (even_inner and c2 != round(c2)):
+            even_inner = (math.isfinite(c1) and c1 == round(c1)
+                          and int(round(c1)) % 2 == 0)
+            if not (even_inner and c2 != np.round(c2)):
                 return pow_(base.base, Const(c1 * c2))
     return Pow(base, exponent)
 
@@ -544,8 +555,8 @@ def expand(f):
     if isinstance(f, Pow):
         base = expand(f.base)
         e = f.exponent
-        if (isinstance(e, Const) and e.value == round(e.value)
-                and 2 <= e.value <= 8 and isinstance(base, Add)):
+        if (isinstance(e, Const) and 2 <= e.value <= 8
+                and e.value == round(e.value) and isinstance(base, Add)):
             out = base
             for _ in range(int(e.value) - 1):
                 out = expand(mul(out, base))
@@ -568,25 +579,251 @@ def is_zero_field(f, structural_only=False):
 
 
 # ---------------------------------------------------------------------------
-# evaluation helpers
+# compiled evaluation
+
+_CACHE_SIZE = 64
+_COMPILED = OrderedDict()  # key -> (function, finalizers), LRU first
+_CHAIN = 16  # operands per generated line of a long sum, product or mask
 
 
-def eval_fields(fields, env):
-    """Evaluate a list of fields, or a list of equal-length lists, at a
-    broadcast environment.
+def compile_fields(fields, coords, jacobian=False):
+    """One numpy function evaluating a field list at points.
 
-    Returns an array with the structure shape appended after the broadcast
-    shape, e.g. a matrix of fields over N points gives shape (N, r, c).
+    fields is a list of fields or a list of equal-length lists (struct
+    shape (k,) or (r, c)); the function maps points (..., d), one column
+    per name of coords, to values (..., *struct), bit for bit what
+    Field.evaluate gives.  With jacobian=True it returns the pair
+    (values, jac), jac of shape (..., *struct, d) holding the partials
+    along coords, computed in the same pass.
+
+    The source is generated once and passed through compile(): each
+    distinct _key becomes one statement in evaluation order, so a shared
+    subexpression is computed once; a node without free coordinates is
+    folded at compile time by Field.evaluate itself.  Operand order,
+    the ufuncs and the 0*inf guard of Mul are those of the reference,
+    and every domain check that depends on data stays a per-call check
+    with the reference's EvalDomainError text; a check on a constant
+    exponent is decided here.  Mul, Pow and Unary statements that follow
+    each other share one np.errstate(all="ignore") block; Add and spline
+    calls stay outside, as in the reference, so an array inf + -inf still
+    warns, and a list without ops enters no block.
+
+    Compiled functions are kept in a cache of _CACHE_SIZE entries, least
+    recently used out, keyed on the identity of the field objects.  An
+    entry lives only while all of its fields do, so an id is never reused
+    while cached, and a list built for one task (a mollified frame and
+    its spline data) is freed with its owner.  Owners that pass the same
+    field objects, such as frames, forms and distributions, hit it on
+    every call.
     """
+    flat, struct = _flatten(fields)
+    key = (tuple(map(id, flat)), struct, tuple(coords), jacobian)
+    return _cached(key) or _compile(key, flat, struct, jacobian)
+
+
+def eval_fields(fields, coords, points):
+    """Evaluate a list of fields, or a list of equal-length lists, at
+    points (..., d) over coords: shape (..., *struct), e.g. a matrix of
+    fields over N points gives (N, r, c).  Runs compile_fields(fields,
+    coords), compiling the list on its first evaluation."""
+    return compile_fields(fields, coords)(points)
+
+
+def _cached(key):
+    entry = _COMPILED.get(key)
+    if entry is None:
+        return None
+    _COMPILED.move_to_end(key)
+    return entry[0]
+
+
+def _compile(key, flat, struct, jacobian):
+    coords = key[2]
+    outputs = [(flat, struct)]
+    if jacobian:
+        outputs.append(([f.diff(c) for f in flat for c in coords],
+                        struct + (len(coords),)))
+    fn = _Source(coords).function(outputs)
+    finalizers = []
+    for f in {id(f): f for f in flat}.values():
+        fin = weakref.finalize(f, _drop, key)
+        fin.atexit = False
+        finalizers.append(fin)
+    _COMPILED[key] = (fn, finalizers)
+    while len(_COMPILED) > _CACHE_SIZE:
+        _drop(next(iter(_COMPILED)))
+    return fn
+
+
+def _drop(key):
+    """Remove an entry, when evicted or when one of its fields dies, and
+    the finalizers still watching its other fields."""
+    entry = _COMPILED.pop(key, None)
+    if entry is not None:
+        for fin in entry[1]:
+            fin.detach()
+
+
+def _flatten(fields):
     flat, struct = list(fields), (len(fields),)
     while flat and isinstance(flat[0], (list, tuple)):
         struct += (len(flat[0]),)
         flat = [f for row in flat for f in row]
-    shape = np.broadcast(*env.values()).shape
-    out = np.empty(shape + (len(flat),))
-    for c, f in enumerate(flat):
-        out[..., c] = f.evaluate(env)
-    return out.reshape(shape + struct)
+    return flat, struct
+
+
+class _Source:
+    """Generated source of one compiled function: the coordinate columns
+    it loads, its statements (each flagged when it belongs in an errstate
+    block) and the names it binds."""
+
+    def __init__(self, coords):
+        self.coords = coords
+        self.ns = {"_E": EvalDomainError, "_asarray": np.asarray,
+                   "_empty": np.empty, "_where": np.where,
+                   "_power": np.power, "_round": np.round,
+                   "_count": np.count_nonzero, "_prod": math.prod,
+                   "_errstate": np.errstate}
+        self.loads = {}  # coordinate index -> column name
+        self.body = []  # (in errstate, statement)
+        self.names = {}  # _key -> operand text
+        self.known = {}  # literal operand text -> its value
+        self.ids = itertools.count()
+
+    def bind(self, value, prefix):
+        name = f"{prefix}{len(self.ns)}"
+        self.ns[name] = value
+        return name
+
+    def literal(self, value):
+        value = float(value)
+        text = f"({value!r})" if math.isfinite(value) else \
+            self.bind(value, "_c")
+        self.known[text] = value
+        return text
+
+    def raise_(self, message):
+        self.body.append((False, f"raise _E({message!r})"))
+        return "None"  # the statements after a raise never run
+
+    def check(self, parts, message):
+        """Raise EvalDomainError(message) when every part holds; a part is
+        a bool decided now or source text tested per call."""
+        if False in parts:
+            return
+        tests = [t for t in parts if t is not True]
+        stmt = f"raise _E({message!r})"
+        self.body.append((True, f"if {' and '.join(tests)}: {stmt}"
+                          if tests else stmt))
+
+    def load(self, name):
+        i = self.coords.index(name)
+        return self.loads.setdefault(i, f"x{i}")
+
+    def operand(self, f):
+        """Source text of f's value, emitting each distinct node once."""
+        if isinstance(f, Const):
+            return self.literal(f.value)
+        text = self.names.get(f._key)
+        if text is None:
+            text = self.names[f._key] = self.node(f)
+        return text
+
+    def node(self, f):
+        if not f.free_vars:
+            try:
+                return self.literal(f.evaluate({}))
+            except EvalDomainError as err:
+                return self.raise_(str(err))
+        if isinstance(f, Coord):
+            if f.name not in self.coords:
+                return self.raise_(f"unbound coordinate {f.name!r}")
+            return self.load(f.name)
+        v = f"v{next(self.ids)}"
+        if isinstance(f, SplineLeaf):
+            ev = self.bind(f.evaluator, "_s")
+            args = ", ".join(self.load(n) for n in f.vars)
+            self.body.append((False, f"{v} = _asarray({ev}.ev([{args}], "
+                                     f"{f.orders!r}), dtype=float)"))
+        elif isinstance(f, Add):
+            ops = [self.operand(t) for t in f.terms]
+            self.body += [(False, s) for s in _chain(v, "+", ops)]
+        elif isinstance(f, Mul):
+            ops = [self.operand(g) for g in f.factors]
+            if any(self.known.get(op) == 0.0 for op in ops):
+                return self.literal(0.0)
+            # 0 * anything = 0, including 0 * inf, as in Mul.evaluate
+            zeros = [f"({op} == 0.0)" for op in ops if op not in self.known]
+            self.body += [(True, s) for s in _chain(v, "*", ops)]
+            self.body += [(True, s) for s in _chain("z", "|", zeros)]
+            self.body.append((True, f"if _count(z): "
+                                    f"{v} = _where(z, 0.0, {v})"))
+        elif isinstance(f, Pow):
+            self.power(v, self.operand(f.base), self.operand(f.exponent))
+        else:  # Unary
+            a = self.operand(f.arg)
+            if f.fn.domain_error is not None:
+                self.check([f"_count({a} < 0.0)"], f.fn.domain_error)
+            u = f"_{f.fn.name}"
+            self.ns[u] = f.fn.ufunc
+            self.body.append((True, f"{v} = {u}({a})"))
+        return v
+
+    def power(self, v, b, e):
+        """Pow.evaluate's two domain checks, then np.power."""
+        kb, ke = self.known.get(b), self.known.get(e)
+        b_known, e_known = b in self.known, e in self.known
+        self.check([
+            not bool(np.round(ke) == ke) if e_known
+            else f"_count({e} != _round({e}))",
+            bool(kb < 0.0) if b_known else f"_count({b} < 0.0)",
+        ], "fractional power of a negative base")
+        self.check([
+            bool(kb == 0.0) if b_known else f"_count({b} == 0.0)",
+            bool(ke < 0.0) if e_known else f"_count({e} < 0.0)",
+        ] if b_known or e_known else
+            [f"_count(({b} == 0.0) & ({e} < 0.0))"],
+            "zero base raised to a negative power")
+        self.body.append((True, f"{v} = _power({b}, {e})"))
+
+    def function(self, outputs):
+        cols = [[self.operand(f) for f in flat] for flat, _ in outputs]
+        lines = ["def compiled(points):",
+                 "    p = _asarray(points, dtype=float)",
+                 "    lead = p.shape[:-1]",
+                 "    n = _prod(lead)",
+                 f"    p = p.reshape(n, {len(self.coords)})"]
+        lines += [f"    {name} = p[:, {i}]"
+                  for i, name in sorted(self.loads.items())]
+        block = False
+        for guarded, stmt in self.body:
+            if guarded and not block:
+                lines.append("    with _errstate(all='ignore'):")
+            block = guarded
+            lines.append(("        " if guarded else "    ") + stmt)
+        results = []
+        for k, ((_, struct), ops) in enumerate(zip(outputs, cols)):
+            lines.append(f"    o{k} = _empty((n, {len(ops)}))")
+            if any(op in self.known for op in ops):
+                row = np.array([self.known.get(op, 0.0) for op in ops])
+                lines.append(f"    o{k}[:] = {self.bind(row, '_t')}")
+            lines += [f"    o{k}[:, {j}] = {op}" for j, op in enumerate(ops)
+                      if op not in self.known]
+            results.append(f"o{k}.reshape(lead + {struct!r})")
+        lines.append(f"    return {', '.join(results)}")
+        exec(compile("\n".join(lines), "<compiled fields>", "exec"), self.ns)
+        return self.ns.pop("compiled")  # no cycle through its globals
+
+
+def _chain(target, op, operands):
+    """target = operands joined by op, left to right, in lines of at most
+    _CHAIN operands so a long sum does not nest the parser too deep."""
+    lines, head = [], operands[:_CHAIN]
+    lines.append(f"{target} = {f' {op} '.join(head)}")
+    for i in range(_CHAIN, len(operands), _CHAIN - 1):
+        rest = operands[i:i + _CHAIN - 1]
+        lines.append(f"{target} = {f' {op} '.join([target] + rest)}")
+    return lines
 
 
 # ---------------------------------------------------------------------------

@@ -66,20 +66,14 @@ class KForm:
         return (isinstance(other, KForm) and self.degree == other.degree
                 and self.coords == other.coords and self.comps == other.comps)
 
-    def components_at(self, env):
-        """Evaluate all stored components: (indices, array (..., n_comps))."""
-        indices = sorted(self.comps)
-        if not indices:
-            return indices, None
-        return indices, eval_fields([self.comps[i] for i in indices], env)
-
-    def norm_at(self, env):
-        """Induced Euclidean norm: l2 over sorted components."""
-        indices, vals = self.components_at(env)
-        if vals is None:
-            shape = np.broadcast_shapes(*(np.shape(v) for v in env.values())) \
-                if env else ()
+    def norm_at(self, points):
+        """Induced Euclidean norm at points (..., dim): l2 over sorted
+        components."""
+        if not self.comps:
+            shape = np.shape(points)[:-1]
             return np.zeros(shape) if shape else 0.0
+        vals = eval_fields([self.comps[i] for i in sorted(self.comps)],
+                           self.coords, points)
         return np.linalg.norm(vals, axis=-1)
 
     def pair_vector(self, vector_fields):
@@ -90,17 +84,17 @@ class KForm:
         terms = [mul(f, vector_fields[idx[0]]) for idx, f in self.comps.items()]
         return add(*terms) if terms else ZERO
 
-    def two_form_matrices_at(self, env):
-        """Antisymmetric matrices of a 2-form at broadcast points."""
+    def two_form_matrices_at(self, points):
+        """Antisymmetric matrices (..., dim, dim) of a 2-form at points
+        (..., dim)."""
         if self.degree != 2:
             raise RangeError(f"two_form_matrices_at needs a 2-form, got a "
                              f"{self.degree}-form")
         D = self.dim
-        shape = np.broadcast_shapes(*(np.shape(v) for v in env.values())) \
-            if env else ()
-        out = np.zeros(shape + (D, D), dtype=float)
-        for (a, b), f in self.comps.items():
-            v = np.broadcast_to(f.evaluate(env), shape)
+        out = np.zeros(np.shape(points)[:-1] + (D, D))
+        if self.comps:
+            a, b = np.array(list(self.comps)).T
+            v = eval_fields(list(self.comps.values()), self.coords, points)
             out[..., a, b] = v
             out[..., b, a] = -v
         return out

@@ -21,6 +21,9 @@ and the one transversality check.  It calls matrix_at once and
 d_matrices_at once, and takes one batched SVD and inverse of A|_Y.  The
 sup kernels read those arrays, so a trace step, a tangency bound or a
 wrapper such as involutivity_constant evaluates its frame exactly once.
+matrix_at evaluates all entries of the rows in one fields.eval_fields
+call, and d_matrices_at one per row of d(rows): one compiled function
+each instead of a tree walk per entry.
 """
 
 from __future__ import annotations
@@ -29,10 +32,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .boxes import Box, env_of
+from .boxes import Box
 from .errors import (DegenerateSubspaceError, RangeError,
                      TransversalityError)
-from .fields import Const, ZERO, eval_fields, neg
+from .fields import Const, ONE, ZERO, eval_fields, neg
 from .forms import (exterior_derivative, one_form, stacked_wedge_norms,
                     two_form_matrix_norm, wedge, wedge_all)
 
@@ -54,6 +57,7 @@ class Distribution:
     y_names: tuple
     coeffs: list  # coeffs[i][j]: coefficient of d/dy_j in X_i
     domain: Box
+    _annihilator: "FrameSection" = field(default=None, repr=False)
 
     def __post_init__(self):
         self.x_names = tuple(self.x_names)
@@ -85,7 +89,7 @@ class Distribution:
         """X_i as coordinate vectors of fields (leading identity block)."""
         out = []
         for i in range(self.m):
-            vec = [Const(1.0) if c == i else ZERO for c in range(self.m)]
+            vec = [ONE if c == i else ZERO for c in range(self.m)]
             vec += list(self.coeffs[i])
             out.append(vec)
         return out
@@ -96,7 +100,7 @@ class Distribution:
         out = np.zeros((len(pts), self.dim, self.m))
         out[:, :self.m] = np.eye(self.m)
         out[:, self.m:] = np.swapaxes(
-            eval_fields(self.coeffs, env_of(self.coords, pts)), 1, 2)
+            eval_fields(self.coeffs, self.coords, pts), 1, 2)
         return out
 
     def orthonormal_bases_at(self, points):
@@ -169,20 +173,16 @@ class FrameSection:
     def matrix_at(self, points):
         """(N, n, dim) component matrices of the rows."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        env = env_of(self.coords, pts)
-        out = np.zeros((len(pts), self.n, self.dim))
-        for r, row in enumerate(self.rows):
-            for (i,), f in row.comps.items():
-                out[:, r, i] = np.broadcast_to(f.evaluate(env), (len(pts),))
-        return out
+        return eval_fields([[row.comps.get((i,), ZERO) for i in
+                             range(self.dim)] for row in self.rows],
+                           self.coords, pts)
 
     def d_matrices_at(self, points):
         """(N, n, dim, dim) antisymmetric matrices of d(rows)."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        env = env_of(self.coords, pts)
         out = np.zeros((len(pts), self.n, self.dim, self.dim))
         for r, dr in enumerate(self.d_rows()):
-            out[:, r] = dr.two_form_matrices_at(env)
+            out[:, r] = dr.two_form_matrices_at(pts)
         return out
 
     def scale(self, c):
@@ -191,25 +191,29 @@ class FrameSection:
 
 
 def annihilator_frame(dist: Distribution) -> FrameSection:
-    """Rows eta_j = dy_j - sum_i a_ij dx_i; kills X_i by cancellation."""
-    rows = []
-    for j, y in enumerate(dist.y_names):
-        comps = {y: Const(1.0)}
-        for i, x in enumerate(dist.x_names):
-            comps[x] = neg(dist.coeffs[i][j])
-        rows.append(one_form(dist.coords, comps))
-    return FrameSection(tuple(rows), dist.coords, dist.y_names, dist.domain)
+    """Rows eta_j = dy_j - sum_i a_ij dx_i; kills X_i by cancellation.
+    Built once per distribution, so a check that asks for it on every
+    call reuses its fields, their compiled functions and its d_rows."""
+    if dist._annihilator is None:
+        rows = []
+        for j, y in enumerate(dist.y_names):
+            comps = {y: Const(1.0)}
+            for i, x in enumerate(dist.x_names):
+                comps[x] = neg(dist.coeffs[i][j])
+            rows.append(one_form(dist.coords, comps))
+        dist._annihilator = FrameSection(tuple(rows), dist.coords,
+                                         dist.y_names, dist.domain)
+    return dist._annihilator
 
 
 def frobenius_defect(frame, points):
     """max_j |eta_1 ^ ... ^ eta_n ^ d eta_j| at each point (l2 norm)."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    env = env_of(frame.coords, pts)
     base = wedge_all(list(frame.rows))
     out = np.zeros(len(pts))
     for dr in frame.d_rows():
         w = wedge(base, dr)
-        out = np.maximum(out, np.broadcast_to(w.norm_at(env), (len(pts),)))
+        out = np.maximum(out, w.norm_at(pts))
     return out
 
 

@@ -29,7 +29,7 @@ import numpy as np
 
 from .boxes import Box
 from .errors import RangeError
-from .fields import ZERO, Const, Coord, add, eval_fields
+from .fields import ONE, ZERO, Coord, add, eval_fields
 from .moduli import CriterionReport, MaxModulus, Modulus, limit_condition_check
 from .report import cells, csv_text
 from .surface import FlowConfig, _integrate
@@ -85,7 +85,7 @@ class OdeSpec:
 
 def extend(spec: OdeSpec):
     """The never-vanishing extended field (1, F^1, ..., F^n) over xi."""
-    return [Const(1.0)] + list(spec.F)
+    return [ONE] + list(spec.F)
 
 
 @dataclass
@@ -109,8 +109,7 @@ def theorem1_check(spec: OdeSpec, xi) -> Theorem1Certificate:
     modulus with respect to every variable except the chosen one.
     """
     xi = np.asarray(xi, dtype=float)
-    env = dict(zip(spec.coords, xi))
-    values = eval_fields(extend(spec), env)
+    values = eval_fields(extend(spec), spec.coords, xi)
     # never all False: the first component of the extended field is 1
     nz = np.abs(values) > _NONZERO_THRESHOLD
     best = np.max(np.abs(values[nz]))

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .boxes import Box, env_of
+from .boxes import Box
 from .errors import BranchCrossingError, EvalDomainError, RangeError
 from .fields import Const, add, eval_fields, mul, neg
 from .forms import one_form
@@ -319,15 +319,15 @@ def special_solve(sf: SpecialFormSpec, x0, y0, targets, residual_check=True):
             xp[:, j] += FD_STEP
             xm[:, j] -= FD_STEP
             xs += [xp, xm]
-    h0 = eval_fields(sf.H, env_of(sf.x_names, x0))
-    dh = eval_fields(sf.H, env_of(sf.x_names, np.concatenate(xs))) - h0
+    h0 = eval_fields(sf.H, sf.x_names, x0)
+    dh = eval_fields(sf.H, sf.x_names, np.concatenate(xs)) - h0
     ys = np.array([[comps[i].solve(row[i]) for i in range(n)] for row in dh])
     ys = ys.reshape(len(xs), len(targets), n)
     values = ys[0]
     residuals = np.zeros((len(targets), n, m))
     if residual_check:
-        F = eval_fields(sf.induced_F(), env_of(
-            sf.coords, np.concatenate([targets, values], axis=1)))
+        F = eval_fields(sf.induced_F(), sf.coords,
+                        np.concatenate([targets, values], axis=1))
         for j in range(m):
             dy = (ys[1 + 2 * j] - ys[2 + 2 * j]) / (2.0 * FD_STEP)
             residuals[:, :, j] = dy - F[:, :, j]

@@ -18,7 +18,12 @@ EvalDomainError, and records that row's exit time and cause while its
 neighbours go on; only live rows are evaluated.  flow and
 variational_flow still raise: the error of the row that stopped first,
 an EscapeError carrying its exit_time, to which build_surface adds the
-lattice node (flow index, grid index) being filled.
+lattice node (flow index, grid index) being filled.  The loop evaluates
+the field, and with a carried vector its Jacobian, through one function
+from fields.compile_fields, cached on the field objects: a second flow
+of the same fields takes no symbolic derivative and builds no
+environment dict, and the per-step work is that function plus the RK4
+arithmetic and one Box.container test, its bounds computed once.
 
 The three quantitative checks:
 
@@ -37,9 +42,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .boxes import Box, env_of
+from .boxes import Box
 from .errors import EscapeError, EvalDomainError, RangeError
-from .fields import eval_fields
+from .fields import compile_fields, eval_fields
 from .report import cells, csv_text
 from .geometry import (Distribution, FrameSection, _sigma_max,
                        annihilator_frame, bound_parts, evaluate_frame,
@@ -90,8 +95,7 @@ class Trajectories(NamedTuple):
         return self.x, self.Y
 
 
-def _rk4_step(rhs, x, Y, dt):
-    half, sixth = 0.5 * dt, dt / 6.0
+def _rk4_step(rhs, x, Y, dt, half, sixth):
     k1, l1 = rhs(x, Y)
     k2, l2 = rhs(x + half * k1, _ahead(Y, half, l1))
     k3, l3 = rhs(x + half * k2, _ahead(Y, half, l2))
@@ -143,31 +147,35 @@ def _integrate(fields, coords, x0, t, step, box, Y0=None) -> Trajectories:
     for i in np.flatnonzero(~within):
         stop(i, t[i], EscapeError("requested time beyond MAX_TIME",
                                   exit_time=float(t[i])))
-    jac = None if Y is None else [[f.diff(c) for c in coords] for f in fields]
+    fn = compile_fields(fields, coords, jacobian=Y is not None)
 
     def rhs(xs, ys):
-        env = env_of(coords, xs)
         if ys is None:
-            return eval_fields(fields, env), None
-        return (eval_fields(fields, env),
-                (eval_fields(jac, env) @ ys[..., None])[..., 0])
+            return fn(xs), None
+        values, jac = fn(xs)
+        return values, (jac @ ys[..., None])[..., 0]
 
+    inside_box = None if box is None else box.container(tol=1e-9)
     # the live rows change only when a row stops or has taken its steps;
-    # while every row is live they are a slice, which copies nothing
+    # while every row is live they are a slice, which copies nothing, and
+    # the step columns are rebuilt only then
     refresh, ends = True, set(n.tolist())
     for k in range(int(n.max(initial=0))):
         if refresh or k in ends:
             live &= n > k
             rows = slice(None) if live.all() else np.flatnonzero(live)
+            h = dt[rows]
+            steps = (h, 0.5 * h, h / 6.0)
             refresh = False
-        xs, ys, h = x[rows], None if Y is None else Y[rows], dt[rows]
+        xs, ys = x[rows], None if Y is None else Y[rows]
         try:
-            xs, ys = _rk4_step(rhs, xs, ys, h)
+            xs, ys = _rk4_step(rhs, xs, ys, *steps)
         except EvalDomainError:
             for j, i in enumerate(np.arange(N)[rows]):
                 try:
                     xj, yj = _rk4_step(rhs, xs[j:j + 1], None if ys is None
-                                       else ys[j:j + 1], h[j:j + 1])
+                                       else ys[j:j + 1],
+                                       *(c[j:j + 1] for c in steps))
                 except EvalDomainError as err:
                     stop(i, k * dt[i, 0], err)
                     continue
@@ -178,7 +186,7 @@ def _integrate(fields, coords, x0, t, step, box, Y0=None) -> Trajectories:
         if Y is not None:
             Y[rows] = ys
         if box is not None:
-            inside = box.contains(xs, tol=1e-9)
+            inside = inside_box(xs)
             if not inside.all():
                 idx = np.arange(N)[rows]
                 for i in idx[live[idx] & ~inside]:
@@ -321,8 +329,7 @@ def tangency_defect(patch: SurfacePatch, dist: Distribution, sup_res=17, *,
     """Per-node, per-direction defect |dW/dt_i - X_i(W)| and its bound,
     from the annihilator frame of the distribution.  n_dirs and seed are
     ignored, as in geometry.involutivity_constant."""
-    X = eval_fields(dist.spanning_fields(),
-                    env_of(dist.coords, patch.flat_points()))
+    X = eval_fields(dist.spanning_fields(), dist.coords, patch.flat_points())
     diff = patch.tangents.reshape(patch.m, -1, dist.dim) - np.swapaxes(X, 0, 1)
     defects = np.linalg.norm(diff, axis=-1).reshape(patch.tangents.shape[:-1])
 

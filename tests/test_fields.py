@@ -137,6 +137,18 @@ def test_folds_follow_evaluation():
         log(Const(-1.0))
 
 
+def test_non_finite_exponents_fold():
+    # Python's round(inf) and round(nan) raise; the folds must not
+    assert parse_field("(-2)^inf") == Const(math.inf)
+    assert parse_field("(-0.5)^inf") == ZERO
+    with pytest.raises(EvalDomainError, match="fractional power of a "
+                                              "negative constant"):
+        parse_field("(-2)^nan")
+    assert parse_field("(x^inf)^0.5") == parse_field("x^inf")
+    assert str(parse_field("(x^2)^nan")) == "(x^2)^nan"
+    assert is_zero_field(parse_field("(x + 1)^inf - (x + 1)^inf"))
+
+
 def test_zero_constant_factor_folds_to_zero():
     # 0 * log(0) = 0 * -inf folds to 0, as s*log(s) evaluates at s = 0
     assert parse_field("0*log(0)") is ZERO
@@ -187,13 +199,14 @@ def test_vectorized_eval_broadcast():
     assert out[0] == 2.0 and out[-1] == 3.0
 
     matrix = [[f, Const(1.0), y], [x, Const(0.0), x * y]]
-    vals = eval_fields(matrix, {"x": xs, "y": 2.0})
+    pts = np.stack([xs, np.full_like(xs, 2.0)], axis=-1)
+    vals = eval_fields(matrix, ("x", "y"), pts)
     assert vals.shape == (11, 2, 3)
     for r, row in enumerate(matrix):
         for c, g in enumerate(row):
             assert np.array_equal(vals[:, r, c], np.broadcast_to(
                 g.evaluate({"x": xs, "y": 2.0}), xs.shape))
-    assert eval_fields([f, y], {"x": 1.0, "y": 2.0}).tolist() == [3.0, 2.0]
+    assert eval_fields([f, y], ("x", "y"), [1.0, 2.0]).tolist() == [3.0, 2.0]
 
 
 class _Poly1D:

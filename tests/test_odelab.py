@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from contfrob.boxes import Box, env_of
+from contfrob.boxes import Box
 from contfrob.errors import RangeError
 from contfrob.fields import Const, eval_fields
 from contfrob.moduli import (FAILS, HOLDS, Hoelder, Lipschitz,
@@ -58,8 +58,7 @@ def test_validate_declared_moduli():
     # stays within twice the declared one at every scale inside its cap
     spec = ode_example_1()
     pts = spec.domain.lattice(7)
-    norm = np.linalg.norm(eval_fields(spec.F, env_of(spec.coords, pts)),
-                          axis=-1)
+    norm = np.linalg.norm(eval_fields(spec.F, spec.coords, pts), axis=-1)
     for i, name in enumerate(spec.coords):
         declared = spec.moduli.per_variable[name]
         tab = estimate_modulus(pts, norm, direction_mask=[i])

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from contfrob.boxes import Box, env_of
+from contfrob.boxes import Box
 from contfrob.errors import BranchCrossingError, RangeError
 from contfrob.fields import Const, eval_fields, parse_field
 from contfrob.moduli import HOLDS, Lipschitz
@@ -22,7 +22,7 @@ from contfrob.presets import (ode_example_1, ode_peano, pde_example_2,
 def test_hat_matrix_example3_displayed():
     spec = pde_example_3()
     hat = hat_matrix(spec)
-    M = eval_fields(hat.fields, dict(zip(spec.coords, [0.0] * 4)))
+    M = eval_fields(hat.fields, spec.coords, np.zeros(4))
     assert np.allclose(M, [[1.0, 0.0, 1.0, 0.0],
                            [0.0, 1.0, 0.0, 0.0]])
     _, det = submatrix_det(hat, (2, 3))
@@ -51,7 +51,8 @@ def test_hat_matrix_scalar_case():
     c = 0.7
     spec = PdeSpec(("x",), ("y",), [[Const(c)]], domain, None)
     hat = hat_matrix(spec)
-    assert eval_fields(hat.fields, {"x": 0.3, "y": 0.4}).tolist() == [[1.0, c]]
+    assert eval_fields(hat.fields, ("x", "y"), [0.3, 0.4]).tolist() == \
+        [[1.0, c]]
     _, det = submatrix_det(hat, (2,))
     assert det.evaluate({"x": 0.3, "y": 0.4}) == c
 
@@ -176,8 +177,9 @@ def test_special_solve_branch_crossing():
 
 def test_special_form_matches_pde():
     sf, pde = pde_example_2()
-    env = env_of(sf.coords, pde.domain.lattice(3))
-    gap = eval_fields(sf.induced_F(), env) - eval_fields(pde.F, env)
+    pts = pde.domain.lattice(3)
+    gap = eval_fields(sf.induced_F(), sf.coords, pts) - \
+        eval_fields(pde.F, sf.coords, pts)
     assert np.max(np.abs(gap)) <= 1e-12
 
 
