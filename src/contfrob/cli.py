@@ -2,12 +2,16 @@
 
 The `_KINDS` table declares each experiment kind once: its command words,
 handler and params.  The parser is built from it, config files are
-checked against it and `main` dispatches through it.  Every report starts
-with a '#'-prefixed header block embedding the fully resolved
-configuration (sorted keys, no timestamps), so identical configs and
-seeds produce byte-identical files.  Exit codes: 0 on completion, 2 when
-a verdict came out different from a demanded one (--expect), 1 on errors:
-argparse usage errors, malformed flag values, out-of-range values and
+checked against it and `main` dispatches through it.  A param's `_Param`
+holds its type, run default and lower bound; `_values` reads every param
+by it before the handler starts, for flags and config files alike.  Each
+example family is one registry of presets.py builders that get only the
+values given for their keys, so a preset's defaults are its signature's.
+Every report starts with a '#'-prefixed header block embedding the fully
+resolved configuration (sorted keys, no timestamps), so identical configs
+and seeds produce byte-identical files.  Exit codes: 0 on completion, 2
+when a verdict came out different from a demanded one (--expect), 1 on
+errors: argparse usage errors, malformed or out-of-range values and
 config text included.
 """
 
@@ -56,7 +60,7 @@ class ExperimentConfig:
             raise ParseError(f"unknown experiment kind {kind!r}")
         self.kind = kind
         self.out = out
-        self.seed = int(seed)
+        self.seed = _read(_Param("seed", int), seed)
         self.expect = expect
         self.params = dict(params or {})
         params_of_kind = _KINDS[kind].params
@@ -130,51 +134,6 @@ class ExperimentConfig:
         return out
 
 
-def _numbers(kind, p, key, default):
-    """Comma-separated numbers of one kind under params[key]."""
-    text = str(p.get(key, default))
-    try:
-        return [kind(v) for v in text.split(",") if v != ""]
-    except ValueError:
-        raise ParseError(f"{key} must be a comma-separated list of "
-                         f"{kind.__name__}s, got {text!r}") from None
-
-
-def _floats(p, key, default=None):
-    return _numbers(float, p, key, default)
-
-
-def _ints(p, key, default=None):
-    return _numbers(int, p, key, default)
-
-
-def _scalar(kind, p, key, default):
-    """One number of one kind under params[key], or the default."""
-    if key not in p:
-        return default
-    try:
-        return kind(p[key])
-    except ValueError:
-        raise ParseError(f"{key} must be a single {kind.__name__}, got "
-                         f"{p[key]!r}") from None
-
-
-def _float(p, key, default=None):
-    return _scalar(float, p, key, default)
-
-
-def _int(p, key, default=None):
-    return _scalar(int, p, key, default)
-
-
-def _at_least(least, p, key, default):
-    """_int(p, key, default), rejected below the smallest usable value."""
-    value = _int(p, key, default)
-    if value < least:
-        raise ParseError(f"{key} must be at least {least}, got {value}")
-    return value
-
-
 def _write(cfg, name, body):
     out_dir = Path(cfg.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -182,15 +141,68 @@ def _write(cfg, name, body):
 
 
 # ---------------------------------------------------------------------------
-# experiment handlers (each returns a verdict string or None)
+# params
 
 
-def _run_moduli_check(cfg):
-    p = cfg.params
+class _Param(NamedTuple):
+    """One param of a kind.  `type` reads its text, or each comma-separated
+    item of it when `many`.  A None `default` leaves an omitted param to
+    the callee.  argparse fills in a choice's default, so a flag run
+    records it and a config-file run does not."""
+
+    key: str
+    type: type = str
+    default: str = None
+    least: int = None
+    many: bool = False
+    choices: tuple = ()
+    required: bool = False
+
+
+def _read(prm, text):
+    """One param's text as its typed value, checked against its bound and
+    its choices."""
+    try:
+        value = ([prm.type(v) for v in str(text).split(",") if v != ""]
+                 if prm.many else prm.type(text))
+    except ValueError:
+        shape = (f"a comma-separated list of {prm.type.__name__}s"
+                 if prm.many else f"a single {prm.type.__name__}")
+        raise ParseError(f"{prm.key} must be {shape}, got {text!r}") from None
+    if prm.least is not None and value < prm.least:
+        raise ParseError(f"{prm.key} must be at least {prm.least}, "
+                         f"got {value}")
+    if prm.choices and value not in prm.choices:
+        raise ParseError(f"{prm.key} must be one of "
+                         f"{', '.join(prm.choices)}, got {value!r}")
+    return value
+
+
+def _values(cfg):
+    """Every param of a config read by its rule before any work runs: the
+    given ones, and the omitted ones that have a default."""
+    return {prm.key: _read(prm, text) for prm in _KINDS[cfg.kind].params
+            if (text := cfg.params.get(prm.key, prm.default)) is not None}
+
+
+def _given(p, keys):
+    return {k: p[k] for k in keys if k in p}
+
+
+def _example(registry, p):
+    build, keys = registry[p["example"]]
+    return build(**_given(p, keys))
+
+
+# ---------------------------------------------------------------------------
+# experiment handlers (each takes the config and its typed values and
+# returns a verdict string or None)
+
+
+def _run_moduli_check(cfg, p):
     w = parse_modulus(p["w"])
-    if p.get("criterion", "osgood") == "osgood":
-        rep = osgood_check(w, eps=_float(p, "eps"),
-                           depth=_int(p, "depth", 40))
+    if p["criterion"] == "osgood":
+        rep = osgood_check(w, **_given(p, ("eps", "depth")))
     else:
         w2 = parse_modulus(p["w2"]) if "w2" in p else w
         rep = limit_condition_check(w, w2)
@@ -199,19 +211,16 @@ def _run_moduli_check(cfg):
     return rep.verdict
 
 
-def _run_mollify_verify(cfg):
-    p = cfg.params
-    lo, hi = _float(p, "lo", -1.0), _float(p, "hi", 1.0)
+def _run_mollify_verify(cfg, p):
+    lo, hi = p["lo"], p["hi"]
     if not lo < hi:
         raise ParseError(f"lo must be below hi, got lo={lo}, hi={hi}")
-    n = _at_least(2, p, "n", 1601)
-    f = parse_field(p.get("expr", "(x^2)^0.5"))
-    xs = np.linspace(lo, hi, n)
+    f = parse_field(p["expr"])
+    xs = np.linspace(lo, hi, p["n"])
     g = GridFunction((xs,), np.asarray(f.evaluate({"x": xs}), dtype=float))
-    w = parse_modulus(p.get("w", "lipschitz(k=1)"))
+    w = parse_modulus(p["w"])
     w_axis = parse_modulus(p["w_axis"]) if "w_axis" in p else w
-    eps_list = _floats(p, "eps_list", "0.1,0.05,0.025")
-    reports = verify_bounds(g, w, [w_axis], eps_list)
+    reports = verify_bounds(g, w, [w_axis], p["eps_list"])
     rows = [[float(v) for v in (r.eps, r.sup_dist, r.deriv_sup[0],
                                 r.bound_rhs["dist"], r.bound_rhs["deriv"][0],
                                 r.fitted_K)] for r in reports]
@@ -247,16 +256,14 @@ def _parse_one_form_text(text):
     return tuple(coords), comps
 
 
-def _run_frobenius(cfg):
-    p = cfg.params
+def _run_frobenius(cfg, p):
     coords, comps = _parse_one_form_text(p["form"])
-    row = one_form(coords, comps)
-    frame = FrameSection((row,), coords, (), None)
-    extent = _float(p, "extent", 0.5)
+    frame = FrameSection((one_form(coords, comps),), coords, ())
+    extent = p["extent"]
     if not extent > 0.0:
         raise ParseError(f"extent must be positive, got {extent}")
     box = Box.from_dict({c: (-extent, extent) for c in coords})
-    pts = box.lattice(_at_least(1, p, "grid", 7))
+    pts = box.lattice(p["grid"])
     defect = frobenius_defect(frame, pts)
     rows = [[*q, v] for q, v in zip(pts, defect)]
     _write(cfg, "frobenius.csv", csv_text([], coords + ("defect",), rows))
@@ -265,25 +272,21 @@ def _run_frobenius(cfg):
     return "Holds" if np.max(defect) <= 1e-10 else "Fails"
 
 
-def _ode_spec(p):
-    name = p.get("example", "paper-ex1")
-    if name == "paper-ex1":
-        return presets.ode_example_1(_float(p, "alpha", 0.9),
-                                     _float(p, "beta", 0.5),
-                                     _float(p, "gamma", 0.5),
-                                     _float(p, "delta", 0.5))
-    if name == "peano":
-        return presets.ode_peano()
-    if name == "contraction":
-        return presets.ode_contraction()
-    raise ParseError(f"unknown ODE example {name!r}")
+_ODE_EXAMPLES = {
+    "paper-ex1": (presets.ode_example_1, ("alpha", "beta", "gamma", "delta")),
+    "peano": (presets.ode_peano, ()),
+    "contraction": (presets.ode_contraction, ()),
+}
 
 
-def _run_ode_check(cfg):
-    p = cfg.params
-    spec = _ode_spec(p)
-    point = _floats(p, "point", "0" + ",0" * spec.n)
-    cert = theorem1_check(spec, point)
+def _ode(p):
+    """The chosen ODE example and its start point, the origin unless given."""
+    spec = _example(_ODE_EXAMPLES, p)
+    return spec, p.get("point", [0.0] * (spec.n + 1))
+
+
+def _run_ode_check(cfg, p):
+    cert = theorem1_check(*_ode(p))
     rep = cert.report
     rep.params["slope_window_1e-8_1e-3"] = fit_loglog_slope(
         rep.trace, (1e-8, 1e-3))
@@ -293,43 +296,32 @@ def _run_ode_check(cfg):
     return cert.verdict
 
 
-def _run_ode_funnel(cfg):
-    p = cfg.params
-    spec = _ode_spec(p)
-    point = _floats(p, "point", "0" + ",0" * spec.n)
-    deltas = _floats(p, "deltas", "1e-3,1e-4,1e-5,1e-6")
-    rep = funnel(spec, point, _float(p, "T", 1.0), deltas,
-                 ensemble=_at_least(0, p, "ensemble", 8),
-                 cfg=FlowConfig(step=_float(p, "step", 1e-3)),
-                 seed=cfg.seed)
+def _run_ode_funnel(cfg, p):
+    spec, point = _ode(p)
+    rep = funnel(spec, point, p["T"], p["deltas"], seed=cfg.seed,
+                 cfg=FlowConfig(p["step"]) if "step" in p else None,
+                 **_given(p, ("ensemble",)))
     _write(cfg, "ode_funnel.csv", funnel_to_csv(rep))
     print(f"funnel verdict={rep.verdict} dispersions={rep.dispersions}")
     return rep.verdict
 
 
-def _pde_spec(p):
-    name = p.get("example", "paper-ex2")
-    if name == "paper-ex2":
-        return presets.pde_example_2(_float(p, "alpha", 0.8),
-                                     _float(p, "beta", 0.4))
-    if name == "paper-ex3":
-        kw = {k: _float(p, k)
-              for k in ("a11", "a12", "a21", "a22", "b1", "b2") if k in p}
-        return None, presets.pde_example_3(**kw)
-    raise ParseError(f"unknown PDE example {name!r}")
+# example -> (special form, PdeSpec); only the separable ones have the
+# special form that solve-special and frames need
+_SEPARABLE = {"paper-ex2": (presets.pde_example_2, ("alpha", "beta"))}
+_PDE_EXAMPLES = {**_SEPARABLE, "paper-ex3": (
+    lambda **kw: (None, presets.pde_example_3(**kw)),
+    ("a11", "a12", "a21", "a22", "b1", "b2"))}
 
 
-def _run_pde_check(cfg):
-    p = cfg.params
-    sf, spec = _pde_spec(p)
+def _run_pde_check(cfg, p):
+    sf, spec = _example(_PDE_EXAMPLES, p)
     if sf is not None:  # paper-ex2
         point, cols = [0.25, 0.25, 0.5, 0.5], range(1, spec.n + 1)
     else:
         point, cols = [0.0] * (spec.m + spec.n), (2, 3)
-    if "point" in p:
-        point = _floats(p, "point")
-    columns = tuple(_ints(p, "columns", ",".join(map(str, cols))))
-    cert = theorem2_check(spec, point, columns)
+    columns = tuple(p.get("columns", cols))
+    cert = theorem2_check(spec, p.get("point", point), columns)
     if cert.report is None:
         print(f"columns={columns} det={cert.det_value:.3g} "
               f"verdict=NotApplicable")
@@ -342,17 +334,12 @@ def _run_pde_check(cfg):
     return cert.verdict
 
 
-def _run_pde_solve_special(cfg):
-    p = cfg.params
-    sf, spec = _pde_spec(p)
-    if sf is None:
-        raise ParseError("solve-special needs a separable example")
-    x0 = np.asarray(_floats(p, "x0", "0.3,0.3"))
-    y0 = np.asarray(_floats(p, "y0", "0.5,0.5"))
-    res_grid = _at_least(1, p, "targets_res", 3)
+def _run_pde_solve_special(cfg, p):
+    sf, spec = _example(_SEPARABLE, p)
     xb = Box(sf.x_names, spec.domain.lows[:sf.m], spec.domain.highs[:sf.m])
-    targets = xb.shrink(0.05).lattice(res_grid)
-    result = special_solve(sf, x0, y0, targets)
+    targets = xb.shrink(0.05).lattice(p["targets_res"])
+    result = special_solve(sf, np.asarray(p["x0"]), np.asarray(p["y0"]),
+                           targets)
     rows = [[*targets[t], *result.values[t],
              np.max(np.abs(result.residuals[t]))] for t in range(len(targets))]
     _write(cfg, "pde_solve.csv", csv_text(
@@ -362,14 +349,9 @@ def _run_pde_solve_special(cfg):
     return "Holds" if result.max_residual <= 1e-6 else "Fails"
 
 
-def _run_pde_frames(cfg):
-    p = cfg.params
-    sf, _ = _pde_spec(p)
-    if sf is None:
-        raise ParseError("frames needs a separable example")
-    eps_list = _floats(p, "eps_list", "0.125,0.0625,0.03125")
-    fams = involutive_mollified_frames(sf, eps_list,
-                                       check_res=_at_least(1, p, "grid", 4))
+def _run_pde_frames(cfg, p):
+    sf, _ = _example(_SEPARABLE, p)
+    fams = involutive_mollified_frames(sf, p["eps_list"], check_res=p["grid"])
     _write(cfg, "pde_frames.csv", csv_text(
         [], ["eps", "wedge_sup"],
         [(float(fam.eps), float(fam.wedge_sup)) for fam in fams]))
@@ -378,24 +360,18 @@ def _run_pde_frames(cfg):
     return "Holds" if worst <= 1e-10 else "Fails"
 
 
-def _surface_dist(p):
-    name = p.get("example", "contact")
-    if name == "contact":
-        return presets.contact_distribution()
-    if name == "involutive":
-        return presets.involutive_distribution()
-    raise ParseError(f"unknown surface example {name!r}")
+_SURFACE_EXAMPLES = {
+    "contact": (presets.contact_distribution, ()),
+    "involutive": (presets.involutive_distribution, ()),
+}
 
 
-def _run_surface(cfg):
-    p = cfg.params
-    dist = _surface_dist(p)
-    eps1 = _float(p, "eps1", 0.1)
-    step = _float(p, "step", eps1 / 32.0)
-    order = tuple(_ints(p, "order")) if "order" in p else None
-    x0 = np.asarray(_floats(p, "x0", "0,0,0"))
-    patch = build_surface(dist, x0, eps1, _int(p, "grid", 9),
-                          FlowConfig(step=step), order=order)
+def _run_surface(cfg, p):
+    dist = _example(_SURFACE_EXAMPLES, p)
+    eps1 = p["eps1"]
+    patch = build_surface(dist, np.asarray(p["x0"]), eps1, p["grid"],
+                          FlowConfig(step=p.get("step", eps1 / 32.0)),
+                          **_given(p, ("order",)))
     rep = tangency_defect(patch, dist, sup_res=5)
     _write(cfg, "surface.csv", patch_to_csv(patch, rep))
     print(f"surface nodes={patch.points.size // len(dist.coords)} "
@@ -403,41 +379,44 @@ def _run_surface(cfg):
     return "Holds" if rep.ok() else "Fails"
 
 
+def _cat_map():
+    e_s = presets.cat_contracting_direction()[:, None]
+    e_u = presets.cat_expanding_direction()[:, None]
+    return presets.cat_map(), e_s, lambda pts: e_u, e_s
+
+
+def _skew_product(**kw):
+    phi = presets.skew_product(**kw)
+    e_u = np.concatenate([presets.cat_expanding_direction(), [0.0]])[:, None]
+    return (phi, presets.skew_seed_bases(), lambda pts: PlaneFieldSamples(
+        pts, transport(phi.inverted(), e_u, 8, pts).bases),
+        presets.skew_center_stable_bases())
+
+
+# example -> (phi, seed bases e0, points -> complementary bundle f,
+# limit plane field); every example's base frame is dx2
+_DYN_EXAMPLES = {
+    "cat-map": (_cat_map, ()),
+    "skew-product": (_skew_product, ("tau_amp",)),
+}
+
+
 def _dyn_setup(p):
-    name = p.get("example", "cat-map")
-    if name == "cat-map":
-        phi = presets.cat_map()
-        e0 = presets.cat_contracting_direction()[:, None]
-        f = presets.cat_expanding_direction()[:, None]
-        base = presets.constant_annihilator_frame(
-            np.array([[0.0, 1.0]]), ("x1", "x2"), ("x2",))
-        lim = e0
-        d = 2
-    elif name == "skew-product":
-        phi = presets.skew_product(_float(p, "tau_amp", 0.1))
-        e0 = presets.skew_seed_bases()
-        base = presets.constant_annihilator_frame(
-            np.array([[0.0, 1.0, 0.0]]), ("x1", "x2", "x3"), ("x2",))
-        lim = presets.skew_center_stable_bases()
-        f = None
-        d = 3
-    else:
-        raise ParseError(f"unknown dynamics example {name!r}")
-    res = _at_least(1, p, "res", 5 if d == 2 else 4)
+    phi, e0, f_at, lim = _example(_DYN_EXAMPLES, p)
+    d = len(phi.coords)
+    base = presets.constant_annihilator_frame(np.eye(d)[1:2], phi.coords,
+                                              ("x2",))
+    res = p.get("res", 5 if d == 2 else 4)
     axes = [np.linspace(0.0, 1.0, res, endpoint=False)] * d
     mesh = np.meshgrid(*axes, indexing="ij")
     pts = np.stack([m.ravel() for m in mesh], axis=-1)
-    if name == "skew-product":
-        eu = np.concatenate([presets.cat_expanding_direction(), [0.0]])[:, None]
-        f = PlaneFieldSamples(pts, transport(phi.inverted(), eu, 8, pts).bases)
     lim = np.broadcast_to(lim, (len(pts),) + lim.shape).copy()
-    return phi, e0, f, base, lim, pts
+    return phi, e0, f_at(pts), base, lim, pts
 
 
-def _run_dyn_transport(cfg):
-    p = cfg.params
+def _run_dyn_transport(cfg, p):
     phi, e0, _, _, lim, pts = _dyn_setup(p)
-    k = _int(p, "k", 10)
+    k = p["k"]
     rows = []
     prev = None
     cocycle = Cocycle(phi, pts, k)
@@ -453,25 +432,20 @@ def _run_dyn_transport(cfg):
     print(f"transported {k} steps over {len(pts)} points")
 
 
-def _run_dyn_dominate(cfg):
-    p = cfg.params
+def _run_dyn_dominate(cfg, p):
     phi, e0, f, _, _, pts = _dyn_setup(p)
-    eps_sweep = tuple(_floats(p, "eps_sweep", "0.1,0.5,1.0"))
-    rep = domination_report(phi, e0, f, _int(p, "k_max", 12), pts,
-                            eps_list=eps_sweep)
+    sweep = {"eps_list": p["eps_sweep"]} if "eps_sweep" in p else {}
+    rep = domination_report(phi, e0, f, p["k_max"], pts, **sweep)
     _write(cfg, "dyn_dominate.csv", splitting_report_to_csv(rep))
     print(f"dominated={rep.dominated} growth C={rep.growth_C:.4f} "
           f"D={rep.growth_D:.4f}")
     return "Holds" if rep.dominated else "Fails"
 
 
-def _run_dyn_traces(cfg):
-    p = cfg.params
+def _run_dyn_traces(cfg, p):
     phi, e0, f, base, lim, pts = _dyn_setup(p)
-    eps = _float(p, "eps", 1.0)
-    k_max = _int(p, "k_max", 8)
     rep, asym, ext = splitting_involutivity_pipeline(
-        phi, e0, base, f, k_max, eps, pts, limit=lim)
+        phi, e0, base, f, p["k_max"], p["eps"], pts, limit=lim)
     if asym is None:
         _write(cfg, "dyn_traces.csv", "# verdict=NotApplicable\n")
         print("domination fails: traces not applicable")
@@ -485,71 +459,72 @@ def _run_dyn_traces(cfg):
     return "Holds" if decay else "Fails"
 
 
-class _Param(NamedTuple):
-    """One param of a kind: its config key, the type its flag is read as,
-    its CLI default (config files have none) and whether every command
-    and config must give it."""
-
-    key: str
-    type: type = str
-    default: str = None
-    required: bool = False
-
-
 class _Kind(NamedTuple):
     words: tuple
     handler: Callable
     params: tuple
 
 
-def _typed(kind, *keys):
-    return tuple(_Param(key, kind) for key in keys)
+def _examples(registry):
+    """A family's `example` choice, its first entry the default, then one
+    float param per key its presets take."""
+    return (_Param("example", default=next(iter(registry)),
+                   choices=tuple(registry)),
+            *(_Param(k, float) for _, keys in registry.values() for k in keys))
 
 
-_ODE = (_Param("example", default="paper-ex1"),
-        *_typed(float, "alpha", "beta", "gamma", "delta"), _Param("point"))
-_PDE = (_Param("example", default="paper-ex2"),
-        *_typed(float, "alpha", "beta"))
-_DYN = (_Param("example", default="cat-map"), _Param("res", int),
-        _Param("tau_amp", float))
+def _floats(key, default=None):
+    return _Param(key, float, default, many=True)
+
+
+_ODE = _examples(_ODE_EXAMPLES) + (_floats("point"),)
+_SEP = _examples(_SEPARABLE)
+_DYN = _examples(_DYN_EXAMPLES) + (_Param("res", int, least=1),)
 
 _KINDS = {
     "ode-check": _Kind(("ode", "check"), _run_ode_check, _ODE),
     "ode-funnel": _Kind(("ode", "funnel"), _run_ode_funnel, _ODE + (
-        _Param("T", float), _Param("deltas"), _Param("ensemble", int),
-        _Param("step", float))),
-    "pde-check": _Kind(("pde", "check"), _run_pde_check, _PDE + _typed(
-        float, "a11", "a12", "a21", "a22", "b1", "b2") + (
-        _Param("point"), _Param("columns"))),
+        _Param("T", float, "1.0"), _floats("deltas", "1e-3,1e-4,1e-5,1e-6"),
+        _Param("ensemble", int, least=0), _Param("step", float))),
+    "pde-check": _Kind(("pde", "check"), _run_pde_check,
+                       _examples(_PDE_EXAMPLES) + (
+        _floats("point"), _Param("columns", int, many=True))),
     "pde-solve-special": _Kind(("pde", "solve-special"),
-                               _run_pde_solve_special, _PDE + (
-        _Param("x0"), _Param("y0"), _Param("targets_res", int))),
-    "pde-frames": _Kind(("pde", "frames"), _run_pde_frames, _PDE + (
-        _Param("eps_list"), _Param("grid", int))),
+                               _run_pde_solve_special, _SEP + (
+        _floats("x0", "0.3,0.3"), _floats("y0", "0.5,0.5"),
+        _Param("targets_res", int, "3", least=1))),
+    "pde-frames": _Kind(("pde", "frames"), _run_pde_frames, _SEP + (
+        _floats("eps_list", "0.125,0.0625,0.03125"),
+        _Param("grid", int, "4", least=1))),
     "frobenius": _Kind(("frobenius",), _run_frobenius, (
-        _Param("form", required=True), _Param("grid", int),
-        _Param("extent", float))),
+        _Param("form", required=True), _Param("grid", int, "7", least=1),
+        _Param("extent", float, "0.5"))),
     "moduli-check": _Kind(("moduli", "check"), _run_moduli_check, (
-        _Param("criterion", default="osgood"), _Param("w", required=True),
-        _Param("w2"), _Param("eps", float), _Param("depth", int))),
+        _Param("criterion", default="osgood", choices=("osgood", "limit")),
+        _Param("w", required=True), _Param("w2"), _Param("eps", float),
+        _Param("depth", int))),
     "mollify-verify": _Kind(("mollify", "verify"), _run_mollify_verify, (
-        _Param("expr"), _Param("eps_list"), _Param("n", int),
-        *_typed(float, "lo", "hi"), _Param("w"), _Param("w_axis"))),
-    "surface": _Kind(("surface", "build"), _run_surface, (
-        _Param("example", default="contact"), _Param("eps1", float),
-        _Param("grid", int), _Param("x0"), _Param("step", float),
-        _Param("order"))),
+        _Param("expr", default="(x^2)^0.5"),
+        _floats("eps_list", "0.1,0.05,0.025"),
+        _Param("n", int, "1601", least=2), _Param("lo", float, "-1.0"),
+        _Param("hi", float, "1.0"), _Param("w", default="lipschitz(k=1)"),
+        _Param("w_axis"))),
+    "surface": _Kind(("surface", "build"), _run_surface,
+                     _examples(_SURFACE_EXAMPLES) + (
+        _Param("eps1", float, "0.1"), _Param("grid", int, "9"),
+        _floats("x0", "0,0,0"), _Param("step", float),
+        _Param("order", int, many=True))),
     "dyn-transport": _Kind(("dyn", "transport"), _run_dyn_transport,
-                           _DYN + (_Param("k", int),)),
+                           _DYN + (_Param("k", int, "10"),)),
     "dyn-dominate": _Kind(("dyn", "dominate"), _run_dyn_dominate, _DYN + (
-        _Param("k_max", int), _Param("eps_sweep"))),
+        _Param("k_max", int, "12"), _floats("eps_sweep"))),
     "dyn-traces": _Kind(("dyn", "traces"), _run_dyn_traces, _DYN + (
-        _Param("k_max", int), _Param("eps", float))),
+        _Param("k_max", int, "8"), _Param("eps", float, "1.0"))),
 }
 
 
 def run_experiment(cfg: ExperimentConfig) -> int:
-    verdict = _KINDS[cfg.kind].handler(cfg)
+    verdict = _KINDS[cfg.kind].handler(cfg, _values(cfg))
     if cfg.expect is not None and verdict is not None:
         if verdict.lower() != cfg.expect.lower():
             print(f"expected verdict {cfg.expect!r}, got {verdict!r}")
@@ -592,17 +567,18 @@ def _parser():
         sp.add_argument("--expect")
         for prm in params:
             sp.add_argument("--" + prm.key.replace("_", "-"),
-                            default=prm.default, required=prm.required)
+                            default=prm.default if prm.choices else None,
+                            required=prm.required)
     return parser
 
 
 def _config(ns):
-    """A parsed command's config; flag values are recorded as str() of
-    their typed value, so `--T 1` becomes `T=1.0`."""
-    given = {k: v for k, v in vars(ns).items() if v is not None}
-    params = {prm.key: str(_scalar(prm.type, given, prm.key, None))
-              for prm in _KINDS[ns.kind].params if prm.key in given}
-    return ExperimentConfig(ns.kind, ns.out, _int(given, "seed", 0),
+    """A parsed command's config; a flag is recorded as str() of its typed
+    value, so `--T 1` becomes `T=1.0`, and a list as it was written."""
+    params = {prm.key: text if prm.many else str(_read(prm, text))
+              for prm in _KINDS[ns.kind].params
+              if (text := getattr(ns, prm.key)) is not None}
+    return ExperimentConfig(ns.kind, ns.out, 0 if ns.seed is None else ns.seed,
                             ns.expect, params)
 
 

@@ -140,7 +140,6 @@ class FrameSection:
     rows: tuple  # KForm degree 1
     coords: tuple
     y_names: tuple
-    domain: Box = None
     _d_rows: tuple = field(default=None, repr=False)
 
     def __post_init__(self):
@@ -187,7 +186,7 @@ class FrameSection:
 
     def scale(self, c):
         return FrameSection(tuple(r.scale(c) for r in self.rows),
-                            self.coords, self.y_names, self.domain)
+                            self.coords, self.y_names)
 
 
 def annihilator_frame(dist: Distribution) -> FrameSection:
@@ -202,7 +201,7 @@ def annihilator_frame(dist: Distribution) -> FrameSection:
                 comps[x] = neg(dist.coeffs[i][j])
             rows.append(one_form(dist.coords, comps))
         dist._annihilator = FrameSection(tuple(rows), dist.coords,
-                                         dist.y_names, dist.domain)
+                                         dist.y_names)
     return dist._annihilator
 
 

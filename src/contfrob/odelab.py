@@ -66,6 +66,7 @@ class OdeSpec:
     F: list          # n fields over (t, y_1..y_n)
     domain: Box      # over (t,) + y_names
     moduli: ModuliDecl = None
+    _funnel_fields: list = field(default=None, repr=False)
 
     def __post_init__(self):
         self.y_names = tuple(self.y_names)
@@ -155,7 +156,7 @@ def funnel(spec: OdeSpec, xi0, T, delta_list, ensemble=8,
     adds, so F + off evaluates as add(F, Const(off)) would, bit for bit,
     and the base and ensemble rows carry off = 0.
     """
-    cfg = cfg or FlowConfig(step=1.0e-3)
+    cfg = cfg or FlowConfig()
     if not T > 0.0:
         raise RangeError(f"horizon T must be positive, got {T}")
     delta_list = sorted((float(d) for d in delta_list), reverse=True)
@@ -178,8 +179,10 @@ def funnel(spec: OdeSpec, xi0, T, delta_list, ensemble=8,
         starts += [xi0, xi0]
         offsets += [delta, -delta]
     states = np.column_stack([np.asarray(starts), offsets])
-    off = Coord(_OFFSET)
-    fields = extend(spec)[:1] + [add(f, off) for f in spec.F] + [ZERO]
+    if spec._funnel_fields is None:  # once per spec: one compiled function
+        off = Coord(_OFFSET)
+        spec._funnel_fields = [ONE] + [add(f, off) for f in spec.F] + [ZERO]
+    fields = spec._funnel_fields
     dom = spec.domain
     box = Box(dom.names + (_OFFSET,), dom.lows + (-math.inf,),
               dom.highs + (math.inf,))

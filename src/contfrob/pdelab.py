@@ -31,8 +31,8 @@ import numpy as np
 from .boxes import Box
 from .errors import BranchCrossingError, EvalDomainError, RangeError
 from .fields import Const, add, eval_fields, mul, neg
-from .forms import one_form
-from .geometry import Distribution, FrameSection, frobenius_defect
+from .geometry import (Distribution, FrameSection, annihilator_frame,
+                       frobenius_defect)
 from .moduli import CriterionReport, limit_condition_check
 from .mollify import grid_from_field, mollify, to_spline_field
 from .odelab import ModuliDecl
@@ -384,16 +384,10 @@ def involutive_mollified_frames(sf: SpecialFormSpec, eps_list, pad=None,
             g_smooth.append(to_spline_field(mollify(g, eps),
                                             (sf.y_names[i],),
                                             label=f"G{i+1}e"))
-        rows, coeffs = [], [[None] * n for _ in range(m)]
-        for i in range(n):
-            comps = {sf.y_names[i]: Const(1.0)}
-            for j, xn in enumerate(sf.x_names):
-                a_ij = mul(g_smooth[i], h_smooth[i].diff(xn))
-                comps[xn] = neg(a_ij)
-                coeffs[j][i] = a_ij
-            rows.append(one_form(sf.coords, comps))
-        frame = FrameSection(tuple(rows), sf.coords, sf.y_names, sf.domain)
+        coeffs = [[mul(g_smooth[i], h_smooth[i].diff(xn)) for i in range(n)]
+                  for xn in sf.x_names]
         dist = Distribution(sf.x_names, sf.y_names, coeffs, sf.domain)
+        frame = annihilator_frame(dist)
         wedge_sup = float(np.max(frobenius_defect(
             frame, sf.domain.lattice(check_res))))
         if wedge_sup > WEDGE_TOL:

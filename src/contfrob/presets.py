@@ -212,4 +212,4 @@ def constant_annihilator_frame(normal, coords, y_names) -> FrameSection:
         rows.append(one_form(coords, {coords[i]: Const(row[i])
                                       for i in range(len(coords))
                                       if row[i] != 0.0}))
-    return FrameSection(tuple(rows), tuple(coords), tuple(y_names), None)
+    return FrameSection(tuple(rows), tuple(coords), tuple(y_names))

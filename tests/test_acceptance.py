@@ -8,15 +8,13 @@ desk scale.
 import math
 
 import numpy as np
-import pytest
 
-from contfrob.boxes import Box
 from contfrob.cli import main as cli_main
-from contfrob.fields import coord, exp as fexp, log as flog, parse_field, sin as fsin
+from contfrob.fields import coord, exp as fexp, log as flog, sin as fsin
 from contfrob.forms import exterior_derivative, one_form
 from contfrob.geometry import (annihilator_frame, frobenius_defect,
                                involutivity_constant, subspace_distance)
-from contfrob.moduli import FAILS, HOLDS, fit_loglog_slope
+from contfrob.moduli import FAILS, HOLDS
 from contfrob.mollify import GridFunction, verify_bounds
 from contfrob.odelab import funnel, funnel_to_csv, theorem1_check
 from contfrob.pdelab import involutive_mollified_frames, special_solve

@@ -2,10 +2,9 @@ import re
 import shlex
 from pathlib import Path
 
-import numpy as np
 import pytest
 
-from contfrob.cli import ExperimentConfig, _parser, main
+from contfrob.cli import _KINDS, ExperimentConfig, _parser, main
 from contfrob.errors import ParseError
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -317,3 +316,77 @@ def _readme_commands():
                          ids=lambda words: " ".join(words[:2]))
 def test_readme_command_parses(words):
     assert _parser().parse_args(words).command == words[0]
+
+
+# each kind's accepted param keys, one flag --key (with - for _) per key
+KIND_KEYS = {
+    "ode-check": ["alpha", "beta", "delta", "example", "gamma", "point"],
+    "ode-funnel": ["T", "alpha", "beta", "delta", "deltas", "ensemble",
+                   "example", "gamma", "point", "step"],
+    "pde-check": ["a11", "a12", "a21", "a22", "alpha", "b1", "b2", "beta",
+                  "columns", "example", "point"],
+    "pde-solve-special": ["alpha", "beta", "example", "targets_res", "x0",
+                          "y0"],
+    "pde-frames": ["alpha", "beta", "eps_list", "example", "grid"],
+    "frobenius": ["extent", "form", "grid"],
+    "moduli-check": ["criterion", "depth", "eps", "w", "w2"],
+    "mollify-verify": ["eps_list", "expr", "hi", "lo", "n", "w", "w_axis"],
+    "surface": ["eps1", "example", "grid", "order", "step", "x0"],
+    "dyn-transport": ["example", "k", "res", "tau_amp"],
+    "dyn-dominate": ["eps_sweep", "example", "k_max", "res", "tau_amp"],
+    "dyn-traces": ["eps", "example", "k_max", "res", "tau_amp"],
+}
+
+
+@pytest.mark.parametrize("kind,keys", KIND_KEYS.items(), ids=list(KIND_KEYS))
+def test_each_kind_accepts_exactly_its_keys(kind, keys):
+    assert sorted(prm.key for prm in _KINDS[kind].params) == keys
+    flags = [a for k in keys for a in ("--" + k.replace("_", "-"), "v")]
+    ns = _parser().parse_args([*_KINDS[kind].words, *flags])
+    assert ns.kind == kind and all(getattr(ns, k) == "v" for k in keys)
+    ExperimentConfig(kind, params=dict.fromkeys(keys, "v"))
+
+
+def test_default_example_flag_writes_the_same_bytes(tmp_path):
+    out1, out2 = tmp_path / "a", tmp_path / "b"
+    assert main(["ode", "check", "--out", str(out1)]) == 0
+    assert main(["ode", "check", "--example", "paper-ex1",
+                 "--out", str(out2)]) == 0
+    text = (out1 / "ode_check.csv").read_bytes()
+    assert text == (out2 / "ode_check.csv").read_bytes()
+    assert b"# config.example=paper-ex1\n" in text
+
+
+def test_config_without_example_records_none(tmp_path):
+    assert _run_config(tmp_path, "ode-check", {}) == 0
+    text = (tmp_path / "ode_check.csv").read_text()
+    assert "# verdict=Holds" in text
+    assert "config.example" not in text
+
+
+def test_malformed_value_the_example_ignores_is_parse_error(tmp_path,
+                                                            capsys):
+    # paper-ex3 reads no alpha, but every given value is read before work
+    assert _run_config(tmp_path, "pde-check",
+                       {"example": "paper-ex3", "alpha": "abc"}) == 1
+    assert capsys.readouterr().err == (
+        "parse error: alpha must be a single float, got 'abc'\n")
+    assert list(tmp_path.glob("*.csv")) == []
+
+
+def test_unknown_criterion_flag_is_parse_error(tmp_path, capsys):
+    assert main(["moduli", "check", "--criterion", "bogus",
+                 "--w", "lipschitz(k=1)", "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == (
+        "parse error: criterion must be one of osgood, limit, "
+        "got 'bogus'\n")
+    assert not any(tmp_path.iterdir())
+
+
+def test_unknown_criterion_in_config_is_parse_error(tmp_path, capsys):
+    assert _run_config(tmp_path, "moduli-check",
+                       {"criterion": "bogus", "w": "lipschitz(k=1)"}) == 1
+    assert capsys.readouterr().err == (
+        "parse error: criterion must be one of osgood, limit, "
+        "got 'bogus'\n")
+    assert list(tmp_path.glob("*.csv")) == []

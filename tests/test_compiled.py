@@ -17,10 +17,10 @@ from contfrob.errors import EvalDomainError
 from contfrob.fields import (ONE, ZERO, Const, SplineLeaf, compile_fields,
                              coord, eval_fields, exp, log, parse_field, sin)
 from contfrob.geometry import annihilator_frame, evaluate_frame
-from contfrob.odelab import extend
+from contfrob.odelab import extend, funnel, funnel_to_csv
 from contfrob.pdelab import (SpecialFormSpec, hat_matrix,
                              involutive_mollified_frames)
-from contfrob.surface import _integrate
+from contfrob.surface import FlowConfig, _integrate
 
 x, y = coord("x"), coord("y")
 XY = ("x", "y")
@@ -322,13 +322,18 @@ def test_second_integrate_takes_no_derivatives(monkeypatch):
     assert first.Y.tobytes() == second.Y.tobytes()
 
 
-def test_eval_fields_compiles_once_per_list(monkeypatch):
+def _count_compiles(monkeypatch):
     compiles = []
 
     def counted(self, outputs, _orig=fl._Source.function):
         compiles.append(outputs)
         return _orig(self, outputs)
     monkeypatch.setattr(fl._Source, "function", counted)
+    return compiles
+
+
+def test_eval_fields_compiles_once_per_list(monkeypatch):
+    compiles = _count_compiles(monkeypatch)
     flat = [x * y, exp(y)]
     pts = np.array([[0.5, 2.0]])
     first = eval_fields(flat, XY, pts)
@@ -354,12 +359,7 @@ def test_entries_go_with_their_fields():
 
 
 def test_annihilator_frame_is_built_once(monkeypatch):
-    compiles = []
-
-    def counted(self, outputs, _orig=fl._Source.function):
-        compiles.append(outputs)
-        return _orig(self, outputs)
-    monkeypatch.setattr(fl._Source, "function", counted)
+    compiles = _count_compiles(monkeypatch)
     dist = presets.contact_distribution()
     pts = dist.domain.lattice(3)
     assert annihilator_frame(dist) is annihilator_frame(dist)
@@ -369,6 +369,18 @@ def test_annihilator_frame_is_built_once(monkeypatch):
     assert len(compiles) == done
     assert again.A.tobytes() == first.A.tobytes()
     assert again.dA.tobytes() == first.dA.tobytes()
+
+
+def test_second_funnel_on_a_spec_compiles_nothing(monkeypatch):
+    compiles = _count_compiles(monkeypatch)
+    spec = presets.ode_contraction()
+    args = (spec, [0.0, 0.1], 0.2, [1e-2, 1e-3])
+    first = funnel(*args, ensemble=3, cfg=FlowConfig(step=0.01), seed=4)
+    assert compiles
+    compiles.clear()
+    second = funnel(*args, ensemble=3, cfg=FlowConfig(step=0.01), seed=4)
+    assert compiles == []
+    assert funnel_to_csv(second) == funnel_to_csv(first)
 
 
 def test_mollified_frames_keep_the_cache_bounded(monkeypatch):

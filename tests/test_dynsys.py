@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 
-from contfrob.boxes import Box
 from contfrob.dynsys import (Cocycle, DiffeoSpec, PlaneFieldSamples,
                              PullbackFrame, domination_report,
                              orthonormal_pullback_frames,

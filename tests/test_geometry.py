@@ -93,13 +93,13 @@ def test_restricted_inverse_diagonal_and_singular():
     eps = 1e-3
     rows = (one_form(coords, {"y1": Const(1.0)}),
             one_form(coords, {"y2": Const(eps)}))
-    frame = FrameSection(rows, coords, ("y1", "y2"), None)
+    frame = FrameSection(rows, coords, ("y1", "y2"))
     inv = evaluate_frame(frame, np.zeros(3)).inv[0]
     assert np.linalg.norm(inv, 2) == pytest.approx(1.0 / eps)
 
     bad = FrameSection((one_form(coords, {"y1": Const(1.0)}),
                         one_form(coords, {"y1": Const(1.0)})),
-                       coords, ("y1", "y2"), None)
+                       coords, ("y1", "y2"))
     with pytest.raises(TransversalityError):
         evaluate_frame(bad, np.zeros(3))
 
@@ -469,7 +469,7 @@ def test_trace_zero_prefactor_skips_overflowing_exponential():
                          "y": (-0.5, 0.5)})
     frame = FrameSection((one_form(coords,
                                    {"y": parse_field("1 + 1000*x^2")}),),
-                         coords, ("y",), box)
+                         coords, ("y",))
     dist = Distribution(("x", "z"), ("y",), [[ZERO], [ZERO]], box)
     # the limit's own annihilator dy - 1000 z^2 dx: no gap, d_sup = 1000
     limit = Distribution(("x", "z"), ("y",),
@@ -535,7 +535,7 @@ def _mollified_graph_frames(expr_text, eps_list, one_dim_var=None):
                                 int(1.8 / h) + 1)
             a_eps = to_spline_field(mollify(g, eps), (one_dim_var,))
         rows = (one_form(coords, {"y": Const(1.0), "x": -a_eps}),)
-        frames.append(FrameSection(rows, coords, ("y",), None))
+        frames.append(FrameSection(rows, coords, ("y",)))
     return frames
 
 
@@ -584,8 +584,8 @@ def test_compatibility_defect_orthonormal_rotated():
     c, s = np.cos(0.3), np.sin(0.3)
     rows_b = (one_form(coords, {"y1": Const(c), "y2": Const(s)}),
               one_form(coords, {"y1": Const(-s), "y2": Const(c)}))
-    a = FrameSection(rows_a, coords, ("y1", "y2"), None)
-    b = FrameSection(rows_b, coords, ("y1", "y2"), None)
+    a = FrameSection(rows_a, coords, ("y1", "y2"))
+    b = FrameSection(rows_b, coords, ("y1", "y2"))
     pts = np.zeros((1, 3))
     # A o (B|_Y)^{-1} is a rotation: every singular value is 1
     comp = a.matrix_at(pts) @ evaluate_frame(b, pts).U
@@ -677,7 +677,7 @@ def test_frame_rows_must_be_one_forms_over_its_coords():
                                          r"over \('x', 'y'\)"):
         FrameSection((one_form(coords, {"y": Const(1.0)}),
                       one_form(("x", "z"), {"z": Const(1.0)})),
-                     coords, ("y",), BOX2)
+                     coords, ("y",))
 
 
 def test_bases_for_another_lattice_are_range_error():

@@ -1,4 +1,5 @@
-"""Import hygiene of the library modules, checked with ast (no linter).
+"""Import hygiene of the library modules and the tests, checked with ast
+(no linter).
 
 A module-level import whose name the module never reads is either dead
 weight left behind by a deletion or a dependency nobody meant to keep.
@@ -17,6 +18,7 @@ import contfrob
 
 MODULES = sorted(p for p in Path(contfrob.__file__).parent.glob("*.py")
                  if p.name != "__init__.py")
+TESTS = sorted(Path(__file__).resolve().parent.glob("*.py"))
 
 
 def unused_imports(path):
@@ -36,6 +38,11 @@ def unused_imports(path):
 
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_no_unused_module_imports(path):
+    assert unused_imports(path) == []
+
+
+@pytest.mark.parametrize("path", TESTS, ids=[p.name for p in TESTS])
+def test_no_unused_test_imports(path):
     assert unused_imports(path) == []
 
 
