@@ -6,7 +6,8 @@ checked against it and `main` dispatches through it.  A param's `_Param`
 holds its type, run default and lower bound; `_values` reads every param
 by it before the handler starts, for flags and config files alike.  Each
 example family is one registry of presets.py builders that get only the
-values given for their keys, so a preset's defaults are its signature's.
+values given for their keys, so a preset's defaults are its signature's;
+a key that only another example of the family reads is a ParseError.
 Every report starts with a '#'-prefixed header block embedding the fully
 resolved configuration (sorted keys, no timestamps), so identical configs
 and seeds produce byte-identical files.  Exit codes: 0 on completion, 2
@@ -180,9 +181,22 @@ def _read(prm, text):
 
 def _values(cfg):
     """Every param of a config read by its rule before any work runs: the
-    given ones, and the omitted ones that have a default."""
-    return {prm.key: _read(prm, text) for prm in _KINDS[cfg.kind].params
-            if (text := cfg.params.get(prm.key, prm.default)) is not None}
+    given ones, and the omitted ones that have a default.  A key of the
+    example family that the chosen example does not read is an error, so
+    the report header records only what shaped the run."""
+    kind = _KINDS[cfg.kind]
+    values = {prm.key: _read(prm, text) for prm in kind.params
+              if (text := cfg.params.get(prm.key, prm.default)) is not None}
+    if kind.examples is not None:
+        example = values["example"]
+        keys = kind.examples[example][1]
+        stray = [k for _, ks in kind.examples.values() for k in ks
+                 if k in cfg.params and k not in keys]
+        if stray:
+            raise ParseError(f"example {example!r} does not read "
+                             f"{', '.join(stray)}; it reads "
+                             f"{', '.join(keys) or 'no keys'}")
+    return values
 
 
 def _given(p, keys):
@@ -417,16 +431,11 @@ def _dyn_setup(p):
 def _run_dyn_transport(cfg, p):
     phi, e0, _, _, lim, pts = _dyn_setup(p)
     k = p["k"]
-    rows = []
-    prev = None
-    cocycle = Cocycle(phi, pts, k)
-    for j in range(k + 1):
-        ek = cocycle.transport(e0, j)
-        to_prev = float(np.max(max_principal_angle(prev, ek.bases))) \
-            if prev is not None else float("nan")
-        to_lim = float(np.max(max_principal_angle(ek.bases, lim)))
-        rows.append((j, to_prev, to_lim))
-        prev = ek.bases
+    E = Cocycle(phi, pts, k).transports(e0, range(k + 1))
+    to_prev = [float("nan")] + [float(a) for a in np.max(
+        max_principal_angle(E[:-1], E[1:]), axis=1)]
+    to_lim = np.max(max_principal_angle(E, lim), axis=1)
+    rows = [(j, to_prev[j], float(to_lim[j])) for j in range(k + 1)]
     _write(cfg, "dyn_transport.csv", csv_text(
         [], ["k", "max_angle_to_next", "max_angle_to_limit"], rows))
     print(f"transported {k} steps over {len(pts)} points")
@@ -463,37 +472,41 @@ class _Kind(NamedTuple):
     words: tuple
     handler: Callable
     params: tuple
+    examples: dict = None  # the example registry, for a family's kinds
 
 
-def _examples(registry):
-    """A family's `example` choice, its first entry the default, then one
-    float param per key its presets take."""
-    return (_Param("example", default=next(iter(registry)),
-                   choices=tuple(registry)),
-            *(_Param(k, float) for _, keys in registry.values() for k in keys))
+def _family(words, handler, registry, params=()):
+    """A kind over an example registry: its `example` choice, the first
+    entry the default, and one float param per key its presets take come
+    before its own params."""
+    return _Kind(words, handler, (
+        _Param("example", default=next(iter(registry)),
+               choices=tuple(registry)),
+        *(_Param(k, float) for _, keys in registry.values() for k in keys),
+        *params), registry)
 
 
 def _floats(key, default=None):
     return _Param(key, float, default, many=True)
 
 
-_ODE = _examples(_ODE_EXAMPLES) + (_floats("point"),)
-_SEP = _examples(_SEPARABLE)
-_DYN = _examples(_DYN_EXAMPLES) + (_Param("res", int, least=1),)
+_ODE = (_floats("point"),)
+_DYN = (_Param("res", int, least=1),)
 
 _KINDS = {
-    "ode-check": _Kind(("ode", "check"), _run_ode_check, _ODE),
-    "ode-funnel": _Kind(("ode", "funnel"), _run_ode_funnel, _ODE + (
+    "ode-check": _family(("ode", "check"), _run_ode_check, _ODE_EXAMPLES,
+                         _ODE),
+    "ode-funnel": _family(("ode", "funnel"), _run_ode_funnel, _ODE_EXAMPLES,
+                          _ODE + (
         _Param("T", float, "1.0"), _floats("deltas", "1e-3,1e-4,1e-5,1e-6"),
         _Param("ensemble", int, least=0), _Param("step", float))),
-    "pde-check": _Kind(("pde", "check"), _run_pde_check,
-                       _examples(_PDE_EXAMPLES) + (
+    "pde-check": _family(("pde", "check"), _run_pde_check, _PDE_EXAMPLES, (
         _floats("point"), _Param("columns", int, many=True))),
-    "pde-solve-special": _Kind(("pde", "solve-special"),
-                               _run_pde_solve_special, _SEP + (
+    "pde-solve-special": _family(("pde", "solve-special"),
+                                 _run_pde_solve_special, _SEPARABLE, (
         _floats("x0", "0.3,0.3"), _floats("y0", "0.5,0.5"),
         _Param("targets_res", int, "3", least=1))),
-    "pde-frames": _Kind(("pde", "frames"), _run_pde_frames, _SEP + (
+    "pde-frames": _family(("pde", "frames"), _run_pde_frames, _SEPARABLE, (
         _floats("eps_list", "0.125,0.0625,0.03125"),
         _Param("grid", int, "4", least=1))),
     "frobenius": _Kind(("frobenius",), _run_frobenius, (
@@ -509,16 +522,18 @@ _KINDS = {
         _Param("n", int, "1601", least=2), _Param("lo", float, "-1.0"),
         _Param("hi", float, "1.0"), _Param("w", default="lipschitz(k=1)"),
         _Param("w_axis"))),
-    "surface": _Kind(("surface", "build"), _run_surface,
-                     _examples(_SURFACE_EXAMPLES) + (
+    "surface": _family(("surface", "build"), _run_surface,
+                       _SURFACE_EXAMPLES, (
         _Param("eps1", float, "0.1"), _Param("grid", int, "9"),
         _floats("x0", "0,0,0"), _Param("step", float),
         _Param("order", int, many=True))),
-    "dyn-transport": _Kind(("dyn", "transport"), _run_dyn_transport,
-                           _DYN + (_Param("k", int, "10"),)),
-    "dyn-dominate": _Kind(("dyn", "dominate"), _run_dyn_dominate, _DYN + (
+    "dyn-transport": _family(("dyn", "transport"), _run_dyn_transport,
+                             _DYN_EXAMPLES, _DYN + (_Param("k", int, "10"),)),
+    "dyn-dominate": _family(("dyn", "dominate"), _run_dyn_dominate,
+                            _DYN_EXAMPLES, _DYN + (
         _Param("k_max", int, "12"), _floats("eps_sweep"))),
-    "dyn-traces": _Kind(("dyn", "traces"), _run_dyn_traces, _DYN + (
+    "dyn-traces": _family(("dyn", "traces"), _run_dyn_traces, _DYN_EXAMPLES,
+                          _DYN + (
         _Param("k_max", int, "8"), _Param("eps", float, "1.0"))),
 }
 
@@ -553,7 +568,7 @@ def _parser():
     run_p = sub.add_parser("run", help="run an experiment from a config file")
     run_p.add_argument("--config", required=True)
     groups = {}
-    for kind, (words, _, params) in _KINDS.items():
+    for kind, (words, _, params, _) in _KINDS.items():
         parent = sub
         if len(words) == 2:
             if words[0] not in groups:

@@ -19,14 +19,19 @@ evaluates phi and Dphi once per orbit step over a fixed point set and
 keeps the cumulative products Dphi^k.  A report, a transport sweep, a
 splitting pipeline up to k_max or the frames of orthonormal_pullback_frames
 evaluated on one point set therefore make k_max map and k_max jacobian
-evaluations.  Only the matrix work stays O(k_max^2): the
-backward solves of each E_k and the forward chain Dphi^k E_k, both of
-which start afresh at every k.
+evaluations.  The matrix work is O(k_max^2) in arithmetic but O(k_max) in
+library calls: every E_k comes from one backward sweep whose step j makes
+one batched solve and one QR over the stack of chains with k > j, the
+forward chains Dphi^k E_k, Dphi^k F and Dphi^k Y advance together with
+one matmul per family and step, and each family's singular values are
+one SVD.  Each matrix meets the same LAPACK routine it would meet alone,
+so the stacked sweep gives the per-k results bit for bit.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,8 +40,8 @@ from .errors import (ConeError, DegenerateSubspaceError, RangeError,
                      StepCountError)
 from .fields import eval_fields
 from .geometry import (FrameSection, asymptotic_involutivity_trace,
-                       exterior_regularity_trace, max_principal_angle,
-                       orthonormalize)
+                       evaluate_frames, exterior_regularity_trace,
+                       max_principal_angle, signed_qr)
 from .report import csv_text
 
 __all__ = [
@@ -138,29 +143,82 @@ class Cocycle:
 
     def transport(self, e0_bases, k):
         """E_k(p) = Dphi^{-k}(E_0 at phi^k(p)); see the module function."""
-        if not 0 <= k <= self.k_max:
-            raise StepCountError(f"k must lie in 0..{self.k_max}, got {k}")
-        if callable(e0_bases):
-            B = np.asarray(e0_bases(self.orbit[k]), dtype=float)
-        else:
-            e0 = np.asarray(e0_bases, dtype=float)
-            B = np.broadcast_to(e0, (len(self.points),) + e0.shape).copy()
-        B = orthonormalize(B)
-        for j in range(k - 1, -1, -1):
-            try:
-                B = np.linalg.solve(self.jacobians[j], B)
-                B = orthonormalize(B)
-            except (np.linalg.LinAlgError, DegenerateSubspaceError) as err:
-                raise ConeError(f"transversality lost at step {j}: {err}",
-                                point=self.points[0]) from None
+        B, = self.transports(e0_bases, [k])
         return PlaneFieldSamples(self.points, B)
 
-    def chain(self, bases, k):
-        """Yield Dphi^j bases for j = 1..k, each one step on from the last."""
-        M = bases.copy()
-        for J in self.jacobians[:k]:
-            M = J @ M
-            yield M
+    def transports(self, e0_bases, ks):
+        """E_k for each k of the increasing steps ks: (len(ks), N, d, r).
+
+        One backward sweep: chain i starts as E_0 at phi^{ks[i]}(p), and
+        step j, from max(ks) - 1 down to 0, makes one batched solve by
+        Dphi at phi^j(p) and one QR over the chains with ks[i] > j.  Every
+        chain meets the solves and QRs of a lone transport in the same
+        order, so each E_k equals it bit for bit.  A chain that loses
+        transversality raises ConeError; of several, the one with the
+        smallest k, as a loop over k would find first.
+        """
+        ks = [int(k) for k in ks]
+        for k in ks:
+            if not 0 <= k <= self.k_max:
+                raise StepCountError(f"k must lie in 0..{self.k_max}, "
+                                     f"got {k}")
+        if not ks or any(a >= b for a, b in zip(ks, ks[1:])):
+            raise StepCountError(f"transport steps must increase, got {ks}")
+        B, bad = signed_qr(self._seeds(e0_bases, ks))
+        # chains [lo, hi) are live: started (ks > j) and below any failure;
+        # a chain with a degenerate seed stops there, as a lone one would
+        hi = seed_hi = _first_bad_chain(bad) if bad.any() else len(ks)
+        failure = None
+        for j in range(ks[-1] - 1, -1, -1):
+            lo = bisect_right(ks, j)
+            if lo >= hi:
+                continue
+            J = self.jacobians[j]
+            try:
+                Q, bad = signed_qr(np.linalg.solve(J, B[lo:hi]))
+            except np.linalg.LinAlgError as err:
+                failure, hi = (lo, j, _singular_row(J), err), lo
+                continue
+            B[lo:hi] = Q
+            if bad.any():
+                i = lo + _first_bad_chain(bad)
+                failure = (i, j, int(np.argmax(bad[i - lo])),
+                           "rank-deficient subspace basis")
+                hi = i
+        if failure is not None:
+            i, j, row, err = failure
+            point = self.points[row]
+            raise ConeError(f"transversality lost at step {j}: {err} (depth "
+                            f"k = {ks[i]}, lattice point {row} at "
+                            f"{point.tolist()})", point=point)
+        if seed_hi < len(ks):
+            raise DegenerateSubspaceError("rank-deficient subspace basis")
+        return B
+
+    def _seeds(self, e0_bases, ks):
+        """E_0 at phi^k(p) for each k of ks: (len(ks), N, d, r)."""
+        if callable(e0_bases):
+            seeds = [np.asarray(e0_bases(self.orbit[k]), dtype=float)
+                     for k in ks]
+        else:
+            seeds = [np.asarray(e0_bases, dtype=float)] * len(ks)
+        shape = (len(self.points),) + seeds[0].shape[-2:]
+        return np.stack([np.broadcast_to(b, shape) for b in seeds])
+
+
+def _first_bad_chain(bad):
+    """Index of the first chain with a rank-deficient row."""
+    return int(np.argmax(np.any(bad, axis=1)))
+
+
+def _singular_row(J):
+    """First row whose matrix the batched solve of J rejects."""
+    for row, mat in enumerate(J):
+        try:
+            np.linalg.solve(mat, np.eye(len(mat)))
+        except np.linalg.LinAlgError:
+            return row
+    return 0
 
 
 def transport(phi: DiffeoSpec, e0_bases, k, points):
@@ -205,7 +263,8 @@ def domination_report(phi: DiffeoSpec, e0_bases, f_samples, k_max, points,
 
 
 def _domination(cc: Cocycle, e0_bases, f_samples, eps_list, y_indices):
-    """domination_report over a built cocycle; also returns the E_k bases."""
+    """domination_report over a built cocycle; also returns the E_k bases
+    as one (k_max, N, d, r) stack."""
     if cc.k_max < 1:
         raise StepCountError(f"domination needs k_max >= 1, got {cc.k_max}")
     points, dim = cc.points, cc.phi.dim
@@ -213,29 +272,34 @@ def _domination(cc: Cocycle, e0_bases, f_samples, eps_list, y_indices):
         else np.broadcast_to(np.asarray(f_samples, dtype=float),
                              (len(points), dim,
                               np.asarray(f_samples).shape[-1]))
-    y_chain = None
+    Y = None
     if y_indices is not None:
-        y_bases = np.zeros((len(points), dim, len(y_indices)))
+        Y = np.zeros((len(points), dim, len(y_indices)))
         for c, idx in enumerate(y_indices):
-            y_bases[:, idx, c] = 1.0
-        y_chain = cc.chain(y_bases, cc.k_max)
-    f_chain = cc.chain(f_bases, cc.k_max)
+            Y[:, idx, c] = 1.0
     ks = list(range(1, cc.k_max + 1))
-    e_bases, norm_E, conorm_F, angles = [], [], [], []
-    vertical_C = math.inf if y_chain is not None else math.nan
-    for k in ks:
-        ek = cc.transport(e0_bases, k).bases
-        *_, M = cc.chain(ek, k)
-        top = np.linalg.svd(M, compute_uv=False)[:, 0]
-        norm_E.append(float(np.max(top)))
-        bot = np.linalg.svd(next(f_chain), compute_uv=False)[:, -1]
-        conorm_F.append(float(np.min(bot)))
-        if y_chain is not None:
-            y_min = np.linalg.svd(next(y_chain), compute_uv=False)[:, -1]
-            vertical_C = min(vertical_C, float(np.min(y_min / bot)))
-        if e_bases:
-            angles.append(float(np.max(max_principal_angle(e_bases[-1], ek))))
-        e_bases.append(ek)
+    e_bases = cc.transports(e0_bases, ks)
+    # one forward sweep: row k - 1 of M becomes Dphi^k E_k, and F and Y
+    # collect Dphi^k F and Dphi^k Y for k = 1..k_max
+    M, F, F_k, Y_k = e_bases.copy(), f_bases.copy(), [], []
+    for j, J in enumerate(cc.jacobians):
+        M[j:] = J @ M[j:]
+        F = J @ F
+        F_k.append(F)
+        if Y is not None:
+            Y = J @ Y
+            Y_k.append(Y)
+    top = np.linalg.svd(M, compute_uv=False)[..., 0]
+    norm_E = [float(v) for v in np.max(top, axis=1)]
+    bot = np.linalg.svd(np.stack(F_k), compute_uv=False)[..., -1]
+    conorm_F = [float(v) for v in np.min(bot, axis=1)]
+    vertical_C = math.nan
+    if Y is not None:
+        y_min = np.linalg.svd(np.stack(Y_k), compute_uv=False)[..., -1]
+        vertical_C = min([math.inf] + [float(v) for v in
+                                       np.min(y_min / bot, axis=1)])
+    angles = [float(v) for v in np.max(max_principal_angle(
+        e_bases[:-1], e_bases[1:]), axis=1)]
 
     A = np.stack([np.asarray(ks, dtype=float), np.ones(len(ks))], axis=1)
     sol, *_ = np.linalg.lstsq(A, np.asarray(norm_E), rcond=None)
@@ -278,7 +342,9 @@ class PullbackFrame:
     of dC_0 (zero when C_0 is constant), evaluated with jacobian products
     rather than composed expression trees.  The orbit and Dphi^k come
     from a Cocycle over the queried points, kept until the frame is asked
-    about other points; frames made together share it.
+    about other points; frames made together share it, and
+    geometry.evaluate_frames evaluates such a family in one go through
+    family_matrices_at.
     """
 
     def __init__(self, phi: DiffeoSpec, base: FrameSection, k: int):
@@ -308,9 +374,30 @@ class PullbackFrame:
 
     def d_matrices_at(self, points):
         cc = self._source.at(points)
-        J = cc.products[self.k]
-        dC = self.base.d_matrices_at(cc.orbit[self.k])  # (N, n, d, d)
-        return np.einsum("pca,pjcd,pdb->pjab", J, dC, J)
+        return _pulled_back(self.base.d_matrices_at(cc.orbit[self.k]),
+                            cc.products[self.k])
+
+    @staticmethod
+    def family_matrices_at(frames, points):
+        """(A, dA) of frames sharing one base and one _CocycleSource over
+        K*N frame-major rows: one base.matrix_at and one d_matrices_at on
+        the stacked orbit points phi^k(p).  None for any other list."""
+        first = frames[0]
+        if not all(isinstance(f, PullbackFrame) and f.base is first.base
+                   and f._source is first._source for f in frames):
+            return None
+        cc = first._source.at(points)
+        ks = [f.k for f in frames]
+        ends = cc.orbit[ks].reshape(-1, first.dim)
+        J = np.stack([cc.products[k] for k in ks]).reshape(
+            -1, first.dim, first.dim)
+        return (first.base.matrix_at(ends) @ J,
+                _pulled_back(first.base.d_matrices_at(ends), J))
+
+
+def _pulled_back(dC, J):
+    """J^T dC_j J per point: (phi^k)^* of the base 2-forms dC (N, n, d, d)."""
+    return np.einsum("pca,pjcd,pdb->pjab", J, dC, J)
 
 
 def orthonormal_pullback_frames(phi: DiffeoSpec, base: FrameSection, k,
@@ -323,8 +410,10 @@ def orthonormal_pullback_frames(phi: DiffeoSpec, base: FrameSection, k,
     if check_points is not None:
         M = base.matrix_at(check_points)
         gram = M @ np.swapaxes(M, 1, 2)
-        if np.max(np.abs(gram - np.eye(base.n))) > tol:
-            raise ValueError("base frame rows are not orthonormal")
+        gap = float(np.max(np.abs(gram - np.eye(base.n))))
+        if gap > tol:
+            raise RangeError(f"base frame rows are not orthonormal: max "
+                             f"|Gram - I| = {gap!r} exceeds {tol!r}")
     return _shared_frames(phi, base, range(k + 1), _CocycleSource(phi, k))
 
 
@@ -344,22 +433,24 @@ def splitting_involutivity_pipeline(phi: DiffeoSpec, e0_bases,
 
     Requires domination on the lattice; returns (report, asymptotic
     trace, exterior-regularity trace) where the regularity trace needs a
-    limit plane field (samples) to restrict against.  n_dirs and seed
-    are ignored, as in geometry.involutivity_constant.
+    limit plane field (samples) to restrict against.  The k_max frames
+    are evaluated once, as one stack, and both traces read it.  n_dirs
+    and seed are ignored, as in geometry.involutivity_constant.
     """
     y_indices = [base_frame.coords.index(y) for y in base_frame.y_names]
     cc = Cocycle(phi, points, k_max)
     report, dists = _domination(cc, e0_bases, f_samples, (eps,), y_indices)
     if not report.dominated:
         return report, None, None
-    frames = _shared_frames(phi, base_frame, range(1, k_max + 1),
-                            _CocycleSource(phi, k_max, cc))
-    asym = asymptotic_involutivity_trace(frames, dists, eps, points)
+    values = evaluate_frames(
+        _shared_frames(phi, base_frame, range(1, k_max + 1),
+                       _CocycleSource(phi, k_max, cc)), cc.points)
+    asym = asymptotic_involutivity_trace(values, dists, eps, cc.points)
     ext = None
     if limit is not None:
         lim_bases = limit.bases if isinstance(limit, PlaneFieldSamples) \
             else limit
-        ext = exterior_regularity_trace(frames, lim_bases, eps, points)
+        ext = exterior_regularity_trace(values, lim_bases, eps, cc.points)
     return report, asym, ext
 
 

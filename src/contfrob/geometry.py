@@ -16,19 +16,25 @@ lattice, exact per point for each frame shape the toolkit builds (n rows,
 r = dim E): ||dA|_E|| for n == 1 or r <= 2, M_A for n == 1, r == 1 or
 n == r == 2 (the kernels below say how).  Other shapes raise RangeError.
 
-Cost model: evaluate_frame is the one place a frame meets a point set
-and the one transversality check.  It calls matrix_at once and
-d_matrices_at once, and takes one batched SVD and inverse of A|_Y.  The
-sup kernels read those arrays, so a trace step, a tangency bound or a
-wrapper such as involutivity_constant evaluates its frame exactly once.
-matrix_at evaluates all entries of the rows in one fields.eval_fields
-call, and d_matrices_at one per row of d(rows): one compiled function
-each instead of a tree walk per entry.
+Cost model: evaluate_frames is the one place frames meet a point set
+and the one transversality check.  It stacks K frames over one lattice
+of N points into K*N frame-major rows: each frame's matrix_at and
+d_matrices_at once (or, for a family that evaluates itself in one go,
+such as the pullback frames of dynsys, one call of each for all K), then
+one batched SVD and one inverse of A|_Y.  evaluate_frame is its K = 1
+case.  The sup kernels compute per-row values over the whole stack in
+one call each and reduce them per frame segment, so a trace makes the
+same number of library calls for K frames as for one, and a tangency
+bound or a wrapper such as involutivity_constant evaluates its frame
+exactly once.  matrix_at evaluates all entries of the rows in one
+fields.eval_fields call, and d_matrices_at one per row of d(rows): one
+compiled function each instead of a tree walk per entry.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -41,7 +47,8 @@ from .forms import (exterior_derivative, one_form, stacked_wedge_norms,
 
 __all__ = [
     "Distribution", "FrameSection", "SupEstimate", "annihilator_frame",
-    "frobenius_defect", "FrameValues", "evaluate_frame", "bound_parts",
+    "frobenius_defect", "FrameValues", "evaluate_frame", "evaluate_frames",
+    "bound_parts",
     "involutivity_constant",
     "asymptotic_involutivity_trace", "exterior_regularity_trace",
     "orthonormalize", "max_principal_angle",
@@ -108,12 +115,20 @@ class Distribution:
 
 
 def orthonormalize(bases):
-    """Per-point QR orthonormalization of (N, dim, r) basis stacks."""
+    """Per-point QR orthonormalization of (..., dim, r) basis stacks."""
+    q, bad = signed_qr(bases)
+    if np.any(bad):
+        raise DegenerateSubspaceError("rank-deficient subspace basis")
+    return q
+
+
+def signed_qr(bases):
+    """Q with the signs that make diag(R) positive, and a mask (...,) of
+    the rank-deficient bases (some |R_ii| < 1e-12)."""
     q, r = np.linalg.qr(bases)
     diag = np.einsum("...ii->...i", r)
-    if np.any(np.abs(diag) < 1e-12):
-        raise DegenerateSubspaceError("rank-deficient subspace basis")
-    return q * np.sign(diag)[..., None, :]
+    return (q * np.sign(diag)[..., None, :],
+            np.any(np.abs(diag) < 1e-12, axis=-1))
 
 
 def max_principal_angle(b1, b2):
@@ -217,34 +232,71 @@ def frobenius_defect(frame, points):
 
 
 # ---------------------------------------------------------------------------
-# one frame evaluated on a point set
+# frames evaluated on a point set
 
 
 @dataclass
 class FrameValues:
-    """A frame evaluated once on a point set: everything the sups read."""
+    """K frames evaluated once on a lattice of N points: everything the
+    sups read, over K*N frame-major rows (row f*N + p is frame f at
+    points[p])."""
 
     points: np.ndarray  # (N, D)
-    A: np.ndarray  # (N, n, D) row matrices
-    dA: np.ndarray  # (N, n, D, D) antisymmetric matrices of d(rows)
-    inv: np.ndarray  # (N, n, n) (A|_Y)^{-1}
-    U: np.ndarray  # (N, D, n) (A|_Y)^{-1} embedded in R^D
+    A: np.ndarray  # (K*N, n, D) row matrices
+    dA: np.ndarray  # (K*N, n, D, D) antisymmetric matrices of d(rows)
+    inv: np.ndarray  # (K*N, n, n) (A|_Y)^{-1}
+    U: np.ndarray  # (K*N, D, n) (A|_Y)^{-1} embedded in R^D
+
+    @property
+    def frames(self):
+        return len(self.A) // len(self.points)
+
+    @cached_property
+    def inv_norms(self):
+        """(K*N,) ||(A|_Y)^{-1}||, computed once for every trace."""
+        return _sigma_max(self.inv)
+
+    @cached_property
+    def d_norms(self):
+        """(K*N, n) |d eta_i|, computed once for every trace."""
+        return two_form_matrix_norm(self.dA)
 
 
 def evaluate_frame(frame, points) -> FrameValues:
-    """One matrix_at, one d_matrices_at and the transversality check:
-    TransversalityError where some A_p|_Y is singular."""
+    """evaluate_frames of the one frame."""
+    return evaluate_frames([frame], points)
+
+
+def evaluate_frames(frames, points) -> FrameValues:
+    """The frames on one lattice as one FrameValues, with one
+    transversality check: TransversalityError where some A_p|_Y is
+    singular.  The frames must share their coordinates and vertical
+    axes; a family with family_matrices_at evaluates itself in one go,
+    any other list frame by frame."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    A = frame.matrix_at(pts)
-    y_idx = list(frame.y_indices)
+    first = frames[0]
+    shapes = {(f.n, tuple(f.coords), tuple(f.y_indices)) for f in frames}
+    if len(shapes) != 1:
+        raise RangeError(f"frames stacked on one lattice must share rows, "
+                         f"coordinates and vertical axes, got {shapes}")
+    family = getattr(first, "family_matrices_at", None)
+    stacked = family(frames, pts) if family is not None else None
+    if stacked is not None:
+        A, dA = stacked
+    elif len(frames) == 1:
+        A, dA = first.matrix_at(pts), first.d_matrices_at(pts)
+    else:
+        A = np.concatenate([f.matrix_at(pts) for f in frames])
+        dA = np.concatenate([f.d_matrices_at(pts) for f in frames])
+    y_idx = list(first.y_indices)
     Ay = A[:, :, y_idx]
     s = np.linalg.svd(Ay, compute_uv=False)
     if np.any(s[:, -1] < 1e-12 * np.maximum(1.0, s[:, 0])):
         raise TransversalityError("frame loses transversality on the lattice")
     inv = np.linalg.inv(Ay)
-    U = np.zeros((len(pts), A.shape[2], frame.n))
+    U = np.zeros((len(A), A.shape[2], first.n))
     U[:, y_idx, :] = inv
-    return FrameValues(pts, A, frame.d_matrices_at(pts), inv, U)
+    return FrameValues(pts, A, dA, inv, U)
 
 
 # ---------------------------------------------------------------------------
@@ -265,10 +317,17 @@ def _sigma_max(stack):
     return np.linalg.svd(stack, compute_uv=False)[..., 0]
 
 
-def _lattice_sup(vals, pts, protocol):
-    """Max of per-point values over the lattice, with its point."""
-    i = int(np.argmax(vals))
-    return SupEstimate(float(vals[i]), pts[i], protocol)
+def _lattice_sups(vals, pts, protocol):
+    """Per frame segment of the frame-major per-row values, their max
+    over the lattice pts with its point."""
+    per_frame = np.reshape(vals, (-1, len(pts)))
+    return [SupEstimate(float(row[i]), pts[i], dict(protocol))
+            for row, i in zip(per_frame, np.argmax(per_frame, axis=1))]
+
+
+def _segment_max(vals, frames):
+    """Max per frame segment over all its entries, 0.0 when empty."""
+    return np.max(np.reshape(vals, (frames, -1)), axis=1, initial=0.0)
 
 
 def _shape_error(n, r):
@@ -276,22 +335,19 @@ def _shape_error(n, r):
                       f"supported are n = 1, r = 1 and n = r = 2")
 
 
-def _d_restricted_sup(dA, bases, pts):
-    """sup over p and unit u, v in span(bases_p) of |dA_p(u, v)|_l2, from
+def _d_restricted(dA, bases):
+    """Per row, sup over unit u, v in span(bases) of |dA(u, v)|_l2, from
     the r x r antisymmetric matrices D2_j = B^T dA_j B: sigma_max(D2_0)
-    for n == 1, and for r <= 2, where D2_j = a_j J, |a|_2."""
-    D2 = np.einsum("pda,pjde,peb->pjab", bases, dA, bases)  # (N,n,r,r)
+    for n == 1, and for r <= 2, where D2_j = a_j J, |a|_2.  Returns the
+    values and how u was maximized."""
+    D2 = np.einsum("pda,pjde,peb->pjab", bases, dA, bases)  # (R,n,r,r)
     n, r = D2.shape[1:3]
     if n == 1:
-        vals, how = _sigma_max(D2[:, 0]), "exact-svd"
-    elif r <= 2:
-        vals = np.linalg.norm(D2[:, :, 0, 1], axis=1) if r == 2 \
-            else np.zeros(len(pts))
-        how = "exact-antisymmetric"
-    else:
-        raise _shape_error(n, r)
-    return _lattice_sup(vals, pts, {"points": len(pts), "kind": "lower-bound",
-                                    "u_maximization": how})
+        return _sigma_max(D2[:, 0]), "exact-svd"
+    if r <= 2:
+        return (np.linalg.norm(D2[:, :, 0, 1], axis=1) if r == 2
+                else np.zeros(len(D2))), "exact-antisymmetric"
+    raise _shape_error(n, r)
 
 
 def _polymul(a, b):
@@ -355,36 +411,45 @@ def _two_by_two_sup(C0, C1):
     return 0.5 * np.max(sig, axis=1)
 
 
-def _mixing_sup(dA, U, bases, pts):
-    """M_A from evaluated arrays; see involutivity_constant."""
+def _mixing(dA, U, bases):
+    """Per row, M_A's sup over unit w and unit v in span(bases); see
+    involutivity_constant.  Returns the values and how u was
+    maximized."""
     # C[p, j, l, a] = (A^{-1} e_l)^T dA_j (B e_a)
     C = np.einsum("pcl,pjcd,pda->pjla", U, dA, bases)
     n, r = C.shape[1], C.shape[3]
     if n == 1:
-        vals, how = np.linalg.norm(C[:, 0, 0], axis=-1), "exact-svd"
-    elif r == 1:
-        vals, how = _sigma_max(C[..., 0]), "exact-svd"
-    elif n == r == 2:
-        vals, how = _two_by_two_sup(C[..., 0], C[..., 1]), "exact-angles"
-    else:
-        raise _shape_error(n, r)
-    return _lattice_sup(vals, pts, {
-        "points": len(pts), "kind": "lower-bound",
+        return np.linalg.norm(C[:, 0, 0], axis=-1), "exact-svd"
+    if r == 1:
+        return _sigma_max(C[..., 0]), "exact-svd"
+    if n == r == 2:
+        return _two_by_two_sup(C[..., 0], C[..., 1]), "exact-angles"
+    raise _shape_error(n, r)
+
+
+def _mixing_sups(values, bases):
+    vals, how = _mixing(values.dA, values.U, bases)
+    return _lattice_sups(vals, values.points, {
+        "points": len(values.points), "kind": "lower-bound",
         "w_maximization": "exact-svd", "u_maximization": how})
 
 
-def _d_sup(dA):
-    """max_{p, i} |d eta_i|_p."""
-    return float(np.max(two_form_matrix_norm(dA))) if dA.size else 0.0
+def _d_sups(values):
+    """Per frame, max_{p, i} |d eta_i|_p."""
+    return _segment_max(values.d_norms, values.frames)
 
 
 def bound_parts(values: FrameValues, bases):
-    """(sup ||dA|_E||, sup ||(A|_Y)^{-1}||, M_A) of one evaluated frame: the
-    factors of the asymptotic involutivity trace and the tangency bound."""
-    pts, dA = values.points, values.dA
-    return (_d_restricted_sup(dA, bases, pts),
-            _lattice_sup(_sigma_max(values.inv), pts, {"points": len(pts)}),
-            _mixing_sup(dA, values.U, bases, pts))
+    """Per evaluated frame, (sup ||dA|_E||, sup ||(A|_Y)^{-1}||, M_A): the
+    factors of the asymptotic involutivity trace and the tangency bound.
+    bases holds one (D, r) basis per row of values."""
+    pts = values.points
+    d_vals, how = _d_restricted(values.dA, bases)
+    return list(zip(
+        _lattice_sups(d_vals, pts, {"points": len(pts), "kind": "lower-bound",
+                                    "u_maximization": how}),
+        _lattice_sups(values.inv_norms, pts, {"points": len(pts)}),
+        _mixing_sups(values, bases)))
 
 
 def involutivity_constant(frame, dist_or_bases, points, *, n_dirs=None,
@@ -397,8 +462,7 @@ def involutivity_constant(frame, dist_or_bases, points, *, n_dirs=None,
     workloads still pass them.
     """
     v = evaluate_frame(frame, points)
-    return _mixing_sup(v.dA, v.U, _as_bases(dist_or_bases, v.points),
-                       v.points)
+    return _mixing_sups(v, _as_bases(dist_or_bases, v.points))[0]
 
 
 def _as_bases(dist_or_bases, points):
@@ -431,23 +495,42 @@ def _weighted(prefactor, eps, exponent):
     return prefactor * float(np.exp(eps * exponent))
 
 
+def _frame_values(frames, pts):
+    """frames as FrameValues on pts: evaluated here, or as given."""
+    if not isinstance(frames, FrameValues):
+        return evaluate_frames(frames, pts)
+    if not np.array_equal(frames.points, pts):
+        raise RangeError(f"frames evaluated on {len(frames.points)} points "
+                         f"given for a lattice of {len(pts)} points")
+    return frames
+
+
 def asymptotic_involutivity_trace(frames, dists, eps, points):
     """Per-step quantities q_k = ||dA_k|_{E_k}|| ||A_k^{-1}|| e^{eps M_k}.
 
     Also returns the strong-form surrogate
     max_j |eta_1 ^ .. ^ eta_n ^ d eta_j|_inf * e^{eps max_i |d eta_i|_inf}.
+    frames is a list of frames or their FrameValues on points; all steps
+    are evaluated as one stack.
     """
-    if len(frames) != len(dists):
-        raise ValueError("frame and distribution sequences must align")
+    n_frames = frames.frames if isinstance(frames, FrameValues) \
+        else len(frames)
+    if n_frames != len(dists):
+        raise RangeError(f"frame and distribution sequences must align, got "
+                         f"{n_frames} frames and {len(dists)} distributions")
+    if not n_frames:
+        return []
     pts = np.atleast_2d(np.asarray(points, dtype=float))
+    values = _frame_values(frames, pts)
+    bases = np.concatenate([_as_bases(d, pts) for d in dists])
+    wedge_sups = _segment_max(stacked_wedge_norms(values.A, values.dA),
+                              values.frames)
     out = []
-    for k, (frame, dist) in enumerate(zip(frames, dists)):
-        v = evaluate_frame(frame, pts)
-        d_restr, inv_norm, m_const = (e.value for e in bound_parts(
-            v, _as_bases(dist, pts)))
+    for k, (parts, wedge_sup, d_sup) in enumerate(zip(
+            bound_parts(values, bases), wedge_sups, _d_sups(values))):
+        d_restr, inv_norm, m_const = (e.value for e in parts)
         q = _weighted(d_restr * inv_norm, eps, m_const)
-        wedge_sup = float(np.max(stacked_wedge_norms(v.A, v.dA), initial=0.0))
-        d_sup = _d_sup(v.dA)
+        wedge_sup, d_sup = float(wedge_sup), float(d_sup)
         strong = _weighted(wedge_sup, eps, d_sup)
         out.append(TraceEntry(k, q, strong, {
             "d_restricted": d_restr, "inv_norm": inv_norm, "M": m_const,
@@ -461,26 +544,31 @@ def exterior_regularity_trace(frames, limit, eps, points, *, n_dirs=None,
     limit distribution E, plus the strong surrogate
     max_j |beta^k_j - beta_j|_inf * e^{eps max_i |d beta^k_i|_inf} when a
     symbolic limit frame is available (limit given as a Distribution).
-    n_dirs and seed are ignored, as in involutivity_constant."""
+    frames is a list of frames or their FrameValues on points; all steps
+    are evaluated as one stack.  n_dirs and seed are ignored, as in
+    involutivity_constant."""
+    if not isinstance(frames, FrameValues) and not frames:
+        return []
     pts = np.atleast_2d(np.asarray(points, dtype=float))
+    values = _frame_values(frames, pts)
+    K, N = values.frames, len(pts)
     bases = _as_bases(limit, pts)
-    limit_frame = annihilator_frame(limit) if isinstance(limit, Distribution) \
-        else None
-    limit_matrix = limit_frame.matrix_at(pts) if limit_frame else None
+    A = values.A.reshape((K, N) + values.A.shape[1:])
+    restr = _segment_max(_sigma_max(A @ bases), K)
+    inv_norm = _segment_max(values.inv_norms, K)
+    m_const = _mixing_sups(values, np.concatenate([bases] * K))
+    d_sup = _d_sups(values)
+    row_sup = None
+    if isinstance(limit, Distribution):
+        diff = A - annihilator_frame(limit).matrix_at(pts)
+        row_sup = _segment_max(np.linalg.norm(diff, axis=-1), K)
     out = []
-    for k, frame in enumerate(frames):
-        v = evaluate_frame(frame, pts)
-        restr = float(np.max(_sigma_max(v.A @ bases)))
-        inv_norm = float(np.max(_sigma_max(v.inv)))
-        m_const = _mixing_sup(v.dA, v.U, bases, pts).value
-        q = _weighted(restr * inv_norm, eps, m_const)
-        d_sup = _d_sup(v.dA)
-        strong = None
-        if limit_matrix is not None:
-            diff = v.A - limit_matrix
-            row_sup = float(np.max(np.linalg.norm(diff, axis=2)))
-            strong = _weighted(row_sup, eps, d_sup)
+    for k in range(K):
+        q = _weighted(float(restr[k]) * float(inv_norm[k]), eps,
+                      m_const[k].value)
+        strong = None if row_sup is None else \
+            _weighted(float(row_sup[k]), eps, float(d_sup[k]))
         out.append(TraceEntry(k, q, strong, {
-            "restricted": restr, "inv_norm": inv_norm, "M": m_const,
-            "d_sup": d_sup, "eps": eps}))
+            "restricted": float(restr[k]), "inv_norm": float(inv_norm[k]),
+            "M": m_const[k].value, "d_sup": float(d_sup[k]), "eps": eps}))
     return out

@@ -78,7 +78,8 @@ class Hoelder(Modulus):
 
     def __post_init__(self):
         if not 0.0 < self.alpha <= 1.0:
-            raise ValueError("Hoelder exponent must lie in (0, 1]")
+            raise RangeError(f"Hoelder exponent must lie in (0, 1], "
+                             f"got {self.alpha!r}")
 
     def _raw(self, s):
         return self.K * s ** self.alpha
@@ -116,7 +117,7 @@ class ScaleModulus(Modulus):
 
     def __post_init__(self):
         if self.c <= 0.0:
-            raise ValueError("scale factor must be positive")
+            raise RangeError(f"scale factor must be positive, got {self.c!r}")
 
     @property
     def domain_cap(self):
@@ -146,16 +147,22 @@ class Tabulated(Modulus):
     breakpoints: tuple = ()
 
     def __post_init__(self):
-        s = np.asarray([b[0] for b in self.breakpoints])
-        v = np.asarray([b[1] for b in self.breakpoints])
+        s = [float(b[0]) for b in self.breakpoints]
+        v = [float(b[1]) for b in self.breakpoints]
         if len(s) < 2:
-            raise ValueError("tabulated modulus needs >= 2 breakpoints")
-        if not np.all(np.diff(s) > 0.0):
-            raise ValueError("breakpoint scales must be strictly ascending")
-        if not np.all(np.diff(v) >= 0.0):
-            raise ValueError("breakpoint values must be nondecreasing")
-        if np.any(v < 0.0):
-            raise ValueError("breakpoint values must be nonnegative")
+            raise RangeError(f"tabulated modulus needs >= 2 breakpoints, "
+                             f"got {len(s)}")
+        for a, b in zip(s, s[1:]):
+            if not a < b:
+                raise RangeError(f"breakpoint scales must be strictly "
+                                 f"ascending, got {a} then {b}")
+        for a, b in zip(v, v[1:]):
+            if not a <= b:
+                raise RangeError(f"breakpoint values must be nondecreasing, "
+                                 f"got {a} then {b}")
+        if v[0] < 0.0:
+            raise RangeError(f"breakpoint values must be nonnegative, got "
+                             f"{v[0]}")
 
     @property
     def domain_cap(self):

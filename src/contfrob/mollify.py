@@ -161,7 +161,8 @@ def verify_bounds(f: GridFunction, w, per_axis_w, eps_list):
     """
     d = f.dim
     if len(per_axis_w) != d:
-        raise ValueError("need one directional modulus per axis")
+        raise RangeError(f"need one directional modulus per axis: {d} axes, "
+                         f"got {len(per_axis_w)} moduli")
     from scipy.integrate import quad
     rows = []
     for eps in eps_list:

@@ -46,10 +46,9 @@ from .boxes import Box
 from .errors import EscapeError, EvalDomainError, RangeError
 from .fields import compile_fields, eval_fields
 from .report import cells, csv_text
-from .geometry import (Distribution, FrameSection, _sigma_max,
-                       annihilator_frame, bound_parts, evaluate_frame,
-                       involutivity_constant, max_principal_angle,
-                       orthonormalize)
+from .geometry import (Distribution, FrameSection, annihilator_frame,
+                       bound_parts, evaluate_frame, involutivity_constant,
+                       max_principal_angle, orthonormalize)
 
 __all__ = [
     "FlowConfig", "SurfacePatch", "flow", "variational_flow", "build_surface",
@@ -334,9 +333,9 @@ def tangency_defect(patch: SurfacePatch, dist: Distribution, sup_res=17, *,
     defects = np.linalg.norm(diff, axis=-1).reshape(patch.tangents.shape[:-1])
 
     pts = dist.domain.lattice(sup_res)
-    d_restr, inv_norm, m_const = (e.value for e in bound_parts(
-        evaluate_frame(annihilator_frame(dist), pts),
-        dist.orthonormal_bases_at(pts)))
+    parts, = bound_parts(evaluate_frame(annihilator_frame(dist), pts),
+                         dist.orthonormal_bases_at(pts))
+    d_restr, inv_norm, m_const = (e.value for e in parts)
     rhs = patch.m * patch.eps1 * d_restr * inv_norm * \
         math.exp(patch.m * patch.eps1 * m_const)
     fd_tol = 10.0 * patch.spacing ** 2
@@ -380,7 +379,7 @@ def pushforward_bound_check(dist: Distribution, frame: FrameSection, x0,
         x, Y = variational_flow(fields[i], dist.coords, x, times[:, i], Y,
                                 cfg, dist.domain)
     A0 = frame.matrix_at(x0)
-    inv_norm_end = _sigma_max(evaluate_frame(frame, x).inv)
+    inv_norm_end = evaluate_frame(frame, x).inv_norms
     checks = []
     for r in range(len(x0)):
         eps1 = float(np.max(np.abs(times[r]))) if times.shape[1] else 0.0
@@ -418,11 +417,13 @@ def converge_surfaces(patches, limit_dist: Distribution):
                   divergence are indistinguishable at finite depth).
     """
     if len(patches) < 2:
-        raise ValueError("need at least two patches")
+        raise RangeError(f"need at least two patches, got {len(patches)}")
     shape = patches[0].points.shape
     for p in patches[1:]:
         if p.points.shape != shape or p.res != patches[0].res:
-            raise ValueError("patches must share the parameter grid")
+            raise RangeError(f"patches must share the parameter grid: "
+                             f"{shape} at res {patches[0].res} against "
+                             f"{p.points.shape} at res {p.res}")
 
     displacements = []
     for a, b in zip(patches, patches[1:]):

@@ -37,3 +37,16 @@ def test_workload_task_runs_clean(name):
     res = wl.run(ctx, inp, spans.NULL)
     assert res.problems == []
     assert res.text
+
+
+def test_torus_splitting_task_linalg_calls(linalg_calls):
+    # the splitting pipeline's per-k work runs as stacked sweeps: one
+    # solve and one QR per transport step, every other call once per task
+    wl = workloads.WORKLOADS["torus-splitting"]()
+    ctx = wl.build()
+    inp = wl.inputs(ctx, np.random.default_rng([1, 2, 0]))
+    linalg_calls.clear()
+    assert wl.run(ctx, inp, spans.NULL).problems == []
+    assert linalg_calls["solve"] == wl.F_STEPS + wl.K_MAX
+    assert linalg_calls["qr"] == wl.F_STEPS + wl.K_MAX + 2
+    assert sum(linalg_calls.values()) <= 60

@@ -1,5 +1,8 @@
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -7,7 +10,8 @@ import pytest
 from contfrob.cli import _KINDS, ExperimentConfig, _parser, main
 from contfrob.errors import ParseError
 
-README = Path(__file__).resolve().parent.parent / "README.md"
+ROOT = Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
 
 
 def test_config_roundtrip():
@@ -390,3 +394,34 @@ def test_unknown_criterion_in_config_is_parse_error(tmp_path, capsys):
         "parse error: criterion must be one of osgood, limit, "
         "got 'bogus'\n")
     assert list(tmp_path.glob("*.csv")) == []
+
+
+@pytest.mark.parametrize("kind,example,key", [
+    ("ode-check", "peano", "alpha"), ("pde-check", "paper-ex3", "beta"),
+    ("dyn-traces", "cat-map", "tau_amp")])
+def test_key_the_example_does_not_read_is_parse_error(tmp_path, capsys, kind,
+                                                      example, key):
+    # on the flag path and the config path alike, before any work
+    words = [*_KINDS[kind].words, "--example", example,
+             "--" + key.replace("_", "-"), "0.7", "--out", str(tmp_path)]
+    assert main(words) == 1
+    flag_err = capsys.readouterr().err
+    assert _run_config(tmp_path, kind, {"example": example, key: "0.7"}) == 1
+    assert capsys.readouterr().err == flag_err
+    assert flag_err.startswith(f"parse error: example {example!r} does not "
+                               f"read {key}; it reads ")
+    assert list(tmp_path.glob("*.csv")) == []
+
+
+def test_python_dash_m_runs_the_cli(tmp_path):
+    args = ["frobenius", "--form", "dz - y*dx", "--grid", "3"]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    out = subprocess.run([sys.executable, "-m", "contfrob", *args, "--out",
+                          str(tmp_path / "m")], env=env, capture_output=True,
+                         text=True)
+    assert out.returncode == 0, out.stderr
+    assert main([*args, "--out", str(tmp_path / "main")]) == 0
+    assert (tmp_path / "m" / "frobenius.csv").read_bytes() == \
+        (tmp_path / "main" / "frobenius.csv").read_bytes()

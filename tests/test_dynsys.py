@@ -8,11 +8,13 @@ from contfrob.dynsys import (Cocycle, DiffeoSpec, PlaneFieldSamples,
                              orthonormal_pullback_frames,
                              splitting_involutivity_pipeline,
                              splitting_report_to_csv, transport)
-from contfrob.errors import RangeError, StepCountError
+from contfrob.errors import (ConeError, DegenerateSubspaceError,
+                             RangeError, StepCountError)
 from contfrob.fields import parse_field
 from contfrob.forms import one_form
 from contfrob.geometry import (FrameSection, asymptotic_involutivity_trace,
-                               evaluate_frame, exterior_regularity_trace,
+                               evaluate_frame, evaluate_frames,
+                               exterior_regularity_trace,
                                max_principal_angle, orthonormalize,
                                subspace_distance)
 from contfrob.presets import (cat_contracting_direction, cat_eigenvalues,
@@ -206,6 +208,10 @@ def test_pullback_frames_reject_non_orthonormal():
     base = base.scale(2.0)
     with pytest.raises(ValueError):
         orthonormal_pullback_frames(phi, base, 3, check_points=pts)
+    # the unit row scaled by 2 has |Gram - I| = 3
+    with pytest.raises(RangeError, match=r"^base frame rows are not "
+                       r"orthonormal: max \|Gram - I\| = 3\.0 exceeds"):
+        orthonormal_pullback_frames(phi, base, 3, check_points=pts)
 
 
 def test_pipeline_cat_map_traces():
@@ -286,8 +292,12 @@ def curved_frame(coords):
 
 
 def reference_transport(phi, e0, k, pts):
+    """E_k by a lone backward loop; e0 is constant or points -> bases."""
     orbit = phi.orbit(pts, k)
-    B = orthonormalize(np.broadcast_to(e0, (len(pts),) + e0.shape).copy())
+    if callable(e0):
+        e0 = e0(orbit[k])
+    B = orthonormalize(np.broadcast_to(e0, (len(pts),) + e0.shape[-2:])
+                       .copy())
     for j in range(k - 1, -1, -1):
         B = orthonormalize(np.linalg.solve(phi.jacobian(orbit[j]), B))
     return B
@@ -323,15 +333,81 @@ class ReferenceFrame(PullbackFrame):
 DYN_CASES = ["cat-map", "skew-product"]
 
 
+def pointwise_seed(e0):
+    """Seed bases that vary from point to point: e0 rotated in the plane
+    of the first two coordinate axes by an angle that depends on the
+    point."""
+    def bases(pts):
+        t = 0.3 * np.sin(2.0 * np.pi * pts[:, 0])
+        c, s = np.cos(t), np.sin(t)
+        out = np.broadcast_to(e0, (len(pts),) + e0.shape).copy()
+        out[:, 0], out[:, 1] = (c[:, None] * e0[0] - s[:, None] * e0[1],
+                                s[:, None] * e0[0] + c[:, None] * e0[1])
+        return out
+    return bases
+
+
 @pytest.mark.parametrize("name", DYN_CASES)
 def test_cocycle_transport_equals_per_k_reference(name):
     phi, e0, _, _, _, pts = dyn_case(name)
     k_max = 9
     cc = Cocycle(phi, pts, k_max)
-    for k in range(k_max + 1):
-        ref = reference_transport(phi, e0, k, pts)
-        assert np.array_equal(cc.transport(e0, k).bases, ref)
-        assert np.array_equal(transport(phi, e0, k, pts).bases, ref)
+    for seed in (e0, pointwise_seed(e0)):
+        refs = [reference_transport(phi, seed, k, pts)
+                for k in range(k_max + 1)]
+        stack = cc.transports(seed, range(k_max + 1))
+        assert stack.shape == (k_max + 1,) + refs[0].shape
+        for k, ref in enumerate(refs):
+            assert np.array_equal(stack[k], ref)
+            assert np.array_equal(cc.transport(seed, k).bases, ref)
+            assert np.array_equal(transport(phi, seed, k, pts).bases, ref)
+        # any increasing subset of the steps gives the same rows
+        assert np.array_equal(cc.transports(seed, [2, 5, 9]),
+                              np.stack([refs[2], refs[5], refs[9]]))
+    with pytest.raises(StepCountError, match="must increase"):
+        cc.transports(e0, [3, 3])
+
+
+def column_shift_map():
+    """(x1 + 1/4, h(x1) x2) with h(x1) = 1 - cos(2 pi (x1 - 1/2)): Dphi is
+    singular exactly where x1 = 1/2.  Only transport is run on it, which
+    never reads the inverse, so the spec repeats the forward fields."""
+    fwd = [parse_field("x1 + 0.25"),
+           parse_field("(1 - cos(6.283185307179586*(x1 - 0.5)))*x2")]
+    return DiffeoSpec(("x1", "x2"), fwd, fwd)
+
+
+def test_transport_cone_error_names_depth_step_and_point():
+    phi = column_shift_map()
+    # only row 2 passes x1 = 1/2, at phi^2 and again at phi^6
+    pts = np.array([[0.125, 0.1], [0.125, 0.6], [0.0, 0.3], [0.125, 0.9]])
+    e0 = np.array([[1.0], [1.0]]) / math.sqrt(2.0)
+    cc = Cocycle(phi, pts, 9)
+    assert np.linalg.det(cc.jacobians[2])[2] == 0.0
+    assert np.all(np.linalg.det(cc.jacobians[2])[[0, 1, 3]] != 0.0)
+    cc.transport(e0, 2)  # never solves by Dphi at phi^2
+    with pytest.raises(ConeError) as lone:
+        cc.transport(e0, 3)
+    # the sweep meets depth 7 at step 6 first, but a loop over k would
+    # stop at depth 3, step 2
+    with pytest.raises(ConeError) as swept:
+        cc.transports(e0, range(10))
+    for err in (lone.value, swept.value):
+        assert str(err) == ("transversality lost at step 2: Singular matrix "
+                            "(depth k = 3, lattice point 2 at [0.0, 0.3])")
+        assert np.array_equal(err.point, pts[2])
+    with pytest.raises(ConeError, match=r"step 6: .*depth k = 7"):
+        cc.transports(e0, range(7, 10))
+    # a degenerate seed fails as it did before any step was taken
+    with pytest.raises(DegenerateSubspaceError):
+        cc.transports(np.zeros((2, 1)), range(3))
+    # Dphi = 1e13 I shrinks E_0 below the QR's rank threshold at once
+    big = [parse_field("1e13*x1"), parse_field("1e13*x2")]
+    cc = Cocycle(DiffeoSpec(("x1", "x2"), big, big, torus=False), pts, 3)
+    with pytest.raises(ConeError, match=r"^transversality lost at step 0: "
+                       r"rank-deficient subspace basis \(depth k = 1, "
+                       r"lattice point 0 at \[0\.125, 0\.1\]\)$"):
+        cc.transports(e0, range(1, 4))
 
 
 @pytest.mark.parametrize("name", DYN_CASES)
@@ -342,8 +418,6 @@ def test_cocycle_restricted_norms_equal_per_k_reference(name):
     y = np.zeros((len(pts), phi.dim, 1))
     y[:, 1, 0] = 1.0
     rep = domination_report(phi, e0, f, k_max, pts, y_indices=[1])
-    cc = Cocycle(phi, pts, k_max)
-    f_chain, y_chain = cc.chain(f, k_max), cc.chain(y, k_max)
     vertical_C = math.inf
     for k in range(1, k_max + 1):
         ek = reference_transport(phi, e0, k, pts)
@@ -353,12 +427,6 @@ def test_cocycle_restricted_norms_equal_per_k_reference(name):
                             compute_uv=False)
         s_y = np.linalg.svd(reference_product(phi, pts, y, k)[1],
                             compute_uv=False)
-        *_, M_e = cc.chain(ek, k)
-        assert np.array_equal(np.linalg.svd(M_e, compute_uv=False), s_e)
-        assert np.array_equal(np.linalg.svd(next(f_chain), compute_uv=False),
-                              s_f)
-        assert np.array_equal(np.linalg.svd(next(y_chain), compute_uv=False),
-                              s_y)
         assert rep.norm_E[k - 1] == float(np.max(s_e[:, 0]))
         assert rep.conorm_F[k - 1] == float(np.min(s_f[:, -1]))
         vertical_C = min(vertical_C,
@@ -422,8 +490,8 @@ def test_pipeline_evaluates_map_once_per_step(monkeypatch, name, k_max):
 
 
 @pytest.mark.parametrize("name", DYN_CASES)
-def test_pipeline_evaluates_each_frame_once_per_trace(monkeypatch, name):
-    from contfrob import geometry
+def test_pipeline_evaluates_the_frame_family_once(monkeypatch, name):
+    from contfrob import dynsys
     phi, e0, f, _, lim, pts = dyn_case(name)
     k_max = 8
     calls = {}
@@ -431,24 +499,69 @@ def test_pipeline_evaluates_each_frame_once_per_trace(monkeypatch, name):
     def counted(owner, method):
         inner = getattr(owner, method)
 
-        def wrapper(frame, *args, **kwargs):
-            calls.setdefault(method, {}).setdefault(id(frame), 0)
-            calls[method][id(frame)] += 1
-            return inner(frame, *args, **kwargs)
+        def wrapper(*args, **kwargs):
+            calls[method] = calls.get(method, 0) + 1
+            return inner(*args, **kwargs)
         monkeypatch.setattr(owner, method, wrapper)
 
+    counted(FrameSection, "matrix_at")
+    counted(FrameSection, "d_matrices_at")
     counted(PullbackFrame, "matrix_at")
     counted(PullbackFrame, "d_matrices_at")
-    # evaluate_frame holds the one transversality check
-    counted(geometry, "evaluate_frame")
+    # evaluate_frames holds the one transversality check
+    counted(dynsys, "evaluate_frames")
     rep, asym, ext = splitting_involutivity_pipeline(
         phi, e0, curved_frame(phi.coords), f, k_max, 1.0, pts, limit=lim)
     assert rep.dominated and len(asym) == len(ext) == k_max
-    # k_max frames, each evaluated once by each of the two traces
-    assert {method: sorted(per_frame.values())
-            for method, per_frame in calls.items()} == {
-        "matrix_at": [2] * k_max, "d_matrices_at": [2] * k_max,
-        "evaluate_frame": [2] * k_max}
+    # the base frame is evaluated once on the stacked orbit points, and
+    # both traces read the one FrameValues
+    assert calls == {"matrix_at": 1, "d_matrices_at": 1,
+                     "evaluate_frames": 1}
+
+
+@pytest.mark.parametrize("name", DYN_CASES)
+def test_pipeline_linalg_calls_grow_linearly(linalg_calls, name):
+    phi, e0, f, base, lim, pts = dyn_case(name)
+    rest = []
+    for k_max in (4, 8, 16):
+        linalg_calls.clear()
+        rep, asym, ext = splitting_involutivity_pipeline(
+            phi, e0, base, f, k_max, 0.5, pts, limit=lim)
+        assert rep.dominated and len(asym) == len(ext) == k_max
+        # one seed QR, then one solve and one QR per backward step
+        assert linalg_calls.pop("solve") == k_max
+        assert linalg_calls.pop("qr") == k_max + 1
+        rest.append(dict(linalg_calls))
+    # every other call (SVDs, the inverse, the wedge determinants, the
+    # growth fit) is made once per pipeline, whatever k_max
+    assert rest[0] == rest[1] == rest[2]
+    assert sum(rest[0].values()) <= 16
+
+
+@pytest.mark.parametrize("name", DYN_CASES)
+def test_stacked_traces_equal_per_frame_reference(name):
+    phi, e0, f, _, lim, pts = dyn_case(name)
+    base = curved_frame(phi.coords)
+    eps, k = 0.5, 6
+    shared = orthonormal_pullback_frames(phi, base, k)[1:]
+    mixed = [shared[3], ReferenceFrame(phi, base, 2), base, shared[0]]
+    for frames in (shared, mixed):
+        dists = [reference_transport(phi, e0, 1 + i, pts)
+                 for i in range(len(frames))]
+        values = evaluate_frames(frames, pts)
+        for stacked in (frames, values):
+            asym = asymptotic_involutivity_trace(stacked, dists, eps, pts)
+            ext = exterior_regularity_trace(stacked, lim, eps, pts)
+            for i, frame in enumerate(frames):
+                ref = ReferenceFrame(phi, base, frame.k) \
+                    if isinstance(frame, PullbackFrame) else frame
+                a, = asymptotic_involutivity_trace([ref], [dists[i]], eps,
+                                                   pts)
+                e, = exterior_regularity_trace([ref], lim, eps, pts)
+                assert (asym[i].q, asym[i].strong, asym[i].parts) == \
+                    (a.q, a.strong, a.parts)
+                assert (ext[i].q, ext[i].strong, ext[i].parts) == \
+                    (e.q, e.strong, e.parts)
 
 
 @pytest.mark.parametrize("name", DYN_CASES)

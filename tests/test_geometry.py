@@ -11,7 +11,7 @@ from contfrob.fields import ZERO, Const, coord, parse_field
 from contfrob.forms import one_form
 from contfrob.geometry import (Distribution, FrameSection, annihilator_frame,
                                asymptotic_involutivity_trace, bound_parts,
-                               evaluate_frame,
+                               evaluate_frame, evaluate_frames,
                                exterior_regularity_trace, frobenius_defect,
                                involutivity_constant, max_principal_angle)
 from contfrob.mollify import grid_from_field, mollify, to_spline_field
@@ -321,7 +321,7 @@ def test_codim_one_sups_are_exact(dist):
     U[:, y_idx, :] = np.linalg.inv(A[:, :, y_idx])
     atol = 1e-12 * max(1.0, float(np.max(np.abs(dA))))
 
-    d_restr, _, m_const = bound_parts(evaluate_frame(frame, pts), bases)
+    d_restr, _, m_const = bound_parts(evaluate_frame(frame, pts), bases)[0]
     assert m_const.value == involutivity_constant(frame, bases, pts).value
     for est in (d_restr, m_const):
         assert est.protocol["u_maximization"] == "exact-svd"
@@ -395,7 +395,7 @@ def test_two_row_sups_are_exact(dist):
     pts = dist.domain.lattice(3)
     bases = dist.orthonormal_bases_at(pts)
     values = evaluate_frame(frame, pts)
-    d_restr, _, m_const = bound_parts(values, bases)
+    d_restr, _, m_const = bound_parts(values, bases)[0]
     assert m_const.value == involutivity_constant(frame, bases, pts).value
     r = dist.m
     C = np.einsum("pcl,pjcd,pda->pjla", values.U, values.dA, bases)
@@ -493,6 +493,27 @@ def test_asymptotic_trace_involutive_sequence_zero():
     pts = BOX3.lattice(5)
     trace = asymptotic_involutivity_trace([frame] * 3, [d] * 3, 1.0, pts)
     assert all(t.q == 0.0 and t.strong == 0.0 for t in trace)
+
+
+def test_asymptotic_trace_names_both_lengths():
+    d = involutive_distribution()
+    frame = annihilator_frame(d)
+    with pytest.raises(RangeError, match=r"^frame and distribution "
+                       r"sequences must align, got 3 frames and 2 "
+                       r"distributions$"):
+        asymptotic_involutivity_trace([frame] * 3, [d] * 2, 1.0,
+                                      BOX3.lattice(3))
+
+
+def test_evaluate_frames_needs_one_frame_shape():
+    frame = annihilator_frame(contact_distribution())
+    pts = BOX3.lattice(3)
+    both = evaluate_frames([frame, frame.scale(parse_field("2"))], pts)
+    assert both.frames == 2 and np.array_equal(both.A[27:], 2.0 * both.A[:27])
+    tilted = FrameSection(frame.rows, frame.coords, ("y",))
+    with pytest.raises(RangeError, match="must share rows, coordinates and "
+                       "vertical axes"):
+        evaluate_frames([frame, tilted], pts)
 
 
 def test_asymptotic_trace_contact_no_decay():

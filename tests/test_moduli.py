@@ -195,3 +195,22 @@ def test_fit_loglog_slope_window():
 def test_empty_criterion_trace_is_range_error():
     with pytest.raises(RangeError, match="osgood report needs a nonempty"):
         CriterionReport("osgood", HOLDS, np.zeros((0, 2)))
+
+
+@pytest.mark.parametrize("build,text", [
+    (lambda: Hoelder(alpha=1.5), r"Hoelder exponent must lie in \(0, 1\], "
+     r"got 1\.5$"),
+    (lambda: ScaleModulus(-2.0, Lipschitz(1.0)),
+     r"scale factor must be positive, got -2\.0$"),
+    (lambda: Tabulated(((0.1, 0.2),)),
+     r"tabulated modulus needs >= 2 breakpoints, got 1$"),
+    (lambda: Tabulated(((0.1, 0.0), (0.3, 0.1), (0.2, 0.2))),
+     r"breakpoint scales must be strictly ascending, got 0\.3 then 0\.2$"),
+    (lambda: Tabulated(((0.1, 0.3), (0.2, 0.2))),
+     r"breakpoint values must be nondecreasing, got 0\.3 then 0\.2$"),
+    (lambda: Tabulated(((0.1, -0.1), (0.2, 0.2))),
+     r"breakpoint values must be nonnegative, got -0\.1$")])
+def test_modulus_range_errors_name_the_value(build, text):
+    # RangeError is a ValueError, and each text starts as it always did
+    with pytest.raises(RangeError, match="^" + text):
+        build()

@@ -171,3 +171,10 @@ def test_grid_values_against_axes_is_range_error():
     with pytest.raises(RangeError, match=r"shape \(4,\) do not match axes "
                                          r"of lengths \(5,\)"):
         GridFunction((xs,), np.zeros(4))
+
+
+def test_verify_bounds_counts_moduli_per_axis():
+    with pytest.raises(RangeError, match=r"^need one directional modulus per "
+                       r"axis: 1 axes, got 2 moduli$"):
+        verify_bounds(_line_grid(), Lipschitz(1.0),
+                      [Lipschitz(1.0)] * 2, [0.1])

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from contfrob.boxes import Box
-from contfrob.errors import EscapeError, EvalDomainError
+from contfrob.errors import EscapeError, EvalDomainError, RangeError
 from contfrob.fields import Const, coord, parse_field
 from contfrob.geometry import Distribution, annihilator_frame
 from contfrob.surface import (FlowConfig, _integrate, build_surface,
@@ -360,8 +360,13 @@ def test_converge_mismatched_grids():
     cfg = FlowConfig(step=0.1 / 32)
     p1 = build_surface(d, np.zeros(3), 0.1, 9, cfg)
     p2 = build_surface(d, np.zeros(3), 0.1, 5, cfg)
-    with pytest.raises(ValueError):
+    with pytest.raises(RangeError, match=r"^patches must share the "
+                       r"parameter grid: \(9, 9, 3\) at res 9 against "
+                       r"\(5, 5, 3\) at res 5$"):
         converge_surfaces([p1, p2], d)
+    with pytest.raises(RangeError, match=r"^need at least two patches, "
+                       r"got 1$"):
+        converge_surfaces([p1], d)
 
 
 def test_patch_csv_export():
