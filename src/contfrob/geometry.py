@@ -15,6 +15,9 @@ A sup over a region is approximated from below by a sup over a point
 lattice, exact per point for each frame shape the toolkit builds (n rows,
 r = dim E): ||dA|_E|| for n == 1 or r <= 2, M_A for n == 1, r == 1 or
 n == r == 2 (the kernels below say how).  Other shapes raise RangeError.
+For n == r == 2, M_A's per-point value is exact only at the points that
+can hold the lattice sup; the others get a closed-form lower bound below
+it, so the sup and its argmax are still those of exact values.
 
 Cost model: evaluate_frames is the one place frames meet a point set
 and the one transversality check.  It stacks K frames over one lattice
@@ -23,7 +26,9 @@ d_matrices_at once (or, for a family that evaluates itself in one go,
 such as the pullback frames of dynsys, one call of each for all K), then
 one batched SVD and one inverse of A|_Y.  evaluate_frame is its K = 1
 case.  The sup kernels compute per-row values over the whole stack in
-one call each and reduce them per frame segment, so a trace makes the
+one call each and reduce them per frame segment (the n == r == 2 M_A
+root-finds only the rows whose upper bound reaches their segment's
+largest lower bound, typically a handful), so a trace makes the
 same number of library calls for K frames as for one, and a tangency
 bound or a wrapper such as involutivity_constant evaluates its frame
 exactly once.  matrix_at evaluates all entries of the rows in one
@@ -376,9 +381,17 @@ def _root_real_parts(coeffs):
     return out
 
 
-def _two_by_two_sup(C0, C1):
+def _pencil_norms(pairs, theta):
+    """sqrt(P) + sqrt(Q) at each angle of theta, (R, S) for R rows."""
+    cos, sin = np.cos(theta)[..., None], np.sin(theta)[..., None]
+    return sum(np.linalg.norm(cos * w0[:, None] + sin * w1[:, None], axis=-1)
+               for w0, w1 in pairs)
+
+
+def _two_by_two_sup(C0, C1, segment=None):
     """Per point, max over theta of sigma_max(cos(theta) C0 + sin(theta) C1)
-    for (N, 2, 2) stacks.
+    for (N, 2, 2) stacks, exact on every row that can hold the max of its
+    segment (consecutive runs of segment rows, by default all N).
 
     sigma_max([[a, b], [c, d]]) = (|(a + d, b - c)| + |(a - d, b + c)|) / 2
     = (sqrt(P) + sqrt(Q)) / 2, with P and Q quadratic forms in (cos, sin).
@@ -387,12 +400,20 @@ def _two_by_two_sup(C0, C1):
     constant and the max lies at a critical point of P or Q.  Kinks are
     never maxima, so theta = 0, pi/2, the roots and those critical points
     hold the max; any angle gives a lower bound.
+
+    The six closed-form angles give a lower bound per row, and the square
+    roots of the largest eigenvalues of P's and Q's matrices an upper one.
+    Only rows whose upper bound reaches their segment's largest lower
+    bound (with a 1e-12 margin for rounding) go on to the roots; every
+    other row lies strictly below its segment's max and returns its lower
+    bound.  Each segment's max and first argmax are thus those of exact
+    per-row values, bit for bit.
     """
     w = [np.stack([K[:, 0, 0] + s * K[:, 1, 1], K[:, 0, 1] - s * K[:, 1, 0]],
                   -1) for s in (1.0, -1.0) for K in (C0, C1)]
     pairs = (w[:2], w[2:])  # sqrt(P) = |cos w0 + sin w1|, likewise sqrt(Q)
     theta = [np.zeros(len(C0)), np.full(len(C0), 0.5 * np.pi)]
-    polys = []
+    polys, upper = [], 0.0
     for w0, w1 in pairs:
         # |cos w0 + sin w1|^2 = A cos^2 + 2 B cos sin + C sin^2; over
         # cos^2, it and half its derivative are polynomials in tan(theta)
@@ -401,20 +422,26 @@ def _two_by_two_sup(C0, C1):
         crit = 0.5 * np.arctan2(2.0 * B, A - C)
         theta += [crit, crit + 0.5 * np.pi]
         polys += [np.stack([A, 2.0 * B, C], -1), np.stack([B, C - A, -B], -1)]
-    p, dp, q, dq = polys
-    g = _polymul(_polymul(dp, dp), q) - _polymul(_polymul(dq, dq), p)
-    theta = np.concatenate([np.stack(theta, -1),
-                            np.arctan(_root_real_parts(g))], axis=1)
-    cos, sin = np.cos(theta)[..., None], np.sin(theta)[..., None]
-    sig = sum(np.linalg.norm(cos * w0[:, None] + sin * w1[:, None], axis=-1)
-              for w0, w1 in pairs)
-    return 0.5 * np.max(sig, axis=1)
+        upper = upper + np.sqrt(0.5 * (A + C) + np.hypot(0.5 * (A - C), B))
+    sig = np.max(_pencil_norms(pairs, np.stack(theta, -1)), axis=1)
+    lower = sig.reshape(-1, segment or len(sig))
+    # ~(upper < lower) rather than upper >= lower: a nan bound is exact too
+    exact = ~(upper.reshape(lower.shape) * (1.0 + 1e-12)
+              < np.max(lower, axis=1, keepdims=True)).ravel()
+    if np.any(exact):
+        p, dp, q, dq = (c[exact] for c in polys)
+        g = _polymul(_polymul(dp, dp), q) - _polymul(_polymul(dq, dq), p)
+        roots = _pencil_norms([(w0[exact], w1[exact]) for w0, w1 in pairs],
+                              np.arctan(_root_real_parts(g)))
+        sig[exact] = np.maximum(sig[exact], np.max(roots, axis=1))
+    return 0.5 * sig
 
 
-def _mixing(dA, U, bases):
+def _mixing(dA, U, bases, segment):
     """Per row, M_A's sup over unit w and unit v in span(bases); see
-    involutivity_constant.  Returns the values and how u was
-    maximized."""
+    involutivity_constant.  For n = r = 2 a row is exact only where it can
+    hold the max of its frame segment of segment rows.  Returns the values
+    and how u was maximized."""
     # C[p, j, l, a] = (A^{-1} e_l)^T dA_j (B e_a)
     C = np.einsum("pcl,pjcd,pda->pjla", U, dA, bases)
     n, r = C.shape[1], C.shape[3]
@@ -423,12 +450,13 @@ def _mixing(dA, U, bases):
     if r == 1:
         return _sigma_max(C[..., 0]), "exact-svd"
     if n == r == 2:
-        return _two_by_two_sup(C[..., 0], C[..., 1]), "exact-angles"
+        return (_two_by_two_sup(C[..., 0], C[..., 1], segment),
+                "exact-angles")
     raise _shape_error(n, r)
 
 
 def _mixing_sups(values, bases):
-    vals, how = _mixing(values.dA, values.U, bases)
+    vals, how = _mixing(values.dA, values.U, bases, len(values.points))
     return _lattice_sups(vals, values.points, {
         "points": len(values.points), "kind": "lower-bound",
         "w_maximization": "exact-svd", "u_maximization": how})
@@ -456,10 +484,10 @@ def involutivity_constant(frame, dist_or_bases, points, *, n_dirs=None,
                           seed=None):
     """M_A = sup |dA_p((A_p|_Y)^{-1} w, v)| over unit w, unit v in E, p.
 
-    Exact per lattice point (see the module docstring), so a lower bound
-    of the region's sup only through the lattice.  n_dirs and seed are
-    ignored: they set the sphere sampler this replaced, and the cfbench
-    workloads still pass them.
+    The lattice sup of exact per-point values (see the module docstring),
+    so a lower bound of the region's sup only through the lattice.  n_dirs
+    and seed are ignored: they set the sphere sampler this replaced, and
+    the cfbench workloads still pass them.
     """
     v = evaluate_frame(frame, points)
     return _mixing_sups(v, _as_bases(dist_or_bases, v.points))[0]

@@ -30,7 +30,7 @@ import numpy as np
 
 from .boxes import Box
 from .errors import BranchCrossingError, EvalDomainError, RangeError
-from .fields import Const, add, eval_fields, mul, neg
+from .fields import Const, SplineLeaf, add, eval_fields, mul, neg
 from .geometry import (Distribution, FrameSection, annihilator_frame,
                        frobenius_defect)
 from .moduli import CriterionReport, limit_condition_check
@@ -349,41 +349,58 @@ class MollifiedFamily:
     wedge_sup: float
 
 
+def _smoothed(f, box, pad, eps, h):
+    """f sampled at spacing at most h on box padded by pad, mollified at
+    eps."""
+    padded = box.shrink(-pad)
+    n_pts = [int(math.ceil((hi - lo) / h)) + 1
+             for lo, hi in zip(padded.lows, padded.highs)]
+    return mollify(grid_from_field(f, padded, n_pts), eps)
+
+
 def involutive_mollified_frames(sf: SpecialFormSpec, eps_list, pad=None,
                                 cells_per_radius=10, check_res=5):
     """Smooth G_i and H_i at each scale and build eta_i = dy_i - G_i d_x H_i.
 
-    The top wedge eta_1 ^ ... ^ eta_n ^ d eta_l collapses structurally
-    (repeated dy_l and alpha_l ^ alpha_l), which is asserted numerically
-    on a lattice at every scale: its sup may not exceed WEDGE_TOL.
+    Equal H_i are sampled, mollified and fitted once per scale; each still
+    gets a spline leaf of its own.  Mollifying at eps leaves a margin of
+    eps on every side of the padded grids, so a pad below the largest eps
+    is a RangeError: the frame could not be evaluated along the domain's
+    faces.  The top wedge eta_1 ^ ... ^ eta_n ^ d eta_l collapses
+    structurally (repeated dy_l and alpha_l ^ alpha_l), which is asserted
+    numerically on a lattice at every scale: its sup may not exceed
+    WEDGE_TOL.
     """
     eps_list = [float(e) for e in eps_list]
     pad = pad if pad is not None else max(eps_list) * 1.05
+    if pad < max(eps_list):
+        raise RangeError(
+            f"pad {pad:g} is below eps {max(eps_list):g}: the mollified "
+            f"splines would leave a strip of width {max(eps_list) - pad:g} "
+            f"uncovered on every side of the domain (the lower side of "
+            f"{sf.coords[0]} first)")
     m, n = sf.m, sf.n
     x_box = Box(sf.x_names, sf.domain.lows[:m], sf.domain.highs[:m])
+    y_boxes = [Box((y,), (lo,), (hi,)) for y, lo, hi in
+               zip(sf.y_names, sf.domain.lows[m:], sf.domain.highs[m:])]
     families = []
     for eps in eps_list:
         h = eps / cells_per_radius
-        xpad = Box(sf.x_names,
-                   tuple(lo - pad for lo in x_box.lows),
-                   tuple(hi + pad for hi in x_box.highs))
-        nx = [int(math.ceil((hi - lo) / h)) + 1
-              for lo, hi in zip(xpad.lows, xpad.highs)]
+        fitted = {}  # H_i -> the spline leaf of its first occurrence
         h_smooth = []
-        for i in range(n):
-            g = grid_from_field(sf.H[i], xpad, nx)
-            h_smooth.append(to_spline_field(mollify(g, eps), sf.x_names,
-                                            label=f"H{i+1}e"))
-        g_smooth = []
-        for i in range(n):
-            lo = sf.domain.lows[m + i] - pad
-            hi = sf.domain.highs[m + i] + pad
-            ybox = Box((sf.y_names[i],), (lo,), (hi,))
-            ny = int(math.ceil((hi - lo) / h)) + 1
-            g = grid_from_field(sf.G[i], ybox, ny)
-            g_smooth.append(to_spline_field(mollify(g, eps),
-                                            (sf.y_names[i],),
-                                            label=f"G{i+1}e"))
+        for i, f in enumerate(sf.H):
+            label = f"H{i+1}e"
+            if f in fitted:
+                # same spline, but a leaf of its own for the frame's rows
+                h_smooth.append(SplineLeaf(fitted[f].evaluator, sf.x_names,
+                                           label=label))
+            else:
+                fitted[f] = to_spline_field(_smoothed(f, x_box, pad, eps, h),
+                                            sf.x_names, label=label)
+                h_smooth.append(fitted[f])
+        g_smooth = [to_spline_field(_smoothed(f, box, pad, eps, h),
+                                    box.names, label=f"G{i+1}e")
+                    for i, (f, box) in enumerate(zip(sf.G, y_boxes))]
         coeffs = [[mul(g_smooth[i], h_smooth[i].diff(xn)) for i in range(n)]
                   for xn in sf.x_names]
         dist = Distribution(sf.x_names, sf.y_names, coeffs, sf.domain)

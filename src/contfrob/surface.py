@@ -463,11 +463,9 @@ def patch_to_csv(patch: SurfacePatch, report: TangencyReport = None):
     if report is not None:
         meta += [("rhs", float(report.rhs)), ("fd_tol", float(report.fd_tol))]
         header += [f"defect{i+1}" for i in range(patch.m)]
-    rows = []
-    for idx in np.ndindex(patch.points.shape[:-1]):
-        row = [float(patch.param_axes[i][idx[i]]) for i in range(patch.m)]
-        row += [float(v) for v in patch.points[idx]]
-        if report is not None:
-            row += [float(report.defects[(i,) + idx]) for i in range(patch.m)]
-        rows.append(row)
+    columns = [np.stack(np.meshgrid(*patch.param_axes, indexing="ij"), -1),
+               patch.points]
+    if report is not None:
+        columns.append(np.moveaxis(report.defects, 0, -1))
+    rows = np.concatenate(columns, -1).reshape(-1, len(header)).tolist()
     return csv_text(meta, header, rows)

@@ -50,3 +50,30 @@ def test_torus_splitting_task_linalg_calls(linalg_calls):
     assert linalg_calls["solve"] == wl.F_STEPS + wl.K_MAX
     assert linalg_calls["qr"] == wl.F_STEPS + wl.K_MAX + 2
     assert sum(linalg_calls.values()) <= 60
+
+
+def test_surface_frames_task_work_counts(monkeypatch):
+    # one mollify for the two equal H_i and one per G_i; of the 625 rows
+    # of the regularity trace's n = r = 2 M_A, only those whose upper
+    # bound reaches the lattice's largest lower bound are root-found
+    import contfrob.pdelab as pdelab
+    wl = workloads.WORKLOADS["surface-frames"]()
+    ctx = wl.build()
+    inp = wl.inputs(ctx, np.random.default_rng([1, 2, 0]))
+    mollified, root_rows = [], []
+    mollify, eigvals = pdelab.mollify, np.linalg.eigvals
+
+    def counted_mollify(*args, **kwargs):
+        mollified.append(args)
+        return mollify(*args, **kwargs)
+
+    def counted_eigvals(a):
+        root_rows.append(1 if np.ndim(a) == 2 else len(a))
+        return eigvals(a)
+
+    monkeypatch.setattr(pdelab, "mollify", counted_mollify)
+    monkeypatch.setattr(np.linalg, "eigvals", counted_eigvals)
+    assert wl.run(ctx, inp, spans.NULL).problems == []
+    assert len(ctx["lattice"]) == 625
+    assert len(mollified) == 3
+    assert sum(root_rows) < 32

@@ -1,15 +1,18 @@
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from contfrob.boxes import Box
 from contfrob.errors import RangeError, TransversalityError
 from contfrob.fields import ZERO, Const, coord, parse_field
 from contfrob.forms import one_form
-from contfrob.geometry import (Distribution, FrameSection, annihilator_frame,
+from contfrob.geometry import (Distribution, FrameSection, FrameValues,
+                               annihilator_frame,
                                asymptotic_involutivity_trace, bound_parts,
                                evaluate_frame, evaluate_frames,
                                exterior_regularity_trace, frobenius_defect,
@@ -440,6 +443,71 @@ def test_two_by_two_sup_on_conformal_and_diagonal_pencils(C0, C1, expected):
     from contfrob.geometry import _two_by_two_sup
     assert _two_by_two_sup(C0[None], C1[None])[0] == \
         pytest.approx(expected, rel=1e-14)
+
+
+def _pencil_frame_values(C):
+    """FrameValues and bases on coordinates (x1, x2, y1, y2), with E the
+    x-plane and A|_Y = I, whose n = r = 2 mixing pencil at row p is
+    C[p, j, l, a] = dA_j(e_{y_l}, e_{x_a}); one lattice point per row of
+    the first frame segment."""
+    K, N = C.shape[:2]
+    C = C.reshape((K * N, 2, 2, 2))
+    dA = np.zeros((K * N, 2, 4, 4))
+    dA[:, :, 2:, :2] = C
+    dA[:, :, :2, 2:] = -np.swapaxes(C, -1, -2)
+    U = np.zeros((K * N, 4, 2))
+    U[:, 2:] = np.eye(2)
+    bases = np.zeros((K * N, 4, 2))
+    bases[:, :2] = np.eye(2)
+    pts = np.arange(4.0 * N).reshape(N, 4)
+    return FrameValues(pts, np.zeros((K * N, 2, 4)), dA,
+                       np.broadcast_to(np.eye(2), (K * N, 2, 2)), U), bases
+
+
+# this pencil's sup, 2.0655911179772892, lies at a root of the degree-6
+# polynomial; at the six closed-form angles it reaches only 2.0
+_ROOT_PENCIL = np.array([[[0.0, 0.0], [-2.0, 0.0]], [[2.0, 0.0], [0.0, 1.0]]])
+
+
+@settings(max_examples=60, deadline=None)
+@given(arrays(np.float64, st.tuples(st.integers(2, 3), st.integers(1, 6),
+                                    st.just(2), st.just(2), st.just(2)),
+              elements=st.integers(-1000, 1000).map(lambda v: v / 1000.0)),
+       st.integers(0, 2))
+@example(np.stack([[0.5 * _ROOT_PENCIL, _ROOT_PENCIL],
+                   [_ROOT_PENCIL, 0.5 * _ROOT_PENCIL]]), 1)
+@example(np.ones((3, 4, 2, 2, 2)), 2)
+def test_pruned_two_by_two_sups_match_every_row_exact(pencils, scaled):
+    # rows pruned by their bounds can be neither a segment's max nor its
+    # first argmax: value and argmax equal those of exact per-row values
+    # bit for bit, also with one segment 1e3 times the others
+    from contfrob import geometry
+    pencils = pencils.copy()
+    pencils[scaled % len(pencils)] *= 1e3
+    K, N = pencils.shape[:2]
+    values, bases = _pencil_frame_values(pencils)
+    C = pencils.reshape((K * N, 2, 2, 2))
+    with mock.patch.object(geometry, "_root_real_parts",
+                           wraps=geometry._root_real_parts) as roots:
+        # each row its own segment: every row takes the root path
+        every_row = geometry._two_by_two_sup(C[..., 0], C[..., 1], 1)
+    assert roots.call_args.args[0].shape[0] == K * N
+    exact = every_row.reshape(K, N)
+    sups = geometry._mixing_sups(values, bases)
+    assert [s.value for s in sups] == [float(v) for v in exact.max(axis=1)]
+    for sup, i in zip(sups, exact.argmax(axis=1)):
+        assert np.array_equal(sup.argmax_point, values.points[i])
+        assert sup.protocol["u_maximization"] == "exact-angles"
+
+
+def test_root_pencil_sup_lies_off_the_closed_form_angles():
+    # beside a pencil 10 times larger, _ROOT_PENCIL's row is pruned and
+    # returns the closed-form lower bound; on its own it is exact
+    from contfrob.geometry import _two_by_two_sup
+    C = np.stack([_ROOT_PENCIL, 10.0 * _ROOT_PENCIL])
+    assert _two_by_two_sup(C[:1, ..., 0], C[:1, ..., 1])[0] == \
+        pytest.approx(2.0655911179772892, rel=1e-14)
+    assert _two_by_two_sup(C[..., 0], C[..., 1])[0] == 2.0
 
 
 @pytest.mark.parametrize("m, n", [(3, 2), (2, 3)])

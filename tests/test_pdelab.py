@@ -242,3 +242,41 @@ def test_special_form_spec_mismatch_is_range_error():
         SpecialFormSpec(("x",), ("y",), [x * y], [x], box)
     with pytest.raises(RangeError, match="H1 may only depend on"):
         SpecialFormSpec(("x",), ("y",), [y], [x * y], box)
+
+
+@pytest.mark.parametrize("h2, mollified", [
+    ("x1^1.8/1.8 + x2^1.8/1.8", 3), ("x1*x2", 4)], ids=["equal", "distinct"])
+def test_mollified_frames_smooth_each_distinct_h_once(monkeypatch, h2,
+                                                       mollified):
+    # equal H_i share one mollified grid and its spline, but every H_i
+    # keeps a leaf of its own, so the frame's symbolic structure is
+    # unchanged
+    import contfrob.pdelab as pdelab
+    sf, _ = pde_example_2()
+    sf.H[1] = parse_field(h2)
+    calls = []
+    inner = pdelab.mollify
+    monkeypatch.setattr(pdelab, "mollify",
+                        lambda *a, **k: calls.append(a) or inner(*a, **k))
+    fam = involutive_mollified_frames(sf, [2.0 ** -4], check_res=3)[0]
+    h1, h2 = fam.h_smooth
+    assert len(calls) == mollified
+    assert h1._key != h2._key
+    assert (h1.evaluator is h2.evaluator) == (mollified == 3)
+    assert fam.wedge_sup <= 1e-10
+
+
+@pytest.mark.parametrize("pad", [2.0 ** -5, -0.01])
+def test_mollified_frames_pad_below_eps_is_range_error(pad):
+    # a pad under eps leaves the domain's faces outside the splines'
+    # valid region, where the frame could not be evaluated
+    sf, _ = pde_example_2()
+    with pytest.raises(RangeError, match=rf"pad {pad:g} is below eps "
+                                         rf"0.0625.* lower side of x1"):
+        involutive_mollified_frames(sf, [2.0 ** -4], pad=pad)
+
+
+def test_mollified_frames_at_pad_eps_evaluate_on_their_domain():
+    sf, _ = pde_example_2()
+    fam = involutive_mollified_frames(sf, [2.0 ** -4], pad=2.0 ** -4)[0]
+    assert np.all(np.isfinite(fam.frame.matrix_at(sf.domain.lattice(3))))
