@@ -47,15 +47,14 @@ class Box:
     def contains(self, points, tol=0.0):
         """Boolean mask for points (d,) or (N, d)."""
         p = np.atleast_2d(np.asarray(points, dtype=float))
-        ok = self.container(tol)(p)
+        lo, hi = self.bounds(tol)
+        ok = np.all((p >= lo) & (p <= hi), axis=1)
         return bool(ok[0]) if np.ndim(points) == 1 else ok
 
-    def container(self, tol=0.0):
-        """contains(., tol) for float arrays (N, d), with the bounds
-        computed once: a loop that tests every step calls this."""
-        lo = np.asarray(self.lows) - tol
-        hi = np.asarray(self.highs) + tol
-        return lambda p: np.all((p >= lo) & (p <= hi), axis=1)
+    def bounds(self, tol=0.0):
+        """The arrays (lows - tol, highs + tol) that contains(., tol)
+        tests against; a loop that tests every step computes them once."""
+        return np.asarray(self.lows) - tol, np.asarray(self.highs) + tol
 
     def lattice(self, res=17):
         """Regular lattice, res points per axis (int or per-axis list)."""

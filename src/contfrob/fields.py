@@ -17,7 +17,8 @@ to scalars or numpy arrays; constant folding and the tests use it.  The
 library evaluates through compile_fields and eval_fields instead: a
 field list becomes one generated numpy function of points (..., d),
 each distinct subexpression computed once, with the reference's operand
-order, ufuncs, guard and domain-error texts.  Both paths keep one
+order, ufuncs, guard and domain-error texts; compile_rk4_step builds
+a flow's whole RK4 step from the same statements.  Both paths keep one
 errstate rule: Mul, Pow and the elementary functions run under
 np.errstate(all="ignore"), Add does not, so an array inf + -inf warns on
 either path.  The single deliberate evaluation convention is that a
@@ -54,7 +55,7 @@ __all__ = [
     "Field", "Const", "Coord", "Add", "Mul", "Pow", "Unary", "SplineLeaf",
     "add", "mul", "pow_", "neg", "sub", "div", "log", "exp", "sin", "cos",
     "coord", "parse_field", "is_zero_field", "expand",
-    "compile_fields", "eval_fields", "ZERO", "ONE",
+    "compile_fields", "compile_rk4_step", "eval_fields", "ZERO", "ONE",
 ]
 
 _EXPAND_CAP = 50_000
@@ -617,8 +618,45 @@ def compile_fields(fields, coords, jacobian=False):
     every call.
     """
     flat, struct = _flatten(fields)
-    key = (tuple(map(id, flat)), struct, tuple(coords), jacobian)
-    return _cached(key) or _compile(key, flat, struct, jacobian)
+    coords = tuple(coords)
+    key = (tuple(map(id, flat)), struct, coords, jacobian)
+    return _cached(key) or _store(key, flat, _Source(coords).function(
+        _outputs(flat, struct, coords, jacobian)))
+
+
+def compile_rk4_step(fields, coords, variational=False):
+    """One generated RK4 step for the flow of sum_c fields[c] d/dc.
+
+    Returns (step, buffers).  step(z, h, half, sixth, bufs) advances the
+    state z (n, d), or (n, 2d) as z = [x | Y] when variational carries
+    the vector Y by dY/dt = DX(x) Y, by one step of h (n, 1), with
+    half = 0.5*h and sixth = h/6.0, and returns the new state.
+    buffers(n) allocates what one call on n rows writes: the stage
+    velocities k1..k4 (n, width), and with variational the Jacobian J
+    (n, d, d), with the columns and entries that are constant filled
+    here once; step writes only the varying ones, once per stage.
+
+    The four stages are written inline: each loads its point's columns,
+    runs the statements compile_fields(fields, coords, variational)
+    would, and writes the velocity columns; the carried part is
+    matmul(J, Y) into the buffer's Y columns.  The stage points are
+    z + half*k1, z + half*k2 and z + h*k3 and the result is
+    z + sixth*(k1 + 2.0*k2 + 2.0*k3 + k4), the operations of an RK4 step
+    on x and on Y taken separately, element for element, so every bit is
+    theirs.  No constant is folded in that arithmetic: x + h*0.0 is not
+    x when x is -0.0, and 0.0*Y is not 0 when Y is inf.  It stays outside
+    np.errstate, as Add statements do, so its warnings still fire.  A
+    stage that raises EvalDomainError leaves z as it was.
+
+    The step is cached like compile_fields' functions, under the same
+    field identities with a step tag, and is compiled only when a flow
+    asks for it.
+    """
+    flat, struct = _flatten(fields)
+    coords = tuple(coords)
+    key = (tuple(map(id, flat)), struct, coords, "rk4", variational)
+    return _cached(key) or _store(key, flat, _Source(coords).rk4_step(
+        _outputs(flat, struct, coords, variational)))
 
 
 def eval_fields(fields, coords, points):
@@ -629,6 +667,16 @@ def eval_fields(fields, coords, points):
     return compile_fields(fields, coords)(points)
 
 
+def _outputs(flat, struct, coords, jacobian):
+    """The lists a compiled function computes: the fields, then with
+    jacobian their partials along coords."""
+    outputs = [(flat, struct)]
+    if jacobian:
+        outputs.append(([f.diff(c) for f in flat for c in coords],
+                        struct + (len(coords),)))
+    return outputs
+
+
 def _cached(key):
     entry = _COMPILED.get(key)
     if entry is None:
@@ -637,13 +685,8 @@ def _cached(key):
     return entry[0]
 
 
-def _compile(key, flat, struct, jacobian):
-    coords = key[2]
-    outputs = [(flat, struct)]
-    if jacobian:
-        outputs.append(([f.diff(c) for f in flat for c in coords],
-                        struct + (len(coords),)))
-    fn = _Source(coords).function(outputs)
+def _store(key, flat, fn):
+    """Cache fn under key for as long as every field of flat lives."""
     finalizers = []
     for f in {id(f): f for f in flat}.values():
         fin = weakref.finalize(f, _drop, key)
@@ -683,7 +726,7 @@ class _Source:
                    "_empty": np.empty, "_where": np.where,
                    "_power": np.power, "_round": np.round,
                    "_count": np.count_nonzero, "_prod": math.prod,
-                   "_errstate": np.errstate}
+                   "_errstate": np.errstate, "_matmul": np.matmul}
         self.loads = {}  # coordinate index -> column name
         self.body = []  # (in errstate, statement)
         self.names = {}  # _key -> operand text
@@ -755,9 +798,9 @@ class _Source:
             # 0 * anything = 0, including 0 * inf, as in Mul.evaluate
             zeros = [f"({op} == 0.0)" for op in ops if op not in self.known]
             self.body += [(True, s) for s in _chain(v, "*", ops)]
-            self.body += [(True, s) for s in _chain("z", "|", zeros)]
-            self.body.append((True, f"if _count(z): "
-                                    f"{v} = _where(z, 0.0, {v})"))
+            self.body += [(True, s) for s in _chain("zero", "|", zeros)]
+            self.body.append((True, f"if _count(zero): "
+                                    f"{v} = _where(zero, 0.0, {v})"))
         elif isinstance(f, Pow):
             self.power(v, self.operand(f.base), self.operand(f.exponent))
         else:  # Unary
@@ -786,6 +829,33 @@ class _Source:
             "zero base raised to a negative power")
         self.body.append((True, f"{v} = _power({b}, {e})"))
 
+    def statements(self):
+        """The body as function lines: statements flagged for errstate
+        that follow each other share one np.errstate(all="ignore")
+        block."""
+        lines, block = [], False
+        for guarded, stmt in self.body:
+            if guarded and not block:
+                lines.append("    with _errstate(all='ignore'):")
+            block = guarded
+            lines.append(("        " if guarded else "    ") + stmt)
+        return lines
+
+    def define(self, lines, *names):
+        """Run the generated lines and take the functions they define out
+        of the namespace, so none holds a cycle through its globals."""
+        exec(compile("\n".join(lines), "<compiled fields>", "exec"), self.ns)
+        functions = tuple(self.ns.pop(name) for name in names)
+        return functions[0] if len(functions) == 1 else functions
+
+    def constants(self, ops, shape):
+        """The constant entries of ops as one bound array of shape, zero
+        where an entry varies; None when every entry varies."""
+        if not any(op in self.known for op in ops):
+            return None
+        return self.bind(np.array([self.known.get(op, 0.0) for op in ops])
+                         .reshape(shape), "_t")
+
     def function(self, outputs):
         cols = [[self.operand(f) for f in flat] for flat, _ in outputs]
         lines = ["def compiled(points):",
@@ -795,24 +865,58 @@ class _Source:
                  f"    p = p.reshape(n, {len(self.coords)})"]
         lines += [f"    {name} = p[:, {i}]"
                   for i, name in sorted(self.loads.items())]
-        block = False
-        for guarded, stmt in self.body:
-            if guarded and not block:
-                lines.append("    with _errstate(all='ignore'):")
-            block = guarded
-            lines.append(("        " if guarded else "    ") + stmt)
+        lines += self.statements()
         results = []
         for k, ((_, struct), ops) in enumerate(zip(outputs, cols)):
             lines.append(f"    o{k} = _empty((n, {len(ops)}))")
-            if any(op in self.known for op in ops):
-                row = np.array([self.known.get(op, 0.0) for op in ops])
-                lines.append(f"    o{k}[:] = {self.bind(row, '_t')}")
+            row = self.constants(ops, len(ops))
+            if row is not None:
+                lines.append(f"    o{k}[:] = {row}")
             lines += [f"    o{k}[:, {j}] = {op}" for j, op in enumerate(ops)
                       if op not in self.known]
             results.append(f"o{k}.reshape(lead + {struct!r})")
         lines.append(f"    return {', '.join(results)}")
-        exec(compile("\n".join(lines), "<compiled fields>", "exec"), self.ns)
-        return self.ns.pop("compiled")  # no cycle through its globals
+        return self.define(lines, "compiled")
+
+    def rk4_step(self, outputs):
+        """compile_rk4_step's (step, buffers): the fields' statements
+        once per stage, over the stage point za."""
+        d = len(self.coords)
+        variational = len(outputs) == 2
+        cols = [[self.operand(f) for f in flat] for flat, _ in outputs]
+        names = "k1, k2, k3, k4, J" if variational else "k1, k2, k3, k4"
+        velocity = self.constants(cols[0], d)
+        alloc = ["def buffers(n):"]
+        for k in ("k1", "k2", "k3", "k4"):
+            alloc.append(f"    {k} = _empty((n, {d * len(outputs)}))")
+            if velocity is not None:
+                alloc.append(f"    {k}[:, :{d}] = {velocity}")
+        writes = [(f"{{k}}[:, {j}]", op) for j, op in enumerate(cols[0])]
+        if variational:
+            alloc.append(f"    J = _empty((n, {d}, {d}))")
+            jac = self.constants(cols[1], (d, d))
+            if jac is not None:
+                alloc.append(f"    J[:] = {jac}")
+            writes += [(f"J[:, {j // d}, {j % d}]", op)
+                       for j, op in enumerate(cols[1])]
+        alloc.append(f"    return {names}")
+
+        stage = [f"    {name} = za[:, {i}]"
+                 for i, name in sorted(self.loads.items())]
+        stage += self.statements()
+        lines = ["def step(z, h, half, sixth, buffers):",
+                 f"    {names} = buffers"]
+        for k, point in (("k1", "z"), ("k2", "z + half * k1"),
+                         ("k3", "z + half * k2"), ("k4", "z + h * k3")):
+            lines.append(f"    za = {point}")
+            lines += stage
+            lines += [f"    {target.format(k=k)} = {op}"
+                      for target, op in writes if op not in self.known]
+            if variational:
+                lines.append(f"    _matmul(J, za[:, {d}:, None], "
+                             f"out={k}[:, {d}:, None])")
+        lines.append("    return z + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)")
+        return self.define(alloc + lines, "step", "buffers")
 
 
 def _chain(target, op, operands):

@@ -18,12 +18,14 @@ EvalDomainError, and records that row's exit time and cause while its
 neighbours go on; only live rows are evaluated.  flow and
 variational_flow still raise: the error of the row that stopped first,
 an EscapeError carrying its exit_time, to which build_surface adds the
-lattice node (flow index, grid index) being filled.  The loop evaluates
-the field, and with a carried vector its Jacobian, through one function
-from fields.compile_fields, cached on the field objects: a second flow
-of the same fields takes no symbolic derivative and builds no
-environment dict, and the per-step work is that function plus the RK4
-arithmetic and one Box.container test, its bounds computed once.
+lattice node (flow index, grid index) being filled.  Each step is one
+call of a generated function from fields.compile_rk4_step, cached on the
+field objects: it runs the four stages with the field statements (and,
+with a carried vector, the Jacobian and its product with Y) inline on
+one state z = [x | Y], into stage buffers allocated when the live rows
+change, so a second flow of the same fields takes no symbolic derivative
+and compiles nothing.  Around that call the per-step work is one box
+test on z's x columns against bounds computed once.
 
 The three quantitative checks:
 
@@ -44,7 +46,7 @@ import numpy as np
 
 from .boxes import Box
 from .errors import EscapeError, EvalDomainError, RangeError
-from .fields import compile_fields, eval_fields
+from .fields import compile_rk4_step, eval_fields
 from .report import cells, csv_text
 from .geometry import (Distribution, FrameSection, annihilator_frame,
                        bound_parts, evaluate_frame, involutivity_constant,
@@ -94,42 +96,45 @@ class Trajectories(NamedTuple):
         return self.x, self.Y
 
 
-def _rk4_step(rhs, x, Y, dt, half, sixth):
-    k1, l1 = rhs(x, Y)
-    k2, l2 = rhs(x + half * k1, _ahead(Y, half, l1))
-    k3, l3 = rhs(x + half * k2, _ahead(Y, half, l2))
-    k4, l4 = rhs(x + dt * k3, _ahead(Y, dt, l3))
-    x = x + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    if Y is not None:
-        Y = Y + sixth * (l1 + 2.0 * l2 + 2.0 * l3 + l4)
-    return x, Y
-
-
-def _ahead(Y, h, ls):
-    return None if Y is None else Y + h * ls
-
-
 def _integrate(fields, coords, x0, t, step, box, Y0=None) -> Trajectories:
     """The one RK4 loop, behind flow, variational_flow and the funnel.
 
-    x0 is one point (d,) or a batch (N, d); Y0, when given, has the same
-    shape and is carried along by the variational equation
-    dY/dt = DX(x(t)) Y in the same steps.  t is a scalar or one time per
-    row: row i takes n_i = ceil(|t_i|/step) steps of t_i/n_i (none when
-    t_i = 0).  A row stops once it has taken its steps, once a step ends
-    outside the box (exit time: the end of that step), or once its field
-    evaluation raises EvalDomainError (exit time: the start of that step);
-    |t_i| beyond MAX_TIME stops it at once.  Only live rows are evaluated,
-    and the arithmetic is per row, so each row's bits and exit record are
-    those of its solo run.  When a stage raises for the batch, the step is
-    redone one row at a time to find the rows that raise; the rest keep
-    their solo results.
+    x0 is one point (d,) or a batch (N, d) over the d coords, with one
+    field per coordinate; Y0, when given, has x0's shape and is carried
+    along by the variational equation dY/dt = DX(x(t)) Y in the same
+    steps, as the columns d: of one state z = [x | Y].  t is a scalar or
+    one time per row: row i takes n_i = ceil(|t_i|/step) steps of
+    t_i/n_i (none when t_i = 0).  A row stops once it has taken its
+    steps, once a step ends outside the box (exit time: the end of that
+    step), or once its field evaluation raises EvalDomainError (exit
+    time: the start of that step); |t_i| beyond MAX_TIME stops it at
+    once.  Only live rows are stepped, and the arithmetic is per row, so
+    each row's bits and exit record are those of its solo run.  When a
+    stage raises for the batch, the step is redone one row at a time to
+    find the rows that raise; the rest keep their solo results.  A shape
+    that does not fit, or a nan time, raises RangeError before any step.
     """
     x = np.array(x0, dtype=float)
+    d = len(coords)
+    if x.ndim not in (1, 2) or x.shape[-1] != d:
+        raise RangeError(f"x0 over {d} coordinates must have shape ({d},) "
+                         f"or (N, {d}), got {x.shape}")
+    if len(fields) != d:
+        raise RangeError(f"a flow over {d} coordinates needs {d} fields, "
+                         f"got {len(fields)}")
+    if Y0 is not None and np.shape(Y0) != x.shape:
+        raise RangeError(f"Y0 must have x0's shape {x.shape}, got "
+                         f"{np.shape(Y0)}")
     single = x.ndim == 1
-    x = np.atleast_2d(x)
-    Y = None if Y0 is None else np.atleast_2d(np.array(Y0, dtype=float))
-    N = len(x)
+    z = np.atleast_2d(x)
+    N = len(z)
+    if np.ndim(t) and np.shape(t) != (N,):
+        raise RangeError(f"t must be a scalar or have shape ({N},), got "
+                         f"{np.shape(t)}")
+    t = np.full(N, t, dtype=float)
+    if Y0 is not None:
+        z = np.concatenate([z, np.atleast_2d(np.asarray(Y0, dtype=float))],
+                           axis=1)
     exit_time = np.full(N, np.nan)
     error = [None] * N
     live = np.ones(N, dtype=bool)
@@ -138,61 +143,54 @@ def _integrate(fields, coords, x0, t, step, box, Y0=None) -> Trajectories:
         nonlocal refresh
         exit_time[i], error[i], live[i], refresh = time, err, False, True
 
-    t = np.full(N, t, dtype=float)
     within = np.abs(t) <= MAX_TIME
     n = np.where(within, np.maximum(
         np.ceil(np.abs(t) / step - 1e-12), t != 0.0), 0.0)
     dt = (t / np.maximum(n, 1.0))[:, None]
     for i in np.flatnonzero(~within):
+        if np.isnan(t[i]):
+            raise RangeError(f"flow time of row {i} is nan")
         stop(i, t[i], EscapeError("requested time beyond MAX_TIME",
                                   exit_time=float(t[i])))
-    fn = compile_fields(fields, coords, jacobian=Y is not None)
-
-    def rhs(xs, ys):
-        if ys is None:
-            return fn(xs), None
-        values, jac = fn(xs)
-        return values, (jac @ ys[..., None])[..., 0]
-
-    inside_box = None if box is None else box.container(tol=1e-9)
+    rk4, buffers = compile_rk4_step(fields, coords, Y0 is not None)
+    if box is not None:
+        lo, hi = box.bounds(tol=1e-9)
     # the live rows change only when a row stops or has taken its steps;
     # while every row is live they are a slice, which copies nothing, and
-    # the step columns are rebuilt only then
+    # the step columns and stage buffers are rebuilt only then
     refresh, ends = True, set(n.tolist())
     for k in range(int(n.max(initial=0))):
         if refresh or k in ends:
             live &= n > k
             rows = slice(None) if live.all() else np.flatnonzero(live)
             h = dt[rows]
-            steps = (h, 0.5 * h, h / 6.0)
+            half, sixth = 0.5 * h, h / 6.0
+            bufs = buffers(len(h))
             refresh = False
-        xs, ys = x[rows], None if Y is None else Y[rows]
+        zs = z[rows]
         try:
-            xs, ys = _rk4_step(rhs, xs, ys, *steps)
+            zs = rk4(zs, h, half, sixth, bufs)
         except EvalDomainError:
+            one = buffers(1)
             for j, i in enumerate(np.arange(N)[rows]):
                 try:
-                    xj, yj = _rk4_step(rhs, xs[j:j + 1], None if ys is None
-                                       else ys[j:j + 1],
-                                       *(c[j:j + 1] for c in steps))
+                    zj = rk4(zs[j:j + 1], h[j:j + 1], half[j:j + 1],
+                             sixth[j:j + 1], one)
                 except EvalDomainError as err:
                     stop(i, k * dt[i, 0], err)
                     continue
-                xs[j] = xj[0]
-                if ys is not None:
-                    ys[j] = yj[0]
-        x[rows] = xs
-        if Y is not None:
-            Y[rows] = ys
+                zs[j] = zj[0]
+        z[rows] = zs
         if box is not None:
-            inside = inside_box(xs)
+            inside = (zs[:, :d] >= lo) & (zs[:, :d] <= hi)
             if not inside.all():
                 idx = np.arange(N)[rows]
-                for i in idx[live[idx] & ~inside]:
+                for i in idx[live[idx] & ~inside.all(axis=1)]:
                     time = (k + 1) * dt[i, 0]
                     stop(i, time, EscapeError(
                         "trajectory left the domain box",
                         exit_time=float(time)))
+    x, Y = (z, None) if Y0 is None else (z[:, :d].copy(), z[:, d:].copy())
     if single:
         return Trajectories(x[0], None if Y is None else Y[0], exit_time,
                             error)

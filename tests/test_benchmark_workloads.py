@@ -77,3 +77,66 @@ def test_surface_frames_task_work_counts(monkeypatch):
     assert len(ctx["lattice"]) == 625
     assert len(mollified) == 3
     assert sum(root_rows) < 32
+
+
+def test_ode_flows_task_work_counts(monkeypatch):
+    # one generated RK4 step per step taken: 4 checks x 2 flows x 40 steps
+    # of the pushforward and 32 of the funnel's one batch; the compiled
+    # field functions stay out of the step loop, and a second task
+    # compiles nothing
+    import contfrob.fields as fl
+    import contfrob.odelab as odelab
+    import contfrob.surface as surface
+    steps = {"odelab.funnel": 0, "surface.pushforward": 0}
+    compiled, in_loop, span = [], [], [None]
+
+    def counted_step(fields, coords, variational=False,
+                     _orig=surface.compile_rk4_step):
+        step, buffers = _orig(fields, coords, variational)
+
+        def counted(*args):
+            steps[span[0]] += 1
+            return step(*args)
+        return counted, buffers
+
+    def counted_define(self, lines, *names, _orig=fl._Source.define):
+        compiled.append(names)
+        fn = _orig(self, lines, *names)
+        if names != ("compiled",):  # an RK4 step, counted above
+            return fn
+
+        def counted(*args):
+            if looping:
+                in_loop.append(args)
+            return fn(*args)
+        return counted
+
+    def looped(engine):
+        def run(*args, **kwargs):
+            nonlocal looping
+            looping = True
+            try:
+                return engine(*args, **kwargs)
+            finally:
+                looping = False
+        return run
+
+    class Spans:
+        def span(self, name):
+            span[0] = name
+            return spans.NULL.span(name)
+
+    looping = False
+    monkeypatch.setattr(fl._Source, "define", counted_define)
+    monkeypatch.setattr(surface, "compile_rk4_step", counted_step)
+    monkeypatch.setattr(surface, "_integrate", looped(surface._integrate))
+    monkeypatch.setattr(odelab, "_integrate", looped(odelab._integrate))
+    wl = workloads.WORKLOADS["ode-flows"]()
+    ctx = wl.build()
+    inp = wl.inputs(ctx, np.random.default_rng([1, 2, 0]))
+    assert wl.run(ctx, inp, Spans()).problems == []
+    assert steps == {"odelab.funnel": 32, "surface.pushforward": 320}
+    assert compiled and in_loop == []
+    compiled.clear()
+    assert wl.run(ctx, inp, Spans()).problems == []
+    assert compiled == []

@@ -323,12 +323,14 @@ def test_second_integrate_takes_no_derivatives(monkeypatch):
 
 
 def _count_compiles(monkeypatch):
+    """The names of the generated functions, field functions and RK4
+    steps alike, in the order they are compiled."""
     compiles = []
 
-    def counted(self, outputs, _orig=fl._Source.function):
-        compiles.append(outputs)
-        return _orig(self, outputs)
-    monkeypatch.setattr(fl._Source, "function", counted)
+    def counted(self, lines, *names, _orig=fl._Source.define):
+        compiles.append(names)
+        return _orig(self, lines, *names)
+    monkeypatch.setattr(fl._Source, "define", counted)
     return compiles
 
 

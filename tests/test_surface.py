@@ -1,16 +1,24 @@
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from contfrob import presets
 from contfrob.boxes import Box
 from contfrob.errors import EscapeError, EvalDomainError, RangeError
-from contfrob.fields import Const, coord, parse_field
+from contfrob.fields import (ONE, ZERO, Const, Coord, add, compile_fields,
+                             coord, parse_field)
 from contfrob.geometry import Distribution, annihilator_frame
-from contfrob.surface import (FlowConfig, _integrate, build_surface,
-                              converge_surfaces, flow, patch_to_csv,
-                              pushforward_bound_check, tangency_defect,
-                              variational_flow)
+from contfrob.odelab import _OFFSET
+from contfrob.surface import (MAX_TIME, FlowConfig, _integrate,
+                              build_surface, converge_surfaces, flow,
+                              patch_to_csv, pushforward_bound_check,
+                              tangency_defect, variational_flow)
+from test_compiled import _EXPRS
 
 x, y, z = coord("x"), coord("y"), coord("z")
 CFG = FlowConfig(step=1.0e-3)
@@ -168,6 +176,215 @@ def test_flow_on_a_batch_with_stopped_rows_still_raises():
         flow(SQRT_FIELD, ("t", "y"), SQRT_ROWS[1], SQRT_TIMES[1], cfg,
              SQRT_BOX)
     assert batch.value.exit_time == solo.value.exit_time == 0.42
+
+
+# ---------------------------------------------------------------------------
+# the engine against a frozen reference
+
+
+def _reference_step(fn, x, Y, dt, half, sixth):
+    """The RK4 step the engine took before its step was generated: x and
+    Y apart, the compiled field function (with its Jacobian when Y is
+    carried) called once per stage."""
+    def rhs(xs, ys):
+        if ys is None:
+            return fn(xs), None
+        values, jac = fn(xs)
+        return values, (jac @ ys[..., None])[..., 0]
+
+    def ahead(ys, h, ls):
+        return None if ys is None else ys + h * ls
+
+    k1, l1 = rhs(x, Y)
+    k2, l2 = rhs(x + half * k1, ahead(Y, half, l1))
+    k3, l3 = rhs(x + half * k2, ahead(Y, half, l2))
+    k4, l4 = rhs(x + dt * k3, ahead(Y, dt, l3))
+    x = x + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    if Y is not None:
+        Y = Y + sixth * (l1 + 2.0 * l2 + 2.0 * l3 + l4)
+    return x, Y
+
+
+def _reference_run(fields, coords, x0, t, step, box, Y0=None):
+    """Each row alone through _reference_step, with the engine's stop
+    rules: (x, Y, exit times, error types) for a batch (N, d)."""
+    fn = compile_fields(fields, coords, jacobian=Y0 is not None)
+    xs = np.array(x0, dtype=float)
+    Ys = None if Y0 is None else np.array(Y0, dtype=float)
+    ts = np.broadcast_to(np.asarray(t, dtype=float), len(xs))
+    exit_time, errors = np.full(len(xs), np.nan), [None] * len(xs)
+    for i, ti in enumerate(ts):
+        if not abs(ti) <= MAX_TIME:
+            exit_time[i], errors[i] = ti, EscapeError
+            continue
+        n = max(math.ceil(abs(ti) / step - 1e-12), ti != 0.0)
+        dt = np.array([[ti / max(n, 1.0)]])
+        x, Y = xs[i:i + 1], None if Ys is None else Ys[i:i + 1]
+        for k in range(n):
+            try:
+                x, Y = _reference_step(fn, x, Y, dt, 0.5 * dt, dt / 6.0)
+            except EvalDomainError:
+                exit_time[i], errors[i] = k * dt[0, 0], EvalDomainError
+                break
+            if box is not None and not box.contains(x[0], tol=1e-9):
+                exit_time[i], errors[i] = (k + 1) * dt[0, 0], EscapeError
+                break
+        xs[i] = x[0]
+        if Y is not None:
+            Ys[i] = Y[0]
+    return xs, Ys, exit_time, errors
+
+
+def _warned(run):
+    """run's result and the texts of the warnings it raised."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        out = run()
+    return out, {str(w.message) for w in caught}
+
+
+def assert_engine_is_reference(fields, coords, x0, t, step, box, Y0=None):
+    got, got_warn = _warned(lambda: _integrate(fields, coords, x0, t, step,
+                                               box, Y0))
+    (x, Y, exit_time, errors), want_warn = _warned(
+        lambda: _reference_run(fields, coords, x0, t, step, box, Y0))
+    assert got.x.tobytes() == x.tobytes()
+    assert (got.Y is None and Y is None) or got.Y.tobytes() == Y.tobytes()
+    assert np.array_equal(got.exit_time, exit_time, equal_nan=True)
+    assert [type(e) for e in got.error] == [
+        type(None) if e is None else e for e in errors]
+    assert got_warn == want_warn
+
+
+def _funnel_fields(spec):
+    """odelab.funnel's list: F with an offset column every component
+    adds, over the domain box and an unbounded offset."""
+    off, dom = Coord(_OFFSET), spec.domain
+    box = Box(dom.names + (_OFFSET,), dom.lows + (-math.inf,),
+              dom.highs + (math.inf,))
+    return [ONE] + [add(f, off) for f in spec.F] + [ZERO], box.names, box
+
+
+def _flowed_lists():
+    """(fields, coords, box) for every preset field list a flow runs."""
+    out = []
+    for dist in (presets.contact_distribution(),
+                 presets.involutive_distribution(),
+                 presets.pde_example_2()[1].distribution()):
+        out += [(X, dist.coords, dist.domain)
+                for X in dist.spanning_fields()]
+    out += [_funnel_fields(presets.ode_peano()),
+            _funnel_fields(presets.ode_example_1())]
+    return out
+
+
+def _rows(rng, coords, box, n):
+    lo, hi = np.maximum(box.lows, -1.0), np.minimum(box.highs, 1.0)
+    return lo + rng.random((n, len(coords))) * (hi - lo)
+
+
+@pytest.mark.parametrize("n", [1, 9])
+@pytest.mark.parametrize("variational", [False, True])
+def test_engine_matches_the_reference_on_preset_lists(n, variational):
+    rng = np.random.default_rng(16)
+    times = np.array([0.07, 0.0, -0.05, 0.013, -0.1, 0.3, 0.02, -0.0, 0.1])
+    for fields, coords, box in _flowed_lists():
+        x0 = _rows(rng, coords, box, n)
+        x0[0, -1] = -0.0
+        Y0 = rng.uniform(-1.0, 1.0, x0.shape) if variational else None
+        assert_engine_is_reference(fields, coords, x0, times[:n], 0.01,
+                                   box, Y0)
+        assert_engine_is_reference(fields, coords, x0, 0.05, 0.01, None,
+                                   Y0)
+
+
+def test_engine_matches_the_reference_with_an_inf_in_y0():
+    # 0 * inf in J @ Y is nan, and nothing folds the zero entries away
+    for fields, coords, box in _flowed_lists():
+        rng = np.random.default_rng(3)
+        x0 = _rows(rng, coords, box, 3)
+        x0[1, 0] = -0.0
+        Y0 = rng.uniform(-1.0, 1.0, x0.shape)
+        Y0[0, 0], Y0[2, -1] = math.inf, -math.inf
+        assert_engine_is_reference(fields, coords, x0,
+                                   np.array([0.04, -0.03, 0.05]), 0.01,
+                                   None, Y0)
+
+
+XY = ("x", "y")
+_AXIS = np.array([-2.0, -0.5, -0.0, 0.0, 0.25, 0.5, 1.0, 3.0])
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(_EXPRS, min_size=2, max_size=2), st.booleans(),
+       st.sampled_from([1, 9]), st.integers(0, 2 ** 32 - 1))
+def test_engine_matches_the_reference_on_generated_lists(texts, variational,
+                                                         n, seed):
+    try:
+        fields = [parse_field(t) for t in texts]
+        if variational:
+            [f.diff(c) for f in fields for c in XY]
+    except EvalDomainError:
+        assume(False)  # a constant folded to a domain error
+    rng = np.random.default_rng(seed)
+    x0 = rng.choice(_AXIS, size=(n, 2))
+    times = rng.choice([0.0, 0.03, -0.02, 0.05, -0.04], size=n)
+    Y0 = rng.choice(_AXIS, size=(n, 2)) if variational else None
+    box = Box.from_dict({"x": (-2.5, 3.5), "y": (-2.5, 3.5)})
+    assert_engine_is_reference(fields, XY, x0, times, 0.01, box, Y0)
+
+
+def test_a_row_raising_at_stage_four_stops_alone():
+    # row 0 sinks toward y = 0: the step that starts at t = 0.07 begins at
+    # y > 0 and its stage-2 and stage-3 points are >= 0, but its stage-4
+    # point y + h*k3 is < 0, so only the last evaluation of the step raises
+    rows = np.array([[0.0, 0.03], [0.0, 0.3], [0.1, 0.5]])
+    Y0 = np.tile([0.0, 1.0], (3, 1))
+    run = _integrate(SQRT_FIELD, ("t", "y"), rows, 0.2, 0.01, None, Y0)
+    h = 0.2 / 20
+    assert isinstance(run.error[0], EvalDomainError)
+    assert run.exit_time[0] == 7 * h
+    velocity = compile_fields(SQRT_FIELD, ("t", "y"))
+    stage = run.x[:1]
+    k1 = velocity(stage)
+    k2 = velocity(stage + 0.5 * h * k1)
+    k3 = velocity(stage + 0.5 * h * k2)
+    assert stage[0, 1] > 0.0 > stage[0, 1] + h * k3[0, 1]
+    for i in (1, 2):
+        xo, Yo = variational_flow(SQRT_FIELD, ("t", "y"), rows[i], 0.2,
+                                  Y0[i], FlowConfig(step=0.01))
+        assert run.error[i] is None
+        assert np.array_equal(run.x[i], xo) and np.array_equal(run.Y[i], Yo)
+    assert_engine_is_reference(SQRT_FIELD, ("t", "y"), rows, 0.2, 0.01,
+                               None, Y0)
+
+
+def test_a_nan_flow_time_is_a_range_error():
+    X1 = contact().spanning_fields()[0]
+    with pytest.raises(RangeError, match=r"^flow time of row 0 is nan$"):
+        flow(X1, ("x", "y", "z"), np.zeros(3), math.nan,
+             FlowConfig(step=0.01), BOX3)
+    with pytest.raises(RangeError, match=r"^flow time of row 1 is nan$"):
+        _integrate(X1, ("x", "y", "z"), np.zeros((2, 3)), [0.1, math.nan],
+                   0.01, BOX3)
+
+
+@pytest.mark.parametrize("coords, x0, t, Y0, message", [
+    ("xyz", np.zeros(3), 0.1, np.zeros(2),
+     "Y0 must have x0's shape (3,), got (2,)"),
+    ("xyz", np.zeros((2, 3)), 0.1, np.zeros((3, 3)),
+     "Y0 must have x0's shape (2, 3), got (3, 3)"),
+    ("xyz", np.zeros(2), 0.1, None,
+     "x0 over 3 coordinates must have shape (3,) or (N, 3), got (2,)"),
+    ("xyz", np.zeros((2, 3)), np.full(3, 0.1), None,
+     "t must be a scalar or have shape (2,), got (3,)"),
+    ("xy", np.zeros(2), 0.1, None,
+     "a flow over 2 coordinates needs 2 fields, got 3"),
+], ids=["Y0-of-a-point", "Y0-of-a-batch", "x0", "t", "fields"])
+def test_malformed_shapes_are_range_errors(coords, x0, t, Y0, message):
+    X1 = contact().spanning_fields()[0]
+    with pytest.raises(RangeError, match=f"^{re.escape(message)}$"):
+        _integrate(X1, tuple(coords), x0, t, 0.01, None, Y0)
 
 
 def test_vertical_invariance_of_pushforwards():
