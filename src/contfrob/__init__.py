@@ -37,7 +37,6 @@ from .surface import (FlowConfig, SurfacePatch, build_surface,
                       converge_surfaces, flow, pushforward_bound_check,
                       tangency_defect, variational_flow)
 from .dynsys import (DiffeoSpec, domination_report,
-                     orthonormal_pullback_frames,
                      splitting_involutivity_pipeline, transport)
 
 __version__ = "0.1.0"

@@ -28,7 +28,7 @@ import numpy as np
 
 from .boxes import Box
 from .errors import ContfrobError, EscapeError, ParseError
-from .fields import Add, Coord, Mul, expand, mul, parse_field
+from .fields import Add, Coord, Mul, eval_fields, expand, mul, parse_field
 from .forms import one_form
 from .geometry import FrameSection, frobenius_defect, max_principal_angle
 from .moduli import (fit_loglog_slope, limit_condition_check, osgood_check,
@@ -163,13 +163,16 @@ class _Param(NamedTuple):
 def _read(prm, text):
     """One param's text as its typed value, checked against its bound and
     its choices."""
+    shape = (f"a comma-separated list of {prm.type.__name__}s"
+             if prm.many else f"a single {prm.type.__name__}")
     try:
         value = ([prm.type(v) for v in str(text).split(",") if v != ""]
                  if prm.many else prm.type(text))
     except ValueError:
-        shape = (f"a comma-separated list of {prm.type.__name__}s"
-                 if prm.many else f"a single {prm.type.__name__}")
         raise ParseError(f"{prm.key} must be {shape}, got {text!r}") from None
+    if prm.many and not value:
+        raise ParseError(f"{prm.key} must be {shape}, got no items in "
+                         f"{text!r}")
     if prm.least is not None and value < prm.least:
         raise ParseError(f"{prm.key} must be at least {prm.least}, "
                          f"got {value}")
@@ -197,6 +200,16 @@ def _values(cfg):
                              f"{', '.join(stray)}; it reads "
                              f"{', '.join(keys) or 'no keys'}")
     return values
+
+
+def _point(p, key, coords, default=None):
+    """The point given for key (default when omitted), checked to have one
+    value per coordinate before any work uses it."""
+    point = p.get(key, default)
+    if len(point) != len(coords):
+        raise ParseError(f"{key} must have {len(coords)} values, one per "
+                         f"coordinate {', '.join(coords)}; got {len(point)}")
+    return point
 
 
 def _given(p, keys):
@@ -231,7 +244,7 @@ def _run_mollify_verify(cfg, p):
         raise ParseError(f"lo must be below hi, got lo={lo}, hi={hi}")
     f = parse_field(p["expr"])
     xs = np.linspace(lo, hi, p["n"])
-    g = GridFunction((xs,), np.asarray(f.evaluate({"x": xs}), dtype=float))
+    g = GridFunction((xs,), eval_fields([f], ("x",), xs[:, None])[:, 0])
     w = parse_modulus(p["w"])
     w_axis = parse_modulus(p["w_axis"]) if "w_axis" in p else w
     reports = verify_bounds(g, w, [w_axis], p["eps_list"])
@@ -296,7 +309,7 @@ _ODE_EXAMPLES = {
 def _ode(p):
     """The chosen ODE example and its start point, the origin unless given."""
     spec = _example(_ODE_EXAMPLES, p)
-    return spec, p.get("point", [0.0] * (spec.n + 1))
+    return spec, _point(p, "point", spec.coords, [0.0] * (spec.n + 1))
 
 
 def _run_ode_check(cfg, p):
@@ -335,7 +348,8 @@ def _run_pde_check(cfg, p):
     else:
         point, cols = [0.0] * (spec.m + spec.n), (2, 3)
     columns = tuple(p.get("columns", cols))
-    cert = theorem2_check(spec, p.get("point", point), columns)
+    cert = theorem2_check(spec, _point(p, "point", spec.coords, point),
+                          columns)
     if cert.report is None:
         print(f"columns={columns} det={cert.det_value:.3g} "
               f"verdict=NotApplicable")
@@ -352,8 +366,8 @@ def _run_pde_solve_special(cfg, p):
     sf, spec = _example(_SEPARABLE, p)
     xb = Box(sf.x_names, spec.domain.lows[:sf.m], spec.domain.highs[:sf.m])
     targets = xb.shrink(0.05).lattice(p["targets_res"])
-    result = special_solve(sf, np.asarray(p["x0"]), np.asarray(p["y0"]),
-                           targets)
+    result = special_solve(sf, np.asarray(_point(p, "x0", sf.x_names)),
+                           np.asarray(_point(p, "y0", sf.y_names)), targets)
     rows = [[*targets[t], *result.values[t],
              np.max(np.abs(result.residuals[t]))] for t in range(len(targets))]
     _write(cfg, "pde_solve.csv", csv_text(
@@ -383,7 +397,8 @@ _SURFACE_EXAMPLES = {
 def _run_surface(cfg, p):
     dist = _example(_SURFACE_EXAMPLES, p)
     eps1 = p["eps1"]
-    patch = build_surface(dist, np.asarray(p["x0"]), eps1, p["grid"],
+    x0 = np.asarray(_point(p, "x0", dist.coords))
+    patch = build_surface(dist, x0, eps1, p["grid"],
                           FlowConfig(step=p.get("step", eps1 / 32.0)),
                           **_given(p, ("order",)))
     rep = tangency_defect(patch, dist, sup_res=5)

@@ -16,16 +16,18 @@ composed expression trees.
 
 Cost model: every orbit and jacobian product comes from a Cocycle, which
 evaluates phi and Dphi once per orbit step over a fixed point set and
-keeps the cumulative products Dphi^k.  A report, a transport sweep, a
-splitting pipeline up to k_max or the frames of orthonormal_pullback_frames
-evaluated on one point set therefore make k_max map and k_max jacobian
-evaluations.  The matrix work is O(k_max^2) in arithmetic but O(k_max) in
-library calls: every E_k comes from one backward sweep whose step j makes
-one batched solve and one QR over the stack of chains with k > j, the
-forward chains Dphi^k E_k, Dphi^k F and Dphi^k Y advance together with
-one matmul per family and step, and each family's singular values are
-one SVD.  Each matrix meets the same LAPACK routine it would meet alone,
-so the stacked sweep gives the per-k results bit for bit.
+keeps the cumulative products Dphi^k.  A report, a transport sweep or a
+splitting pipeline up to k_max therefore makes k_max map and k_max
+jacobian evaluations.  Cocycle.pullback_values evaluates the base frame of
+all its pullback frames with one matrix_at and one d_matrices_at on the
+stacked orbit points phi^k(p).  The matrix work is O(k_max^2) in
+arithmetic but O(k_max) in library calls: every E_k comes from one
+backward sweep whose step j makes one batched solve and one QR over the
+stack of chains with k > j, the forward chains Dphi^k E_k, Dphi^k F and
+Dphi^k Y advance together with one matmul per family and step, and each
+family's singular values are one SVD.  Each matrix meets the same LAPACK
+routine it would meet alone, so the stacked sweep gives the per-k results
+bit for bit.
 """
 
 from __future__ import annotations
@@ -40,14 +42,13 @@ from .errors import (ConeError, DegenerateSubspaceError, RangeError,
                      StepCountError)
 from .fields import eval_fields
 from .geometry import (FrameSection, asymptotic_involutivity_trace,
-                       evaluate_frames, exterior_regularity_trace,
+                       exterior_regularity_trace, frame_values,
                        max_principal_angle, signed_qr)
 from .report import csv_text
 
 __all__ = [
     "DiffeoSpec", "Cocycle", "PlaneFieldSamples", "SplittingReport",
-    "PullbackFrame", "transport", "domination_report",
-    "orthonormal_pullback_frames",
+    "transport", "domination_report",
     "splitting_involutivity_pipeline", "splitting_report_to_csv",
 ]
 
@@ -112,10 +113,6 @@ class PlaneFieldSamples:
     points: np.ndarray   # (N, d)
     bases: np.ndarray    # (N, d, r) orthonormal
 
-    @property
-    def rank(self):
-        return self.bases.shape[-1]
-
 
 class Cocycle:
     """Orbit and derivative cocycle of phi over fixed points, up to k_max.
@@ -157,11 +154,7 @@ class Cocycle:
         transversality raises ConeError; of several, the one with the
         smallest k, as a loop over k would find first.
         """
-        ks = [int(k) for k in ks]
-        for k in ks:
-            if not 0 <= k <= self.k_max:
-                raise StepCountError(f"k must lie in 0..{self.k_max}, "
-                                     f"got {k}")
+        ks = self._steps(ks)
         if not ks or any(a >= b for a, b in zip(ks, ks[1:])):
             raise StepCountError(f"transport steps must increase, got {ks}")
         B, bad = signed_qr(self._seeds(e0_bases, ks))
@@ -195,6 +188,33 @@ class Cocycle:
             raise DegenerateSubspaceError("rank-deficient subspace basis")
         return B
 
+    def pullback_values(self, base: FrameSection, ks):
+        """The pullback frames (phi^k)^* C_0 of the base frame C_0 for
+        the steps ks on these points, as one FrameValues over len(ks)*N
+        frame-major rows.
+
+        The base is evaluated once on the stacked orbit points phi^k(p):
+        one matrix_at gives A = C_0(phi^k p) Dphi^k_p, and one
+        d_matrices_at the pullback of dC_0 (zero when C_0 is constant),
+        from jacobian products rather than composed expression trees.
+        """
+        ks = self._steps(ks)
+        dim = self.phi.dim
+        ends = self.orbit[ks].reshape(-1, dim)
+        J = np.stack([self.products[k] for k in ks]).reshape(-1, dim, dim)
+        return frame_values(self.points, base.matrix_at(ends) @ J,
+                            _pulled_back(base.d_matrices_at(ends), J),
+                            base.y_indices)
+
+    def _steps(self, ks):
+        """The steps ks as ints, each checked to lie in 0..k_max."""
+        ks = [int(k) for k in ks]
+        for k in ks:
+            if not 0 <= k <= self.k_max:
+                raise StepCountError(f"k must lie in 0..{self.k_max}, "
+                                     f"got {k}")
+        return ks
+
     def _seeds(self, e0_bases, ks):
         """E_0 at phi^k(p) for each k of ks: (len(ks), N, d, r)."""
         if callable(e0_bases):
@@ -204,6 +224,12 @@ class Cocycle:
             seeds = [np.asarray(e0_bases, dtype=float)] * len(ks)
         shape = (len(self.points),) + seeds[0].shape[-2:]
         return np.stack([np.broadcast_to(b, shape) for b in seeds])
+
+
+def _pulled_back(dC, J):
+    """J^T dC_j J per point: (phi^k)^* of the base 2-forms dC
+    (N, n, d, d)."""
+    return np.einsum("pca,pjcd,pdb->pjab", J, dC, J)
 
 
 def _first_bad_chain(bad):
@@ -316,115 +342,6 @@ def _domination(cc: Cocycle, e0_bases, f_samples, eps_list, y_indices):
     return report, e_bases
 
 
-class _CocycleSource:
-    """The last Cocycle of phi up to k_max, rebuilt only when asked about
-    other points.  Frames sharing one source evaluate phi and Dphi
-    k_max times per point set between them."""
-
-    def __init__(self, phi: DiffeoSpec, k_max, cocycle=None):
-        self.phi = phi
-        self.k_max = k_max
-        self.cocycle = cocycle
-
-    def at(self, points):
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        cc = self.cocycle
-        if cc is None or not np.array_equal(cc.points, pts):
-            cc = self.cocycle = Cocycle(self.phi, pts, self.k_max)
-        return cc
-
-
-class PullbackFrame:
-    """(phi^k)^* C_0 for a frame C_0 with field components.
-
-    Implements the same pointwise interface as FrameSection: the matrix
-    is C_0(phi^k p) Dphi^k_p and the derivative matrices are the pullback
-    of dC_0 (zero when C_0 is constant), evaluated with jacobian products
-    rather than composed expression trees.  The orbit and Dphi^k come
-    from a Cocycle over the queried points, kept until the frame is asked
-    about other points; frames made together share it, and
-    geometry.evaluate_frames evaluates such a family in one go through
-    family_matrices_at.
-    """
-
-    def __init__(self, phi: DiffeoSpec, base: FrameSection, k: int):
-        self.phi = phi
-        self.base = base
-        self.k = int(k)
-        self.coords = base.coords
-        self.y_names = base.y_names
-        self._source = _CocycleSource(phi, self.k)
-
-    @property
-    def n(self):
-        return self.base.n
-
-    @property
-    def dim(self):
-        return len(self.coords)
-
-    @property
-    def y_indices(self):
-        return tuple(self.coords.index(y) for y in self.y_names)
-
-    def matrix_at(self, points):
-        cc = self._source.at(points)
-        C = self.base.matrix_at(cc.orbit[self.k])
-        return C @ cc.products[self.k]
-
-    def d_matrices_at(self, points):
-        cc = self._source.at(points)
-        return _pulled_back(self.base.d_matrices_at(cc.orbit[self.k]),
-                            cc.products[self.k])
-
-    @staticmethod
-    def family_matrices_at(frames, points):
-        """(A, dA) of frames sharing one base and one _CocycleSource over
-        K*N frame-major rows: one base.matrix_at and one d_matrices_at on
-        the stacked orbit points phi^k(p).  None for any other list."""
-        first = frames[0]
-        if not all(isinstance(f, PullbackFrame) and f.base is first.base
-                   and f._source is first._source for f in frames):
-            return None
-        cc = first._source.at(points)
-        ks = [f.k for f in frames]
-        ends = cc.orbit[ks].reshape(-1, first.dim)
-        J = np.stack([cc.products[k] for k in ks]).reshape(
-            -1, first.dim, first.dim)
-        return (first.base.matrix_at(ends) @ J,
-                _pulled_back(first.base.d_matrices_at(ends), J))
-
-
-def _pulled_back(dC, J):
-    """J^T dC_j J per point: (phi^k)^* of the base 2-forms dC (N, n, d, d)."""
-    return np.einsum("pca,pjcd,pdb->pjab", J, dC, J)
-
-
-def orthonormal_pullback_frames(phi: DiffeoSpec, base: FrameSection, k,
-                                check_points=None, tol=1.0e-8):
-    """Frames (phi^j)^* C_0 for j = 0..k from an orthonormal base frame.
-
-    The frames share one cocycle, so evaluating all of them on one point
-    set makes k map and k jacobian evaluations.
-    """
-    if check_points is not None:
-        M = base.matrix_at(check_points)
-        gram = M @ np.swapaxes(M, 1, 2)
-        gap = float(np.max(np.abs(gram - np.eye(base.n))))
-        if gap > tol:
-            raise RangeError(f"base frame rows are not orthonormal: max "
-                             f"|Gram - I| = {gap!r} exceeds {tol!r}")
-    return _shared_frames(phi, base, range(k + 1), _CocycleSource(phi, k))
-
-
-def _shared_frames(phi, base, ks, source):
-    """PullbackFrames for the steps ks, all reading one _CocycleSource."""
-    frames = [PullbackFrame(phi, base, k) for k in ks]
-    for frame in frames:
-        frame._source = source
-    return frames
-
-
 def splitting_involutivity_pipeline(phi: DiffeoSpec, e0_bases,
                                     base_frame: FrameSection, f_samples,
                                     k_max, eps, points, limit=None, *,
@@ -437,14 +354,12 @@ def splitting_involutivity_pipeline(phi: DiffeoSpec, e0_bases,
     are evaluated once, as one stack, and both traces read it.  n_dirs
     and seed are ignored, as in geometry.involutivity_constant.
     """
-    y_indices = [base_frame.coords.index(y) for y in base_frame.y_names]
     cc = Cocycle(phi, points, k_max)
-    report, dists = _domination(cc, e0_bases, f_samples, (eps,), y_indices)
+    report, dists = _domination(cc, e0_bases, f_samples, (eps,),
+                                base_frame.y_indices)
     if not report.dominated:
         return report, None, None
-    values = evaluate_frames(
-        _shared_frames(phi, base_frame, range(1, k_max + 1),
-                       _CocycleSource(phi, k_max, cc)), cc.points)
+    values = cc.pullback_values(base_frame, range(1, k_max + 1))
     asym = asymptotic_involutivity_trace(values, dists, eps, cc.points)
     ext = None
     if limit is not None:

@@ -19,13 +19,13 @@ For n == r == 2, M_A's per-point value is exact only at the points that
 can hold the lattice sup; the others get a closed-form lower bound below
 it, so the sup and its argmax are still those of exact values.
 
-Cost model: evaluate_frames is the one place frames meet a point set
-and the one transversality check.  It stacks K frames over one lattice
-of N points into K*N frame-major rows: each frame's matrix_at and
-d_matrices_at once (or, for a family that evaluates itself in one go,
-such as the pullback frames of dynsys, one call of each for all K), then
-one batched SVD and one inverse of A|_Y.  evaluate_frame is its K = 1
-case.  The sup kernels compute per-row values over the whole stack in
+Cost model: frame_values holds the one transversality check.  It takes
+K frames over one lattice of N points as K*N frame-major rows and makes
+one batched SVD and one inverse of A|_Y for all of them.  evaluate_frames
+fills those rows with each frame's matrix_at and d_matrices_at once, and
+evaluate_frame is its K = 1 case; dynsys's Cocycle.pullback_values fills
+them for a whole pullback family with one call of each on the base
+frame.  The sup kernels compute per-row values over the whole stack in
 one call each and reduce them per frame segment (the n == r == 2 M_A
 root-finds only the rows whose upper bound reaches their segment's
 largest lower bound, typically a handful), so a trace makes the
@@ -53,7 +53,7 @@ from .forms import (exterior_derivative, one_form, stacked_wedge_norms,
 __all__ = [
     "Distribution", "FrameSection", "SupEstimate", "annihilator_frame",
     "frobenius_defect", "FrameValues", "evaluate_frame", "evaluate_frames",
-    "bound_parts",
+    "frame_values", "bound_parts",
     "involutivity_constant",
     "asymptotic_involutivity_trace", "exterior_regularity_trace",
     "orthonormalize", "max_principal_angle",
@@ -273,35 +273,33 @@ def evaluate_frame(frame, points) -> FrameValues:
 
 
 def evaluate_frames(frames, points) -> FrameValues:
-    """The frames on one lattice as one FrameValues, with one
-    transversality check: TransversalityError where some A_p|_Y is
-    singular.  The frames must share their coordinates and vertical
-    axes; a family with family_matrices_at evaluates itself in one go,
-    any other list frame by frame."""
+    """The frames on one lattice as one FrameValues: each frame's
+    matrix_at and d_matrices_at once, stacked frame-major, then
+    frame_values.  The frames must share their rows, coordinates and
+    vertical axes."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    first = frames[0]
     shapes = {(f.n, tuple(f.coords), tuple(f.y_indices)) for f in frames}
     if len(shapes) != 1:
         raise RangeError(f"frames stacked on one lattice must share rows, "
                          f"coordinates and vertical axes, got {shapes}")
-    family = getattr(first, "family_matrices_at", None)
-    stacked = family(frames, pts) if family is not None else None
-    if stacked is not None:
-        A, dA = stacked
-    elif len(frames) == 1:
-        A, dA = first.matrix_at(pts), first.d_matrices_at(pts)
-    else:
-        A = np.concatenate([f.matrix_at(pts) for f in frames])
-        dA = np.concatenate([f.d_matrices_at(pts) for f in frames])
-    y_idx = list(first.y_indices)
+    A = np.concatenate([f.matrix_at(pts) for f in frames])
+    dA = np.concatenate([f.d_matrices_at(pts) for f in frames])
+    return frame_values(pts, A, dA, frames[0].y_indices)
+
+
+def frame_values(points, A, dA, y_indices) -> FrameValues:
+    """FrameValues of the K*N frame-major rows A (n, D) and dA (n, D, D)
+    on the N points, with the one transversality check:
+    TransversalityError where some A_p|_Y is singular."""
+    y_idx = list(y_indices)
     Ay = A[:, :, y_idx]
     s = np.linalg.svd(Ay, compute_uv=False)
     if np.any(s[:, -1] < 1e-12 * np.maximum(1.0, s[:, 0])):
         raise TransversalityError("frame loses transversality on the lattice")
     inv = np.linalg.inv(Ay)
-    U = np.zeros((len(A), A.shape[2], first.n))
+    U = np.zeros((len(A), A.shape[2], A.shape[1]))
     U[:, y_idx, :] = inv
-    return FrameValues(pts, A, dA, inv, U)
+    return FrameValues(points, A, dA, inv, U)
 
 
 # ---------------------------------------------------------------------------

@@ -413,6 +413,66 @@ def test_key_the_example_does_not_read_is_parse_error(tmp_path, capsys, kind,
     assert list(tmp_path.glob("*.csv")) == []
 
 
+@pytest.mark.parametrize("kind,params,key,value,want", [
+    ("ode-check", {"example": "peano"}, "point", "0.1", 2),
+    ("ode-funnel", {}, "point", "0.1", 3),
+    ("pde-check", {}, "point", "0.1", 4),
+    ("pde-check", {"example": "paper-ex3"}, "point", "0,0,0,0,0", 4),
+    ("pde-solve-special", {}, "x0", "0.3", 2),
+    ("pde-solve-special", {}, "y0", "0.5,0.5,0.5", 2),
+    ("surface", {}, "x0", "0,0", 3)])
+def test_point_of_wrong_length_is_parse_error(tmp_path, capsys, monkeypatch,
+                                              kind, params, key, value, want):
+    from contfrob import cli
+
+    def never(*args, **kwargs):
+        raise AssertionError("integration started on a malformed point")
+    for name in ("theorem1_check", "funnel", "theorem2_check",
+                 "special_solve", "build_surface"):
+        monkeypatch.setattr(cli, name, never)
+    words = [*_KINDS[kind].words, "--" + key, value, "--out", str(tmp_path)]
+    for k, v in params.items():
+        words += ["--" + k, v]
+    assert main(words) == 1
+    flag_err = capsys.readouterr().err
+    assert _run_config(tmp_path, kind, {**params, key: value}) == 1
+    assert capsys.readouterr().err == flag_err
+    got = len(value.split(","))
+    assert re.fullmatch(rf"parse error: {key} must have {want} values, one "
+                        rf"per coordinate [\w, ]+; got {got}\n", flag_err)
+    assert list(tmp_path.glob("*.csv")) == []
+
+
+@pytest.mark.parametrize("kind,key", [
+    ("pde-frames", "eps_list"), ("mollify-verify", "eps_list"),
+    ("dyn-dominate", "eps_sweep")])
+@pytest.mark.parametrize("text", [",", ""])
+def test_empty_list_value_is_parse_error(tmp_path, capsys, kind, key, text):
+    flag = "--" + key.replace("_", "-")
+    assert main([*_KINDS[kind].words, flag, text, "--out",
+                 str(tmp_path)]) == 1
+    flag_err = capsys.readouterr().err
+    assert _run_config(tmp_path, kind, {key: text}) == 1
+    assert capsys.readouterr().err == flag_err
+    assert flag_err == (f"parse error: {key} must be a comma-separated list "
+                        f"of floats, got no items in {text!r}\n")
+    assert list(tmp_path.glob("*.csv")) == []
+
+
+@pytest.mark.parametrize("expr", ["1", "-2.5"])
+def test_mollify_verify_constant_expression(tmp_path, capsys, expr):
+    assert main(["mollify", "verify", "--expr", expr, "--out",
+                 str(tmp_path)]) == 0
+    assert capsys.readouterr().out.startswith("mollify bounds hold=True")
+    body = (tmp_path / "mollify_verify.csv").read_text().splitlines()
+    rows = [ln.split(",") for ln in body if not ln.startswith("#")][1:]
+    assert len(rows) == 3
+    # a constant mollifies to itself: no distance, no derivative
+    for row in rows:
+        assert abs(float(row[1])) <= 1e-15 * max(1.0, abs(float(expr)))
+        assert float(row[2]) == 0.0
+
+
 def test_python_dash_m_runs_the_cli(tmp_path):
     args = ["frobenius", "--form", "dz - y*dx", "--grid", "3"]
     env = dict(os.environ)

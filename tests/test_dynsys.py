@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from contfrob.dynsys import (Cocycle, DiffeoSpec, PlaneFieldSamples,
-                             PullbackFrame, domination_report,
-                             orthonormal_pullback_frames,
+                             domination_report,
                              splitting_involutivity_pipeline,
                              splitting_report_to_csv, transport)
 from contfrob.errors import (ConeError, DegenerateSubspaceError,
@@ -173,12 +172,14 @@ def test_pullback_frames_k0_and_annihilation():
     pts = torus_lattice(2, res=4)
     base = constant_annihilator_frame(np.array([[0.0, 1.0]]),
                                       ("x1", "x2"), ("x2",))
-    frames = orthonormal_pullback_frames(phi, base, 6, check_points=pts)
-    assert np.allclose(frames[0].matrix_at(pts), base.matrix_at(pts))
+    ks = (0, 1, 3, 6)
+    values = Cocycle(phi, pts, 6).pullback_values(base, ks)
+    A = values.A.reshape((len(ks), len(pts)) + values.A.shape[1:])
+    assert np.allclose(A[0], base.matrix_at(pts))
     e0 = np.array([[1.0], [0.0]])
-    for k in (1, 3, 6):
+    for k, A_k in zip(ks[1:], A[1:]):
         ek = transport(phi, e0, k, pts)
-        pairing = frames[k].matrix_at(pts) @ ek.bases
+        pairing = A_k @ ek.bases
         assert np.max(np.abs(pairing)) <= 1e-8
 
 
@@ -192,26 +193,11 @@ def test_pullback_compatibility_isometry():
     n2 = np.array([[0.0, c, s], [0.0, -s, c]])
     f1 = constant_annihilator_frame(n1, ("x1", "x2", "x3"), ("x2", "x3"))
     f2 = constant_annihilator_frame(n2, ("x1", "x2", "x3"), ("x2", "x3"))
-    from contfrob.dynsys import PullbackFrame
-    a = PullbackFrame(phi, f1, 4)
-    b = PullbackFrame(phi, f2, 4)
-    comp = a.matrix_at(pts) @ evaluate_frame(b, pts).U
+    cc = Cocycle(phi, pts, 4)
+    a, b = (cc.pullback_values(f, [4]) for f in (f1, f2))
+    comp = a.A @ b.U
     sigma = np.linalg.svd(comp, compute_uv=False)
     assert np.max(np.abs(sigma - 1.0)) <= 1e-8
-
-
-def test_pullback_frames_reject_non_orthonormal():
-    phi = cat_map()
-    pts = torus_lattice(2, res=3)
-    base = constant_annihilator_frame(np.array([[0.0, 2.0]]),
-                                      ("x1", "x2"), ("x2",))
-    base = base.scale(2.0)
-    with pytest.raises(ValueError):
-        orthonormal_pullback_frames(phi, base, 3, check_points=pts)
-    # the unit row scaled by 2 has |Gram - I| = 3
-    with pytest.raises(RangeError, match=r"^base frame rows are not "
-                       r"orthonormal: max \|Gram - I\| = 3\.0 exceeds"):
-        orthonormal_pullback_frames(phi, base, 3, check_points=pts)
 
 
 def test_pipeline_cat_map_traces():
@@ -320,7 +306,15 @@ def reference_frame_matrices(phi, base, k, pts):
     return A, dA
 
 
-class ReferenceFrame(PullbackFrame):
+class ReferenceFrame:
+    """(phi^k)^* C_0 as a frame whose every evaluation redoes the orbit
+    and the jacobian product from scratch."""
+
+    def __init__(self, phi, base, k):
+        self.phi, self.base, self.k = phi, base, k
+        self.n, self.coords = base.n, base.coords
+        self.y_indices = base.y_indices
+
     def matrix_at(self, points):
         return reference_frame_matrices(self.phi, self.base, self.k,
                                         points)[0]
@@ -438,15 +432,21 @@ def test_cocycle_restricted_norms_equal_per_k_reference(name):
 def test_pullback_frame_equals_per_k_reference(name):
     phi, _, _, _, _, pts = dyn_case(name)
     base = curved_frame(phi.coords)
-    other = np.mod(pts[::2] + 0.137, 1.0)
-    for k in (0, 1, 4, 7):
-        frame = PullbackFrame(phi, base, k)
-        # the frame rebuilds its cocycle whenever the points change
-        for q in (pts, other, pts, pts):
-            A, dA = reference_frame_matrices(phi, base, k, q)
-            assert np.array_equal(frame.matrix_at(q), A)
-            assert np.array_equal(frame.d_matrices_at(q), dA)
-            assert np.max(np.abs(dA)) > 0.0
+    cc = Cocycle(phi, pts, 7)
+    ks = (4, 0, 7, 1)  # frame-major in the order given
+    values = cc.pullback_values(base, ks)
+    assert values.frames == len(ks)
+    N = len(pts)
+    for i, k in enumerate(ks):
+        A, dA = reference_frame_matrices(phi, base, k, pts)
+        assert np.array_equal(values.A[i * N:(i + 1) * N], A)
+        assert np.array_equal(values.dA[i * N:(i + 1) * N], dA)
+        assert np.max(np.abs(dA)) > 0.0
+        one = cc.pullback_values(base, [k])
+        ref = evaluate_frame(ReferenceFrame(phi, base, k), pts)
+        for got, want in ((one.A, ref.A), (one.dA, ref.dA),
+                          (one.inv, ref.inv), (one.U, ref.U)):
+            assert np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("name", DYN_CASES)
@@ -491,7 +491,7 @@ def test_pipeline_evaluates_map_once_per_step(monkeypatch, name, k_max):
 
 @pytest.mark.parametrize("name", DYN_CASES)
 def test_pipeline_evaluates_the_frame_family_once(monkeypatch, name):
-    from contfrob import dynsys
+    from contfrob import dynsys, geometry
     phi, e0, f, _, lim, pts = dyn_case(name)
     k_max = 8
     calls = {}
@@ -506,17 +506,16 @@ def test_pipeline_evaluates_the_frame_family_once(monkeypatch, name):
 
     counted(FrameSection, "matrix_at")
     counted(FrameSection, "d_matrices_at")
-    counted(PullbackFrame, "matrix_at")
-    counted(PullbackFrame, "d_matrices_at")
-    # evaluate_frames holds the one transversality check
-    counted(dynsys, "evaluate_frames")
+    # frame_values holds the one transversality check; the traces must
+    # not evaluate frames again
+    counted(dynsys, "frame_values")
+    counted(geometry, "evaluate_frames")
     rep, asym, ext = splitting_involutivity_pipeline(
         phi, e0, curved_frame(phi.coords), f, k_max, 1.0, pts, limit=lim)
     assert rep.dominated and len(asym) == len(ext) == k_max
     # the base frame is evaluated once on the stacked orbit points, and
     # both traces read the one FrameValues
-    assert calls == {"matrix_at": 1, "d_matrices_at": 1,
-                     "evaluate_frames": 1}
+    assert calls == {"matrix_at": 1, "d_matrices_at": 1, "frame_values": 1}
 
 
 @pytest.mark.parametrize("name", DYN_CASES)
@@ -543,21 +542,20 @@ def test_stacked_traces_equal_per_frame_reference(name):
     phi, e0, f, _, lim, pts = dyn_case(name)
     base = curved_frame(phi.coords)
     eps, k = 0.5, 6
-    shared = orthonormal_pullback_frames(phi, base, k)[1:]
-    mixed = [shared[3], ReferenceFrame(phi, base, 2), base, shared[0]]
-    for frames in (shared, mixed):
+    pulled = [ReferenceFrame(phi, base, j) for j in range(1, k + 1)]
+    mixed = [pulled[3], pulled[1], base, pulled[0]]
+    shared = Cocycle(phi, pts, k).pullback_values(base, range(1, k + 1))
+    cases = [(pulled, [shared]), (mixed, [mixed, evaluate_frames(mixed, pts)])]
+    for frames, stacks in cases:
         dists = [reference_transport(phi, e0, 1 + i, pts)
                  for i in range(len(frames))]
-        values = evaluate_frames(frames, pts)
-        for stacked in (frames, values):
+        for stacked in stacks:
             asym = asymptotic_involutivity_trace(stacked, dists, eps, pts)
             ext = exterior_regularity_trace(stacked, lim, eps, pts)
             for i, frame in enumerate(frames):
-                ref = ReferenceFrame(phi, base, frame.k) \
-                    if isinstance(frame, PullbackFrame) else frame
-                a, = asymptotic_involutivity_trace([ref], [dists[i]], eps,
+                a, = asymptotic_involutivity_trace([frame], [dists[i]], eps,
                                                    pts)
-                e, = exterior_regularity_trace([ref], lim, eps, pts)
+                e, = exterior_regularity_trace([frame], lim, eps, pts)
                 assert (asym[i].q, asym[i].strong, asym[i].parts) == \
                     (a.q, a.strong, a.parts)
                 assert (ext[i].q, ext[i].strong, ext[i].parts) == \
@@ -582,10 +580,13 @@ def test_pullback_frames_share_one_cocycle(monkeypatch, name):
 
     counted("apply")
     counted("jacobian")
-    frames = orthonormal_pullback_frames(phi, base, k)
-    for frame, (A, dA) in zip(frames, refs):
-        assert np.array_equal(frame.matrix_at(pts), A)
-        assert np.array_equal(frame.d_matrices_at(pts), dA)
+    # all k + 1 frames come from one cocycle: k steps of phi and Dphi
+    values = Cocycle(phi, pts, k).pullback_values(base, range(k + 1))
+    A = values.A.reshape((k + 1, len(pts)) + values.A.shape[1:])
+    dA = values.dA.reshape((k + 1, len(pts)) + values.dA.shape[1:])
+    for j, (A_j, dA_j) in enumerate(refs):
+        assert np.array_equal(A[j], A_j)
+        assert np.array_equal(dA[j], dA_j)
     assert calls == {"apply": k, "jacobian": k}
 
 
@@ -601,6 +602,11 @@ def test_step_counts_out_of_range_raise():
                           cat_expanding_direction()[:, None], 0, pts)
     with pytest.raises(StepCountError, match="got 4"):
         Cocycle(phi, pts, 3).transport(np.array([[1.0], [0.0]]), 4)
+    base = constant_annihilator_frame(np.array([[0.0, 1.0]]),
+                                      ("x1", "x2"), ("x2",))
+    for bad in (4, -1):
+        with pytest.raises(StepCountError, match=f"got {bad}$"):
+            Cocycle(phi, pts, 3).pullback_values(base, [1, bad])
 
 
 def test_diffeo_spec_mismatch_is_range_error():

@@ -4,9 +4,13 @@
 A module-level import whose name the module never reads is either dead
 weight left behind by a deletion or a dependency nobody meant to keep.
 `contfrob/__init__.py` is exempt: its imports are the package's exports.
+An export that a deletion left dangling is caught as well: every name in
+a module's `__all__` must resolve, and every name the package imports
+from a module with an `__all__` must be listed there.
 """
 
 import ast
+import importlib
 import os
 import subprocess
 import sys
@@ -44,6 +48,26 @@ def test_no_unused_module_imports(path):
 @pytest.mark.parametrize("path", TESTS, ids=[p.name for p in TESTS])
 def test_no_unused_test_imports(path):
     assert unused_imports(path) == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_every_listed_export_resolves(path):
+    module = importlib.import_module(f"contfrob.{path.stem}")
+    exports = getattr(module, "__all__", [])
+    assert len(set(exports)) == len(exports)
+    assert [name for name in exports if not hasattr(module, name)] == []
+
+
+def test_package_imports_only_listed_exports():
+    init = Path(contfrob.__file__)
+    unlisted = []
+    for node in ast.parse(init.read_text(), filename=str(init)).body:
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            module = importlib.import_module(f"contfrob.{node.module}")
+            listed = getattr(module, "__all__", None)
+            unlisted += [(node.module, alias.name) for alias in node.names
+                         if listed is not None and alias.name not in listed]
+    assert unlisted == []
 
 
 def test_importing_the_package_leaves_scipy_unloaded():
