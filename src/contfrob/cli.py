@@ -28,12 +28,12 @@ import numpy as np
 
 from .boxes import Box
 from .errors import ContfrobError, EscapeError, ParseError
-from .fields import Add, Coord, Mul, eval_fields, expand, mul, parse_field
+from .fields import Add, Coord, Mul, expand, mul, parse_field
 from .forms import one_form
 from .geometry import FrameSection, frobenius_defect, max_principal_angle
 from .moduli import (fit_loglog_slope, limit_condition_check, osgood_check,
                      parse_modulus)
-from .mollify import GridFunction, verify_bounds
+from .mollify import grid_from_field, verify_bounds
 from .odelab import funnel, funnel_to_csv, theorem1_check
 from .pdelab import involutive_mollified_frames, special_solve, theorem2_check
 from .surface import FlowConfig, build_surface, patch_to_csv, tangency_defect
@@ -242,9 +242,8 @@ def _run_mollify_verify(cfg, p):
     lo, hi = p["lo"], p["hi"]
     if not lo < hi:
         raise ParseError(f"lo must be below hi, got lo={lo}, hi={hi}")
-    f = parse_field(p["expr"])
-    xs = np.linspace(lo, hi, p["n"])
-    g = GridFunction((xs,), eval_fields([f], ("x",), xs[:, None])[:, 0])
+    g = grid_from_field(parse_field(p["expr"]), Box(("x",), (lo,), (hi,)),
+                        p["n"])
     w = parse_modulus(p["w"])
     w_axis = parse_modulus(p["w_axis"]) if "w_axis" in p else w
     reports = verify_bounds(g, w, [w_axis], p["eps_list"])

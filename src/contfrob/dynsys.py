@@ -71,8 +71,6 @@ class DiffeoSpec:
                              f"{len(self.inverse)} inverse")
         self._jac_fwd = [[f.diff(c) for c in self.coords]
                          for f in self.forward]
-        self._jac_inv = [[f.diff(c) for c in self.coords]
-                         for f in self.inverse]
 
     @property
     def dim(self):
@@ -93,11 +91,10 @@ class DiffeoSpec:
             pts = self._wrap(eval_fields(fields, self.coords, pts))
         return pts
 
-    def jacobian(self, pts, inverse=False):
-        """(N, d, d) jacobians of phi (or phi^{-1}) at the points."""
+    def jacobian(self, pts):
+        """(N, d, d) jacobians of phi at the points."""
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        jac = self._jac_inv if inverse else self._jac_fwd
-        return eval_fields(jac, self.coords, self._wrap(pts))
+        return eval_fields(self._jac_fwd, self.coords, self._wrap(pts))
 
     def orbit(self, pts, k):
         """[p, phi(p), ..., phi^k(p)]: shape (k+1, N, d)."""

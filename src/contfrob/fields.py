@@ -49,7 +49,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import EvalDomainError, ParseError
+from .errors import EvalDomainError, ParseError, RangeError
 
 __all__ = [
     "Field", "Const", "Coord", "Add", "Mul", "Pow", "Unary", "SplineLeaf",
@@ -662,8 +662,13 @@ def compile_rk4_step(fields, coords, variational=False):
 def eval_fields(fields, coords, points):
     """Evaluate a list of fields, or a list of equal-length lists, at
     points (..., d) over coords: shape (..., *struct), e.g. a matrix of
-    fields over N points gives (N, r, c).  Runs compile_fields(fields,
+    fields over N points gives (N, r, c), and points of another width
+    than len(coords) are a RangeError.  Runs compile_fields(fields,
     coords), compiling the list on its first evaluation."""
+    points = np.atleast_1d(np.asarray(points, dtype=float))
+    if points.shape[-1] != len(coords):
+        raise RangeError(f"points over {tuple(coords)} need {len(coords)} "
+                         f"coordinates, got {points.shape[-1]}")
     return compile_fields(fields, coords)(points)
 
 

@@ -266,14 +266,16 @@ def limit_condition_check(w1, w2):
     infinite) down to 1e-12.  Holds iff q is eventually decreasing and the
     final value is below 1e-3 of the initial one.  Computed as
     log q = log w1 + w2(s)/s so that exponent overflow cannot occur before
-    the comparison.
+    the comparison, and a w1 that vanishes on the grid raises.
     """
     cap = min(w1.domain_cap, w2.domain_cap)
     grid = np.geomspace(cap if math.isfinite(cap) else 1.0, 1.0e-12, 40)
 
     v1 = w1(grid)
-    with np.errstate(divide="ignore"):
-        logq = np.log(v1) + w2(grid) / grid
+    if np.any(v1 <= 0.0):
+        raise SingularIntegrandError(f"w1 {w1!r} vanishes at scale "
+                                     f"{grid[np.argmax(v1 <= 0.0)]:g}")
+    logq = np.log(v1) + w2(grid) / grid
     with np.errstate(over="ignore"):
         q = np.exp(logq)
     trace = np.stack([grid, q], axis=1)

@@ -7,6 +7,10 @@ Convolution is direct (grids are desk-scale) and the output carries an
 interior-margin marker instead of any boundary extension: sup-norms are
 only ever taken over the region the convolution actually resolves.
 
+`grid_from_field` samples a field through eval_fields on a Box lattice;
+`to_spline_field` fits the trusted samples of 1 or 2 axes with one
+cubic spline adapter and wraps it as a SplineLeaf.
+
 `verify_bounds` measures |f^eps - f| and |d f^eps / dx_j| against the
 scaled integrals (1/eps^d) int_0^eps s^{d-1} w(s) ds  and
 (1/eps^{d+1}) int_0^eps s^{d-1} w_j(s) ds and reports the smallest
@@ -21,7 +25,7 @@ import numpy as np
 
 from .boxes import Box
 from .errors import EvalDomainError, MarginError, RangeError, ResolutionError
-from .fields import SplineLeaf
+from .fields import SplineLeaf, eval_fields
 
 __all__ = [
     "GridFunction", "MollifyReport", "kernel", "mollify", "verify_bounds",
@@ -86,10 +90,15 @@ def grid_from_field(f, box: Box, n):
         n = [int(n)] * box.dim
     axes = [np.linspace(lo, hi, k) for lo, hi, k in
             zip(box.lows, box.highs, n)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    env = {name: m for name, m in zip(box.names, mesh)}
-    vals = np.broadcast_to(f.evaluate(env), mesh[0].shape).astype(float)
-    return GridFunction(tuple(axes), vals.copy())
+    vals = eval_fields([f], box.names, box.lattice(n))[:, 0].reshape(n)
+    return GridFunction(tuple(axes), vals)
+
+
+def _check_eps(eps_list):
+    """RangeError naming the first smoothing scale that is not positive."""
+    for eps in eps_list:
+        if not eps > 0.0:
+            raise RangeError(f"eps must be positive, got {eps:g}")
 
 
 def kernel(eps, spacings):
@@ -160,6 +169,7 @@ def verify_bounds(f: GridFunction, w, per_axis_w, eps_list):
     constant making every inequality in the sweep hold.
     """
     d = f.dim
+    _check_eps(eps_list)
     if len(per_axis_w) != d:
         raise RangeError(f"need one directional modulus per axis: {d} axes, "
                          f"got {len(per_axis_w)} moduli")
@@ -201,47 +211,36 @@ def verify_bounds(f: GridFunction, w, per_axis_w, eps_list):
 
 
 # ---------------------------------------------------------------------------
-# spline adapters into the field layer
+# the spline adapter into the field layer
 
 
-class _Spline1DEvaluator:
-    def __init__(self, axis, values, margin):
-        from scipy.interpolate import CubicSpline
-        self.spline = CubicSpline(axis, values)
-        self.lo = axis[0] + margin
-        self.hi = axis[-1] - margin
-        self.tol = 1e-9 * (axis[-1] - axis[0])
+class _SplineEvaluator:
+    """Cubic spline on 1 or 2 axes.  Points within 1e-9 of the widest
+    extent outside an axis are clipped onto it; farther out they raise."""
 
-    def ev(self, args, orders):
-        t = np.asarray(args[0], dtype=float)
-        if np.any(t < self.lo - self.tol) or np.any(t > self.hi + self.tol):
-            raise EvalDomainError("point outside the spline's valid region")
-        t = np.clip(t, self.lo, self.hi)
-        out = self.spline(t, nu=orders[0])
-        return float(out) if out.ndim == 0 else out
-
-
-class _Spline2DEvaluator:
-    def __init__(self, axes, values, margin):
-        from scipy.interpolate import RectBivariateSpline
-        self.spline = RectBivariateSpline(axes[0], axes[1], values, kx=3, ky=3)
-        self.lo = (axes[0][0] + margin, axes[1][0] + margin)
-        self.hi = (axes[0][-1] - margin, axes[1][-1] - margin)
-        self.tol = 1e-9 * max(axes[0][-1] - axes[0][0],
-                              axes[1][-1] - axes[1][0])
+    def __init__(self, axes, values):
+        from scipy.interpolate import CubicSpline, RectBivariateSpline
+        if len(axes) == 1:
+            self.spline = CubicSpline(axes[0], values)
+        elif len(axes) == 2:
+            self.spline = RectBivariateSpline(axes[0], axes[1], values,
+                                              kx=3, ky=3)
+        else:
+            raise NotImplementedError("spline fields support 1 or 2 dims")
+        self.bounds = [(a[0], a[-1]) for a in axes]
+        self.tol = 1e-9 * max(a[-1] - a[0] for a in axes)
 
     def ev(self, args, orders):
-        u = np.asarray(args[0], dtype=float)
-        v = np.asarray(args[1], dtype=float)
-        u, v = np.broadcast_arrays(u, v)
-        for t, lo, hi in ((u, self.lo[0], self.hi[0]),
-                          (v, self.lo[1], self.hi[1])):
+        args = np.broadcast_arrays(*[np.asarray(t, float) for t in args])
+        for t, (lo, hi) in zip(args, self.bounds):
             if np.any(t < lo - self.tol) or np.any(t > hi + self.tol):
                 raise EvalDomainError("point outside the spline's valid region")
-        u = np.clip(u, self.lo[0], self.hi[0])
-        v = np.clip(v, self.lo[1], self.hi[1])
-        out = self.spline.ev(u.ravel(), v.ravel(),
-                             dx=orders[0], dy=orders[1]).reshape(u.shape)
+        t = [np.clip(t, lo, hi) for t, (lo, hi) in zip(args, self.bounds)]
+        if len(t) == 1:
+            out = self.spline(t[0], nu=orders[0])
+        else:
+            out = self.spline.ev(t[0].ravel(), t[1].ravel(), dx=orders[0],
+                                 dy=orders[1]).reshape(t[0].shape)
         return float(out) if out.ndim == 0 else out
 
 
@@ -252,14 +251,6 @@ def to_spline_field(gf: GridFunction, names, label="spl"):
     ringing from boundary garbage would otherwise bleed a few cells into
     the interior.
     """
-    names = tuple(names)
     sl = gf.interior_slices()
-    axes = [a[s] for a, s in zip(gf.axes, sl)]
-    values = gf.values[sl]
-    if gf.dim == 1:
-        ev = _Spline1DEvaluator(axes[0], values, 0.0)
-    elif gf.dim == 2:
-        ev = _Spline2DEvaluator(axes, values, 0.0)
-    else:
-        raise NotImplementedError("spline fields support 1 or 2 dims")
+    ev = _SplineEvaluator([a[s] for a, s in zip(gf.axes, sl)], gf.values[sl])
     return SplineLeaf(ev, names, label=label)

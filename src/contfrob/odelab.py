@@ -22,6 +22,7 @@ probe exists: it brackets the funnel from outside.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -50,13 +51,12 @@ class ModuliDecl:
     per_variable: dict
 
     def group_modulus(self, names):
-        names = [n for n in names if n in self.per_variable]
-        if not names:
-            raise KeyError("no declared modulus for the requested variables")
-        w = self.per_variable[names[0]]
-        for n in names[1:]:
-            w = MaxModulus(w, self.per_variable[n])
-        return w
+        declared = [self.per_variable[n] for n in names
+                    if n in self.per_variable]
+        if not declared:
+            raise RangeError(f"no declared modulus for {tuple(names)}; moduli "
+                             f"are declared for {tuple(self.per_variable)}")
+        return functools.reduce(MaxModulus, declared)
 
 
 @dataclass
@@ -109,7 +109,6 @@ def theorem1_check(spec: OdeSpec, xi) -> Theorem1Certificate:
     largest index, i.e. toward the state variables); w2 is the declared
     modulus with respect to every variable except the chosen one.
     """
-    xi = np.asarray(xi, dtype=float)
     values = eval_fields(extend(spec), spec.coords, xi)
     # never all False: the first component of the extended field is 1
     nz = np.abs(values) > _NONZERO_THRESHOLD

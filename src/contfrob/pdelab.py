@@ -34,7 +34,7 @@ from .fields import Const, SplineLeaf, add, eval_fields, mul, neg
 from .geometry import (Distribution, FrameSection, annihilator_frame,
                        frobenius_defect)
 from .moduli import CriterionReport, limit_condition_check
-from .mollify import grid_from_field, mollify, to_spline_field
+from .mollify import _check_eps, grid_from_field, mollify, to_spline_field
 from .odelab import ModuliDecl
 
 __all__ = [
@@ -149,8 +149,7 @@ def theorem2_check(spec: PdeSpec, xi, I) -> Theorem2Certificate:
     """Uniqueness certificate from an invertible column choice of [I_n | F]."""
     hat = hat_matrix(spec)
     _, det = submatrix_det(hat, I)
-    env = dict(zip(spec.coords, np.asarray(xi, dtype=float)))
-    det_val = float(det.evaluate(env))
+    det_val = float(eval_fields([det], spec.coords, xi)[0])
     if abs(det_val) <= _NONZERO_THRESHOLD:
         return Theorem2Certificate(tuple(I), det_val, None, None, None)
     variables = [hat.column_variable(j) for j in I]
@@ -235,24 +234,19 @@ class _SeparableComponent:
 
     def __init__(self, g_field, y_name, y0, y_lo, y_hi):
         self.y0 = float(y0)
-        g0 = float(g_field.evaluate({y_name: self.y0}))
+        g0 = float(eval_fields([g_field], (y_name,), [self.y0])[0])
         self.constant = abs(g0) < self._ZERO_TOL
         if self.constant:
             return
         self.sign = math.copysign(1.0, g0)
-        ys = np.linspace(y_lo, y_hi, self._N_GRID)
-        gs = np.broadcast_to(np.asarray(g_field.evaluate({y_name: ys}),
-                                        dtype=float), ys.shape)
+        table = grid_from_field(g_field, Box((y_name,), (y_lo,), (y_hi,)),
+                                self._N_GRID)
+        ys, gs = table.axes[0], table.values
         # restrict to the maximal same-sign interval containing y0
-        ok = self.sign * gs > self._ZERO_TOL
-        i0 = int(np.searchsorted(ys, self.y0))
-        i0 = min(max(i0, 0), len(ys) - 1)
-        lo = i0
-        while lo > 0 and ok[lo - 1]:
-            lo -= 1
-        hi = i0
-        while hi < len(ys) - 1 and ok[hi + 1]:
-            hi += 1
+        i0 = min(int(np.searchsorted(ys, self.y0)), len(ys) - 1)
+        bad = np.flatnonzero(~(self.sign * gs > self._ZERO_TOL))
+        lo = int(bad[bad < i0].max(initial=-1)) + 1
+        hi = int(bad[bad > i0].min(initial=len(ys))) - 1
         self.ys = ys[lo:hi + 1]
         if len(self.ys) < 8:
             raise BranchCrossingError("denominator branch around y0 is "
@@ -267,9 +261,7 @@ class _SeparableComponent:
 
     def solve(self, delta_h):
         """y with Phi(y) = delta_h, on the branch of y0."""
-        if self.constant:
-            return self.y0
-        if delta_h == 0.0:
+        if self.constant or delta_h == 0.0:
             return self.y0
         if not (self.phi_min - 1e-14 <= delta_h <= self.phi_max + 1e-14):
             raise BranchCrossingError(
@@ -344,7 +336,6 @@ class MollifiedFamily:
     eps: float
     frame: FrameSection
     distribution: Distribution
-    g_smooth: list
     h_smooth: list
     wedge_sup: float
 
@@ -363,15 +354,16 @@ def involutive_mollified_frames(sf: SpecialFormSpec, eps_list, pad=None,
     """Smooth G_i and H_i at each scale and build eta_i = dy_i - G_i d_x H_i.
 
     Equal H_i are sampled, mollified and fitted once per scale; each still
-    gets a spline leaf of its own.  Mollifying at eps leaves a margin of
-    eps on every side of the padded grids, so a pad below the largest eps
-    is a RangeError: the frame could not be evaluated along the domain's
-    faces.  The top wedge eta_1 ^ ... ^ eta_n ^ d eta_l collapses
-    structurally (repeated dy_l and alpha_l ^ alpha_l), which is asserted
-    numerically on a lattice at every scale: its sup may not exceed
-    WEDGE_TOL.
+    gets a spline leaf of its own.  An eps that is not positive is a
+    RangeError, and so is a pad below the largest eps: mollifying leaves a
+    margin of eps on every side of the padded grids, and the frame could
+    not be evaluated along the domain's faces.  Both are checked before
+    any sampling.  The top wedge eta_1 ^ ... ^ eta_n ^ d eta_l collapses
+    structurally (repeated dy_l and alpha_l ^ alpha_l), asserted
+    numerically on a lattice at every scale: its sup may not exceed WEDGE_TOL.
     """
     eps_list = [float(e) for e in eps_list]
+    _check_eps(eps_list)
     pad = pad if pad is not None else max(eps_list) * 1.05
     if pad < max(eps_list):
         raise RangeError(
@@ -410,6 +402,6 @@ def involutive_mollified_frames(sf: SpecialFormSpec, eps_list, pad=None,
         if wedge_sup > WEDGE_TOL:
             raise EvalDomainError(
                 f"structural involutivity violated: wedge sup {wedge_sup:g}")
-        families.append(MollifiedFamily(eps, frame, dist, g_smooth, h_smooth,
+        families.append(MollifiedFamily(eps, frame, dist, h_smooth,
                                         wedge_sup))
     return families

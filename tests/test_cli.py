@@ -113,6 +113,15 @@ def test_moduli_check_limit_criterion(tmp_path):
     assert rc == 0
 
 
+def test_moduli_check_limit_zero_w1_is_singular(tmp_path, capsys):
+    assert main(["moduli", "check", "--criterion", "limit", "--w",
+                 "lipschitz(k=0)", "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == (
+        "error [SingularIntegrandError]: w1 Lipschitz(K=0.0, "
+        "domain_cap=inf) vanishes at scale 1\n")
+    assert list(tmp_path.glob("*.csv")) == []
+
+
 def test_config_bad_seed_is_parse_error(tmp_path, capsys):
     text = "[experiment]\nkind = ode-check\nseed = abc\n"
     with pytest.raises(ParseError) as exc:
@@ -456,6 +465,18 @@ def test_empty_list_value_is_parse_error(tmp_path, capsys, kind, key, text):
     assert capsys.readouterr().err == flag_err
     assert flag_err == (f"parse error: {key} must be a comma-separated list "
                         f"of floats, got no items in {text!r}\n")
+    assert list(tmp_path.glob("*.csv")) == []
+
+
+@pytest.mark.parametrize("kind", ["pde-frames", "mollify-verify"])
+@pytest.mark.parametrize("text,bad", [("0", "0"), ("0.125,-0.1", "-0.1")])
+def test_non_positive_eps_is_range_error(tmp_path, capsys, kind, text, bad):
+    assert main([*_KINDS[kind].words, "--eps-list", text, "--out",
+                 str(tmp_path)]) == 1
+    flag_err = capsys.readouterr().err
+    assert _run_config(tmp_path, kind, {"eps_list": text}) == 1
+    assert capsys.readouterr().err == flag_err
+    assert flag_err == f"error [RangeError]: eps must be positive, got {bad}\n"
     assert list(tmp_path.glob("*.csv")) == []
 
 

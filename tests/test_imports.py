@@ -6,7 +6,9 @@ weight left behind by a deletion or a dependency nobody meant to keep.
 `contfrob/__init__.py` is exempt: its imports are the package's exports.
 An export that a deletion left dangling is caught as well: every name in
 a module's `__all__` must resolve, and every name the package imports
-from a module with an `__all__` must be listed there.
+from a module with an `__all__` must be listed there.  The same ast scan
+keeps the library off the reference tree walk: only fields.py calls
+`.evaluate(`.
 """
 
 import ast
@@ -68,6 +70,23 @@ def test_package_imports_only_listed_exports():
             unlisted += [(node.module, alias.name) for alias in node.names
                          if listed is not None and alias.name not in listed]
     assert unlisted == []
+
+
+def evaluate_calls(path):
+    """Lines of the calls x.evaluate(...) in a module."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "evaluate"]
+
+
+def test_only_fields_walks_the_tree():
+    # the library evaluates through eval_fields and compile_fields;
+    # Field.evaluate is fields.py's own reference and constant folder
+    calls = {p.name: evaluate_calls(p) for p in MODULES
+             if p.name != "fields.py"}
+    assert {name: lines for name, lines in calls.items() if lines} == {}
 
 
 def test_importing_the_package_leaves_scipy_unloaded():

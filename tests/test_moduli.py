@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -124,6 +125,19 @@ def test_limit_condition_examples():
     s, q = rep.trace[:, 0], rep.trace[:, 1]
     small = (s < 1e-2) & (s > 2e-5)
     assert np.all(np.diff(np.log(q[small])) >= 0.0)
+
+
+@pytest.mark.parametrize("w1", [Lipschitz(0.0),
+                                Tabulated(((1e-3, 0.0), (0.5, 1.0)))],
+                         ids=["zero", "zero-below-1e-3"])
+def test_limit_condition_vanishing_w1_is_singular(w1):
+    # log w1 would be -inf there, and the tail's differences nan
+    grid = np.geomspace(min(w1.domain_cap, 1.0), 1.0e-12, 40)
+    first = grid[np.argmax(w1(grid) == 0.0)]
+    with pytest.raises(SingularIntegrandError,
+                       match=rf"^w1 {re.escape(repr(w1))} vanishes at scale "
+                             rf"{first:g}$"):
+        limit_condition_check(w1, Lipschitz(1.0))
 
 
 def test_limit_condition_scale_invariance():

@@ -155,6 +155,92 @@ def test_spline_field_matches_and_differentiates():
         f.evaluate({"x": 1.5})
 
 
+# one spline adapter: 1-D and 2-D leaves over x in [-0.5, 1], y in [0, 2],
+# with the exact values and first partials of their sampled polynomial
+SPLINE_CASES = {
+    "1d": (Box.from_dict({"x": (-0.5, 1.0)}), "x^3 - x",
+           lambda x, y: (x ** 3 - x, 3 * x ** 2 - 1, 0.0)),
+    "2d": (Box.from_dict({"x": (-0.5, 1.0), "y": (0.0, 2.0)}),
+           "x^2*y + y^3", lambda x, y: (x ** 2 * y + y ** 3, 2 * x * y,
+                                       x ** 2 + 3 * y ** 2)),
+}
+
+
+@pytest.mark.parametrize("case", SPLINE_CASES)
+def test_spline_leaf_edges_and_derivatives(case):
+    box, text, exact = SPLINE_CASES[case]
+    f = to_spline_field(grid_from_field(parse_field(text), box, 41),
+                        box.names)
+    mid = {n: 0.5 * (lo + hi) for n, lo, hi in
+           zip(box.names, box.lows, box.highs)}
+    for name, lo, hi in zip(box.names, box.lows, box.highs):
+        for edge, beyond in ((lo, lo - 1e-6), (hi, hi + 1e-6)):
+            env = {**mid, name: edge}
+            want = exact(env["x"], env.get("y", 0.0))
+            assert isinstance(f.evaluate(env), float)
+            assert f.evaluate(env) == pytest.approx(want[0], abs=1e-9)
+            for k, var in enumerate(box.names):
+                assert f.diff(var).evaluate(env) == pytest.approx(
+                    want[1 + k], abs=1e-6)
+            with pytest.raises(EvalDomainError,
+                               match="^point outside the spline's valid "
+                                     "region$"):
+                f.evaluate({**mid, name: beyond})
+    # second-order leaves on arrays keep the points' shape
+    pts = {n: np.full((2, 3), v) for n, v in mid.items()}
+    second = f.diff("x").diff("x").evaluate(pts)
+    assert second.shape == (2, 3)
+    assert np.allclose(second, 6 * mid["x"] if case == "1d"
+                       else 2 * mid["y"], atol=1e-6)
+
+
+def test_spline_leaf_beyond_three_axes_is_refused():
+    axes = (np.linspace(0.0, 1.0, 9),) * 3
+    with pytest.raises(NotImplementedError, match="1 or 2 dims"):
+        to_spline_field(GridFunction(axes, np.zeros((9, 9, 9))),
+                        ("x", "y", "z"))
+
+
+@pytest.mark.parametrize("text,box,n", [
+    ("sin(3*x)*y + log(1 + x^2*y^2)",
+     Box.from_dict({"x": (-1.0, 0.5), "y": (0.25, 2.0)}), [17, 9]),
+    ("2.5", Box.from_dict({"x": (0.0, 1.0), "y": (-1.0, 1.0)}), 5),
+    ("x^(1/3)", Box.from_dict({"x": (0.0, 1.0)}), 33),
+], ids=["2d", "constant", "1d"])
+def test_grid_from_field_matches_the_tree_walk(text, box, n):
+    f = parse_field(text)
+    g = grid_from_field(f, box, n)
+    shape = tuple([n] * box.dim if np.isscalar(n) else n)
+    axes = [np.linspace(lo, hi, k) for lo, hi, k in
+            zip(box.lows, box.highs, shape)]
+    mesh = np.meshgrid(*axes, indexing="ij")
+    ref = np.broadcast_to(f.evaluate(dict(zip(box.names, mesh))), shape)
+    assert g.values.shape == shape
+    assert g.values.tobytes() == np.ascontiguousarray(ref, float).tobytes()
+    assert all(np.array_equal(a, b) for a, b in zip(g.axes, axes))
+
+
+def test_grid_from_field_domain_error_is_the_tree_walks():
+    f = parse_field("log(x)")
+    box = Box.from_dict({"x": (-1.0, 1.0), "y": (0.0, 1.0)})
+    mesh = np.meshgrid(*[np.linspace(lo, hi, 5) for lo, hi in
+                         zip(box.lows, box.highs)], indexing="ij")
+    with pytest.raises(EvalDomainError) as ref:
+        f.evaluate(dict(zip(box.names, mesh)))
+    with pytest.raises(EvalDomainError) as got:
+        grid_from_field(f, box, 5)
+    assert str(got.value) == str(ref.value)
+
+
+@pytest.mark.parametrize("eps_list", [[0.0], [0.1, -0.05]])
+def test_verify_bounds_non_positive_eps_is_range_error(eps_list):
+    bad = next(e for e in eps_list if not e > 0.0)
+    with pytest.raises(RangeError, match=rf"^eps must be positive, got "
+                                         rf"{bad:g}$"):
+        verify_bounds(_line_grid(), Lipschitz(1.0), [Lipschitz(1.0)],
+                      eps_list)
+
+
 def test_spline_2d_mixed_partials_identical():
     box = Box.from_dict({"x": (0, 1), "y": (0, 1)})
     g = grid_from_field(parse_field("exp(x*y)"), box, [60, 60])

@@ -148,3 +148,16 @@ def test_ode_spec_mismatch_is_range_error():
     with pytest.raises(RangeError, match=r"ode spec needs a domain box over "
                        r"\('t', 'z'\)"):
         OdeSpec("t", ("z",), [Const(1.0)], box)
+
+
+def test_theorem1_point_of_wrong_length_is_range_error():
+    with pytest.raises(RangeError, match=r"^points over \('t', 'y'\) need 2 "
+                                         r"coordinates, got 1$"):
+        theorem1_check(ode_peano(), [0.1])
+
+
+def test_group_modulus_without_declaration_names_the_variables():
+    decl = ModuliDecl(Lipschitz(1.0), {"t": Lipschitz(1.0)})
+    with pytest.raises(RangeError, match=r"^no declared modulus for "
+                       r"\('y', 'z'\); moduli are declared for \('t',\)$"):
+        decl.group_modulus(["y", "z"])

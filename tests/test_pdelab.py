@@ -89,6 +89,12 @@ def test_theorem2_lipschitz_identity_block():
     assert cert.verdict == HOLDS
 
 
+def test_theorem2_point_of_wrong_length_is_range_error():
+    _, spec = pde_example_2()
+    with pytest.raises(RangeError, match=r"need 4 coordinates, got 3$"):
+        theorem2_check(spec, [0.25] * 3, (1, 2))
+
+
 def test_theorem2_singular_not_applicable():
     domain = Box.from_dict({"x1": (0, 1), "y1": (-1, 1)})
     moduli = ModuliDecl(Lipschitz(1.0), {"x1": Lipschitz(1.0),
@@ -274,6 +280,18 @@ def test_mollified_frames_pad_below_eps_is_range_error(pad):
     with pytest.raises(RangeError, match=rf"pad {pad:g} is below eps "
                                          rf"0.0625.* lower side of x1"):
         involutive_mollified_frames(sf, [2.0 ** -4], pad=pad)
+
+
+@pytest.mark.parametrize("eps_list", [[0.0], [0.125, -0.1], [float("nan")]])
+def test_mollified_frames_non_positive_eps_is_range_error(monkeypatch,
+                                                          eps_list):
+    import contfrob.pdelab as pdelab
+    monkeypatch.setattr(pdelab, "grid_from_field", None)  # nothing sampled
+    sf, _ = pde_example_2()
+    bad = next(e for e in eps_list if not e > 0.0)
+    with pytest.raises(RangeError, match=rf"^eps must be positive, got "
+                                         rf"{bad:g}$"):
+        involutive_mollified_frames(sf, eps_list)
 
 
 def test_mollified_frames_at_pad_eps_evaluate_on_their_domain():
