@@ -1,4 +1,4 @@
-"""Coordinate boxes and sampling lattices."""
+"""Coordinate boxes, sampling lattices and the graph-form base."""
 
 from __future__ import annotations
 
@@ -26,12 +26,6 @@ class Box:
             if not lo < hi:
                 raise RangeError(f"box coordinate {name!r} needs low < high, "
                                  f"got [{lo}, {hi}]")
-
-    def require_names(self, names, owner):
-        """RangeError unless the box is over exactly these coordinates."""
-        if self.names != tuple(names):
-            raise RangeError(f"{owner} needs a domain box over "
-                             f"{tuple(names)}, got one over {self.names}")
 
     @classmethod
     def from_dict(cls, ranges):
@@ -74,6 +68,31 @@ class Box:
         return Box(self.names,
                    tuple(lo + margin for lo in self.lows),
                    tuple(hi - margin for hi in self.highs))
+
+
+class GraphForm:
+    """Base of the graph-form dataclasses over x_names + y_names on a
+    domain box (Distribution, OdeSpec with x_names (t_name,), PdeSpec,
+    SpecialFormSpec).  It has no fields; each subclass declares them."""
+
+    @property
+    def m(self):
+        return len(self.x_names)
+
+    @property
+    def n(self):
+        return len(self.y_names)
+
+    @property
+    def coords(self):
+        return self.x_names + self.y_names
+
+    def _check_domain(self, owner):
+        """RangeError unless the domain box is over exactly coords."""
+        if self.domain.names != self.coords:
+            raise RangeError(f"{owner} needs a domain box over "
+                             f"{self.coords}, got one over "
+                             f"{self.domain.names}")
 
 
 def env_of(names, points):

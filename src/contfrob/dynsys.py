@@ -43,7 +43,7 @@ from .errors import (ConeError, DegenerateSubspaceError, RangeError,
 from .fields import eval_fields
 from .geometry import (FrameSection, asymptotic_involutivity_trace,
                        exterior_regularity_trace, frame_values,
-                       max_principal_angle, signed_qr)
+                       max_principal_angle, scaled_exp, signed_qr)
 from .report import csv_text
 
 __all__ = [
@@ -329,7 +329,7 @@ def _domination(cc: Cocycle, e0_bases, f_samples, eps_list, y_indices):
     resid = float(np.max(np.abs(A @ sol - np.asarray(norm_E))))
     q = {}
     for eps in eps_list:
-        q[eps] = [nE ** 2 / cF * math.exp(eps * nE)
+        q[eps] = [scaled_exp(nE ** 2 / cF, eps * nE)
                   for nE, cF in zip(norm_E, conorm_F)]
     dominated = norm_E[0] < conorm_F[0]
     report = SplittingReport(ks, norm_E, conorm_F, float(sol[0]),

@@ -38,12 +38,13 @@ compiled function each instead of a tree walk per entry.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
-from .boxes import Box
+from .boxes import Box, GraphForm
 from .errors import (DegenerateSubspaceError, RangeError,
                      TransversalityError)
 from .fields import Const, ONE, ZERO, eval_fields, neg
@@ -62,14 +63,15 @@ __all__ = [
 
 
 @dataclass
-class Distribution:
+class Distribution(GraphForm):
     """Rank-m tangent distribution in graph form over a coordinate box."""
 
     x_names: tuple
     y_names: tuple
     coeffs: list  # coeffs[i][j]: coefficient of d/dy_j in X_i
     domain: Box
-    _annihilator: "FrameSection" = field(default=None, repr=False)
+    _annihilator: "FrameSection" = field(default=None, init=False,
+                                         repr=False, compare=False)
 
     def __post_init__(self):
         self.x_names = tuple(self.x_names)
@@ -79,19 +81,7 @@ class Distribution:
             raise RangeError(f"distribution needs {self.m} rows of {self.n} "
                              f"coefficients, got rows of "
                              f"{[len(row) for row in self.coeffs]}")
-        self.domain.require_names(self.coords, "distribution")
-
-    @property
-    def m(self):
-        return len(self.x_names)
-
-    @property
-    def n(self):
-        return len(self.y_names)
-
-    @property
-    def coords(self):
-        return self.x_names + self.y_names
+        self._check_domain("distribution")
 
     @property
     def dim(self):
@@ -160,7 +150,8 @@ class FrameSection:
     rows: tuple  # KForm degree 1
     coords: tuple
     y_names: tuple
-    _d_rows: tuple = field(default=None, repr=False)
+    _d_rows: tuple = field(default=None, init=False, repr=False,
+                           compare=False)
 
     def __post_init__(self):
         self.rows = tuple(self.rows)
@@ -519,6 +510,19 @@ def _weighted(prefactor, eps, exponent):
     if prefactor == 0.0:
         return 0.0
     return prefactor * float(np.exp(eps * exponent))
+
+
+def scaled_exp(prefactor, exponent):
+    """prefactor * math.exp(exponent) for the scalar bounds of surface.py
+    and dynsys.py: inf (with the prefactor's sign) where the exponential
+    overflows, and exactly 0.0 for a zero prefactor.  It keeps math.exp,
+    whose last bit can differ from the np.exp of _weighted."""
+    if prefactor == 0.0:
+        return 0.0
+    try:
+        return prefactor * math.exp(exponent)
+    except OverflowError:
+        return prefactor * math.inf
 
 
 def _frame_values(frames, pts):

@@ -10,7 +10,8 @@ evaluated on them:
   adaptive quadrature on a geometric grid (divergence is the verdict that
   favors uniqueness; the report records this sign convention), and
 * the limit criterion  w1(s) * e^{w2(s)/s} -> 0, evaluated in the log
-  domain so Hoelder moduli do not overflow near s = 1e-3.
+  domain so Hoelder moduli do not overflow near s = 1e-3; the ODE and
+  PDE certificates apply it to a spec's ModuliDecl.
 
 Verdicts from finite probes cannot certify limits; the thresholds that
 make them reproducible are recorded in every report.
@@ -18,6 +19,7 @@ make them reproducible are recorded in every report.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -32,6 +34,7 @@ __all__ = [
     "MaxModulus", "Tabulated", "CriterionReport", "HOLDS", "FAILS",
     "INCONCLUSIVE", "osgood_check", "limit_condition_check",
     "estimate_modulus", "fit_loglog_slope", "parse_modulus",
+    "NONZERO_THRESHOLD", "ModuliDecl", "declared_limit_check",
 ]
 
 HOLDS = "Holds"
@@ -314,6 +317,39 @@ def fit_loglog_slope(trace, window=None):
         return math.nan
     coeffs = np.polyfit(np.log(s), np.log(q), 1)
     return float(coeffs[0])
+
+
+# ---------------------------------------------------------------------------
+# declared moduli and the certificate core
+
+NONZERO_THRESHOLD = 1.0e-9  # a component or determinant above it is nonzero
+
+
+@dataclass
+class ModuliDecl:
+    """Declared regularity: one overall modulus plus per-variable ones."""
+
+    overall: Modulus
+    per_variable: dict
+
+    def group_modulus(self, names):
+        declared = [self.per_variable[n] for n in names
+                    if n in self.per_variable]
+        if not declared:
+            raise RangeError(f"no declared modulus for {tuple(names)}; moduli "
+                             f"are declared for {tuple(self.per_variable)}")
+        return functools.reduce(MaxModulus, declared)
+
+
+def declared_limit_check(moduli, names):
+    """(w1, w2, report) of a uniqueness certificate: the overall declared
+    modulus, the one with respect to names, and the limit criterion on
+    them.  No declared moduli (None) is a RangeError."""
+    if moduli is None:
+        raise RangeError(f"the certificate needs declared moduli for "
+                         f"{tuple(names)}, and the spec declares none")
+    w1, w2 = moduli.overall, moduli.group_modulus(names)
+    return w1, w2, limit_condition_check(w1, w2)
 
 
 # ---------------------------------------------------------------------------

@@ -109,8 +109,7 @@ def kernel(eps, spacings):
     constant is absorbed by the renormalization).
     """
     spacings = tuple(float(h) for h in spacings)
-    if eps <= 0.0:
-        raise EvalDomainError("smoothing scale must be positive")
+    _check_eps([eps])
     for h in spacings:
         if eps / h < _MIN_CELLS_PER_RADIUS:
             raise ResolutionError(
@@ -164,9 +163,9 @@ def verify_bounds(f: GridFunction, w, per_axis_w, eps_list):
     """Check the smoothing-error and derivative bounds over an eps sweep.
 
     Left sides are measured directly (derivatives by centered differences
-    at the grid spacing, which must satisfy h < eps/8); right sides come
-    from quadrature of the moduli.  The single fitted K is the smallest
-    constant making every inequality in the sweep hold.
+    at the grid spacing, which must resolve each eps as kernel requires);
+    right sides come from quadrature of the moduli.  The single fitted K
+    is the smallest constant making every inequality in the sweep hold.
     """
     d = f.dim
     _check_eps(eps_list)
@@ -176,10 +175,6 @@ def verify_bounds(f: GridFunction, w, per_axis_w, eps_list):
     from scipy.integrate import quad
     rows = []
     for eps in eps_list:
-        for h in f.spacings:
-            if h >= eps / _MIN_CELLS_PER_RADIUS:
-                raise ResolutionError(
-                    f"spacing {h:g} too coarse for eps {eps:g}")
         g = mollify(f, eps)
         sl = g.interior_slices(extra=max(f.spacings))
         sup_dist = float(np.max(np.abs(g.values[sl] - f.values[sl])))

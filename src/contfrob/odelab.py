@@ -22,66 +22,47 @@ probe exists: it brackets the funnel from outside.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .boxes import Box
+from .boxes import Box, GraphForm
 from .errors import RangeError
 from .fields import ONE, ZERO, Coord, add, eval_fields
-from .moduli import CriterionReport, MaxModulus, Modulus, limit_condition_check
+from .moduli import (NONZERO_THRESHOLD, CriterionReport, ModuliDecl, Modulus,
+                     declared_limit_check)
 from .report import cells, csv_text
 from .surface import FlowConfig, _integrate
 
 __all__ = [
-    "ModuliDecl", "OdeSpec", "FunnelReport", "Theorem1Certificate", "extend",
+    "OdeSpec", "FunnelReport", "Theorem1Certificate", "extend",
     "theorem1_check", "funnel", "funnel_to_csv",
 ]
 
-_NONZERO_THRESHOLD = 1.0e-9
-
 
 @dataclass
-class ModuliDecl:
-    """Declared regularity: one overall modulus plus per-variable ones."""
+class OdeSpec(GraphForm):
+    """dy/dt = F(t, y): the graph form with the single x variable t."""
 
-    overall: Modulus
-    per_variable: dict
-
-    def group_modulus(self, names):
-        declared = [self.per_variable[n] for n in names
-                    if n in self.per_variable]
-        if not declared:
-            raise RangeError(f"no declared modulus for {tuple(names)}; moduli "
-                             f"are declared for {tuple(self.per_variable)}")
-        return functools.reduce(MaxModulus, declared)
-
-
-@dataclass
-class OdeSpec:
     t_name: str
     y_names: tuple
     F: list          # n fields over (t, y_1..y_n)
     domain: Box      # over (t,) + y_names
     moduli: ModuliDecl = None
-    _funnel_fields: list = field(default=None, repr=False)
+    _funnel_fields: list = field(default=None, init=False, repr=False,
+                                 compare=False)
 
     def __post_init__(self):
         self.y_names = tuple(self.y_names)
-        if len(self.F) != len(self.y_names):
+        if len(self.F) != self.n:
             raise RangeError(f"ode spec needs one field per state variable "
                              f"{self.y_names}, got {len(self.F)} fields")
-        self.domain.require_names(self.coords, "ode spec")
+        self._check_domain("ode spec")
 
     @property
-    def coords(self):
-        return (self.t_name,) + self.y_names
-
-    @property
-    def n(self):
-        return len(self.y_names)
+    def x_names(self):
+        return (self.t_name,)
 
 
 def extend(spec: OdeSpec):
@@ -111,15 +92,13 @@ def theorem1_check(spec: OdeSpec, xi) -> Theorem1Certificate:
     """
     values = eval_fields(extend(spec), spec.coords, xi)
     # never all False: the first component of the extended field is 1
-    nz = np.abs(values) > _NONZERO_THRESHOLD
+    nz = np.abs(values) > NONZERO_THRESHOLD
     best = np.max(np.abs(values[nz]))
     candidates = [i for i in range(len(values))
                   if nz[i] and abs(values[i]) >= best * (1.0 - 1e-12)]
     chosen = max(candidates)
     others = [c for j, c in enumerate(spec.coords) if j != chosen]
-    w2 = spec.moduli.group_modulus(others)
-    w1 = spec.moduli.overall
-    report = limit_condition_check(w1, w2)
+    w1, w2, report = declared_limit_check(spec.moduli, others)
     report.params["component"] = chosen + 1
     report.params["component_value"] = float(values[chosen])
     return Theorem1Certificate(chosen + 1, float(values[chosen]), w1, w2,

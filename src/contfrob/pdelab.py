@@ -28,28 +28,27 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .boxes import Box
+from .boxes import Box, GraphForm
 from .errors import BranchCrossingError, EvalDomainError, RangeError
 from .fields import Const, SplineLeaf, add, eval_fields, mul, neg
 from .geometry import (Distribution, FrameSection, annihilator_frame,
                        frobenius_defect)
-from .moduli import CriterionReport, limit_condition_check
+from .moduli import (NONZERO_THRESHOLD, CriterionReport, ModuliDecl,
+                     declared_limit_check)
 from .mollify import _check_eps, grid_from_field, mollify, to_spline_field
-from .odelab import ModuliDecl
 
 __all__ = [
-    "PdeSpec", "SpecialFormSpec", "HatMatrix", "hat_matrix", "submatrix_det",
+    "PdeSpec", "SpecialFormSpec", "hat_matrix", "submatrix_det",
     "theorem2_check", "Theorem2Certificate", "special_solve", "SolveResult",
     "involutive_mollified_frames", "MollifiedFamily",
 ]
 
-_NONZERO_THRESHOLD = 1.0e-9
 FD_STEP = 1.0e-5  # centered-difference step of the special_solve residuals
 WEDGE_TOL = 1.0e-10  # largest top-wedge sup a mollified frame may show
 
 
 @dataclass
-class PdeSpec:
+class PdeSpec(GraphForm):
     x_names: tuple
     y_names: tuple
     F: list          # F[i][j]: field for dy_i/dx_j over (x, y)
@@ -63,19 +62,7 @@ class PdeSpec:
             raise RangeError(f"pde spec needs {self.n} rows of {self.m} "
                              f"fields, got rows of "
                              f"{[len(row) for row in self.F]}")
-        self.domain.require_names(self.coords, "pde spec")
-
-    @property
-    def m(self):
-        return len(self.x_names)
-
-    @property
-    def n(self):
-        return len(self.y_names)
-
-    @property
-    def coords(self):
-        return self.x_names + self.y_names
+        self._check_domain("pde spec")
 
     def distribution(self):
         """Spanning fields X_j = d/dx_j + sum_i F_ij d/dy_i."""
@@ -84,45 +71,22 @@ class PdeSpec:
         return Distribution(self.x_names, self.y_names, coeffs, self.domain)
 
 
-@dataclass
-class HatMatrix:
-    """n x (n+m) extension [I_n | F] with its column-variable pairing."""
-
-    spec: PdeSpec
-    fields: list  # n rows, n+m columns
-
-    @property
-    def shape(self):
-        return (self.spec.n, self.spec.n + self.spec.m)
-
-    def column_variable(self, j):
-        """Variable paired with 1-based column j: y-block first, then x."""
-        n = self.spec.n
-        if 1 <= j <= n:
-            return self.spec.y_names[j - 1]
-        return self.spec.x_names[j - n - 1]
+def hat_matrix(spec: PdeSpec):
+    """The n rows of fields of [I_n | F]; column j pairs with the variable
+    (y_names + x_names)[j - 1]."""
+    return [[Const(1.0) if i == j else Const(0.0) for j in range(spec.n)]
+            + list(spec.F[i]) for i in range(spec.n)]
 
 
-def hat_matrix(spec: PdeSpec) -> HatMatrix:
-    n = spec.n
-    rows = []
-    for i in range(n):
-        row = [Const(1.0) if i == j else Const(0.0) for j in range(n)]
-        row += list(spec.F[i])
-        rows.append(row)
-    return HatMatrix(spec, rows)
-
-
-def submatrix_det(hat: HatMatrix, I):
-    """Column submatrix for a 1-based strictly increasing index list, with
-    its exact symbolic determinant."""
-    n, total = hat.shape
+def submatrix_det(rows, I):
+    """Column submatrix of the rows of hat_matrix for a 1-based strictly
+    increasing index list, with its exact symbolic determinant."""
+    n, total = len(rows), len(rows[0])
     I = tuple(int(i) for i in I)
     if len(I) != n or sorted(set(I)) != list(I) or I[0] < 1 or I[-1] > total:
         raise RangeError(f"columns must pick {n} distinct columns "
                          f"in 1..{total}, got {I}")
-    cols = [i - 1 for i in I]
-    sub = [[hat.fields[r][c] for c in cols] for r in range(n)]
+    sub = [[row[i - 1] for i in I] for row in rows]
     terms = []
     for perm in itertools.permutations(range(n)):
         inversions = sum(1 for a in range(n) for b in range(a + 1, n)
@@ -147,15 +111,13 @@ class Theorem2Certificate:
 
 def theorem2_check(spec: PdeSpec, xi, I) -> Theorem2Certificate:
     """Uniqueness certificate from an invertible column choice of [I_n | F]."""
-    hat = hat_matrix(spec)
-    _, det = submatrix_det(hat, I)
+    _, det = submatrix_det(hat_matrix(spec), I)
     det_val = float(eval_fields([det], spec.coords, xi)[0])
-    if abs(det_val) <= _NONZERO_THRESHOLD:
+    if abs(det_val) <= NONZERO_THRESHOLD:
         return Theorem2Certificate(tuple(I), det_val, None, None, None)
-    variables = [hat.column_variable(j) for j in I]
-    w2 = spec.moduli.group_modulus(variables)
-    w1 = spec.moduli.overall
-    report = limit_condition_check(w1, w2)
+    columns = spec.y_names + spec.x_names
+    w1, w2, report = declared_limit_check(spec.moduli,
+                                          [columns[j - 1] for j in I])
     report.params["columns"] = ",".join(str(j) for j in I)
     report.params["det"] = det_val
     return Theorem2Certificate(tuple(I), det_val, w1, w2, report)
@@ -166,7 +128,7 @@ def theorem2_check(spec: PdeSpec, xi, I) -> Theorem2Certificate:
 
 
 @dataclass
-class SpecialFormSpec:
+class SpecialFormSpec(GraphForm):
     """F_ij(x, y) = G_i(y_i) * dH_i/dx_j(x)."""
 
     x_names: tuple
@@ -190,18 +152,7 @@ class SpecialFormSpec:
             if not h.free_vars <= set(self.x_names):
                 raise RangeError(f"special-form spec: H{i + 1} may only "
                                  f"depend on {self.x_names}, got {h}")
-
-    @property
-    def m(self):
-        return len(self.x_names)
-
-    @property
-    def n(self):
-        return len(self.y_names)
-
-    @property
-    def coords(self):
-        return self.x_names + self.y_names
+        self._check_domain("special-form spec")
 
     def induced_F(self):
         return [[mul(self.G[i], self.H[i].diff(xj))
@@ -294,11 +245,15 @@ def special_solve(sf: SpecialFormSpec, x0, y0, targets, residual_check=True):
     monotone root-finding on a tabulated antiderivative; components with
     G_i(y0_i) = 0 stay constant (equilibrium branch).  The residuals are
     centered differences of the solution with step FD_STEP minus F.
+    A y0 without one value per y variable is a RangeError.
     """
     x0 = np.asarray(x0, dtype=float)
     y0 = np.asarray(y0, dtype=float)
     targets = np.atleast_2d(np.asarray(targets, dtype=float))
     n, m = sf.n, sf.m
+    if y0.shape != (n,):
+        raise RangeError(f"y0 needs one value per y variable {sf.y_names}, "
+                         f"got {y0.size}")
     y_bounds = [(sf.domain.lows[m + i], sf.domain.highs[m + i])
                 for i in range(n)]
     comps = [_SeparableComponent(sf.G[i], sf.y_names[i], y0[i],

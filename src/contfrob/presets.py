@@ -16,8 +16,8 @@ from .errors import RangeError
 from .fields import Const, parse_field
 from .forms import one_form
 from .geometry import Distribution, FrameSection
-from .moduli import Hoelder, Lipschitz, LogLip, MaxModulus
-from .odelab import ModuliDecl, OdeSpec
+from .moduli import Hoelder, Lipschitz, LogLip, MaxModulus, ModuliDecl
+from .odelab import OdeSpec
 from .pdelab import PdeSpec, SpecialFormSpec
 from .dynsys import DiffeoSpec
 

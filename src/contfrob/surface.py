@@ -38,7 +38,6 @@ The three quantitative checks:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -50,7 +49,7 @@ from .fields import compile_rk4_step, eval_fields
 from .report import cells, csv_text
 from .geometry import (Distribution, FrameSection, annihilator_frame,
                        bound_parts, evaluate_frame, involutivity_constant,
-                       max_principal_angle, orthonormalize)
+                       max_principal_angle, orthonormalize, scaled_exp)
 
 __all__ = [
     "FlowConfig", "SurfacePatch", "flow", "variational_flow", "build_surface",
@@ -334,8 +333,8 @@ def tangency_defect(patch: SurfacePatch, dist: Distribution, sup_res=17, *,
     parts, = bound_parts(evaluate_frame(annihilator_frame(dist), pts),
                          dist.orthonormal_bases_at(pts))
     d_restr, inv_norm, m_const = (e.value for e in parts)
-    rhs = patch.m * patch.eps1 * d_restr * inv_norm * \
-        math.exp(patch.m * patch.eps1 * m_const)
+    rhs = scaled_exp(patch.m * patch.eps1 * d_restr * inv_norm,
+                     patch.m * patch.eps1 * m_const)
     fd_tol = 10.0 * patch.spacing ** 2
     return TangencyReport(defects, rhs, fd_tol, {
         "d_restricted": d_restr, "inv_norm": inv_norm, "M": m_const,
@@ -383,8 +382,8 @@ def pushforward_bound_check(dist: Distribution, frame: FrameSection, x0,
         eps1 = float(np.max(np.abs(times[r]))) if times.shape[1] else 0.0
         lhs = float(np.linalg.norm(Y[r]))
         inv_norm = float(inv_norm_end[r])
-        rhs = float(np.linalg.norm(A0[r] @ Y0[r])) * inv_norm * \
-            math.exp(dist.m * eps1 * m_const)
+        rhs = scaled_exp(float(np.linalg.norm(A0[r] @ Y0[r])) * inv_norm,
+                         dist.m * eps1 * m_const)
         checks.append(PushforwardCheck(lhs, rhs, lhs <= rhs * (1.0 + 1.0e-3), {
             "M": m_const, "inv_norm_end": inv_norm, "eps1": eps1,
             "endpoint": x[r]}))

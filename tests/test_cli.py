@@ -106,6 +106,22 @@ def test_dyn_dominate_csv(tmp_path):
     assert "# dominated=True" in text
 
 
+@pytest.mark.parametrize("args, name, inf_rows", [
+    (["dyn", "dominate", "--eps-sweep", "1e4"], "dyn_dominate.csv", 2),
+    (["dyn", "traces", "--eps", "3000"], "dyn_traces.csv", 0),
+], ids=["dominate", "traces"])
+def test_dyn_exp_overflow_is_inf(tmp_path, args, name, inf_rows):
+    # e^{eps * |E|} overflows at these eps: the domination weight q is
+    # inf where it does, instead of an OverflowError.  The traces run
+    # computes q as well, but its CSV holds only the finite trace columns
+    rc = main(args + ["--example", "cat-map", "--out", str(tmp_path)])
+    assert rc == 0
+    rows = [ln.split(",") for ln in (tmp_path / name).read_text()
+            .splitlines() if not ln.startswith("#")][1:]
+    assert len(rows) >= 8
+    assert sum("inf" in row for row in rows) == inf_rows
+
+
 def test_moduli_check_limit_criterion(tmp_path):
     rc = main(["moduli", "check", "--criterion", "limit",
                "--w", "hoelder(alpha=0.9,k=1)", "--w2", "loglip(beta=0.5,k=1)",

@@ -81,7 +81,7 @@ def _preset_lists():
     sf, pde2 = presets.pde_example_2()
     for pde in (pde2, presets.pde_example_3()):
         out += [(pde.F, pde.coords, pde.domain),
-                (hat_matrix(pde).fields, pde.coords, pde.domain)]
+                (hat_matrix(pde), pde.coords, pde.domain)]
     out += [(sf.G, sf.coords, sf.domain), (sf.H, sf.coords, sf.domain),
             (sf.induced_F(), sf.coords, sf.domain)]
     for dist in (presets.contact_distribution(),

@@ -1,3 +1,5 @@
+import inspect
+import math
 import warnings
 from unittest import mock
 
@@ -16,8 +18,11 @@ from contfrob.geometry import (Distribution, FrameSection, FrameValues,
                                asymptotic_involutivity_trace, bound_parts,
                                evaluate_frame, evaluate_frames,
                                exterior_regularity_trace, frobenius_defect,
-                               involutivity_constant, max_principal_angle)
+                               involutivity_constant, max_principal_angle,
+                               scaled_exp)
 from contfrob.mollify import grid_from_field, mollify, to_spline_field
+from contfrob.odelab import funnel
+from contfrob.presets import contact_distribution, ode_peano
 
 x, y, z = coord("x"), coord("y"), coord("z")
 
@@ -751,6 +756,38 @@ def test_tangency_parts_pinned_contact():
     assert tan.rhs == 0.2
     assert tan.parts == {"d_restricted": 1.0, "inv_norm": 1.0, "M": 0.0,
                          "m": 2, "eps1": 0.1, "sup_res": 5}
+
+
+def test_scaled_exp_is_math_exp_with_overflow_as_inf():
+    for prefactor, exponent in ((0.3, 1.7), (2.0, -40.0), (-1.5, 709.0)):
+        assert scaled_exp(prefactor, exponent) == \
+            prefactor * math.exp(exponent)
+    assert scaled_exp(2.0, 1e4) == math.inf
+    assert scaled_exp(-2.0, 1e4) == -math.inf
+    # zero weights stay zero, even where the exponential overflows
+    assert scaled_exp(0.0, 1e4) == 0.0
+
+
+# (build, fill the cache, the cache's name): a cache is no constructor
+# parameter, and filling it leaves equality as it was
+_CACHES = {
+    "distribution": (contact_distribution, annihilator_frame,
+                     "_annihilator"),
+    "frame": (lambda: annihilator_frame(contact_distribution()),
+              lambda frame: frame.d_rows(), "_d_rows"),
+    "ode-spec": (ode_peano, lambda spec: funnel(spec, [0.0, 0.0], 0.1,
+                                                [1e-3, 1e-4], ensemble=2),
+                 "_funnel_fields"),
+}
+
+
+@pytest.mark.parametrize("build, fill, name", _CACHES.values(), ids=_CACHES)
+def test_equality_survives_caching(build, fill, name):
+    a, b = build(), build()
+    assert name not in inspect.signature(type(a)).parameters
+    fill(a)
+    assert getattr(a, name) is not None and getattr(b, name) is None
+    assert a == b and repr(a) == repr(b)
 
 
 def test_distribution_mismatch_is_range_error():

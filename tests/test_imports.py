@@ -8,7 +8,8 @@ An export that a deletion left dangling is caught as well: every name in
 a module's `__all__` must resolve, and every name the package imports
 from a module with an `__all__` must be listed there.  The same ast scan
 keeps the library off the reference tree walk: only fields.py calls
-`.evaluate(`.
+`.evaluate(`; and it keeps the PDE certificates off the ODE module:
+pdelab does not import odelab, and ModuliDecl lives in moduli.py.
 """
 
 import ast
@@ -87,6 +88,28 @@ def test_only_fields_walks_the_tree():
     calls = {p.name: evaluate_calls(p) for p in MODULES
              if p.name != "fields.py"}
     assert {name: lines for name, lines in calls.items() if lines} == {}
+
+
+def _tree(name):
+    return ast.parse((Path(contfrob.__file__).parent / name).read_text())
+
+
+def test_pdelab_does_not_import_odelab():
+    # the PDE certificate reaches the declared moduli through moduli.py,
+    # not through the ODE module
+    modules = []
+    for node in ast.walk(_tree("pdelab.py")):
+        if isinstance(node, ast.ImportFrom):
+            modules.append(node.module or "")
+        elif isinstance(node, ast.Import):
+            modules += [alias.name for alias in node.names]
+    assert [m for m in modules if m.split(".")[-1] == "odelab"] == []
+
+
+def test_moduli_decl_is_defined_only_in_moduli():
+    defined = [p.name for p in MODULES for node in ast.walk(_tree(p.name))
+               if isinstance(node, ast.ClassDef) and node.name == "ModuliDecl"]
+    assert defined == ["moduli.py"]
 
 
 def test_importing_the_package_leaves_scipy_unloaded():

@@ -41,6 +41,21 @@ def test_kernel_resolution_error():
         kernel(0.1, (0.05,))
 
 
+@pytest.mark.parametrize("eps", [0.0, -0.1])
+def test_kernel_non_positive_eps_is_range_error(eps):
+    with pytest.raises(RangeError, match=rf"^eps must be positive, got "
+                                         rf"{eps:g}$"):
+        mollify(_line_grid(), eps)
+
+
+def test_verify_bounds_resolution_boundary_is_kernels():
+    # exactly 8 cells per radius: kernel and verify_bounds both accept
+    g = _line_grid(n=201)
+    eps = 8.0 * g.spacings[0]
+    kernel(eps, g.spacings)
+    assert len(verify_bounds(g, Lipschitz(1.0), [Lipschitz(1.0)], [eps])) == 1
+
+
 def test_mollify_constant_preserved():
     g = _line_grid(fn=lambda x: np.full_like(x, 2.5))
     m = mollify(g, 0.1)

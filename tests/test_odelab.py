@@ -4,10 +4,10 @@ import pytest
 from contfrob.boxes import Box
 from contfrob.errors import RangeError
 from contfrob.fields import Const, eval_fields
-from contfrob.moduli import (FAILS, HOLDS, Hoelder, Lipschitz,
+from contfrob.moduli import (FAILS, HOLDS, Hoelder, Lipschitz, ModuliDecl,
                              estimate_modulus, fit_loglog_slope)
-from contfrob.odelab import (ModuliDecl, OdeSpec, extend, funnel,
-                             funnel_to_csv, theorem1_check)
+from contfrob.odelab import (OdeSpec, extend, funnel, funnel_to_csv,
+                             theorem1_check)
 from contfrob.presets import ode_contraction, ode_example_1, ode_peano
 from contfrob.surface import FlowConfig
 

@@ -4,8 +4,8 @@ import pytest
 from contfrob.boxes import Box
 from contfrob.errors import BranchCrossingError, RangeError
 from contfrob.fields import Const, eval_fields, parse_field
-from contfrob.moduli import HOLDS, Lipschitz
-from contfrob.odelab import ModuliDecl, theorem1_check
+from contfrob.moduli import HOLDS, Lipschitz, MaxModulus, ModuliDecl
+from contfrob.odelab import OdeSpec, theorem1_check
 from contfrob.pdelab import (PdeSpec, SpecialFormSpec, hat_matrix,
                              involutive_mollified_frames, special_solve,
                              submatrix_det, theorem2_check)
@@ -20,7 +20,7 @@ from contfrob.presets import (ode_example_1, ode_peano, pde_example_2,
 def test_hat_matrix_example3_displayed():
     spec = pde_example_3()
     hat = hat_matrix(spec)
-    M = eval_fields(hat.fields, spec.coords, np.zeros(4))
+    M = eval_fields(hat, spec.coords, np.zeros(4))
     assert np.allclose(M, [[1.0, 0.0, 1.0, 0.0],
                            [0.0, 1.0, 0.0, 0.0]])
     _, det = submatrix_det(hat, (2, 3))
@@ -49,17 +49,23 @@ def test_hat_matrix_scalar_case():
     c = 0.7
     spec = PdeSpec(("x",), ("y",), [[Const(c)]], domain, None)
     hat = hat_matrix(spec)
-    assert eval_fields(hat.fields, ("x", "y"), [0.3, 0.4]).tolist() == \
+    assert eval_fields(hat, ("x", "y"), [0.3, 0.4]).tolist() == \
         [[1.0, c]]
     _, det = submatrix_det(hat, (2,))
     assert det.evaluate({"x": 0.3, "y": 0.4}) == c
 
 
 def test_hat_matrix_column_variables():
+    # columns 1..4 pair with y1, y2, x1, x2: w2 of a column choice is the
+    # max of the moduli declared for its variables
     spec = pde_example_3()
-    hat = hat_matrix(spec)
-    assert [hat.column_variable(j) for j in range(1, 5)] == \
-        ["y1", "y2", "x1", "x2"]
+    w = {name: Lipschitz(k) for k, name in
+         enumerate(["y1", "y2", "x1", "x2"], start=1)}
+    spec.moduli = ModuliDecl(Lipschitz(1.0), w)
+    assert len(hat_matrix(spec)) == spec.n
+    assert all(len(row) == spec.n + spec.m for row in hat_matrix(spec))
+    cert = theorem2_check(spec, [0.0] * 4, (2, 3))
+    assert cert.w2 == MaxModulus(w["y2"], w["x1"])
 
 
 # ---------------------------------------------------------------------------
@@ -93,6 +99,18 @@ def test_theorem2_point_of_wrong_length_is_range_error():
     _, spec = pde_example_2()
     with pytest.raises(RangeError, match=r"need 4 coordinates, got 3$"):
         theorem2_check(spec, [0.25] * 3, (1, 2))
+
+
+@pytest.mark.parametrize("check", [
+    lambda: theorem1_check(OdeSpec("t", ("y",), [Const(1.0)], Box.from_dict(
+        {"t": (0.0, 1.0), "y": (-1.0, 1.0)})), [0.5, 0.0]),
+    lambda: theorem2_check(pde_example_2()[0].pde_spec(),
+                           [0.25, 0.25, 0.5, 0.5], (1, 2)),
+], ids=["theorem1", "theorem2"])
+def test_certificate_without_declared_moduli_is_range_error(check):
+    with pytest.raises(RangeError, match=r"needs declared moduli for "
+                       r"\(.*\), and the spec declares none$"):
+        check()
 
 
 def test_theorem2_singular_not_applicable():
@@ -139,6 +157,20 @@ def test_special_solve_linear_case():
     expect = 0.5 + (targets.sum(axis=1) - 0.4)
     assert np.allclose(res.values[:, 0], expect, atol=1e-9)
     assert res.max_residual <= 1e-6
+
+
+@pytest.mark.parametrize("y0", [[0.5], [0.5, 0.5, 0.5]], ids=["1", "3"])
+def test_special_solve_y0_of_wrong_length_is_range_error(monkeypatch, y0):
+    import contfrob.pdelab as pdelab
+
+    def tabulate(*args):
+        raise AssertionError("tabulated before the y0 check")
+
+    monkeypatch.setattr(pdelab, "_SeparableComponent", tabulate)
+    sf, _ = pde_example_2()
+    with pytest.raises(RangeError, match=rf"^y0 needs one value per y "
+                       rf"variable \('y1', 'y2'\), got {len(y0)}$"):
+        special_solve(sf, [0.3, 0.3], y0, [[0.35, 0.35]])
 
 
 def test_special_solve_pde2_closed_form():
