@@ -36,7 +36,8 @@ from .moduli import (fit_loglog_slope, limit_condition_check, osgood_check,
 from .mollify import grid_from_field, verify_bounds
 from .odelab import funnel, funnel_to_csv, theorem1_check
 from .pdelab import involutive_mollified_frames, special_solve, theorem2_check
-from .surface import FlowConfig, build_surface, patch_to_csv, tangency_defect
+from .surface import (FlowConfig, _check_eps1, build_surface, patch_to_csv,
+                      tangency_defect)
 from .dynsys import (Cocycle, PlaneFieldSamples, domination_report,
                      splitting_involutivity_pipeline,
                      splitting_report_to_csv, transport)
@@ -396,6 +397,7 @@ _SURFACE_EXAMPLES = {
 def _run_surface(cfg, p):
     dist = _example(_SURFACE_EXAMPLES, p)
     eps1 = p["eps1"]
+    _check_eps1(eps1)  # before the default step eps1/32 is derived from it
     x0 = np.asarray(_point(p, "x0", dist.coords))
     patch = build_surface(dist, x0, eps1, p["grid"],
                           FlowConfig(step=p.get("step", eps1 / 32.0)),

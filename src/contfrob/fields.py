@@ -18,10 +18,10 @@ library evaluates through compile_fields and eval_fields instead: a
 field list becomes one generated numpy function of points (..., d),
 each distinct subexpression computed once, with the reference's operand
 order, ufuncs, guard and domain-error texts; compile_rk4_step builds
-a flow's whole RK4 step from the same statements.  Both paths keep one
-errstate rule: Mul, Pow and the elementary functions run under
-np.errstate(all="ignore"), Add does not, so an array inf + -inf warns on
-either path.  The single deliberate evaluation convention is that a
+a flow's RK4 run over a stretch of steps from the same statements.
+Both paths keep one errstate rule: Mul, Pow and the elementary
+functions run under np.errstate(all="ignore"), Add does not, so an
+array inf + -inf warns on either path.  The single deliberate evaluation convention is that a
 product with a zero factor is zero even when another factor is
 infinite, which makes terms like s*log(s) evaluate to 0 at s = 0.
 
@@ -625,37 +625,47 @@ def compile_fields(fields, coords, jacobian=False):
 
 
 def compile_rk4_step(fields, coords, variational=False):
-    """One generated RK4 step for the flow of sum_c fields[c] d/dc.
+    """One generated RK4 run for the flow of sum_c fields[c] d/dc.
 
-    Returns (step, buffers).  step(z, h, half, sixth, bufs) advances the
-    state z (n, d), or (n, 2d) as z = [x | Y] when variational carries
-    the vector Y by dY/dt = DX(x) Y, by one step of h (n, 1), with
-    half = 0.5*h and sixth = h/6.0, and returns the new state.
-    buffers(n) allocates what one call on n rows writes: the stage
-    velocities k1..k4 (n, width), and with variational the Jacobian J
-    (n, d, d), with the columns and entries that are constant filled
-    here once; step writes only the varying ones, once per stage.
+    Returns (run, buffers).  run(z, steps, bufs) advances the state z
+    (n, d), or (n, 2d) as z = [x | Y] when variational carries the
+    vector Y by dY/dt = DX(x) Y, in place through up to `steps` RK4
+    steps, and returns (done, err): the steps it completed, with z left
+    at the last of them, and the EvalDomainError a stage raised in step
+    done + 1, or None.  It stops early after a step that leaves the
+    box, or at a stage that raises, and z is then as that step left it
+    or as the raising step found it.
 
-    The four stages are written inline: each loads its point's columns,
+    buffers(n, step, bounds) allocates, once per run call, all that the
+    run writes on n rows: the stage velocities k1..k4 (n, width), with
+    variational the Jacobian J (n, d, d), the constant columns and
+    entries filled here once; one stage-point and one sum scratch; the
+    per-row step h (n, 1) and half = 0.5*h and sixth = h/6.0, broadcast
+    to the state's width; and, when bounds = (lo, hi) is given, lo and
+    hi broadcast to (n, d) and the boolean scratch of the box test
+    lo <= x <= hi after each step.  With bounds None there is no test,
+    so a nan row runs on.
+
+    The four stages are written inline: each reads its point's columns,
     runs the statements compile_fields(fields, coords, variational)
     would, and writes the velocity columns; the carried part is
     matmul(J, Y) into the buffer's Y columns.  The stage points are
-    z + half*k1, z + half*k2 and z + h*k3 and the result is
-    z + sixth*(k1 + 2.0*k2 + 2.0*k3 + k4), the operations of an RK4 step
-    on x and on Y taken separately, element for element, so every bit is
-    theirs.  No constant is folded in that arithmetic: x + h*0.0 is not
-    x when x is -0.0, and 0.0*Y is not 0 when Y is inf.  It stays outside
-    np.errstate, as Add statements do, so its warnings still fire.  A
-    stage that raises EvalDomainError leaves z as it was.
+    z + half*k1, z + half*k2 and z + h*k3 and the new state is
+    z + sixth*(((k1 + 2.0*k2) + 2.0*k3) + k4), each operation a ufunc
+    with out=, in that order, the operations of an RK4 step on x and on
+    Y taken separately, element for element, so every bit is theirs.
+    No constant is folded in that arithmetic: x + h*0.0 is not x when x
+    is -0.0, and 0.0*Y is not 0 when Y is inf.  It stays outside
+    np.errstate, as Add statements do, so its warnings still fire.
 
-    The step is cached like compile_fields' functions, under the same
+    The run is cached like compile_fields' functions, under the same
     field identities with a step tag, and is compiled only when a flow
     asks for it.
     """
     flat, struct = _flatten(fields)
     coords = tuple(coords)
     key = (tuple(map(id, flat)), struct, coords, "rk4", variational)
-    return _cached(key) or _store(key, flat, _Source(coords).rk4_step(
+    return _cached(key) or _store(key, flat, _Source(coords).rk4_run(
         _outputs(flat, struct, coords, variational)))
 
 
@@ -731,7 +741,10 @@ class _Source:
                    "_empty": np.empty, "_where": np.where,
                    "_power": np.power, "_round": np.round,
                    "_count": np.count_nonzero, "_prod": math.prod,
-                   "_errstate": np.errstate, "_matmul": np.matmul}
+                   "_errstate": np.errstate, "_matmul": np.matmul,
+                   "_multiply": np.multiply, "_add": np.add,
+                   "_greater_equal": np.greater_equal,
+                   "_less_equal": np.less_equal}
         self.loads = {}  # coordinate index -> column name
         self.body = []  # (in errstate, statement)
         self.names = {}  # _key -> operand text
@@ -883,45 +896,88 @@ class _Source:
         lines.append(f"    return {', '.join(results)}")
         return self.define(lines, "compiled")
 
-    def rk4_step(self, outputs):
-        """compile_rk4_step's (step, buffers): the fields' statements
-        once per stage, over the stage point za."""
+    def rk4_run(self, outputs):
+        """compile_rk4_step's (run, buffers): the fields' statements once
+        per stage, over z in stage 1 and the stage point za after it.
+        Every view the loop reads or writes is taken once per call."""
         d = len(self.coords)
         variational = len(outputs) == 2
+        width = d * len(outputs)
         cols = [[self.operand(f) for f in flat] for flat, _ in outputs]
-        names = "k1, k2, k3, k4, J" if variational else "k1, k2, k3, k4"
+        stages = "k1, k2, k3, k4, J" if variational else "k1, k2, k3, k4"
+        names = stages + ", za, acc, h, half, sixth, lo, hi, inside"
         velocity = self.constants(cols[0], d)
-        alloc = ["def buffers(n):"]
+        alloc = ["def buffers(n, step, bounds):"]
         for k in ("k1", "k2", "k3", "k4"):
-            alloc.append(f"    {k} = _empty((n, {d * len(outputs)}))")
+            alloc.append(f"    {k} = _empty((n, {width}))")
             if velocity is not None:
                 alloc.append(f"    {k}[:, :{d}] = {velocity}")
-        writes = [(f"{{k}}[:, {j}]", op) for j, op in enumerate(cols[0])]
         if variational:
             alloc.append(f"    J = _empty((n, {d}, {d}))")
             jac = self.constants(cols[1], (d, d))
             if jac is not None:
                 alloc.append(f"    J[:] = {jac}")
-            writes += [(f"J[:, {j // d}, {j % d}]", op)
-                       for j, op in enumerate(cols[1])]
-        alloc.append(f"    return {names}")
+        alloc += [f"    za = _empty((n, {width}))",
+                  f"    acc = _empty((n, {width}))",
+                  f"    h = _empty((n, {width}))",
+                  "    h[:] = step",
+                  "    half = 0.5 * h",
+                  "    sixth = h / 6.0",
+                  "    if bounds is None:",
+                  f"        return {stages}, za, acc, h, half, sixth, None, "
+                  f"None, None",
+                  f"    lo = _empty((n, {d}))",
+                  "    lo[:] = bounds[0]",
+                  f"    hi = _empty((n, {d}))",
+                  "    hi[:] = bounds[1]",
+                  f"    inside = _empty((n, {d}), dtype=bool)",
+                  f"    return {names}"]
 
-        stage = [f"    {name} = za[:, {i}]"
-                 for i, name in sorted(self.loads.items())]
-        stage += self.statements()
-        lines = ["def step(z, h, half, sixth, buffers):",
-                 f"    {names} = buffers"]
-        for k, point in (("k1", "z"), ("k2", "z + half * k1"),
-                         ("k3", "z + half * k2"), ("k4", "z + h * k3")):
-            lines.append(f"    za = {point}")
-            lines += stage
-            lines += [f"    {target.format(k=k)} = {op}"
-                      for target, op in writes if op not in self.known]
+        views = {}  # source text of a view -> its name, taken once per call
+
+        def view(text):
+            return views.setdefault(text, f"u{len(views)}")
+
+        stage, body = [line[4:] for line in self.statements()], []
+        for k, src, point in (("k1", "z", None), ("k2", "za", "half, k1"),
+                              ("k3", "za", "half, k2"), ("k4", "za", "h, k3")):
+            if point is not None:
+                body += [f"_multiply({point}, out=za)", "_add(z, za, out=za)"]
+            body += [f"{name} = {view(f'{src}[:, {i}]')}"
+                     for i, name in sorted(self.loads.items())]
+            body += stage
+            body += [f"{view(f'{k}[:, {j}]')}[...] = {op}"
+                     for j, op in enumerate(cols[0]) if op not in self.known]
             if variational:
-                lines.append(f"    _matmul(J, za[:, {d}:, None], "
-                             f"out={k}[:, {d}:, None])")
-        lines.append("    return z + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)")
-        return self.define(alloc + lines, "step", "buffers")
+                body += [f"{view(f'J[:, {j // d}, {j % d}]')}[...] = {op}"
+                         for j, op in enumerate(cols[1])
+                         if op not in self.known]
+                body.append(f"_matmul(J, {view(f'{src}[:, {d}:, None]')}, "
+                            f"out={view(f'{k}[:, {d}:, None]')})")
+        lines = ["def run(z, steps, buffers):",
+                 f"    {names} = buffers",
+                 f"    zx = z[:, :{d}]"]
+        lines += [f"    {name} = {text}" for text, name in views.items()]
+        lines += ["    for k in range(steps):", "        try:"]
+        lines += ["            " + line for line in body]
+        lines += ["        except _E as err:",
+                  "            return k, err",
+                  "        _multiply(2.0, k2, out=acc)",
+                  "        _add(k1, acc, out=acc)",
+                  "        _multiply(2.0, k3, out=za)",
+                  "        _add(acc, za, out=acc)",
+                  "        _add(acc, k4, out=acc)",
+                  "        _multiply(sixth, acc, out=acc)",
+                  "        _add(z, acc, out=z)",
+                  "        if inside is not None:",
+                  "            _greater_equal(zx, lo, out=inside)",
+                  "            if _count(inside) < inside.size:",
+                  "                return k + 1, None",
+                  "            _less_equal(zx, hi, out=inside)",
+                  "            if _count(inside) < inside.size:",
+                  "                return k + 1, None",
+                  "    return steps, None"]
+        return self.define(alloc + lines, "run", "buffers")
 
 
 def _chain(target, op, operands):

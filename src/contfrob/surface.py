@@ -18,14 +18,16 @@ EvalDomainError, and records that row's exit time and cause while its
 neighbours go on; only live rows are evaluated.  flow and
 variational_flow still raise: the error of the row that stopped first,
 an EscapeError carrying its exit_time, to which build_surface adds the
-lattice node (flow index, grid index) being filled.  Each step is one
-call of a generated function from fields.compile_rk4_step, cached on the
-field objects: it runs the four stages with the field statements (and,
-with a carried vector, the Jacobian and its product with Y) inline on
-one state z = [x | Y], into stage buffers allocated when the live rows
-change, so a second flow of the same fields takes no symbolic derivative
-and compiles nothing.  Around that call the per-step work is one box
-test on z's x columns against bounds computed once.
+lattice node (flow index, grid index) being filled.  The steps run in
+stretches: a stretch ends where a row has taken its steps or stops, and
+each is one call of a generated run from fields.compile_rk4_step, cached
+on the field objects.  The run steps one state z = [x | Y] in place,
+with the field statements (and, with a carried vector, the Jacobian and
+its product with Y) inline in the four stages, the box test after every
+step, and all its buffers allocated once per stretch; it returns after
+the step that leaves the box or before the stage that raises.  So a
+second flow of the same fields takes no symbolic derivative and compiles
+nothing, and the Python loop turns once per stretch, not once per step.
 
 The three quantitative checks:
 
@@ -38,6 +40,7 @@ The three quantitative checks:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -136,59 +139,61 @@ def _integrate(fields, coords, x0, t, step, box, Y0=None) -> Trajectories:
                            axis=1)
     exit_time = np.full(N, np.nan)
     error = [None] * N
-    live = np.ones(N, dtype=bool)
+    # step counts only for rows within MAX_TIME, so a huge time cannot
+    # overflow the division; the others take no step
+    within = np.abs(t) <= MAX_TIME
+    n = np.zeros(N)
+    n[within] = np.maximum(np.ceil(np.abs(t[within]) / step - 1e-12),
+                           t[within] != 0.0)
+    dt = t / np.maximum(n, 1.0)
+    live = n > 0.0
 
     def stop(i, time, err):
-        nonlocal refresh
-        exit_time[i], error[i], live[i], refresh = time, err, False, True
+        exit_time[i], error[i], live[i] = time, err, False
 
-    within = np.abs(t) <= MAX_TIME
-    n = np.where(within, np.maximum(
-        np.ceil(np.abs(t) / step - 1e-12), t != 0.0), 0.0)
-    dt = (t / np.maximum(n, 1.0))[:, None]
     for i in np.flatnonzero(~within):
         if np.isnan(t[i]):
             raise RangeError(f"flow time of row {i} is nan")
         stop(i, t[i], EscapeError("requested time beyond MAX_TIME",
                                   exit_time=float(t[i])))
-    rk4, buffers = compile_rk4_step(fields, coords, Y0 is not None)
-    if box is not None:
-        lo, hi = box.bounds(tol=1e-9)
-    # the live rows change only when a row stops or has taken its steps;
-    # while every row is live they are a slice, which copies nothing, and
-    # the step columns and stage buffers are rebuilt only then
-    refresh, ends = True, set(n.tolist())
-    for k in range(int(n.max(initial=0))):
-        if refresh or k in ends:
-            live &= n > k
-            rows = slice(None) if live.all() else np.flatnonzero(live)
-            h = dt[rows]
-            half, sixth = 0.5 * h, h / 6.0
-            bufs = buffers(len(h))
-            refresh = False
-        zs = z[rows]
-        try:
-            zs = rk4(zs, h, half, sixth, bufs)
-        except EvalDomainError:
-            one = buffers(1)
+    run, buffers = compile_rk4_step(fields, coords, Y0 is not None)
+    bounds = None if box is None else box.bounds(tol=1e-9)
+
+    def leave(rows, zs, k):
+        """Stop the live rows among rows, at zs after k steps, that are
+        outside the box."""
+        if bounds is None:
+            return
+        out = ~((zs[:, :d] >= bounds[0]) & (zs[:, :d] <= bounds[1])).all(1)
+        for i in np.arange(N)[rows][out & live[rows]]:
+            time = k * dt[i]
+            stop(i, time, EscapeError("trajectory left the domain box",
+                                      exit_time=float(time)))
+
+    # one run per stretch of steps: a stretch ends where a row has taken
+    # its steps or stops.  While every row is live the rows are a slice
+    # and the run steps z itself; otherwise they are gathered before the
+    # stretch and scattered after it
+    k = 0
+    while live.any():
+        rows = slice(None) if live.all() else np.flatnonzero(live)
+        zs, h = z[rows], dt[rows, None]
+        steps = int(n[rows].min()) - k
+        done, err = run(zs, steps, buffers(len(zs), h, bounds))
+        k += done
+        if err is not None:
+            # a stage raised in step k: take it one row at a time
             for j, i in enumerate(np.arange(N)[rows]):
-                try:
-                    zj = rk4(zs[j:j + 1], h[j:j + 1], half[j:j + 1],
-                             sixth[j:j + 1], one)
-                except EvalDomainError as err:
-                    stop(i, k * dt[i, 0], err)
-                    continue
-                zs[j] = zj[0]
-        z[rows] = zs
-        if box is not None:
-            inside = (zs[:, :d] >= lo) & (zs[:, :d] <= hi)
-            if not inside.all():
-                idx = np.arange(N)[rows]
-                for i in idx[live[idx] & ~inside.all(axis=1)]:
-                    time = (k + 1) * dt[i, 0]
-                    stop(i, time, EscapeError(
-                        "trajectory left the domain box",
-                        exit_time=float(time)))
+                _, err = run(zs[j:j + 1], 1, buffers(1, h[j:j + 1], None))
+                if err is not None:
+                    stop(i, k * dt[i], err)
+            k += 1
+        # the run stops after a step that leaves the box, and a stretch's
+        # last step may leave it too
+        leave(rows, zs, k)
+        if isinstance(rows, np.ndarray):
+            z[rows] = zs
+        live &= n > k
     x, Y = (z, None) if Y0 is None else (z[:, :d].copy(), z[:, d:].copy())
     if single:
         return Trajectories(x[0], None if Y is None else Y[0], exit_time,
@@ -247,14 +252,23 @@ class SurfacePatch:
         return self.points.reshape(-1, self.points.shape[-1])
 
 
+def _check_eps1(eps1):
+    """RangeError unless the parameter half-width eps1 is positive and
+    finite."""
+    if not 0.0 < eps1 < math.inf:
+        raise RangeError(f"eps1 must be positive and finite, got {eps1}")
+
+
 def build_surface(dist: Distribution, x0, eps1, grid_res, cfg: FlowConfig,
                   order=None):
     """Compose the spanning flows over a parameter lattice.
 
     Applies X_{order[0]} first; the written order (X_1 first) is the
     default, a permutation is a diagnostic only.  grid_res must be odd so
-    the lattice contains t = 0 and W(0) = x0 is exact by construction.
+    the lattice contains t = 0 and W(0) = x0 is exact by construction,
+    and eps1 positive and finite; both are checked before any flow.
     """
+    _check_eps1(eps1)
     if grid_res < 3 or grid_res % 2 == 0:
         raise RangeError(f"grid must be odd and at least 3 so the lattice "
                          f"contains 0, got {grid_res}")
@@ -360,12 +374,22 @@ def pushforward_bound_check(dist: Distribution, frame: FrameSection, x0,
     (N, d), flows every row in one call per spanning field with per-row
     times, and returns a list of N checks, each equal to its solo check.
     An escape raises as in flow: the earliest exit time of the batch.
+    Arrays of other shapes are a RangeError.
     """
     x0 = np.asarray(x0, dtype=float)
+    times = np.asarray(times, dtype=float)
+    Y0 = np.asarray(Y0, dtype=float)
+    d = dist.dim
+    if x0.ndim not in (1, 2) or x0.shape[-1] != d:
+        raise RangeError(f"x0 must have shape ({d},) or (N, {d}), got "
+                         f"{x0.shape}")
     single = x0.ndim == 1
-    x0 = np.atleast_2d(x0)
-    times = np.asarray(times, dtype=float).reshape(len(x0), -1)
-    Y0 = np.atleast_2d(np.asarray(Y0, dtype=float))
+    for name, value, width in (("times", times, dist.m), ("Y0", Y0, d)):
+        want = x0.shape[:-1] + (width,)
+        if value.shape != want:
+            raise RangeError(f"{name} must have shape {want}, got "
+                             f"{value.shape}")
+    x0, times, Y0 = np.atleast_2d(x0), np.atleast_2d(times), np.atleast_2d(Y0)
     if m_const is None:
         pts = dist.domain.lattice(sup_res)
         bases = dist.orthonormal_bases_at(pts)

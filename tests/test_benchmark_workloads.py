@@ -80,29 +80,32 @@ def test_surface_frames_task_work_counts(monkeypatch):
 
 
 def test_ode_flows_task_work_counts(monkeypatch):
-    # one generated RK4 step per step taken: 4 checks x 2 flows x 40 steps
-    # of the pushforward and 32 of the funnel's one batch; the compiled
-    # field functions stay out of the step loop, and a second task
-    # compiles nothing
+    # the steps the generated RK4 runs report: 4 checks x 2 flows x 40
+    # steps of the pushforward, one run each, and 32 of the funnel's one
+    # batch in one run; the compiled field functions stay out of the
+    # step loop, and a second task compiles nothing
     import contfrob.fields as fl
     import contfrob.odelab as odelab
     import contfrob.surface as surface
     steps = {"odelab.funnel": 0, "surface.pushforward": 0}
+    runs = dict.fromkeys(steps, 0)
     compiled, in_loop, span = [], [], [None]
 
     def counted_step(fields, coords, variational=False,
                      _orig=surface.compile_rk4_step):
-        step, buffers = _orig(fields, coords, variational)
+        run, buffers = _orig(fields, coords, variational)
 
         def counted(*args):
-            steps[span[0]] += 1
-            return step(*args)
+            done, err = run(*args)
+            steps[span[0]] += done
+            runs[span[0]] += 1
+            return done, err
         return counted, buffers
 
     def counted_define(self, lines, *names, _orig=fl._Source.define):
         compiled.append(names)
         fn = _orig(self, lines, *names)
-        if names != ("compiled",):  # an RK4 step, counted above
+        if names != ("compiled",):  # an RK4 run, counted above
             return fn
 
         def counted(*args):
@@ -136,6 +139,7 @@ def test_ode_flows_task_work_counts(monkeypatch):
     inp = wl.inputs(ctx, np.random.default_rng([1, 2, 0]))
     assert wl.run(ctx, inp, Spans()).problems == []
     assert steps == {"odelab.funnel": 32, "surface.pushforward": 320}
+    assert runs == {"odelab.funnel": 1, "surface.pushforward": 8}
     assert compiled and in_loop == []
     compiled.clear()
     assert wl.run(ctx, inp, Spans()).problems == []

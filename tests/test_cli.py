@@ -98,6 +98,31 @@ def test_surface_build_involutive(tmp_path):
     assert len(body) == 1 + 25
 
 
+@pytest.mark.parametrize("text", ["0", "-0.1", "inf", "nan"])
+def test_surface_eps1_is_checked_first(tmp_path, capsys, text):
+    # the default step eps1/32 is derived after the check, so eps1 0 no
+    # longer reports a step the user never gave, and inf reaches no flow
+    assert main(["surface", "build", "--eps1", text, "--out",
+                 str(tmp_path)]) == 1
+    flag_err = capsys.readouterr().err
+    assert _run_config(tmp_path, "surface", {"eps1": text}) == 1
+    assert capsys.readouterr().err == flag_err
+    assert flag_err == (f"error [RangeError]: eps1 must be positive and "
+                        f"finite, got {float(text)}\n")
+    assert list(tmp_path.glob("*.csv")) == []
+
+
+def test_funnel_beyond_max_time_escapes_without_overflow(tmp_path):
+    # every row asks for more than MAX_TIME and escapes at once; the step
+    # count of such a row is never computed, so 1e308 / step cannot
+    # overflow (pytest turns that RuntimeWarning into an error)
+    assert main(["ode", "funnel", "--example", "peano", "--T", "1e308",
+                 "--out", str(tmp_path)]) == 0
+    rows = [ln.split(",") for ln in (tmp_path / "ode_funnel.csv")
+            .read_text().splitlines() if not ln.startswith("#")][1:]
+    assert [row[1:] for row in rows] == [["0.0", "11"]] * 4
+
+
 def test_dyn_dominate_csv(tmp_path):
     rc = main(["dyn", "dominate", "--example", "cat-map", "--k-max", "6",
                "--res", "3", "--out", str(tmp_path)])

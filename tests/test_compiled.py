@@ -324,7 +324,7 @@ def test_second_integrate_takes_no_derivatives(monkeypatch):
 
 def _count_compiles(monkeypatch):
     """The names of the generated functions, field functions and RK4
-    steps alike, in the order they are compiled."""
+    runs alike, in the order they are compiled."""
     compiles = []
 
     def counted(self, lines, *names, _orig=fl._Source.define):

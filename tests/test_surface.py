@@ -387,6 +387,65 @@ def test_malformed_shapes_are_range_errors(coords, x0, t, Y0, message):
         _integrate(X1, tuple(coords), x0, t, 0.01, None, Y0)
 
 
+def test_a_time_beyond_max_time_is_not_divided():
+    # 1e308 / step overflows; such a row escapes at once and takes no
+    # step count, so no RuntimeWarning fires
+    X1 = contact().spanning_fields()[0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        run = _integrate(X1, ("x", "y", "z"), np.zeros((2, 3)),
+                         [1e308, 0.05], 1e-3, BOX3)
+    assert isinstance(run.error[0], EscapeError)
+    assert run.exit_time[0] == 1e308 and run.error[1] is None
+
+
+def _counted_runs(monkeypatch):
+    """The steps each call of a generated RK4 run reports, in order."""
+    import contfrob.surface as surface
+    reports = []
+
+    def counted(fields, coords, variational=False,
+                _orig=surface.compile_rk4_step):
+        run, buffers = _orig(fields, coords, variational)
+
+        def counting(*args):
+            done, err = run(*args)
+            reports.append(done)
+            return done, err
+        return counting, buffers
+    monkeypatch.setattr(surface, "compile_rk4_step", counted)
+    return reports
+
+
+def test_an_all_live_flow_is_one_run(monkeypatch):
+    reports = _counted_runs(monkeypatch)
+    rng = np.random.default_rng(7)
+    x0 = rng.uniform(-0.2, 0.2, (3, 3))
+    Y0 = rng.uniform(-1.0, 1.0, (3, 3))
+    variational_flow(contact().spanning_fields()[0], ("x", "y", "z"), x0,
+                     0.1, Y0, FlowConfig(step=2.5e-3), BOX3)
+    assert reports == [40]
+
+
+def test_a_box_exit_in_mid_stretch_matches_the_reference(monkeypatch):
+    # contact's X1 moves x at unit speed, and BOX3 ends at |x| = 0.6.
+    # Row 0 leaves in step 6 of the first stretch, which would end at
+    # row 3's 10 steps; row 1 leaves in step 10, that stretch's last;
+    # row 4 flows backwards and leaves in step 16, and row 2 runs its 20
+    reports = _counted_runs(monkeypatch)
+    x0 = np.array([[0.545, 0.1, 0.0], [0.505, -0.1, 0.1], [0.0, 0.2, -0.1],
+                   [0.3, 0.0, 0.0], [-0.445, 0.1, 0.2]])
+    t = np.array([0.2, 0.2, 0.2, 0.1, -0.2])
+    Y0 = np.random.default_rng(8).uniform(-1.0, 1.0, x0.shape)
+    X1 = contact().spanning_fields()[0]
+    assert_engine_is_reference(X1, ("x", "y", "z"), x0, t, 0.01, BOX3, Y0)
+    assert reports == [6, 4, 6, 4]
+    run = _integrate(X1, ("x", "y", "z"), x0, t, 0.01, BOX3, Y0)
+    assert np.array_equal(run.exit_time, [6 * 0.01, 10 * 0.01, math.nan,
+                                          math.nan, 16 * -0.01],
+                          equal_nan=True)
+
+
 def test_vertical_invariance_of_pushforwards():
     # graph-form fields leave the vertical subspace invariant
     d = contact()
@@ -468,6 +527,18 @@ def test_build_surface_step_guard():
         build_surface(contact(), np.zeros(3), 0.1, 4, FlowConfig(step=1e-3))
 
 
+@pytest.mark.parametrize("eps1", [0.0, -0.1, math.inf, math.nan])
+def test_build_surface_eps1_is_checked_before_any_flow(monkeypatch, eps1):
+    import contfrob.surface as surface
+
+    def no_flow(*args, **kwargs):
+        raise AssertionError("a flow ran")
+    monkeypatch.setattr(surface, "_integrate", no_flow)
+    with pytest.raises(RangeError, match=re.escape(
+            f"eps1 must be positive and finite, got {eps1}")):
+        build_surface(contact(), np.zeros(3), eps1, 5, FlowConfig(step=1e-3))
+
+
 # ---------------------------------------------------------------------------
 # tangency and pushforward bounds
 
@@ -524,6 +595,28 @@ def test_pushforward_bound_randomized():
             chk = pushforward_bound_check(d, frame, x0, times, Y0, cfg,
                                           m_const=m_const)
             assert chk.passed, (d, x0, times, Y0, chk)
+
+
+@pytest.mark.parametrize("x0, times, Y0, message", [
+    (np.zeros(3), [0.1, -0.1, 5.0], [0.0, 0.0, 1.0],
+     "times must have shape (2,), got (3,)"),
+    (np.zeros(3), [0.1], [0.0, 0.0, 1.0],
+     "times must have shape (2,), got (1,)"),
+    (np.zeros((2, 3)), [0.1, -0.1, 0.1], np.zeros((2, 3)),
+     "times must have shape (2, 2), got (3,)"),
+    (np.zeros(3), [0.1, -0.1], [0.0, 1.0],
+     "Y0 must have shape (3,), got (2,)"),
+    (np.zeros((2, 3)), np.zeros((2, 2)), [0.0, 0.0, 1.0],
+     "Y0 must have shape (2, 3), got (3,)"),
+    (np.zeros(2), [0.1, -0.1], [0.0, 1.0],
+     "x0 must have shape (3,) or (N, 3), got (2,)"),
+], ids=["three-times", "one-time", "three-times-two-rows", "Y0-of-a-point",
+        "Y0-of-a-batch", "x0"])
+def test_pushforward_shapes_are_range_errors(x0, times, Y0, message):
+    d = contact()
+    with pytest.raises(RangeError, match=f"^{re.escape(message)}$"):
+        pushforward_bound_check(d, annihilator_frame(d), x0, times, Y0, CFG,
+                                m_const=0.0)
 
 
 def test_pushforward_zero_coeff_translation():
