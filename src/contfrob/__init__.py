@@ -22,7 +22,7 @@ rank-m distribution on a coordinate box is (uniquely) integrable:
 """
 
 from .boxes import Box
-from .fields import Field, coord, parse_field
+from .fields import Field, parse_field
 from .forms import KForm, exterior_derivative, one_form, wedge
 from .geometry import (Distribution, FrameSection, annihilator_frame,
                        frobenius_defect, involutivity_constant)

@@ -17,7 +17,7 @@ to scalars or numpy arrays; constant folding and the tests use it.  The
 library evaluates through compile_fields and eval_fields instead: a
 field list becomes one generated numpy function of points (..., d),
 each distinct subexpression computed once, with the reference's operand
-order, ufuncs, guard and domain-error texts; compile_rk4_step builds
+order, ufuncs, guard and domain-error texts; compile_rk4_run builds
 a flow's RK4 run over a stretch of steps from the same statements.
 Both paths keep one errstate rule: Mul, Pow and the elementary
 functions run under np.errstate(all="ignore"), Add does not, so an
@@ -54,8 +54,8 @@ from .errors import EvalDomainError, ParseError, RangeError
 __all__ = [
     "Field", "Const", "Coord", "Add", "Mul", "Pow", "Unary", "SplineLeaf",
     "add", "mul", "pow_", "neg", "sub", "div", "log", "exp", "sin", "cos",
-    "coord", "parse_field", "is_zero_field", "expand",
-    "compile_fields", "compile_rk4_step", "eval_fields", "ZERO", "ONE",
+    "parse_field", "is_zero_field", "expand",
+    "compile_fields", "compile_rk4_run", "eval_fields", "ZERO", "ONE",
 ]
 
 _EXPAND_CAP = 50_000
@@ -377,10 +377,6 @@ ONE = Const(1.0)
 # smart constructors
 
 
-def coord(name):
-    return Coord(name)
-
-
 def add(*terms):
     """Canonical sum: flatten, fold constants, collect like terms."""
     const_acc = 0.0
@@ -624,33 +620,30 @@ def compile_fields(fields, coords, jacobian=False):
         _outputs(flat, struct, coords, jacobian)))
 
 
-def compile_rk4_step(fields, coords, variational=False):
+def compile_rk4_run(fields, coords, variational=False):
     """One generated RK4 run for the flow of sum_c fields[c] d/dc.
 
-    Returns (run, buffers).  run(z, steps, bufs) advances the state z
-    (n, d), or (n, 2d) as z = [x | Y] when variational carries the
-    vector Y by dY/dt = DX(x) Y, in place through up to `steps` RK4
-    steps, and returns (done, err): the steps it completed, with z left
-    at the last of them, and the EvalDomainError a stage raised in step
-    done + 1, or None.  It stops early after a step that leaves the
-    box, or at a stage that raises, and z is then as that step left it
-    or as the raising step found it.
+    run(z, steps, step, bounds) advances the state z (n, d), or (n, 2d)
+    as z = [x | Y] when variational carries the vector Y by
+    dY/dt = DX(x) Y, in place through up to `steps` RK4 steps of the
+    per-row step (n, 1), and returns (done, err, out): the steps it
+    completed, with z left at the last of them; the EvalDomainError a
+    stage raised in step done + 1, or None; and, when bounds = (lo, hi)
+    is given and step done left the box lo <= x <= hi, the boolean mask
+    of the rows outside it, or None.  It stops at a stage that raises,
+    with z as that step found it, or after a step that leaves the box.
+    With bounds None there is no box test, so a nan row runs on.
 
-    buffers(n, step, bounds) allocates, once per run call, all that the
-    run writes on n rows: the stage velocities k1..k4 (n, width), with
-    variational the Jacobian J (n, d, d), the constant columns and
-    entries filled here once; one stage-point and one sum scratch; the
-    per-row step h (n, 1) and half = 0.5*h and sixth = h/6.0, broadcast
-    to the state's width; and, when bounds = (lo, hi) is given, lo and
-    hi broadcast to (n, d) and the boolean scratch of the box test
-    lo <= x <= hi after each step.  With bounds None there is no test,
-    so a nan row runs on.
-
-    The four stages are written inline: each reads its point's columns,
-    runs the statements compile_fields(fields, coords, variational)
-    would, and writes the velocity columns; the carried part is
-    matmul(J, Y) into the buffer's Y columns.  The stage points are
-    z + half*k1, z + half*k2 and z + h*k3 and the new state is
+    Each call allocates its scratch once: the stage velocities k1..k4
+    (n, width), with variational the Jacobian J (n, d, d), the constant
+    columns and entries filled once; one stage-point and one sum
+    scratch; h, half = 0.5*h and sixth = h/6.0 broadcast to the state's
+    width; and with bounds, lo and hi broadcast to (n, d) and the mask
+    of the box test.  The four stages are written inline: each reads its
+    point's columns, runs the statements compile_fields(fields, coords,
+    variational) would, and writes the velocity columns; the carried
+    part is matmul(J, Y) into the buffer's Y columns.  The stage points
+    are z + half*k1, z + half*k2 and z + h*k3 and the new state is
     z + sixth*(((k1 + 2.0*k2) + 2.0*k3) + k4), each operation a ufunc
     with out=, in that order, the operations of an RK4 step on x and on
     Y taken separately, element for element, so every bit is theirs.
@@ -897,41 +890,38 @@ class _Source:
         return self.define(lines, "compiled")
 
     def rk4_run(self, outputs):
-        """compile_rk4_step's (run, buffers): the fields' statements once
-        per stage, over z in stage 1 and the stage point za after it.
-        Every view the loop reads or writes is taken once per call."""
+        """compile_rk4_run's run: its scratch allocated once per call, then
+        the fields' statements once per stage, over z in stage 1 and the
+        stage point za after it.  Every view the loop reads or writes is
+        taken once per call."""
         d = len(self.coords)
         variational = len(outputs) == 2
         width = d * len(outputs)
         cols = [[self.operand(f) for f in flat] for flat, _ in outputs]
-        stages = "k1, k2, k3, k4, J" if variational else "k1, k2, k3, k4"
-        names = stages + ", za, acc, h, half, sixth, lo, hi, inside"
         velocity = self.constants(cols[0], d)
-        alloc = ["def buffers(n, step, bounds):"]
+        lines = ["def run(z, steps, step, bounds):", "    n = len(z)"]
         for k in ("k1", "k2", "k3", "k4"):
-            alloc.append(f"    {k} = _empty((n, {width}))")
+            lines.append(f"    {k} = _empty((n, {width}))")
             if velocity is not None:
-                alloc.append(f"    {k}[:, :{d}] = {velocity}")
+                lines.append(f"    {k}[:, :{d}] = {velocity}")
         if variational:
-            alloc.append(f"    J = _empty((n, {d}, {d}))")
+            lines.append(f"    J = _empty((n, {d}, {d}))")
             jac = self.constants(cols[1], (d, d))
             if jac is not None:
-                alloc.append(f"    J[:] = {jac}")
-        alloc += [f"    za = _empty((n, {width}))",
+                lines.append(f"    J[:] = {jac}")
+        lines += [f"    za = _empty((n, {width}))",
                   f"    acc = _empty((n, {width}))",
                   f"    h = _empty((n, {width}))",
                   "    h[:] = step",
                   "    half = 0.5 * h",
                   "    sixth = h / 6.0",
-                  "    if bounds is None:",
-                  f"        return {stages}, za, acc, h, half, sixth, None, "
-                  f"None, None",
-                  f"    lo = _empty((n, {d}))",
-                  "    lo[:] = bounds[0]",
-                  f"    hi = _empty((n, {d}))",
-                  "    hi[:] = bounds[1]",
-                  f"    inside = _empty((n, {d}), dtype=bool)",
-                  f"    return {names}"]
+                  "    if bounds is not None:",
+                  f"        lo = _empty((n, {d}))",
+                  "        lo[:] = bounds[0]",
+                  f"        hi = _empty((n, {d}))",
+                  "        hi[:] = bounds[1]",
+                  f"        inside = _empty((n, {d}), dtype=bool)",
+                  f"    zx = z[:, :{d}]"]
 
         views = {}  # source text of a view -> its name, taken once per call
 
@@ -954,14 +944,11 @@ class _Source:
                          if op not in self.known]
                 body.append(f"_matmul(J, {view(f'{src}[:, {d}:, None]')}, "
                             f"out={view(f'{k}[:, {d}:, None]')})")
-        lines = ["def run(z, steps, buffers):",
-                 f"    {names} = buffers",
-                 f"    zx = z[:, :{d}]"]
         lines += [f"    {name} = {text}" for text, name in views.items()]
         lines += ["    for k in range(steps):", "        try:"]
         lines += ["            " + line for line in body]
         lines += ["        except _E as err:",
-                  "            return k, err",
+                  "            return k, err, None",
                   "        _multiply(2.0, k2, out=acc)",
                   "        _add(k1, acc, out=acc)",
                   "        _multiply(2.0, k3, out=za)",
@@ -969,15 +956,15 @@ class _Source:
                   "        _add(acc, k4, out=acc)",
                   "        _multiply(sixth, acc, out=acc)",
                   "        _add(z, acc, out=z)",
-                  "        if inside is not None:",
+                  "        if bounds is not None:",
                   "            _greater_equal(zx, lo, out=inside)",
+                  "            if _count(inside) == inside.size:",
+                  "                _less_equal(zx, hi, out=inside)",
                   "            if _count(inside) < inside.size:",
-                  "                return k + 1, None",
-                  "            _less_equal(zx, hi, out=inside)",
-                  "            if _count(inside) < inside.size:",
-                  "                return k + 1, None",
-                  "    return steps, None"]
-        return self.define(alloc + lines, "run", "buffers")
+                  "                return k + 1, None, ~((zx >= lo) & "
+                  "(zx <= hi)).all(1)",
+                  "    return steps, None, None"]
+        return self.define(lines, "run")
 
 
 def _chain(target, op, operands):

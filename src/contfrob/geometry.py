@@ -506,10 +506,12 @@ class TraceEntry:
 
 def _weighted(prefactor, eps, exponent):
     """prefactor * e^{eps * exponent}, and exactly 0.0 for a zero prefactor:
-    the exponential may overflow to inf, and 0 * inf is nan."""
+    the exponential may overflow to inf, silently as in scaled_exp, and
+    0 * inf is nan."""
     if prefactor == 0.0:
         return 0.0
-    return prefactor * float(np.exp(eps * exponent))
+    with np.errstate(over="ignore"):
+        return prefactor * float(np.exp(eps * exponent))
 
 
 def scaled_exp(prefactor, exponent):

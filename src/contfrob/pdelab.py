@@ -313,9 +313,12 @@ def involutive_mollified_frames(sf: SpecialFormSpec, eps_list, pad=None,
     RangeError, and so is a pad below the largest eps: mollifying leaves a
     margin of eps on every side of the padded grids, and the frame could
     not be evaluated along the domain's faces.  Both are checked before
-    any sampling.  The top wedge eta_1 ^ ... ^ eta_n ^ d eta_l collapses
-    structurally (repeated dy_l and alpha_l ^ alpha_l), asserted
-    numerically on a lattice at every scale: its sup may not exceed WEDGE_TOL.
+    any sampling.  A spline whose fitted region falls short of the domain
+    is a RangeError from to_spline_field: the first fitted sample can lie
+    up to one grid cell beyond eps, and so beyond the pad.  The top wedge
+    eta_1 ^ ... ^ eta_n ^ d eta_l collapses structurally (repeated dy_l
+    and alpha_l ^ alpha_l), asserted numerically on a lattice at every
+    scale: its sup may not exceed WEDGE_TOL.
     """
     eps_list = [float(e) for e in eps_list]
     _check_eps(eps_list)
@@ -343,10 +346,10 @@ def involutive_mollified_frames(sf: SpecialFormSpec, eps_list, pad=None,
                                            label=label))
             else:
                 fitted[f] = to_spline_field(_smoothed(f, x_box, pad, eps, h),
-                                            sf.x_names, label=label)
+                                            sf.x_names, label, x_box)
                 h_smooth.append(fitted[f])
         g_smooth = [to_spline_field(_smoothed(f, box, pad, eps, h),
-                                    box.names, label=f"G{i+1}e")
+                                    box.names, f"G{i+1}e", box)
                     for i, (f, box) in enumerate(zip(sf.G, y_boxes))]
         coeffs = [[mul(g_smooth[i], h_smooth[i].diff(xn)) for i in range(n)]
                   for xn in sf.x_names]

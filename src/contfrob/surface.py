@@ -20,14 +20,15 @@ variational_flow still raise: the error of the row that stopped first,
 an EscapeError carrying its exit_time, to which build_surface adds the
 lattice node (flow index, grid index) being filled.  The steps run in
 stretches: a stretch ends where a row has taken its steps or stops, and
-each is one call of a generated run from fields.compile_rk4_step, cached
-on the field objects.  The run steps one state z = [x | Y] in place,
-with the field statements (and, with a carried vector, the Jacobian and
-its product with Y) inline in the four stages, the box test after every
-step, and all its buffers allocated once per stretch; it returns after
-the step that leaves the box or before the stage that raises.  So a
-second flow of the same fields takes no symbolic derivative and compiles
-nothing, and the Python loop turns once per stretch, not once per step.
+each is one call of the run from fields.compile_rk4_run, cached on the
+field objects.  The run allocates its scratch once per call and steps
+one state z = [x | Y] in place, the field statements (and, with a
+carried vector, the Jacobian and its product with Y) inline in the four
+stages; it returns before the stage that raises, or after the step that
+leaves the box with the mask of the rows outside it, the engine's only
+box test.  So a second flow of the same fields takes no symbolic
+derivative and compiles nothing, and the Python loop turns once per
+stretch, not once per step.
 
 The three quantitative checks:
 
@@ -48,7 +49,7 @@ import numpy as np
 
 from .boxes import Box
 from .errors import EscapeError, EvalDomainError, RangeError
-from .fields import compile_rk4_step, eval_fields
+from .fields import compile_rk4_run, eval_fields
 from .report import cells, csv_text
 from .geometry import (Distribution, FrameSection, annihilator_frame,
                        bound_parts, evaluate_frame, involutivity_constant,
@@ -63,6 +64,7 @@ __all__ = [
 
 
 MAX_TIME = 10.0  # longest flow time accepted; longer requests escape
+MAX_STEPS = 10 ** 6  # most RK4 steps one row may take; more is a RangeError
 
 
 @dataclass(frozen=True)
@@ -112,9 +114,10 @@ def _integrate(fields, coords, x0, t, step, box, Y0=None) -> Trajectories:
     time: the start of that step); |t_i| beyond MAX_TIME stops it at
     once.  Only live rows are stepped, and the arithmetic is per row, so
     each row's bits and exit record are those of its solo run.  When a
-    stage raises for the batch, the step is redone one row at a time to
-    find the rows that raise; the rest keep their solo results.  A shape
-    that does not fit, or a nan time, raises RangeError before any step.
+    stage raises for the batch, the step is redone one row at a time,
+    box test included, to find the rows that raise; the rest keep their
+    solo results.  A shape that does not fit, a nan time, or a row of
+    more than MAX_STEPS steps raises RangeError before any step.
     """
     x = np.array(x0, dtype=float)
     d = len(coords)
@@ -140,35 +143,35 @@ def _integrate(fields, coords, x0, t, step, box, Y0=None) -> Trajectories:
     exit_time = np.full(N, np.nan)
     error = [None] * N
     # step counts only for rows within MAX_TIME, so a huge time cannot
-    # overflow the division; the others take no step
+    # overflow the division; the others take no step.  A tiny step can
+    # still overflow it, and such a count is over MAX_STEPS
     within = np.abs(t) <= MAX_TIME
     n = np.zeros(N)
-    n[within] = np.maximum(np.ceil(np.abs(t[within]) / step - 1e-12),
-                           t[within] != 0.0)
+    with np.errstate(over="ignore"):
+        n[within] = np.maximum(np.ceil(np.abs(t[within]) / step - 1e-12),
+                               t[within] != 0.0)
+    for i in np.flatnonzero(n > MAX_STEPS):
+        raise RangeError(f"flow time {t[i]} of row {i} takes {n[i]:g} steps "
+                         f"of {step}, more than MAX_STEPS = {MAX_STEPS}")
     dt = t / np.maximum(n, 1.0)
     live = n > 0.0
 
     def stop(i, time, err):
         exit_time[i], error[i], live[i] = time, err, False
 
+    def leave(i, k):
+        """Stop row i, outside the box after k steps."""
+        time = k * dt[i]
+        stop(i, time, EscapeError("trajectory left the domain box",
+                                  exit_time=float(time)))
+
     for i in np.flatnonzero(~within):
         if np.isnan(t[i]):
             raise RangeError(f"flow time of row {i} is nan")
         stop(i, t[i], EscapeError("requested time beyond MAX_TIME",
                                   exit_time=float(t[i])))
-    run, buffers = compile_rk4_step(fields, coords, Y0 is not None)
+    run = compile_rk4_run(fields, coords, Y0 is not None)
     bounds = None if box is None else box.bounds(tol=1e-9)
-
-    def leave(rows, zs, k):
-        """Stop the live rows among rows, at zs after k steps, that are
-        outside the box."""
-        if bounds is None:
-            return
-        out = ~((zs[:, :d] >= bounds[0]) & (zs[:, :d] <= bounds[1])).all(1)
-        for i in np.arange(N)[rows][out & live[rows]]:
-            time = k * dt[i]
-            stop(i, time, EscapeError("trajectory left the domain box",
-                                      exit_time=float(time)))
 
     # one run per stretch of steps: a stretch ends where a row has taken
     # its steps or stops.  While every row is live the rows are a slice
@@ -177,20 +180,21 @@ def _integrate(fields, coords, x0, t, step, box, Y0=None) -> Trajectories:
     k = 0
     while live.any():
         rows = slice(None) if live.all() else np.flatnonzero(live)
-        zs, h = z[rows], dt[rows, None]
-        steps = int(n[rows].min()) - k
-        done, err = run(zs, steps, buffers(len(zs), h, bounds))
+        zs, h, index = z[rows], dt[rows, None], np.arange(N)[rows]
+        done, err, out = run(zs, int(n[rows].min()) - k, h, bounds)
         k += done
         if err is not None:
-            # a stage raised in step k: take it one row at a time
-            for j, i in enumerate(np.arange(N)[rows]):
-                _, err = run(zs[j:j + 1], 1, buffers(1, h[j:j + 1], None))
+            # a stage raised in step k + 1: take it one row at a time
+            for j, i in enumerate(index):
+                _, err, out = run(zs[j:j + 1], 1, h[j:j + 1], bounds)
                 if err is not None:
                     stop(i, k * dt[i], err)
+                elif out is not None:
+                    leave(i, k + 1)
             k += 1
-        # the run stops after a step that leaves the box, and a stretch's
-        # last step may leave it too
-        leave(rows, zs, k)
+        elif out is not None:
+            for i in index[out]:
+                leave(i, k)
         if isinstance(rows, np.ndarray):
             z[rows] = zs
         live &= n > k

@@ -10,7 +10,7 @@ import math
 import numpy as np
 
 from contfrob.cli import main as cli_main
-from contfrob.fields import coord, exp as fexp, log as flog, sin as fsin
+from contfrob.fields import Coord, exp as fexp, log as flog, sin as fsin
 from contfrob.forms import exterior_derivative, one_form
 from contfrob.geometry import (annihilator_frame, frobenius_defect,
                                involutivity_constant, subspace_distance)
@@ -274,7 +274,7 @@ def test_c9_skew_product_growth_and_traces():
 def test_c10_invariant_suites(tmp_path):
     """Cross-module property checks: d(d(.)) = 0, annihilation, vertical
     invariance, cocycle, conorm duality, report determinism."""
-    x, y, z = coord("x"), coord("y"), coord("z")
+    x, y, z = Coord("x"), Coord("y"), Coord("z")
     rng = np.random.default_rng(1)
 
     pool = [x * y, y + z * z, fexp(x * z), fsin(y * z), flog(1 + x * x)]

@@ -91,16 +91,16 @@ def test_ode_flows_task_work_counts(monkeypatch):
     runs = dict.fromkeys(steps, 0)
     compiled, in_loop, span = [], [], [None]
 
-    def counted_step(fields, coords, variational=False,
-                     _orig=surface.compile_rk4_step):
-        run, buffers = _orig(fields, coords, variational)
+    def counted_run(fields, coords, variational=False,
+                    _orig=surface.compile_rk4_run):
+        run = _orig(fields, coords, variational)
 
         def counted(*args):
-            done, err = run(*args)
+            done, err, out = run(*args)
             steps[span[0]] += done
             runs[span[0]] += 1
-            return done, err
-        return counted, buffers
+            return done, err, out
+        return counted
 
     def counted_define(self, lines, *names, _orig=fl._Source.define):
         compiled.append(names)
@@ -131,7 +131,7 @@ def test_ode_flows_task_work_counts(monkeypatch):
 
     looping = False
     monkeypatch.setattr(fl._Source, "define", counted_define)
-    monkeypatch.setattr(surface, "compile_rk4_step", counted_step)
+    monkeypatch.setattr(surface, "compile_rk4_run", counted_run)
     monkeypatch.setattr(surface, "_integrate", looped(surface._integrate))
     monkeypatch.setattr(odelab, "_integrate", looped(odelab._integrate))
     wl = workloads.WORKLOADS["ode-flows"]()

@@ -190,6 +190,16 @@ def test_surface_escape_reports_node_and_exit_time(tmp_path, capsys):
     assert "node=(0, 4)" in err and "exit_time=" in err
 
 
+def test_surface_step_count_over_the_cap_exits_1(tmp_path, capsys):
+    rc = main(["surface", "build", "--step", "1e-310", "--out",
+               str(tmp_path)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error [RangeError]: flow time ")
+    assert "more than MAX_STEPS = 1000000" in err
+    assert list(tmp_path.glob("*.csv")) == []
+
+
 def _run_config(tmp_path, kind, params):
     cfg = ExperimentConfig(kind, out=str(tmp_path), params=params)
     path = tmp_path / "exp.cfg"

@@ -14,15 +14,16 @@ from contfrob import fields as fl
 from contfrob import presets
 from contfrob.boxes import Box, env_of
 from contfrob.errors import EvalDomainError
-from contfrob.fields import (ONE, ZERO, Const, SplineLeaf, compile_fields,
-                             coord, eval_fields, exp, log, parse_field, sin)
+from contfrob.fields import (ONE, ZERO, Const, Coord, SplineLeaf,
+                             compile_fields, eval_fields, exp, log,
+                             parse_field, sin)
 from contfrob.geometry import annihilator_frame, evaluate_frame
 from contfrob.odelab import extend, funnel, funnel_to_csv
 from contfrob.pdelab import (SpecialFormSpec, hat_matrix,
                              involutive_mollified_frames)
 from contfrob.surface import FlowConfig, _integrate
 
-x, y = coord("x"), coord("y")
+x, y = Coord("x"), Coord("y")
 XY = ("x", "y")
 
 
@@ -171,7 +172,7 @@ def test_generated_expressions_match_reference(texts, pts):
 
 
 def test_zero_times_infinity_guard():
-    s = coord("s")
+    s = Coord("s")
     for pts in (np.array([0.0]), np.array([[0.0], [0.5]])):
         vals = eval_fields([s * log(s)], ("s",), pts)
         assert vals[..., 0].flat[0] == 0.0

@@ -7,11 +7,11 @@ from hypothesis import strategies as st
 
 from contfrob import presets
 from contfrob.errors import EvalDomainError, ParseError
-from contfrob.fields import (ZERO, Const, coord, cos, eval_fields, exp,
+from contfrob.fields import (ZERO, Const, Coord, cos, eval_fields, exp,
                              is_zero_field, log, parse_field, sin, SplineLeaf)
 
-x = coord("x")
-y = coord("y")
+x = Coord("x")
+y = Coord("y")
 
 
 def test_constant_folding_and_collection():

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from contfrob.errors import RangeError
-from contfrob.fields import Const, coord, exp, log, parse_field, sin
+from contfrob.fields import Const, Coord, exp, log, parse_field, sin
 from contfrob.forms import (KForm, exterior_derivative,
                             numeric_wedge_with_two_form, numeric_wedge_norm,
                             one_form, stacked_wedge_norms,
@@ -13,7 +13,7 @@ from contfrob.forms import (KForm, exterior_derivative,
 XY = ("x", "y")
 XYZ = ("x", "y", "z")
 
-x, y, z = coord("x"), coord("y"), coord("z")
+x, y, z = Coord("x"), Coord("y"), Coord("z")
 
 
 def test_d_of_graph_one_form():

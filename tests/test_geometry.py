@@ -11,7 +11,7 @@ from hypothesis.extra.numpy import arrays
 
 from contfrob.boxes import Box
 from contfrob.errors import RangeError, TransversalityError
-from contfrob.fields import ZERO, Const, coord, parse_field
+from contfrob.fields import ZERO, Const, Coord, parse_field
 from contfrob.forms import one_form
 from contfrob.geometry import (Distribution, FrameSection, FrameValues,
                                annihilator_frame,
@@ -24,7 +24,7 @@ from contfrob.mollify import grid_from_field, mollify, to_spline_field
 from contfrob.odelab import funnel
 from contfrob.presets import contact_distribution, ode_peano
 
-x, y, z = coord("x"), coord("y"), coord("z")
+x, y, z = Coord("x"), Coord("y"), Coord("z")
 
 BOX2 = Box.from_dict({"x": (-0.5, 0.5), "y": (-0.5, 0.5)})
 BOX3 = Box.from_dict({"x": (-0.5, 0.5), "y": (-0.5, 0.5), "z": (-0.5, 0.5)})
@@ -258,7 +258,7 @@ def graph_distributions(draw, max_m, y_names):
         for mono in draw(st.lists(st.sampled_from(monomials), max_size=4)):
             term = Const(draw(_COEFFS))
             for v in mono:
-                term = term * coord(v)
+                term = term * Coord(v)
             f = f + term
         return f
 
@@ -520,7 +520,7 @@ def test_unsupported_frame_shapes_are_range_errors(m, n):
     # r = m, n rows: (n, r) = (2, 3) and (3, 2) have no exact sup
     xs = tuple(f"x{i}" for i in range(m))
     ys = tuple(f"y{j}" for j in range(n))
-    coeffs = [[coord(ys[(i + j) % n]) * coord(xs[i]) for j in range(n)]
+    coeffs = [[Coord(ys[(i + j) % n]) * Coord(xs[i]) for j in range(n)]
               for i in range(m)]
     dist = Distribution(xs, ys, coeffs,
                         Box.from_dict({v: (-0.5, 0.5) for v in xs + ys}))
@@ -558,6 +558,20 @@ def test_trace_zero_prefactor_skips_overflowing_exponential():
     assert asym[0].strong == 0.0
     assert ext[0].parts["d_sup"] == 1000.0
     assert ext[0].strong == 0.0
+
+
+def test_trace_weights_overflow_to_inf_without_warning():
+    # dz - 1000 y dx is not closed: d_sup = 1000 and wedge_sup > 0, so the
+    # strong surrogate's e^{eps d_sup} overflows at eps = 1 to inf, as
+    # scaled_exp gives, and no RuntimeWarning fires
+    dist = Distribution(("x", "y"), ("z",), [[1000.0 * y], [ZERO]], BOX3)
+    pts = BOX3.lattice(5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        asym, = asymptotic_involutivity_trace([annihilator_frame(dist)],
+                                              [dist], 1.0, pts)
+    assert asym.parts["d_sup"] == 1000.0 and asym.parts["wedge_sup"] > 0.0
+    assert asym.strong == math.inf
 
 
 def test_asymptotic_trace_involutive_sequence_zero():
@@ -708,15 +722,15 @@ def test_sup_helpers_exactness():
 
 def _special_form_trace_inputs():
     """Two mollified special-form frames (n = 2, the second rescaled so
-    ||A^{-1}|| != 1) against the symbolic limit of paper example 2."""
+    ||A^{-1}|| != 1) against the symbolic limit of paper example 2, on a
+    lattice that reaches the domain's faces."""
     from contfrob import presets
     from contfrob.pdelab import involutive_mollified_frames
     sf, pde = presets.pde_example_2()
-    fams = involutive_mollified_frames(sf, [2.0 ** -3, 2.0 ** -4],
-                                       cells_per_radius=8)
+    fams = involutive_mollified_frames(sf, [2.0 ** -3, 2.0 ** -4])
     frames = [fams[0].frame,
               fams[1].frame.scale(parse_field("1 + x1*y2"))]
-    return frames, pde.distribution(), sf.domain.shrink(0.02).lattice(3)
+    return frames, pde.distribution(), sf.domain.lattice(3)
 
 
 def test_trace_parts_pinned_two_row_special_form():
@@ -726,24 +740,24 @@ def test_trace_parts_pinned_two_row_special_form():
     asym = asymptotic_involutivity_trace(frames, [limit] * 2, 0.5, pts)
     ext = exterior_regularity_trace(frames, limit, 0.5, pts)
     assert [(e.k, e.q, e.strong, e.parts) for e in asym] == [
-        (0, 4.4929657522725885e-05, 8.31402056703682e-18,
-         {"d_restricted": 3.7513125975918504e-05, "inv_norm": 1.0,
-          "M": 0.3608144056674402, "wedge_sup": 6.938893903907228e-18,
-          "d_sup": 0.361601865270085, "eps": 0.5}),
-        (1, 0.0007197904221143618, 1.5803013808910454e-16,
-         {"d_restricted": 0.00048475922939683597,
-          "inv_norm": 0.9639483323693849, "M": 0.8640506774730764,
-          "wedge_sup": 7.569399196028258e-17, "d_sup": 1.4721739427708733,
+        (0, 6.0130040777036616e-05, 1.7020037304598143e-17,
+         {"d_restricted": 4.910929200684212e-05, "inv_norm": 1.0,
+          "M": 0.4049225994568144, "wedge_sup": 1.3877787807814457e-17,
+          "d_sup": 0.40820350483293555, "eps": 0.5}),
+        (1, 0.0008740462207875494, 1.4142636296792473e-16,
+         {"d_restricted": 0.0005719681376970886,
+          "inv_norm": 0.970873786407767, "M": 0.9072175483869983,
+          "wedge_sup": 6.39898898428197e-17, "d_sup": 1.586108157796253,
           "eps": 0.5})]
     assert [(e.k, e.q, e.strong, e.parts) for e in ext] == [
-        (0, 0.005276534770232777, 0.0037905672259187172,
-         {"restricted": 0.004405538000193672, "inv_norm": 1.0,
-          "M": 0.3608144056674402, "d_sup": 0.361601865270085,
+        (0, 0.006306813209733521, 0.004531856387434233,
+         {"restricted": 0.0051508884335846735, "inv_norm": 1.0,
+          "M": 0.4049225994568144, "d_sup": 0.40820350483293555,
           "eps": 0.5}),
-        (1, 0.0018489444357163909, 1.2614719418446967,
-         {"restricted": 0.0012452136793132272,
-          "inv_norm": 0.9639483323693849, "M": 0.8640506774730764,
-          "d_sup": 1.4721739427708733, "eps": 0.5})]
+        (1, 0.0022386927464784143, 1.406585916213371,
+         {"restricted": 0.0014649807877728641,
+          "inv_norm": 0.970873786407767, "M": 0.9072175483869983,
+          "d_sup": 1.586108157796253, "eps": 0.5})]
 
 
 def test_tangency_parts_pinned_contact():

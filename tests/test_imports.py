@@ -8,8 +8,11 @@ An export that a deletion left dangling is caught as well: every name in
 a module's `__all__` must resolve, and every name the package imports
 from a module with an `__all__` must be listed there.  The same ast scan
 keeps the library off the reference tree walk: only fields.py calls
-`.evaluate(`; and it keeps the PDE certificates off the ODE module:
-pdelab does not import odelab, and ModuliDecl lives in moduli.py.
+`.evaluate(`, and only surface.py calls `compile_rk4_run`; and it keeps
+the PDE certificates off the ODE module: pdelab does not import odelab,
+and ModuliDecl lives in moduli.py.  Every exported name is used, not
+only imported or listed, by the library, the benchmark or the
+acceptance criteria.
 """
 
 import ast
@@ -73,21 +76,53 @@ def test_package_imports_only_listed_exports():
     assert unlisted == []
 
 
-def evaluate_calls(path):
-    """Lines of the calls x.evaluate(...) in a module."""
+ROOT = Path(__file__).resolve().parent.parent
+# the acceptance criteria count as callers; estimate_modulus waits for the
+# declared-moduli audit (ROADMAP item 6) to call it
+USERS = (MODULES + sorted((ROOT / "cfbench").glob("*.py"))
+         + [ROOT / "tests" / "test_acceptance.py"])
+UNUSED_EXPORTS = {("moduli", "estimate_modulus")}
+
+
+def calls_of(path, name):
+    """Lines of the calls name(...) or x.name(...) in a module."""
     tree = ast.parse(path.read_text(), filename=str(path))
     return [node.lineno for node in ast.walk(tree)
             if isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Attribute)
-            and node.func.attr == "evaluate"]
+            and (isinstance(node.func, ast.Attribute)
+                 and node.func.attr == name
+                 or isinstance(node.func, ast.Name) and node.func.id == name)]
 
 
 def test_only_fields_walks_the_tree():
     # the library evaluates through eval_fields and compile_fields;
     # Field.evaluate is fields.py's own reference and constant folder
-    calls = {p.name: evaluate_calls(p) for p in MODULES
+    calls = {p.name: calls_of(p, "evaluate") for p in MODULES
              if p.name != "fields.py"}
     assert {name: lines for name, lines in calls.items() if lines} == {}
+
+
+def test_only_surface_compiles_rk4_runs():
+    # one engine: surface._integrate is the one caller of the generated run
+    calls = {p.name: calls_of(p, "compile_rk4_run") for p in USERS}
+    assert [name for name, lines in calls.items() if lines] == ["surface.py"]
+
+
+def test_every_export_is_used():
+    # a read of the name, as a variable or an attribute; an import or an
+    # __all__ entry is no use
+    used = set()
+    for path in USERS:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    unused = {(p.stem, name) for p in MODULES
+              for name in getattr(importlib.import_module(
+                  f"contfrob.{p.stem}"), "__all__", [])
+              if name not in used}
+    assert unused == UNUSED_EXPORTS
 
 
 def _tree(name):

@@ -11,7 +11,7 @@ from contfrob import presets
 from contfrob.boxes import Box
 from contfrob.errors import EscapeError, EvalDomainError, RangeError
 from contfrob.fields import (ONE, ZERO, Const, Coord, add, compile_fields,
-                             coord, parse_field)
+                             parse_field)
 from contfrob.geometry import Distribution, annihilator_frame
 from contfrob.odelab import _OFFSET
 from contfrob.surface import (MAX_TIME, FlowConfig, _integrate,
@@ -20,7 +20,7 @@ from contfrob.surface import (MAX_TIME, FlowConfig, _integrate,
                               tangency_defect, variational_flow)
 from test_compiled import _EXPRS
 
-x, y, z = coord("x"), coord("y"), coord("z")
+x, y, z = Coord("x"), Coord("y"), Coord("z")
 CFG = FlowConfig(step=1.0e-3)
 
 BOX3 = Box.from_dict({"x": (-0.6, 0.6), "y": (-0.6, 0.6), "z": (-0.6, 0.6)})
@@ -399,21 +399,33 @@ def test_a_time_beyond_max_time_is_not_divided():
     assert run.exit_time[0] == 1e308 and run.error[1] is None
 
 
+@pytest.mark.parametrize("step,count", [(1e-310, "inf"), (1e-12, "1e+12")])
+def test_a_step_count_over_the_cap_is_a_range_error(step, count):
+    # |t|/step overflows at step 1e-310 and is 10^12 at step 1e-12; both
+    # are over MAX_STEPS, a RangeError before any step and with no warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(RangeError, match=(
+                f"^flow time 1.0 of row 0 takes {re.escape(count)} steps of "
+                f"{step}, more than MAX_STEPS = 1000000$")):
+            flow([parse_field("1")], ("x",), [0.0], 1.0, FlowConfig(step))
+
+
 def _counted_runs(monkeypatch):
     """The steps each call of a generated RK4 run reports, in order."""
     import contfrob.surface as surface
     reports = []
 
     def counted(fields, coords, variational=False,
-                _orig=surface.compile_rk4_step):
-        run, buffers = _orig(fields, coords, variational)
+                _orig=surface.compile_rk4_run):
+        run = _orig(fields, coords, variational)
 
         def counting(*args):
-            done, err = run(*args)
+            done, err, out = run(*args)
             reports.append(done)
-            return done, err
-        return counting, buffers
-    monkeypatch.setattr(surface, "compile_rk4_step", counted)
+            return done, err, out
+        return counting
+    monkeypatch.setattr(surface, "compile_rk4_run", counted)
     return reports
 
 
