@@ -239,24 +239,13 @@ class _SplineEvaluator:
         return float(out) if out.ndim == 0 else out
 
 
-def to_spline_field(gf: GridFunction, names, label="spl", box: Box = None):
+def to_spline_field(gf: GridFunction, names, label="spl"):
     """Wrap a grid function as a differentiable field over named coords.
 
     Only the samples inside the valid margin enter the fit: spline
     ringing from boundary garbage would otherwise bleed a few cells into
-    the interior.  box, when given, is the box over the grid's axes that
-    the leaf serves; a fitted region that falls short of it on an axis,
-    beyond the clip tolerance, is a RangeError naming the coordinate and
-    the shortfall.
+    the interior.
     """
     sl = gf.interior_slices()
     ev = _SplineEvaluator([a[s] for a, s in zip(gf.axes, sl)], gf.values[sl])
-    if box is not None:
-        for name, lo, hi, (a, b) in zip(box.names, box.lows, box.highs,
-                                        ev.bounds):
-            short = max(a - lo, hi - b)
-            if short > ev.tol:
-                raise RangeError(f"spline {label} is fitted on {name} in "
-                                 f"[{a:g}, {b:g}], {short:g} short of the "
-                                 f"box's [{lo:g}, {hi:g}]")
     return SplineLeaf(ev, names, label=label)

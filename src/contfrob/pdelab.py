@@ -295,13 +295,25 @@ class MollifiedFamily:
     wedge_sup: float
 
 
-def _smoothed(f, box, pad, eps, h):
+def _smoothed(f, box, pad, eps, h, label):
     """f sampled at spacing at most h on box padded by pad, mollified at
-    eps."""
+    eps and fitted as a spline leaf over box's names.  A fitted region
+    that falls short of box, beyond the spline's clip tolerance, is a
+    RangeError naming the coordinate and the shortfall."""
     padded = box.shrink(-pad)
     n_pts = [int(math.ceil((hi - lo) / h)) + 1
              for lo, hi in zip(padded.lows, padded.highs)]
-    return mollify(grid_from_field(f, padded, n_pts), eps)
+    leaf = to_spline_field(mollify(grid_from_field(f, padded, n_pts), eps),
+                           box.names, label=label)
+    ev = leaf.evaluator
+    for name, lo, hi, (a, b) in zip(box.names, box.lows, box.highs,
+                                    ev.bounds):
+        short = max(a - lo, hi - b)
+        if short > ev.tol:
+            raise RangeError(f"spline {label} is fitted on {name} in "
+                             f"[{a:g}, {b:g}], {short:g} short of the "
+                             f"box's [{lo:g}, {hi:g}]")
+    return leaf
 
 
 def involutive_mollified_frames(sf: SpecialFormSpec, eps_list, pad=None,
@@ -313,16 +325,19 @@ def involutive_mollified_frames(sf: SpecialFormSpec, eps_list, pad=None,
     RangeError, and so is a pad below the largest eps: mollifying leaves a
     margin of eps on every side of the padded grids, and the frame could
     not be evaluated along the domain's faces.  Both are checked before
-    any sampling.  A spline whose fitted region falls short of the domain
-    is a RangeError from to_spline_field: the first fitted sample can lie
-    up to one grid cell beyond eps, and so beyond the pad.  The top wedge
+    any sampling.  The fit starts at the first sample at least eps inside
+    a padded grid, which lies less than one grid cell beyond eps, so the
+    default pad is the largest eps plus one cell at that scale; a spline
+    whose fitted region still falls short of the domain (a pad given
+    below that) is a RangeError from _smoothed.  The top wedge
     eta_1 ^ ... ^ eta_n ^ d eta_l collapses structurally (repeated dy_l
     and alpha_l ^ alpha_l), asserted numerically on a lattice at every
     scale: its sup may not exceed WEDGE_TOL.
     """
     eps_list = [float(e) for e in eps_list]
     _check_eps(eps_list)
-    pad = pad if pad is not None else max(eps_list) * 1.05
+    if pad is None:
+        pad = max(eps_list) * (1.0 + 1.0 / cells_per_radius)
     if pad < max(eps_list):
         raise RangeError(
             f"pad {pad:g} is below eps {max(eps_list):g}: the mollified "
@@ -345,11 +360,9 @@ def involutive_mollified_frames(sf: SpecialFormSpec, eps_list, pad=None,
                 h_smooth.append(SplineLeaf(fitted[f].evaluator, sf.x_names,
                                            label=label))
             else:
-                fitted[f] = to_spline_field(_smoothed(f, x_box, pad, eps, h),
-                                            sf.x_names, label, x_box)
+                fitted[f] = _smoothed(f, x_box, pad, eps, h, label)
                 h_smooth.append(fitted[f])
-        g_smooth = [to_spline_field(_smoothed(f, box, pad, eps, h),
-                                    box.names, f"G{i+1}e", box)
+        g_smooth = [_smoothed(f, box, pad, eps, h, f"G{i+1}e")
                     for i, (f, box) in enumerate(zip(sf.G, y_boxes))]
         coeffs = [[mul(g_smooth[i], h_smooth[i].diff(xn)) for i in range(n)]
                   for xn in sf.x_names]

@@ -727,7 +727,8 @@ def _special_form_trace_inputs():
     from contfrob import presets
     from contfrob.pdelab import involutive_mollified_frames
     sf, pde = presets.pde_example_2()
-    fams = involutive_mollified_frames(sf, [2.0 ** -3, 2.0 ** -4])
+    fams = involutive_mollified_frames(sf, [2.0 ** -3, 2.0 ** -4],
+                                       cells_per_radius=8)
     frames = [fams[0].frame,
               fams[1].frame.scale(parse_field("1 + x1*y2"))]
     return frames, pde.distribution(), sf.domain.lattice(3)
@@ -740,24 +741,24 @@ def test_trace_parts_pinned_two_row_special_form():
     asym = asymptotic_involutivity_trace(frames, [limit] * 2, 0.5, pts)
     ext = exterior_regularity_trace(frames, limit, 0.5, pts)
     assert [(e.k, e.q, e.strong, e.parts) for e in asym] == [
-        (0, 6.0130040777036616e-05, 1.7020037304598143e-17,
-         {"d_restricted": 4.910929200684212e-05, "inv_norm": 1.0,
-          "M": 0.4049225994568144, "wedge_sup": 1.3877787807814457e-17,
-          "d_sup": 0.40820350483293555, "eps": 0.5}),
-        (1, 0.0008740462207875494, 1.4142636296792473e-16,
-         {"d_restricted": 0.0005719681376970886,
-          "inv_norm": 0.970873786407767, "M": 0.9072175483869983,
-          "wedge_sup": 6.39898898428197e-17, "d_sup": 1.586108157796253,
+        (0, 6.018167634774868e-05, 1.2765621906239134e-17,
+         {"d_restricted": 4.914919529135543e-05, "inv_norm": 1.0,
+          "M": 0.4050149048454751, "wedge_sup": 1.0408340855860843e-17,
+          "d_sup": 0.40829655813057025, "eps": 0.5}),
+        (1, 0.0008742752901017923, 1.7209835247275504e-16,
+         {"d_restricted": 0.0005721178015040011,
+          "inv_norm": 0.970873786407767, "M": 0.9072183773486595,
+          "wedge_sup": 7.786767633870738e-17, "d_sup": 1.586110402420285,
           "eps": 0.5})]
     assert [(e.k, e.q, e.strong, e.parts) for e in ext] == [
-        (0, 0.006306813209733521, 0.004531856387434233,
-         {"restricted": 0.0051508884335846735, "inv_norm": 1.0,
-          "M": 0.4049225994568144, "d_sup": 0.40820350483293555,
+        (0, 0.0063086698069088655, 0.004533192168730292,
+         {"restricted": 0.005152166958208045, "inv_norm": 1.0,
+          "M": 0.4050149048454751, "d_sup": 0.40829655813057025,
           "eps": 0.5}),
-        (1, 0.0022386927464784143, 1.406585916213371,
-         {"restricted": 0.0014649807877728641,
-          "inv_norm": 0.970873786407767, "M": 0.9072175483869983,
-          "d_sup": 1.586108157796253, "eps": 0.5})]
+        (1, 0.00223927946128338, 1.4065874642246625,
+         {"restricted": 0.001465364121400879,
+          "inv_norm": 0.970873786407767, "M": 0.9072183773486595,
+          "d_sup": 1.586110402420285, "eps": 0.5})]
 
 
 def test_tangency_parts_pinned_contact():

@@ -12,7 +12,9 @@ keeps the library off the reference tree walk: only fields.py calls
 the PDE certificates off the ODE module: pdelab does not import odelab,
 and ModuliDecl lives in moduli.py.  Every exported name is used, not
 only imported or listed, by the library, the benchmark or the
-acceptance criteria.
+acceptance criteria; a use counts for the module the name was imported
+from (or, in the library, the module that defines it), so np.exp is no
+use of fields.exp.
 """
 
 import ast
@@ -108,20 +110,64 @@ def test_only_surface_compiles_rk4_runs():
     assert [name for name, lines in calls.items() if lines] == ["surface.py"]
 
 
+def contfrob_bindings(path, tree):
+    """Local name -> dotted contfrob path it is bound to by the module's
+    imports; in a library module its own exports are bound as well."""
+    bound = {}
+    if path.parent == MODULES[0].parent:
+        module = importlib.import_module(f"contfrob.{path.stem}")
+        bound = {name: f"contfrob.{path.stem}.{name}"
+                 for name in getattr(module, "__all__", [])}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] == "contfrob":
+                    bound[alias.asname or "contfrob"] = (
+                        alias.name if alias.asname else "contfrob")
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            if node.level:  # relative: inside the package
+                base = "contfrob" + (f".{base}" if base else "")
+            if base.split(".")[0] == "contfrob":
+                for alias in node.names:
+                    bound[alias.asname or alias.name] = f"{base}.{alias.name}"
+    return bound
+
+
+def export_uses(path):
+    """(module, name) of each read of a contfrob export in a file: a bare
+    name imported from that module, or name as an attribute of a name
+    bound to it.  An import or an __all__ entry is no use, and neither is
+    np.exp for fields.exp."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    bound = contfrob_bindings(path, tree)
+    listed = {p.stem: getattr(importlib.import_module(f"contfrob.{p.stem}"),
+                              "__all__", []) for p in MODULES}
+    uses = set()
+    for node in ast.walk(tree):
+        parts = []
+        while isinstance(node, ast.Attribute):
+            parts.insert(0, node.attr)
+            node = node.value
+        if not (isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+                and node.id in bound):
+            continue
+        dotted = bound[node.id].split(".")[1:] + parts
+        if len(dotted) >= 2 and dotted[1] in listed.get(dotted[0], []):
+            uses.add((dotted[0], dotted[1]))
+        elif dotted:  # a package-level re-export
+            uses |= {(m, dotted[0]) for m, names in listed.items()
+                     if dotted[0] in names}
+    return uses
+
+
 def test_every_export_is_used():
-    # a read of the name, as a variable or an attribute; an import or an
-    # __all__ entry is no use
-    used = set()
-    for path in USERS:
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                used.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                used.add(node.attr)
+    # each use is keyed by the module that exports the name
+    used = set().union(*(export_uses(path) for path in USERS))
     unused = {(p.stem, name) for p in MODULES
               for name in getattr(importlib.import_module(
                   f"contfrob.{p.stem}"), "__all__", [])
-              if name not in used}
+              if (p.stem, name) not in used}
     assert unused == UNUSED_EXPORTS
 
 

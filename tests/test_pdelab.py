@@ -332,12 +332,26 @@ def test_mollified_frames_at_pad_eps_evaluate_on_their_domain():
     assert np.all(np.isfinite(fam.frame.matrix_at(sf.domain.lattice(3))))
 
 
+@pytest.mark.parametrize("eps", [2.0 ** -3, 2.0 ** -4, 0.1])
+@pytest.mark.parametrize("cells_per_radius", [8, 9, 10, 11, 12, 16])
+def test_mollified_frames_default_pad_covers_the_domain(eps,
+                                                        cells_per_radius):
+    # the fit starts up to one grid cell beyond eps into the padded grids,
+    # so a pad of 1.05 eps fell short of the faces unless the padded width
+    # was a whole number of cells; the default pad is eps plus one cell
+    sf, _ = pde_example_2()
+    fam = involutive_mollified_frames(sf, [eps], check_res=3,
+                                      cells_per_radius=cells_per_radius)[0]
+    assert np.all(np.isfinite(fam.frame.matrix_at(sf.domain.lattice(3))))
+
+
 def test_mollified_frames_with_a_short_spline_are_range_errors():
-    # at eps 1/8 and 8 cells per radius the first fitted x sample lies
-    # 0.0088 inside x1's lower face, beyond the default pad 1.05 eps, so
-    # the frame could not be evaluated on its own domain
+    # at eps 1/8, 8 cells per radius and a pad of 1.05 eps the first
+    # fitted x sample lies 0.0088 inside x1's lower face, so the frame
+    # could not be evaluated on its own domain
     sf, _ = pde_example_2()
     with pytest.raises(RangeError, match=r"^spline H1e is fitted on x1 in "
                        r"\[0\.208801, 0\.691199\], 0\.00880102 short of the "
                        r"box's \[0\.2, 0\.7\]$"):
-        involutive_mollified_frames(sf, [1 / 8], cells_per_radius=8)
+        involutive_mollified_frames(sf, [1 / 8], pad=1.05 / 8,
+                                    cells_per_radius=8)
