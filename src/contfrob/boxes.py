@@ -94,6 +94,25 @@ class GraphForm:
                              f"{self.coords}, got one over "
                              f"{self.domain.names}")
 
+    def check_point(self, point):
+        """point as a float array (d,), checked to hold one finite value
+        per coordinate within 1e-12 of the domain box: RangeError naming
+        the first coordinate that does not."""
+        p = np.asarray(point, dtype=float)
+        d = len(self.coords)
+        if p.ndim != 1:
+            raise RangeError(f"a point over {self.coords} must have shape "
+                             f"({d},), got {p.shape}")
+        if len(p) != d:
+            raise RangeError(f"points over {self.coords} need {d} "
+                             f"coordinates, got {len(p)}")
+        for name, v, lo, hi in zip(self.coords, p, self.domain.lows,
+                                   self.domain.highs):
+            if not (np.isfinite(v) and lo - 1e-12 <= v <= hi + 1e-12):
+                raise RangeError(f"{name} must be finite and lie in the "
+                                 f"domain's [{lo}, {hi}], got {v}")
+        return p
+
 
 def env_of(names, points):
     """Environment for a point array under an explicit name order."""

@@ -55,12 +55,11 @@ __all__ = [
 
 @dataclass
 class DiffeoSpec:
-    """Expression-backed diffeomorphism, optionally torus-periodic."""
+    """Expression-backed diffeomorphism of the torus; points wrap mod 1."""
 
     coords: tuple
     forward: list       # fields for phi
     inverse: list       # fields for phi^{-1}
-    torus: bool = True
 
     def __post_init__(self):
         self.coords = tuple(self.coords)
@@ -78,30 +77,23 @@ class DiffeoSpec:
 
     def inverted(self):
         """The inverse map as a DiffeoSpec (pullback under it = pushforward)."""
-        return DiffeoSpec(self.coords, self.inverse, self.forward, self.torus)
+        return DiffeoSpec(self.coords, self.inverse, self.forward)
 
-    def _wrap(self, pts):
-        return np.mod(pts, 1.0) if self.torus else pts
-
-    def apply(self, pts, k=1):
-        """phi^k pointwise; negative k uses the inverse map."""
-        pts = np.atleast_2d(np.asarray(pts, dtype=float)).copy()
-        fields = self.forward if k >= 0 else self.inverse
-        for _ in range(abs(k)):
-            pts = self._wrap(eval_fields(fields, self.coords, pts))
-        return pts
+    def apply(self, pts):
+        """phi pointwise: one forward step, (N, d)."""
+        pts = np.atleast_2d(np.asarray(pts, dtype=float))
+        return np.mod(eval_fields(self.forward, self.coords, pts), 1.0)
 
     def jacobian(self, pts):
         """(N, d, d) jacobians of phi at the points."""
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        return eval_fields(self._jac_fwd, self.coords, self._wrap(pts))
+        return eval_fields(self._jac_fwd, self.coords, np.mod(pts, 1.0))
 
     def orbit(self, pts, k):
         """[p, phi(p), ..., phi^k(p)]: shape (k+1, N, d)."""
-        pts = self._wrap(np.atleast_2d(np.asarray(pts, dtype=float)))
-        out = [pts]
+        out = [np.mod(np.atleast_2d(np.asarray(pts, dtype=float)), 1.0)]
         for _ in range(k):
-            out.append(self.apply(out[-1], 1))
+            out.append(self.apply(out[-1]))
         return np.stack(out)
 
 
@@ -269,27 +261,31 @@ class SplittingReport:
 
 
 def domination_report(phi: DiffeoSpec, e0_bases, f_samples, k_max, points,
-                      eps_list=(0.1, 0.5, 1.0),
-                      y_indices=None) -> SplittingReport:
+                      eps_list=(0.1, 0.5, 1.0)) -> SplittingReport:
     """Domination, linear-growth fit, and decay quantities up to k_max.
 
     e0_bases seeds the pulled-back family E_k; f_samples is the sampled
     complementary bundle (fixed per point).  The decay quantity per step
-    is ||Dphi^k|_{E_k}||^2 / m(Dphi^k|_F) * e^{eps ||Dphi^k|_{E_k}||}.
-    When y_indices names the vertical coordinate axes, vertical_C is the
-    empirical minimum of |Dphi^k v| / m(Dphi^k|_F) over unit vertical v,
-    the fitted value of the existential comparison constant.
+    is ||Dphi^k|_{E_k}||^2 / m(Dphi^k|_F) * e^{eps ||Dphi^k|_{E_k}||}
+    for each eps of eps_list, each nonnegative and finite.  vertical_C
+    is nan here; the splitting pipeline fits it.
     """
     report, _ = _domination(Cocycle(phi, points, k_max), e0_bases, f_samples,
-                            eps_list, y_indices)
+                            eps_list, None)
     return report
 
 
 def _domination(cc: Cocycle, e0_bases, f_samples, eps_list, y_indices):
     """domination_report over a built cocycle; also returns the E_k bases
-    as one (k_max, N, d, r) stack."""
+    as one (k_max, N, d, r) stack.  When y_indices names the vertical
+    coordinate axes, vertical_C is the empirical minimum of
+    |Dphi^k v| / m(Dphi^k|_F) over unit vertical v, the fitted value of
+    the existential comparison constant."""
     if cc.k_max < 1:
         raise StepCountError(f"domination needs k_max >= 1, got {cc.k_max}")
+    for eps in eps_list:
+        if not 0.0 <= eps < math.inf:
+            raise RangeError(f"eps must be nonnegative and finite, got {eps}")
     points, dim = cc.points, cc.phi.dim
     f_bases = f_samples.bases if isinstance(f_samples, PlaneFieldSamples) \
         else np.broadcast_to(np.asarray(f_samples, dtype=float),
@@ -341,15 +337,17 @@ def _domination(cc: Cocycle, e0_bases, f_samples, eps_list, y_indices):
 
 def splitting_involutivity_pipeline(phi: DiffeoSpec, e0_bases,
                                     base_frame: FrameSection, f_samples,
-                                    k_max, eps, points, limit=None, *,
+                                    k_max, eps, points, limit, *,
                                     n_dirs=None, seed=None):
     """Assemble pullback frames and transported fields, run both traces.
 
     Requires domination on the lattice; returns (report, asymptotic
-    trace, exterior-regularity trace) where the regularity trace needs a
-    limit plane field (samples) to restrict against.  The k_max frames
-    are evaluated once, as one stack, and both traces read it.  n_dirs
-    and seed are ignored, as in geometry.involutivity_constant.
+    trace, exterior-regularity trace), the traces None when it fails.
+    The regularity trace restricts against limit, the (N, d, r) limit
+    bases, and vertical_C is fitted over the base frame's y_indices.
+    The k_max frames are evaluated once, as one stack, and both traces
+    read it.  n_dirs and seed are ignored, as in
+    geometry.involutivity_constant.
     """
     cc = Cocycle(phi, points, k_max)
     report, dists = _domination(cc, e0_bases, f_samples, (eps,),
@@ -358,11 +356,7 @@ def splitting_involutivity_pipeline(phi: DiffeoSpec, e0_bases,
         return report, None, None
     values = cc.pullback_values(base_frame, range(1, k_max + 1))
     asym = asymptotic_involutivity_trace(values, dists, eps, cc.points)
-    ext = None
-    if limit is not None:
-        lim_bases = limit.bases if isinstance(limit, PlaneFieldSamples) \
-            else limit
-        ext = exterior_regularity_trace(values, lim_bases, eps, cc.points)
+    ext = exterior_regularity_trace(values, limit, eps, cc.points)
     return report, asym, ext
 
 

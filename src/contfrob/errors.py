@@ -42,10 +42,10 @@ class TransversalityError(ContfrobError):
 class EscapeError(ContfrobError):
     """Trajectory left the domain box before the requested time."""
 
-    def __init__(self, message, exit_time=None, node=None):
+    def __init__(self, message, exit_time=None):
         super().__init__(message)
         self.exit_time = exit_time
-        self.node = node
+        self.node = None
 
 
 class ConeError(ContfrobError):

@@ -583,15 +583,13 @@ _COMPILED = OrderedDict()  # key -> (function, finalizers), LRU first
 _CHAIN = 16  # operands per generated line of a long sum, product or mask
 
 
-def compile_fields(fields, coords, jacobian=False):
+def compile_fields(fields, coords):
     """One numpy function evaluating a field list at points.
 
     fields is a list of fields or a list of equal-length lists (struct
     shape (k,) or (r, c)); the function maps points (..., d), one column
     per name of coords, to values (..., *struct), bit for bit what
-    Field.evaluate gives.  With jacobian=True it returns the pair
-    (values, jac), jac of shape (..., *struct, d) holding the partials
-    along coords, computed in the same pass.
+    Field.evaluate gives.
 
     The source is generated once and passed through compile(): each
     distinct _key becomes one statement in evaluation order, so a shared
@@ -615,9 +613,9 @@ def compile_fields(fields, coords, jacobian=False):
     """
     flat, struct = _flatten(fields)
     coords = tuple(coords)
-    key = (tuple(map(id, flat)), struct, coords, jacobian)
-    return _cached(key) or _store(key, flat, _Source(coords).function(
-        _outputs(flat, struct, coords, jacobian)))
+    key = (tuple(map(id, flat)), struct, coords)
+    return _cached(key) or _store(key, flat,
+                                  _Source(coords).function(flat, struct))
 
 
 def compile_rk4_run(fields, coords, variational=False):
@@ -640,9 +638,10 @@ def compile_rk4_run(fields, coords, variational=False):
     scratch; h, half = 0.5*h and sixth = h/6.0 broadcast to the state's
     width; and with bounds, lo and hi broadcast to (n, d) and the mask
     of the box test.  The four stages are written inline: each reads its
-    point's columns, runs the statements compile_fields(fields, coords,
-    variational) would, and writes the velocity columns; the carried
-    part is matmul(J, Y) into the buffer's Y columns.  The stage points
+    point's columns, runs the statements compile_fields would for the
+    fields (and, with variational, their partials along coords), and
+    writes the velocity columns; the carried part is matmul(J, Y) into
+    the buffer's Y columns.  The stage points
     are z + half*k1, z + half*k2 and z + h*k3 and the new state is
     z + sixth*(((k1 + 2.0*k2) + 2.0*k3) + k4), each operation a ufunc
     with out=, in that order, the operations of an RK4 step on x and on
@@ -653,13 +652,15 @@ def compile_rk4_run(fields, coords, variational=False):
 
     The run is cached like compile_fields' functions, under the same
     field identities with a step tag, and is compiled only when a flow
-    asks for it.
+    asks for it; the partials are taken only then, so a cached run costs
+    no symbolic derivative.
     """
     flat, struct = _flatten(fields)
     coords = tuple(coords)
     key = (tuple(map(id, flat)), struct, coords, "rk4", variational)
     return _cached(key) or _store(key, flat, _Source(coords).rk4_run(
-        _outputs(flat, struct, coords, variational)))
+        [flat] + ([[f.diff(c) for f in flat for c in coords]] if variational
+                  else [])))
 
 
 def eval_fields(fields, coords, points):
@@ -673,16 +674,6 @@ def eval_fields(fields, coords, points):
         raise RangeError(f"points over {tuple(coords)} need {len(coords)} "
                          f"coordinates, got {points.shape[-1]}")
     return compile_fields(fields, coords)(points)
-
-
-def _outputs(flat, struct, coords, jacobian):
-    """The lists a compiled function computes: the fields, then with
-    jacobian their partials along coords."""
-    outputs = [(flat, struct)]
-    if jacobian:
-        outputs.append(([f.diff(c) for f in flat for c in coords],
-                        struct + (len(coords),)))
-    return outputs
 
 
 def _cached(key):
@@ -867,8 +858,8 @@ class _Source:
         return self.bind(np.array([self.known.get(op, 0.0) for op in ops])
                          .reshape(shape), "_t")
 
-    def function(self, outputs):
-        cols = [[self.operand(f) for f in flat] for flat, _ in outputs]
+    def function(self, flat, struct):
+        ops = [self.operand(f) for f in flat]
         lines = ["def compiled(points):",
                  "    p = _asarray(points, dtype=float)",
                  "    lead = p.shape[:-1]",
@@ -877,27 +868,25 @@ class _Source:
         lines += [f"    {name} = p[:, {i}]"
                   for i, name in sorted(self.loads.items())]
         lines += self.statements()
-        results = []
-        for k, ((_, struct), ops) in enumerate(zip(outputs, cols)):
-            lines.append(f"    o{k} = _empty((n, {len(ops)}))")
-            row = self.constants(ops, len(ops))
-            if row is not None:
-                lines.append(f"    o{k}[:] = {row}")
-            lines += [f"    o{k}[:, {j}] = {op}" for j, op in enumerate(ops)
-                      if op not in self.known]
-            results.append(f"o{k}.reshape(lead + {struct!r})")
-        lines.append(f"    return {', '.join(results)}")
+        lines.append(f"    out = _empty((n, {len(ops)}))")
+        row = self.constants(ops, len(ops))
+        if row is not None:
+            lines.append(f"    out[:] = {row}")
+        lines += [f"    out[:, {j}] = {op}" for j, op in enumerate(ops)
+                  if op not in self.known]
+        lines.append(f"    return out.reshape(lead + {struct!r})")
         return self.define(lines, "compiled")
 
     def rk4_run(self, outputs):
-        """compile_rk4_run's run: its scratch allocated once per call, then
-        the fields' statements once per stage, over z in stage 1 and the
-        stage point za after it.  Every view the loop reads or writes is
-        taken once per call."""
+        """compile_rk4_run's run over the field list outputs[0] and, when
+        given, its partials outputs[1]: its scratch allocated once per
+        call, then the statements once per stage, over z in stage 1 and
+        the stage point za after it.  Every view the loop reads or writes
+        is taken once per call."""
         d = len(self.coords)
         variational = len(outputs) == 2
         width = d * len(outputs)
-        cols = [[self.operand(f) for f in flat] for flat, _ in outputs]
+        cols = [[self.operand(f) for f in flat] for flat in outputs]
         velocity = self.constants(cols[0], d)
         lines = ["def run(z, steps, step, bounds):", "    n = len(z)"]
         for k in ("k1", "k2", "k3", "k4"):

@@ -102,8 +102,8 @@ class LogLip(Modulus):
 
 @dataclass(frozen=True)
 class SumModulus(Modulus):
-    a: Modulus = None
-    b: Modulus = None
+    a: Modulus
+    b: Modulus
 
     @property
     def domain_cap(self):
@@ -115,8 +115,8 @@ class SumModulus(Modulus):
 
 @dataclass(frozen=True)
 class ScaleModulus(Modulus):
-    c: float = 1.0
-    w: Modulus = None
+    c: float
+    w: Modulus
 
     def __post_init__(self):
         if self.c <= 0.0:
@@ -132,8 +132,8 @@ class ScaleModulus(Modulus):
 
 @dataclass(frozen=True)
 class MaxModulus(Modulus):
-    a: Modulus = None
-    b: Modulus = None
+    a: Modulus
+    b: Modulus
 
     @property
     def domain_cap(self):
@@ -220,6 +220,8 @@ def osgood_check(w, eps=None, depth=40):
         raise RangeError(f"depth must be >= 8, got {depth}")
     if eps is None:
         eps = min(w.domain_cap, _E_CAP)
+    if not 0.0 < eps < math.inf:
+        raise RangeError(f"eps must be positive and finite, got {eps}")
     if eps > w.domain_cap:
         raise EvalDomainError("eps beyond the modulus domain cap")
 

@@ -152,7 +152,8 @@ class MollifyReport:
     bound_rhs: dict = field(default_factory=dict)
     fitted_K: float = np.nan
 
-    def ok(self, tol=1e-12):
+    def ok(self):
+        tol = 1e-12
         if self.sup_dist > self.bound_rhs["dist"] + tol:
             return False
         return all(d <= b + tol for d, b in

@@ -90,7 +90,7 @@ def theorem1_check(spec: OdeSpec, xi) -> Theorem1Certificate:
     largest index, i.e. toward the state variables); w2 is the declared
     modulus with respect to every variable except the chosen one.
     """
-    values = eval_fields(extend(spec), spec.coords, xi)
+    values = eval_fields(extend(spec), spec.coords, spec.check_point(xi))
     # never all False: the first component of the extended field is 1
     nz = np.abs(values) > NONZERO_THRESHOLD
     best = np.max(np.abs(values[nz]))
@@ -141,7 +141,7 @@ def funnel(spec: OdeSpec, xi0, T, delta_list, ensemble=8,
     if not (len(delta_list) >= 2 and delta_list[0] > delta_list[-1]):
         raise RangeError(f"deltas must hold at least two distinct values, "
                          f"got {delta_list}")
-    xi0 = np.asarray(xi0, dtype=float)
+    xi0 = spec.check_point(xi0)
     rng = np.random.default_rng(seed)
     dirs = rng.standard_normal((ensemble, spec.n))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)

@@ -112,7 +112,8 @@ class Theorem2Certificate:
 def theorem2_check(spec: PdeSpec, xi, I) -> Theorem2Certificate:
     """Uniqueness certificate from an invertible column choice of [I_n | F]."""
     _, det = submatrix_det(hat_matrix(spec), I)
-    det_val = float(eval_fields([det], spec.coords, xi)[0])
+    det_val = float(eval_fields([det], spec.coords,
+                                spec.check_point(xi))[0])
     if abs(det_val) <= NONZERO_THRESHOLD:
         return Theorem2Certificate(tuple(I), det_val, None, None, None)
     columns = spec.y_names + spec.x_names

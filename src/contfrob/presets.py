@@ -156,7 +156,7 @@ def cat_map() -> DiffeoSpec:
     """Hyperbolic toral automorphism [[2, 1], [1, 1]]."""
     fwd = [parse_field("2*x1 + x2"), parse_field("x1 + x2")]
     inv = [parse_field("x1 - x2"), parse_field("-x1 + 2*x2")]
-    return DiffeoSpec(("x1", "x2"), fwd, inv, torus=True)
+    return DiffeoSpec(("x1", "x2"), fwd, inv)
 
 
 def cat_eigenvalues():
@@ -183,7 +183,7 @@ def skew_product(tau_amp=0.1) -> DiffeoSpec:
            parse_field(f"x3 + {tau_amp}*sin(2*{math.pi}*x1)")]
     inv = [parse_field("x1 - x2"), parse_field("-x1 + 2*x2"),
            parse_field(f"x3 - {tau_amp}*sin(2*{math.pi}*(x1 - x2))")]
-    return DiffeoSpec(("x1", "x2", "x3"), fwd, inv, torus=True)
+    return DiffeoSpec(("x1", "x2", "x3"), fwd, inv)
 
 
 def skew_center_stable_bases():

@@ -52,8 +52,8 @@ from .errors import EscapeError, EvalDomainError, RangeError
 from .fields import compile_rk4_run, eval_fields
 from .report import cells, csv_text
 from .geometry import (Distribution, FrameSection, annihilator_frame,
-                       bound_parts, evaluate_frame, involutivity_constant,
-                       max_principal_angle, orthonormalize, scaled_exp)
+                       bound_parts, evaluate_frame, max_principal_angle,
+                       orthonormalize, scaled_exp)
 
 __all__ = [
     "FlowConfig", "SurfacePatch", "flow", "variational_flow", "build_surface",
@@ -368,10 +368,10 @@ class PushforwardCheck:
 
 
 def pushforward_bound_check(dist: Distribution, frame: FrameSection, x0,
-                            times, Y0, cfg: FlowConfig, m_const=None,
-                            sup_res=17):
+                            times, Y0, cfg: FlowConfig, m_const):
     """Composed variational flow of a vertical vector against its bound,
-    passed when lhs <= rhs * (1 + 1e-3).
+    passed when lhs <= rhs * (1 + 1e-3); m_const is the mixing constant
+    M_A of the bound, such as geometry.involutivity_constant gives.
 
     One check takes x0 (d,), times (m,) and Y0 (d,) and returns a
     PushforwardCheck.  A batch takes x0 (N, d), times (N, m) and Y0
@@ -394,10 +394,6 @@ def pushforward_bound_check(dist: Distribution, frame: FrameSection, x0,
             raise RangeError(f"{name} must have shape {want}, got "
                              f"{value.shape}")
     x0, times, Y0 = np.atleast_2d(x0), np.atleast_2d(times), np.atleast_2d(Y0)
-    if m_const is None:
-        pts = dist.domain.lattice(sup_res)
-        bases = dist.orthonormal_bases_at(pts)
-        m_const = involutivity_constant(frame, bases, pts).value
     fields = dist.spanning_fields()
     x, Y = x0, Y0
     for i in range(dist.m):
@@ -481,16 +477,13 @@ def converge_surfaces(patches, limit_dist: Distribution):
                               "final_angle": final_angle})
 
 
-def patch_to_csv(patch: SurfacePatch, report: TangencyReport = None):
+def patch_to_csv(patch: SurfacePatch, report: TangencyReport):
     meta = [("m", patch.m), ("eps1", float(patch.eps1)),
-            ("order", cells(patch.order))]
-    header = [f"t{i+1}" for i in range(patch.m)] + list(patch.coords)
-    if report is not None:
-        meta += [("rhs", float(report.rhs)), ("fd_tol", float(report.fd_tol))]
-        header += [f"defect{i+1}" for i in range(patch.m)]
+            ("order", cells(patch.order)), ("rhs", float(report.rhs)),
+            ("fd_tol", float(report.fd_tol))]
+    header = ([f"t{i+1}" for i in range(patch.m)] + list(patch.coords)
+              + [f"defect{i+1}" for i in range(patch.m)])
     columns = [np.stack(np.meshgrid(*patch.param_axes, indexing="ij"), -1),
-               patch.points]
-    if report is not None:
-        columns.append(np.moveaxis(report.defects, 0, -1))
+               patch.points, np.moveaxis(report.defects, 0, -1)]
     rows = np.concatenate(columns, -1).reshape(-1, len(header)).tolist()
     return csv_text(meta, header, rows)

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from contfrob.boxes import Box, GraphForm
@@ -40,7 +42,30 @@ def test_graph_forms_reject_a_domain_over_other_names(make):
     assert isinstance(spec, GraphForm)
     assert (spec.m, spec.n, spec.coords) == (1, 1, ("x", "y"))
     # m, n, coords and the domain check live on the base only
-    assert not {"m", "n", "coords", "_check_domain"} & set(vars(type(spec)))
+    assert not {"m", "n", "coords", "_check_domain", "check_point"} & \
+        set(vars(type(spec)))
     with pytest.raises(RangeError, match=r"needs a domain box over "
                        r"\('x', 'y'\), got one over \('a', 'b'\)$"):
         make(Box.from_dict({"a": (0.0, 1.0), "b": (0.1, 1.0)}))
+
+
+@pytest.mark.parametrize("make", _GRAPH_FORMS.values(), ids=_GRAPH_FORMS)
+def test_graph_forms_check_a_point_against_their_domain(make):
+    spec = make(Box.from_dict({"x": (0.0, 1.0), "y": (0.1, 1.0)}))
+    edge = [1.0 + 1e-13, 0.1 - 1e-13]  # within the 1e-12 slack
+    assert spec.check_point(edge).tolist() == edge
+    for point, name, value in (([1.0 + 1e-11, 0.5], "x", "1.00000000001"),
+                               ([0.5, 0.0], "y", "0.0"),
+                               ([math.inf, 0.5], "x", "inf"),
+                               ([0.5, math.nan], "y", "nan")):
+        low = {"x": 0.0, "y": 0.1}[name]
+        with pytest.raises(RangeError, match=rf"^{name} must be finite and "
+                           rf"lie in the domain's \[{low}, 1\.0\], got "
+                           rf"{value}$"):
+            spec.check_point(point)
+    with pytest.raises(RangeError, match=r"^points over \('x', 'y'\) need 2 "
+                       r"coordinates, got 3$"):
+        spec.check_point([0.5] * 3)
+    with pytest.raises(RangeError, match=r"must have shape \(2,\), got "
+                       r"\(1, 2\)$"):
+        spec.check_point([[0.5, 0.5]])

@@ -314,6 +314,41 @@ def test_out_of_range_value_exits_1(tmp_path, capsys, args, key):
     assert not any(tmp_path.iterdir())
 
 
+_PEANO = ["--example", "peano", "--point"]
+
+
+@pytest.mark.parametrize("args,message", [
+    (["ode", "check", *_PEANO, "5,5"], "t must be finite and lie in the "
+     "domain's [0.0, 1.1], got 5.0"),
+    (["ode", "check", *_PEANO, "0.5,0.7"], "y must be finite and lie in the "
+     "domain's [-0.6, 0.6], got 0.7"),
+    (["ode", "check", *_PEANO, "inf,0"], "t must be finite and lie in the "
+     "domain's [0.0, 1.1], got inf"),
+    (["ode", "funnel", *_PEANO, "nan,0"], "t must be finite and lie in the "
+     "domain's [0.0, 1.1], got nan"),
+    (["pde", "check", "--point", "9,9,9,9"], "x1 must be finite and lie in "
+     "the domain's [0.2, 0.7], got 9.0"),
+    (["pde", "check", "--point", "nan,0.25,0.5,0.5"], "x1 must be finite "
+     "and lie in the domain's [0.2, 0.7], got nan"),
+    *[(["moduli", "check", "--w", "hoelder(alpha=0.5)", "--eps", eps],
+       f"eps must be positive and finite, got {eps}")
+      for eps in ("nan", "0.0", "-1.0", "inf")],
+    (["dyn", "traces", "--eps", "-1"], "eps must be nonnegative and finite, "
+     "got -1.0"),
+    (["dyn", "traces", "--eps", "nan"], "eps must be nonnegative and finite, "
+     "got nan"),
+    (["dyn", "dominate", "--eps-sweep", "0.1,nan"], "eps must be "
+     "nonnegative and finite, got nan"),
+])
+def test_value_a_check_cannot_take_is_range_error(tmp_path, capsys, args,
+                                                  message):
+    # a verdict at a point outside the domain, or for an eps the
+    # criterion does not take, would mean nothing: no report is written
+    assert main(args + ["--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == f"error [RangeError]: {message}\n"
+    assert not any(tmp_path.iterdir())
+
+
 def test_malformed_number_is_parse_error(tmp_path, capsys):
     args = ["mollify", "verify", "--expr", "x*1.2.3", "--out", str(tmp_path)]
     assert main(args) == 1

@@ -15,8 +15,8 @@ from contfrob import presets
 from contfrob.boxes import Box, env_of
 from contfrob.errors import EvalDomainError
 from contfrob.fields import (ONE, ZERO, Const, Coord, SplineLeaf,
-                             compile_fields, eval_fields, exp, log,
-                             parse_field, sin)
+                             compile_fields, compile_rk4_run, eval_fields,
+                             exp, log, parse_field, sin)
 from contfrob.geometry import annihilator_frame, evaluate_frame
 from contfrob.odelab import extend, funnel, funnel_to_csv
 from contfrob.pdelab import (SpecialFormSpec, hat_matrix,
@@ -49,24 +49,22 @@ def outcome(run):
     return value, {str(w.message) for w in caught}
 
 
+def with_partials(flat, coords):
+    """The fields followed by their partials along coords, field-major:
+    the list the variational RK4 run evaluates in each stage."""
+    return list(flat) + [f.diff(c) for f in flat for c in coords]
+
+
 def assert_matches(flat, coords, pts, jacobian=False):
     """The compiled list gives the reference's bits or its error text, and
-    on a batch the same warnings."""
+    on a batch the same warnings; with jacobian the list is
+    with_partials(flat, coords)."""
     coords = tuple(coords)
-    outs = [flat]
     if jacobian:
-        outs.append([f.diff(c) for f in flat for c in coords])
-    fn = compile_fields(flat, coords, jacobian=jacobian)
-
-    def compiled():
-        vals = fn(pts)
-        return np.concatenate([v.reshape(v.shape[:np.ndim(pts) - 1] + (-1,))
-                               for v in (vals if jacobian else [vals])],
-                              axis=-1)
-
-    got, got_warn = outcome(compiled)
-    want, want_warn = outcome(lambda: np.concatenate(
-        [reference(o, coords, pts) for o in outs], axis=-1))
+        flat = with_partials(flat, coords)
+    fn = compile_fields(flat, coords)
+    got, got_warn = outcome(lambda: fn(pts))
+    want, want_warn = outcome(lambda: reference(flat, coords, pts))
     assert got == want
     if np.ndim(pts) == 2:
         assert got_warn == want_warn
@@ -159,12 +157,12 @@ def test_generated_expressions_match_reference(texts, pts):
         assume(False)  # a constant folded to a domain error while parsing
     assert_matches(flat, XY, pts)
     try:
-        [f.diff(c) for f in flat for c in XY]
+        partials = with_partials(flat, XY)
     except EvalDomainError as err:  # d(c^x) folds log(c) for a constant c
         with pytest.raises(EvalDomainError, match=str(err)):
-            compile_fields(flat, XY, jacobian=True)
+            compile_rk4_run(flat, XY, True)
         return
-    assert_matches(flat, XY, pts, jacobian=True)
+    assert_matches(partials, XY, pts)
 
 
 # ---------------------------------------------------------------------------
@@ -240,7 +238,7 @@ def test_shared_subexpression_is_evaluated_once():
     assert ev.calls == 1 + len(flat)  # the walk: once per field
     assert got.tobytes() == want.tobytes()
     ev.calls = 0
-    compile_fields(flat, XY, jacobian=True)(pts)
+    compile_fields(with_partials(flat, XY), XY)(pts)
     assert ev.calls == 2  # the leaf and its x-derivative
 
 
@@ -348,7 +346,7 @@ def test_eval_fields_compiles_once_per_list(monkeypatch):
 def test_entries_go_with_their_fields():
     ev = _CountingSpline()
     flat = [SplineLeaf(ev, ("x",)) * y, y]
-    key = (tuple(map(id, flat)), (2,), XY, False)
+    key = (tuple(map(id, flat)), (2,), XY)
     compile_fields(flat, XY)(np.array([[0.5, 2.0]]))
     finalizers = fl._COMPILED[key][1]
     assert len(finalizers) == 2

@@ -130,10 +130,15 @@ def test_cat_map_decay_quantity():
 def test_vertical_comparison_constant():
     phi = cat_map()
     pts = torus_lattice(2, res=3)
-    rep = domination_report(phi, cat_contracting_direction()[:, None],
-                            cat_expanding_direction()[:, None], 10, pts,
-                            y_indices=[1])
-    # fitted constant of |Dphi^k v| >= C m(Dphi^k|_F) for vertical v:
+    base = constant_annihilator_frame(np.array([[0.0, 1.0]]),
+                                      ("x1", "x2"), ("x2",))
+    lim = np.broadcast_to(cat_contracting_direction()[:, None],
+                          (len(pts), 2, 1))
+    rep, _, _ = splitting_involutivity_pipeline(
+        phi, cat_contracting_direction()[:, None], base,
+        cat_expanding_direction()[:, None], 10, 1.0, pts, lim)
+    # the pipeline fits the constant of |Dphi^k v| >= C m(Dphi^k|_F) for
+    # v on the base frame's vertical axis x2:
     # positive (the axis is transverse to the contracting direction)
     # and at most 1 (it cannot beat the conorm of the full expansion)
     assert 0.0 < rep.vertical_C <= 1.0 + 1e-12
@@ -143,7 +148,7 @@ def test_vertical_comparison_constant():
 def test_identity_map_not_dominated():
     ident = DiffeoSpec(("x1", "x2"),
                        [parse_field("x1"), parse_field("x2")],
-                       [parse_field("x1"), parse_field("x2")], torus=True)
+                       [parse_field("x1"), parse_field("x2")])
     pts = torus_lattice(2, res=3)
     rep = domination_report(ident, np.array([[1.0], [0.0]]),
                             np.array([[0.0], [1.0]]), 4, pts)
@@ -222,13 +227,13 @@ def test_pipeline_cat_map_traces():
 def test_pipeline_identity_not_applicable():
     ident = DiffeoSpec(("x1", "x2"),
                        [parse_field("x1"), parse_field("x2")],
-                       [parse_field("x1"), parse_field("x2")], torus=True)
+                       [parse_field("x1"), parse_field("x2")])
     pts = torus_lattice(2, res=3)
     base = constant_annihilator_frame(np.array([[0.0, 1.0]]),
                                       ("x1", "x2"), ("x2",))
     rep, asym, ext = splitting_involutivity_pipeline(
         ident, np.array([[1.0], [0.0]]), base, np.array([[0.0], [1.0]]),
-        4, 1.0, pts)
+        4, 1.0, pts, np.broadcast_to([[1.0], [0.0]], (len(pts), 2, 1)))
     assert not rep.dominated
     assert asym is None and ext is None
 
@@ -397,7 +402,7 @@ def test_transport_cone_error_names_depth_step_and_point():
         cc.transports(np.zeros((2, 1)), range(3))
     # Dphi = 1e13 I shrinks E_0 below the QR's rank threshold at once
     big = [parse_field("1e13*x1"), parse_field("1e13*x2")]
-    cc = Cocycle(DiffeoSpec(("x1", "x2"), big, big, torus=False), pts, 3)
+    cc = Cocycle(DiffeoSpec(("x1", "x2"), big, big), pts, 3)
     with pytest.raises(ConeError, match=r"^transversality lost at step 0: "
                        r"rank-deficient subspace basis \(depth k = 1, "
                        r"lattice point 0 at \[0\.125, 0\.1\]\)$"):
@@ -406,12 +411,14 @@ def test_transport_cone_error_names_depth_step_and_point():
 
 @pytest.mark.parametrize("name", DYN_CASES)
 def test_cocycle_restricted_norms_equal_per_k_reference(name):
-    phi, e0, f, _, _, pts = dyn_case(name)
+    phi, e0, f, base, lim, pts = dyn_case(name)
     k_max = 9
     f = np.broadcast_to(f, (len(pts),) + np.shape(f)[-2:])
     y = np.zeros((len(pts), phi.dim, 1))
     y[:, 1, 0] = 1.0
-    rep = domination_report(phi, e0, f, k_max, pts, y_indices=[1])
+    # vertical_C comes from the pipeline, over the base frame's axis x2
+    rep, _, _ = splitting_involutivity_pipeline(phi, e0, base, f, k_max, 0.5,
+                                                pts, lim)
     vertical_C = math.inf
     for k in range(1, k_max + 1):
         ek = reference_transport(phi, e0, k, pts)

@@ -14,11 +14,16 @@ and ModuliDecl lives in moduli.py.  Every exported name is used, not
 only imported or listed, by the library, the benchmark or the
 acceptance criteria; a use counts for the module the name was imported
 from (or, in the library, the module that defines it), so np.exp is no
-use of fields.exp.
+use of fields.exp.  The same holds for options: every defaulted
+parameter of a public function, method or class (a dataclass's fields
+included) is passed, by position or keyword, by some call of that name
+in the library, the benchmark or the acceptance criteria, or by a call
+with a * or ** argument.
 """
 
 import ast
 import importlib
+import math
 import os
 import subprocess
 import sys
@@ -169,6 +174,109 @@ def test_every_export_is_used():
                   f"contfrob.{p.stem}"), "__all__", [])
               if (p.stem, name) not in used}
     assert unused == UNUSED_EXPORTS
+
+
+# presets.py is exempt: the CLI registries call its builders through **.
+# main's argv is the tests' seam; estimate_modulus waits for the
+# declared-moduli audit (ROADMAP item 6) to call it
+UNPASSED_DEFAULTS = {("cli.main", "argv"),
+                     ("moduli.estimate_modulus", "direction_mask"),
+                     ("moduli.estimate_modulus", "n_buckets")}
+
+
+def _params(fn, method):
+    """(names a call fills by position, defaulted names) of a def; a
+    method's self or cls is filled by the call's receiver."""
+    args = fn.args
+    names = [a.arg for a in args.posonlyargs + args.args]
+    if method and not any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                          for d in fn.decorator_list):
+        names = names[1:]
+    defaulted = names[len(names) - len(args.defaults):] if args.defaults \
+        else []
+    return names, defaulted + [a.arg for a, d in zip(args.kwonlyargs,
+                                                     args.kw_defaults)
+                               if d is not None]
+
+
+def _fields(cls):
+    """(field names, defaulted names) of a dataclass or NamedTuple, the
+    parameters of its generated __init__; None for another class."""
+    decorators = [d.func if isinstance(d, ast.Call) else d
+                  for d in cls.decorator_list]
+    if not any(getattr(d, "id", None) == "dataclass" for d in decorators) \
+            and not any(getattr(b, "id", None) == "NamedTuple"
+                        for b in cls.bases):
+        return None
+    names, defaulted = [], []
+    for st in cls.body:
+        if not (isinstance(st, ast.AnnAssign)
+                and isinstance(st.target, ast.Name)):
+            continue
+        if isinstance(st.value, ast.Call) and any(
+                k.arg == "init" for k in st.value.keywords):
+            continue  # field(init=False)
+        names.append(st.target.id)
+        if st.value is not None:
+            defaulted.append(st.target.id)
+    return names, defaulted
+
+
+def signatures(path):
+    """(owner, callee, names, defaulted) of each public function, public
+    method and __init__ of a public class in a library module; a call
+    reaches the owner under the callee's name, the class's for
+    __init__."""
+    sigs = []
+    for node in ast.parse(path.read_text(), filename=str(path)).body:
+        if isinstance(node, ast.FunctionDef) and node.name[0] != "_":
+            sigs.append((node.name, node.name, *_params(node, False)))
+        elif isinstance(node, ast.ClassDef) and node.name[0] != "_":
+            fields = _fields(node)
+            if fields is not None:
+                sigs.append((node.name, node.name, *fields))
+            sigs += [(f"{node.name}.{f.name}",
+                      node.name if f.name == "__init__" else f.name,
+                      *_params(f, True)) for f in node.body
+                     if isinstance(f, ast.FunctionDef)
+                     and (f.name == "__init__" or f.name[0] != "_")]
+    return sigs
+
+
+def calls_by_callee(paths):
+    """callee name -> (positional count, keyword names, whether a * or **
+    argument passes everything) of each call in the files."""
+    calls = {}
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else \
+                getattr(func, "id", None)
+            star = any(isinstance(a, ast.Starred) for a in node.args) or \
+                any(k.arg is None for k in node.keywords)
+            calls.setdefault(name, []).append(
+                (len(node.args), {k.arg for k in node.keywords}, star))
+    return calls
+
+
+def test_every_default_is_passed():
+    # a defaulted parameter that no pipeline, benchmark or criterion
+    # passes is an option only the tests select
+    calls = calls_by_callee(USERS)
+    unpassed = set()
+    for path in MODULES:
+        if path.name == "presets.py":
+            continue
+        for owner, callee, names, defaulted in signatures(path):
+            for name in defaulted:
+                at = names.index(name) if name in names else math.inf
+                if not any(star or name in keywords or positional > at
+                           for positional, keywords, star
+                           in calls.get(callee, [])):
+                    unpassed.add((f"{path.stem}.{owner}", name))
+    assert unpassed == UNPASSED_DEFAULTS
 
 
 def _tree(name):

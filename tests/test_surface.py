@@ -12,13 +12,14 @@ from contfrob.boxes import Box
 from contfrob.errors import EscapeError, EvalDomainError, RangeError
 from contfrob.fields import (ONE, ZERO, Const, Coord, add, compile_fields,
                              parse_field)
-from contfrob.geometry import Distribution, annihilator_frame
+from contfrob.geometry import (Distribution, annihilator_frame,
+                               involutivity_constant)
 from contfrob.odelab import _OFFSET
 from contfrob.surface import (MAX_TIME, FlowConfig, _integrate,
                               build_surface, converge_surfaces, flow,
                               patch_to_csv, pushforward_bound_check,
                               tangency_defect, variational_flow)
-from test_compiled import _EXPRS
+from test_compiled import _EXPRS, with_partials
 
 x, y, z = Coord("x"), Coord("y"), Coord("z")
 CFG = FlowConfig(step=1.0e-3)
@@ -184,13 +185,15 @@ def test_flow_on_a_batch_with_stopped_rows_still_raises():
 
 def _reference_step(fn, x, Y, dt, half, sixth):
     """The RK4 step the engine took before its step was generated: x and
-    Y apart, the compiled field function (with its Jacobian when Y is
-    carried) called once per stage."""
+    Y apart, the compiled field function (followed by the Jacobian's
+    entries, row-major, when Y is carried) called once per stage."""
     def rhs(xs, ys):
+        out = fn(xs)
         if ys is None:
-            return fn(xs), None
-        values, jac = fn(xs)
-        return values, (jac @ ys[..., None])[..., 0]
+            return out, None
+        d = xs.shape[-1]
+        jac = np.ascontiguousarray(out[..., d:]).reshape(xs.shape + (d,))
+        return out[..., :d], (jac @ ys[..., None])[..., 0]
 
     def ahead(ys, h, ls):
         return None if ys is None else ys + h * ls
@@ -208,7 +211,8 @@ def _reference_step(fn, x, Y, dt, half, sixth):
 def _reference_run(fields, coords, x0, t, step, box, Y0=None):
     """Each row alone through _reference_step, with the engine's stop
     rules: (x, Y, exit times, error types) for a batch (N, d)."""
-    fn = compile_fields(fields, coords, jacobian=Y0 is not None)
+    fn = compile_fields(fields if Y0 is None else
+                        with_partials(fields, coords), coords)
     xs = np.array(x0, dtype=float)
     Ys = None if Y0 is None else np.array(Y0, dtype=float)
     ts = np.broadcast_to(np.asarray(t, dtype=float), len(xs))
@@ -585,8 +589,11 @@ def test_tangency_defect_contact_bound_and_scaling():
 def test_pushforward_bound_trivial_times():
     d = involutive()
     frame = annihilator_frame(d)
+    pts = d.domain.lattice(3)
+    m_const = involutivity_constant(frame, d.orthonormal_bases_at(pts),
+                                    pts).value
     chk = pushforward_bound_check(d, frame, np.zeros(3), [0.0, 0.0],
-                                  np.array([0.0, 0.0, 1.0]), CFG, sup_res=3)
+                                  np.array([0.0, 0.0, 1.0]), CFG, m_const)
     assert chk.passed
     assert chk.lhs == pytest.approx(1.0)
 
@@ -598,7 +605,6 @@ def test_pushforward_bound_randomized():
         frame = annihilator_frame(d)
         pts = d.domain.lattice(5)
         bases = d.orthonormal_bases_at(pts)
-        from contfrob.geometry import involutivity_constant
         m_const = involutivity_constant(frame, bases, pts).value
         for _ in range(25):
             x0 = rng.uniform(-0.2, 0.2, size=3)
