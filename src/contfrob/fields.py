@@ -169,7 +169,10 @@ class SplineLeaf(Field):
     Derivative leaves are interned per base so that mixed partials taken
     in either order are the *same* object; sums of the form
     d_x d_y f - d_y d_x f therefore cancel structurally, which keeps
-    d(d(omega)) = 0 exact for forms with interpolated coefficients.
+    d(d(omega)) = 0 exact for forms with interpolated coefficients.  The
+    interning table holds its leaves weakly: a leaf and its derivatives
+    form no reference cycle, so a frame's spline data is freed with the
+    frame, not at the next cyclic collection.
     """
 
     __slots__ = ("evaluator", "vars", "orders", "label", "_base_id", "_derived")
@@ -181,7 +184,7 @@ class SplineLeaf(Field):
         self.orders = tuple(orders) if orders is not None else (0,) * len(self.vars)
         self.label = label
         self._base_id = next(_spline_counter) if _base_id is None else _base_id
-        self._derived = {}
+        self._derived = weakref.WeakValueDictionary()
         self._key = (2, self._base_id, self.orders)
         self.free_vars = frozenset(self.vars)
 

@@ -5,11 +5,15 @@ on the same grid as the data and renormalized so its *discrete* mass is
 exactly 1; smoothing a constant then returns the constant to rounding.
 Convolution is direct (grids are desk-scale) and the output carries an
 interior-margin marker instead of any boundary extension: sup-norms are
-only ever taken over the region the convolution actually resolves.
+only ever taken over the region the convolution actually resolves.  It
+is numpy shifted sums in the order of scipy's ndimage.convolve, so it
+gives ndimage's bits.
 
 `grid_from_field` samples a field through eval_fields on a Box lattice;
-`to_spline_field` fits the trusted samples of 1 or 2 axes with one
-cubic spline adapter and wraps it as a SplineLeaf.
+`to_spline_field` fits the trusted samples of 1 or 2 axes with the
+not-a-knot cubic spline (the interpolant of FITPACK and CubicSpline, to
+rounding), held as per-cell polynomial coefficients, and wraps it as a
+SplineLeaf.  Neither imports SciPy; only `verify_bounds` does, for quad.
 
 `verify_bounds` measures |f^eps - f| and |d f^eps / dx_j| against the
 scaled integrals (1/eps^d) int_0^eps s^{d-1} w(s) ds  and
@@ -33,6 +37,9 @@ __all__ = [
 ]
 
 _MIN_CELLS_PER_RADIUS = 8
+_DBL_EPSILON = np.finfo(float).eps
+# below this many rows a dense solve costs less than a reduction level
+_DENSE_ROWS = 32
 
 
 @dataclass
@@ -137,11 +144,31 @@ def mollify(f: GridFunction, eps):
         if eps >= ext / 2.0:
             raise MarginError(
                 f"smoothing scale {eps:g} too large for extent {ext:g}")
-    from scipy import ndimage
     ker = kernel(eps, f.spacings)
     weights = ker.values * float(np.prod(f.spacings))
-    out = ndimage.convolve(f.values, weights, mode="constant", cval=0.0)
-    return GridFunction(f.axes, out, margin=f.margin + eps)
+    return GridFunction(f.axes, _convolve(f.values, weights),
+                        margin=f.margin + eps)
+
+
+def _convolve(values, weights):
+    """values convolved with an odd-sized kernel, zero outside the grid.
+
+    The arithmetic of ndimage.convolve(mode="constant", cval=0.0), so its
+    bits: the flipped kernel is laid over the zero-padded grid, weights
+    with |w| <= DBL_EPSILON are skipped, and each point sums w * value
+    over the kept offsets in C order, starting from 0.0.
+    """
+    flipped = weights[(slice(None, None, -1),) * weights.ndim]
+    keep = np.abs(flipped) > _DBL_EPSILON
+    padded = np.pad(values, [(k // 2, k // 2) for k in weights.shape])
+    windows = np.lib.stride_tricks.sliding_window_view(padded, values.shape)
+    out = np.zeros_like(values)
+    tmp = np.empty_like(values)
+    for off, w in zip(map(tuple, np.argwhere(keep).tolist()),
+                      flipped[keep].tolist()):
+        np.multiply(windows[off], w, out=tmp)
+        np.add(out, tmp, out=out)
+    return out
 
 
 @dataclass
@@ -210,34 +237,155 @@ def verify_bounds(f: GridFunction, w, per_axis_w, eps_list):
 # the spline adapter into the field layer
 
 
+def _cyclic_reduction(lower, diag, upper, b):
+    """s with lower[i] s[i-1] + diag[i] s[i] + upper[i] s[i+1] = b[i]
+    for each column of b (m, k), the coefficients given as (m, 1)
+    columns of a diagonally dominant system with lower[0] = upper[-1] =
+    0.  The even rows absorb the odd rows beside them, the even unknowns
+    are solved for recursively and the odd ones follow from their rows:
+    log2(m / _DENSE_ROWS) levels of array operations over all columns at
+    once, down to a system small enough for one dense solve."""
+    n = len(diag)
+    if n <= _DENSE_ROWS:
+        return np.linalg.solve(np.diag(diag[:, 0]) + np.diag(lower[1:, 0], -1)
+                               + np.diag(upper[:-1, 0], 1), b)
+    ne, no = (n + 1) // 2, n // 2
+    odd_lo, odd_dg, odd_up, odd_b = (lower[1::2], diag[1::2], upper[1::2],
+                                     b[1::2])
+    left = lower[2::2] / odd_dg[:ne - 1]  # even row j takes odd row j - 1
+    right = upper[:2 * no:2] / odd_dg     # and odd row j
+    dg = diag[::2].copy()
+    dg[1:] -= left * odd_up[:ne - 1]
+    dg[:no] -= right * odd_lo
+    rhs = b[::2].copy()
+    rhs[1:] -= left * odd_b[:ne - 1]
+    rhs[:no] -= right * odd_b
+    lo, up = np.zeros_like(dg), np.zeros_like(dg)
+    lo[1:] = -left * odd_lo[:ne - 1]
+    up[:no] = -right * odd_up
+    even = _cyclic_reduction(lo, dg, up, rhs)
+    odd = odd_b - odd_lo * even[:no]
+    odd[:ne - 1] -= odd_up[:ne - 1] * even[1:]
+    s = np.empty_like(b)
+    s[::2] = even
+    s[1::2] = odd / odd_dg
+    return s
+
+
+def _slopes(x, secants):
+    """Slopes at the n >= 4 knots x of the not-a-knot cubic interpolants
+    whose secant slopes (y[i + 1] - y[i]) / (x[i + 1] - x[i]) are the
+    columns of secants (n - 1, k): scipy CubicSpline's system, whose end
+    rows, subtracted from their neighbours, leave rows 1..n-2 diagonally
+    dominant for cyclic reduction."""
+    h = np.diff(x)
+    d0, d1 = x[2] - x[0], x[-1] - x[-3]
+    first = ((h[0] + 2.0 * d0) * h[1] * secants[0]
+             + h[0] ** 2 * secants[1]) / d0
+    last = (h[-1] ** 2 * secants[-2]
+            + (2.0 * d1 + h[-1]) * h[-2] * secants[-1]) / d1
+    rhs = 3.0 * (h[1:, None] * secants[:-1] + h[:-1, None] * secants[1:])
+    rhs[0] -= first
+    rhs[-1] -= last
+    diag = 2.0 * (h[:-1] + h[1:])
+    diag[0], diag[-1] = d0, d1
+    s = np.empty((len(x), secants.shape[1]))
+    s[1:-1] = _cyclic_reduction(np.append(0.0, h[2:])[:, None],
+                                diag[:, None],
+                                np.append(h[:-2], 0.0)[:, None], rhs)
+    s[0] = (first - d0 * s[1]) / h[1]
+    s[-1] = (last - d1 * s[-2]) / h[-2]
+    return s
+
+
+def _cells(x, y, s):
+    """Per-cell coefficients (4, ..., n - 1) of the cubics with values y
+    and slopes s at the knots x along the last axis, lowest power of
+    x - x[i] first."""
+    inv_h = 1.0 / np.diff(x)
+    slope = np.diff(y) * inv_h
+    c = np.empty((4,) + slope.shape)
+    c[0] = y[..., :-1]
+    c[1] = s[..., :-1]
+    np.subtract(slope, c[1], out=c[2])
+    # t = (s[i] + s[i + 1] - 2 slope) / h, then c2 = (slope - s[i]) / h - t
+    np.subtract(s[..., 1:], slope, out=c[3])
+    c[3] -= c[2]
+    c[3] *= inv_h
+    c[2] *= inv_h
+    c[2] -= c[3]
+    c[3] *= inv_h
+    return c
+
+
+# d^p/du^p of u^a is _FALLING[p][a - p] * u^(a - p), for a = p..3
+_FALLING = {1: np.array([1.0, 2.0, 3.0]), 2: np.array([2.0, 6.0]),
+            3: np.array([6.0])}
+
+
 class _SplineEvaluator:
-    """Cubic spline on 1 or 2 axes.  Points within 1e-9 of the widest
-    extent outside an axis are clipped onto it; farther out they raise."""
+    """Not-a-knot cubic spline on 1 or 2 axes (the interpolant FITPACK
+    and CubicSpline fit), held as per-cell polynomial coefficients: the
+    tensor product of one cubic per axis, evaluated by a cell search and
+    Horner's rule.  A partial of order 4 or more is 0.  Points within
+    1e-9 of the widest extent outside an axis are clipped onto it;
+    farther out they raise."""
 
     def __init__(self, axes, values):
-        from scipy.interpolate import CubicSpline, RectBivariateSpline
-        if len(axes) == 1:
-            self.spline = CubicSpline(axes[0], values)
-        elif len(axes) == 2:
-            self.spline = RectBivariateSpline(axes[0], axes[1], values,
-                                              kx=3, ky=3)
-        else:
+        if len(axes) not in (1, 2):
             raise NotImplementedError("spline fields support 1 or 2 dims")
-        self.bounds = [(a[0], a[-1]) for a in axes]
-        self.tol = 1e-9 * max(a[-1] - a[0] for a in axes)
+        self.axes = [np.asarray(a, dtype=float) for a in axes]
+        if min(len(a) for a in self.axes) < 4:
+            raise RangeError("a cubic spline needs at least 4 samples per "
+                             "axis")
+        x0, v = self.axes[0], np.asarray(values, dtype=float)
+        h0 = np.diff(x0)[:, None]
+        if len(axes) == 1:
+            c = _cells(x0, v, _slopes(x0, np.diff(v)[:, None] / h0)[:, 0])
+        else:
+            # the slopes are linear in the secants: one operator per axis,
+            # whose products give the slopes along x, along y and across
+            # both, from which the cells' bicubics follow
+            x1 = self.axes[1]
+            k0 = _slopes(x0, np.eye(len(x0) - 1))
+            k1 = k0 if np.array_equal(x0, x1) else _slopes(
+                x1, np.eye(len(x1) - 1))
+            sx = k0 @ (np.diff(v, axis=0) / h0)
+            sy = (np.diff(v) / np.diff(x1)) @ k1.T
+            sxy = k0 @ (np.diff(sy, axis=0) / h0)
+            c = _cells(x1, np.stack([v, sx]), np.stack([sy, sxy]))
+            c = c.transpose(1, 0, 3, 2).copy()      # (2, 4, n1 - 1, n0)
+            c = _cells(x0, c[0], c[1])              # (4, 4, n1 - 1, n0 - 1)
+        # one power index per axis, then the cells with axis 0 fastest
+        self.coef = c.reshape(c.shape[:len(axes)] + (-1,))
+        self.bounds = [(a[0], a[-1]) for a in self.axes]
+        self.tol = 1e-9 * max(a[-1] - a[0] for a in self.axes)
 
     def ev(self, args, orders):
         args = np.broadcast_arrays(*[np.asarray(t, float) for t in args])
         for t, (lo, hi) in zip(args, self.bounds):
             if np.any(t < lo - self.tol) or np.any(t > hi + self.tol):
                 raise EvalDomainError("point outside the spline's valid region")
-        t = [np.clip(t, lo, hi) for t, (lo, hi) in zip(args, self.bounds)]
-        if len(t) == 1:
-            out = self.spline(t[0], nu=orders[0])
-        else:
-            out = self.spline.ev(t[0].ravel(), t[1].ravel(), dx=orders[0],
-                                 dy=orders[1]).reshape(t[0].shape)
-        return float(out) if out.ndim == 0 else out
+        shape = args[0].shape
+        if max(orders) > 3:
+            return 0.0 if shape == () else np.zeros(shape)
+        cell, offsets = 0, []
+        for t, x in zip(args[::-1], self.axes[::-1]):
+            t = np.clip(t.ravel(), x[0], x[-1])
+            # the cell whose left knot is the last one at or below t; the
+            # last knot belongs to the last cell
+            i = np.searchsorted(x[1:-1], t, side="right")
+            offsets.insert(0, t - x[i])
+            cell = cell * (len(x) - 1) + i
+        c = self.coef.take(cell, axis=-1)
+        for u, p in zip(offsets, orders):
+            if p:
+                c = c[p:] * _FALLING[p].reshape((-1,) + (1,) * (c.ndim - 1))
+            out = c[-1]
+            for k in range(len(c) - 2, -1, -1):
+                out = out * u + c[k]
+            c = out
+        return float(c[0]) if shape == () else c.reshape(shape)
 
 
 def to_spline_field(gf: GridFunction, names, label="spl"):

@@ -246,15 +246,20 @@ def special_solve(sf: SpecialFormSpec, x0, y0, targets, residual_check=True):
     monotone root-finding on a tabulated antiderivative; components with
     G_i(y0_i) = 0 stay constant (equilibrium branch).  The residuals are
     centered differences of the solution with step FD_STEP minus F.
-    A y0 without one value per y variable is a RangeError.
+    An x0 or y0 without one value per variable, or (x0, y0) outside the
+    domain, is a RangeError.
     """
     x0 = np.asarray(x0, dtype=float)
     y0 = np.asarray(y0, dtype=float)
     targets = np.atleast_2d(np.asarray(targets, dtype=float))
     n, m = sf.n, sf.m
+    if x0.shape != (m,):
+        raise RangeError(f"x0 needs one value per x variable {sf.x_names}, "
+                         f"got {x0.size}")
     if y0.shape != (n,):
         raise RangeError(f"y0 needs one value per y variable {sf.y_names}, "
                          f"got {y0.size}")
+    sf.check_point(np.concatenate([x0, y0]))
     y_bounds = [(sf.domain.lows[m + i], sf.domain.highs[m + i])
                 for i in range(n)]
     comps = [_SeparableComponent(sf.G[i], sf.y_names[i], y0[i],

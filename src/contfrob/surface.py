@@ -270,7 +270,8 @@ def build_surface(dist: Distribution, x0, eps1, grid_res, cfg: FlowConfig,
     Applies X_{order[0]} first; the written order (X_1 first) is the
     default, a permutation is a diagnostic only.  grid_res must be odd so
     the lattice contains t = 0 and W(0) = x0 is exact by construction,
-    and eps1 positive and finite; both are checked before any flow.
+    eps1 positive and finite, and x0 a point of the domain; all three
+    are checked before any flow.
     """
     _check_eps1(eps1)
     if grid_res < 3 or grid_res % 2 == 0:
@@ -283,7 +284,7 @@ def build_surface(dist: Distribution, x0, eps1, grid_res, cfg: FlowConfig,
     if sorted(order) != list(range(m)):
         raise RangeError(f"order must be a permutation of 0..{m - 1}, got "
                          f"{order}")
-    x0 = np.asarray(x0, dtype=float)
+    x0 = dist.check_point(x0)
     fields = dist.spanning_fields()
     axis = np.linspace(-eps1, eps1, grid_res)
     center = grid_res // 2

@@ -339,6 +339,15 @@ _PEANO = ["--example", "peano", "--point"]
      "got nan"),
     (["dyn", "dominate", "--eps-sweep", "0.1,nan"], "eps must be "
      "nonnegative and finite, got nan"),
+    (["surface", "build", "--x0", "5,5,5"], "x must be finite and lie in "
+     "the domain's [-0.5, 0.5], got 5.0"),
+    (["surface", "build", "--x0", "nan,0,0"], "x must be finite and lie in "
+     "the domain's [-0.5, 0.5], got nan"),
+    (["pde", "solve-special", "--example", "paper-ex2", "--x0", "0.3,0.3",
+      "--y0", "nan,0.5"], "y1 must be finite and lie in the domain's "
+     "[0.15, 0.9], got nan"),
+    (["pde", "solve-special", "--example", "paper-ex2", "--x0", "9,9"],
+     "x1 must be finite and lie in the domain's [0.2, 0.7], got 9.0"),
 ])
 def test_value_a_check_cannot_take_is_range_error(tmp_path, capsys, args,
                                                   message):

@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -233,6 +235,25 @@ def test_spline_leaf_diff_interning():
     assert d1.evaluate({"x": 2.0}) == 12.0
     # cancellation through the algebra
     assert (d1 - d1) == Const(0.0)
+
+
+def test_spline_leaf_and_its_derivatives_are_freed_by_reference_count():
+    # no cycle between a leaf, its interned derivatives and their table:
+    # the evaluator (the spline's data) goes as soon as the leaves do
+    ev = _Poly1D()
+    gone = weakref.ref(ev)
+    leaf = SplineLeaf(ev, ("x",), label="p")
+    d2 = leaf.diff("x").diff("x")
+    assert d2 is leaf.diff("x").diff("x")
+    del ev
+    gc.disable()
+    try:
+        del leaf
+        assert gone() is not None  # d2 still holds it
+        del d2
+        assert gone() is None
+    finally:
+        gc.enable()
 
 
 def test_spline_in_products():

@@ -734,31 +734,57 @@ def _special_form_trace_inputs():
     return frames, pde.distribution(), sf.domain.lattice(3)
 
 
-def test_trace_parts_pinned_two_row_special_form():
-    # d_restricted and M are the exact lattice sups of the n = r = 2
-    # closed forms; every field must keep its bits
+# the two traces of _special_form_trace_inputs on FITPACK-fitted leaves,
+# field for field: (k, q, strong, parts)
+_PINNED_ASYM = [
+    (0, 6.018167634774868e-05, 1.2765621906239134e-17,
+     {"d_restricted": 4.914919529135543e-05, "inv_norm": 1.0,
+      "M": 0.4050149048454751, "wedge_sup": 1.0408340855860843e-17,
+      "d_sup": 0.40829655813057025, "eps": 0.5}),
+    (1, 0.0008742752901017923, 1.7209835247275504e-16,
+     {"d_restricted": 0.0005721178015040011,
+      "inv_norm": 0.970873786407767, "M": 0.9072183773486595,
+      "wedge_sup": 7.786767633870738e-17, "d_sup": 1.586110402420285,
+      "eps": 0.5})]
+_PINNED_EXT = [
+    (0, 0.0063086698069088655, 0.004533192168730292,
+     {"restricted": 0.005152166958208045, "inv_norm": 1.0,
+      "M": 0.4050149048454751, "d_sup": 0.40829655813057025,
+      "eps": 0.5}),
+    (1, 0.00223927946128338, 1.4065874642246625,
+     {"restricted": 0.001465364121400879,
+      "inv_norm": 0.970873786407767, "M": 0.9072183773486595,
+      "d_sup": 1.586110402420285, "eps": 0.5})]
+
+
+def _special_form_traces():
     frames, limit, pts = _special_form_trace_inputs()
     asym = asymptotic_involutivity_trace(frames, [limit] * 2, 0.5, pts)
     ext = exterior_regularity_trace(frames, limit, 0.5, pts)
-    assert [(e.k, e.q, e.strong, e.parts) for e in asym] == [
-        (0, 6.018167634774868e-05, 1.2765621906239134e-17,
-         {"d_restricted": 4.914919529135543e-05, "inv_norm": 1.0,
-          "M": 0.4050149048454751, "wedge_sup": 1.0408340855860843e-17,
-          "d_sup": 0.40829655813057025, "eps": 0.5}),
-        (1, 0.0008742752901017923, 1.7209835247275504e-16,
-         {"d_restricted": 0.0005721178015040011,
-          "inv_norm": 0.970873786407767, "M": 0.9072183773486595,
-          "wedge_sup": 7.786767633870738e-17, "d_sup": 1.586110402420285,
-          "eps": 0.5})]
-    assert [(e.k, e.q, e.strong, e.parts) for e in ext] == [
-        (0, 0.0063086698069088655, 0.004533192168730292,
-         {"restricted": 0.005152166958208045, "inv_norm": 1.0,
-          "M": 0.4050149048454751, "d_sup": 0.40829655813057025,
-          "eps": 0.5}),
-        (1, 0.00223927946128338, 1.4065874642246625,
-         {"restricted": 0.001465364121400879,
-          "inv_norm": 0.970873786407767, "M": 0.9072183773486595,
-          "d_sup": 1.586110402420285, "eps": 0.5})]
+    return ([(e.k, e.q, e.strong, e.parts) for e in asym],
+            [(e.k, e.q, e.strong, e.parts) for e in ext])
+
+
+def test_trace_parts_pinned_two_row_special_form(fitpack_leaves):
+    # d_restricted and M are the exact lattice sups of the n = r = 2
+    # closed forms; every field must keep its bits.  The leaves are
+    # FITPACK's, so the bits pin the trace arithmetic, not the spline's
+    assert _special_form_traces() == (_PINNED_ASYM, _PINNED_EXT)
+
+
+def _flat(entries):
+    return [v for k, q, strong, parts in entries
+            for v in (k, q, strong, *parts.values())]
+
+
+def test_trace_parts_of_numpy_leaves_are_the_pinned_parts():
+    # the numpy leaf is FITPACK's interpolant to rounding: each field
+    # within 1e-9 relative, or 1e-15 for the rounding-level wedges
+    got = _special_form_traces()
+    for entries, pinned in zip(got, (_PINNED_ASYM, _PINNED_EXT)):
+        assert [e[3].keys() for e in entries] == [e[3].keys() for e in pinned]
+        assert _flat(entries) == pytest.approx(_flat(pinned), rel=1e-9,
+                                               abs=1e-15)
 
 
 def test_tangency_parts_pinned_contact():

@@ -301,16 +301,40 @@ def test_moduli_decl_is_defined_only_in_moduli():
     assert defined == ["moduli.py"]
 
 
-def test_importing_the_package_leaves_scipy_unloaded():
-    # SciPy is imported inside the functions that call quad, brentq,
-    # ndimage and the splines, so the CLI starts without it
-    code = ("import sys, contfrob, contfrob.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == "
-            "'scipy'))")
-    src = str(Path(contfrob.__file__).parent.parent)
+def _scipy_modules_after(code):
+    """The scipy modules loaded once code has run in a fresh interpreter
+    with the library (and cfbench) importable."""
+    code += ("\nprint(sorted(m for m in sys.modules "
+             "if m.split('.')[0] == 'scipy'))")
+    root = Path(contfrob.__file__).parent.parent
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (src, env.get("PYTHONPATH")) if p)
+        p for p in (str(root), str(root.parent / "cfbench"),
+                    env.get("PYTHONPATH")) if p)
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True)
-    assert out.stdout.strip() == "[]"
+    return out.stdout.strip().splitlines()[-1]
+
+
+def test_importing_the_package_leaves_scipy_unloaded():
+    # SciPy is imported inside the functions that call quad and brentq,
+    # and by nothing else, so the CLI starts without it
+    assert _scipy_modules_after(
+        "import sys, contfrob, contfrob.cli") == "[]"
+
+
+def test_frame_pipelines_leave_scipy_unloaded(tmp_path):
+    # mollifying and the spline leaves are numpy: a surface-frames task
+    # of the benchmark and `pde frames` never import SciPy
+    assert _scipy_modules_after(f"""
+import sys
+import numpy as np
+import spans, workloads
+from contfrob.cli import main
+wl = workloads.WORKLOADS["surface-frames"]()
+ctx = wl.build()
+res = wl.run(ctx, wl.inputs(ctx, np.random.default_rng([1, 2, 0])), spans.NULL)
+assert res.problems == [], res.problems
+assert main(["pde", "frames", "--example", "paper-ex2", "--eps-list",
+             "0.125,0.0625", "--out", {str(tmp_path)!r}]) == 0
+""") == "[]"

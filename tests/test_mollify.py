@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -209,6 +211,14 @@ def test_spline_leaf_edges_and_derivatives(case):
                        else 2 * mid["y"], atol=1e-6)
 
 
+@pytest.mark.parametrize("shape", [(3,), (3, 9), (9, 2)])
+def test_spline_leaf_under_four_samples_is_refused(shape):
+    axes = tuple(np.linspace(0.0, 1.0, n) for n in shape)
+    with pytest.raises(RangeError, match="^a cubic spline needs at least 4 "
+                                         "samples per axis$"):
+        to_spline_field(GridFunction(axes, np.zeros(shape)), "xy"[:len(shape)])
+
+
 def test_spline_leaf_beyond_three_axes_is_refused():
     axes = (np.linspace(0.0, 1.0, 9),) * 3
     with pytest.raises(NotImplementedError, match="1 or 2 dims"):
@@ -267,6 +277,33 @@ def test_spline_2d_mixed_partials_identical():
     assert fxy.evaluate(env) == fyx.evaluate(env)
 
 
+def test_spline_2d_third_partials_are_per_cell_constants():
+    box = Box.from_dict({"x": (0, 1), "y": (0, 1)})
+    f = to_spline_field(grid_from_field(parse_field("exp(x*y)"), box, 20),
+                        ("x", "y"))
+    fxx = f.diff("x").diff("x")
+    fxxx = fxx.diff("x")
+    # x = 0.3 and 0.31 share a cell of the 20-knot axis: there f_xx is
+    # linear in x and f_xxx its constant slope
+    y = np.linspace(0.0, 1.0, 7)
+    lo, hi = fxxx.evaluate({"x": 0.3, "y": y}), fxxx.evaluate({"x": 0.31,
+                                                               "y": y})
+    assert np.array_equal(lo, hi)
+    slope = (fxx.evaluate({"x": 0.31, "y": y})
+             - fxx.evaluate({"x": 0.3, "y": y})) / 0.01
+    assert np.allclose(slope, lo, rtol=1e-8, atol=1e-10)
+    # and it converges like h to y^3 exp(xy) (3 % at h = 1/19 inside)
+    x, y = np.meshgrid(np.linspace(0.1, 0.9, 9), np.linspace(0.1, 0.9, 9),
+                       indexing="ij")
+    exact = y ** 3 * np.exp(x * y)
+    assert np.max(np.abs(fxxx.evaluate({"x": x, "y": y}) - exact)) < \
+        0.1 * np.max(exact)
+    # order four and above is exactly 0, as on 1-D leaves
+    assert fxxx.diff("x").evaluate({"x": 0.3, "y": 0.4}) == 0.0
+    zeros = fxxx.diff("x").diff("y").evaluate({"x": x, "y": y})
+    assert zeros.shape == x.shape and not zeros.any()
+
+
 def test_grid_values_against_axes_is_range_error():
     xs = np.linspace(0.0, 1.0, 5)
     with pytest.raises(RangeError, match=r"shape \(4,\) do not match axes "
@@ -279,3 +316,98 @@ def test_verify_bounds_counts_moduli_per_axis():
                        r"axis: 1 axes, got 2 moduli$"):
         verify_bounds(_line_grid(), Lipschitz(1.0),
                       [Lipschitz(1.0)] * 2, [0.1])
+
+
+# ---------------------------------------------------------------------------
+# reference checks against SciPy, which only the tests import
+
+_DBL_EPSILON = np.finfo(float).eps
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("cells", [8, 10, 10.05])
+@pytest.mark.parametrize("eps", [0.125, 0.0625, 0.025])
+def test_mollify_is_ndimage_convolve_bit_for_bit(eps, cells, dim):
+    from scipy import ndimage
+    h = eps / cells
+    n = 2 * math.ceil(cells) + (300 if dim == 1 else 40)
+    rng = np.random.default_rng([dim, int(cells * 100), int(eps * 1e4)])
+    g = GridFunction((np.arange(n) * h,) * dim, rng.normal(size=(n,) * dim))
+    weights = kernel(eps, g.spacings).values * float(np.prod(g.spacings))
+    rim = (weights != 0.0) & (np.abs(weights) <= _DBL_EPSILON)
+    # 10 cells per radius puts 2-D rim weights, and 10.05 cells 1-D ones,
+    # at or below DBL_EPSILON: ndimage leaves them out of its footprint
+    assert rim.any() == ((cells, dim) in {(10, 2), (10.05, 1), (10.05, 2)})
+    want = ndimage.convolve(g.values, weights, mode="constant", cval=0.0)
+    assert mollify(g, eps).values.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("m", [1, 2, 32, 33, 34, 65, 66, 129, 301])
+def test_cyclic_reduction_is_the_dense_solve(m):
+    # every parity of every reduction level, and the dense base case
+    from contfrob.mollify import _cyclic_reduction
+    rng = np.random.default_rng(m)
+    lower = np.append(0.0, rng.uniform(-1.0, 1.0, m - 1))
+    upper = np.append(rng.uniform(-1.0, 1.0, m - 1), 0.0)
+    diag = rng.uniform(2.1, 4.0, m) * rng.choice((-1.0, 1.0), m)
+    b = rng.normal(size=(m, 3))
+    dense = np.diag(diag) + np.diag(lower[1:], -1) + np.diag(upper[:-1], 1)
+    s = _cyclic_reduction(lower[:, None], diag[:, None], upper[:, None], b)
+    assert s.shape == (m, 3)
+    assert np.allclose(s, np.linalg.solve(dense, b), rtol=1e-13, atol=1e-14)
+
+
+def _separable_presets():
+    from contfrob.cli import _SEPARABLE
+    return {name: build()[0] for name, (build, _) in sorted(_SEPARABLE.items())}
+
+
+# (eps, pad, cells per radius): the scales the pde frames goldens and
+# the mollify reference use, with involutive_mollified_frames' default
+# pad, and the benchmark's surface-frames frame at 2^-4
+_FRAME_SCALES = [(0.125, None, 10), (0.0625, None, 10),
+                 (2.0 ** -4, 1.05 * 2.0 ** -4, 10), (0.025, None, 10)]
+
+
+def _frame_samples(sf, eps, pad, cells):
+    """(leaf name, mollified GridFunction) per distinct H_i and per G_i,
+    sampled as involutive_mollified_frames samples them."""
+    from contfrob.boxes import Box
+    pad = eps * (1.0 + 1.0 / cells) if pad is None else pad
+    m = sf.m
+    boxes = [Box(sf.x_names, sf.domain.lows[:m], sf.domain.highs[:m])] + [
+        Box((y,), (lo,), (hi,)) for y, lo, hi in
+        zip(sf.y_names, sf.domain.lows[m:], sf.domain.highs[m:])]
+    leaves = [(f"H{i + 1}", f, boxes[0]) for i, f in enumerate(sf.H)
+              if f not in sf.H[:i]]
+    leaves += [(f"G{i + 1}", f, box) for i, (f, box) in
+               enumerate(zip(sf.G, boxes[1:]))]
+    out = []
+    for name, f, box in leaves:
+        padded = box.shrink(-pad)
+        n_pts = [math.ceil((hi - lo) / (eps / cells)) + 1
+                 for lo, hi in zip(padded.lows, padded.highs)]
+        out.append((name, box.names,
+                    mollify(grid_from_field(f, padded, n_pts), eps)))
+    return out
+
+
+@pytest.mark.parametrize("scale", _FRAME_SCALES,
+                         ids=["0.125", "0.0625", "2^-4-bench", "0.025"])
+@pytest.mark.parametrize("preset", sorted(_separable_presets()))
+def test_frame_leaves_match_fitpack(preset, scale, fitpack_spline):
+    # the numpy leaf and FITPACK fit the same not-a-knot interpolant:
+    # values and first partials agree to 1e-12 of the largest |value|
+    sf = _separable_presets()[preset]
+    for name, names, g in _frame_samples(sf, *scale):
+        leaf = to_spline_field(g, names)
+        sl = g.interior_slices()
+        ref = fitpack_spline([a[s] for a, s in zip(g.axes, sl)], g.values[sl])
+        mesh = np.meshgrid(*[np.linspace(lo, hi, 501 if g.dim == 1 else 61)
+                             for lo, hi in ref.bounds], indexing="ij")
+        for orders in [(0,) * g.dim] + [tuple(np.eye(g.dim, dtype=int)[k])
+                                        for k in range(g.dim)]:
+            want = ref.ev(mesh, orders)
+            got = leaf.evaluator.ev(mesh, orders)
+            assert np.max(np.abs(got - want)) <= \
+                1e-12 * np.max(np.abs(want)), (name, orders)

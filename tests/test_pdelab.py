@@ -1,3 +1,6 @@
+import math
+import re
+
 import numpy as np
 import pytest
 
@@ -171,6 +174,26 @@ def test_special_solve_y0_of_wrong_length_is_range_error(monkeypatch, y0):
     with pytest.raises(RangeError, match=rf"^y0 needs one value per y "
                        rf"variable \('y1', 'y2'\), got {len(y0)}$"):
         special_solve(sf, [0.3, 0.3], y0, [[0.35, 0.35]])
+
+
+@pytest.mark.parametrize("x0,y0,message", [
+    ([0.3, 0.3], [math.nan, 0.5], "y1 must be finite and lie in the "
+     "domain's [0.15, 0.9], got nan"),
+    ([9.0, 9.0], [0.5, 0.5], "x1 must be finite and lie in the domain's "
+     "[0.2, 0.7], got 9.0"),
+    ([0.3, 0.3, 0.3], [0.5, 0.5], "x0 needs one value per x variable "
+     "('x1', 'x2'), got 3")])
+def test_special_solve_start_outside_domain_is_range_error(monkeypatch, x0,
+                                                           y0, message):
+    import contfrob.pdelab as pdelab
+
+    def tabulate(*args):
+        raise AssertionError("tabulated before the point check")
+
+    monkeypatch.setattr(pdelab, "_SeparableComponent", tabulate)
+    sf, _ = pde_example_2()
+    with pytest.raises(RangeError, match=f"^{re.escape(message)}$"):
+        special_solve(sf, x0, y0, [[0.35, 0.35]])
 
 
 def test_special_solve_pde2_closed_form():

@@ -555,6 +555,24 @@ def test_build_surface_eps1_is_checked_before_any_flow(monkeypatch, eps1):
         build_surface(contact(), np.zeros(3), eps1, 5, FlowConfig(step=1e-3))
 
 
+@pytest.mark.parametrize("x0,message", [
+    ([5.0, 5.0, 5.0], "x must be finite and lie in the domain's [-0.6, 0.6], "
+     "got 5.0"),
+    ([0.0, math.nan, 0.0], "y must be finite and lie in the domain's "
+     "[-0.6, 0.6], got nan"),
+    ([0.0, 0.0], "points over ('x', 'y', 'z') need 3 coordinates, got 2")])
+def test_build_surface_start_outside_domain_is_checked_before_any_flow(
+        monkeypatch, x0, message):
+    # a start outside the box is no escape: no node was ever inside
+    import contfrob.surface as surface
+
+    def no_flow(*args, **kwargs):
+        raise AssertionError("a flow ran")
+    monkeypatch.setattr(surface, "_integrate", no_flow)
+    with pytest.raises(RangeError, match=f"^{re.escape(message)}$"):
+        build_surface(contact(), x0, 0.1, 5, FlowConfig(step=1e-3))
+
+
 # ---------------------------------------------------------------------------
 # tangency and pushforward bounds
 
