@@ -3,11 +3,13 @@
 The kernel phi_eps(y) ~ exp(eps^2 / (|y|^2 - eps^2)) on |y| < eps is laid
 on the same grid as the data and renormalized so its *discrete* mass is
 exactly 1; smoothing a constant then returns the constant to rounding.
-Convolution is direct (grids are desk-scale) and the output carries an
-interior-margin marker instead of any boundary extension: sup-norms are
-only ever taken over the region the convolution actually resolves.  It
-is numpy shifted sums in the order of scipy's ndimage.convolve, so it
-gives ndimage's bits.
+Convolution is direct (grids are desk-scale) and there is no boundary
+extension: only the points whose kernel footprint stays inside the grid
+are computed, and every other point is NaN.  The output carries that
+margin as an interior-margin marker, and sup-norms and fits are only
+ever taken over the interior it marks, which the computed points cover.
+The sums are numpy shifted sums in the order of scipy's ndimage.convolve,
+so each computed point has ndimage's bits.
 
 `grid_from_field` samples a field through eval_fields on a Box lattice;
 `to_spline_field` fits the trusted samples of 1 or 2 axes with the
@@ -139,7 +141,12 @@ def kernel(eps, spacings):
 
 
 def mollify(f: GridFunction, eps):
-    """Direct convolution with the bump kernel; widens the margin by eps."""
+    """Direct convolution with the bump kernel; widens the margin by eps.
+
+    The points within the margin that the kernel does not resolve, its
+    footprint reaching past the grid, are NaN; interior_slices() of the
+    result holds none of them.  NaNs in f's own margin spread by less
+    than eps, so they stay inside the widened one."""
     for h, ext in zip(f.spacings, f.extents):
         if eps >= ext / 2.0:
             raise MarginError(
@@ -151,23 +158,32 @@ def mollify(f: GridFunction, eps):
 
 
 def _convolve(values, weights):
-    """values convolved with an odd-sized kernel, zero outside the grid.
+    """values convolved with an odd-sized kernel at the points it
+    resolves, NaN elsewhere.
 
-    The arithmetic of ndimage.convolve(mode="constant", cval=0.0), so its
-    bits: the flipped kernel is laid over the zero-padded grid, weights
-    with |w| <= DBL_EPSILON are skipped, and each point sums w * value
-    over the kept offsets in C order, starting from 0.0.
+    A point is resolved when every kept offset of the flipped kernel
+    stays inside the grid; weights with |w| <= DBL_EPSILON are not kept.
+    Each resolved point sums w * value over the kept offsets in C order,
+    starting from 0.0: the arithmetic of ndimage.convolve, so its bits
+    there, whatever its mode outside the grid.
     """
     flipped = weights[(slice(None, None, -1),) * weights.ndim]
     keep = np.abs(flipped) > _DBL_EPSILON
-    padded = np.pad(values, [(k // 2, k // 2) for k in weights.shape])
-    windows = np.lib.stride_tricks.sliding_window_view(padded, values.shape)
-    out = np.zeros_like(values)
-    tmp = np.empty_like(values)
-    for off, w in zip(map(tuple, np.argwhere(keep).tolist()),
+    offsets = np.argwhere(keep)
+    first, last = offsets.min(axis=0), offsets.max(axis=0)
+    shape = tuple(np.array(values.shape) - (last - first))
+    # the window at offset o - first holds the values that offset o of
+    # the kernel reads for each resolved point
+    windows = np.lib.stride_tricks.sliding_window_view(values, shape)
+    acc = np.zeros(shape)
+    tmp = np.empty(shape)
+    for off, w in zip(map(tuple, (offsets - first).tolist()),
                       flipped[keep].tolist()):
         np.multiply(windows[off], w, out=tmp)
-        np.add(out, tmp, out=out)
+        np.add(acc, tmp, out=acc)
+    out = np.full(values.shape, np.nan)
+    start = np.array(weights.shape) // 2 - first
+    out[tuple(slice(i, i + n) for i, n in zip(start, shape))] = acc
     return out
 
 
@@ -329,7 +345,9 @@ class _SplineEvaluator:
     tensor product of one cubic per axis, evaluated by a cell search and
     Horner's rule.  A partial of order 4 or more is 0.  Points within
     1e-9 of the widest extent outside an axis are clipped onto it;
-    farther out they raise."""
+    farther out they raise.  A sample that is not finite, which would
+    spread through its whole axis's solve, is a RangeError naming its
+    grid index."""
 
     def __init__(self, axes, values):
         if len(axes) not in (1, 2):
@@ -339,6 +357,11 @@ class _SplineEvaluator:
             raise RangeError("a cubic spline needs at least 4 samples per "
                              "axis")
         x0, v = self.axes[0], np.asarray(values, dtype=float)
+        bad = np.argwhere(~np.isfinite(v))
+        if len(bad):
+            i = tuple(bad[0].tolist())
+            raise RangeError(f"spline sample at grid index {i} is not "
+                             f"finite: {float(v[i])!r}")
         h0 = np.diff(x0)[:, None]
         if len(axes) == 1:
             c = _cells(x0, v, _slopes(x0, np.diff(v)[:, None] / h0)[:, 0])

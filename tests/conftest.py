@@ -28,6 +28,23 @@ def linalg_calls(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def code_compiles(monkeypatch):
+    """The sources the generated functions pass to the builtin compile()
+    while the test runs, starting from an empty code cache."""
+    fields = importlib.import_module("contfrob.fields")
+    sources = []
+
+    def counted(source, filename, mode):
+        if filename == "<compiled fields>":
+            sources.append(source)
+        return compile(source, filename, mode)
+
+    monkeypatch.setattr(fields, "_CODE", collections.OrderedDict())
+    monkeypatch.setattr(fields, "compile", counted, raising=False)
+    return sources
+
+
 class FitpackSpline:
     """FITPACK reference of contfrob.mollify's spline leaf evaluator:
     scipy's CubicSpline on one axis, RectBivariateSpline(kx=3, ky=3) on

@@ -79,6 +79,19 @@ def test_surface_frames_task_work_counts(monkeypatch):
     assert sum(root_rows) < 32
 
 
+def test_second_surface_frames_task_compiles_nothing(code_compiles):
+    # each task fits new spline leaves, whose generated sources are the
+    # first task's: their code comes from the cache
+    wl = workloads.WORKLOADS["surface-frames"]()
+    ctx = wl.build()
+    rng = np.random.default_rng([1, 2, 0])
+    assert wl.run(ctx, wl.inputs(ctx, rng), spans.NULL).problems == []
+    assert code_compiles
+    code_compiles.clear()
+    assert wl.run(ctx, wl.inputs(ctx, rng), spans.NULL).problems == []
+    assert code_compiles == []
+
+
 def test_ode_flows_task_work_counts(monkeypatch):
     # the steps the generated RK4 runs report: 4 checks x 2 flows x 40
     # steps of the pushforward, one run each, and 32 of the funnel's one

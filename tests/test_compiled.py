@@ -323,7 +323,8 @@ def test_second_integrate_takes_no_derivatives(monkeypatch):
 
 def _count_compiles(monkeypatch):
     """The names of the generated functions, field functions and RK4
-    runs alike, in the order they are compiled."""
+    runs alike, in the order they are defined, from cached code or not;
+    the code_compiles fixture counts compile() itself."""
     compiles = []
 
     def counted(self, lines, *names, _orig=fl._Source.define):
@@ -402,6 +403,48 @@ def test_mollified_frames_keep_the_cache_bounded(monkeypatch):
     del fam, leaf
     gc.collect()
     assert first() is None  # evicted entries free their spline data
+
+
+def test_frames_of_one_structure_share_code(code_compiles):
+    # the frames at two scales differ only in their spline data: the
+    # second reuses the first's code, in a namespace that binds its own
+    # evaluators, and the code keeps neither frame's data alive
+    sf, _ = presets.pde_example_2()
+    pts = sf.domain.shrink(0.05).lattice(3)
+    compiled, functions, evaluators = [], [], []
+    for eps in (0.125, 0.0625):
+        fam = involutive_mollified_frames(sf, [eps])[0]
+        frame = fam.frame
+        matrix = [[r.comps.get((i,), ZERO) for i in range(frame.dim)]
+                  for r in frame.rows]
+        flat = fl._flatten(matrix)[0]
+        fn = compile_fields(matrix, frame.coords)
+        assert fn(pts).tobytes() == \
+            reference(flat, frame.coords, pts).tobytes()
+        compiled.append(len(code_compiles))
+        code_compiles.clear()
+        functions.append(fn)
+        evaluators.append(weakref.ref(next(
+            leaf for f in flat for leaf in _leaves(f)).evaluator))
+    assert compiled[0] > 0 and compiled[1] == 0
+    assert functions[0].__code__ is functions[1].__code__
+    assert evaluators[0]() is not evaluators[1]()
+    del fam, frame, matrix, flat, fn, functions
+    gc.collect()
+    assert [ev() for ev in evaluators] == [None, None]
+
+
+def test_code_cache_is_bounded(code_compiles, monkeypatch):
+    monkeypatch.setattr(fl, "_CACHE_SIZE", 3)
+    pts = np.array([[0.5, 2.0]])
+    for k in range(2, 8):  # each power is a source of its own
+        eval_fields([x ** Const(k)], XY, pts)
+        assert len(fl._CODE) <= 3
+    assert len(code_compiles) == 6
+    eval_fields([x ** Const(7)], XY, pts)  # new fields, code still cached
+    assert len(code_compiles) == 6
+    eval_fields([x ** Const(2)], XY, pts)  # its code was evicted
+    assert len(code_compiles) == 7
 
 
 def _leaves(f):

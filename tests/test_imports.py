@@ -8,7 +8,8 @@ An export that a deletion left dangling is caught as well: every name in
 a module's `__all__` must resolve, and every name the package imports
 from a module with an `__all__` must be listed there.  The same ast scan
 keeps the library off the reference tree walk: only fields.py calls
-`.evaluate(`, and only surface.py calls `compile_rk4_run`; and it keeps
+`.evaluate(`, only surface.py calls `compile_rk4_run`, and only
+`fields._Source.define` calls the builtin `compile`; and it keeps
 the PDE certificates off the ODE module: pdelab does not import odelab,
 and ModuliDecl lives in moduli.py.  Every exported name is used, not
 only imported or listed, by the library, the benchmark or the
@@ -113,6 +114,27 @@ def test_only_surface_compiles_rk4_runs():
     # one engine: surface._integrate is the one caller of the generated run
     calls = {p.name: calls_of(p, "compile_rk4_run") for p in USERS}
     assert [name for name, lines in calls.items() if lines] == ["surface.py"]
+
+
+def _scopes_calling(tree, name, scope=()):
+    """The dotted class and function scope of each call name(...) in
+    tree, outermost first."""
+    for node in ast.iter_child_nodes(tree):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == name):
+            yield ".".join(scope)
+        inner = scope
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef,
+                             ast.AsyncFunctionDef)):
+            inner = scope + (node.name,)
+        yield from _scopes_calling(node, name, inner)
+
+
+def test_only_source_define_compiles():
+    # every generated function goes through define's code cache
+    calls = [(p.name, scope) for p in MODULES
+             for scope in _scopes_calling(_tree(p.name), "compile")]
+    assert calls == [("fields.py", "_Source.define")]
 
 
 def contfrob_bindings(path, tree):

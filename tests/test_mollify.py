@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -219,6 +220,21 @@ def test_spline_leaf_under_four_samples_is_refused(shape):
         to_spline_field(GridFunction(axes, np.zeros(shape)), "xy"[:len(shape)])
 
 
+@pytest.mark.parametrize("shape,index,bad", [
+    ((41,), (10,), np.nan), ((20, 20), (3, 17), np.inf),
+    ((20, 20), (0, 0), -np.inf)])
+def test_spline_leaf_non_finite_sample_is_refused(shape, index, bad):
+    # one such sample would turn the whole leaf into NaN
+    axes = tuple(np.linspace(0.0, 1.0, n) for n in shape)
+    values = np.ones(shape)
+    values[index] = bad
+    values[-1, ...] = np.nan  # a later one is not named
+    with pytest.raises(RangeError, match=rf"^spline sample at grid index "
+                                         rf"{re.escape(str(index))} is not "
+                                         rf"finite: {bad!r}$"):
+        to_spline_field(GridFunction(axes, values), "xy"[:len(shape)])
+
+
 def test_spline_leaf_beyond_three_axes_is_refused():
     axes = (np.linspace(0.0, 1.0, 9),) * 3
     with pytest.raises(NotImplementedError, match="1 or 2 dims"):
@@ -324,11 +340,25 @@ def test_verify_bounds_counts_moduli_per_axis():
 _DBL_EPSILON = np.finfo(float).eps
 
 
+def _is_ndimage_where_resolved(g, eps):
+    """mollify(g, eps), checked against ndimage.convolve: its finite
+    points have ndimage's bytes and cover interior_slices(), and every
+    other point is NaN."""
+    from scipy import ndimage
+    weights = kernel(eps, g.spacings).values * float(np.prod(g.spacings))
+    m = mollify(g, eps)
+    want = ndimage.convolve(g.values, weights, mode="constant", cval=0.0)
+    finite = np.isfinite(m.values)
+    assert m.values[finite].tobytes() == want[finite].tobytes()
+    assert finite[m.interior_slices()].all()
+    assert np.isnan(m.values[~finite]).all()
+    return m
+
+
 @pytest.mark.parametrize("dim", [1, 2])
 @pytest.mark.parametrize("cells", [8, 10, 10.05])
 @pytest.mark.parametrize("eps", [0.125, 0.0625, 0.025])
 def test_mollify_is_ndimage_convolve_bit_for_bit(eps, cells, dim):
-    from scipy import ndimage
     h = eps / cells
     n = 2 * math.ceil(cells) + (300 if dim == 1 else 40)
     rng = np.random.default_rng([dim, int(cells * 100), int(eps * 1e4)])
@@ -338,8 +368,18 @@ def test_mollify_is_ndimage_convolve_bit_for_bit(eps, cells, dim):
     # 10 cells per radius puts 2-D rim weights, and 10.05 cells 1-D ones,
     # at or below DBL_EPSILON: ndimage leaves them out of its footprint
     assert rim.any() == ((cells, dim) in {(10, 2), (10.05, 1), (10.05, 2)})
-    want = ndimage.convolve(g.values, weights, mode="constant", cval=0.0)
-    assert mollify(g, eps).values.tobytes() == want.tobytes()
+    _is_ndimage_where_resolved(g, eps)
+
+
+def test_mollifying_a_mollified_grid_is_ndimage_where_resolved():
+    # the NaN margin of the first pass spreads by the second's radius,
+    # which interior_slices() of the summed margin leaves out
+    h = 0.0625 / 10
+    rng = np.random.default_rng(7)
+    g = GridFunction((np.arange(80) * h,) * 2, rng.normal(size=(80, 80)))
+    once = _is_ndimage_where_resolved(g, 0.0625)
+    assert np.isnan(once.values).any()
+    _is_ndimage_where_resolved(once, 0.0625 * 10.05 / 10)
 
 
 @pytest.mark.parametrize("m", [1, 2, 32, 33, 34, 65, 66, 129, 301])
