@@ -21,7 +21,8 @@ it, so the sup and its argmax are still those of exact values.
 
 Cost model: frame_values holds the one transversality check.  It takes
 K frames over one lattice of N points as K*N frame-major rows and makes
-one batched SVD and one inverse of A|_Y for all of them.  evaluate_frames
+one batched SVD and one inverse of A|_Y for all of them (for one row,
+A|_Y = [[a]], |a| and 1 / a: see _abs_1x1).  evaluate_frames
 fills those rows with each frame's matrix_at and d_matrices_at once, and
 evaluate_frame is its K = 1 case; dynsys's Cocycle.pullback_values fills
 them for a whole pullback family with one call of each on the base
@@ -284,10 +285,12 @@ def frame_values(points, A, dA, y_indices) -> FrameValues:
     TransversalityError where some A_p|_Y is singular."""
     y_idx = list(y_indices)
     Ay = A[:, :, y_idx]
-    s = np.linalg.svd(Ay, compute_uv=False)
+    closed = _abs_1x1(Ay)
+    s = np.linalg.svd(Ay, compute_uv=False) if closed is None else closed
     if np.any(s[:, -1] < 1e-12 * np.maximum(1.0, s[:, 0])):
         raise TransversalityError("frame loses transversality on the lattice")
-    inv = np.linalg.inv(Ay)
+    # 1 / a is LAPACK's inverse of [[a]], bit for bit
+    inv = np.linalg.inv(Ay) if closed is None else 1.0 / Ay
     U = np.zeros((len(A), A.shape[2], A.shape[1]))
     U[:, y_idx, :] = inv
     return FrameValues(points, A, dA, inv, U)
@@ -307,8 +310,26 @@ class SupEstimate:
     protocol: dict = field(default_factory=dict)
 
 
+# LAPACK's SVD rescales a matrix whose largest |entry| lies outside
+# [sqrt(tiny) / eps, eps / sqrt(tiny)], [2^-459, 2^459] for doubles, which
+# moves the last bit of some 1 x 1 results; inside, that of [[a]] is |a|
+_UNSCALED = (2.0 ** -459, 2.0 ** 459)
+
+
+def _abs_1x1(stack):
+    """The singular values (..., 1) of a stack of 1 x 1 matrices as |a|
+    when every entry lies in _UNSCALED, where they are LAPACK's bits;
+    None for other shapes or entries (nan, inf, 0 among them), which
+    LAPACK takes."""
+    if stack.shape[-2:] != (1, 1):
+        return None
+    s = np.abs(stack[..., 0])
+    return s if np.all((s >= _UNSCALED[0]) & (s <= _UNSCALED[1])) else None
+
+
 def _sigma_max(stack):
-    return np.linalg.svd(stack, compute_uv=False)[..., 0]
+    s = _abs_1x1(stack)
+    return (np.linalg.svd(stack, compute_uv=False) if s is None else s)[..., 0]
 
 
 def _lattice_sups(vals, pts, protocol):

@@ -9,7 +9,8 @@ are computed, and every other point is NaN.  The output carries that
 margin as an interior-margin marker, and sup-norms and fits are only
 ever taken over the interior it marks, which the computed points cover.
 The sums are numpy shifted sums in the order of scipy's ndimage.convolve,
-so each computed point has ndimage's bits.
+so each computed point has ndimage's bits; each kernel weight is one
+pass over one contiguous slice of the flattened grid.
 
 `grid_from_field` samples a field through eval_fields on a Box lattice;
 `to_spline_field` fits the trusted samples of 1 or 2 axes with the
@@ -165,25 +166,34 @@ def _convolve(values, weights):
     stays inside the grid; weights with |w| <= DBL_EPSILON are not kept.
     Each resolved point sums w * value over the kept offsets in C order,
     starting from 0.0: the arithmetic of ndimage.convolve, so its bits
-    there, whatever its mode outside the grid.
+    there, whatever its mode outside the grid.  In the flattened grid
+    the values one offset reads for all resolved points lie in one
+    contiguous run, so each kept weight is one pass over one 1-D slice;
+    the run also covers points between the resolved rows, whose sums are
+    computed and dropped.
     """
     flipped = weights[(slice(None, None, -1),) * weights.ndim]
     keep = np.abs(flipped) > _DBL_EPSILON
     offsets = np.argwhere(keep)
     first, last = offsets.min(axis=0), offsets.max(axis=0)
-    shape = tuple(np.array(values.shape) - (last - first))
-    # the window at offset o - first holds the values that offset o of
-    # the kernel reads for each resolved point
-    windows = np.lib.stride_tricks.sliding_window_view(values, shape)
-    acc = np.zeros(shape)
-    tmp = np.empty(shape)
-    for off, w in zip(map(tuple, (offsets - first).tolist()),
-                      flipped[keep].tolist()):
-        np.multiply(windows[off], w, out=tmp)
+    shape = np.array(values.shape) - (last - first)
+    values = np.ascontiguousarray(values, dtype=float)
+    strides = np.array(values.strides) // values.itemsize
+    # the resolved point at index p reads offset o - first at flat index
+    # (p + o - first) . strides: a slice from (o - first) . strides, of
+    # the length that reaches the last resolved point
+    length = int((shape - 1) @ strides) + 1
+    flat = values.ravel()
+    acc = np.zeros(length)
+    tmp = np.empty(length)
+    for start, w in zip(((offsets - first) @ strides).tolist(),
+                        flipped[keep].tolist()):
+        np.multiply(flat[start:start + length], w, out=tmp)
         np.add(acc, tmp, out=acc)
     out = np.full(values.shape, np.nan)
     start = np.array(weights.shape) // 2 - first
-    out[tuple(slice(i, i + n) for i, n in zip(start, shape))] = acc
+    out[tuple(slice(i, i + n) for i, n in zip(start, shape))] = \
+        np.lib.stride_tricks.as_strided(acc, tuple(shape), values.strides)
     return out
 
 

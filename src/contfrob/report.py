@@ -14,6 +14,9 @@ _FLOATS = (float, np.floating)
 
 
 def _cell(v):
+    # np.float64 is a float subclass whose repr is np.float64(...)
+    if type(v) is float:
+        return repr(v)
     return repr(float(v)) if isinstance(v, _FLOATS) else str(v)
 
 

@@ -10,7 +10,8 @@ grid, and the finite-difference error is folded into tolerances as
 One RK4 loop, _integrate, serves flow, variational_flow and the funnel
 probe of odelab.  It takes one point (d,) or a batch (N, d), with one time
 for every row or one time per row, and each row gives the same bits as
-its solo run: build_surface sweeps a whole layer of the lattice per call,
+its solo run: build_surface takes one step outward in both directions
+from a whole layer of the lattice per call (per-row times +dt and -dt),
 and pushforward_bound_check flows a batch of checks in one call per
 spanning field.  A per-row alive mask retires a row once it has taken its
 steps, once a step ends outside the domain box, or once its field raises
@@ -205,18 +206,17 @@ def _integrate(fields, coords, x0, t, step, box, Y0=None) -> Trajectories:
     return Trajectories(x, Y, exit_time, error)
 
 
-def flow(fields, coords, x0, t, cfg: FlowConfig, box: Box = None):
+def flow(fields, coords, x0, t, cfg: FlowConfig):
     """RK4 endpoint of the flow of sum_c fields[c] d/dc after time t.
 
     x0 is one point (d,) or a batch of points (N, d); the result has the
     same shape, and t is a scalar or one time per row.  Each row gives the
-    bits of its solo run.  When a row leaves the box the call raises
-    EscapeError with the earliest exit time in the batch, the end of the
-    step that left; a row whose field raises EvalDomainError raises that.
+    bits of its solo run.  No box bounds the flow: a row whose field
+    raises EvalDomainError raises that, the earliest in the batch, and
     |t| beyond MAX_TIME raises EscapeError at once.
     """
-    run = _integrate(fields, coords, x0, t, cfg.step, box)
-    return run.raise_first_exit()[0]
+    return _integrate(fields, coords, x0, t, cfg.step, None
+                      ).raise_first_exit()[0]
 
 
 def variational_flow(fields, coords, x0, t, Y0, cfg: FlowConfig,
@@ -271,7 +271,10 @@ def build_surface(dist: Distribution, x0, eps1, grid_res, cfg: FlowConfig,
     default, a permutation is a diagnostic only.  grid_res must be odd so
     the lattice contains t = 0 and W(0) = x0 is exact by construction,
     eps1 positive and finite, and x0 a point of the domain; all three
-    are checked before any flow.
+    are checked before any flow.  A flow that stops raises the error a
+    sweep over the + nodes and then over the - nodes of each layer would:
+    the + side's first, else the - side's once the + side is done.  An
+    EscapeError carries the node (flow index, grid index) it was filling.
     """
     _check_eps1(eps1)
     if grid_res < 3 or grid_res % 2 == 0:
@@ -294,19 +297,34 @@ def build_surface(dist: Distribution, x0, eps1, grid_res, cfg: FlowConfig,
     shape = ()
     for k in range(m):
         Xi = fields[order[k]]
-        new = np.empty((len(pts), grid_res, dist.dim))
+        P = len(pts)
+        new = np.empty((P, grid_res, dist.dim))
         new[:, center] = pts
-        # sweep outward from the centre: each node flows from its inner
-        # neighbour, all current-layer points in one batch
-        sweep = [(j, j - 1, dt) for j in range(center + 1, grid_res)] + \
-            [(j, j + 1, -dt) for j in range(center - 1, -1, -1)]
-        for j, prev, h in sweep:
-            try:
-                new[:, j] = flow(Xi, dist.coords, new[:, prev], h, cfg,
-                                 dist.domain)
-            except EscapeError as err:
-                err.node = (order[k], j)
-                raise
+        # sweep outward from the centre: node center + s flows from its
+        # inner neighbour by +dt and node center - s by -dt, both sides
+        # of all current-layer points in one call; a - side that stops
+        # is dropped and its error raised once the + side is done
+        signs, late = (1, -1), None
+        for s in range(1, center + 1):
+            starts = np.concatenate([new[:, center + (s - 1) * g]
+                                     for g in signs])
+            run = _integrate(Xi, dist.coords, starts,
+                             np.repeat(np.multiply(signs, dt), P), cfg.step,
+                             dist.domain)
+            for i, g in enumerate(signs):
+                rows, j = slice(i * P, (i + 1) * P), center + s * g
+                side = Trajectories(run.x[rows], None, run.exit_time[rows],
+                                    run.error[rows])
+                try:
+                    new[:, j] = side.raise_first_exit()[0]
+                except (EscapeError, EvalDomainError) as err:
+                    if isinstance(err, EscapeError):
+                        err.node = (order[k], j)
+                    if g > 0:
+                        raise
+                    late, signs = err, (1,)
+        if late is not None:
+            raise late
         shape = shape + (grid_res,)
         pts = new.reshape(-1, dist.dim)
 

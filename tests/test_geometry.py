@@ -17,9 +17,9 @@ from contfrob.geometry import (Distribution, FrameSection, FrameValues,
                                annihilator_frame,
                                asymptotic_involutivity_trace, bound_parts,
                                evaluate_frame, evaluate_frames,
-                               exterior_regularity_trace, frobenius_defect,
-                               involutivity_constant, max_principal_angle,
-                               scaled_exp)
+                               exterior_regularity_trace, frame_values,
+                               frobenius_defect, involutivity_constant,
+                               max_principal_angle, scaled_exp, _sigma_max)
 from contfrob.mollify import grid_from_field, mollify, to_spline_field
 from contfrob.odelab import funnel
 from contfrob.presets import contact_distribution, ode_peano
@@ -110,6 +110,62 @@ def test_restricted_inverse_diagonal_and_singular():
                        coords, ("y1", "y2"))
     with pytest.raises(TransversalityError):
         evaluate_frame(bad, np.zeros(3))
+
+
+def _one_by_one_frames(a):
+    """frame_values of one row dz - x0 dx per entry, with A|_Y = [[a]]."""
+    A = np.stack([np.zeros_like(a), a], axis=-1)[:, None, :]
+    return frame_values(np.zeros((len(a), 2)), A,
+                        np.zeros((len(a), 1, 2, 2)), [1])
+
+
+def _signed_magnitudes(lo, hi, n, seed):
+    rng = np.random.default_rng(seed)
+    return 10.0 ** rng.uniform(lo, hi, n) * rng.choice([-1.0, 1.0], n)
+
+
+def test_one_by_one_closed_forms_are_lapacks_bits():
+    # |a| and 1 / a stand in for the SVD and inverse of [[a]]; outside
+    # [2^-459, 2^459] LAPACK rescales, and its bits are kept there
+    a = _signed_magnitudes(-300.0, 300.0, 20000, 3)
+    a[:4] = [2.0 ** -459, -(2.0 ** 459), np.nextafter(2.0 ** -459, 0.0),
+             -np.nextafter(2.0 ** 459, np.inf)]
+    stack = a[:, None, None]
+    assert _sigma_max(stack).tobytes() == \
+        np.linalg.svd(stack, compute_uv=False)[:, 0].tobytes()
+    # frame_values takes the entries a transversal frame can have
+    a = _signed_magnitudes(-11.9, 300.0, 20000, 4)
+    values = _one_by_one_frames(a)
+    assert values.inv.tobytes() == np.linalg.inv(a[:, None, None]).tobytes()
+    assert values.inv_norms.tobytes() == np.linalg.svd(
+        values.inv, compute_uv=False)[:, 0].tobytes()
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0, -0.0])
+def test_one_by_one_non_finite_and_zero_entries_are_lapacks(bad):
+    # nan: LAPACK's SVD does not converge; inf: its singular value is nan
+    # and its inverse 0; 0: the frame is not transversal
+    a = np.array([2.0, bad])
+    stack = a[:, None, None]
+    if math.isnan(bad):
+        with pytest.raises(np.linalg.LinAlgError):
+            _sigma_max(stack)
+        with pytest.raises(np.linalg.LinAlgError):
+            _one_by_one_frames(a)
+        return
+    want = np.linalg.svd(stack, compute_uv=False)[:, 0]
+    assert _sigma_max(stack).tobytes() == want.tobytes()
+    if bad == 0.0:
+        assert want[1] == 0.0
+        with pytest.raises(TransversalityError):
+            _one_by_one_frames(a)
+        return
+    assert math.isnan(want[1])
+    values = _one_by_one_frames(a)
+    assert values.inv.tobytes() == np.linalg.inv(stack).tobytes()
+    assert values.inv[:, 0, 0].tolist() == [0.5, 1.0 / bad]
+    assert math.copysign(1.0, values.inv[1, 0, 0]) == math.copysign(1.0, bad)
+    assert values.inv_norms.tolist() == [0.5, 0.0]
 
 
 def test_involutivity_constant_involutive_is_zero():

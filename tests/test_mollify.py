@@ -355,19 +355,34 @@ def _is_ndimage_where_resolved(g, eps):
     return m
 
 
-@pytest.mark.parametrize("dim", [1, 2])
-@pytest.mark.parametrize("cells", [8, 10, 10.05])
-@pytest.mark.parametrize("eps", [0.125, 0.0625, 0.025])
+# per axis: spacing relative to eps / cells, and points beyond the kernel's
+# width.  Unequal lengths give unequal strides, and the convolution's flat
+# offsets depend on every stride, which square grids cannot tell apart
+_GRIDS = {1: ((1.0,), (300,)), 2: ((1.0, 1.0), (40, 40)),
+          "2-non-square": ((1.0, 0.8), (40, 53)),
+          3: ((1.0, 1.0, 1.0), (5, 8, 11))}
+
+
+@pytest.mark.parametrize("eps, cells, dim", [
+    (eps, cells, dim) for dim in (1, 2, "2-non-square")
+    for cells in (8, 10, 10.05) for eps in (0.125, 0.0625, 0.025)]
+    + [(0.125, 8, 3), (0.025, 8, 3)])
 def test_mollify_is_ndimage_convolve_bit_for_bit(eps, cells, dim):
-    h = eps / cells
-    n = 2 * math.ceil(cells) + (300 if dim == 1 else 40)
-    rng = np.random.default_rng([dim, int(cells * 100), int(eps * 1e4)])
-    g = GridFunction((np.arange(n) * h,) * dim, rng.normal(size=(n,) * dim))
+    rel, extra = _GRIDS[dim]
+    h = [eps / cells * r for r in rel]
+    n = [2 * math.ceil(cells / r) + k for r, k in zip(rel, extra)]
+    rng = np.random.default_rng([list(_GRIDS).index(dim) + 1,
+                                 int(cells * 100), int(eps * 1e4)])
+    g = GridFunction(tuple(np.arange(k) * s for k, s in zip(n, h)),
+                     rng.normal(size=n))
     weights = kernel(eps, g.spacings).values * float(np.prod(g.spacings))
     rim = (weights != 0.0) & (np.abs(weights) <= _DBL_EPSILON)
     # 10 cells per radius puts 2-D rim weights, and 10.05 cells 1-D ones,
-    # at or below DBL_EPSILON: ndimage leaves them out of its footprint
-    assert rim.any() == ((cells, dim) in {(10, 2), (10.05, 1), (10.05, 2)})
+    # at or below DBL_EPSILON: ndimage leaves them out of its footprint;
+    # a finer axis or a third axis does so at 10 and at 8 cells
+    assert rim.any() == ((cells, dim) in {
+        (10, 2), (10.05, 1), (10.05, 2), (10, "2-non-square"),
+        (10.05, "2-non-square"), (8, 3)})
     _is_ndimage_where_resolved(g, eps)
 
 

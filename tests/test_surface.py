@@ -39,6 +39,12 @@ def involutive():
 # flows
 
 
+def boxed_flow(fields, coords, x0, t, cfg, box):
+    """flow's endpoints and first exit, with escapes from box."""
+    return _integrate(fields, coords, x0, t, cfg.step,
+                      box).raise_first_exit()[0]
+
+
 def test_flow_translation():
     out = flow([Const(1.0), Const(0.0)], ("x", "y"), np.zeros(2), 1.0, CFG)
     assert np.allclose(out, [1.0, 0.0], atol=1e-12)
@@ -59,7 +65,7 @@ def test_flow_peano_stays_on_zero_branch():
 def test_flow_escape_error():
     box = Box.from_dict({"x": (-0.5, 0.5)})
     with pytest.raises(EscapeError) as exc:
-        flow([Const(1.0)], ("x",), np.zeros(1), 1.0, CFG, box)
+        boxed_flow([Const(1.0)], ("x",), np.zeros(1), 1.0, CFG, box)
     assert 0.45 < exc.value.exit_time < 0.55
 
 
@@ -104,8 +110,9 @@ def test_variational_flow_matches_centered_flow_differences():
 def test_batched_flow_equals_rowwise_flow(fields, coords, t, box):
     rng = np.random.default_rng(2)
     rows = rng.uniform(-0.3, 0.3, size=(17, len(coords)))
-    batch = flow(fields, coords, rows, t, CFG, box)
-    single = np.stack([flow(fields, coords, r, t, CFG, box) for r in rows])
+    batch = boxed_flow(fields, coords, rows, t, CFG, box)
+    single = np.stack([boxed_flow(fields, coords, r, t, CFG, box)
+                       for r in rows])
     assert batch.shape == rows.shape
     assert np.array_equal(batch, single)
 
@@ -168,14 +175,14 @@ def test_flow_on_a_batch_with_stopped_rows_still_raises():
     # the box at the end of the step ending at t = 0.42 and row 5 at 1.02:
     # flow raises the earliest
     with pytest.raises(EvalDomainError):
-        flow(SQRT_FIELD, ("t", "y"), SQRT_ROWS[:6], SQRT_TIMES[:6], cfg,
-             SQRT_BOX)
+        boxed_flow(SQRT_FIELD, ("t", "y"), SQRT_ROWS[:6], SQRT_TIMES[:6],
+                   cfg, SQRT_BOX)
     with pytest.raises(EscapeError) as batch:
-        flow(SQRT_FIELD, ("t", "y"), SQRT_ROWS[1:6], SQRT_TIMES[1:6], cfg,
-             SQRT_BOX)
+        boxed_flow(SQRT_FIELD, ("t", "y"), SQRT_ROWS[1:6], SQRT_TIMES[1:6],
+                   cfg, SQRT_BOX)
     with pytest.raises(EscapeError) as solo:
-        flow(SQRT_FIELD, ("t", "y"), SQRT_ROWS[1], SQRT_TIMES[1], cfg,
-             SQRT_BOX)
+        boxed_flow(SQRT_FIELD, ("t", "y"), SQRT_ROWS[1], SQRT_TIMES[1],
+                   cfg, SQRT_BOX)
     assert batch.value.exit_time == solo.value.exit_time == 0.42
 
 
@@ -366,8 +373,8 @@ def test_a_row_raising_at_stage_four_stops_alone():
 def test_a_nan_flow_time_is_a_range_error():
     X1 = contact().spanning_fields()[0]
     with pytest.raises(RangeError, match=r"^flow time of row 0 is nan$"):
-        flow(X1, ("x", "y", "z"), np.zeros(3), math.nan,
-             FlowConfig(step=0.01), BOX3)
+        boxed_flow(X1, ("x", "y", "z"), np.zeros(3), math.nan,
+                   FlowConfig(step=0.01), BOX3)
     with pytest.raises(RangeError, match=r"^flow time of row 1 is nan$"):
         _integrate(X1, ("x", "y", "z"), np.zeros((2, 3)), [0.1, math.nan],
                    0.01, BOX3)
@@ -571,6 +578,37 @@ def test_build_surface_start_outside_domain_is_checked_before_any_flow(
     monkeypatch.setattr(surface, "_integrate", no_flow)
     with pytest.raises(RangeError, match=f"^{re.escape(message)}$"):
         build_surface(contact(), x0, 0.1, 5, FlowConfig(step=1e-3))
+
+
+# x0 of each build, and the error, node and exit_time of the sweep that
+# fills the + nodes of a layer before its - nodes, read before the two
+# directions shared a flow call: a + escape is raised even where the -
+# side stopped at an earlier node, and a - error only once the + side is
+# done.  ROOT_FIELD's flow takes x below -0.55, where its root raises
+ROOT_FIELD = parse_field("(x + 0.55)^(1/2)")
+
+
+@pytest.mark.parametrize("coeff, x0, error, node, exit_time", [
+    (y, [-0.57, 0.5, 0.56], EscapeError, (0, 4), 0.03125),
+    (y, [-0.57, 0.0, 0.0], EscapeError, (0, 1), -0.03125),
+    (y, [0.57, 0.0, 0.0], EscapeError, (0, 3), 0.03125),
+    (y, [0.0, 0.56, 0.0], EscapeError, (1, 3), 0.040625),
+    (y, [0.0, -0.57, 0.0], EscapeError, (1, 1), -0.03125),
+    (y, [-0.57, 0.57, 0.0], EscapeError, (0, 1), -0.03125),
+    (ROOT_FIELD, [-0.5, 0.0, 0.0], EvalDomainError, None, None),
+    (ROOT_FIELD, [-0.5, 0.5, 0.58], EscapeError, (0, 4),
+     0.021875000000000002),
+], ids=["both-sides-plus-later", "minus", "plus", "second-layer-plus",
+        "second-layer-minus", "first-layer-minus-before-second",
+        "minus-domain-error", "minus-domain-error-then-plus"])
+def test_build_surface_escape_is_the_plus_then_minus_sweeps(
+        coeff, x0, error, node, exit_time):
+    dist = Distribution(("x", "y"), ("z",), [[coeff], [Const(0.0)]], BOX3)
+    with pytest.raises(error) as exc:
+        build_surface(dist, np.array(x0), 0.1, 5, FlowConfig(step=0.1 / 32))
+    assert type(exc.value) is error
+    assert getattr(exc.value, "node", None) == node
+    assert getattr(exc.value, "exit_time", None) == exit_time
 
 
 # ---------------------------------------------------------------------------
