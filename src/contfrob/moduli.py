@@ -7,8 +7,9 @@ tabulated empirical moduli; two numerical uniqueness criteria are
 evaluated on them:
 
 * the classical divergence criterion for int ds / w(s) near 0, probed by
-  adaptive quadrature on a geometric grid (divergence is the verdict that
-  favors uniqueness; the report records this sign convention), and
+  a Gauss-Legendre rule halved adaptively over a dyadic grid (divergence
+  is the verdict that favors uniqueness; the report records this sign
+  convention), and
 * the limit criterion  w1(s) * e^{w2(s)/s} -> 0, evaluated in the log
   domain so Hoelder moduli do not overflow near s = 1e-3; the ODE and
   PDE certificates apply it to a spec's ModuliDecl.
@@ -64,10 +65,22 @@ class Modulus:
         return float(out) if out.ndim == 0 else out
 
 
+def _check_leaf(K, cap, top=math.inf):
+    """RangeError unless the constant K is finite and >= 0 and the domain
+    cap lies in (0, top]."""
+    if not (math.isfinite(K) and K >= 0.0):
+        raise RangeError(f"K must be nonnegative and finite, got {K!r}")
+    if not 0.0 < cap <= top:
+        raise RangeError(f"domain cap must lie in (0, {top:g}], got {cap!r}")
+
+
 @dataclass(frozen=True)
 class Lipschitz(Modulus):
     K: float = 1.0
     domain_cap: float = math.inf
+
+    def __post_init__(self):
+        _check_leaf(self.K, self.domain_cap)
 
     def _raw(self, s):
         return self.K * s
@@ -83,6 +96,7 @@ class Hoelder(Modulus):
         if not 0.0 < self.alpha <= 1.0:
             raise RangeError(f"Hoelder exponent must lie in (0, 1], "
                              f"got {self.alpha!r}")
+        _check_leaf(self.K, self.domain_cap)
 
     def _raw(self, s):
         return self.K * s ** self.alpha
@@ -95,6 +109,13 @@ class LogLip(Modulus):
     beta: float = 1.0
     K: float = 1.0
     domain_cap: float = _E_CAP
+
+    def __post_init__(self):
+        if not (math.isfinite(self.beta) and self.beta >= 0.0):
+            raise RangeError(f"beta must be nonnegative and finite, got "
+                             f"{self.beta!r}")
+        # s log(1/s) decreases past 1/e
+        _check_leaf(self.K, self.domain_cap, _E_CAP)
 
     def _raw(self, s):
         return -self.K * self.beta * s * np.log(s)
@@ -119,8 +140,10 @@ class ScaleModulus(Modulus):
     w: Modulus
 
     def __post_init__(self):
-        if self.c <= 0.0:
+        if not self.c > 0.0:
             raise RangeError(f"scale factor must be positive, got {self.c!r}")
+        if not math.isfinite(self.c):
+            raise RangeError(f"scale factor must be finite, got {self.c!r}")
 
     @property
     def domain_cap(self):
@@ -155,6 +178,9 @@ class Tabulated(Modulus):
         if len(s) < 2:
             raise RangeError(f"tabulated modulus needs >= 2 breakpoints, "
                              f"got {len(s)}")
+        if not s[0] > 0.0:
+            raise RangeError(f"breakpoint scales must be positive, got "
+                             f"{s[0]}")
         for a, b in zip(s, s[1:]):
             if not a < b:
                 raise RangeError(f"breakpoint scales must be strictly "
@@ -205,6 +231,71 @@ _STABILIZE_REL = 1.0e-6
 _GEO_RATIO = 0.97
 _DECAY_FACTOR = 1.0e-3
 
+# the one quadrature: the 10-point Gauss-Legendre rule on the two halves
+# of each interval, settled once that rule and the 12-point Gauss-Lobatto
+# rule on the whole both agree with it to _QUAD_RTOL of the running
+# estimate, and halved again otherwise.  Lobatto samples the ends, where
+# a kink before the first Legendre node of the whole and of its halves
+# would settle unseen; Legendre on the whole has half the halves'
+# resolution, where Lobatto's can match theirs and miss by as much
+_QUAD_RTOL = 1.0e-15
+_QUAD_MAX_PIECES = 1 << 14
+
+
+@functools.cache
+def _rules():
+    """(nodes, weights) on [-1, 1] of the 10-point Gauss-Legendre and the
+    12-point Gauss-Lobatto rule, built on first use so that importing
+    the package does not load numpy.polynomial."""
+    p = np.polynomial.legendre.Legendre.basis(11)
+    x = np.concatenate([[-1.0], p.deriv().roots().real, [1.0]])
+    return np.polynomial.legendre.leggauss(10), (x, 2.0 / (132.0 * p(x) ** 2))
+
+
+def _rule(f, lo, hi, rule):
+    """The (nodes, weights) rule of f on each [lo[i], hi[i]]; a value that
+    is not finite is a SingularIntegrandError naming its interval."""
+    half = 0.5 * (hi - lo)
+    with np.errstate(all="ignore"):
+        vals = half * (f((lo + half)[:, None] + half[:, None] * rule[0])
+                       @ rule[1])
+    bad = np.flatnonzero(~np.isfinite(vals))
+    if len(bad):
+        i = bad[0]
+        raise SingularIntegrandError(
+            f"integrand is not finite on [{lo[i]:g}, {hi[i]:g}]: the rule "
+            f"gives {float(vals[i])!r}")
+    return vals
+
+
+def _integrals(f, edges):
+    """The integral of a vectorized f over each [edges[i], edges[i + 1]]
+    of ascending edges.  Needing more than _QUAD_MAX_PIECES intervals to
+    settle is a SingularIntegrandError naming the unsettled interval."""
+    gauss, lobatto = _rules()
+    lo, hi = edges[:-1], edges[1:]
+    owner = np.arange(len(lo))
+    total = np.zeros(len(lo))
+    pieces = len(lo)
+    while len(owner):
+        mid = 0.5 * (lo + hi)
+        halves = _rule(f, lo, mid, gauss) + _rule(f, mid, hi, gauss)
+        estimate = total + np.bincount(owner, halves, len(total))
+        gap = np.maximum(np.abs(_rule(f, lo, hi, gauss) - halves),
+                         np.abs(_rule(f, lo, hi, lobatto) - halves))
+        split = ~(gap <= _QUAD_RTOL * np.abs(estimate[owner]))
+        total += np.bincount(owner[~split], halves[~split], len(total))
+        pieces += 2 * np.count_nonzero(split)
+        if pieces > _QUAD_MAX_PIECES:
+            i = owner[split][0]
+            raise SingularIntegrandError(
+                f"quadrature on [{edges[i]:g}, {edges[i + 1]:g}] did not "
+                f"settle within {_QUAD_MAX_PIECES} intervals")
+        owner = np.repeat(owner[split], 2)
+        lo, hi = (np.stack([lo[split], mid[split]], axis=1).ravel(),
+                  np.stack([mid[split], hi[split]], axis=1).ravel())
+    return total
+
 
 def osgood_check(w, eps=None, depth=40):
     """Probe divergence of int_delta^eps ds / w(s) on a geometric grid.
@@ -231,13 +322,7 @@ def osgood_check(w, eps=None, depth=40):
         raise SingularIntegrandError(
             "modulus vanishes at an interior probe point")
 
-    from scipy.integrate import quad
-    increments = []
-    for k in range(depth):
-        val, _ = quad(lambda s: 1.0 / w(s), deltas[k + 1], deltas[k],
-                      limit=200)
-        increments.append(val)
-    increments = np.asarray(increments)
+    increments = _integrals(lambda s: 1.0 / w(s), deltas[::-1])[::-1]
     sums = np.concatenate([[0.0], np.cumsum(increments)])
     trace = np.stack([deltas, sums], axis=1)
 
@@ -429,10 +514,6 @@ def _build_modulus(text):
     name, body = _split_call(text)
     if name in _LEAF_KEYS:
         kv = _parse_kv(body, _LEAF_KEYS[name])
-        for key in ("k", "beta"):
-            if key in kv and not kv[key] >= 0.0:
-                raise ParseError(f"{key} must be nonnegative, got "
-                                 f"{kv[key]!r} in {text!r}")
         if name == "lipschitz":
             return Lipschitz(K=kv.pop("k", 1.0),
                              domain_cap=kv.pop("cap", math.inf))

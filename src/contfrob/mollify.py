@@ -16,16 +16,18 @@ pass over one contiguous slice of the flattened grid.
 `to_spline_field` fits the trusted samples of 1 or 2 axes with the
 not-a-knot cubic spline (the interpolant of FITPACK and CubicSpline, to
 rounding), held as per-cell polynomial coefficients, and wraps it as a
-SplineLeaf.  Neither imports SciPy; only `verify_bounds` does, for quad.
+SplineLeaf.
 
 `verify_bounds` measures |f^eps - f| and |d f^eps / dx_j| against the
 scaled integrals (1/eps^d) int_0^eps s^{d-1} w(s) ds  and
-(1/eps^{d+1}) int_0^eps s^{d-1} w_j(s) ds and reports the smallest
-constant K that makes every inequality hold across the sweep.
+(1/eps^{d+1}) int_0^eps s^{d-1} w_j(s) ds, integrated by moduli's
+quadrature, and reports the smallest constant K that makes every
+inequality hold across the sweep.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,6 +35,7 @@ import numpy as np
 from .boxes import Box
 from .errors import EvalDomainError, MarginError, RangeError, ResolutionError
 from .fields import SplineLeaf, eval_fields
+from .moduli import _integrals
 
 __all__ = [
     "GridFunction", "MollifyReport", "kernel", "mollify", "verify_bounds",
@@ -226,7 +229,6 @@ def verify_bounds(f: GridFunction, w, per_axis_w, eps_list):
     if len(per_axis_w) != d:
         raise RangeError(f"need one directional modulus per axis: {d} axes, "
                          f"got {len(per_axis_w)} moduli")
-    from scipy.integrate import quad
     rows = []
     for eps in eps_list:
         g = mollify(f, eps)
@@ -236,9 +238,8 @@ def verify_bounds(f: GridFunction, w, per_axis_w, eps_list):
         for j, h in enumerate(f.spacings):
             dg = np.gradient(g.values, h, axis=j)
             deriv_sup.append(float(np.max(np.abs(dg[sl]))))
-        i_dist = quad(lambda s: s ** (d - 1) * w(s), 0.0, eps, limit=200)[0]
-        i_deriv = [quad(lambda s: s ** (d - 1) * wj(s), 0.0, eps,
-                        limit=200)[0] for wj in per_axis_w]
+        i_dist = _moment(w, d, eps)
+        i_deriv = [_moment(wj, d, eps) for wj in per_axis_w]
         rows.append((float(eps), sup_dist, tuple(deriv_sup), i_dist, i_deriv))
 
     fitted = 0.0
@@ -257,6 +258,14 @@ def verify_bounds(f: GridFunction, w, per_axis_w, eps_list):
         }
         reports.append(MollifyReport(eps, sup_dist, deriv_sup, rhs, fitted))
     return reports
+
+
+def _moment(w, d, eps):
+    """int_0^eps s^(d-1) w(s) ds for a nondecreasing w >= 0, integrated
+    over the dyadic intervals of [2^-60 eps, eps]: the dropped
+    [0, 2^-60 eps] holds less than 2^-59 of the whole."""
+    edges = eps * 2.0 ** -np.arange(60.0, -1.0, -1.0)
+    return math.fsum(_integrals(lambda s: s ** (d - 1) * w(s), edges))
 
 
 # ---------------------------------------------------------------------------

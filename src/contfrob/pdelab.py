@@ -35,7 +35,8 @@ from .geometry import (Distribution, FrameSection, annihilator_frame,
                        frobenius_defect)
 from .moduli import (NONZERO_THRESHOLD, CriterionReport, ModuliDecl,
                      declared_limit_check)
-from .mollify import _check_eps, grid_from_field, mollify, to_spline_field
+from .mollify import (_check_eps, _SplineEvaluator, grid_from_field,
+                      mollify, to_spline_field)
 
 __all__ = [
     "PdeSpec", "SpecialFormSpec", "hat_matrix", "submatrix_det",
@@ -179,7 +180,9 @@ class SolveResult:
 
 class _SeparableComponent:
     """Tabulated antiderivative Phi(y) = int_{y0}^y ds/G(s) on the branch
-    of y0, with monotone inversion."""
+    of y0, fitted by the not-a-knot spline of the mollified leaves and
+    inverted by bisection in the one cell whose knot values bracket the
+    target."""
 
     _ZERO_TOL = 1.0e-12
     _N_GRID = 4001
@@ -206,25 +209,40 @@ class _SeparableComponent:
         inv = 1.0 / gs[lo:hi + 1]
         phi = _cumulative_quadrature(self.ys, inv)
         phi -= np.interp(self.y0, self.ys, phi)
-        from scipy.interpolate import CubicSpline
-        self.phi = CubicSpline(self.ys, phi)
+        self.phi = _SplineEvaluator([self.ys], phi)
+        self.knots = self.sign * phi  # ascending, as Phi' = 1 / G
         self.phi_min = float(min(phi[0], phi[-1]))
         self.phi_max = float(max(phi[0], phi[-1]))
 
     def solve(self, delta_h):
-        """y with Phi(y) = delta_h, on the branch of y0."""
-        if self.constant or delta_h == 0.0:
-            return self.y0
-        if not (self.phi_min - 1e-14 <= delta_h <= self.phi_max + 1e-14):
+        """y with Phi(y) = delta_h for each target, on the branch of y0:
+        the bisection runs until the midpoint of the bracket is one of
+        its ends."""
+        delta_h = np.asarray(delta_h, dtype=float)
+        if self.constant:
+            return np.full(delta_h.shape, self.y0)
+        if not np.all((self.phi_min - 1e-14 <= delta_h)
+                      & (delta_h <= self.phi_max + 1e-14)):
             raise BranchCrossingError(
                 "target lies beyond the branch of the denominator "
                 "(it vanishes, or the domain box ends, before the "
                 "required displacement)")
-        delta_h = min(max(delta_h, self.phi_min), self.phi_max)
-        from scipy.optimize import brentq
-        f = lambda yv: float(self.phi(yv)) - delta_h
-        a, b = self.ys[0], self.ys[-1]
-        return float(brentq(f, a, b, xtol=1.0e-12, rtol=8.9e-16))
+        t = self.sign * np.clip(delta_h, self.phi_min, self.phi_max)
+        i = np.clip(np.searchsorted(self.knots, t) - 1, 0, len(self.ys) - 2)
+        a, b = self.ys[i], self.ys[i + 1]
+        mid = 0.5 * (a + b)
+        live = (mid != a) & (mid != b)
+        while np.any(live):
+            below = self.sign * self.phi.ev([mid], (0,)) < t
+            a = np.where(live & below, mid, a)
+            b = np.where(live & ~below, mid, b)
+            mid = 0.5 * (a + b)
+            live = (mid != a) & (mid != b)
+        # of the two adjacent floats, the one whose Phi is nearer
+        miss_a, miss_b = (np.abs(self.sign * self.phi.ev([y], (0,)) - t)
+                          for y in (a, b))
+        return np.where(delta_h == 0.0, self.y0,
+                        np.where(miss_a < miss_b, a, b))
 
 
 def _cumulative_quadrature(xs, vals):
@@ -274,7 +292,7 @@ def special_solve(sf: SpecialFormSpec, x0, y0, targets, residual_check=True):
             xs += [xp, xm]
     h0 = eval_fields(sf.H, sf.x_names, x0)
     dh = eval_fields(sf.H, sf.x_names, np.concatenate(xs)) - h0
-    ys = np.array([[comps[i].solve(row[i]) for i in range(n)] for row in dh])
+    ys = np.stack([c.solve(dh[:, i]) for i, c in enumerate(comps)], axis=1)
     ys = ys.reshape(len(xs), len(targets), n)
     values = ys[0]
     residuals = np.zeros((len(targets), n, m))

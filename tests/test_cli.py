@@ -163,6 +163,16 @@ def test_moduli_check_limit_zero_w1_is_singular(tmp_path, capsys):
     assert list(tmp_path.glob("*.csv")) == []
 
 
+@pytest.mark.parametrize("w", ["scale(nan, lipschitz())", "lipschitz(k=inf)",
+                               "scale(inf, lipschitz())", "loglip(cap=5)"])
+def test_modulus_out_of_range_is_parse_error(tmp_path, capsys, w):
+    # each one used to certify uniqueness: verdict=Holds
+    assert main(["moduli", "check", "--criterion", "osgood", "--w", w,
+                 "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err.startswith("parse error: invalid modulus ")
+    assert list(tmp_path.glob("*.csv")) == []
+
+
 def test_config_bad_seed_is_parse_error(tmp_path, capsys):
     text = "[experiment]\nkind = ode-check\nseed = abc\n"
     with pytest.raises(ParseError) as exc:

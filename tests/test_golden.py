@@ -16,7 +16,11 @@ escape-path cases were captured before the funnel became one masked RK4
 batch: paper-ex1 starts rows outside the box and has a -delta row whose
 field raises EvalDomainError (5 escapes per delta), and peano from
 (0, 0.125) has rows leave the box mid-flow next to rows that finish
-(4, 3 and 0 escapes).
+(4, 3 and 0 escapes).  The pde_solve.csv and mollify_verify.csv digests
+were captured again when SciPy left the library: the separable solve's
+bisection to the last bit moved y by 1 ulp in 4 of 18 cells (and those
+rows' FD residuals by 1.4e-6 relative), and the numpy quadrature moved
+fitted_K by 1 ulp in 3 cells.
 """
 
 import hashlib
@@ -52,7 +56,7 @@ GOLDEN = [
      "f1e318ad83fa499e2d61dd0462a3ce42ec09864fdb157b151f48012e1cc72290"),
     (["pde", "solve-special", "--example", "paper-ex2", "--x0", "0.3,0.3",
       "--y0", "0.5,0.5"], "pde_solve.csv",
-     "f914910e7f126cf50aae4580c9c78a6ff1e7c405eaad2344ad089e1144c9ca0e"),
+     "39ca62f96378d6a5ed23bc3c25ad0fdb0b5a017439dcc774d8b256d859af0461"),
     (["pde", "frames", "--example", "paper-ex2", "--eps-list",
       "0.125,0.0625"], "pde_frames.csv",
      "76edcd0d96b11adbf2fa5ad4af2d0f59b8ad38985be8dc955e28fde4e5e4991a"),
@@ -61,7 +65,7 @@ GOLDEN = [
      "fb9f1e9bed53b85b0d3587cb84c0cf6465ea6af0612d8eb03c0e2a3798d6c810"),
     (["mollify", "verify", "--expr", "(x^2)^0.5", "--eps-list",
       "0.1,0.05,0.025"], "mollify_verify.csv",
-     "f70ada9fa75e5a52fc0829edf7dec682a727417e8ba2780f25544b3b88fea537"),
+     "c12c309806275c4866a5c78e1736d87e1453efdf6333e96f344e79674297e7db"),
 ]
 
 

@@ -338,11 +338,42 @@ def _scipy_modules_after(code):
     return out.stdout.strip().splitlines()[-1]
 
 
+def test_no_library_module_imports_scipy():
+    # SciPy is a test-only reference: the spline, the root-finder and the
+    # quadrature are numpy
+    found = []
+    for path in sorted(Path(contfrob.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            found += [(path.name, node.lineno) for name in names
+                      if name.split(".")[0] == "scipy"]
+    assert found == []
+
+
 def test_importing_the_package_leaves_scipy_unloaded():
-    # SciPy is imported inside the functions that call quad and brentq,
-    # and by nothing else, so the CLI starts without it
+    # no library module imports SciPy, so neither the package nor the CLI
+    # loads it
     assert _scipy_modules_after(
         "import sys, contfrob, contfrob.cli") == "[]"
+
+
+@pytest.mark.parametrize("argv", [
+    ["moduli", "check", "--criterion", "osgood", "--w", "loglip()"],
+    ["mollify", "verify", "--expr", "(x^2)^0.5", "--eps-list", "0.1,0.05"],
+    ["pde", "solve-special", "--example", "paper-ex2"]],
+    ids=["moduli-check", "mollify-verify", "pde-solve-special"])
+def test_quadrature_and_separable_solve_leave_scipy_unloaded(tmp_path, argv):
+    # the three kinds that imported quad, CubicSpline and brentq
+    assert _scipy_modules_after(f"""
+import sys
+from contfrob.cli import main
+assert main({argv + ["--out", str(tmp_path)]!r}) == 0
+""") == "[]"
 
 
 def test_frame_pipelines_leave_scipy_unloaded(tmp_path):

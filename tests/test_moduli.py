@@ -1,16 +1,24 @@
 import math
 import re
+import time
+import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.integrate import IntegrationWarning, quad
 
 from contfrob.errors import (EvalDomainError, InsufficientDataError,
                              ParseError, RangeError, SingularIntegrandError)
 from contfrob.moduli import (FAILS, HOLDS, CriterionReport, Hoelder,
-                             Lipschitz, LogLip, MaxModulus, ScaleModulus,
-                             SumModulus, Tabulated, estimate_modulus,
-                             fit_loglog_slope, limit_condition_check,
-                             osgood_check, parse_modulus)
+                             Lipschitz, LogLip, MaxModulus, Modulus,
+                             ScaleModulus, SumModulus, Tabulated,
+                             estimate_modulus, fit_loglog_slope,
+                             limit_condition_check, osgood_check,
+                             parse_modulus)
+from contfrob.mollify import _moment
 
 ALL_KINDS = [
     Lipschitz(K=2.0),
@@ -84,7 +92,101 @@ def test_osgood_against_closed_form_loglip():
     deltas, sums = rep.trace[:, 0], rep.trace[:, 1]
     eps = rep.params["eps"]
     exact = np.log(np.abs(np.log(deltas))) - math.log(abs(math.log(eps)))
-    assert np.allclose(sums, exact, atol=1e-8)
+    assert np.allclose(sums, exact, rtol=1e-14, atol=0.0)
+
+
+class _NaNModulus(Modulus):
+    def _raw(self, s):
+        return np.full(np.shape(s), np.nan)
+
+
+class _WildModulus(Modulus):
+    """Positive, but oscillating too fast in log s for any rule to settle."""
+
+    def _raw(self, s):
+        return s * (2.0 + np.sin(1.0e6 * np.log(s)))
+
+
+@pytest.mark.parametrize("integrate", [
+    lambda w: osgood_check(w, eps=0.5),
+    lambda w: _moment(w, 2, 0.5)], ids=["osgood", "moment"])
+@pytest.mark.parametrize("w,text", [
+    (_NaNModulus(), r"^integrand is not finite on \[[0-9.e-]+, [0-9.e-]+\]"
+     r": the rule gives nan$"),
+    (_WildModulus(), r"^quadrature on \[[0-9.e-]+, [0-9.e-]+\] did not "
+     r"settle within 16384 intervals$")], ids=["nan", "wild"])
+def test_quadrature_gives_up_in_bounded_work(integrate, w, text):
+    # halving an interval whose halves never agree would double it every
+    # level until memory runs out
+    start = time.perf_counter()
+    with pytest.raises(SingularIntegrandError, match=text):
+        integrate(w)
+    assert time.perf_counter() - start < 1.0
+
+
+def _power_moment(c, p, d, a, b):
+    """int_a^b s^(d-1) c s^p ds for rationals c, a, b and integer p."""
+    return c * (b ** (d + p) - a ** (d + p)) / (d + p)
+
+
+@st.composite
+def moduli_with_moments(draw):
+    """(w, d, eps, int_0^eps s^(d-1) w(s) ds in closed form)."""
+    d = draw(st.sampled_from([1, 2]))
+    K = draw(st.floats(0.01, 100.0))
+    kind = draw(st.sampled_from(["lipschitz", "hoelder", "loglip",
+                                 "tabulated", "max"]))
+    if kind == "lipschitz":
+        eps = draw(st.floats(1e-3, 1.0))
+        return Lipschitz(K), d, eps, K * eps ** (d + 1) / (d + 1)
+    if kind == "hoelder":
+        alpha, eps = draw(st.floats(0.05, 1.0)), draw(st.floats(1e-3, 1.0))
+        return Hoelder(alpha, K), d, eps, K * eps ** (d + alpha) / (d + alpha)
+    if kind == "loglip":
+        beta = draw(st.floats(0.01, 2.0))
+        eps = draw(st.floats(1e-3, 1.0 / math.e))
+        return LogLip(beta, K), d, eps, -K * beta * eps ** (d + 1) * (
+            math.log(eps) / (d + 1) - 1.0 / (d + 1) ** 2)
+    if kind == "tabulated":
+        # kinks and eps at least 1e-3 apart, far above the float spacing
+        ticks = sorted(draw(st.sets(st.integers(1, 1000), min_size=3,
+                                    max_size=7)))
+        scales = [k / 1000.0 for k in ticks[1:]]
+        steps = draw(st.lists(st.just(0.0) | st.floats(1e-3, 10.0),
+                              min_size=len(scales), max_size=len(scales)))
+        w = Tabulated(tuple(zip(scales, np.cumsum(steps).tolist())))
+        eps = (ticks[0] + draw(st.integers(1, ticks[-1] - ticks[0]))) / 1000.0
+        # in rationals: the interpolant of the float breakpoints, exactly
+        pts = [(Fraction(0), Fraction(0))] + [
+            (Fraction(s), Fraction(v)) for s, v in w.breakpoints]
+        exact = Fraction(0)
+        for (a, ya), (b, yb) in zip(pts, pts[1:]):
+            slope, b = (yb - ya) / (b - a), min(b, Fraction(eps))
+            if a < b:
+                exact += (_power_moment(ya - slope * a, 0, d, a, b)
+                          + _power_moment(slope, 1, d, a, b))
+        return w, d, eps, float(exact)
+    # max(K s, K2 s^alpha) crosses at s*, where K2 = K s*^(1 - alpha)
+    alpha, eps = draw(st.floats(0.1, 0.9)), draw(st.floats(1e-3, 1.0))
+    K2 = K * (eps * draw(st.floats(0.01, 0.99))) ** (1.0 - alpha)
+    cross = (K2 / K) ** (1.0 / (1.0 - alpha))
+    return MaxModulus(Lipschitz(K), Hoelder(alpha, K2)), d, eps, float(
+        Fraction(K2 * cross ** (d + alpha) / (d + alpha))
+        + _power_moment(Fraction(K), 1, d, Fraction(cross), Fraction(eps)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(moduli_with_moments())
+def test_moment_quadrature_against_closed_forms(case):
+    # quad stays as the reference it replaced: the rule misses the closed
+    # form by no more than quad does, or by 1e-15 where quad comes closer
+    w, d, eps, exact = case
+    err = abs(_moment(w, d, eps) - exact)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", IntegrationWarning)
+        ref = quad(lambda s: s ** (d - 1) * w(s), 0.0, eps, limit=200)[0]
+    assert err <= 1e-14 * exact
+    assert err <= max(abs(ref - exact), 1e-15 * exact)
 
 
 def test_osgood_singular_integrand():
@@ -223,7 +325,23 @@ def test_empty_criterion_trace_is_range_error():
     (lambda: Tabulated(((0.1, 0.3), (0.2, 0.2))),
      r"breakpoint values must be nondecreasing, got 0\.3 then 0\.2$"),
     (lambda: Tabulated(((0.1, -0.1), (0.2, 0.2))),
-     r"breakpoint values must be nonnegative, got -0\.1$")])
+     r"breakpoint values must be nonnegative, got -0\.1$"),
+    (lambda: Tabulated(((0.0, 0.0), (0.2, 0.2))),
+     r"breakpoint scales must be positive, got 0\.0$"),
+    (lambda: ScaleModulus(math.nan, Lipschitz(1.0)),
+     r"scale factor must be positive, got nan$"),
+    (lambda: ScaleModulus(math.inf, Lipschitz(1.0)),
+     r"scale factor must be finite, got inf$"),
+    (lambda: Lipschitz(K=math.inf), r"K must be nonnegative and finite, "
+     r"got inf$"),
+    (lambda: Hoelder(0.5, K=-1.0), r"K must be nonnegative and finite, "
+     r"got -1\.0$"),
+    (lambda: LogLip(beta=math.inf), r"beta must be nonnegative and finite, "
+     r"got inf$"),
+    (lambda: Lipschitz(domain_cap=0.0), r"domain cap must lie in \(0, inf\]"
+     r", got 0\.0$"),
+    (lambda: LogLip(domain_cap=5.0), r"domain cap must lie in "
+     r"\(0, 0\.367879\], got 5\.0$")])
 def test_modulus_range_errors_name_the_value(build, text):
     # RangeError is a ValueError, and each text starts as it always did
     with pytest.raises(RangeError, match="^" + text):

@@ -3,13 +3,15 @@ import re
 
 import numpy as np
 import pytest
+from scipy.interpolate import CubicSpline
 
 from contfrob.boxes import Box
 from contfrob.errors import BranchCrossingError, RangeError
 from contfrob.fields import Const, eval_fields, parse_field
 from contfrob.moduli import HOLDS, Lipschitz, MaxModulus, ModuliDecl
 from contfrob.odelab import OdeSpec, theorem1_check
-from contfrob.pdelab import (PdeSpec, SpecialFormSpec, hat_matrix,
+from contfrob.pdelab import (PdeSpec, SpecialFormSpec, _SeparableComponent,
+                             hat_matrix,
                              involutive_mollified_frames, special_solve,
                              submatrix_det, theorem2_check)
 from contfrob.presets import (ode_example_1, ode_peano, pde_example_2,
@@ -232,6 +234,25 @@ def test_special_solve_branch_crossing():
     # converts the runaway into a branch-crossing error
     with pytest.raises(BranchCrossingError):
         special_solve(sf, [3.9], [0.0], [[0.5]], residual_check=False)
+
+
+@pytest.mark.parametrize("g,y0", [("-y1*log(y1^0.4)", 0.5), ("-1 - y1^2", 0.3)],
+                         ids=["increasing", "decreasing"])
+def test_separable_inversion_round_trips(g, y0):
+    comp = _SeparableComponent(parse_field(g), "y1", y0, 0.15, 0.9)
+    knots = comp.sign * comp.knots
+    # the spline is the not-a-knot cubic of CubicSpline, to rounding
+    probe = np.linspace(comp.ys[0], comp.ys[-1], 2001)
+    assert np.max(np.abs(comp.phi.ev([probe], (0,))
+                         - CubicSpline(comp.ys, knots)(probe))) <= 1e-12
+    # bisection to adjacent floats: Phi there misses the target only by
+    # rounding and by Phi' = 1 / G times one ulp of y
+    targets = np.linspace(comp.phi_min, comp.phi_max, 501)
+    y = comp.solve(targets)
+    assert np.all((comp.ys[0] <= y) & (y <= comp.ys[-1]))
+    ulp = np.spacing(max(abs(comp.phi_min), abs(comp.phi_max)))
+    assert np.max(np.abs(comp.phi.ev([y], (0,)) - targets)) <= 4 * ulp
+    assert np.all(np.diff(y) * comp.sign > 0.0)
 
 
 def test_special_form_matches_pde():
