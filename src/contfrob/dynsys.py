@@ -22,12 +22,19 @@ jacobian evaluations.  Cocycle.pullback_values evaluates the base frame of
 all its pullback frames with one matrix_at and one d_matrices_at on the
 stacked orbit points phi^k(p).  The matrix work is O(k_max^2) in
 arithmetic but O(k_max) in library calls: every E_k comes from one
-backward sweep whose step j makes one batched solve and one QR over the
-stack of chains with k > j, the forward chains Dphi^k E_k, Dphi^k F and
+backward sweep over the chains with k > j.  Its step j makes one LAPACK
+solve by Dphi at phi^j(p), with the live chains side by side as the
+columns of one right-hand side, and one QR of the stack, signed_qr's
+Gram-Schmidt closed form.  The forward chains Dphi^k E_k, Dphi^k F and
 Dphi^k Y advance together with one matmul per family and step, and each
-family's singular values are one SVD.  Each matrix meets the same LAPACK
-routine it would meet alone, so the stacked sweep gives the per-k results
-bit for bit.
+family's singular values are one call of geometry's closed forms:
+sigma_max of a d x 2 from its R, the norm of a d x 1 column.  geometry's
+module docstring states their error bounds (each value within 2^-49
+sigma_max of the exact one) and when LAPACK takes a matrix instead.  The
+solve gives each chain the bits of a solve of its own columns, and the
+closed forms act elementwise over the stack, so the stacked sweep gives
+the per-k results bit for bit; those differ from LAPACK's QR and SVD by
+rounding.
 """
 
 from __future__ import annotations
@@ -41,7 +48,8 @@ import numpy as np
 from .errors import (ConeError, DegenerateSubspaceError, RangeError,
                      StepCountError)
 from .fields import eval_fields
-from .geometry import (FrameSection, asymptotic_involutivity_trace,
+from .geometry import (FrameSection, _singular_values, _sigma_max,
+                       asymptotic_involutivity_trace,
                        exterior_regularity_trace, frame_values,
                        max_principal_angle, scaled_exp, signed_qr)
 from .report import csv_text
@@ -136,10 +144,10 @@ class Cocycle:
         """E_k for each k of the increasing steps ks: (len(ks), N, d, r).
 
         One backward sweep: chain i starts as E_0 at phi^{ks[i]}(p), and
-        step j, from max(ks) - 1 down to 0, makes one batched solve by
-        Dphi at phi^j(p) and one QR over the chains with ks[i] > j.  Every
-        chain meets the solves and QRs of a lone transport in the same
-        order, so each E_k equals it bit for bit.  A chain that loses
+        step j, from max(ks) - 1 down to 0, makes one solve by Dphi at
+        phi^j(p) of the chains with ks[i] > j, side by side, and one QR
+        over them.  Every chain meets the solves and QRs of a lone
+        transport in the same order, so each E_k equals it bit for bit.  A chain that loses
         transversality raises ConeError; of several, the one with the
         smallest k, as a loop over k would find first.
         """
@@ -157,11 +165,11 @@ class Cocycle:
                 continue
             J = self.jacobians[j]
             try:
-                Q, bad = signed_qr(np.linalg.solve(J, B[lo:hi]))
+                X = _solve_chains(J, B[lo:hi])
             except np.linalg.LinAlgError as err:
                 failure, hi = (lo, j, _singular_row(J), err), lo
                 continue
-            B[lo:hi] = Q
+            B[lo:hi], bad = signed_qr(X)
             if bad.any():
                 i = lo + _first_bad_chain(bad)
                 failure = (i, j, int(np.argmax(bad[i - lo])),
@@ -219,6 +227,14 @@ def _pulled_back(dC, J):
     """J^T dC_j J per point: (phi^k)^* of the base 2-forms dC
     (N, n, d, d)."""
     return np.einsum("pca,pjcd,pdb->pjab", J, dC, J)
+
+
+def _solve_chains(J, chains):
+    """J_p^{-1} B for every chain B (c, N, d, r) in one solve: point p's
+    chains are the c * r columns of one right-hand side."""
+    c, N, d, r = chains.shape
+    rhs = np.moveaxis(chains, 0, 2).reshape(N, d, c * r)
+    return np.moveaxis(np.linalg.solve(J, rhs).reshape(N, d, c, r), 2, 0)
 
 
 def _first_bad_chain(bad):
@@ -308,13 +324,12 @@ def _domination(cc: Cocycle, e0_bases, f_samples, eps_list, y_indices):
         if Y is not None:
             Y = J @ Y
             Y_k.append(Y)
-    top = np.linalg.svd(M, compute_uv=False)[..., 0]
-    norm_E = [float(v) for v in np.max(top, axis=1)]
-    bot = np.linalg.svd(np.stack(F_k), compute_uv=False)[..., -1]
+    norm_E = [float(v) for v in np.max(_sigma_max(M), axis=1)]
+    bot = _singular_values(np.stack(F_k))[..., -1]
     conorm_F = [float(v) for v in np.min(bot, axis=1)]
     vertical_C = math.nan
     if Y is not None:
-        y_min = np.linalg.svd(np.stack(Y_k), compute_uv=False)[..., -1]
+        y_min = _singular_values(np.stack(Y_k))[..., -1]
         vertical_C = min([math.inf] + [float(v) for v in
                                        np.min(y_min / bot, axis=1)])
     angles = [float(v) for v in np.max(max_principal_angle(

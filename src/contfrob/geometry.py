@@ -20,9 +20,21 @@ can hold the lattice sup; the others get a closed-form lower bound below
 it, so the sup and its argmax are still those of exact values.
 
 Cost model: frame_values holds the one transversality check.  It takes
-K frames over one lattice of N points as K*N frame-major rows and makes
-one batched SVD and one inverse of A|_Y for all of them (for one row,
-A|_Y = [[a]], |a| and 1 / a: see _abs_1x1).  evaluate_frames
+K frames over one lattice of N points as K*N frame-major rows and computes
+the singular values and the inverse of A|_Y for all of them at once (for
+one row, A|_Y = [[a]], |a| and 1 / a: see _abs_1x1).  The singular values
+and QR factors of stacks of tiny matrices are closed forms over the whole
+stack, not one LAPACK call per matrix (see "stacked kernels" below):
+|a| of a 1 x 1, with LAPACK's bits; a column's norm for d x 1 and 1 x d;
+sigma_max = (|(a + d, c - b)| + |(a - d, b + c)|) / 2 and
+sigma_min = |ad - bc| / sigma_max for 2 x 2; Gram-Schmidt with one
+re-orthogonalisation pass for d x 2, which gives signed_qr's Q and the
+2 x 2 R whose values are the stack's.  Each value is within 2^-49
+sigma_max of the exact one, and a 2 x 2 sigma_min within 2^-44 relative
+where |ad - bc| >= 2^-8 (|ad| + |bc|).  LAPACK takes larger shapes, every
+matrix with a non-finite entry or a largest |entry| outside
+[2^-459, 2^459], each 2 x 2 sigma_min whose determinant cancels, and the
+inverse of a 2 x 2 or larger A|_Y.  evaluate_frames
 fills those rows with each frame's matrix_at and d_matrices_at once, and
 evaluate_frame is its K = 1 case; dynsys's Cocycle.pullback_values fills
 them for a whole pullback family with one call of each on the base
@@ -118,19 +130,205 @@ def orthonormalize(bases):
     return q
 
 
-def signed_qr(bases):
-    """Q with the signs that make diag(R) positive, and a mask (...,) of
-    the rank-deficient bases (some |R_ii| < 1e-12)."""
+# ---------------------------------------------------------------------------
+# stacked kernels for tiny matrices
+#
+# np.linalg's QR and SVD pay a fixed cost per matrix, which is most of the
+# time on the stacks of 3 x 2, 3 x 1, 1 x 2 and 2 x 2 matrices that the
+# sweeps and sups make.  Matrices of d x 1, 1 x d, 2 x 2 and d x 2 take
+# closed forms over the whole stack instead, with the forward-error bounds
+# below (u = 2^-53); other shapes take LAPACK, and so does every matrix
+# outside _UNSCALED.  The closed forms read the stack entry-major, as one
+# (m, n, ...) array, so each elementwise pass covers the whole stack:
+# numpy pays per inner loop, and a loop over a short matrix axis would
+# cost more than the arithmetic.
+
+# LAPACK's SVD rescales a matrix whose largest |entry| lies outside
+# [sqrt(tiny) / eps, eps / sqrt(tiny)], [2^-459, 2^459] for doubles, which
+# moves the last bit of some 1 x 1 results; inside, that of [[a]] is |a|.
+# Inside it, the squares and products the closed forms take of a matrix's
+# largest entries neither overflow nor leave the normal range.
+_UNSCALED = (2.0 ** -459, 2.0 ** 459)
+# every singular value of a closed form is within _SIGMA_REL * sigma_max
+# of the exact one, so sigma_max is within _SIGMA_REL relative
+_SIGMA_REL = 2.0 ** -49
+# a 2 x 2 sigma_min = |ad - bc| / sigma_max is within _SIGMA_MIN_REL
+# relative where |ad - bc| >= _CANCEL (|ad| + |bc|) and stays normal
+# (>= _DET_TINY); LAPACK takes the other matrices
+_SIGMA_MIN_REL = 2.0 ** -44
+_CANCEL = 2.0 ** -8
+_DET_TINY = 2.0 ** -1000
+# signed_qr's rank threshold on |R_ii|
+_RANK_TOL = 1e-12
+
+
+def _entry_major(stack):
+    """The (..., m, n) stack as one contiguous (m, n, ...) array."""
+    return np.ascontiguousarray(np.moveaxis(stack, (-2, -1), (0, 1)))
+
+
+def _in_range(E):
+    """Mask (...,) of the matrices of the entry-major stack E that the
+    closed forms take: finite, with the largest |entry| in _UNSCALED or 0
+    (np.maximum keeps a nan)."""
+    big = np.maximum.reduce(np.abs(E).reshape((-1,) + E.shape[2:]))
+    return (big <= _UNSCALED[1]) & ((big >= _UNSCALED[0]) | (big == 0.0))
+
+
+def _by_rows(ok, stack, E, kernel, lapack):
+    """The tuple kernel(E) gives on the matrices where ok holds and
+    lapack(stack) on the others, merged matrix by matrix."""
+    if ok.all():
+        return kernel(E)
+    if not ok.any():
+        return lapack(stack)
+    out = []
+    for k, f in zip(kernel(E[:, :, ok]), lapack(stack[~ok])):
+        merged = np.empty(ok.shape + k.shape[1:], np.result_type(k, f))
+        merged[ok], merged[~ok] = k, f
+        out.append(merged)
+    return tuple(out)
+
+
+def _dot(u, v):
+    """Column dot products over the leading (entry) axis, in order."""
+    return np.add.reduce(u * v)
+
+
+def _normalized(v):
+    """The columns v / |v| (v itself where |v| is 0), and |v|."""
+    norm = np.sqrt(_dot(v, v))
+    return v / np.where(norm > 0.0, norm, 1.0), norm
+
+
+def _gram_schmidt(E):
+    """Thin QR of the entry-major stack E (d, c, ...), c <= 2, by
+    Gram-Schmidt with one re-orthogonalisation pass: the columns of Q,
+    diag(R) >= 0 and R_12 (None for c = 1).  Q R = a within a few u |a|,
+    and Q^T Q = I within a few u where diag(R) is well away from 0."""
+    q, r11 = _normalized(E[:, 0])
+    if E.shape[1] == 1:
+        return [q], r11[..., None], None
+    v, r12 = E[:, 1], 0.0
+    for _ in range(2):
+        c = _dot(q, v)
+        v = v - c * q
+        r12 = r12 + c
+    q2, r22 = _normalized(v)
+    return [q, q2], np.stack([r11, r22], -1), r12
+
+
+def _lapack_signed_qr(bases):
     q, r = np.linalg.qr(bases)
     diag = np.einsum("...ii->...i", r)
     return (q * np.sign(diag)[..., None, :],
-            np.any(np.abs(diag) < 1e-12, axis=-1))
+            np.any(np.abs(diag) < _RANK_TOL, axis=-1))
+
+
+def _signed_gram_schmidt(E):
+    cols, diag, _ = _gram_schmidt(E)
+    Q = np.empty(E.shape[2:] + E.shape[:2])
+    for j, col in enumerate(cols):
+        for i, entry in enumerate(col):
+            Q[..., i, j] = entry
+    return Q, np.any(diag < _RANK_TOL, axis=-1)
+
+
+def signed_qr(bases):
+    """Q with the signs that make diag(R) positive, and a mask (...,) of
+    the rank-deficient bases (some |R_ii| < 1e-12).  d x 1 and d x 2
+    bases take _gram_schmidt where _in_range holds, and LAPACK's QR
+    elsewhere; a zero or degenerate column sets the mask, and Q is then
+    unspecified there."""
+    if bases.shape[-1] > 2 or bases.shape[-2] < bases.shape[-1]:
+        return _lapack_signed_qr(bases)
+    E = _entry_major(bases)
+    return _by_rows(_in_range(E), bases, E, _signed_gram_schmidt,
+                    _lapack_signed_qr)
+
+
+def _abs_1x1(stack):
+    """The singular values (..., 1) of a stack of 1 x 1 matrices as |a|
+    when every entry lies in _UNSCALED, where they are LAPACK's bits;
+    None for other shapes or entries (nan, inf, 0 among them), which
+    LAPACK takes."""
+    if stack.shape[-2:] != (1, 1):
+        return None
+    s = np.abs(stack[..., 0])
+    return s if np.all((s >= _UNSCALED[0]) & (s <= _UNSCALED[1])) else None
+
+
+def _two_by_two(a, b, c, d, smallest):
+    """(sigma_max, sigma_min) of [[a, b], [c, d]] entrywise, stacked on the
+    last axis; sigma_max alone unless smallest."""
+    s_max = 0.5 * (np.hypot(a + d, c - b) + np.hypot(a - d, b + c))
+    if not smallest:
+        return s_max[..., None]
+    det = np.abs(a * d - b * c)
+    s_min = det / np.where(s_max > 0.0, s_max, 1.0)
+    return np.stack([s_max, s_min], -1)
+
+
+def _min_resolved(E):
+    """Mask of the 2 x 2 matrices of the entry-major stack E whose
+    closed-form sigma_min meets _SIGMA_MIN_REL: |ad - bc| >=
+    max(_CANCEL (|ad| + |bc|), _DET_TINY), or ad and bc both exactly 0."""
+    (a, b), (c, d) = E
+    with np.errstate(all="ignore"):  # matrices outside _UNSCALED
+        det = np.abs(a * d - b * c)
+        return ((det >= np.maximum(_CANCEL * (np.abs(a * d) + np.abs(b * c)),
+                                   _DET_TINY))
+                | (((a == 0.0) | (d == 0.0)) & ((b == 0.0) | (c == 0.0))))
+
+
+def _closed_svals(E, smallest):
+    """Singular values of the entry-major stack E (m, n, ...) with
+    n <= 2 <= m or m = n = 2: a column's norm, the 2 x 2 closed form, or
+    that of the R of a d x 2 stack's _gram_schmidt."""
+    m, n = E.shape[:2]
+    if n == 1:
+        return (np.sqrt(_dot(E[:, 0], E[:, 0]))[..., None],)
+    if m == 2:
+        (a, b), (c, d) = E
+        return (_two_by_two(a, b, c, d, smallest),)
+    _, diag, r12 = _gram_schmidt(E)
+    return (_two_by_two(diag[..., 0], r12, 0.0, diag[..., 1], smallest),)
+
+
+def _singular_values(stack, smallest=True):
+    """np.linalg.svd(stack, compute_uv=False) of a stack of matrices by
+    the closed forms within their bounds (see _SIGMA_REL): all values,
+    descending, or only the largest ((..., 1)) unless smallest.  1 x 1
+    stacks keep _abs_1x1 and LAPACK's bits; LAPACK takes the matrices
+    that are outside _in_range, larger than d x 2 or 2 x d, or 2 x 2 but
+    not _min_resolved where sigma_min is asked for."""
+    def lapack(s):
+        vals = np.linalg.svd(s, compute_uv=False)
+        return (vals if smallest else vals[..., :1],)
+
+    if stack.shape[-2:] == (1, 1):
+        s = _abs_1x1(stack)
+        return lapack(stack)[0] if s is None else s
+    if min(stack.shape[-2:]) > 2:
+        return lapack(stack)[0]
+    E = _entry_major(stack)
+    if E.shape[0] < E.shape[1]:
+        E = E.swapaxes(0, 1)  # the values of A^T
+    ok = _in_range(E)
+    if smallest and E.shape[:2] == (2, 2):
+        ok &= _min_resolved(E)
+    return _by_rows(ok, stack, E, lambda e: _closed_svals(e, smallest),
+                    lapack)[0]
+
+
+def _sigma_max(stack):
+    return _singular_values(stack, smallest=False)[..., 0]
 
 
 def max_principal_angle(b1, b2):
     """Largest principal angle between equal-rank orthonormal bases."""
-    s = np.linalg.svd(np.swapaxes(b1, -1, -2) @ b2, compute_uv=False)
-    return np.arccos(np.clip(np.min(s, axis=-1), -1.0, 1.0))
+    s = _singular_values(np.swapaxes(b1, -1, -2) @ b2)
+    return np.arccos(np.clip(s[..., -1], -1.0, 1.0))
 
 
 def subspace_distance(b1, b2):
@@ -285,12 +483,11 @@ def frame_values(points, A, dA, y_indices) -> FrameValues:
     TransversalityError where some A_p|_Y is singular."""
     y_idx = list(y_indices)
     Ay = A[:, :, y_idx]
-    closed = _abs_1x1(Ay)
-    s = np.linalg.svd(Ay, compute_uv=False) if closed is None else closed
+    s = _singular_values(Ay)
     if np.any(s[:, -1] < 1e-12 * np.maximum(1.0, s[:, 0])):
         raise TransversalityError("frame loses transversality on the lattice")
     # 1 / a is LAPACK's inverse of [[a]], bit for bit
-    inv = np.linalg.inv(Ay) if closed is None else 1.0 / Ay
+    inv = np.linalg.inv(Ay) if _abs_1x1(Ay) is None else 1.0 / Ay
     U = np.zeros((len(A), A.shape[2], A.shape[1]))
     U[:, y_idx, :] = inv
     return FrameValues(points, A, dA, inv, U)
@@ -308,28 +505,6 @@ class SupEstimate:
     value: float
     argmax_point: np.ndarray = None
     protocol: dict = field(default_factory=dict)
-
-
-# LAPACK's SVD rescales a matrix whose largest |entry| lies outside
-# [sqrt(tiny) / eps, eps / sqrt(tiny)], [2^-459, 2^459] for doubles, which
-# moves the last bit of some 1 x 1 results; inside, that of [[a]] is |a|
-_UNSCALED = (2.0 ** -459, 2.0 ** 459)
-
-
-def _abs_1x1(stack):
-    """The singular values (..., 1) of a stack of 1 x 1 matrices as |a|
-    when every entry lies in _UNSCALED, where they are LAPACK's bits;
-    None for other shapes or entries (nan, inf, 0 among them), which
-    LAPACK takes."""
-    if stack.shape[-2:] != (1, 1):
-        return None
-    s = np.abs(stack[..., 0])
-    return s if np.all((s >= _UNSCALED[0]) & (s <= _UNSCALED[1])) else None
-
-
-def _sigma_max(stack):
-    s = _abs_1x1(stack)
-    return (np.linalg.svd(stack, compute_uv=False) if s is None else s)[..., 0]
 
 
 def _lattice_sups(vals, pts, protocol):

@@ -178,6 +178,10 @@ class Tabulated(Modulus):
         if len(s) < 2:
             raise RangeError(f"tabulated modulus needs >= 2 breakpoints, "
                              f"got {len(s)}")
+        for i, (a, b) in enumerate(zip(s, v)):
+            if not (math.isfinite(a) and math.isfinite(b)):
+                raise RangeError(f"breakpoint {i} must be finite, got "
+                                 f"{a}:{b}")
         if not s[0] > 0.0:
             raise RangeError(f"breakpoint scales must be positive, got "
                              f"{s[0]}")
@@ -321,6 +325,12 @@ def osgood_check(w, eps=None, depth=40):
     if np.any(vals <= 0.0):
         raise SingularIntegrandError(
             "modulus vanishes at an interior probe point")
+    # 1 / inf = 0 would add nothing to the sum; a nan w is the
+    # quadrature's SingularIntegrandError, which names its interval
+    if np.any(np.isinf(vals)):
+        i = int(np.argmax(np.isinf(vals)))
+        raise SingularIntegrandError(f"modulus is {vals[i]} at the probe "
+                                     f"scale {float(deltas[i])!r}")
 
     increments = _integrals(lambda s: 1.0 / w(s), deltas[::-1])[::-1]
     sums = np.concatenate([[0.0], np.cumsum(increments)])

@@ -41,15 +41,19 @@ def test_workload_task_runs_clean(name):
 
 def test_torus_splitting_task_linalg_calls(linalg_calls):
     # the splitting pipeline's per-k work runs as stacked sweeps: one
-    # solve and one QR per transport step, every other call once per task
+    # solve per transport step, every other call once per task.  Every
+    # QR and SVD is one of geometry's kernels; none falls back to LAPACK
     wl = workloads.WORKLOADS["torus-splitting"]()
     ctx = wl.build()
     inp = wl.inputs(ctx, np.random.default_rng([1, 2, 0]))
     linalg_calls.clear()
     assert wl.run(ctx, inp, spans.NULL).problems == []
     assert linalg_calls["solve"] == wl.F_STEPS + wl.K_MAX
-    assert linalg_calls["qr"] == wl.F_STEPS + wl.K_MAX + 2
-    assert sum(linalg_calls.values()) <= 60
+    assert linalg_calls["qr"] == linalg_calls["svd"] == 0
+    # the growth fit, the wedge determinants and norms of the traces
+    assert dict(linalg_calls) == {"solve": wl.F_STEPS + wl.K_MAX,
+                                  "lstsq": 1, "det": 3, "norm": 3}
+    assert sum(linalg_calls.values()) == 27
 
 
 def test_surface_frames_task_work_counts(monkeypatch):

@@ -3,6 +3,7 @@ import re
 import shlex
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -160,6 +161,31 @@ def test_moduli_check_limit_zero_w1_is_singular(tmp_path, capsys):
     assert capsys.readouterr().err == (
         "error [SingularIntegrandError]: w1 Lipschitz(K=0.0, "
         "domain_cap=inf) vanishes at scale 1\n")
+    assert list(tmp_path.glob("*.csv")) == []
+
+
+def test_moduli_check_osgood_overflowing_w_is_singular(tmp_path, capsys):
+    # w = 1e616 s is inf at every probe scale; this used to print a
+    # RuntimeWarning and certify uniqueness from nan tail ratios
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["moduli", "check", "--criterion", "osgood", "--w",
+                     "scale(1e308, scale(1e308, lipschitz()))", "--out",
+                     str(tmp_path)]) == 1
+    assert capsys.readouterr().err == (
+        "error [SingularIntegrandError]: modulus is inf at the probe scale "
+        "0.36787944117144233\n")
+    assert list(tmp_path.glob("*.csv")) == []
+
+
+def test_moduli_check_non_finite_breakpoint_is_parse_error(tmp_path, capsys):
+    # tabulated(0.1:1, 0.2:inf) used to give verdict=Holds
+    assert main(["moduli", "check", "--criterion", "limit", "--w",
+                 "tabulated(0.1:1, 0.2:inf)", "--w2", "lipschitz()",
+                 "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == (
+        "parse error: invalid modulus 'tabulated(0.1:1, 0.2:inf)': "
+        "breakpoint 1 must be finite, got 0.2:inf\n")
     assert list(tmp_path.glob("*.csv")) == []
 
 

@@ -19,7 +19,8 @@ from contfrob.geometry import (Distribution, FrameSection, FrameValues,
                                evaluate_frame, evaluate_frames,
                                exterior_regularity_trace, frame_values,
                                frobenius_defect, involutivity_constant,
-                               max_principal_angle, scaled_exp, _sigma_max)
+                               max_principal_angle, scaled_exp, signed_qr,
+                               _sigma_max, _singular_values)
 from contfrob.mollify import grid_from_field, mollify, to_spline_field
 from contfrob.odelab import funnel
 from contfrob.presets import contact_distribution, ode_peano
@@ -166,6 +167,152 @@ def test_one_by_one_non_finite_and_zero_entries_are_lapacks(bad):
     assert values.inv[:, 0, 0].tolist() == [0.5, 1.0 / bad]
     assert math.copysign(1.0, values.inv[1, 0, 0]) == math.copysign(1.0, bad)
     assert values.inv_norms.tolist() == [0.5, 0.0]
+
+
+# stacks of d x 1, 1 x d, 2 x 2 and d x 2 matrices, the shapes the closed
+# forms take (and one 3 x 3, which LAPACK takes)
+_KERNEL_SHAPES = [(1, 2), (1, 3), (2, 1), (3, 1), (4, 1), (2, 2), (3, 2),
+                  (4, 2), (2, 3), (3, 3)]
+
+
+@st.composite
+def tiny_stacks(draw, shapes=_KERNEL_SHAPES):
+    """Stacks of tiny matrices, scaled by 2^-520..2^520 (so some leave the
+    closed forms' range) and plain, near-singular, rank-one or with a zero
+    column."""
+    m, n = draw(st.sampled_from(shapes))
+    count = draw(st.integers(1, 5))
+    A = draw(arrays(np.float64, (count, m, n),
+                    elements=st.floats(-1.0, 1.0, width=64)))
+    kind = draw(st.sampled_from(["plain", "near-singular", "rank-one",
+                                 "zero-column"]))
+    if kind in ("near-singular", "rank-one"):
+        outer = A[:, :, :1] * A[:, :1, :]
+        tiny = 0.0 if kind == "rank-one" else \
+            2.0 ** -draw(st.integers(20, 50))
+        A = outer + tiny * A
+    elif kind == "zero-column":
+        A[:, :, draw(st.integers(0, n - 1))] = 0.0
+    return A * 2.0 ** draw(st.integers(-520, 520))
+
+
+def _safe(A):
+    big = np.max(np.abs(A), axis=(-2, -1))
+    return (big == 0.0) | ((big >= 2.0 ** -459) & (big <= 2.0 ** 459))
+
+
+@settings(max_examples=300, deadline=None)
+@given(tiny_stacks())
+def test_singular_value_kernels_within_their_bound_of_lapack(A):
+    # every closed-form value is within _SIGMA_REL sigma_max of the exact
+    # one, and LAPACK's within a few u sigma_max, so the two are within
+    # 2 _SIGMA_REL sigma_max; matrices outside the range are LAPACK's
+    from contfrob.geometry import _SIGMA_REL
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        s = _singular_values(A)
+        top = _sigma_max(A)
+    ref = np.linalg.svd(A, compute_uv=False)
+    tol = 2.0 * _SIGMA_REL * ref[:, :1]
+    assert s.shape == ref.shape
+    assert np.all(np.abs(s - ref) <= tol)
+    assert np.all(np.abs(top - ref[:, 0]) <= tol[:, 0])
+    assert s[~_safe(A)].tobytes() == ref[~_safe(A)].tobytes()
+
+
+def _exact_two_by_two_sigma_min(M):
+    """|ad - bc| / sigma_max in 60-digit arithmetic, the exact sigma_min
+    to far below a double's rounding."""
+    import mpmath
+    with mpmath.workdps(60):
+        (a, b), (c, d) = [[mpmath.mpf(float(x)) for x in row] for row in M]
+        s_max = (mpmath.hypot(a + d, c - b) + mpmath.hypot(a - d, b + c)) / 2
+        return float(abs(a * d - b * c) / s_max) if s_max else 0.0
+
+
+@settings(max_examples=200, deadline=None)
+@given(tiny_stacks(shapes=[(2, 2)]))
+def test_two_by_two_sigma_min_meets_its_relative_bound(A):
+    # where _min_resolved holds, sigma_min = |ad - bc| / sigma_max is
+    # within _SIGMA_MIN_REL relative; LAPACK takes the other matrices
+    from contfrob import geometry
+    s = _singular_values(A)
+    resolved = geometry._min_resolved(geometry._entry_major(A)) & _safe(A)
+    for M, value, ok in zip(A, s[:, 1], resolved):
+        if ok:
+            exact = _exact_two_by_two_sigma_min(M)
+            assert abs(value - exact) <= geometry._SIGMA_MIN_REL * exact
+        else:
+            assert value == np.linalg.svd(M, compute_uv=False)[1]
+
+
+@settings(max_examples=300, deadline=None)
+@given(tiny_stacks(shapes=[(2, 1), (3, 1), (4, 1), (2, 2), (3, 2),
+                           (4, 2)]))
+def test_signed_qr_kernel_against_lapack(A):
+    # Gram-Schmidt's R is within a few u |A| of the exact one, as is
+    # LAPACK's: the rank masks agree wherever no |R_ii| lies that close
+    # to 1e-12, and Q is within a few u kappa(A) of LAPACK's signed Q
+    from contfrob import geometry
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        q, bad = signed_qr(A)
+    q_ref, bad_ref = geometry._lapack_signed_qr(A)
+    diag = np.abs(np.einsum("...ii->...i", np.linalg.qr(A)[1]))
+    s = np.linalg.svd(A, compute_uv=False)
+    near = np.abs(diag - 1e-12) <= 2.0 ** -47 * s[:, :1]
+    away = ~np.any(near, axis=1)
+    assert np.array_equal(bad[away], bad_ref[away])
+    full = ~bad & ~bad_ref & (s[:, -1] > 0.0)
+    kappa = s[full, :1, None] / s[full, -1:, None]
+    assert np.all(np.abs(q[full] - q_ref[full]) <= 2.0 ** -46 * kappa)
+    # orthonormal to rounding wherever kappa u is small
+    well = full & (s[:, 0] <= 1e8 * s[:, -1])
+    gram = np.swapaxes(q[well], 1, 2) @ q[well]
+    assert np.all(np.abs(gram - np.eye(A.shape[2])) <= 2.0 ** -48)
+
+
+def test_kernels_send_unsafe_matrices_to_lapack(linalg_calls):
+    # matrices whose largest |entry| leaves [2^-459, 2^459], or that hold
+    # inf, take LAPACK's values in one call; the others keep the closed
+    # forms' bits
+    A = np.random.default_rng(5).normal(size=(6, 3, 2))
+    A[1] *= 2.0 ** 500
+    A[3] *= 2.0 ** -500
+    A[4, 2, 1] = math.inf
+    unsafe, safe = [1, 3, 4], [0, 2, 5]
+    linalg_calls.clear()
+    s, (q, bad) = _singular_values(A), signed_qr(A)
+    assert dict(linalg_calls) == {"svd": 1, "qr": 1}
+    linalg_calls.clear()
+    alone = _singular_values(A[safe]), signed_qr(A[safe])
+    assert not linalg_calls
+    assert s[safe].tobytes() == alone[0].tobytes()
+    assert q[safe].tobytes() == alone[1][0].tobytes()
+    assert s[unsafe].tobytes() == \
+        np.linalg.svd(A[unsafe], compute_uv=False).tobytes()
+    q_ref, r_ref = np.linalg.qr(A[unsafe])
+    assert q[unsafe].tobytes() == (q_ref * np.sign(
+        np.einsum("...ii->...i", r_ref))[:, None, :]).tobytes()
+    # nan: LAPACK's SVD does not converge, as on the whole stack
+    A[4, 2, 1] = math.nan
+    with pytest.raises(np.linalg.LinAlgError):
+        _singular_values(A)
+
+
+def test_zero_matrices_and_columns_take_the_closed_forms(linalg_calls):
+    A = np.zeros((3, 3, 2))
+    A[1, :, 0] = [0.0, 3.0, 4.0]
+    A[2, :, 1] = [0.0, 3.0, 4.0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        s = _singular_values(A)
+        q, bad = signed_qr(A)
+        s2 = _singular_values(np.zeros((2, 2, 2)))
+    assert s.tolist() == [[0.0, 0.0], [5.0, 0.0], [5.0, 0.0]]
+    assert s2.tolist() == [[0.0, 0.0], [0.0, 0.0]]
+    assert bad.tolist() == [True, True, True]
+    assert not linalg_calls
 
 
 def test_involutivity_constant_involutive_is_zero():
@@ -791,25 +938,28 @@ def _special_form_trace_inputs():
 
 
 # the two traces of _special_form_trace_inputs on FITPACK-fitted leaves,
-# field for field: (k, q, strong, parts)
+# field for field: (k, q, strong, parts).  Captured again when signed_qr
+# and the 2 x 2 singular values became closed forms: the limit's
+# orthonormal bases moved by rounding, and with them d_restricted and q
+# by up to 1.0e-13 relative, restricted by 1.1e-14 and M by 2.4e-16
 _PINNED_ASYM = [
-    (0, 6.018167634774868e-05, 1.2765621906239134e-17,
-     {"d_restricted": 4.914919529135543e-05, "inv_norm": 1.0,
-      "M": 0.4050149048454751, "wedge_sup": 1.0408340855860843e-17,
+    (0, 6.0181676347742676e-05, 1.2765621906239134e-17,
+     {"d_restricted": 4.914919529135052e-05, "inv_norm": 1.0,
+      "M": 0.40501490484547503, "wedge_sup": 1.0408340855860843e-17,
       "d_sup": 0.40829655813057025, "eps": 0.5}),
-    (1, 0.0008742752901017923, 1.7209835247275504e-16,
-     {"d_restricted": 0.0005721178015040011,
-      "inv_norm": 0.970873786407767, "M": 0.9072183773486595,
+    (1, 0.0008742752901018459, 1.7209835247275504e-16,
+     {"d_restricted": 0.0005721178015040361,
+      "inv_norm": 0.970873786407767, "M": 0.9072183773486597,
       "wedge_sup": 7.786767633870738e-17, "d_sup": 1.586110402420285,
       "eps": 0.5})]
 _PINNED_EXT = [
-    (0, 0.0063086698069088655, 0.004533192168730292,
-     {"restricted": 0.005152166958208045, "inv_norm": 1.0,
-      "M": 0.4050149048454751, "d_sup": 0.40829655813057025,
+    (0, 0.006308669806908847, 0.004533192168730292,
+     {"restricted": 0.00515216695820803, "inv_norm": 1.0,
+      "M": 0.40501490484547503, "d_sup": 0.40829655813057025,
       "eps": 0.5}),
-    (1, 0.00223927946128338, 1.4065874642246625,
-     {"restricted": 0.001465364121400879,
-      "inv_norm": 0.970873786407767, "M": 0.9072183773486595,
+    (1, 0.0022392794612833547, 1.4065874642246625,
+     {"restricted": 0.0014653641214008623,
+      "inv_norm": 0.970873786407767, "M": 0.9072183773486597,
       "d_sup": 1.586110402420285, "eps": 0.5})]
 
 

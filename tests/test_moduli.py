@@ -195,6 +195,27 @@ def test_osgood_singular_integrand():
         osgood_check(w, eps=0.5)
 
 
+def test_osgood_non_finite_modulus_names_the_probe_scale():
+    # 1e616 s overflows at every probe scale: each increment of 1/w was 0,
+    # and the nan tail ratios fell through to Holds
+    w = ScaleModulus(1e308, ScaleModulus(1e308, Lipschitz(1.0)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SingularIntegrandError,
+                           match=r"^modulus is inf at the probe scale "
+                           r"0\.5$"):
+            osgood_check(w, eps=0.5)
+
+
+@pytest.mark.parametrize("text,index", [
+    ("tabulated(0.1:1, 0.2:inf)", 1), ("tabulated(nan:1, 0.2:3)", 0),
+    ("tabulated(0.1:1, inf:3)", 1)])
+def test_non_finite_breakpoint_is_parse_error_naming_it(text, index):
+    with pytest.raises(ParseError, match=rf"^invalid modulus .*: breakpoint "
+                       rf"{index} must be finite, got "):
+        parse_modulus(text)
+
+
 def test_osgood_report_records_convention():
     rep = osgood_check(Lipschitz(1.0))
     assert rep.params["convention"] == "holds-on-divergence"
@@ -328,6 +349,8 @@ def test_empty_criterion_trace_is_range_error():
      r"breakpoint values must be nonnegative, got -0\.1$"),
     (lambda: Tabulated(((0.0, 0.0), (0.2, 0.2))),
      r"breakpoint scales must be positive, got 0\.0$"),
+    (lambda: Tabulated(((0.1, 1.0), (0.2, math.inf))),
+     r"breakpoint 1 must be finite, got 0\.2:inf$"),
     (lambda: ScaleModulus(math.nan, Lipschitz(1.0)),
      r"scale factor must be positive, got nan$"),
     (lambda: ScaleModulus(math.inf, Lipschitz(1.0)),
