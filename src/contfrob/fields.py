@@ -18,7 +18,8 @@ library evaluates through compile_fields and eval_fields instead: a
 field list becomes one generated numpy function of points (..., d),
 each distinct subexpression computed once, with the reference's operand
 order, ufuncs, guard and domain-error texts; compile_rk4_run builds
-a flow's RK4 run over a stretch of steps from the same statements.
+a flow's RK4 run over a stretch of steps from the same statements, as
+array code for a batch and as float code for one row.
 Both paths keep one errstate rule: Mul, Pow and the elementary
 functions run under np.errstate(all="ignore"), Add does not, so an
 array inf + -inf warns on either path.  The single deliberate evaluation convention is that a
@@ -637,29 +638,49 @@ def compile_rk4_run(fields, coords, variational=False):
     dY/dt = DX(x) Y, in place through up to `steps` RK4 steps of the
     per-row step (n, 1), and returns (done, err, out): the steps it
     completed, with z left at the last of them; the EvalDomainError a
-    stage raised in step done + 1, or None; and, when bounds = (lo, hi)
-    is given and step done left the box lo <= x <= hi, the boolean mask
-    of the rows outside it, or None.  It stops at a stage that raises,
-    with z as that step found it, or after a step that leaves the box.
-    With bounds None there is no box test, so a nan row runs on.
+    stage raised in step done + 1, or None; and, when bounds = (lo, hi),
+    two arrays of d floats, is given and step done left the box
+    lo <= x <= hi, the boolean mask of the rows outside it, or None.  It
+    stops at a stage that raises, with z as that step found it, or after
+    a step that leaves the box.  With bounds None there is no box test,
+    so a nan row runs on.
 
-    Each call allocates its scratch once: the stage velocities k1..k4
-    (n, width), with variational the Jacobian J (n, d, d), the constant
-    columns and entries filled once; one stage-point and one sum
-    scratch; h, half = 0.5*h and sixth = h/6.0 broadcast to the state's
-    width; and with bounds, lo and hi broadcast to (n, d) and the mask
-    of the box test.  The four stages are written inline: each reads its
-    point's columns, runs the statements compile_fields would for the
-    fields (and, with variational, their partials along coords), and
-    writes the velocity columns; the carried part is matmul(J, Y) into
-    the buffer's Y columns.  The stage points
-    are z + half*k1, z + half*k2 and z + h*k3 and the new state is
-    z + sixth*(((k1 + 2.0*k2) + 2.0*k3) + k4), each operation a ufunc
-    with out=, in that order, the operations of an RK4 step on x and on
-    Y taken separately, element for element, so every bit is theirs.
-    No constant is folded in that arithmetic: x + h*0.0 is not x when x
-    is -0.0, and 0.0*Y is not 0 when Y is inf.  It stays outside
-    np.errstate, as Add statements do, so its warnings still fire.
+    Both loops are generated from one statement list, that of
+    compile_fields for the fields (and, with variational, their partials
+    along coords), and run dispatches on n:
+
+    * rows, for n > 1, steps arrays.  Each call allocates its scratch
+      once: the stage velocities k1..k4 (n, width), with variational the
+      Jacobian J (n, d, d) and the product T (n, d, d), the constant
+      columns and entries filled once; one stage-point and one sum
+      scratch; h, half = 0.5*h and sixth = h/6.0 broadcast to the
+      state's width; and with bounds, lo and hi broadcast to (n, d) and
+      the mask of the box test.  The four stages are written inline:
+      each reads its point's columns, runs the statements, and writes
+      the velocity columns.  The carried part is T = J*Y[:, None, :],
+      then (T[..., 0] + T[..., 1]) + T[..., 2] ..., d ufunc calls, so
+      each row of J.Y sums in column order; a matmul's bits would depend
+      on the BLAS kernel.  The stage points are z + half*k1, z + half*k2
+      and z + h*k3 and the new state is z + sixth*(((k1 + 2.0*k2) +
+      2.0*k3) + k4), each operation a ufunc with out=, in that order,
+      the operations of an RK4 step on x and on Y taken separately,
+      element for element, so every bit is theirs.  No constant is folded
+      in that arithmetic: x + h*0.0 is not x when x is -0.0, and 0.0*Y is
+      not 0 when Y is inf.  It stays outside np.errstate, as Add
+      statements do, so its warnings still fire.
+    * one, for n = 1, steps the row as Python floats: the same operations
+      in the same order, +, - and * on floats with Mul's guard (0.0 where
+      a factor == 0.0), and Pow, Unary and spline statements calling the
+      same ufunc or ev on the float, whose bits are those of an array
+      row.  The loop runs inside one np.errstate(all="ignore"), so its
+      floats warn of nothing.  Replay rule: rows stays the one owner of
+      the edges.  A step whose statements raise EvalDomainError, or that
+      makes a non-finite statement value, stage-point x column or new
+      state, is redone from its start by rows, outside the errstate, and
+      so gets rows' bits, error texts and warnings.  Every value rows
+      computes outside np.errstate is one of those or feeds the new
+      state through + and *, which keep a non-finite value non-finite, so
+      a step that is not redone warns of nothing on arrays either.
 
     The run is cached like compile_fields' functions, under the same
     field identities with a step tag, and is compiled only when a flow
@@ -728,23 +749,31 @@ def _flatten(fields):
 class _Source:
     """Generated source of one compiled function: the coordinate columns
     it loads, its statements (each flagged when it belongs in an errstate
-    block) and the names it binds."""
+    block, and written for arrays and for floats) and the names it
+    binds."""
 
     def __init__(self, coords):
         self.coords = coords
         self.ns = {"_E": EvalDomainError, "_asarray": np.asarray,
-                   "_empty": np.empty, "_where": np.where,
+                   "_empty": np.empty, "_ones": np.ones, "_where": np.where,
                    "_power": np.power, "_round": np.round,
                    "_count": np.count_nonzero, "_prod": math.prod,
-                   "_errstate": np.errstate, "_matmul": np.matmul,
+                   "_errstate": np.errstate,
                    "_multiply": np.multiply, "_add": np.add,
                    "_greater_equal": np.greater_equal,
                    "_less_equal": np.less_equal}
         self.loads = {}  # coordinate index -> column name
-        self.body = []  # (in errstate, statement)
+        self.body = []  # (in errstate, array statement, float statement)
+        self.values = []  # the names the statements assign, in order
         self.names = {}  # _key -> operand text
         self.known = {}  # literal operand text -> its value
         self.ids = itertools.count()
+
+    def emit(self, guarded, statement, scalar=None):
+        """Append a statement, with its form on floats when that differs
+        ("" when floats need none)."""
+        self.body.append((guarded, statement,
+                          statement if scalar is None else scalar))
 
     def bind(self, value, prefix):
         name = f"{prefix}{len(self.ns)}"
@@ -759,18 +788,23 @@ class _Source:
         return text
 
     def raise_(self, message):
-        self.body.append((False, f"raise _E({message!r})"))
+        self.emit(False, f"raise _E({message!r})")
         return "None"  # the statements after a raise never run
 
     def check(self, parts, message):
         """Raise EvalDomainError(message) when every part holds; a part is
-        a bool decided now or source text tested per call."""
+        a bool decided now or a test, source text that reads a mask on
+        arrays and a bool on floats, made per call."""
         if False in parts:
             return
         tests = [t for t in parts if t is not True]
         stmt = f"raise _E({message!r})"
-        self.body.append((True, f"if {' and '.join(tests)}: {stmt}"
-                          if tests else stmt))
+        if not tests:
+            self.emit(True, stmt)
+            return
+        self.emit(True, f"if {' and '.join(f'_count({t})' for t in tests)}:"
+                        f" {stmt}",
+                  f"if {' and '.join(f'({t})' for t in tests)}: {stmt}")
 
     def load(self, name):
         i = self.coords.index(name)
@@ -798,31 +832,36 @@ class _Source:
         v = f"v{next(self.ids)}"
         if isinstance(f, SplineLeaf):
             ev = self.bind(f.evaluator, "_s")
-            args = ", ".join(self.load(n) for n in f.vars)
-            self.body.append((False, f"{v} = _asarray({ev}.ev([{args}], "
-                                     f"{f.orders!r}), dtype=float)"))
+            call = (f"{ev}.ev([{', '.join(self.load(n) for n in f.vars)}], "
+                    f"{f.orders!r})")
+            self.emit(False, f"{v} = _asarray({call}, dtype=float)",
+                      f"{v} = {call}")
         elif isinstance(f, Add):
             ops = [self.operand(t) for t in f.terms]
-            self.body += [(False, s) for s in _chain(v, "+", ops)]
+            for s in _chain(v, "+", ops):
+                self.emit(False, s)
         elif isinstance(f, Mul):
             ops = [self.operand(g) for g in f.factors]
             if any(self.known.get(op) == 0.0 for op in ops):
                 return self.literal(0.0)
             # 0 * anything = 0, including 0 * inf, as in Mul.evaluate
             zeros = [f"({op} == 0.0)" for op in ops if op not in self.known]
-            self.body += [(True, s) for s in _chain(v, "*", ops)]
-            self.body += [(True, s) for s in _chain("zero", "|", zeros)]
-            self.body.append((True, f"if _count(zero): "
-                                    f"{v} = _where(zero, 0.0, {v})"))
+            for s in _chain(v, "*", ops):
+                self.emit(True, s)
+            for s in _chain("zero", "|", zeros):
+                self.emit(True, s, "")
+            self.emit(True, f"if _count(zero): {v} = _where(zero, 0.0, {v})",
+                      f"if {' or '.join(zeros)}: {v} = 0.0")
         elif isinstance(f, Pow):
             self.power(v, self.operand(f.base), self.operand(f.exponent))
         else:  # Unary
             a = self.operand(f.arg)
             if f.fn.domain_error is not None:
-                self.check([f"_count({a} < 0.0)"], f.fn.domain_error)
+                self.check([f"{a} < 0.0"], f.fn.domain_error)
             u = f"_{f.fn.name}"
             self.ns[u] = f.fn.ufunc
-            self.body.append((True, f"{v} = {u}({a})"))
+            self.emit(True, f"{v} = {u}({a})", f"{v} = float({u}({a}))")
+        self.values.append(v)
         return v
 
     def power(self, v, b, e):
@@ -831,23 +870,24 @@ class _Source:
         b_known, e_known = b in self.known, e in self.known
         self.check([
             not bool(np.round(ke) == ke) if e_known
-            else f"_count({e} != _round({e}))",
-            bool(kb < 0.0) if b_known else f"_count({b} < 0.0)",
+            else f"{e} != _round({e})",
+            bool(kb < 0.0) if b_known else f"{b} < 0.0",
         ], "fractional power of a negative base")
         self.check([
-            bool(kb == 0.0) if b_known else f"_count({b} == 0.0)",
-            bool(ke < 0.0) if e_known else f"_count({e} < 0.0)",
+            bool(kb == 0.0) if b_known else f"{b} == 0.0",
+            bool(ke < 0.0) if e_known else f"{e} < 0.0",
         ] if b_known or e_known else
-            [f"_count(({b} == 0.0) & ({e} < 0.0))"],
+            [f"({b} == 0.0) & ({e} < 0.0)"],
             "zero base raised to a negative power")
-        self.body.append((True, f"{v} = _power({b}, {e})"))
+        self.emit(True, f"{v} = _power({b}, {e})",
+                  f"{v} = float(_power({b}, {e}))")
 
     def statements(self):
-        """The body as function lines: statements flagged for errstate
-        that follow each other share one np.errstate(all="ignore")
-        block."""
+        """The body as function lines on arrays: statements flagged for
+        errstate that follow each other share one np.errstate(all=
+        "ignore") block."""
         lines, block = [], False
-        for guarded, stmt in self.body:
+        for guarded, stmt, _ in self.body:
             if guarded and not block:
                 lines.append("    with _errstate(all='ignore'):")
             block = guarded
@@ -900,16 +940,29 @@ class _Source:
 
     def rk4_run(self, outputs):
         """compile_rk4_run's run over the field list outputs[0] and, when
-        given, its partials outputs[1]: its scratch allocated once per
-        call, then the statements once per stage, over z in stage 1 and
-        the stage point za after it.  Every view the loop reads or writes
-        is taken once per call."""
-        d = len(self.coords)
-        variational = len(outputs) == 2
-        width = d * len(outputs)
+        given, its partials outputs[1]: two loops generated from the one
+        statement list, rows for a batch and one for a single row, and
+        the dispatch between them."""
         cols = [[self.operand(f) for f in flat] for flat in outputs]
+        rows, one = self.define(self.rows_loop(cols) + self.one_loop(cols),
+                                "rows", "one")
+
+        def run(z, steps, step, bounds):
+            if len(z) == 1:
+                return one(z, steps, step, bounds, rows)
+            return rows(z, steps, step, bounds)
+        return run
+
+    def rows_loop(self, cols):
+        """The loop on arrays: its scratch allocated once per call, then
+        the statements once per stage, over z in stage 1 and the stage
+        point za after it.  Every view the loop reads or writes is taken
+        once per call."""
+        d = len(self.coords)
+        variational = len(cols) == 2
+        width = d * len(cols)
         velocity = self.constants(cols[0], d)
-        lines = ["def run(z, steps, step, bounds):", "    n = len(z)"]
+        lines = ["def rows(z, steps, step, bounds):", "    n = len(z)"]
         for k in ("k1", "k2", "k3", "k4"):
             lines.append(f"    {k} = _empty((n, {width}))")
             if velocity is not None:
@@ -919,6 +972,8 @@ class _Source:
             jac = self.constants(cols[1], (d, d))
             if jac is not None:
                 lines.append(f"    J[:] = {jac}")
+            if d > 1:
+                lines.append(f"    T = _empty((n, {d}, {d}))")
         lines += [f"    za = _empty((n, {width}))",
                   f"    acc = _empty((n, {width}))",
                   f"    h = _empty((n, {width}))",
@@ -948,12 +1003,22 @@ class _Source:
             body += stage
             body += [f"{view(f'{k}[:, {j}]')}[...] = {op}"
                      for j, op in enumerate(cols[0]) if op not in self.known]
-            if variational:
-                body += [f"{view(f'J[:, {j // d}, {j % d}]')}[...] = {op}"
-                         for j, op in enumerate(cols[1])
-                         if op not in self.known]
-                body.append(f"_matmul(J, {view(f'{src}[:, {d}:, None]')}, "
-                            f"out={view(f'{k}[:, {d}:, None]')})")
+            if not variational:
+                continue
+            body += [f"{view(f'J[:, {j // d}, {j % d}]')}[...] = {op}"
+                     for j, op in enumerate(cols[1]) if op not in self.known]
+            # J.Y as T = J*Y then (T[.., 0] + T[.., 1]) + ..., in order
+            carried = view(f"{k}[:, {d}:]")
+            ys = view(f"{src}[:, None, {d}:]")
+            if d == 1:
+                body.append(f"_multiply(J, {ys}, out="
+                            f"{view(f'{k}[:, {d}:, None]')})")
+                continue
+            terms = [view(f"T[:, :, {j}]") for j in range(d)]
+            body.append(f"_multiply(J, {ys}, out=T)")
+            body.append(f"_add({terms[0]}, {terms[1]}, out={carried})")
+            body += [f"_add({carried}, {t}, out={carried})"
+                     for t in terms[2:]]
         lines += [f"    {name} = {text}" for text, name in views.items()]
         lines += ["    for k in range(steps):", "        try:"]
         lines += ["            " + line for line in body]
@@ -974,7 +1039,89 @@ class _Source:
                   "                return k + 1, None, ~((zx >= lo) & "
                   "(zx <= hi)).all(1)",
                   "    return steps, None, None"]
-        return self.define(lines, "run")
+        return lines
+
+    def one_loop(self, cols):
+        """The loop on one row as Python floats: state z0.., stage point
+        p0.. and velocities k1_0.. (a constant column is its literal), the
+        float form of each statement, and per stage one sum c1.. of the
+        stage point's x columns and the statement values.  A step whose
+        statements raise, or whose sums or new state w0.. are not finite,
+        is handed to rows, outside the loop's errstate."""
+        d = len(self.coords)
+        width = d * len(cols)
+        state = [f"z{i}" for i in range(width)]
+        new = [f"w{i}" for i in range(width)]
+
+        def velocity(s, i):
+            op = cols[0][i] if i < d else None
+            return op if op in self.known else f"k{s}_{i}"
+
+        def names(items):
+            return ", ".join(items) + ("," if len(items) == 1 else "")
+
+        stage = [s for _, _, s in self.body if s]
+        body, checks = [], []
+        for s, scale in enumerate((None, "half", "half", "h"), 1):
+            point = state
+            if scale is not None:
+                point = [f"p{i}" for i in range(width)]
+                body += [f"p{i} = z{i} + {scale} * {velocity(s - 1, i)}"
+                         for i in range(width)]
+            body += [f"{name} = {point[i]}"
+                     for i, name in sorted(self.loads.items())]
+            body += stage
+            body += [f"k{s}_{j} = {op}" for j, op in enumerate(cols[0])
+                     if op not in self.known]
+            if len(cols) == 2:  # J.Y, each row summed in column order
+                body += [f"k{s}_{d + i} = " + " + ".join(
+                    f"{cols[1][i * d + j]} * {point[d + j]}"
+                    for j in range(d)) for i in range(d)]
+            parts = (point[:d] if scale is not None else []) + self.values
+            if parts:
+                body += _chain(f"c{s}", "+", parts)
+                checks.append(f"c{s}")
+        step_end = [f"w{i} = z{i} + sixth * ((({velocity(1, i)} + 2.0 * "
+                    f"{velocity(2, i)}) + 2.0 * {velocity(3, i)}) + "
+                    f"{velocity(4, i)})" for i in range(width)]
+        step_end += _chain("c", "+", checks + new)
+        inside = " and ".join(f"lo{i} <= z{i} <= hi{i}" for i in range(d))
+        lines = ["def one(z, steps, step, bounds, rows):",
+                 "    h = step.item()",
+                 "    half = 0.5 * h",
+                 "    sixth = h / 6.0",
+                 "    boxed = bounds is not None",
+                 "    if boxed:",
+                 f"        {names([f'lo{i}' for i in range(d)])} = "
+                 "bounds[0].tolist()",
+                 f"        {names([f'hi{i}' for i in range(d)])} = "
+                 "bounds[1].tolist()",
+                 f"    {names(state)} = z[0].tolist()",
+                 "    k = 0",
+                 "    while True:",
+                 "        with _errstate(all='ignore'):",
+                 "            while k < steps:",
+                 "                try:"]
+        lines += ["                    " + line for line in body]
+        lines += ["                except _E:",
+                  "                    break"]
+        lines += ["                " + line for line in step_end]
+        lines += ["                if c - c != 0.0:",
+                  "                    break",
+                  f"                {names(state)} = {names(new)}",
+                  "                k += 1",
+                  f"                if boxed and not ({inside}):",
+                  f"                    z[0] = {names(state)}",
+                  "                    return k, None, _ones(1, dtype=bool)",
+                  f"        z[0] = {names(state)}",
+                  "        if k == steps:",
+                  "            return k, None, None",
+                  "        done, err, out = rows(z, 1, step, bounds)",
+                  "        if err is not None or out is not None:",
+                  "            return k + done, err, out",
+                  "        k += 1",
+                  f"        {names(state)} = z[0].tolist()"]
+        return lines
 
 
 def _chain(target, op, operands):

@@ -167,12 +167,18 @@ def _entry_major(stack):
     return np.ascontiguousarray(np.moveaxis(stack, (-2, -1), (0, 1)))
 
 
-def _in_range(E):
+def _in_range(E, columns=False):
     """Mask (...,) of the matrices of the entry-major stack E that the
     closed forms take: finite, with the largest |entry| in _UNSCALED or 0
-    (np.maximum keeps a nan)."""
-    big = np.maximum.reduce(np.abs(E).reshape((-1,) + E.shape[2:]))
-    return (big <= _UNSCALED[1]) & ((big >= _UNSCALED[0]) | (big == 0.0))
+    (np.maximum keeps a nan).  With columns, the largest |entry| of each
+    column, as _gram_schmidt needs: a column of tiny entries beside a
+    large one has a squared norm below the normal range, which costs its
+    q and r bits."""
+    big = np.abs(E)
+    big = np.maximum.reduce(big if columns else
+                            big.reshape((-1,) + E.shape[2:]))
+    ok = (big <= _UNSCALED[1]) & ((big >= _UNSCALED[0]) | (big == 0.0))
+    return np.logical_and.reduce(ok) if columns else ok
 
 
 def _by_rows(ok, stack, E, kernel, lapack):
@@ -243,8 +249,8 @@ def signed_qr(bases):
     if bases.shape[-1] > 2 or bases.shape[-2] < bases.shape[-1]:
         return _lapack_signed_qr(bases)
     E = _entry_major(bases)
-    return _by_rows(_in_range(E), bases, E, _signed_gram_schmidt,
-                    _lapack_signed_qr)
+    return _by_rows(_in_range(E, columns=True), bases, E,
+                    _signed_gram_schmidt, _lapack_signed_qr)
 
 
 def _abs_1x1(stack):
@@ -314,7 +320,7 @@ def _singular_values(stack, smallest=True):
     E = _entry_major(stack)
     if E.shape[0] < E.shape[1]:
         E = E.swapaxes(0, 1)  # the values of A^T
-    ok = _in_range(E)
+    ok = _in_range(E, columns=E.shape[0] > 2)
     if smallest and E.shape[:2] == (2, 2):
         ok &= _min_resolved(E)
     return _by_rows(ok, stack, E, lambda e: _closed_svals(e, smallest),

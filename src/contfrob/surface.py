@@ -22,14 +22,21 @@ an EscapeError carrying its exit_time, to which build_surface adds the
 lattice node (flow index, grid index) being filled.  The steps run in
 stretches: a stretch ends where a row has taken its steps or stops, and
 each is one call of the run from fields.compile_rk4_run, cached on the
-field objects.  The run allocates its scratch once per call and steps
-one state z = [x | Y] in place, the field statements (and, with a
-carried vector, the Jacobian and its product with Y) inline in the four
-stages; it returns before the stage that raises, or after the step that
-leaves the box with the mask of the rows outside it, the engine's only
-box test.  So a second flow of the same fields takes no symbolic
-derivative and compiles nothing, and the Python loop turns once per
-stretch, not once per step.
+field objects.  The run holds two loops generated from one statement
+list and takes one by the stretch's row count.  A batch steps one array
+state z = [x | Y] in place, its scratch allocated once per call, the
+field statements (and, with a carried vector, the Jacobian J and the
+product J.Y, each row summed in column order, (J_i0 Y_0 + J_i1 Y_1) +
+J_i2 Y_2) inline in the four stages.  A single row, such as each
+pushforward check, steps as Python floats through the same operations
+in the same order, so it has the batch's bits without numpy's cost per
+call; a step of it that raises, or that makes a value that is not
+finite, is redone on arrays, which own every edge: error texts,
+warnings and the bits of inf and nan.  Either loop returns before the
+stage that raises, or after the step that leaves the box with the mask
+of the rows outside it, the engine's only box test.  So a second flow of
+the same fields takes no symbolic derivative and compiles nothing, and
+the Python loop turns once per stretch, not once per step.
 
 The three quantitative checks:
 
@@ -132,26 +139,27 @@ def _integrate(fields, coords, x0, t, step, box, Y0=None) -> Trajectories:
         raise RangeError(f"Y0 must have x0's shape {x.shape}, got "
                          f"{np.shape(Y0)}")
     single = x.ndim == 1
-    z = np.atleast_2d(x)
+    z = x.reshape(-1, d)  # x is a copy, which the runs step in place
     N = len(z)
     if np.ndim(t) and np.shape(t) != (N,):
         raise RangeError(f"t must be a scalar or have shape ({N},), got "
                          f"{np.shape(t)}")
-    t = np.full(N, t, dtype=float)
     if Y0 is not None:
-        z = np.concatenate([z, np.atleast_2d(np.asarray(Y0, dtype=float))],
-                           axis=1)
+        z = np.concatenate([z, np.reshape(np.asarray(Y0, dtype=float),
+                                          (N, d))], axis=1)
+    t = np.full(N, t, dtype=float)
     exit_time = np.full(N, np.nan)
     error = [None] * N
-    # step counts only for rows within MAX_TIME, so a huge time cannot
-    # overflow the division; the others take no step.  A tiny step can
-    # still overflow it, and such a count is over MAX_STEPS
-    within = np.abs(t) <= MAX_TIME
-    n = np.zeros(N)
+    # step counts only for rows within MAX_TIME; the division may
+    # overflow for the others, which take no step.  A tiny step can
+    # overflow it too, and such a count is over MAX_STEPS
+    span = np.abs(t)
+    within = span <= MAX_TIME
     with np.errstate(over="ignore"):
-        n[within] = np.maximum(np.ceil(np.abs(t[within]) / step - 1e-12),
-                               t[within] != 0.0)
-    for i in np.flatnonzero(n > MAX_STEPS):
+        n = np.where(within, np.maximum(np.ceil(span / step - 1e-12),
+                                        t != 0.0), 0.0)
+    if np.count_nonzero(n > MAX_STEPS):
+        i = np.flatnonzero(n > MAX_STEPS)[0]
         raise RangeError(f"flow time {t[i]} of row {i} takes {n[i]:g} steps "
                          f"of {step}, more than MAX_STEPS = {MAX_STEPS}")
     dt = t / np.maximum(n, 1.0)
@@ -166,11 +174,12 @@ def _integrate(fields, coords, x0, t, step, box, Y0=None) -> Trajectories:
         stop(i, time, EscapeError("trajectory left the domain box",
                                   exit_time=float(time)))
 
-    for i in np.flatnonzero(~within):
-        if np.isnan(t[i]):
-            raise RangeError(f"flow time of row {i} is nan")
-        stop(i, t[i], EscapeError("requested time beyond MAX_TIME",
-                                  exit_time=float(t[i])))
+    if np.count_nonzero(within) < N:
+        for i in np.flatnonzero(~within):
+            if np.isnan(t[i]):
+                raise RangeError(f"flow time of row {i} is nan")
+            stop(i, t[i], EscapeError("requested time beyond MAX_TIME",
+                                      exit_time=float(t[i])))
     run = compile_rk4_run(fields, coords, Y0 is not None)
     bounds = None if box is None else box.bounds(tol=1e-9)
 
@@ -178,15 +187,15 @@ def _integrate(fields, coords, x0, t, step, box, Y0=None) -> Trajectories:
     # its steps or stops.  While every row is live the rows are a slice
     # and the run steps z itself; otherwise they are gathered before the
     # stretch and scattered after it
-    k = 0
-    while live.any():
-        rows = slice(None) if live.all() else np.flatnonzero(live)
-        zs, h, index = z[rows], dt[rows, None], np.arange(N)[rows]
+    k, count = 0, np.count_nonzero(live)
+    while count:
+        rows = slice(None) if count == N else np.flatnonzero(live)
+        zs, h = z[rows], dt[rows, None]
         done, err, out = run(zs, int(n[rows].min()) - k, h, bounds)
         k += done
         if err is not None:
             # a stage raised in step k + 1: take it one row at a time
-            for j, i in enumerate(index):
+            for j, i in enumerate(np.arange(N)[rows]):
                 _, err, out = run(zs[j:j + 1], 1, h[j:j + 1], bounds)
                 if err is not None:
                     stop(i, k * dt[i], err)
@@ -194,11 +203,12 @@ def _integrate(fields, coords, x0, t, step, box, Y0=None) -> Trajectories:
                     leave(i, k + 1)
             k += 1
         elif out is not None:
-            for i in index[out]:
+            for i in np.arange(N)[rows][out]:
                 leave(i, k)
-        if isinstance(rows, np.ndarray):
+        if count < N:
             z[rows] = zs
         live &= n > k
+        count = np.count_nonzero(live)
     x, Y = (z, None) if Y0 is None else (z[:, :d].copy(), z[:, d:].copy())
     if single:
         return Trajectories(x[0], None if Y is None else Y[0], exit_time,

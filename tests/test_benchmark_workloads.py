@@ -100,12 +100,15 @@ def test_ode_flows_task_work_counts(monkeypatch):
     # the steps the generated RK4 runs report: 4 checks x 2 flows x 40
     # steps of the pushforward, one run each, and 32 of the funnel's one
     # batch in one run; the compiled field functions stay out of the
-    # step loop, and a second task compiles nothing
+    # step loop, and a second task compiles nothing.  Each pushforward
+    # run is one row, which takes the float loop and replays no step on
+    # arrays; the funnel's batch takes the array loop
     import contfrob.fields as fl
     import contfrob.odelab as odelab
     import contfrob.surface as surface
     steps = {"odelab.funnel": 0, "surface.pushforward": 0}
     runs = dict.fromkeys(steps, 0)
+    loops = {name: {"one": 0, "rows": 0} for name in steps}
     compiled, in_loop, span = [], [], [None]
 
     def counted_run(fields, coords, variational=False,
@@ -119,11 +122,17 @@ def test_ode_flows_task_work_counts(monkeypatch):
             return done, err, out
         return counted
 
+    def looped_run(name, fn):
+        def counted(*args):
+            loops[span[0]][name] += 1
+            return fn(*args)
+        return counted
+
     def counted_define(self, lines, *names, _orig=fl._Source.define):
         compiled.append(names)
         fn = _orig(self, lines, *names)
-        if names != ("compiled",):  # an RK4 run, counted above
-            return fn
+        if names != ("compiled",):  # an RK4 run's two loops
+            return tuple(looped_run(*pair) for pair in zip(names, fn))
 
         def counted(*args):
             if looping:
@@ -157,6 +166,8 @@ def test_ode_flows_task_work_counts(monkeypatch):
     assert wl.run(ctx, inp, Spans()).problems == []
     assert steps == {"odelab.funnel": 32, "surface.pushforward": 320}
     assert runs == {"odelab.funnel": 1, "surface.pushforward": 8}
+    assert loops == {"odelab.funnel": {"one": 0, "rows": 1},
+                     "surface.pushforward": {"one": 8, "rows": 0}}
     assert compiled and in_loop == []
     compiled.clear()
     assert wl.run(ctx, inp, Spans()).problems == []

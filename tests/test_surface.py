@@ -1,5 +1,7 @@
+import collections
 import math
 import re
+import sys
 import warnings
 
 import numpy as np
@@ -200,7 +202,9 @@ def _reference_step(fn, x, Y, dt, half, sixth):
             return out, None
         d = xs.shape[-1]
         jac = np.ascontiguousarray(out[..., d:]).reshape(xs.shape + (d,))
-        return out[..., :d], (jac @ ys[..., None])[..., 0]
+        return out[..., :d], sum((jac[..., j] * ys[..., None, j]
+                                  for j in range(1, d)),
+                                 jac[..., 0] * ys[..., None, 0])
 
     def ahead(ys, h, ls):
         return None if ys is None else ys + h * ls
@@ -467,6 +471,228 @@ def test_a_box_exit_in_mid_stretch_matches_the_reference(monkeypatch):
     assert np.array_equal(run.exit_time, [6 * 0.01, 10 * 0.01, math.nan,
                                           math.nan, 16 * -0.01],
                           equal_nan=True)
+
+
+# ---------------------------------------------------------------------------
+# the one-row loop and its replays
+
+
+def _loop_calls(monkeypatch):
+    """A Counter of the calls of the generated loops, "one" (a single row
+    as floats) and "rows" (arrays, a batch or one row's replayed step),
+    for runs compiled while the test runs."""
+    import contfrob.fields as fl
+    calls = collections.Counter()
+
+    def counted_define(self, lines, *names, _orig=fl._Source.define):
+        fns = _orig(self, lines, *names)
+        if names != ("rows", "one"):
+            return fns
+
+        def counting(name, fn):
+            def counted(*args):
+                calls[name] += 1
+                return fn(*args)
+            return counted
+        return tuple(counting(n, f) for n, f in zip(names, fns))
+    monkeypatch.setattr(fl._Source, "define", counted_define)
+    return calls
+
+
+def assert_one_row_is_reference(monkeypatch, fields, coords, x0, t, step,
+                                box, Y0=None):
+    """One row through the engine against _reference_run: bits, exit
+    time, error type and text, and warnings.  Returns the loop calls of
+    the engine's run; a step that raises is run once more, by
+    _integrate's row-at-a-time pass."""
+    texts = []
+
+    def recording(*args, _orig=_reference_step):
+        try:
+            return _orig(*args)
+        except EvalDomainError as err:
+            texts.append(str(err))
+            raise
+    monkeypatch.setattr(sys.modules[__name__], "_reference_step",
+                        recording)
+    x0 = np.reshape(np.asarray(x0, dtype=float), (1, len(coords)))
+    Y0 = None if Y0 is None else np.reshape(Y0, x0.shape)
+    calls = _loop_calls(monkeypatch)
+    assert_engine_is_reference(fields, coords, x0, t, step, box, Y0)
+    counted = dict(calls)
+    err = _warned(lambda: _integrate(fields, coords, x0, t, step, box,
+                                     Y0))[0].error[0]
+    if isinstance(err, EvalDomainError):
+        assert [str(err)] == texts
+    elif isinstance(err, EscapeError):
+        assert str(err) == "trajectory left the domain box"
+    assert counted["one"] >= 1
+    return counted
+
+
+def _variational():
+    """Fresh fields with a full Jacobian, so a test compiles their run."""
+    return [parse_field("x*y + 1"), parse_field("sin(x) - y^2")]
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("column", [0, 3])
+def test_a_non_finite_start_is_replayed(monkeypatch, value, column):
+    # every step starts or ends non-finite, so the arrays redo each one
+    z0 = np.array([0.3, -0.2, 0.5, 1.0])
+    z0[column] = value
+    calls = assert_one_row_is_reference(monkeypatch, _variational(), XY,
+                                        z0[:2], 0.03, 0.01, None, z0[2:])
+    assert calls["rows"] == 3
+
+
+@pytest.mark.parametrize("x0", [[-0.0, 2.0], [1e-200, -1e-200]])
+def test_a_negative_zero_product_is_the_arrays(monkeypatch, x0):
+    # x*y of -0.0 is guarded to +0.0; 1e-200 * -1e-200 underflows to -0.0
+    # with no zero factor.  Both are finite: nothing is replayed
+    fields = [parse_field("x*y"), parse_field("y - x*y")]
+    for Y0 in (None, [1.0, -0.0]):
+        calls = assert_one_row_is_reference(monkeypatch, fields, XY, x0,
+                                            0.02, 0.01, None, Y0)
+        assert calls.get("rows", 0) == 0
+
+
+def test_zero_times_infinity_is_guarded_on_floats(monkeypatch):
+    # y*exp(x) at y = 0 and exp(x) = inf is 0; the inf statement value
+    # hands each step to the arrays
+    fields = [parse_field("1"), parse_field("y*exp(x)")]
+    calls = assert_one_row_is_reference(monkeypatch, fields, ("x", "y"),
+                                        [1000.0, 0.0], 0.02, 0.01, None,
+                                        [0.0, 1.0])
+    assert calls["rows"] == 2
+
+
+def _raising_stage(fields, coords, x, h):
+    """The stage (1-4) of one RK4 step from x whose evaluation raises, or
+    None."""
+    velocity = compile_fields(fields, coords)
+    k, point = None, x
+    for stage, scale in enumerate((None, 0.5 * h, 0.5 * h, h), 1):
+        if scale is not None:
+            point = x + scale * k
+        try:
+            k = velocity(point)
+        except EvalDomainError:
+            return stage
+    return None
+
+
+@pytest.mark.parametrize("y0, stage", [(0.16, 2), (0.1765, 3),
+                                       (0.185, 4)])
+def test_a_domain_error_in_a_late_stage_is_replayed(monkeypatch, y0, stage):
+    # dy/dt = sqrt(y) - 1 sinks below y = 0 in the third step, at the
+    # given stage; the two steps before it run as floats
+    fields = [parse_field("1"), parse_field("y^0.5 - 1")]
+    coords, h = ("t", "y"), 0.1
+    run = _integrate(fields, coords, np.array([[0.0, y0]]), 0.5, h, None)
+    assert run.exit_time[0] == 2 * h
+    assert _raising_stage(fields, coords, run.x, h) == stage
+    calls = assert_one_row_is_reference(monkeypatch, fields, coords,
+                                        [0.0, y0], 0.5, h, None,
+                                        [0.0, 1.0])
+    assert calls == {"one": 2, "rows": 2}
+
+
+def test_a_log_of_a_negative_masked_by_a_zero_factor_raises(monkeypatch):
+    # y*log(x) at y = 0, x falling at unit speed in steps of 1/4: step 2
+    # starts at x = 1/8, its second and third stages take log(0) = -inf,
+    # guarded to 0, and its fourth the log of x = -1/8, which raises
+    fields = [parse_field("-1"), parse_field("y*log(x)")]
+    calls = assert_one_row_is_reference(monkeypatch, fields, XY,
+                                        [0.375, 0.0], 0.75, 0.25, None)
+    assert calls == {"one": 2, "rows": 2}
+    run = _integrate(fields, XY, np.array([0.375, 0.0]), 0.75, 0.25, None)
+    assert run.exit_time[0] == 0.25 and run.x[0] == 0.125
+    assert str(run.error[0]) == "log of a negative value"
+
+
+@pytest.mark.parametrize("Y0", [None, [1.0, 0.5]])
+def test_an_add_overflow_hidden_by_a_power_is_replayed(monkeypatch, Y0):
+    # 1e10*x + 1e10*y overflows to inf, which warns on arrays, and its
+    # -2nd power is 0, so the state and the stage points stay finite:
+    # only the statement value shows it
+    fields = [parse_field("(1e10*x + 1e10*y)^-2"), parse_field("0")]
+    calls = assert_one_row_is_reference(monkeypatch, fields, XY,
+                                        [1e298, 1e298], 0.03, 0.01, None,
+                                        Y0)
+    assert calls["rows"] == 3
+
+
+def test_a_stage_point_overflow_hidden_by_the_step_is_replayed(
+        monkeypatch):
+    # x + h/2*y overflows at the second stage, which warns on arrays; no
+    # statement reads x, and y falls to 0 at the later stages, so the
+    # step's new x is x itself
+    fields = [parse_field("y"), parse_field("-2e307")]
+    calls = assert_one_row_is_reference(monkeypatch, fields, XY,
+                                        [1.79e308, 1e307], 1.0, 1.0, None)
+    assert calls["rows"] == 1
+
+
+def test_a_one_row_box_exit_is_not_replayed(monkeypatch):
+    # contact's X1 moves x at unit speed out of BOX3 in step 6
+    X1 = [parse_field("1"), parse_field("0"), parse_field("y")]
+    calls = assert_one_row_is_reference(monkeypatch, X1, ("x", "y", "z"),
+                                        [0.545, 0.1, 0.0], 0.2, 0.01, BOX3,
+                                        [0.3, -0.2, 1.0])
+    assert calls == {"one": 1}
+
+
+_DENSE = [parse_field("x*y + z"), parse_field("sin(z)*x"),
+          parse_field("exp(y) - x*z")]
+
+
+def _pinned_step(x, Y, h, ordered):
+    """One RK4 step of _DENSE and its variational equation in Python
+    floats, the field values and Jacobian from compile_fields; the
+    carried part is (J[i,0]*Y[0] + J[i,1]*Y[1]) + J[i,2]*Y[2], or
+    J[i,0]*Y[0] + (J[i,1]*Y[1] + J[i,2]*Y[2]) unless ordered."""
+    fn = compile_fields(with_partials(_DENSE, "xyz"), "xyz")
+
+    def rhs(p, q):
+        out = fn(np.array(p)).tolist()
+        k, J = out[:3], [out[3 + 3 * i:6 + 3 * i] for i in range(3)]
+        if ordered:
+            return k + [(J[i][0] * q[0] + J[i][1] * q[1]) + J[i][2] * q[2]
+                        for i in range(3)]
+        return k + [J[i][0] * q[0] + (J[i][1] * q[1] + J[i][2] * q[2])
+                    for i in range(3)]
+
+    z = list(x) + list(Y)
+    k1 = rhs(z[:3], z[3:])
+    a = [u + 0.5 * h * v for u, v in zip(z, k1)]
+    k2 = rhs(a[:3], a[3:])
+    a = [u + 0.5 * h * v for u, v in zip(z, k2)]
+    k3 = rhs(a[:3], a[3:])
+    a = [u + h * v for u, v in zip(z, k3)]
+    k4 = rhs(a[:3], a[3:])
+    return [u + h / 6.0 * (((p + 2.0 * q) + 2.0 * r) + s)
+            for u, p, q, r, s in zip(z, k1, k2, k3, k4)]
+
+
+@pytest.mark.parametrize("n", [1, 50])
+def test_the_carried_product_sums_in_column_order(n):
+    # each stage's J.Y is (J[i,0]*Y[0] + J[i,1]*Y[1]) + J[i,2]*Y[2] on
+    # floats (one row) and on arrays (a batch); the other association
+    # moves some bits, and the one row is a row where it does, so the
+    # test sees the order
+    rng = np.random.default_rng(28)
+    x0 = rng.uniform(-1.0, 1.0, (50, 3))
+    Y0 = rng.uniform(-1.0, 1.0, (50, 3))
+    h = 0.05
+    want = np.array([_pinned_step(x, Y, h, True) for x, Y in zip(x0, Y0)])
+    other = np.array([_pinned_step(x, Y, h, False) for x, Y in zip(x0, Y0)])
+    moved = np.flatnonzero(np.any(want != other, axis=1))
+    assert len(moved) > 0
+    rows = moved[:1] if n == 1 else slice(None)
+    run = _integrate(_DENSE, "xyz", x0[rows], h, h, None, Y0[rows])
+    got = np.concatenate([run.x, run.Y], axis=1)
+    assert got.tobytes() == want[rows].tobytes()
 
 
 def test_vertical_invariance_of_pushforwards():
