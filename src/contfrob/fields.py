@@ -126,7 +126,9 @@ class Const(Field):
     __slots__ = ("value",)
 
     def __init__(self, value):
-        self.value = float(value)
+        value = float(value)
+        # one nan object, whatever its sign: equal constants have one value
+        self.value = math.nan if math.isnan(value) else value
         self._key = (0, self.value)
         self.free_vars = frozenset()
 
@@ -673,14 +675,14 @@ def compile_rk4_run(fields, coords, variational=False):
       a factor == 0.0), and Pow, Unary and spline statements calling the
       same ufunc or ev on the float, whose bits are those of an array
       row.  The loop runs inside one np.errstate(all="ignore"), so its
-      floats warn of nothing.  Replay rule: rows stays the one owner of
-      the edges.  A step whose statements raise EvalDomainError, or that
+      floats warn of nothing.  Hand-off rule: rows owns the edges.  From
+      the first step whose statements raise EvalDomainError, or that
       makes a non-finite statement value, stage-point x column or new
-      state, is redone from its start by rows, outside the errstate, and
-      so gets rows' bits, error texts and warnings.  Every value rows
+      state, one call of rows outside the errstate takes the remaining
+      steps, with rows' bits, error texts and warnings.  Every value rows
       computes outside np.errstate is one of those or feeds the new
       state through + and *, which keep a non-finite value non-finite, so
-      a step that is not redone warns of nothing on arrays either.
+      a step taken on floats warns of nothing on arrays either.
 
     The run is cached like compile_fields' functions, under the same
     field identities with a step tag, and is compiled only when a flow
@@ -1045,9 +1047,9 @@ class _Source:
         """The loop on one row as Python floats: state z0.., stage point
         p0.. and velocities k1_0.. (a constant column is its literal), the
         float form of each statement, and per stage one sum c1.. of the
-        stage point's x columns and the statement values.  A step whose
-        statements raise, or whose sums or new state w0.. are not finite,
-        is handed to rows, outside the loop's errstate."""
+        stage point's x columns and the statement values.  From the first
+        step whose statements raise, or whose sums or new state w0.. are
+        not finite, rows takes the steps, outside the loop's errstate."""
         d = len(self.coords)
         width = d * len(cols)
         state = [f"z{i}" for i in range(width)]
@@ -1098,29 +1100,25 @@ class _Source:
                  "bounds[1].tolist()",
                  f"    {names(state)} = z[0].tolist()",
                  "    k = 0",
-                 "    while True:",
-                 "        with _errstate(all='ignore'):",
-                 "            while k < steps:",
-                 "                try:"]
-        lines += ["                    " + line for line in body]
-        lines += ["                except _E:",
-                  "                    break"]
-        lines += ["                " + line for line in step_end]
-        lines += ["                if c - c != 0.0:",
-                  "                    break",
-                  f"                {names(state)} = {names(new)}",
-                  "                k += 1",
-                  f"                if boxed and not ({inside}):",
-                  f"                    z[0] = {names(state)}",
-                  "                    return k, None, _ones(1, dtype=bool)",
-                  f"        z[0] = {names(state)}",
-                  "        if k == steps:",
-                  "            return k, None, None",
-                  "        done, err, out = rows(z, 1, step, bounds)",
-                  "        if err is not None or out is not None:",
-                  "            return k + done, err, out",
-                  "        k += 1",
-                  f"        {names(state)} = z[0].tolist()"]
+                 "    with _errstate(all='ignore'):",
+                 "        while k < steps:",
+                 "            try:"]
+        lines += ["                " + line for line in body]
+        lines += ["            except _E:",
+                  "                break"]
+        lines += ["            " + line for line in step_end]
+        lines += ["            if c - c != 0.0:",
+                  "                break",
+                  f"            {names(state)} = {names(new)}",
+                  "            k += 1",
+                  f"            if boxed and not ({inside}):",
+                  f"                z[0] = {names(state)}",
+                  "                return k, None, _ones(1, dtype=bool)",
+                  f"    z[0] = {names(state)}",
+                  "    if k == steps:",
+                  "        return k, None, None",
+                  "    done, err, out = rows(z, steps - k, step, bounds)",
+                  "    return k + done, err, out"]
         return lines
 
 

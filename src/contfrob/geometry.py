@@ -22,7 +22,7 @@ it, so the sup and its argmax are still those of exact values.
 Cost model: frame_values holds the one transversality check.  It takes
 K frames over one lattice of N points as K*N frame-major rows and computes
 the singular values and the inverse of A|_Y for all of them at once (for
-one row, A|_Y = [[a]], |a| and 1 / a: see _abs_1x1).  The singular values
+one row, A|_Y = [[a]], |a| (see _abs_1x1) and 1 / a).  The singular values
 and QR factors of stacks of tiny matrices are closed forms over the whole
 stack, not one LAPACK call per matrix (see "stacked kernels" below):
 |a| of a 1 x 1, with LAPACK's bits; a column's norm for d x 1 and 1 x d;
@@ -256,10 +256,8 @@ def signed_qr(bases):
 def _abs_1x1(stack):
     """The singular values (..., 1) of a stack of 1 x 1 matrices as |a|
     when every entry lies in _UNSCALED, where they are LAPACK's bits;
-    None for other shapes or entries (nan, inf, 0 among them), which
-    LAPACK takes."""
-    if stack.shape[-2:] != (1, 1):
-        return None
+    None for other entries (nan, inf, 0 among them), which LAPACK
+    takes."""
     s = np.abs(stack[..., 0])
     return s if np.all((s >= _UNSCALED[0]) & (s <= _UNSCALED[1])) else None
 
@@ -492,8 +490,8 @@ def frame_values(points, A, dA, y_indices) -> FrameValues:
     s = _singular_values(Ay)
     if np.any(s[:, -1] < 1e-12 * np.maximum(1.0, s[:, 0])):
         raise TransversalityError("frame loses transversality on the lattice")
-    # 1 / a is LAPACK's inverse of [[a]], bit for bit
-    inv = np.linalg.inv(Ay) if _abs_1x1(Ay) is None else 1.0 / Ay
+    # 1 / a is LAPACK's inverse of [[a]], bit for bit, at every magnitude
+    inv = 1.0 / Ay if Ay.shape[-2:] == (1, 1) else np.linalg.inv(Ay)
     U = np.zeros((len(A), A.shape[2], A.shape[1]))
     U[:, y_idx, :] = inv
     return FrameValues(points, A, dA, inv, U)

@@ -30,8 +30,8 @@ product J.Y, each row summed in column order, (J_i0 Y_0 + J_i1 Y_1) +
 J_i2 Y_2) inline in the four stages.  A single row, such as each
 pushforward check, steps as Python floats through the same operations
 in the same order, so it has the batch's bits without numpy's cost per
-call; a step of it that raises, or that makes a value that is not
-finite, is redone on arrays, which own every edge: error texts,
+call; from its first step that raises, or that makes a value that is
+not finite, the row steps on arrays, which own every edge: error texts,
 warnings and the bits of inf and nan.  Either loop returns before the
 stage that raises, or after the step that leaves the box with the mask
 of the rows outside it, the engine's only box test.  So a second flow of
@@ -121,11 +121,12 @@ def _integrate(fields, coords, x0, t, step, box, Y0=None) -> Trajectories:
     step), or once its field evaluation raises EvalDomainError (exit
     time: the start of that step); |t_i| beyond MAX_TIME stops it at
     once.  Only live rows are stepped, and the arithmetic is per row, so
-    each row's bits and exit record are those of its solo run.  When a
-    stage raises for the batch, the step is redone one row at a time,
-    box test included, to find the rows that raise; the rest keep their
-    solo results.  A shape that does not fit, a nan time, or a row of
-    more than MAX_STEPS steps raises RangeError before any step.
+    each row's bits and exit record are those of its solo run.  A lone
+    row's raising step gives its own error; a batch's is redone one row
+    at a time, box test included, to find the rows that raise, and the
+    rest keep their solo results.  A shape that does not fit, a nan
+    time, or a row of more than MAX_STEPS steps raises RangeError before
+    any step.
     """
     x = np.array(x0, dtype=float)
     d = len(coords)
@@ -194,9 +195,10 @@ def _integrate(fields, coords, x0, t, step, box, Y0=None) -> Trajectories:
         done, err, out = run(zs, int(n[rows].min()) - k, h, bounds)
         k += done
         if err is not None:
-            # a stage raised in step k + 1: take it one row at a time
+            # a stage raised in step k + 1: a batch redoes it row by row
             for j, i in enumerate(np.arange(N)[rows]):
-                _, err, out = run(zs[j:j + 1], 1, h[j:j + 1], bounds)
+                if count > 1:
+                    _, err, out = run(zs[j:j + 1], 1, h[j:j + 1], bounds)
                 if err is not None:
                     stop(i, k * dt[i], err)
                 elif out is not None:

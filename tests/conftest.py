@@ -45,6 +45,31 @@ def code_compiles(monkeypatch):
     return sources
 
 
+@pytest.fixture
+def loop_calls(monkeypatch):
+    """A Counter of the calls of the generated RK4 loops, "one" (a single
+    row as floats, such as each row of a batch's replayed step) and
+    "rows" (arrays: a batch, or a row that one hands off), for runs
+    compiled while the test runs."""
+    fields = importlib.import_module("contfrob.fields")
+    calls = collections.Counter()
+
+    def counting(name, fn):
+        def counted(*args):
+            calls[name] += 1
+            return fn(*args)
+        return counted
+
+    def counted_define(self, lines, *names, _orig=fields._Source.define):
+        fns = _orig(self, lines, *names)
+        if names != ("rows", "one"):
+            return fns
+        return tuple(counting(n, f) for n, f in zip(names, fns))
+
+    monkeypatch.setattr(fields._Source, "define", counted_define)
+    return calls
+
+
 class FitpackSpline:
     """FITPACK reference of contfrob.mollify's spline leaf evaluator:
     scipy's CubicSpline on one axis, RectBivariateSpline(kx=3, ky=3) on

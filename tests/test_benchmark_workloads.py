@@ -56,10 +56,13 @@ def test_torus_splitting_task_linalg_calls(linalg_calls):
     assert sum(linalg_calls.values()) == 27
 
 
-def test_surface_frames_task_work_counts(monkeypatch):
+def test_surface_frames_task_work_counts(monkeypatch, loop_calls):
     # one mollify for the two equal H_i and one per G_i; of the 625 rows
     # of the regularity trace's n = r = 2 M_A, only those whose upper
-    # bound reaches the lattice's largest lower bound are root-found
+    # bound reaches the lattice's largest lower bound are root-found.
+    # The build's 16 layer flows are the task's RK4 runs, each a batch
+    # on the array loop: none takes the float loop, so none hands a row
+    # off or replays a step
     import contfrob.pdelab as pdelab
     wl = workloads.WORKLOADS["surface-frames"]()
     ctx = wl.build()
@@ -81,6 +84,7 @@ def test_surface_frames_task_work_counts(monkeypatch):
     assert len(ctx["lattice"]) == 625
     assert len(mollified) == 3
     assert sum(root_rows) < 32
+    assert loop_calls == {"rows": 16}
 
 
 def test_second_surface_frames_task_compiles_nothing(code_compiles):
@@ -96,19 +100,19 @@ def test_second_surface_frames_task_compiles_nothing(code_compiles):
     assert code_compiles == []
 
 
-def test_ode_flows_task_work_counts(monkeypatch):
+def test_ode_flows_task_work_counts(monkeypatch, loop_calls):
     # the steps the generated RK4 runs report: 4 checks x 2 flows x 40
     # steps of the pushforward, one run each, and 32 of the funnel's one
     # batch in one run; the compiled field functions stay out of the
-    # step loop, and a second task compiles nothing.  Each pushforward
-    # run is one row, which takes the float loop and replays no step on
-    # arrays; the funnel's batch takes the array loop
+    # step loop, and a second task compiles nothing.  Only a lone row
+    # takes the float loop, so the funnel's batch is the one call of the
+    # array loop and each pushforward run one call of the float loop,
+    # which hands no row off
     import contfrob.fields as fl
     import contfrob.odelab as odelab
     import contfrob.surface as surface
     steps = {"odelab.funnel": 0, "surface.pushforward": 0}
     runs = dict.fromkeys(steps, 0)
-    loops = {name: {"one": 0, "rows": 0} for name in steps}
     compiled, in_loop, span = [], [], [None]
 
     def counted_run(fields, coords, variational=False,
@@ -122,17 +126,11 @@ def test_ode_flows_task_work_counts(monkeypatch):
             return done, err, out
         return counted
 
-    def looped_run(name, fn):
-        def counted(*args):
-            loops[span[0]][name] += 1
-            return fn(*args)
-        return counted
-
     def counted_define(self, lines, *names, _orig=fl._Source.define):
         compiled.append(names)
         fn = _orig(self, lines, *names)
-        if names != ("compiled",):  # an RK4 run's two loops
-            return tuple(looped_run(*pair) for pair in zip(names, fn))
+        if names != ("compiled",):  # an RK4 run's loops, in loop_calls
+            return fn
 
         def counted(*args):
             if looping:
@@ -166,8 +164,7 @@ def test_ode_flows_task_work_counts(monkeypatch):
     assert wl.run(ctx, inp, Spans()).problems == []
     assert steps == {"odelab.funnel": 32, "surface.pushforward": 320}
     assert runs == {"odelab.funnel": 1, "surface.pushforward": 8}
-    assert loops == {"odelab.funnel": {"one": 0, "rows": 1},
-                     "surface.pushforward": {"one": 8, "rows": 0}}
+    assert loop_calls == {"one": 8, "rows": 1}
     assert compiled and in_loop == []
     compiled.clear()
     assert wl.run(ctx, inp, Spans()).problems == []

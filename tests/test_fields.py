@@ -4,13 +4,14 @@ import weakref
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from contfrob import presets
 from contfrob.errors import EvalDomainError, ParseError
 from contfrob.fields import (ZERO, Const, Coord, cos, eval_fields, exp,
                              is_zero_field, log, parse_field, sin, SplineLeaf)
+from test_compiled import _EXPRS
 
 x = Coord("x")
 y = Coord("y")
@@ -101,11 +102,28 @@ def test_printing_round_trips_preset_fields():
 
 
 def test_non_finite_constants_are_not_coordinates():
-    # a nan key never equals itself, so compare what the text parses to
     g = parse_field(str(parse_field("sin(1e400)*x")))
     assert g.free_vars == {"x"}
     assert math.isnan(g.evaluate({"x": 1.0}))
     assert parse_field("inf - nan").free_vars == frozenset()
+
+
+def test_nan_constants_are_equal():
+    # every nan constant is one object, whatever its sign, so a nan field
+    # equals itself and a product merges equal nan factors into a power
+    assert Const(math.nan) == Const(-math.nan) == parse_field("inf - inf")
+    assert parse_field("-(-(nan))")._key == parse_field("nan")._key
+    assert str(parse_field("(nan + x)*((inf - inf) + x)")) == "(nan + x)^2"
+
+
+@settings(max_examples=300, deadline=None)
+@given(_EXPRS)
+def test_printing_round_trips_generated_fields(text):
+    try:
+        f = parse_field(text)
+    except EvalDomainError:
+        assume(False)  # a constant folded to a domain error while parsing
+    assert parse_field(str(f))._key == f._key, str(f)
 
 
 def test_parse_errors():

@@ -126,8 +126,9 @@ def _signed_magnitudes(lo, hi, n, seed):
 
 
 def test_one_by_one_closed_forms_are_lapacks_bits():
-    # |a| and 1 / a stand in for the SVD and inverse of [[a]]; outside
-    # [2^-459, 2^459] LAPACK rescales, and its bits are kept there
+    # |a| stands in for the SVD of [[a]]; outside [2^-459, 2^459] LAPACK
+    # rescales, and its bits are kept there.  1 / a is the inverse of
+    # [[a]] at every magnitude
     a = _signed_magnitudes(-300.0, 300.0, 20000, 3)
     a[:4] = [2.0 ** -459, -(2.0 ** 459), np.nextafter(2.0 ** -459, 0.0),
              -np.nextafter(2.0 ** 459, np.inf)]
