@@ -570,13 +570,11 @@ def expand(f):
     raise TypeError(f"cannot expand {type(f).__name__}")
 
 
-def is_zero_field(f, structural_only=False):
+def is_zero_field(f):
     """True when the field is identically zero (after expansion)."""
     f = _as_field(f)
     if isinstance(f, Const):
         return f.value == 0.0
-    if structural_only:
-        return False
     g = expand(f)
     return isinstance(g, Const) and g.value == 0.0
 

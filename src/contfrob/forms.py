@@ -34,7 +34,7 @@ class KForm:
             if len(idx) != self.degree or list(idx) != sorted(set(idx)):
                 raise RangeError(f"index {idx} of a {self.degree}-form is "
                                  f"not {self.degree} ascending coordinates")
-            if isinstance(f, Field) and not is_zero_field(f, structural_only=True):
+            if isinstance(f, Field) and f != ZERO:
                 clean[idx] = f
         self.comps = clean
 
@@ -172,7 +172,7 @@ def exterior_derivative(a: KForm):
             if i in idx:
                 continue
             df = f.diff(name)
-            if is_zero_field(df, structural_only=True):
+            if df == ZERO:
                 continue
             merged = tuple(sorted(idx + (i,)))
             sign = 1 if merged.index(i) % 2 == 0 else -1

@@ -10,9 +10,10 @@ grid, and the finite-difference error is folded into tolerances as
 One RK4 loop, _integrate, serves flow, variational_flow and the funnel
 probe of odelab.  It takes one point (d,) or a batch (N, d), with one time
 for every row or one time per row, and each row gives the same bits as
-its solo run: build_surface takes one step outward in both directions
-from a whole layer of the lattice per call (per-row times +dt and -dt),
-and pushforward_bound_check flows a batch of checks in one call per
+its solo run, except the sign of a nan: build_surface takes one step
+outward in both directions from a whole layer of the lattice per call
+(per-row times +dt and -dt), and pushforward_bound_check flows a batch
+of checks in one call per
 spanning field.  A per-row alive mask retires a row once it has taken its
 steps, once a step ends outside the domain box, or once its field raises
 EvalDomainError, and records that row's exit time and cause while its
@@ -121,12 +122,12 @@ def _integrate(fields, coords, x0, t, step, box, Y0=None) -> Trajectories:
     step), or once its field evaluation raises EvalDomainError (exit
     time: the start of that step); |t_i| beyond MAX_TIME stops it at
     once.  Only live rows are stepped, and the arithmetic is per row, so
-    each row's bits and exit record are those of its solo run.  A lone
-    row's raising step gives its own error; a batch's is redone one row
-    at a time, box test included, to find the rows that raise, and the
-    rest keep their solo results.  A shape that does not fit, a nan
-    time, or a row of more than MAX_STEPS steps raises RangeError before
-    any step.
+    each row's bits, except the sign of a nan, and exit record are those
+    of its solo run.  A lone row's raising step gives its own error; a
+    batch's is redone one row at a time, box test included, to find the
+    rows that raise, and the rest keep their solo results.  A shape that
+    does not fit, a nan time, or a row of more than MAX_STEPS steps
+    raises RangeError before any step.
     """
     x = np.array(x0, dtype=float)
     d = len(coords)
@@ -223,9 +224,10 @@ def flow(fields, coords, x0, t, cfg: FlowConfig):
 
     x0 is one point (d,) or a batch of points (N, d); the result has the
     same shape, and t is a scalar or one time per row.  Each row gives the
-    bits of its solo run.  No box bounds the flow: a row whose field
-    raises EvalDomainError raises that, the earliest in the batch, and
-    |t| beyond MAX_TIME raises EscapeError at once.
+    bits of its solo run, except the sign of a nan.  No box bounds the
+    flow: a row whose field raises EvalDomainError raises that, the
+    earliest in the batch, and |t| beyond MAX_TIME raises EscapeError at
+    once.
     """
     return _integrate(fields, coords, x0, t, cfg.step, None
                       ).raise_first_exit()[0]

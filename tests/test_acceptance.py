@@ -13,7 +13,7 @@ from contfrob.cli import main as cli_main
 from contfrob.fields import Coord, exp as fexp, log as flog, sin as fsin
 from contfrob.forms import exterior_derivative, one_form
 from contfrob.geometry import (annihilator_frame, frobenius_defect,
-                               involutivity_constant, subspace_distance)
+                               involutivity_constant, max_principal_angle)
 from contfrob.moduli import FAILS, HOLDS
 from contfrob.mollify import GridFunction, verify_bounds
 from contfrob.odelab import funnel, funnel_to_csv, theorem1_check
@@ -306,7 +306,7 @@ def test_c10_invariant_suites(tmp_path):
     direct = transport(phi, e0, 7, tpts)
     composed = transport(phi, lambda qs: transport(phi, e0, 4, qs).bases,
                          3, tpts)
-    cocycle_ok = float(np.max(subspace_distance(
+    cocycle_ok = float(np.max(max_principal_angle(
         direct.bases, composed.bases))) <= 1e-8
 
     f_dir = cat_expanding_direction()[:, None]

@@ -1,3 +1,4 @@
+import math
 import os
 import re
 import shlex
@@ -298,6 +299,20 @@ def test_dyn_transport_negative_k_is_step_count_error(tmp_path, capsys):
     assert "got -1" in captured.err
     assert "transported" not in captured.out
     assert not (tmp_path / "dyn_transport.csv").exists()
+
+
+def test_dyn_transport_angles_shrink_at_the_stable_rate(tmp_path):
+    # E_k nears the invariant bundle by lambda_s^2 = (7 - 3 sqrt 5) / 2
+    # per step, down to 7e-9 rad at k = 10, below arccos's 2^-26 floor
+    assert main(["dyn", "transport", "--example", "skew-product", "--k",
+                 "10", "--out", str(tmp_path)]) == 0
+    lines = (tmp_path / "dyn_transport.csv").read_text().splitlines()
+    rows = [line.split(",") for line in lines if not line.startswith("#")]
+    assert rows[0] == ["k", "max_angle_to_next", "max_angle_to_limit"]
+    to_limit = [float(row[2]) for row in rows[1:]]
+    rate = (7.0 - 3.0 * math.sqrt(5.0)) / 2.0
+    for k in range(5, 11):
+        assert to_limit[k] / to_limit[k - 1] == pytest.approx(rate, rel=0.01)
 
 
 @pytest.mark.parametrize("args", [

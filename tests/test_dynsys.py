@@ -15,7 +15,7 @@ from contfrob.geometry import (FrameSection, asymptotic_involutivity_trace,
                                evaluate_frame, evaluate_frames,
                                exterior_regularity_trace,
                                max_principal_angle, orthonormalize,
-                               subspace_distance, _singular_values)
+                               _singular_values)
 from contfrob.presets import (cat_contracting_direction, cat_eigenvalues,
                               cat_expanding_direction, cat_map,
                               constant_annihilator_frame,
@@ -82,7 +82,7 @@ def test_transport_cocycle_property():
         return transport(phi, e0, k2, qs).bases
 
     composed = transport(phi, field_k2, k1, pts)
-    gap = subspace_distance(direct.bases, composed.bases)
+    gap = max_principal_angle(direct.bases, composed.bases)
     assert np.max(gap) <= 1e-8
 
 

@@ -915,6 +915,47 @@ def test_max_principal_angle():
     assert max_principal_angle(b1, b2)[0] == pytest.approx(0.2)
 
 
+def _bases_at_angle(rng, d, r, theta, count):
+    """count pairs of orthonormal d x r bases whose largest principal
+    angle is theta, built in extended precision and rounded once, so
+    each is orthonormal to within the rounding of its entries: b1 holds
+    r columns of a random orthonormal Q, b2 turns b1's first column by
+    theta toward Q's column r and, for r = 2, turns its two columns by a
+    random angle within their plane."""
+    ld = np.longdouble
+    cols = []
+    for v in np.moveaxis(rng.standard_normal((count, d, d)).astype(ld), -1,
+                         0):
+        for _ in range(2):
+            for q in cols:
+                v = v - np.sum(q * v, -1, keepdims=True) * q
+        cols.append(v / np.sqrt(np.sum(v * v, -1, keepdims=True)))
+    c, s = ((ld(0.0), ld(1.0)) if theta == np.pi / 2
+            else (np.cos(ld(theta)), np.sin(ld(theta))))
+    b2 = [c * cols[0] + s * cols[r]] + cols[1:r]
+    if r == 2:
+        phi = rng.uniform(0.0, 2.0 * np.pi, (count, 1)).astype(ld)
+        b2 = [np.cos(phi) * b2[0] + np.sin(phi) * b2[1],
+              np.cos(phi) * b2[1] - np.sin(phi) * b2[0]]
+    return (np.stack(cols[:r], -1).astype(float),
+            np.stack(b2, -1).astype(float))
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+                    reason="the bases are built in extended precision")
+@pytest.mark.parametrize("d, r", [(2, 1), (3, 1), (3, 2)])
+def test_max_principal_angle_is_accurate_at_every_angle(d, r):
+    # the sine resolves what arccos of the cosine rounds to multiples of
+    # 2^-26; every angle is within 8u max(1, theta)
+    rng = np.random.default_rng(30 + 10 * d + r)
+    thetas = np.concatenate([[0.0], np.geomspace(1e-15, np.pi / 2, 40)[:-1],
+                             [np.pi / 2]])
+    for theta in thetas:
+        b1, b2 = _bases_at_angle(rng, d, r, theta, 500)
+        err = np.abs(max_principal_angle(b1, b2) - theta)
+        assert np.max(err) <= 8 * 2.0 ** -53 * max(1.0, theta), theta
+
+
 def test_sup_helpers_exactness():
     d = contact_distribution()
     frame = annihilator_frame(d)

@@ -26,10 +26,13 @@ tiny matrices became closed forms (geometry's kernels), and the
 transported bases moved by rounding.  In dyn_dominate.csv, norm_E at k is
 up to |Dphi^k| (2e6 at k = 15) times smaller than the product it is the
 norm of, so rows 12-15 moved by 6e-13 to 6.4e-8 relative (q by twice
-that), and every other number by at most 6.4e-14.  In dyn_transport.csv
-an angle theta is the arccos of its cosine, which a rounding-level change
-moves by about u / theta: from 4e-16 relative at 0.79 rad to 42 % at
-2.6e-8 rad.
+that), and every other number by at most 6.4e-14.  dyn_transport.csv
+was captured again when max_principal_angle began to read an angle as
+arctan2 of its sine and its cosine: the arccos of the cosine alone read
+multiples of 2^-26 below about 1e-8 rad, and the last max_angle_to_limit
+went from that floor, 1.4901161193847656e-08, to 7.071019521293389e-09,
+so every ratio of consecutive angles for k = 5..10 is now lambda_s^2 =
+0.1459 (the k = 10 ratio read 0.30).
 """
 
 import hashlib
@@ -59,7 +62,7 @@ GOLDEN = [
      "1918df4955b5d2e4a0efd3ea789de7d1a113204c644a9cdb51c3c1861e0997be"),
     (["dyn", "transport", "--example", "skew-product", "--k", "10"],
      "dyn_transport.csv",
-     "ec3928a233dd0c613a304dc903f20684a530c9f264e4efe5d6e3b7ed9c7cd262"),
+     "e57ba535b0ad33d77fbb1f53ab324ad4740b58db026dd3fa9a40ae7f5939726a"),
     (["ode", "check", "--example", "paper-ex1", "--alpha", "0.9",
       "--beta", "0.5", "--gamma", "0.5", "--delta", "0.5"], "ode_check.csv",
      "f1e318ad83fa499e2d61dd0462a3ce42ec09864fdb157b151f48012e1cc72290"),

@@ -8,8 +8,9 @@ An export that a deletion left dangling is caught as well: every name in
 a module's `__all__` must resolve, and every name the package imports
 from a module with an `__all__` must be listed there.  The same ast scan
 keeps the library off the reference tree walk: only fields.py calls
-`.evaluate(`, only surface.py calls `compile_rk4_run`, and only
-`fields._Source.define` calls the builtin `compile`; and it keeps
+`.evaluate(`, only surface.py calls `compile_rk4_run`, only
+`fields._Source.define` calls the builtin `compile`, and only geometry's
+LAPACK fallbacks call `np.linalg.svd` and `np.linalg.qr`; and it keeps
 the PDE certificates off the ODE module: pdelab does not import odelab,
 and ModuliDecl lives in moduli.py.  Every exported name is used, not
 only imported or listed, by the library, the benchmark or the
@@ -118,10 +119,9 @@ def test_only_surface_compiles_rk4_runs():
 
 def _scopes_calling(tree, name, scope=()):
     """The dotted class and function scope of each call name(...) in
-    tree, outermost first."""
+    tree, outermost first; name may be dotted, as np.linalg.svd."""
     for node in ast.iter_child_nodes(tree):
-        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
-                and node.func.id == name):
+        if isinstance(node, ast.Call) and ast.unparse(node.func) == name:
             yield ".".join(scope)
         inner = scope
         if isinstance(node, (ast.ClassDef, ast.FunctionDef,
@@ -135,6 +135,23 @@ def test_only_source_define_compiles():
     calls = [(p.name, scope) for p in MODULES
              for scope in _scopes_calling(_tree(p.name), "compile")]
     assert calls == [("fields.py", "_Source.define")]
+
+
+def test_lapack_svd_and_qr_are_only_fallbacks():
+    # tiny matrices take geometry's closed forms; LAPACK's SVD and QR are
+    # called only where those hand a matrix over, and numpy.linalg is
+    # reached only as np.linalg, so no alias hides a call
+    calls = {name: [(p.name, scope) for p in MODULES
+                    for scope in _scopes_calling(_tree(p.name), name)]
+             for name in ("np.linalg.svd", "np.linalg.qr")}
+    assert calls == {"np.linalg.svd": [("geometry.py",
+                                        "_singular_values.lapack")],
+                     "np.linalg.qr": [("geometry.py", "_lapack_signed_qr")]}
+    aliases = [(p.name, ast.unparse(node)) for p in MODULES
+               for node in ast.walk(_tree(p.name))
+               if isinstance(node, (ast.Import, ast.ImportFrom))
+               and "linalg" in ast.unparse(node)]
+    assert aliases == []
 
 
 def contfrob_bindings(path, tree):
