@@ -9,6 +9,8 @@ rank-m distribution on a coordinate box is (uniquely) integrable:
 * mollify      -- bump-kernel smoothing of sampled data with verified
                   error/derivative bounds;
 * fields/forms -- exact symbolic scalar fields and exterior calculus;
+* stacked      -- closed-form kernels for stacks of tiny matrices, with
+                  LAPACK per matrix outside their range;
 * geometry     -- graph-form distributions, annihilator frames,
                   involutivity defects and sup-norm trace functionals;
 * surface      -- candidate integral surfaces by composed flows with

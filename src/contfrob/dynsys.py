@@ -27,14 +27,12 @@ solve by Dphi at phi^j(p), with the live chains side by side as the
 columns of one right-hand side, and one QR of the stack, signed_qr's
 Gram-Schmidt closed form.  The forward chains Dphi^k E_k, Dphi^k F and
 Dphi^k Y advance together with one matmul per family and step, and each
-family's singular values are one call of geometry's closed forms:
-sigma_max of a d x 2 from its R, the norm of a d x 1 column.  geometry's
-module docstring states their error bounds (each value within 2^-49
-sigma_max of the exact one) and when LAPACK takes a matrix instead.  The
+family's singular values are one call of stacked.py's closed forms:
+sigma_max of a d x 2 from its R, the norm of a d x 1 column (see there
+for their error bounds and the matrices LAPACK takes instead).  The
 solve gives each chain the bits of a solve of its own columns, and the
 closed forms act elementwise over the stack, so the stacked sweep gives
-the per-k results bit for bit; those differ from LAPACK's QR and SVD by
-rounding.
+the per-k results bit for bit.
 """
 
 from __future__ import annotations
@@ -48,11 +46,11 @@ import numpy as np
 from .errors import (ConeError, DegenerateSubspaceError, RangeError,
                      StepCountError)
 from .fields import eval_fields
-from .geometry import (FrameSection, _singular_values, _sigma_max,
-                       asymptotic_involutivity_trace,
+from .geometry import (FrameSection, asymptotic_involutivity_trace,
                        exterior_regularity_trace, frame_values,
-                       max_principal_angle, scaled_exp, signed_qr)
+                       max_principal_angle, scaled_exp)
 from .report import csv_text
+from .stacked import sigma_max, signed_qr, singular_values
 
 __all__ = [
     "DiffeoSpec", "Cocycle", "PlaneFieldSamples", "SplittingReport",
@@ -324,12 +322,12 @@ def _domination(cc: Cocycle, e0_bases, f_samples, eps_list, y_indices):
         if Y is not None:
             Y = J @ Y
             Y_k.append(Y)
-    norm_E = [float(v) for v in np.max(_sigma_max(M), axis=1)]
-    bot = _singular_values(np.stack(F_k))[..., -1]
+    norm_E = [float(v) for v in np.max(sigma_max(M), axis=1)]
+    bot = singular_values(np.stack(F_k))[..., -1]
     conorm_F = [float(v) for v in np.min(bot, axis=1)]
     vertical_C = math.nan
     if Y is not None:
-        y_min = _singular_values(np.stack(Y_k))[..., -1]
+        y_min = singular_values(np.stack(Y_k))[..., -1]
         vertical_C = min([math.inf] + [float(v) for v in
                                        np.min(y_min / bot, axis=1)])
     angles = [float(v) for v in np.max(max_principal_angle(

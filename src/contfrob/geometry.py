@@ -14,28 +14,18 @@ quantities the integrability diagnostics are made of:
 A sup over a region is approximated from below by a sup over a point
 lattice, exact per point for each frame shape the toolkit builds (n rows,
 r = dim E): ||dA|_E|| for n == 1 or r <= 2, M_A for n == 1, r == 1 or
-n == r == 2 (the kernels below say how).  Other shapes raise RangeError.
-For n == r == 2, M_A's per-point value is exact only at the points that
-can hold the lattice sup; the others get a closed-form lower bound below
-it, so the sup and its argmax are still those of exact values.
+n == r == 2 (the sup kernels below and stacked.pencil_sigma_max say
+how).  Other shapes raise RangeError.  For n == r == 2, M_A's per-point
+value is exact only at the points that can hold the lattice sup; the
+others get a closed-form lower bound below it, so the sup and its argmax
+are still those of exact values.
 
 Cost model: frame_values holds the one transversality check.  It takes
 K frames over one lattice of N points as K*N frame-major rows and computes
-the singular values and the inverse of A|_Y for all of them at once (for
-one row, A|_Y = [[a]], |a| (see _abs_1x1) and 1 / a).  The singular values
-and QR factors of stacks of tiny matrices are closed forms over the whole
-stack, not one LAPACK call per matrix (see "stacked kernels" below):
-|a| of a 1 x 1, with LAPACK's bits; a column's norm for d x 1 and 1 x d;
-sigma_max = (|(a + d, c - b)| + |(a - d, b + c)|) / 2 and
-sigma_min = |ad - bc| / sigma_max for 2 x 2; Gram-Schmidt with one
-re-orthogonalisation pass for d x 2, which gives signed_qr's Q and the
-2 x 2 R whose values are the stack's.  Each value is within 2^-49
-sigma_max of the exact one, and a 2 x 2 sigma_min within 2^-44 relative
-where |ad - bc| >= 2^-8 (|ad| + |bc|).  LAPACK takes larger shapes, every
-matrix with a non-finite entry or a largest |entry| outside
-[2^-459, 2^459], each 2 x 2 sigma_min whose determinant cancels, and the
-inverse of a 2 x 2 or larger A|_Y.  evaluate_frames
-fills those rows with each frame's matrix_at and d_matrices_at once, and
+the singular values and the inverse of A|_Y for all of them at once with
+stacked.py's kernels (see there for their closed forms, error bounds and
+the matrices LAPACK takes instead).  evaluate_frames fills those rows
+with each frame's matrix_at and d_matrices_at once, and
 evaluate_frame is its K = 1 case; dynsys's Cocycle.pullback_values fills
 them for a whole pullback family with one call of each on the base
 frame.  The sup kernels compute per-row values over the whole stack in
@@ -63,6 +53,8 @@ from .errors import (DegenerateSubspaceError, RangeError,
 from .fields import Const, ONE, ZERO, eval_fields, neg
 from .forms import (exterior_derivative, one_form, stacked_wedge_norms,
                     two_form_matrix_norm, wedge, wedge_all)
+from .stacked import (inverse, pencil_sigma_max, sigma_max, signed_qr,
+                      singular_values)
 
 __all__ = [
     "Distribution", "FrameSection", "SupEstimate", "annihilator_frame",
@@ -130,205 +122,6 @@ def orthonormalize(bases):
     return q
 
 
-# ---------------------------------------------------------------------------
-# stacked kernels for tiny matrices
-#
-# np.linalg's QR and SVD pay a fixed cost per matrix, which is most of the
-# time on the stacks of 3 x 2, 3 x 1, 1 x 2 and 2 x 2 matrices that the
-# sweeps and sups make.  Matrices of d x 1, 1 x d, 2 x 2 and d x 2 take
-# closed forms over the whole stack instead, with the forward-error bounds
-# below (u = 2^-53); other shapes take LAPACK, and so does every matrix
-# outside _UNSCALED.  The closed forms read the stack entry-major, as one
-# (m, n, ...) array, so each elementwise pass covers the whole stack:
-# numpy pays per inner loop, and a loop over a short matrix axis would
-# cost more than the arithmetic.
-
-# LAPACK's SVD rescales a matrix whose largest |entry| lies outside
-# [sqrt(tiny) / eps, eps / sqrt(tiny)], [2^-459, 2^459] for doubles, which
-# moves the last bit of some 1 x 1 results; inside, that of [[a]] is |a|.
-# Inside it, the squares and products the closed forms take of a matrix's
-# largest entries neither overflow nor leave the normal range.
-_UNSCALED = (2.0 ** -459, 2.0 ** 459)
-# every singular value of a closed form is within _SIGMA_REL * sigma_max
-# of the exact one, so sigma_max is within _SIGMA_REL relative
-_SIGMA_REL = 2.0 ** -49
-# a 2 x 2 sigma_min = |ad - bc| / sigma_max is within _SIGMA_MIN_REL
-# relative where |ad - bc| >= _CANCEL (|ad| + |bc|) and stays normal
-# (>= _DET_TINY); LAPACK takes the other matrices
-_SIGMA_MIN_REL = 2.0 ** -44
-_CANCEL = 2.0 ** -8
-_DET_TINY = 2.0 ** -1000
-# signed_qr's rank threshold on |R_ii|
-_RANK_TOL = 1e-12
-
-
-def _entry_major(stack):
-    """The (..., m, n) stack as one contiguous (m, n, ...) array."""
-    return np.ascontiguousarray(np.moveaxis(stack, (-2, -1), (0, 1)))
-
-
-def _in_range(E, columns=False):
-    """Mask (...,) of the matrices of the entry-major stack E that the
-    closed forms take: finite, with the largest |entry| in _UNSCALED or 0
-    (np.maximum keeps a nan).  With columns, the largest |entry| of each
-    column, as _gram_schmidt needs: a column of tiny entries beside a
-    large one has a squared norm below the normal range, which costs its
-    q and r bits."""
-    big = np.abs(E)
-    big = np.maximum.reduce(big if columns else
-                            big.reshape((-1,) + E.shape[2:]))
-    ok = (big <= _UNSCALED[1]) & ((big >= _UNSCALED[0]) | (big == 0.0))
-    return np.logical_and.reduce(ok) if columns else ok
-
-
-def _by_rows(ok, stack, E, kernel, lapack):
-    """The tuple kernel(E) gives on the matrices where ok holds and
-    lapack(stack) on the others, merged matrix by matrix."""
-    if ok.all():
-        return kernel(E)
-    if not ok.any():
-        return lapack(stack)
-    out = []
-    for k, f in zip(kernel(E[:, :, ok]), lapack(stack[~ok])):
-        merged = np.empty(ok.shape + k.shape[1:], np.result_type(k, f))
-        merged[ok], merged[~ok] = k, f
-        out.append(merged)
-    return tuple(out)
-
-
-def _dot(u, v):
-    """Column dot products over the leading (entry) axis, in order."""
-    return np.add.reduce(u * v)
-
-
-def _normalized(v):
-    """The columns v / |v| (v itself where |v| is 0), and |v|."""
-    norm = np.sqrt(_dot(v, v))
-    return v / np.where(norm > 0.0, norm, 1.0), norm
-
-
-def _gram_schmidt(E):
-    """Thin QR of the entry-major stack E (d, c, ...), c <= 2, by
-    Gram-Schmidt with one re-orthogonalisation pass: the columns of Q,
-    diag(R) >= 0 and R_12 (None for c = 1).  Q R = a within a few u |a|,
-    and Q^T Q = I within a few u where diag(R) is well away from 0."""
-    q, r11 = _normalized(E[:, 0])
-    if E.shape[1] == 1:
-        return [q], r11[..., None], None
-    v, r12 = E[:, 1], 0.0
-    for _ in range(2):
-        c = _dot(q, v)
-        v = v - c * q
-        r12 = r12 + c
-    q2, r22 = _normalized(v)
-    return [q, q2], np.stack([r11, r22], -1), r12
-
-
-def _lapack_signed_qr(bases):
-    q, r = np.linalg.qr(bases)
-    diag = np.einsum("...ii->...i", r)
-    return (q * np.sign(diag)[..., None, :],
-            np.any(np.abs(diag) < _RANK_TOL, axis=-1))
-
-
-def _signed_gram_schmidt(E):
-    cols, diag, _ = _gram_schmidt(E)
-    Q = np.empty(E.shape[2:] + E.shape[:2])
-    for j, col in enumerate(cols):
-        for i, entry in enumerate(col):
-            Q[..., i, j] = entry
-    return Q, np.any(diag < _RANK_TOL, axis=-1)
-
-
-def signed_qr(bases):
-    """Q with the signs that make diag(R) positive, and a mask (...,) of
-    the rank-deficient bases (some |R_ii| < 1e-12).  d x 1 and d x 2
-    bases take _gram_schmidt where _in_range holds, and LAPACK's QR
-    elsewhere; a zero or degenerate column sets the mask, and Q is then
-    unspecified there."""
-    if bases.shape[-1] > 2 or bases.shape[-2] < bases.shape[-1]:
-        return _lapack_signed_qr(bases)
-    E = _entry_major(bases)
-    return _by_rows(_in_range(E, columns=True), bases, E,
-                    _signed_gram_schmidt, _lapack_signed_qr)
-
-
-def _abs_1x1(stack):
-    """The singular values (..., 1) of a stack of 1 x 1 matrices as |a|
-    when every entry lies in _UNSCALED, where they are LAPACK's bits;
-    None for other entries (nan, inf, 0 among them), which LAPACK
-    takes."""
-    s = np.abs(stack[..., 0])
-    return s if np.all((s >= _UNSCALED[0]) & (s <= _UNSCALED[1])) else None
-
-
-def _two_by_two(a, b, c, d, smallest):
-    """(sigma_max, sigma_min) of [[a, b], [c, d]] entrywise, stacked on the
-    last axis; sigma_max alone unless smallest."""
-    s_max = 0.5 * (np.hypot(a + d, c - b) + np.hypot(a - d, b + c))
-    if not smallest:
-        return s_max[..., None]
-    det = np.abs(a * d - b * c)
-    s_min = det / np.where(s_max > 0.0, s_max, 1.0)
-    return np.stack([s_max, s_min], -1)
-
-
-def _min_resolved(E):
-    """Mask of the 2 x 2 matrices of the entry-major stack E whose
-    closed-form sigma_min meets _SIGMA_MIN_REL: |ad - bc| >=
-    max(_CANCEL (|ad| + |bc|), _DET_TINY), or ad and bc both exactly 0."""
-    (a, b), (c, d) = E
-    with np.errstate(all="ignore"):  # matrices outside _UNSCALED
-        det = np.abs(a * d - b * c)
-        return ((det >= np.maximum(_CANCEL * (np.abs(a * d) + np.abs(b * c)),
-                                   _DET_TINY))
-                | (((a == 0.0) | (d == 0.0)) & ((b == 0.0) | (c == 0.0))))
-
-
-def _closed_svals(E, smallest):
-    """Singular values of the entry-major stack E (m, n, ...) with
-    n <= 2 <= m or m = n = 2: a column's norm, the 2 x 2 closed form, or
-    that of the R of a d x 2 stack's _gram_schmidt."""
-    m, n = E.shape[:2]
-    if n == 1:
-        return (np.sqrt(_dot(E[:, 0], E[:, 0]))[..., None],)
-    if m == 2:
-        (a, b), (c, d) = E
-        return (_two_by_two(a, b, c, d, smallest),)
-    _, diag, r12 = _gram_schmidt(E)
-    return (_two_by_two(diag[..., 0], r12, 0.0, diag[..., 1], smallest),)
-
-
-def _singular_values(stack, smallest=True):
-    """np.linalg.svd(stack, compute_uv=False) of a stack of matrices by
-    the closed forms within their bounds (see _SIGMA_REL): all values,
-    descending, or only the largest ((..., 1)) unless smallest.  1 x 1
-    stacks keep _abs_1x1 and LAPACK's bits; LAPACK takes the matrices
-    that are outside _in_range, larger than d x 2 or 2 x d, or 2 x 2 but
-    not _min_resolved where sigma_min is asked for."""
-    def lapack(s):
-        vals = np.linalg.svd(s, compute_uv=False)
-        return (vals if smallest else vals[..., :1],)
-
-    if stack.shape[-2:] == (1, 1):
-        s = _abs_1x1(stack)
-        return lapack(stack)[0] if s is None else s
-    if min(stack.shape[-2:]) > 2:
-        return lapack(stack)[0]
-    E = _entry_major(stack)
-    if E.shape[0] < E.shape[1]:
-        E = E.swapaxes(0, 1)  # the values of A^T
-    ok = _in_range(E, columns=E.shape[0] > 2)
-    if smallest and E.shape[:2] == (2, 2):
-        ok &= _min_resolved(E)
-    return _by_rows(ok, stack, E, lambda e: _closed_svals(e, smallest),
-                    lapack)[0]
-
-
-def _sigma_max(stack):
-    return _singular_values(stack, smallest=False)[..., 0]
-
-
 def max_principal_angle(b1, b2):
     """Largest principal angle between equal-rank orthonormal bases, as
     arctan2 of its sine, sigma_max of b2 - b1 (b1^T b2), and its cosine,
@@ -337,8 +130,8 @@ def max_principal_angle(b1, b2):
     reads multiples of 2^-26 below about 1e-8), and the result is within
     8u max(1, theta) of the angle theta, u = 2^-53."""
     cos = np.swapaxes(b1, -1, -2) @ b2
-    return np.arctan2(_sigma_max(b2 - b1 @ cos),
-                      _singular_values(cos)[..., -1])
+    return np.arctan2(sigma_max(b2 - b1 @ cos),
+                      singular_values(cos)[..., -1])
 
 
 @dataclass
@@ -448,7 +241,7 @@ class FrameValues:
     @cached_property
     def inv_norms(self):
         """(K*N,) ||(A|_Y)^{-1}||, computed once for every trace."""
-        return _sigma_max(self.inv)
+        return sigma_max(self.inv)
 
     @cached_property
     def d_norms(self):
@@ -482,11 +275,10 @@ def frame_values(points, A, dA, y_indices) -> FrameValues:
     TransversalityError where some A_p|_Y is singular."""
     y_idx = list(y_indices)
     Ay = A[:, :, y_idx]
-    s = _singular_values(Ay)
+    s = singular_values(Ay)
     if np.any(s[:, -1] < 1e-12 * np.maximum(1.0, s[:, 0])):
         raise TransversalityError("frame loses transversality on the lattice")
-    # 1 / a is LAPACK's inverse of [[a]], bit for bit, at every magnitude
-    inv = 1.0 / Ay if Ay.shape[-2:] == (1, 1) else np.linalg.inv(Ay)
+    inv = inverse(Ay)
     U = np.zeros((len(A), A.shape[2], A.shape[1]))
     U[:, y_idx, :] = inv
     return FrameValues(points, A, dA, inv, U)
@@ -532,93 +324,11 @@ def _d_restricted(dA, bases):
     D2 = np.einsum("pda,pjde,peb->pjab", bases, dA, bases)  # (R,n,r,r)
     n, r = D2.shape[1:3]
     if n == 1:
-        return _sigma_max(D2[:, 0]), "exact-svd"
+        return sigma_max(D2[:, 0]), "exact-svd"
     if r <= 2:
         return (np.linalg.norm(D2[:, :, 0, 1], axis=1) if r == 2
                 else np.zeros(len(D2))), "exact-antisymmetric"
     raise _shape_error(n, r)
-
-
-def _polymul(a, b):
-    """Row-wise product of coefficient rows."""
-    out = np.zeros((len(a), a.shape[1] + b.shape[1] - 1))
-    for i in range(a.shape[1]):
-        out[:, i:i + b.shape[1]] += a[:, i:i + 1] * b
-    return out
-
-
-def _root_real_parts(coeffs):
-    """Real parts of the roots of each row of coeffs (lowest degree
-    first), padded with 0.  Coefficients below 1e-14 of their row's
-    largest are dropped; one batched companion-matrix eigvals serves the
-    rows of full degree, np.roots the others."""
-    c = coeffs[:, ::-1].copy()
-    c[np.abs(c) <= 1e-14 * np.max(np.abs(c), axis=1, keepdims=True)] = 0.0
-    out = np.zeros((len(c), c.shape[1] - 1))
-    full = c[:, 0] != 0.0
-    comp = np.tile(np.eye(c.shape[1] - 1, k=-1), (int(np.sum(full)), 1, 1))
-    comp[:, 0] = -c[full, 1:] / c[full, :1]
-    out[full] = np.linalg.eigvals(comp).real
-    for p in np.flatnonzero(~full):
-        roots = np.roots(c[p]).real
-        out[p, :len(roots)] = roots
-    return out
-
-
-def _pencil_norms(pairs, theta):
-    """sqrt(P) + sqrt(Q) at each angle of theta, (R, S) for R rows."""
-    cos, sin = np.cos(theta)[..., None], np.sin(theta)[..., None]
-    return sum(np.linalg.norm(cos * w0[:, None] + sin * w1[:, None], axis=-1)
-               for w0, w1 in pairs)
-
-
-def _two_by_two_sup(C0, C1, segment=None):
-    """Per point, max over theta of sigma_max(cos(theta) C0 + sin(theta) C1)
-    for (N, 2, 2) stacks, exact on every row that can hold the max of its
-    segment (consecutive runs of segment rows, by default all N).
-
-    sigma_max([[a, b], [c, d]]) = (|(a + d, b - c)| + |(a - d, b + c)|) / 2
-    = (sqrt(P) + sqrt(Q)) / 2, with P and Q quadratic forms in (cos, sin).
-    Smooth maxima solve P'^2 Q = Q'^2 P, a degree-6 polynomial in
-    tan(theta).  Where it vanishes identically, sqrt(P) +- sqrt(Q) is
-    constant and the max lies at a critical point of P or Q.  Kinks are
-    never maxima, so theta = 0, pi/2, the roots and those critical points
-    hold the max; any angle gives a lower bound.
-
-    The six closed-form angles give a lower bound per row, and the square
-    roots of the largest eigenvalues of P's and Q's matrices an upper one.
-    Only rows whose upper bound reaches their segment's largest lower
-    bound (with a 1e-12 margin for rounding) go on to the roots; every
-    other row lies strictly below its segment's max and returns its lower
-    bound.  Each segment's max and first argmax are thus those of exact
-    per-row values, bit for bit.
-    """
-    w = [np.stack([K[:, 0, 0] + s * K[:, 1, 1], K[:, 0, 1] - s * K[:, 1, 0]],
-                  -1) for s in (1.0, -1.0) for K in (C0, C1)]
-    pairs = (w[:2], w[2:])  # sqrt(P) = |cos w0 + sin w1|, likewise sqrt(Q)
-    theta = [np.zeros(len(C0)), np.full(len(C0), 0.5 * np.pi)]
-    polys, upper = [], 0.0
-    for w0, w1 in pairs:
-        # |cos w0 + sin w1|^2 = A cos^2 + 2 B cos sin + C sin^2; over
-        # cos^2, it and half its derivative are polynomials in tan(theta)
-        A, B, C = (np.sum(x * y, -1)
-                   for x, y in ((w0, w0), (w0, w1), (w1, w1)))
-        crit = 0.5 * np.arctan2(2.0 * B, A - C)
-        theta += [crit, crit + 0.5 * np.pi]
-        polys += [np.stack([A, 2.0 * B, C], -1), np.stack([B, C - A, -B], -1)]
-        upper = upper + np.sqrt(0.5 * (A + C) + np.hypot(0.5 * (A - C), B))
-    sig = np.max(_pencil_norms(pairs, np.stack(theta, -1)), axis=1)
-    lower = sig.reshape(-1, segment or len(sig))
-    # ~(upper < lower) rather than upper >= lower: a nan bound is exact too
-    exact = ~(upper.reshape(lower.shape) * (1.0 + 1e-12)
-              < np.max(lower, axis=1, keepdims=True)).ravel()
-    if np.any(exact):
-        p, dp, q, dq = (c[exact] for c in polys)
-        g = _polymul(_polymul(dp, dp), q) - _polymul(_polymul(dq, dq), p)
-        roots = _pencil_norms([(w0[exact], w1[exact]) for w0, w1 in pairs],
-                              np.arctan(_root_real_parts(g)))
-        sig[exact] = np.maximum(sig[exact], np.max(roots, axis=1))
-    return 0.5 * sig
 
 
 def _mixing(dA, U, bases, segment):
@@ -632,9 +342,9 @@ def _mixing(dA, U, bases, segment):
     if n == 1:
         return np.linalg.norm(C[:, 0, 0], axis=-1), "exact-svd"
     if r == 1:
-        return _sigma_max(C[..., 0]), "exact-svd"
+        return sigma_max(C[..., 0]), "exact-svd"
     if n == r == 2:
-        return (_two_by_two_sup(C[..., 0], C[..., 1], segment),
+        return (pencil_sigma_max(C[..., 0], C[..., 1], segment),
                 "exact-angles")
     raise _shape_error(n, r)
 
@@ -781,7 +491,7 @@ def exterior_regularity_trace(frames, limit, eps, points, *, n_dirs=None,
     K, N = values.frames, len(pts)
     bases = _as_bases(limit, pts)
     A = values.A.reshape((K, N) + values.A.shape[1:])
-    restr = _segment_max(_sigma_max(A @ bases), K)
+    restr = _segment_max(sigma_max(A @ bases), K)
     inv_norm = _segment_max(values.inv_norms, K)
     m_const = _mixing_sups(values, np.concatenate([bases] * K))
     d_sup = _d_sups(values)

@@ -42,7 +42,7 @@ def test_workload_task_runs_clean(name):
 def test_torus_splitting_task_linalg_calls(linalg_calls):
     # the splitting pipeline's per-k work runs as stacked sweeps: one
     # solve per transport step, every other call once per task.  Every
-    # QR and SVD is one of geometry's kernels; none falls back to LAPACK
+    # QR and SVD is one of stacked.py's kernels; none falls back to LAPACK
     wl = workloads.WORKLOADS["torus-splitting"]()
     ctx = wl.build()
     inp = wl.inputs(ctx, np.random.default_rng([1, 2, 0]))

@@ -14,13 +14,13 @@ from contfrob.forms import one_form
 from contfrob.geometry import (FrameSection, asymptotic_involutivity_trace,
                                evaluate_frame, evaluate_frames,
                                exterior_regularity_trace,
-                               max_principal_angle, orthonormalize,
-                               _singular_values)
+                               max_principal_angle, orthonormalize)
 from contfrob.presets import (cat_contracting_direction, cat_eigenvalues,
                               cat_expanding_direction, cat_map,
                               constant_annihilator_frame,
                               skew_center_stable_bases, skew_product,
                               skew_seed_bases)
+from contfrob.stacked import singular_values
 
 LAM_MINUS, LAM_PLUS = cat_eigenvalues()
 
@@ -434,8 +434,8 @@ def _restricted_norms(name, k_max, svals):
 
 @pytest.mark.parametrize("name", DYN_CASES)
 def test_cocycle_restricted_norms_equal_per_k_reference(name):
-    # the stacked sweep and the per-k loop both take geometry's kernels
-    got, want = _restricted_norms(name, 9, _singular_values)
+    # the stacked sweep and the per-k loop both take stacked.py's kernels
+    got, want = _restricted_norms(name, 9, singular_values)
     assert got == want
 
 
@@ -444,7 +444,7 @@ def test_cocycle_restricted_norms_near_lapack(name):
     # each kernel value is within _SIGMA_REL sigma_max of the exact one,
     # and LAPACK's within a few u sigma_max.  Every value here is a
     # sigma_max (F and Y are d x 1), and vertical_C a ratio of two
-    from contfrob.geometry import _SIGMA_REL
+    from contfrob.stacked import _SIGMA_REL
     got, want = _restricted_norms(
         name, 9, lambda M: np.linalg.svd(M, compute_uv=False))
     for g, w in zip(got[:2], want[:2]):
@@ -551,16 +551,16 @@ def test_pipeline_linalg_calls_grow_linearly(linalg_calls, name):
         rep, asym, ext = splitting_involutivity_pipeline(
             phi, e0, base, f, k_max, 0.5, pts, limit=lim)
         assert rep.dominated and len(asym) == len(ext) == k_max
-        # one solve per backward step; the QRs are geometry's kernels
+        # one solve per backward step; the QRs are stacked.py's kernels
         assert linalg_calls.pop("solve") == k_max
         rest.append(dict(linalg_calls))
     # every other call (the wedge determinants, the growth fit, the
     # norms) is made once per pipeline, whatever k_max.  The SVDs are
-    # kernels too, but for the cat map's 1 x 1 restrictions of the
-    # closed dC_0 = 0, which _abs_1x1 leaves to LAPACK
+    # kernels too, the cat map's 1 x 1 restrictions of the closed
+    # dC_0 = 0 among them: |0| = 0 is LAPACK's value
     assert rest[0] == rest[1] == rest[2]
-    assert rest[0] == {"lstsq": 1, "norm": 3, **(
-        {"svd": 1} if name == "cat-map" else {"det": 3})}
+    assert rest[0] == {"lstsq": 1, "norm": 3,
+                       **({} if name == "cat-map" else {"det": 3})}
 
 
 @pytest.mark.parametrize("name", DYN_CASES)

@@ -19,11 +19,12 @@ from contfrob.geometry import (Distribution, FrameSection, FrameValues,
                                evaluate_frame, evaluate_frames,
                                exterior_regularity_trace, frame_values,
                                frobenius_defect, involutivity_constant,
-                               max_principal_angle, scaled_exp, signed_qr,
-                               _sigma_max, _singular_values)
+                               max_principal_angle, scaled_exp)
 from contfrob.mollify import grid_from_field, mollify, to_spline_field
 from contfrob.odelab import funnel
 from contfrob.presets import contact_distribution, ode_peano
+from contfrob.stacked import (pencil_sigma_max, sigma_max, signed_qr,
+                              singular_values)
 
 x, y, z = Coord("x"), Coord("y"), Coord("z")
 
@@ -133,7 +134,7 @@ def test_one_by_one_closed_forms_are_lapacks_bits():
     a[:4] = [2.0 ** -459, -(2.0 ** 459), np.nextafter(2.0 ** -459, 0.0),
              -np.nextafter(2.0 ** 459, np.inf)]
     stack = a[:, None, None]
-    assert _sigma_max(stack).tobytes() == \
+    assert sigma_max(stack).tobytes() == \
         np.linalg.svd(stack, compute_uv=False)[:, 0].tobytes()
     # frame_values takes the entries a transversal frame can have
     a = _signed_magnitudes(-11.9, 300.0, 20000, 4)
@@ -151,12 +152,12 @@ def test_one_by_one_non_finite_and_zero_entries_are_lapacks(bad):
     stack = a[:, None, None]
     if math.isnan(bad):
         with pytest.raises(np.linalg.LinAlgError):
-            _sigma_max(stack)
+            sigma_max(stack)
         with pytest.raises(np.linalg.LinAlgError):
             _one_by_one_frames(a)
         return
     want = np.linalg.svd(stack, compute_uv=False)[:, 0]
-    assert _sigma_max(stack).tobytes() == want.tobytes()
+    assert sigma_max(stack).tobytes() == want.tobytes()
     if bad == 0.0:
         assert want[1] == 0.0
         with pytest.raises(TransversalityError):
@@ -211,11 +212,11 @@ def test_singular_value_kernels_within_their_bound_of_lapack(A):
     # 2 _SIGMA_REL sigma_max; matrices outside the range are LAPACK's.
     # The example's transpose has a column whose squared norm, 9e-318, is
     # below the normal range, which cost Gram-Schmidt 8e-8 of sigma_max
-    from contfrob.geometry import _SIGMA_REL
+    from contfrob.stacked import _SIGMA_REL
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        s = _singular_values(A)
-        top = _sigma_max(A)
+        s = singular_values(A)
+        top = sigma_max(A)
     ref = np.linalg.svd(A, compute_uv=False)
     tol = 2.0 * _SIGMA_REL * ref[:, :1]
     assert s.shape == ref.shape
@@ -239,13 +240,13 @@ def _exact_two_by_two_sigma_min(M):
 def test_two_by_two_sigma_min_meets_its_relative_bound(A):
     # where _min_resolved holds, sigma_min = |ad - bc| / sigma_max is
     # within _SIGMA_MIN_REL relative; LAPACK takes the other matrices
-    from contfrob import geometry
-    s = _singular_values(A)
-    resolved = geometry._min_resolved(geometry._entry_major(A)) & _safe(A)
+    from contfrob import stacked
+    s = singular_values(A)
+    resolved = stacked._min_resolved(stacked._entry_major(A)) & _safe(A)
     for M, value, ok in zip(A, s[:, 1], resolved):
         if ok:
             exact = _exact_two_by_two_sigma_min(M)
-            assert abs(value - exact) <= geometry._SIGMA_MIN_REL * exact
+            assert abs(value - exact) <= stacked._SIGMA_MIN_REL * exact
         else:
             assert value == np.linalg.svd(M, compute_uv=False)[1]
 
@@ -257,11 +258,11 @@ def test_signed_qr_kernel_against_lapack(A):
     # Gram-Schmidt's R is within a few u |A| of the exact one, as is
     # LAPACK's: the rank masks agree wherever no |R_ii| lies that close
     # to 1e-12, and Q is within a few u kappa(A) of LAPACK's signed Q
-    from contfrob import geometry
+    from contfrob import stacked
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         q, bad = signed_qr(A)
-    q_ref, bad_ref = geometry._lapack_signed_qr(A)
+    q_ref, bad_ref = stacked._lapack_signed_qr(A)
     diag = np.abs(np.einsum("...ii->...i", np.linalg.qr(A)[1]))
     s = np.linalg.svd(A, compute_uv=False)
     near = np.abs(diag - 1e-12) <= 2.0 ** -47 * s[:, :1]
@@ -286,10 +287,10 @@ def test_kernels_send_unsafe_matrices_to_lapack(linalg_calls):
     A[4, 2, 1] = math.inf
     unsafe, safe = [1, 3, 4], [0, 2, 5]
     linalg_calls.clear()
-    s, (q, bad) = _singular_values(A), signed_qr(A)
+    s, (q, bad) = singular_values(A), signed_qr(A)
     assert dict(linalg_calls) == {"svd": 1, "qr": 1}
     linalg_calls.clear()
-    alone = _singular_values(A[safe]), signed_qr(A[safe])
+    alone = singular_values(A[safe]), signed_qr(A[safe])
     assert not linalg_calls
     assert s[safe].tobytes() == alone[0].tobytes()
     assert q[safe].tobytes() == alone[1][0].tobytes()
@@ -301,7 +302,7 @@ def test_kernels_send_unsafe_matrices_to_lapack(linalg_calls):
     # nan: LAPACK's SVD does not converge, as on the whole stack
     A[4, 2, 1] = math.nan
     with pytest.raises(np.linalg.LinAlgError):
-        _singular_values(A)
+        singular_values(A)
 
 
 def test_zero_matrices_and_columns_take_the_closed_forms(linalg_calls):
@@ -310,13 +311,41 @@ def test_zero_matrices_and_columns_take_the_closed_forms(linalg_calls):
     A[2, :, 1] = [0.0, 3.0, 4.0]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        s = _singular_values(A)
+        s = singular_values(A)
         q, bad = signed_qr(A)
-        s2 = _singular_values(np.zeros((2, 2, 2)))
+        s2 = singular_values(np.zeros((2, 2, 2)))
     assert s.tolist() == [[0.0, 0.0], [5.0, 0.0], [5.0, 0.0]]
     assert s2.tolist() == [[0.0, 0.0], [0.0, 0.0]]
     assert bad.tolist() == [True, True, True]
     assert not linalg_calls
+
+
+# entries on both sides of the closed forms' range [2^-459, 2^459]; nan
+# is left out, since LAPACK's SVD raises on it
+_EDGE_ENTRIES = [0.0, -0.0, 5e-324, -(2.0 ** -1030), 2.0 ** -459,
+                 -(2.0 ** 459), 2.0 ** 460, -(2.0 ** 1000), math.inf,
+                 -math.inf]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([(1, 1), (2, 1), (3, 1), (2, 2), (3, 2), (4, 2)])
+       .flatmap(lambda shape: arrays(
+           np.float64, st.tuples(st.integers(1, 6), st.just(shape[0]),
+                                 st.just(shape[1])),
+           elements=st.floats(-1e3, 1e3, width=64)
+           | st.sampled_from(_EDGE_ENTRIES))))
+@example(np.array([[[0.0]], [[2.0]], [[-0.0]], [[5e-324]], [[math.inf]]]))
+def test_each_matrix_takes_the_fallback_rule_alone(A):
+    # the rule is per matrix: in a stack, each matrix's singular values
+    # are those of its own call, whatever its neighbours, and a 1 x 1's
+    # are LAPACK's bits
+    for kernel in (singular_values, sigma_max):
+        stacked = kernel(A)
+        alone = np.stack([kernel(M[None])[0] for M in A])
+        assert stacked.tobytes() == alone.tobytes()
+    if A.shape[1:] == (1, 1):
+        assert singular_values(A).tobytes() == \
+            np.linalg.svd(A, compute_uv=False).tobytes()
 
 
 def test_involutivity_constant_involutive_is_zero():
@@ -652,8 +681,7 @@ def test_two_by_two_sup_on_conformal_and_diagonal_pencils(C0, C1, expected):
     # the first three pencils are conformal at every angle (sigma_1 =
     # sigma_2), so the degree-6 polynomial vanishes; the golden one peaks
     # off both axes, at a critical point of |(a + d, b - c)|
-    from contfrob.geometry import _two_by_two_sup
-    assert _two_by_two_sup(C0[None], C1[None])[0] == \
+    assert pencil_sigma_max(C0[None], C1[None])[0] == \
         pytest.approx(expected, rel=1e-14)
 
 
@@ -693,16 +721,16 @@ def test_pruned_two_by_two_sups_match_every_row_exact(pencils, scaled):
     # rows pruned by their bounds can be neither a segment's max nor its
     # first argmax: value and argmax equal those of exact per-row values
     # bit for bit, also with one segment 1e3 times the others
-    from contfrob import geometry
+    from contfrob import geometry, stacked
     pencils = pencils.copy()
     pencils[scaled % len(pencils)] *= 1e3
     K, N = pencils.shape[:2]
     values, bases = _pencil_frame_values(pencils)
     C = pencils.reshape((K * N, 2, 2, 2))
-    with mock.patch.object(geometry, "_root_real_parts",
-                           wraps=geometry._root_real_parts) as roots:
+    with mock.patch.object(stacked, "_root_real_parts",
+                           wraps=stacked._root_real_parts) as roots:
         # each row its own segment: every row takes the root path
-        every_row = geometry._two_by_two_sup(C[..., 0], C[..., 1], 1)
+        every_row = pencil_sigma_max(C[..., 0], C[..., 1], 1)
     assert roots.call_args.args[0].shape[0] == K * N
     exact = every_row.reshape(K, N)
     sups = geometry._mixing_sups(values, bases)
@@ -715,11 +743,10 @@ def test_pruned_two_by_two_sups_match_every_row_exact(pencils, scaled):
 def test_root_pencil_sup_lies_off_the_closed_form_angles():
     # beside a pencil 10 times larger, _ROOT_PENCIL's row is pruned and
     # returns the closed-form lower bound; on its own it is exact
-    from contfrob.geometry import _two_by_two_sup
     C = np.stack([_ROOT_PENCIL, 10.0 * _ROOT_PENCIL])
-    assert _two_by_two_sup(C[:1, ..., 0], C[:1, ..., 1])[0] == \
+    assert pencil_sigma_max(C[:1, ..., 0], C[:1, ..., 1])[0] == \
         pytest.approx(2.0655911179772892, rel=1e-14)
-    assert _two_by_two_sup(C[..., 0], C[..., 1])[0] == 2.0
+    assert pencil_sigma_max(C[..., 0], C[..., 1])[0] == 2.0
 
 
 @pytest.mark.parametrize("m, n", [(3, 2), (2, 3)])

@@ -9,8 +9,10 @@ a module's `__all__` must resolve, and every name the package imports
 from a module with an `__all__` must be listed there.  The same ast scan
 keeps the library off the reference tree walk: only fields.py calls
 `.evaluate(`, only surface.py calls `compile_rk4_run`, only
-`fields._Source.define` calls the builtin `compile`, and only geometry's
-LAPACK fallbacks call `np.linalg.svd` and `np.linalg.qr`; and it keeps
+`fields._Source.define` calls the builtin `compile`, every LAPACK call
+site is in one census (SVD, QR, the inverse and the eigenvalues only in
+stacked.py's kernels), and no library module imports a private name of
+stacked.py; and it keeps
 the PDE certificates off the ODE module: pdelab does not import odelab,
 and ModuliDecl lives in moduli.py.  Every exported name is used, not
 only imported or listed, by the library, the benchmark or the
@@ -27,6 +29,7 @@ import ast
 import importlib
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -117,17 +120,23 @@ def test_only_surface_compiles_rk4_runs():
     assert [name for name, lines in calls.items() if lines] == ["surface.py"]
 
 
-def _scopes_calling(tree, name, scope=()):
-    """The dotted class and function scope of each call name(...) in
-    tree, outermost first; name may be dotted, as np.linalg.svd."""
+def _calls(tree, scope=()):
+    """(callee, scope) of each call in tree: the callee as written, as
+    np.linalg.svd, and the dotted class and function scope of the call,
+    outermost first."""
     for node in ast.iter_child_nodes(tree):
-        if isinstance(node, ast.Call) and ast.unparse(node.func) == name:
-            yield ".".join(scope)
+        if isinstance(node, ast.Call):
+            yield ast.unparse(node.func), ".".join(scope)
         inner = scope
         if isinstance(node, (ast.ClassDef, ast.FunctionDef,
                              ast.AsyncFunctionDef)):
             inner = scope + (node.name,)
-        yield from _scopes_calling(node, name, inner)
+        yield from _calls(node, inner)
+
+
+def _scopes_calling(tree, name):
+    """The scope of each call name(...) in tree."""
+    return [scope for callee, scope in _calls(tree) if callee == name]
 
 
 def test_only_source_define_compiles():
@@ -137,21 +146,60 @@ def test_only_source_define_compiles():
     assert calls == [("fields.py", "_Source.define")]
 
 
+# every call of the library that reaches LAPACK, by (module, scope).
+# np.linalg.norm takes vector norms only, and is left out
+LAPACK_CALLS = {
+    # tiny matrices take stacked.py's closed forms: LAPACK's SVD and QR
+    # are called only where those hand a matrix over, and the inverse and
+    # the pencil roots only in their kernels
+    "np.linalg.svd": [("stacked.py", "singular_values.lapack")],
+    "np.linalg.qr": [("stacked.py", "_lapack_signed_qr")],
+    "np.linalg.inv": [("stacked.py", "inverse")],
+    "np.linalg.eigvals": [("stacked.py", "_root_real_parts")],
+    "np.roots": [("stacked.py", "_root_real_parts")],
+    "np.linalg.solve": [("dynsys.py", "_solve_chains"),
+                        ("dynsys.py", "_singular_row"),
+                        ("mollify.py", "_cyclic_reduction")],
+    "np.linalg.det": [("forms.py", "numeric_wedge_with_two_form"),
+                      ("forms.py", "stacked_wedge_norms")],
+    "np.linalg.lstsq": [("dynsys.py", "_domination")],
+}
+
+
 def test_lapack_svd_and_qr_are_only_fallbacks():
-    # tiny matrices take geometry's closed forms; LAPACK's SVD and QR are
-    # called only where those hand a matrix over, and numpy.linalg is
-    # reached only as np.linalg, so no alias hides a call
-    calls = {name: [(p.name, scope) for p in MODULES
-                    for scope in _scopes_calling(_tree(p.name), name)]
-             for name in ("np.linalg.svd", "np.linalg.qr")}
-    assert calls == {"np.linalg.svd": [("geometry.py",
-                                        "_singular_values.lapack")],
-                     "np.linalg.qr": [("geometry.py", "_lapack_signed_qr")]}
+    # numpy.linalg and np.roots are reached only under those names, so no
+    # alias hides a call
+    calls = {}
+    for p in MODULES:
+        for callee, scope in _calls(_tree(p.name)):
+            if re.fullmatch(r"np\.roots|np\.linalg\.\w+", callee) \
+                    and callee != "np.linalg.norm":
+                calls.setdefault(callee, []).append((p.name, scope))
+    assert calls == LAPACK_CALLS
     aliases = [(p.name, ast.unparse(node)) for p in MODULES
                for node in ast.walk(_tree(p.name))
                if isinstance(node, (ast.Import, ast.ImportFrom))
-               and "linalg" in ast.unparse(node)]
+               and ("linalg" in ast.unparse(node)
+                    or "roots" in ast.unparse(node))]
     assert aliases == []
+
+
+def test_no_library_module_imports_a_private_kernel():
+    # geometry and dynsys reach the kernels through stacked.py's public
+    # names only
+    private = []
+    for p in MODULES:
+        for node in ast.walk(_tree(p.name)):
+            if isinstance(node, ast.ImportFrom) and \
+                    (node.module or "").split(".")[-1] == "stacked":
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.Attribute) and \
+                    ast.unparse(node.value) == "stacked":
+                names = [node.attr]
+            else:
+                continue
+            private += [(p.name, n) for n in names if n.startswith("_")]
+    assert private == []
 
 
 def contfrob_bindings(path, tree):

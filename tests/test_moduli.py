@@ -4,6 +4,7 @@ import time
 import warnings
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -129,24 +130,38 @@ def _power_moment(c, p, d, a, b):
     return c * (b ** (d + p) - a ** (d + p)) / (d + p)
 
 
+def _exact(moment, *params):
+    """moment of the float params in 50-digit arithmetic: an mpf exact
+    to far below a double's rounding."""
+    with mpmath.workdps(50):
+        return moment(*(mpmath.mpf(p) for p in params))
+
+
 @st.composite
 def moduli_with_moments(draw):
-    """(w, d, eps, int_0^eps s^(d-1) w(s) ds in closed form)."""
+    """(w, d, eps, int_0^eps s^(d-1) w(s) ds in closed form), the closed
+    form exact for the float parameters: in 50-digit arithmetic or, for
+    Tabulated, in rationals."""
     d = draw(st.sampled_from([1, 2]))
     K = draw(st.floats(0.01, 100.0))
     kind = draw(st.sampled_from(["lipschitz", "hoelder", "loglip",
                                  "tabulated", "max"]))
     if kind == "lipschitz":
         eps = draw(st.floats(1e-3, 1.0))
-        return Lipschitz(K), d, eps, K * eps ** (d + 1) / (d + 1)
+        return Lipschitz(K), d, eps, _exact(
+            lambda K, eps: K * eps ** (d + 1) / (d + 1), K, eps)
     if kind == "hoelder":
         alpha, eps = draw(st.floats(0.05, 1.0)), draw(st.floats(1e-3, 1.0))
-        return Hoelder(alpha, K), d, eps, K * eps ** (d + alpha) / (d + alpha)
+        return Hoelder(alpha, K), d, eps, _exact(
+            lambda K, alpha, eps: K * eps ** (d + alpha) / (d + alpha),
+            K, alpha, eps)
     if kind == "loglip":
         beta = draw(st.floats(0.01, 2.0))
         eps = draw(st.floats(1e-3, 1.0 / math.e))
-        return LogLip(beta, K), d, eps, -K * beta * eps ** (d + 1) * (
-            math.log(eps) / (d + 1) - 1.0 / (d + 1) ** 2)
+        return LogLip(beta, K), d, eps, _exact(
+            lambda K, beta, eps: -K * beta * eps ** (d + 1) * (
+                mpmath.log(eps) / (d + 1) - mpmath.mpf(1) / (d + 1) ** 2),
+            K, beta, eps)
     if kind == "tabulated":
         # kinks and eps at least 1e-3 apart, far above the float spacing
         ticks = sorted(draw(st.sets(st.integers(1, 1000), min_size=3,
@@ -169,10 +184,13 @@ def moduli_with_moments(draw):
     # max(K s, K2 s^alpha) crosses at s*, where K2 = K s*^(1 - alpha)
     alpha, eps = draw(st.floats(0.1, 0.9)), draw(st.floats(1e-3, 1.0))
     K2 = K * (eps * draw(st.floats(0.01, 0.99))) ** (1.0 - alpha)
-    cross = (K2 / K) ** (1.0 / (1.0 - alpha))
-    return MaxModulus(Lipschitz(K), Hoelder(alpha, K2)), d, eps, float(
-        Fraction(K2 * cross ** (d + alpha) / (d + alpha))
-        + _power_moment(Fraction(K), 1, d, Fraction(cross), Fraction(eps)))
+
+    def moment(K, K2, alpha, eps):
+        cross = (K2 / K) ** (1 / (1 - alpha))
+        return (K2 * cross ** (d + alpha) / (d + alpha)
+                + K * (eps ** (d + 1) - cross ** (d + 1)) / (d + 1))
+    return MaxModulus(Lipschitz(K), Hoelder(alpha, K2)), d, eps, _exact(
+        moment, K, K2, alpha, eps)
 
 
 @settings(max_examples=60, deadline=None)
