@@ -12,7 +12,8 @@ Pullback frames (phi^k)^* C_0 of a constant orthonormal annihilator frame
 are exact annihilators of the transported plane field; their exterior
 derivative is the pullback of dC_0, so it is computed pointwise from the
 base frame's symbolic derivative and jacobian products, never from
-composed expression trees.
+composed expression trees: (Dphi^k)^T dC_0 Dphi^k, one
+stacked.congruence over every step and point.
 
 Cost model: every orbit and jacobian product comes from a Cocycle, which
 evaluates phi and Dphi once per orbit step over a fixed point set and
@@ -50,7 +51,7 @@ from .geometry import (FrameSection, asymptotic_involutivity_trace,
                        exterior_regularity_trace, frame_values,
                        max_principal_angle, scaled_exp)
 from .report import csv_text
-from .stacked import sigma_max, signed_qr, singular_values
+from .stacked import congruence, sigma_max, signed_qr, singular_values
 
 __all__ = [
     "DiffeoSpec", "Cocycle", "PlaneFieldSamples", "SplittingReport",
@@ -133,11 +134,6 @@ class Cocycle:
             P = J @ P
             self.products.append(P)
 
-    def transport(self, e0_bases, k):
-        """E_k(p) = Dphi^{-k}(E_0 at phi^k(p)); see the module function."""
-        B, = self.transports(e0_bases, [k])
-        return PlaneFieldSamples(self.points, B)
-
     def transports(self, e0_bases, ks):
         """E_k for each k of the increasing steps ks: (len(ks), N, d, r).
 
@@ -145,9 +141,9 @@ class Cocycle:
         step j, from max(ks) - 1 down to 0, makes one solve by Dphi at
         phi^j(p) of the chains with ks[i] > j, side by side, and one QR
         over them.  Every chain meets the solves and QRs of a lone
-        transport in the same order, so each E_k equals it bit for bit.  A chain that loses
-        transversality raises ConeError; of several, the one with the
-        smallest k, as a loop over k would find first.
+        transport in the same order, so each E_k equals it bit for bit.
+        A chain that loses transversality raises ConeError; of several,
+        the one with the smallest k, as a loop over k would find first.
         """
         ks = self._steps(ks)
         if not ks or any(a >= b for a, b in zip(ks, ks[1:])):
@@ -198,7 +194,7 @@ class Cocycle:
         ends = self.orbit[ks].reshape(-1, dim)
         J = np.stack([self.products[k] for k in ks]).reshape(-1, dim, dim)
         return frame_values(self.points, base.matrix_at(ends) @ J,
-                            _pulled_back(base.d_matrices_at(ends), J),
+                            congruence(J, base.d_matrices_at(ends), J),
                             base.y_indices)
 
     def _steps(self, ks):
@@ -219,12 +215,6 @@ class Cocycle:
             seeds = [np.asarray(e0_bases, dtype=float)] * len(ks)
         shape = (len(self.points),) + seeds[0].shape[-2:]
         return np.stack([np.broadcast_to(b, shape) for b in seeds])
-
-
-def _pulled_back(dC, J):
-    """J^T dC_j J per point: (phi^k)^* of the base 2-forms dC
-    (N, n, d, d)."""
-    return np.einsum("pca,pjcd,pdb->pjab", J, dC, J)
 
 
 def _solve_chains(J, chains):
@@ -256,7 +246,8 @@ def transport(phi: DiffeoSpec, e0_bases, k, points):
     e0_bases: (d, r) constant or callable points -> (N, d, r).
     Re-orthonormalizes after every jacobian inversion step.
     """
-    return Cocycle(phi, points, k).transport(e0_bases, k)
+    cc = Cocycle(phi, points, k)
+    return PlaneFieldSamples(cc.points, cc.transports(e0_bases, [k])[0])
 
 
 @dataclass

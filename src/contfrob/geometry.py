@@ -9,7 +9,7 @@ quantities the integrability diagnostics are made of:
 * the restricted inverse (A|_Y)^{-1} and its spectral norm,
 * the mixing constant  M_A = sup |dA(A^{-1} w, v)|  over unit w in R^n
   and unit v in the distribution, and
-* the per-step traces combining them with e^{eps M} weights.
+* the per-step traces combining them with scaled_exp's e^{eps M} weights.
 
 A sup over a region is approximated from below by a sup over a point
 lattice, exact per point for each frame shape the toolkit builds (n rows,
@@ -20,16 +20,17 @@ value is exact only at the points that can hold the lattice sup; the
 others get a closed-form lower bound below it, so the sup and its argmax
 are still those of exact values.
 
-Cost model: frame_values holds the one transversality check.  It takes
-K frames over one lattice of N points as K*N frame-major rows and computes
-the singular values and the inverse of A|_Y for all of them at once with
-stacked.py's kernels (see there for their closed forms, error bounds and
-the matrices LAPACK takes instead).  evaluate_frames fills those rows
-with each frame's matrix_at and d_matrices_at once, and
-evaluate_frame is its K = 1 case; dynsys's Cocycle.pullback_values fills
-them for a whole pullback family with one call of each on the base
-frame.  The sup kernels compute per-row values over the whole stack in
-one call each and reduce them per frame segment (the n == r == 2 M_A
+Cost model: frame_values holds the one finiteness check and the one
+transversality check.  It takes K frames over one lattice of N points
+as K*N frame-major rows and computes the singular values and the inverse
+of A|_Y for all of them at once with stacked.py's kernels (see there for
+their closed forms, error bounds and the matrices LAPACK takes instead).
+evaluate_frames fills those rows with each frame's matrix_at and
+d_matrices_at once, one frame as a list of one; dynsys's
+Cocycle.pullback_values fills them for a whole pullback family with one
+call of each on the base frame.  The sup kernels contract dA with
+stacked.congruence and compute per-row values over the whole stack in
+one call each, and reduce them per frame segment (the n == r == 2 M_A
 root-finds only the rows whose upper bound reaches their segment's
 largest lower bound, typically a handful), so a trace makes the
 same number of library calls for K frames as for one, and a tangency
@@ -48,17 +49,17 @@ from functools import cached_property
 import numpy as np
 
 from .boxes import Box, GraphForm
-from .errors import (DegenerateSubspaceError, RangeError,
+from .errors import (DegenerateSubspaceError, EvalDomainError, RangeError,
                      TransversalityError)
 from .fields import Const, ONE, ZERO, eval_fields, neg
 from .forms import (exterior_derivative, one_form, stacked_wedge_norms,
                     two_form_matrix_norm, wedge, wedge_all)
-from .stacked import (inverse, pencil_sigma_max, sigma_max, signed_qr,
-                      singular_values)
+from .stacked import (congruence, inverse, pencil_sigma_max, sigma_max,
+                      signed_qr, singular_values)
 
 __all__ = [
     "Distribution", "FrameSection", "SupEstimate", "annihilator_frame",
-    "frobenius_defect", "FrameValues", "evaluate_frame", "evaluate_frames",
+    "frobenius_defect", "FrameValues", "evaluate_frames",
     "frame_values", "bound_parts",
     "involutivity_constant",
     "asymptotic_involutivity_trace", "exterior_regularity_trace",
@@ -244,14 +245,9 @@ class FrameValues:
         return sigma_max(self.inv)
 
     @cached_property
-    def d_norms(self):
-        """(K*N, n) |d eta_i|, computed once for every trace."""
-        return two_form_matrix_norm(self.dA)
-
-
-def evaluate_frame(frame, points) -> FrameValues:
-    """evaluate_frames of the one frame."""
-    return evaluate_frames([frame], points)
+    def d_sups(self):
+        """(K,) max_{p, i} |d eta_i|_p per frame, once for every trace."""
+        return _segment_max(two_form_matrix_norm(self.dA), self.frames)
 
 
 def evaluate_frames(frames, points) -> FrameValues:
@@ -271,17 +267,31 @@ def evaluate_frames(frames, points) -> FrameValues:
 
 def frame_values(points, A, dA, y_indices) -> FrameValues:
     """FrameValues of the K*N frame-major rows A (n, D) and dA (n, D, D)
-    on the N points, with the one transversality check:
-    TransversalityError where some A_p|_Y is singular."""
+    on the N points, with the one finiteness and transversality checks:
+    EvalDomainError where some A_p or dA_p is not finite, and
+    TransversalityError where some A_p|_Y is singular, at the first such
+    row's frame and point."""
+    finite = np.isfinite(A).all((1, 2)) & np.isfinite(dA).all((1, 2, 3))
+    if not finite.all():
+        raise EvalDomainError(f"frame is not finite "
+                              f"{_first_row(~finite, points)}")
     y_idx = list(y_indices)
     Ay = A[:, :, y_idx]
     s = singular_values(Ay)
-    if np.any(s[:, -1] < 1e-12 * np.maximum(1.0, s[:, 0])):
-        raise TransversalityError("frame loses transversality on the lattice")
+    singular = s[:, -1] < 1e-12 * np.maximum(1.0, s[:, 0])
+    if singular.any():
+        raise TransversalityError(f"frame loses transversality "
+                                  f"{_first_row(singular, points)}")
     inv = inverse(Ay)
     U = np.zeros((len(A), A.shape[2], A.shape[1]))
     U[:, y_idx, :] = inv
     return FrameValues(points, A, dA, inv, U)
+
+
+def _first_row(bad, points):
+    """Where the first row of the frame-major mask bad lies."""
+    frame, p = divmod(int(np.argmax(bad)), len(points))
+    return f"at frame {frame}, lattice point {p} {points[p].tolist()}"
 
 
 # ---------------------------------------------------------------------------
@@ -321,7 +331,7 @@ def _d_restricted(dA, bases):
     the r x r antisymmetric matrices D2_j = B^T dA_j B: sigma_max(D2_0)
     for n == 1, and for r <= 2, where D2_j = a_j J, |a|_2.  Returns the
     values and how u was maximized."""
-    D2 = np.einsum("pda,pjde,peb->pjab", bases, dA, bases)  # (R,n,r,r)
+    D2 = congruence(bases, dA, bases)  # (R, n, r, r)
     n, r = D2.shape[1:3]
     if n == 1:
         return sigma_max(D2[:, 0]), "exact-svd"
@@ -337,7 +347,7 @@ def _mixing(dA, U, bases, segment):
     hold the max of its frame segment of segment rows.  Returns the values
     and how u was maximized."""
     # C[p, j, l, a] = (A^{-1} e_l)^T dA_j (B e_a)
-    C = np.einsum("pcl,pjcd,pda->pjla", U, dA, bases)
+    C = congruence(U, dA, bases)
     n, r = C.shape[1], C.shape[3]
     if n == 1:
         return np.linalg.norm(C[:, 0, 0], axis=-1), "exact-svd"
@@ -354,11 +364,6 @@ def _mixing_sups(values, bases):
     return _lattice_sups(vals, values.points, {
         "points": len(values.points), "kind": "lower-bound",
         "w_maximization": "exact-svd", "u_maximization": how})
-
-
-def _d_sups(values):
-    """Per frame, max_{p, i} |d eta_i|_p."""
-    return _segment_max(values.d_norms, values.frames)
 
 
 def bound_parts(values: FrameValues, bases):
@@ -383,7 +388,7 @@ def involutivity_constant(frame, dist_or_bases, points, *, n_dirs=None,
     and seed are ignored: they set the sphere sampler this replaced, and
     the cfbench workloads still pass them.
     """
-    v = evaluate_frame(frame, points)
+    v = evaluate_frames([frame], points)
     return _mixing_sups(v, _as_bases(dist_or_bases, v.points))[0]
 
 
@@ -409,21 +414,12 @@ class TraceEntry:
     parts: dict = field(default_factory=dict)
 
 
-def _weighted(prefactor, eps, exponent):
-    """prefactor * e^{eps * exponent}, and exactly 0.0 for a zero prefactor:
-    the exponential may overflow to inf, silently as in scaled_exp, and
-    0 * inf is nan."""
-    if prefactor == 0.0:
-        return 0.0
-    with np.errstate(over="ignore"):
-        return prefactor * float(np.exp(eps * exponent))
-
-
 def scaled_exp(prefactor, exponent):
-    """prefactor * math.exp(exponent) for the scalar bounds of surface.py
-    and dynsys.py: inf (with the prefactor's sign) where the exponential
-    overflows, and exactly 0.0 for a zero prefactor.  It keeps math.exp,
-    whose last bit can differ from the np.exp of _weighted."""
+    """prefactor * math.exp(exponent), the one e^x weight of every bound
+    and trace: the tangency and pushforward bounds, both traces here and
+    the splitting report's decay quantity.  inf (with the prefactor's
+    sign) where the exponential overflows, and exactly 0.0 for a zero
+    prefactor, where 0 * inf would be nan."""
     if prefactor == 0.0:
         return 0.0
     try:
@@ -461,14 +457,13 @@ def asymptotic_involutivity_trace(frames, dists, eps, points):
     values = _frame_values(frames, pts)
     bases = np.concatenate([_as_bases(d, pts) for d in dists])
     wedge_sups = _segment_max(stacked_wedge_norms(values.A, values.dA),
-                              values.frames)
+                              values.frames).tolist()
     out = []
     for k, (parts, wedge_sup, d_sup) in enumerate(zip(
-            bound_parts(values, bases), wedge_sups, _d_sups(values))):
+            bound_parts(values, bases), wedge_sups, values.d_sups.tolist())):
         d_restr, inv_norm, m_const = (e.value for e in parts)
-        q = _weighted(d_restr * inv_norm, eps, m_const)
-        wedge_sup, d_sup = float(wedge_sup), float(d_sup)
-        strong = _weighted(wedge_sup, eps, d_sup)
+        q = scaled_exp(d_restr * inv_norm, eps * m_const)
+        strong = scaled_exp(wedge_sup, eps * d_sup)
         out.append(TraceEntry(k, q, strong, {
             "d_restricted": d_restr, "inv_norm": inv_norm, "M": m_const,
             "wedge_sup": wedge_sup, "d_sup": d_sup, "eps": eps}))
@@ -491,21 +486,19 @@ def exterior_regularity_trace(frames, limit, eps, points, *, n_dirs=None,
     K, N = values.frames, len(pts)
     bases = _as_bases(limit, pts)
     A = values.A.reshape((K, N) + values.A.shape[1:])
-    restr = _segment_max(sigma_max(A @ bases), K)
-    inv_norm = _segment_max(values.inv_norms, K)
-    m_const = _mixing_sups(values, np.concatenate([bases] * K))
-    d_sup = _d_sups(values)
+    restr = _segment_max(sigma_max(A @ bases), K).tolist()
+    inv_norm = _segment_max(values.inv_norms, K).tolist()
+    m_const = [e.value for e in
+               _mixing_sups(values, np.concatenate([bases] * K))]
     row_sup = None
     if isinstance(limit, Distribution):
         diff = A - annihilator_frame(limit).matrix_at(pts)
-        row_sup = _segment_max(np.linalg.norm(diff, axis=-1), K)
+        row_sup = _segment_max(np.linalg.norm(diff, axis=-1), K).tolist()
     out = []
-    for k in range(K):
-        q = _weighted(float(restr[k]) * float(inv_norm[k]), eps,
-                      m_const[k].value)
-        strong = None if row_sup is None else \
-            _weighted(float(row_sup[k]), eps, float(d_sup[k]))
-        out.append(TraceEntry(k, q, strong, {
-            "restricted": float(restr[k]), "inv_norm": float(inv_norm[k]),
-            "M": m_const[k].value, "d_sup": float(d_sup[k]), "eps": eps}))
+    for k, (r, inv, m, d) in enumerate(zip(restr, inv_norm, m_const,
+                                           values.d_sups.tolist())):
+        strong = None if row_sup is None else scaled_exp(row_sup[k], eps * d)
+        out.append(TraceEntry(k, scaled_exp(r * inv, eps * m), strong, {
+            "restricted": r, "inv_norm": inv, "M": m, "d_sup": d,
+            "eps": eps}))
     return out

@@ -1,5 +1,6 @@
 """Kernels for stacks of tiny matrices: singular values, signed QR, the
-inverse and the 2 x 2 pencil sup, each over a whole (..., m, n) stack.
+inverse, the 2 x 2 pencil sup and the congruence L^T D_j R, each over a
+whole (..., m, n) stack.
 
 np.linalg's QR and SVD pay a fixed cost per matrix, which is most of the
 time on the stacks of 1 x 1, 3 x 1, 1 x 2, 2 x 2 and 3 x 2 matrices that
@@ -23,6 +24,9 @@ normal range.  The other matrices of a stack, and each 2 x 2 whose
 sigma_min is asked for and whose determinant cancels, go to LAPACK in
 one call, which gives each the bits of a call of its own (a nan raises,
 as there).  Larger shapes take LAPACK whole.
+
+congruence is the one three-operand contraction of every sup and
+pullback, so a faster one (ROADMAP.md) replaces its einsum in one place.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = ["singular_values", "sigma_max", "signed_qr", "inverse",
-           "pencil_sigma_max"]
+           "congruence", "pencil_sigma_max"]
 
 # the closed forms' range and bounds (see above); LAPACK's SVD rescales
 # outside [sqrt(tiny) / eps, eps / sqrt(tiny)]
@@ -204,6 +208,13 @@ def inverse(stack):
     is LAPACK's inverse of [[a]] bit for bit at every nonzero magnitude,
     and LAPACK's inverse for larger shapes."""
     return 1.0 / stack if stack.shape[-2:] == (1, 1) else np.linalg.inv(stack)
+
+
+def congruence(L, D, R):
+    """L_p^T D_pj R_p (N, J, l, r) for stacks L (N, a, l), D (N, J, a, b)
+    and R (N, b, r), by one unoptimized einsum (optimize=True or matmul
+    would move last bits of the sups and pullbacks)."""
+    return np.einsum("pcl,pjcd,pdr->pjlr", L, D, R)
 
 
 def _polymul(a, b):

@@ -61,7 +61,7 @@ from .errors import EscapeError, EvalDomainError, RangeError
 from .fields import compile_rk4_run, eval_fields
 from .report import cells, csv_text
 from .geometry import (Distribution, FrameSection, annihilator_frame,
-                       bound_parts, evaluate_frame, max_principal_angle,
+                       bound_parts, evaluate_frames, max_principal_angle,
                        orthonormalize, scaled_exp)
 
 __all__ = [
@@ -381,7 +381,7 @@ def tangency_defect(patch: SurfacePatch, dist: Distribution, sup_res=17, *,
     defects = np.linalg.norm(diff, axis=-1).reshape(patch.tangents.shape[:-1])
 
     pts = dist.domain.lattice(sup_res)
-    parts, = bound_parts(evaluate_frame(annihilator_frame(dist), pts),
+    parts, = bound_parts(evaluate_frames([annihilator_frame(dist)], pts),
                          dist.orthonormal_bases_at(pts))
     d_restr, inv_norm, m_const = (e.value for e in parts)
     rhs = scaled_exp(patch.m * patch.eps1 * d_restr * inv_norm,
@@ -433,7 +433,7 @@ def pushforward_bound_check(dist: Distribution, frame: FrameSection, x0,
         x, Y = variational_flow(fields[i], dist.coords, x, times[:, i], Y,
                                 cfg, dist.domain)
     A0 = frame.matrix_at(x0)
-    inv_norm_end = evaluate_frame(frame, x).inv_norms
+    inv_norm_end = evaluate_frames([frame], x).inv_norms
     checks = []
     for r in range(len(x0)):
         eps1 = float(np.max(np.abs(times[r]))) if times.shape[1] else 0.0

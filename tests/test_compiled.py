@@ -17,7 +17,7 @@ from contfrob.errors import EvalDomainError
 from contfrob.fields import (ONE, ZERO, Const, Coord, SplineLeaf,
                              compile_fields, compile_rk4_run, eval_fields,
                              exp, log, parse_field, sin)
-from contfrob.geometry import annihilator_frame, evaluate_frame
+from contfrob.geometry import annihilator_frame, evaluate_frames
 from contfrob.odelab import extend, funnel, funnel_to_csv
 from contfrob.pdelab import (SpecialFormSpec, hat_matrix,
                              involutive_mollified_frames)
@@ -365,9 +365,9 @@ def test_annihilator_frame_is_built_once(monkeypatch):
     dist = presets.contact_distribution()
     pts = dist.domain.lattice(3)
     assert annihilator_frame(dist) is annihilator_frame(dist)
-    first = evaluate_frame(annihilator_frame(dist), pts)
+    first = evaluate_frames([annihilator_frame(dist)], pts)
     done = len(compiles)
-    again = evaluate_frame(annihilator_frame(dist), pts)
+    again = evaluate_frames([annihilator_frame(dist)], pts)
     assert len(compiles) == done
     assert again.A.tobytes() == first.A.tobytes()
     assert again.dA.tobytes() == first.dA.tobytes()
@@ -395,7 +395,7 @@ def test_mollified_frames_keep_the_cache_bounded(monkeypatch):
     first = None
     for _ in range(4):
         fam = involutive_mollified_frames(sf, [0.25], check_res=3)[0]
-        evaluate_frame(fam.frame, pts)
+        evaluate_frames([fam.frame], pts)
         assert len(fl._COMPILED) <= 3
         if first is None:
             leaf = fam.distribution.coeffs[0][0]

@@ -12,7 +12,7 @@ from contfrob.errors import (ConeError, DegenerateSubspaceError,
 from contfrob.fields import parse_field
 from contfrob.forms import one_form
 from contfrob.geometry import (FrameSection, asymptotic_involutivity_trace,
-                               evaluate_frame, evaluate_frames,
+                               evaluate_frames,
                                exterior_regularity_trace,
                                max_principal_angle, orthonormalize)
 from contfrob.presets import (cat_contracting_direction, cat_eigenvalues,
@@ -358,7 +358,6 @@ def test_cocycle_transport_equals_per_k_reference(name):
         assert stack.shape == (k_max + 1,) + refs[0].shape
         for k, ref in enumerate(refs):
             assert np.array_equal(stack[k], ref)
-            assert np.array_equal(cc.transport(seed, k).bases, ref)
             assert np.array_equal(transport(phi, seed, k, pts).bases, ref)
         # any increasing subset of the steps gives the same rows
         assert np.array_equal(cc.transports(seed, [2, 5, 9]),
@@ -384,9 +383,9 @@ def test_transport_cone_error_names_depth_step_and_point():
     cc = Cocycle(phi, pts, 9)
     assert np.linalg.det(cc.jacobians[2])[2] == 0.0
     assert np.all(np.linalg.det(cc.jacobians[2])[[0, 1, 3]] != 0.0)
-    cc.transport(e0, 2)  # never solves by Dphi at phi^2
+    cc.transports(e0, [2])  # never solves by Dphi at phi^2
     with pytest.raises(ConeError) as lone:
-        cc.transport(e0, 3)
+        cc.transports(e0, [3])
     # the sweep meets depth 7 at step 6 first, but a loop over k would
     # stop at depth 3, step 2
     with pytest.raises(ConeError) as swept:
@@ -467,7 +466,7 @@ def test_pullback_frame_equals_per_k_reference(name):
         assert np.array_equal(values.dA[i * N:(i + 1) * N], dA)
         assert np.max(np.abs(dA)) > 0.0
         one = cc.pullback_values(base, [k])
-        ref = evaluate_frame(ReferenceFrame(phi, base, k), pts)
+        ref = evaluate_frames([ReferenceFrame(phi, base, k)], pts)
         for got, want in ((one.A, ref.A), (one.dA, ref.dA),
                           (one.inv, ref.inv), (one.U, ref.U)):
             assert np.array_equal(got, want)
@@ -627,7 +626,7 @@ def test_step_counts_out_of_range_raise():
         domination_report(phi, np.array([[1.0], [0.0]]),
                           cat_expanding_direction()[:, None], 0, pts)
     with pytest.raises(StepCountError, match="got 4"):
-        Cocycle(phi, pts, 3).transport(np.array([[1.0], [0.0]]), 4)
+        Cocycle(phi, pts, 3).transports(np.array([[1.0], [0.0]]), [4])
     base = constant_annihilator_frame(np.array([[0.0, 1.0]]),
                                       ("x1", "x2"), ("x2",))
     for bad in (4, -1):

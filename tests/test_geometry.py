@@ -1,5 +1,6 @@
 import inspect
 import math
+import re
 import warnings
 from unittest import mock
 
@@ -10,21 +11,22 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from contfrob.boxes import Box
-from contfrob.errors import RangeError, TransversalityError
+from contfrob.errors import (EvalDomainError, RangeError,
+                             TransversalityError)
 from contfrob.fields import ZERO, Const, Coord, parse_field
 from contfrob.forms import one_form
 from contfrob.geometry import (Distribution, FrameSection, FrameValues,
                                annihilator_frame,
                                asymptotic_involutivity_trace, bound_parts,
-                               evaluate_frame, evaluate_frames,
+                               evaluate_frames,
                                exterior_regularity_trace, frame_values,
                                frobenius_defect, involutivity_constant,
                                max_principal_angle, scaled_exp)
 from contfrob.mollify import grid_from_field, mollify, to_spline_field
 from contfrob.odelab import funnel
 from contfrob.presets import contact_distribution, ode_peano
-from contfrob.stacked import (pencil_sigma_max, sigma_max, signed_qr,
-                              singular_values)
+from contfrob.stacked import (congruence, inverse, pencil_sigma_max,
+                              sigma_max, signed_qr, singular_values)
 
 x, y, z = Coord("x"), Coord("y"), Coord("z")
 
@@ -91,9 +93,9 @@ def test_defect_zero_set_invariant_under_row_rescaling():
 def test_restricted_inverse_identity_block():
     frame = annihilator_frame(contact_distribution())
     p = np.array([0.1, 0.2, 0.0])
-    assert np.allclose(evaluate_frame(frame, p).inv[0], np.eye(1))
+    assert np.allclose(evaluate_frames([frame], p).inv[0], np.eye(1))
     scaled = frame.scale(2.0)
-    assert np.allclose(evaluate_frame(scaled, p).inv[0], 0.5 * np.eye(1))
+    assert np.allclose(evaluate_frames([scaled], p).inv[0], 0.5 * np.eye(1))
 
 
 def test_restricted_inverse_diagonal_and_singular():
@@ -104,14 +106,14 @@ def test_restricted_inverse_diagonal_and_singular():
     rows = (one_form(coords, {"y1": Const(1.0)}),
             one_form(coords, {"y2": Const(eps)}))
     frame = FrameSection(rows, coords, ("y1", "y2"))
-    inv = evaluate_frame(frame, np.zeros(3)).inv[0]
+    inv = evaluate_frames([frame], np.zeros(3)).inv[0]
     assert np.linalg.norm(inv, 2) == pytest.approx(1.0 / eps)
 
     bad = FrameSection((one_form(coords, {"y1": Const(1.0)}),
                         one_form(coords, {"y1": Const(1.0)})),
                        coords, ("y1", "y2"))
     with pytest.raises(TransversalityError):
-        evaluate_frame(bad, np.zeros(3))
+        evaluate_frames([bad], np.zeros(3))
 
 
 def _one_by_one_frames(a):
@@ -147,28 +149,66 @@ def test_one_by_one_closed_forms_are_lapacks_bits():
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0, -0.0])
 def test_one_by_one_non_finite_and_zero_entries_are_lapacks(bad):
     # nan: LAPACK's SVD does not converge; inf: its singular value is nan
-    # and its inverse 0; 0: the frame is not transversal
+    # and its inverse 0; 0: the frame is not transversal.  A frame takes
+    # no non-finite entry: frame_values names its row before any kernel
     a = np.array([2.0, bad])
     stack = a[:, None, None]
     if math.isnan(bad):
         with pytest.raises(np.linalg.LinAlgError):
             sigma_max(stack)
-        with pytest.raises(np.linalg.LinAlgError):
-            _one_by_one_frames(a)
-        return
-    want = np.linalg.svd(stack, compute_uv=False)[:, 0]
-    assert sigma_max(stack).tobytes() == want.tobytes()
+    else:
+        want = np.linalg.svd(stack, compute_uv=False)[:, 0]
+        assert sigma_max(stack).tobytes() == want.tobytes()
     if bad == 0.0:
         assert want[1] == 0.0
-        with pytest.raises(TransversalityError):
-            _one_by_one_frames(a)
-        return
-    assert math.isnan(want[1])
-    values = _one_by_one_frames(a)
-    assert values.inv.tobytes() == np.linalg.inv(stack).tobytes()
-    assert values.inv[:, 0, 0].tolist() == [0.5, 1.0 / bad]
-    assert math.copysign(1.0, values.inv[1, 0, 0]) == math.copysign(1.0, bad)
-    assert values.inv_norms.tolist() == [0.5, 0.0]
+    elif math.isinf(bad):
+        assert math.isnan(want[1])
+        inv = inverse(stack)
+        assert inv.tobytes() == np.linalg.inv(stack).tobytes()
+        assert inv[:, 0, 0].tolist() == [0.5, 1.0 / bad]
+        assert math.copysign(1.0, inv[1, 0, 0]) == math.copysign(1.0, bad)
+    error = TransversalityError if bad == 0.0 else EvalDomainError
+    with pytest.raises(error, match=r"at frame 0, lattice point 1 "
+                                    r"\[0\.0, 0\.0\]$"):
+        _one_by_one_frames(a)
+
+
+def test_frame_values_names_the_first_non_finite_row():
+    # every row of A and dA is checked, inside A|_Y or not, before any
+    # kernel: a 2 x 2 inf passes the transversality check, and a nan
+    # fails the SVD of the whole stack
+    pts = np.array([[0.0, 0.0, 0.0], [0.25, 0.5, 0.75]])
+    A = np.tile(np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]), (4, 1, 1))
+    dA = np.zeros((4, 2, 3, 3))
+    for field, bad in ((A, (3, 1, 2)), (A, (1, 0, 0)), (dA, (3, 0, 1, 2))):
+        kept, field[bad] = field[bad], math.inf
+        with pytest.raises(EvalDomainError,
+                           match=re.escape(
+                               f"at frame {bad[0] // 2}, lattice point "
+                               f"{bad[0] % 2} {pts[bad[0] % 2].tolist()}")):
+            frame_values(pts, A, dA, [1, 2])
+        field[bad] = math.nan
+        with pytest.raises(EvalDomainError, match="frame is not finite"):
+            frame_values(pts, A, dA, [1, 2])
+        field[bad] = kept
+    # a singular A|_Y is named the same way
+    A[3, 1] = A[3, 0]
+    with pytest.raises(TransversalityError,
+                       match=r"at frame 1, lattice point 1 \[0\.25, 0\.5, "
+                             r"0\.75\]$"):
+        frame_values(pts, A, dA, [1, 2])
+
+
+def test_log_singularity_on_the_lattice_is_a_domain_error():
+    # log(x^2) is -inf at x = 0, the lattice's middle plane: a domain
+    # error at the first such point, not a nan sup
+    dist = Distribution(("x", "y"), ("z",),
+                        [[parse_field("log(x^2)")], [Const(0.0)]], BOX3)
+    with pytest.raises(EvalDomainError,
+                       match=r"at frame 0, lattice point 9 "
+                             r"\[0\.0, -0\.5, -0\.5\]$"):
+        involutivity_constant(annihilator_frame(dist), dist,
+                              BOX3.lattice(3))
 
 
 # stacks of d x 1, 1 x d, 2 x 2 and d x 2 matrices, the shapes the closed
@@ -305,6 +345,39 @@ def test_kernels_send_unsafe_matrices_to_lapack(linalg_calls):
         singular_values(A)
 
 
+# the three-operand subscripts congruence replaced: _d_restricted's
+# B^T dA B, _mixing's U^T dA B and the pullback J^T dC J
+_CONGRUENCE_SUBSCRIPTS = ("pda,pjde,peb->pjab", "pcl,pjcd,pda->pjla",
+                          "pca,pjcd,pdb->pjab")
+_FINITE_ENTRIES = st.one_of(
+    st.floats(-4.0, 4.0, width=64),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.0 ** -1030,
+                     -(2.0 ** -1022)]),
+    st.floats(allow_nan=False, allow_infinity=False, width=64))
+
+
+@st.composite
+def congruence_stacks(draw):
+    """L (N, a, l), D (N, J, a, b) and R (N, b, r) with a, b, l, r in
+    {1, 2, 3}, of finite entries: plain, +-0, subnormal or huge."""
+    a, b, l, r = (draw(st.integers(1, 3)) for _ in range(4))
+    N, J = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    return tuple(draw(arrays(np.float64, shape, elements=_FINITE_ENTRIES))
+                 for shape in ((N, a, l), (N, J, a, b), (N, b, r)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(congruence_stacks())
+@example((np.full((1, 3, 2), -0.0), np.full((1, 2, 3, 3), 5e-324),
+          np.full((1, 3, 1), 2.0 ** -1030)))
+def test_congruence_is_each_former_einsum_bit_for_bit(stacks):
+    L, D, R = stacks
+    with np.errstate(all="ignore"):  # huge entries overflow alike
+        got = congruence(L, D, R)
+        for subscripts in _CONGRUENCE_SUBSCRIPTS:
+            assert got.tobytes() == np.einsum(subscripts, L, D, R).tobytes()
+
+
 def test_zero_matrices_and_columns_take_the_closed_forms(linalg_calls):
     A = np.zeros((3, 3, 2))
     A[1, :, 0] = [0.0, 3.0, 4.0]
@@ -419,7 +492,7 @@ def _sampled_involutivity_constants(frame, dist, pts, counts, seed=3):
     values are a lower bound that grows with k."""
     rng = np.random.default_rng(seed)
     bases = dist.orthonormal_bases_at(pts)
-    values = evaluate_frame(frame, pts)
+    values = evaluate_frames([frame], pts)
     n, r = values.U.shape[-1], bases.shape[-1]
     k_max = max(counts)
     w = _unit(rng.standard_normal((k_max if n > 1 else 1, n)))
@@ -565,7 +638,7 @@ def test_codim_one_sups_are_exact(dist):
     U[:, y_idx, :] = np.linalg.inv(A[:, :, y_idx])
     atol = 1e-12 * max(1.0, float(np.max(np.abs(dA))))
 
-    d_restr, _, m_const = bound_parts(evaluate_frame(frame, pts), bases)[0]
+    d_restr, _, m_const = bound_parts(evaluate_frames([frame], pts), bases)[0]
     assert m_const.value == involutivity_constant(frame, bases, pts).value
     for est in (d_restr, m_const):
         assert est.protocol["u_maximization"] == "exact-svd"
@@ -638,7 +711,7 @@ def test_two_row_sups_are_exact(dist):
     frame = annihilator_frame(dist)
     pts = dist.domain.lattice(3)
     bases = dist.orthonormal_bases_at(pts)
-    values = evaluate_frame(frame, pts)
+    values = evaluate_frames([frame], pts)
     d_restr, _, m_const = bound_parts(values, bases)[0]
     assert m_const.value == involutivity_constant(frame, bases, pts).value
     r = dist.m
@@ -764,7 +837,7 @@ def test_unsupported_frame_shapes_are_range_errors(m, n):
     with pytest.raises(RangeError, match=shape):
         involutivity_constant(frame, dist, pts)
     with pytest.raises(RangeError, match=shape):
-        bound_parts(evaluate_frame(frame, pts),
+        bound_parts(evaluate_frames([frame], pts),
                     dist.orthonormal_bases_at(pts))
 
 
@@ -930,7 +1003,7 @@ def test_compatibility_defect_orthonormal_rotated():
     b = FrameSection(rows_b, coords, ("y1", "y2"))
     pts = np.zeros((1, 3))
     # A o (B|_Y)^{-1} is a rotation: every singular value is 1
-    comp = a.matrix_at(pts) @ evaluate_frame(b, pts).U
+    comp = a.matrix_at(pts) @ evaluate_frames([b], pts).U
     sigma = np.linalg.svd(comp, compute_uv=False)
     assert np.max(np.abs(sigma - 1.0)) <= 1e-12
 
@@ -987,7 +1060,7 @@ def test_sup_helpers_exactness():
     d = contact_distribution()
     frame = annihilator_frame(d)
     pts = BOX3.lattice(5)
-    inv = evaluate_frame(frame, pts).inv
+    inv = evaluate_frames([frame], pts).inv
     assert np.max(np.linalg.norm(inv, 2, axis=(1, 2))) == pytest.approx(1.0)
     bases = d.orthonormal_bases_at(pts)
     # annihilator restricted to its own kernel is ~0

@@ -11,7 +11,8 @@ keeps the library off the reference tree walk: only fields.py calls
 `.evaluate(`, only surface.py calls `compile_rk4_run`, only
 `fields._Source.define` calls the builtin `compile`, every LAPACK call
 site is in one census (SVD, QR, the inverse and the eigenvalues only in
-stacked.py's kernels), and no library module imports a private name of
+stacked.py's kernels), as is every np.einsum (only stacked.congruence
+and a QR's diagonal), and no library module imports a private name of
 stacked.py; and it keeps
 the PDE certificates off the ODE module: pdelab does not import odelab,
 and ModuliDecl lives in moduli.py.  Every exported name is used, not
@@ -163,6 +164,10 @@ LAPACK_CALLS = {
     "np.linalg.det": [("forms.py", "numeric_wedge_with_two_form"),
                       ("forms.py", "stacked_wedge_norms")],
     "np.linalg.lstsq": [("dynsys.py", "_domination")],
+    # not LAPACK, but censused alike: the one three-operand contraction
+    # is congruence, and the other einsum reads a QR's diagonal
+    "np.einsum": [("stacked.py", "_lapack_signed_qr"),
+                  ("stacked.py", "congruence")],
 }
 
 
@@ -172,16 +177,22 @@ def test_lapack_svd_and_qr_are_only_fallbacks():
     calls = {}
     for p in MODULES:
         for callee, scope in _calls(_tree(p.name)):
-            if re.fullmatch(r"np\.roots|np\.linalg\.\w+", callee) \
+            if re.fullmatch(r"np\.roots|np\.einsum|np\.linalg\.\w+", callee) \
                     and callee != "np.linalg.norm":
                 calls.setdefault(callee, []).append((p.name, scope))
     assert calls == LAPACK_CALLS
     aliases = [(p.name, ast.unparse(node)) for p in MODULES
                for node in ast.walk(_tree(p.name))
                if isinstance(node, (ast.Import, ast.ImportFrom))
-               and ("linalg" in ast.unparse(node)
-                    or "roots" in ast.unparse(node))]
+               and re.search("linalg|roots|einsum", ast.unparse(node))]
     assert aliases == []
+
+
+def test_bounds_and_traces_weigh_only_by_scaled_exp():
+    # one e^x weight, math.exp's bits, for every bound and trace
+    assert [(name, scope) for name in ("geometry.py", "surface.py",
+                                       "dynsys.py")
+            for scope in _scopes_calling(_tree(name), "np.exp")] == []
 
 
 def test_no_library_module_imports_a_private_kernel():

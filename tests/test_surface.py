@@ -1023,7 +1023,7 @@ def test_tangency_bound_evaluates_frame_once(monkeypatch):
                           FlowConfig(step=0.1 / 16))
     counted(geometry.FrameSection, "matrix_at")
     counted(geometry.FrameSection, "d_matrices_at")
-    counted(surface, "evaluate_frame")
+    counted(surface, "evaluate_frames")
     tangency_defect(patch, dist, sup_res=5)
     assert calls == {"matrix_at": 1, "d_matrices_at": 1,
-                     "evaluate_frame": 1}
+                     "evaluate_frames": 1}
