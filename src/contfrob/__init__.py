@@ -10,9 +10,9 @@ rank-m distribution on a coordinate box is (uniquely) integrable:
                   error/derivative bounds;
 * fields/forms -- exact symbolic scalar fields and exterior calculus;
 * stacked      -- closed-form kernels for stacks of tiny matrices, with
-                  LAPACK per matrix outside their range, and congruence,
-                  the one three-operand contraction, where a faster
-                  contraction (ROADMAP.md) goes;
+                  LAPACK per matrix outside their range or conditioning
+                  test, and product and congruence, summed in index
+                  order;
 * geometry     -- graph-form distributions, annihilator frames,
                   involutivity defects and sup-norm trace functionals;
 * surface      -- candidate integral surfaces by composed flows with

@@ -16,24 +16,25 @@ composed expression trees: (Dphi^k)^T dC_0 Dphi^k, one
 stacked.congruence over every step and point.
 
 Cost model: every orbit and jacobian product comes from a Cocycle, which
-evaluates phi and Dphi once per orbit step over a fixed point set and
-keeps the cumulative products Dphi^k.  A report, a transport sweep or a
-splitting pipeline up to k_max therefore makes k_max map and k_max
-jacobian evaluations.  Cocycle.pullback_values evaluates the base frame of
-all its pullback frames with one matrix_at and one d_matrices_at on the
-stacked orbit points phi^k(p).  The matrix work is O(k_max^2) in
-arithmetic but O(k_max) in library calls: every E_k comes from one
-backward sweep over the chains with k > j.  Its step j makes one LAPACK
-solve by Dphi at phi^j(p), with the live chains side by side as the
-columns of one right-hand side, and one QR of the stack, signed_qr's
-Gram-Schmidt closed form.  The forward chains Dphi^k E_k, Dphi^k F and
-Dphi^k Y advance together with one matmul per family and step, and each
-family's singular values are one call of stacked.py's closed forms:
-sigma_max of a d x 2 from its R, the norm of a d x 1 column (see there
-for their error bounds and the matrices LAPACK takes instead).  The
-solve gives each chain the bits of a solve of its own columns, and the
-closed forms act elementwise over the stack, so the stacked sweep gives
-the per-k results bit for bit.
+evaluates phi once per orbit step over a fixed point set, Dphi once on
+the stacked orbit, and keeps the cumulative products Dphi^k.  A report,
+a transport sweep or a splitting pipeline up to k_max therefore makes
+k_max map evaluations and one jacobian evaluation.
+Cocycle.pullback_values evaluates the base frame of all its pullback
+frames with one matrix_at and one d_matrices_at on the stacked orbit
+points phi^k(p).  The matrix work is O(k_max^2) in arithmetic but
+O(k_max) in library calls: every E_k comes from one backward sweep over
+the chains with k > j, which takes one stacked.inverse of the jacobians
+and makes no LAPACK solve.  Its step j multiplies the live chains side
+by side by the inverse at phi^j(p), one stacked.product, and takes one
+QR of the stack, signed_qr's Gram-Schmidt closed form.  The forward
+chains Dphi^k E_k, Dphi^k F and Dphi^k Y advance together with one
+matmul per family and step, and each family's singular values are one
+call of stacked.py's closed forms: sigma_max of a d x 2 from its R, the
+norm of a d x 1 column (see there for their error bounds and the
+matrices LAPACK takes instead).  Every kernel acts elementwise over its
+stack, and a matrix LAPACK takes gets the bits of a call of its own, so
+the stacked sweep gives the per-k results bit for bit.
 """
 
 from __future__ import annotations
@@ -51,7 +52,8 @@ from .geometry import (FrameSection, asymptotic_involutivity_trace,
                        exterior_regularity_trace, frame_values,
                        max_principal_angle, scaled_exp)
 from .report import csv_text
-from .stacked import congruence, sigma_max, signed_qr, singular_values
+from .stacked import (congruence, inverse, product, sigma_max, signed_qr,
+                      singular_values)
 
 __all__ = [
     "DiffeoSpec", "Cocycle", "PlaneFieldSamples", "SplittingReport",
@@ -114,9 +116,10 @@ class Cocycle:
     """Orbit and derivative cocycle of phi over fixed points, up to k_max.
 
     orbit[j] = phi^j(p) for j = 0..k_max, jacobians[j] = Dphi at phi^j(p)
-    for j < k_max, and products[k] = Dphi^k_p, built as P_0 = I and
-    P_k = J_{k-1} @ P_{k-1}.  Everything that needs phi^k or Dphi^k over
-    these points, for any k <= k_max, reads it from here.
+    for j < k_max, as one (k_max, N, d, d) array from one jacobian call
+    on the stacked orbit, and products[k] = Dphi^k_p, built as P_0 = I
+    and P_k = J_{k-1} @ P_{k-1}.  Everything that needs phi^k or Dphi^k
+    over these points, for any k <= k_max, reads it from here.
     """
 
     def __init__(self, phi: DiffeoSpec, points, k_max):
@@ -126,9 +129,11 @@ class Cocycle:
         self.points = np.array(points, dtype=float, ndmin=2)
         self.k_max = int(k_max)
         self.orbit = phi.orbit(self.points, self.k_max)
-        self.jacobians = [phi.jacobian(x) for x in self.orbit[:-1]]
-        P = np.broadcast_to(np.eye(phi.dim),
-                            (len(self.points), phi.dim, phi.dim)).copy()
+        shape = (len(self.points), phi.dim, phi.dim)
+        self.jacobians = phi.jacobian(
+            self.orbit[:-1].reshape(-1, phi.dim)).reshape(
+                (self.k_max,) + shape)
+        P = np.broadcast_to(np.eye(phi.dim), shape).copy()
         self.products = [P]
         for J in self.jacobians:
             P = J @ P
@@ -138,12 +143,14 @@ class Cocycle:
         """E_k for each k of the increasing steps ks: (len(ks), N, d, r).
 
         One backward sweep: chain i starts as E_0 at phi^{ks[i]}(p), and
-        step j, from max(ks) - 1 down to 0, makes one solve by Dphi at
-        phi^j(p) of the chains with ks[i] > j, side by side, and one QR
-        over them.  Every chain meets the solves and QRs of a lone
+        step j, from max(ks) - 1 down to 0, multiplies the chains with
+        ks[i] > j, side by side, by the inverse of Dphi at phi^j(p), from
+        one inverse of the jacobians of every step, and takes one QR
+        over them.  Every chain meets the products and QRs of a lone
         transport in the same order, so each E_k equals it bit for bit.
-        A chain that loses transversality raises ConeError; of several,
-        the one with the smallest k, as a loop over k would find first.
+        A chain that meets a singular Dphi or loses transversality
+        raises ConeError; of several, the one with the smallest k, as a
+        loop over k would find first.
         """
         ks = self._steps(ks)
         if not ks or any(a >= b for a, b in zip(ks, ks[1:])):
@@ -153,17 +160,17 @@ class Cocycle:
         # a chain with a degenerate seed stops there, as a lone one would
         hi = seed_hi = _first_bad_chain(bad) if bad.any() else len(ks)
         failure = None
+        inv, singular = inverse(self.jacobians[:ks[-1]])
         for j in range(ks[-1] - 1, -1, -1):
             lo = bisect_right(ks, j)
             if lo >= hi:
                 continue
-            J = self.jacobians[j]
-            try:
-                X = _solve_chains(J, B[lo:hi])
-            except np.linalg.LinAlgError as err:
-                failure, hi = (lo, j, _singular_row(J), err), lo
+            if singular[j].any():
+                failure = (lo, j, int(np.argmax(singular[j])),
+                           "Singular matrix")
+                hi = lo
                 continue
-            B[lo:hi], bad = signed_qr(X)
+            B[lo:hi], bad = signed_qr(product(inv[j], B[lo:hi]))
             if bad.any():
                 i = lo + _first_bad_chain(bad)
                 failure = (i, j, int(np.argmax(bad[i - lo])),
@@ -217,34 +224,16 @@ class Cocycle:
         return np.stack([np.broadcast_to(b, shape) for b in seeds])
 
 
-def _solve_chains(J, chains):
-    """J_p^{-1} B for every chain B (c, N, d, r) in one solve: point p's
-    chains are the c * r columns of one right-hand side."""
-    c, N, d, r = chains.shape
-    rhs = np.moveaxis(chains, 0, 2).reshape(N, d, c * r)
-    return np.moveaxis(np.linalg.solve(J, rhs).reshape(N, d, c, r), 2, 0)
-
-
 def _first_bad_chain(bad):
     """Index of the first chain with a rank-deficient row."""
     return int(np.argmax(np.any(bad, axis=1)))
-
-
-def _singular_row(J):
-    """First row whose matrix the batched solve of J rejects."""
-    for row, mat in enumerate(J):
-        try:
-            np.linalg.solve(mat, np.eye(len(mat)))
-        except np.linalg.LinAlgError:
-            return row
-    return 0
 
 
 def transport(phi: DiffeoSpec, e0_bases, k, points):
     """Pull back a plane field: E_k(p) = Dphi^{-k}(E_0 at phi^k(p)).
 
     e0_bases: (d, r) constant or callable points -> (N, d, r).
-    Re-orthonormalizes after every jacobian inversion step.
+    Re-orthonormalizes after every inverse jacobian step.
     """
     cc = Cocycle(phi, points, k)
     return PlaneFieldSamples(cc.points, cc.transports(e0_bases, [k])[0])

@@ -270,8 +270,11 @@ def frame_values(points, A, dA, y_indices) -> FrameValues:
     on the N points, with the one finiteness and transversality checks:
     EvalDomainError where some A_p or dA_p is not finite, and
     TransversalityError where some A_p|_Y is singular, at the first such
-    row's frame and point."""
-    finite = np.isfinite(A).all((1, 2)) & np.isfinite(dA).all((1, 2, 3))
+    row's frame and point.  dA is None where only A and the inverse are
+    read."""
+    finite = np.isfinite(A).all((1, 2))
+    if dA is not None:
+        finite &= np.isfinite(dA).all((1, 2, 3))
     if not finite.all():
         raise EvalDomainError(f"frame is not finite "
                               f"{_first_row(~finite, points)}")
@@ -282,7 +285,7 @@ def frame_values(points, A, dA, y_indices) -> FrameValues:
     if singular.any():
         raise TransversalityError(f"frame loses transversality "
                                   f"{_first_row(singular, points)}")
-    inv = inverse(Ay)
+    inv, _ = inverse(Ay)
     U = np.zeros((len(A), A.shape[2], A.shape[1]))
     U[:, y_idx, :] = inv
     return FrameValues(points, A, dA, inv, U)

@@ -1,6 +1,6 @@
 """Kernels for stacks of tiny matrices: singular values, signed QR, the
-inverse, the 2 x 2 pencil sup and the congruence L^T D_j R, each over a
-whole (..., m, n) stack.
+inverse, the 2 x 2 pencil sup, and the product A B and congruence
+L^T D_j R, each over a whole (..., m, n) stack.
 
 np.linalg's QR and SVD pay a fixed cost per matrix, which is most of the
 time on the stacks of 1 x 1, 3 x 1, 1 x 2, 2 x 2 and 3 x 2 matrices that
@@ -25,8 +25,24 @@ sigma_min is asked for and whose determinant cancels, go to LAPACK in
 one call, which gives each the bits of a call of its own (a nan raises,
 as there).  Larger shapes take LAPACK whole.
 
-congruence is the one three-operand contraction of every sup and
-pullback, so a faster one (ROADMAP.md) replaces its einsum in one place.
+The inverse of an n x n matrix, n <= 3, is adj / det, with 2 x 2
+cofactors and det expanded along the first row.  Its conditioning test
+is per matrix, like the 2 x 2 sigma_min's: largest |entry| at most
+2^200, |det| at least 2^-600 and 2^-8 times the sum of |.| of its terms,
+and (3 x 3) no cofactor whose two products sum in |.| to more than 2^8
+times the largest |cofactor|.  Then det is within 5 * 2^-45 relative,
+each cofactor within 2^-44 of the largest, and each entry of the inverse
+within 2^-42 (_INV_REL) of the largest exact one.  Other matrices, the
+non-finite among them, take LAPACK's inverse with their own call's bits,
+and one it rejects gets nan and a singular flag; a 1 x 1 takes 1 / a
+where a != 0, LAPACK's bits.
+
+product sums each entry's products in index order, (A_i0 B_0s + A_i1
+B_1s) + ..., by elementwise passes over entry-major arrays, and
+congruence is T = D_j R, then L^T T: their bits depend on no BLAS kernel
+or einsum path.  Where no partial sum overflows, each entry of L^T D_j R
+is within (a + b + 1) u S + (a + b sum_c |L_cl|) 2^-1074 of the exact
+one, with u = 2^-53 and S = sum_{c,d} |L_cl| |D_jcd| |R_dr|.
 """
 
 from __future__ import annotations
@@ -34,7 +50,7 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = ["singular_values", "sigma_max", "signed_qr", "inverse",
-           "congruence", "pencil_sigma_max"]
+           "product", "congruence", "pencil_sigma_max"]
 
 # the closed forms' range and bounds (see above); LAPACK's SVD rescales
 # outside [sqrt(tiny) / eps, eps / sqrt(tiny)]
@@ -43,6 +59,10 @@ _SIGMA_REL = 2.0 ** -49
 _SIGMA_MIN_REL = 2.0 ** -44
 _CANCEL = 2.0 ** -8
 _DET_TINY = 2.0 ** -1000
+# the closed-form inverse's range, determinant floor and bound
+_INV_RANGE = 2.0 ** 200
+_INV_DET_TINY = 2.0 ** -600
+_INV_REL = 2.0 ** -42
 # signed_qr's rank threshold on |R_ii|
 _RANK_TOL = 1e-12
 
@@ -61,9 +81,7 @@ def _in_range(E, columns=False):
     column, as _gram_schmidt needs: a column of tiny entries beside a
     large one has a squared norm below the normal range, which costs its
     q and r bits."""
-    big = np.abs(E)
-    big = np.maximum.reduce(big if columns else
-                            big.reshape((-1,) + E.shape[2:]))
+    big = np.maximum.reduce(np.abs(E)) if columns else _entry_max(np.abs(E))
     ok = (big <= _UNSCALED[1]) & ((big >= _UNSCALED[0]) | (big == 0.0))
     return np.logical_and.reduce(ok) if columns else ok
 
@@ -203,18 +221,86 @@ def sigma_max(stack):
     return singular_values(stack, smallest=False)[..., 0]
 
 
+def _closed_inverse(E):
+    """adj / det of the entry-major stack E of n x n matrices, n <= 3,
+    and the mask of the matrices that meet the conditioning test (see
+    above); the others may overflow or divide by 0, silently."""
+    with np.errstate(all="ignore"):
+        if len(E) == 1:
+            return 1.0 / E, E[0, 0] != 0.0
+        if len(E) == 2:
+            (a, b), (c, d) = E
+            adj, p, q = np.array([[d, -b], [-c, a]]), a * d, b * c
+            det, terms, resolved = p - q, np.abs(p) + np.abs(q), True
+        else:
+            # adj[i, j] = E[j+1, i+1] E[j+2, i+2] - E[j+1, i+2] E[j+2, i+1]
+            i1, i2 = np.array([1, 2, 0]), np.array([2, 0, 1])
+            p = E[i1[None], i1[:, None]] * E[i2[None], i2[:, None]]
+            q = E[i1[None], i2[:, None]] * E[i2[None], i1[:, None]]
+            adj, sizes = p - q, np.abs(p) + np.abs(q)
+            det, terms = _dot(E[0], adj[:, 0]), _dot(np.abs(E[0]), sizes[:, 0])
+            resolved = _CANCEL * _entry_max(sizes) <= _entry_max(np.abs(adj))
+        ok = ((_entry_max(np.abs(E)) <= _INV_RANGE) & resolved
+              & (np.abs(det) >= np.maximum(_CANCEL * terms, _INV_DET_TINY)))
+        return adj / det, ok
+
+
+def _entry_max(E):
+    """The largest entry (...,) of each matrix of the entry-major E."""
+    return np.maximum.reduce(E.reshape((E.shape[0] * E.shape[1],)
+                                       + E.shape[2:]))
+
+
+def _lapack_inverse(stack):
+    """np.linalg.inv of each matrix of the stack in one call, or matrix
+    by matrix where LAPACK rejects one: the inverses (nan where singular)
+    and the mask (...,) of the singular matrices."""
+    try:
+        return np.linalg.inv(stack), np.zeros(stack.shape[:-2], bool)
+    except np.linalg.LinAlgError:
+        if stack.ndim == 2:
+            return np.full(stack.shape, np.nan), np.ones((), bool)
+        inv, singular = zip(*map(_lapack_inverse, stack))
+        return np.stack(inv), np.stack(singular)
+
+
 def inverse(stack):
-    """np.linalg.inv(stack): 1 / a for a stack of 1 x 1 matrices, which
-    is LAPACK's inverse of [[a]] bit for bit at every nonzero magnitude,
-    and LAPACK's inverse for larger shapes."""
-    return 1.0 / stack if stack.shape[-2:] == (1, 1) else np.linalg.inv(stack)
+    """np.linalg.inv of each matrix of the stack, and a mask (...,) of
+    the matrices LAPACK rejects as singular, whose inverse is nan: adj /
+    det within _INV_REL for the n x n, n <= 3, that pass the conditioning
+    test, LAPACK for the others and for larger shapes (see above)."""
+    if stack.shape[-1] > 3:
+        return _lapack_inverse(stack)
+    inv, ok = _closed_inverse(_entry_major(stack))
+    inv = _standard(inv)
+    singular = np.zeros(ok.shape, bool)
+    if not ok.all():
+        inv[~ok], singular[~ok] = _lapack_inverse(stack[~ok])
+    return inv, singular
+
+
+def _standard(E):
+    """The entry-major array E (m, n, ...) as a (..., m, n) stack."""
+    return E.transpose(tuple(range(2, E.ndim)) + (0, 1))
+
+
+def product(A, B):
+    """A @ B for stacks (..., m, k) and (..., k, n) whose stack axes
+    broadcast, each entry summed in index order over entry-major arrays:
+    (A_i0 B_0s + A_i1 B_1s) + ..."""
+    rank = max(A.ndim, B.ndim)
+    A, B = (_entry_major(X.reshape((1,) * (rank - X.ndim) + X.shape))
+            for X in (A, B))
+    out = A[:, 0, None] * B[0]
+    for k in range(1, len(B)):
+        out += A[:, k, None] * B[k]
+    return _standard(out)
 
 
 def congruence(L, D, R):
     """L_p^T D_pj R_p (N, J, l, r) for stacks L (N, a, l), D (N, J, a, b)
-    and R (N, b, r), by one unoptimized einsum (optimize=True or matmul
-    would move last bits of the sups and pullbacks)."""
-    return np.einsum("pcl,pjcd,pdr->pjlr", L, D, R)
+    and R (N, b, r): the products T = D_pj R_p, then L_p^T T."""
+    return product(L.swapaxes(-1, -2)[:, None], product(D, R[:, None]))
 
 
 def _polymul(a, b):

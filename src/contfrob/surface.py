@@ -61,8 +61,8 @@ from .errors import EscapeError, EvalDomainError, RangeError
 from .fields import compile_rk4_run, eval_fields
 from .report import cells, csv_text
 from .geometry import (Distribution, FrameSection, annihilator_frame,
-                       bound_parts, evaluate_frames, max_principal_angle,
-                       orthonormalize, scaled_exp)
+                       bound_parts, evaluate_frames, frame_values,
+                       max_principal_angle, orthonormalize, scaled_exp)
 
 __all__ = [
     "FlowConfig", "SurfacePatch", "flow", "variational_flow", "build_surface",
@@ -433,7 +433,8 @@ def pushforward_bound_check(dist: Distribution, frame: FrameSection, x0,
         x, Y = variational_flow(fields[i], dist.coords, x, times[:, i], Y,
                                 cfg, dist.domain)
     A0 = frame.matrix_at(x0)
-    inv_norm_end = evaluate_frames([frame], x).inv_norms
+    inv_norm_end = frame_values(x, frame.matrix_at(x), None,
+                                frame.y_indices).inv_norms
     checks = []
     for r in range(len(x0)):
         eps1 = float(np.max(np.abs(times[r]))) if times.shape[1] else 0.0

@@ -40,20 +40,20 @@ def test_workload_task_runs_clean(name):
 
 
 def test_torus_splitting_task_linalg_calls(linalg_calls):
-    # the splitting pipeline's per-k work runs as stacked sweeps: one
-    # solve per transport step, every other call once per task.  Every
-    # QR and SVD is one of stacked.py's kernels; none falls back to LAPACK
+    # the splitting pipeline's per-k work runs as stacked sweeps, and
+    # every LAPACK call is made once per task.  Every QR, SVD and inverse
+    # is one of stacked.py's kernels; none falls back to LAPACK, and the
+    # transport sweeps make no solve
     wl = workloads.WORKLOADS["torus-splitting"]()
     ctx = wl.build()
     inp = wl.inputs(ctx, np.random.default_rng([1, 2, 0]))
     linalg_calls.clear()
     assert wl.run(ctx, inp, spans.NULL).problems == []
-    assert linalg_calls["solve"] == wl.F_STEPS + wl.K_MAX
     assert linalg_calls["qr"] == linalg_calls["svd"] == 0
+    assert linalg_calls["solve"] == linalg_calls["inv"] == 0
     # the growth fit, the wedge determinants and norms of the traces
-    assert dict(linalg_calls) == {"solve": wl.F_STEPS + wl.K_MAX,
-                                  "lstsq": 1, "det": 3, "norm": 3}
-    assert sum(linalg_calls.values()) == 27
+    assert dict(linalg_calls) == {"lstsq": 1, "det": 3, "norm": 3}
+    assert sum(linalg_calls.values()) == 7
 
 
 def test_surface_frames_task_work_counts(monkeypatch, loop_calls):

@@ -20,7 +20,7 @@ from contfrob.presets import (cat_contracting_direction, cat_eigenvalues,
                               constant_annihilator_frame,
                               skew_center_stable_bases, skew_product,
                               skew_seed_bases)
-from contfrob.stacked import singular_values
+from contfrob.stacked import congruence, inverse, product, singular_values
 
 LAM_MINUS, LAM_PLUS = cat_eigenvalues()
 
@@ -283,14 +283,17 @@ def curved_frame(coords):
 
 
 def reference_transport(phi, e0, k, pts):
-    """E_k by a lone backward loop; e0 is constant or points -> bases."""
+    """E_k by a lone backward loop, one jacobian call and one inverse per
+    step; e0 is constant or points -> bases."""
     orbit = phi.orbit(pts, k)
     if callable(e0):
         e0 = e0(orbit[k])
     B = orthonormalize(np.broadcast_to(e0, (len(pts),) + e0.shape[-2:])
                        .copy())
     for j in range(k - 1, -1, -1):
-        B = orthonormalize(np.linalg.solve(phi.jacobian(orbit[j]), B))
+        inv, singular = inverse(phi.jacobian(orbit[j]))
+        assert not singular.any()
+        B = orthonormalize(product(inv, B))
     return B
 
 
@@ -307,7 +310,7 @@ def reference_frame_matrices(phi, base, k, pts):
     eye = np.broadcast_to(np.eye(phi.dim), (len(pts), phi.dim, phi.dim))
     end, J = reference_product(phi, pts, eye, k)
     A = base.matrix_at(end) @ J
-    dA = np.einsum("pca,pjcd,pdb->pjab", J, base.d_matrices_at(end), J)
+    dA = congruence(J, base.d_matrices_at(end), J)
     return A, dA
 
 
@@ -406,6 +409,30 @@ def test_transport_cone_error_names_depth_step_and_point():
                        r"rank-deficient subspace basis \(depth k = 1, "
                        r"lattice point 0 at \[0\.125, 0\.1\]\)$"):
         cc.transports(e0, range(1, 4))
+
+
+def test_singular_step_raises_only_where_a_chain_reaches_it():
+    # the sweep inverts Dphi at every step it takes at once, and of the
+    # 9 steps those at phi^2 and phi^6 are singular in row 2; only a
+    # chain that reaches such a step raises, with its own depth
+    phi = column_shift_map()
+    pts = np.array([[0.125, 0.1], [0.125, 0.6], [0.0, 0.3], [0.125, 0.9]])
+    e0 = np.array([[1.0], [1.0]]) / math.sqrt(2.0)
+    cc = Cocycle(phi, pts, 9)
+    inv, singular = inverse(cc.jacobians)
+    assert [np.flatnonzero(row).tolist() for row in singular] == \
+        [[], [], [2], [], [], [], [2], [], []]
+    assert np.isnan(inv[singular]).all()
+    stack = cc.transports(e0, [1, 2])
+    for k, got in zip([1, 2], stack):
+        assert np.array_equal(got, reference_transport(phi, e0, k, pts))
+    # of the chains at depths 1, 2 and 5, only the deepest reaches step 2
+    with pytest.raises(ConeError) as err:
+        cc.transports(e0, [1, 2, 5])
+    assert str(err.value) == ("transversality lost at step 2: Singular "
+                              "matrix (depth k = 5, lattice point 2 at "
+                              "[0.0, 0.3])")
+    assert np.array_equal(err.value.point, pts[2])
 
 
 def _restricted_norms(name, k_max, svals):
@@ -509,7 +536,8 @@ def test_pipeline_evaluates_map_once_per_step(monkeypatch, name, k_max):
     rep, asym, ext = splitting_involutivity_pipeline(
         phi, e0, base, f, k_max, 1.0, pts, limit=lim)
     assert rep.dominated and asym is not None and ext is not None
-    assert calls == {"apply": k_max, "jacobian": k_max}
+    # one jacobian call on the stacked orbit
+    assert calls == {"apply": k_max, "jacobian": 1}
 
 
 @pytest.mark.parametrize("name", DYN_CASES)
@@ -550,8 +578,8 @@ def test_pipeline_linalg_calls_grow_linearly(linalg_calls, name):
         rep, asym, ext = splitting_involutivity_pipeline(
             phi, e0, base, f, k_max, 0.5, pts, limit=lim)
         assert rep.dominated and len(asym) == len(ext) == k_max
-        # one solve per backward step; the QRs are stacked.py's kernels
-        assert linalg_calls.pop("solve") == k_max
+        # no solve: the inverses and QRs are stacked.py's kernels
+        assert "solve" not in linalg_calls and "inv" not in linalg_calls
         rest.append(dict(linalg_calls))
     # every other call (the wedge determinants, the growth fit, the
     # norms) is made once per pipeline, whatever k_max.  The SVDs are
@@ -605,14 +633,15 @@ def test_pullback_frames_share_one_cocycle(monkeypatch, name):
 
     counted("apply")
     counted("jacobian")
-    # all k + 1 frames come from one cocycle: k steps of phi and Dphi
+    # all k + 1 frames come from one cocycle: k steps of phi and one
+    # evaluation of Dphi on the stacked orbit
     values = Cocycle(phi, pts, k).pullback_values(base, range(k + 1))
     A = values.A.reshape((k + 1, len(pts)) + values.A.shape[1:])
     dA = values.dA.reshape((k + 1, len(pts)) + values.dA.shape[1:])
     for j, (A_j, dA_j) in enumerate(refs):
         assert np.array_equal(A[j], A_j)
         assert np.array_equal(dA[j], dA_j)
-    assert calls == {"apply": k, "jacobian": k}
+    assert calls == {"apply": k, "jacobian": 1}
 
 
 def test_step_counts_out_of_range_raise():

@@ -1,5 +1,7 @@
+import functools
 import inspect
 import math
+import operator
 import re
 import warnings
 from unittest import mock
@@ -26,7 +28,8 @@ from contfrob.mollify import grid_from_field, mollify, to_spline_field
 from contfrob.odelab import funnel
 from contfrob.presets import contact_distribution, ode_peano
 from contfrob.stacked import (congruence, inverse, pencil_sigma_max,
-                              sigma_max, signed_qr, singular_values)
+                              product, sigma_max, signed_qr,
+                              singular_values)
 
 x, y, z = Coord("x"), Coord("y"), Coord("z")
 
@@ -163,7 +166,8 @@ def test_one_by_one_non_finite_and_zero_entries_are_lapacks(bad):
         assert want[1] == 0.0
     elif math.isinf(bad):
         assert math.isnan(want[1])
-        inv = inverse(stack)
+        inv, singular = inverse(stack)
+        assert not singular.any()
         assert inv.tobytes() == np.linalg.inv(stack).tobytes()
         assert inv[:, 0, 0].tolist() == [0.5, 1.0 / bad]
         assert math.copysign(1.0, inv[1, 0, 0]) == math.copysign(1.0, bad)
@@ -366,16 +370,205 @@ def congruence_stacks(draw):
                  for shape in ((N, a, l), (N, J, a, b), (N, b, r)))
 
 
+def _ordered_sum(terms):
+    """The terms summed left to right in Python floats, first term first
+    (so -0.0 + -0.0 stays -0.0)."""
+    return functools.reduce(operator.add, terms)
+
+
+def _ordered_product(A, B):
+    """A B of nested lists in Python floats, in the stated order of
+    stacked.product: entry (i, s) is (A_i0 B_0s + A_i1 B_1s) + ..."""
+    return [[_ordered_sum(row[k] * B[k][s] for k in range(len(B)))
+             for s in range(len(B[0]))] for row in A]
+
+
+def _ordered_congruence(L, D, R):
+    """congruence matrix by matrix: T = D_j R, then L^T T, each an
+    _ordered_product."""
+    L, D, R = L.tolist(), D.tolist(), R.tolist()
+    return np.array([[_ordered_product([list(c) for c in zip(*L[p])],
+                                       _ordered_product(D_j, R[p]))
+                      for D_j in D[p]] for p in range(len(D))])
+
+
 @settings(max_examples=300, deadline=None)
 @given(congruence_stacks())
 @example((np.full((1, 3, 2), -0.0), np.full((1, 2, 3, 3), 5e-324),
           np.full((1, 3, 1), 2.0 ** -1030)))
-def test_congruence_is_each_former_einsum_bit_for_bit(stacks):
+def test_congruence_is_the_ordered_sum_bit_for_bit(stacks):
+    # each entry's products summed in index order, whatever the BLAS
+    # kernel or einsum path; huge entries overflow alike.  product is
+    # congruence's first stage, D_j R
     L, D, R = stacks
-    with np.errstate(all="ignore"):  # huge entries overflow alike
+    with np.errstate(all="ignore"):
+        assert congruence(L, D, R).tobytes() == \
+            _ordered_congruence(L, D, R).tobytes()
+        T = [[_ordered_product(D_j, R_p) for D_j in D_p]
+             for D_p, R_p in zip(D.tolist(), R.tolist())]
+        assert product(D, R[:, None]).tobytes() == np.array(T).tobytes()
+
+
+def _congruence_error_bound(L, D, R, used):
+    """{entry: (exact, bound)} for the entries of L^T D_j R: the value in
+    50-digit arithmetic and the error bound of the used order, for
+    congruence the stated (a + b + 1) u S + (a + b sum_c |L_cl|) 2^-1074
+    (see stacked.py) with S = sum_{c,d} |L_cl D_jcd R_dr|, for the einsum
+    ((L D) R per term) its own.  Entries where a partial sum of that
+    order can overflow are left out."""
+    import mpmath
+    (N, J, a, b), l, r = D.shape, L.shape[2], R.shape[2]
+    limit = mpmath.mpf(2) ** 1020
+    out = {}
+    with mpmath.workdps(50):
+        L, D, R = (np.vectorize(mpmath.mpf, otypes=[object])(X)
+                   for X in (L, D, R))
+        for p, j, i, s in np.ndindex(N, J, l, r):
+            terms = [[L[p, c, i] * D[p, j, c, d] * R[p, d, s]
+                      for d in range(b)] for c in range(a)]
+            S = mpmath.fsum(abs(t) for row in terms for t in row)
+            if used == "congruence":
+                partial = max(mpmath.fsum(abs(D[p, j, c, d] * R[p, d, s])
+                                          for d in range(b))
+                              for c in range(a))
+                tol = ((a + b + 1) * 2.0 ** -53 * S + (a + b * mpmath.fsum(
+                    abs(L[p, c, i]) for c in range(a))) * 2.0 ** -1074)
+            else:
+                partial = max(abs(L[p, c, i] * D[p, j, c, d])
+                              for c in range(a) for d in range(b))
+                tol = ((a * b + 2) * 2.0 ** -53 * S + a * b * (1 + max(
+                    abs(R[p, d, s]) for d in range(b))) * 2.0 ** -1074)
+            if max(S, partial) <= limit:
+                out[p, j, i, s] = (mpmath.fsum(t for row in terms
+                                               for t in row), tol)
+    return out
+
+
+@settings(max_examples=100, deadline=None)
+@given(congruence_stacks())
+@example((np.full((1, 3, 2), -0.0), np.full((1, 2, 3, 3), 5e-324),
+          np.full((1, 3, 1), 2.0 ** -1030)))
+def test_congruence_is_within_its_bound_of_exact_and_the_einsum(stacks):
+    # congruence within its stated bound of the 50-digit value, and so
+    # within that bound plus the einsum's own, (a b + 2) u S and its
+    # underflow, of each three-operand einsum it replaced
+    import mpmath
+    L, D, R = stacks
+    with np.errstate(all="ignore"):
         got = congruence(L, D, R)
-        for subscripts in _CONGRUENCE_SUBSCRIPTS:
-            assert got.tobytes() == np.einsum(subscripts, L, D, R).tobytes()
+        einsums = [np.einsum(sub, L, D, R) for sub in _CONGRUENCE_SUBSCRIPTS]
+    ours = _congruence_error_bound(L, D, R, "congruence")
+    theirs = _congruence_error_bound(L, D, R, "einsum")
+    for idx, (exact, tol) in ours.items():
+        assert abs(mpmath.mpf(got[idx]) - exact) <= tol
+        if idx in theirs:
+            for ein in einsums:
+                assert abs(mpmath.mpf(got[idx]) - mpmath.mpf(ein[idx])) <= \
+                    tol + theirs[idx][1]
+
+
+def _exact_inverse(M):
+    """M^{-1} of a 2 x 2 or 3 x 3 double matrix in 50-digit arithmetic,
+    by its adjugate: each cofactor is a correctly rounded difference of
+    two exact products, and det a sum of exact terms."""
+    import mpmath
+    with mpmath.workdps(50):
+        A = [[mpmath.mpf(float(x)) for x in row] for row in M]
+        n = len(A)
+        if n == 2:
+            adj = [[A[1][1], -A[0][1]], [-A[1][0], A[0][0]]]
+        else:
+            adj = [[A[(j + 1) % 3][(i + 1) % 3] * A[(j + 2) % 3][(i + 2) % 3]
+                    - A[(j + 1) % 3][(i + 2) % 3] * A[(j + 2) % 3][(i + 1) % 3]
+                    for j in range(3)] for i in range(3)]
+        det = mpmath.fsum(A[0][j] * adj[j][0] for j in range(n))
+        return [[x / det for x in row] for row in adj]
+
+
+def _assert_lapacks_inverse(M, got, singular):
+    """got is np.linalg.inv(M)'s bits, or nan with the singular flag
+    where LAPACK rejects M."""
+    try:
+        want = np.linalg.inv(M)
+    except np.linalg.LinAlgError:
+        assert singular and np.isnan(got).all()
+    else:
+        assert not singular and got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(tiny_stacks(shapes=[(2, 2), (3, 3)]))
+@example(np.array([[[2.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.5, 0.0, 1.0]],
+                   [[1.0, 2.0, 3.0], [2.0, 4.0, 6.0], [0.0, 0.0, 1.0]]]))
+def test_inverse_within_its_bound_of_the_exact_inverse(A):
+    # where the conditioning test holds, each entry of adj / det is
+    # within _INV_REL of the largest |entry| of the 50-digit inverse;
+    # LAPACK takes every other matrix, with the bits of its own call
+    import mpmath
+    from contfrob import stacked
+    inv, singular = inverse(A)
+    _, ok = stacked._closed_inverse(stacked._entry_major(A))
+    for M, got, flag, passed in zip(A, inv, singular, ok):
+        if not passed:
+            _assert_lapacks_inverse(M, got, flag)
+            continue
+        exact = _exact_inverse(M)
+        top = max(abs(x) for row in exact for x in row)
+        assert not flag
+        for g, x in zip(got.ravel(), (x for row in exact for x in row)):
+            assert abs(mpmath.mpf(float(g)) - x) <= stacked._INV_REL * top
+
+
+_INVERSE_KINDS = ["plain", "singular", "ill-conditioned", "nan", "inf",
+                  "out-of-range", "tiny"]
+
+
+@st.composite
+def mixed_inverse_stacks(draw):
+    """Stacks of n x n matrices, n = 2 or 3, each plain, singular (rank
+    one), ill-conditioned (rank one plus 2^-40 of a plain one), with a nan
+    or an inf entry, with an entry beyond 2^200, or scaled by 2^-301 so
+    that its determinant lies below 2^-600."""
+    n = draw(st.integers(2, 3))
+    out = []
+    for kind in draw(st.lists(st.sampled_from(_INVERSE_KINDS), min_size=1,
+                              max_size=6)):
+        M = draw(arrays(np.float64, (n, n),
+                        elements=st.floats(-4.0, 4.0, width=64)))
+        if kind in ("singular", "ill-conditioned"):
+            M = np.outer(M[:, 0], M[0]) + (
+                0.0 if kind == "singular" else 2.0 ** -40 * M)
+        elif kind in ("nan", "inf", "out-of-range"):
+            M[draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))] = {
+                "nan": math.nan, "inf": -math.inf,
+                "out-of-range": 2.0 ** 201}[kind]
+        elif kind == "tiny":
+            M = M * 2.0 ** -301
+        out.append(M)
+    return np.stack(out)
+
+
+@settings(max_examples=300, deadline=None)
+@given(mixed_inverse_stacks())
+@example(np.array([[[2.0, 1.0], [1.0, 1.0]], [[1.0, 2.0], [2.0, 4.0]],
+                   [[math.nan, 1.0], [2.0, 3.0]], [[math.inf, 1.0],
+                                                   [2.0, 3.0]],
+                   [[2.0 ** 201, 1.0], [2.0, 3.0]], [[0.0, 0.0], [0.0, 0.0]],
+                   [[2.0 ** -301, 0.0], [0.0, 2.0 ** -301]]]))
+def test_inverse_takes_the_fallback_rule_per_matrix(A):
+    # the matrices the conditioning test sends to LAPACK each get the
+    # bits of np.linalg.inv of their own, or its error as a singular flag
+    # and nan; the others get the bits they get alone
+    from contfrob import stacked
+    inv, singular = inverse(A)
+    _, ok = stacked._closed_inverse(stacked._entry_major(A))
+    for M, got, flag, passed in zip(A, inv, singular, ok):
+        if passed:
+            alone, flag_alone = inverse(M[None])
+            assert not flag and not flag_alone[0]
+            assert got.tobytes() == alone[0].tobytes()
+        else:
+            _assert_lapacks_inverse(M, got, flag)
 
 
 def test_zero_matrices_and_columns_take_the_closed_forms(linalg_calls):
@@ -1086,15 +1279,21 @@ def _special_form_trace_inputs():
 # field for field: (k, q, strong, parts).  Captured again when signed_qr
 # and the 2 x 2 singular values became closed forms: the limit's
 # orthonormal bases moved by rounding, and with them d_restricted and q
-# by up to 1.0e-13 relative, restricted by 1.1e-14 and M by 2.4e-16
+# by up to 1.0e-13 relative, restricted by 1.1e-14 and M by 2.4e-16.
+# Captured again when congruence began to sum D_j R, then L^T of it, in
+# index order, and the 2 x 2 inverse became adj / det: frame 1's
+# d_restricted went 0.0005721178015040361 -> 0.000572117801504024
+# (-2.1e-14 relative; the 50-digit sup of its rows lies between them,
+# 1.06e-14 from each) and q with it, M 0.9072183773486597 ->
+# 0.9072183773486596 and the exterior q by 1.9e-16 relative
 _PINNED_ASYM = [
     (0, 6.0181676347742676e-05, 1.2765621906239134e-17,
      {"d_restricted": 4.914919529135052e-05, "inv_norm": 1.0,
       "M": 0.40501490484547503, "wedge_sup": 1.0408340855860843e-17,
       "d_sup": 0.40829655813057025, "eps": 0.5}),
-    (1, 0.0008742752901018459, 1.7209835247275504e-16,
-     {"d_restricted": 0.0005721178015040361,
-      "inv_norm": 0.970873786407767, "M": 0.9072183773486597,
+    (1, 0.0008742752901018273, 1.7209835247275504e-16,
+     {"d_restricted": 0.000572117801504024,
+      "inv_norm": 0.970873786407767, "M": 0.9072183773486596,
       "wedge_sup": 7.786767633870738e-17, "d_sup": 1.586110402420285,
       "eps": 0.5})]
 _PINNED_EXT = [
@@ -1102,9 +1301,9 @@ _PINNED_EXT = [
      {"restricted": 0.00515216695820803, "inv_norm": 1.0,
       "M": 0.40501490484547503, "d_sup": 0.40829655813057025,
       "eps": 0.5}),
-    (1, 0.0022392794612833547, 1.4065874642246625,
+    (1, 0.0022392794612833542, 1.4065874642246625,
      {"restricted": 0.0014653641214008623,
-      "inv_norm": 0.970873786407767, "M": 0.9072183773486597,
+      "inv_norm": 0.970873786407767, "M": 0.9072183773486596,
       "d_sup": 1.586110402420285, "eps": 0.5})]
 
 

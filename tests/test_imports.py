@@ -11,8 +11,8 @@ keeps the library off the reference tree walk: only fields.py calls
 `.evaluate(`, only surface.py calls `compile_rk4_run`, only
 `fields._Source.define` calls the builtin `compile`, every LAPACK call
 site is in one census (SVD, QR, the inverse and the eigenvalues only in
-stacked.py's kernels), as is every np.einsum (only stacked.congruence
-and a QR's diagonal), and no library module imports a private name of
+stacked.py's kernels, no solve in dynsys), as is every np.einsum (only
+a QR's diagonal), and no library module imports a private name of
 stacked.py; and it keeps
 the PDE certificates off the ODE module: pdelab does not import odelab,
 and ModuliDecl lives in moduli.py.  Every exported name is used, not
@@ -151,23 +151,21 @@ def test_only_source_define_compiles():
 # np.linalg.norm takes vector norms only, and is left out
 LAPACK_CALLS = {
     # tiny matrices take stacked.py's closed forms: LAPACK's SVD and QR
-    # are called only where those hand a matrix over, and the inverse and
-    # the pencil roots only in their kernels
+    # are called only where those hand a matrix over, LAPACK's inverse
+    # only where the closed-form inverse hands one over, and the pencil
+    # roots only in their kernel
     "np.linalg.svd": [("stacked.py", "singular_values.lapack")],
     "np.linalg.qr": [("stacked.py", "_lapack_signed_qr")],
-    "np.linalg.inv": [("stacked.py", "inverse")],
+    "np.linalg.inv": [("stacked.py", "_lapack_inverse")],
     "np.linalg.eigvals": [("stacked.py", "_root_real_parts")],
     "np.roots": [("stacked.py", "_root_real_parts")],
-    "np.linalg.solve": [("dynsys.py", "_solve_chains"),
-                        ("dynsys.py", "_singular_row"),
-                        ("mollify.py", "_cyclic_reduction")],
+    "np.linalg.solve": [("mollify.py", "_cyclic_reduction")],
     "np.linalg.det": [("forms.py", "numeric_wedge_with_two_form"),
                       ("forms.py", "stacked_wedge_norms")],
     "np.linalg.lstsq": [("dynsys.py", "_domination")],
-    # not LAPACK, but censused alike: the one three-operand contraction
-    # is congruence, and the other einsum reads a QR's diagonal
-    "np.einsum": [("stacked.py", "_lapack_signed_qr"),
-                  ("stacked.py", "congruence")],
+    # not LAPACK, but censused alike: the one einsum reads a QR's
+    # diagonal, and congruence sums in its own fixed order
+    "np.einsum": [("stacked.py", "_lapack_signed_qr")],
 }
 
 

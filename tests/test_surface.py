@@ -10,11 +10,12 @@ from hypothesis import strategies as st
 
 from contfrob import presets
 from contfrob.boxes import Box
-from contfrob.errors import EscapeError, EvalDomainError, RangeError
+from contfrob.errors import (EscapeError, EvalDomainError, RangeError,
+                             TransversalityError)
 from contfrob.fields import (ONE, ZERO, Const, Coord, add, compile_fields,
                              parse_field)
-from contfrob.geometry import (Distribution, annihilator_frame,
-                               involutivity_constant)
+from contfrob.geometry import (Distribution, FrameSection,
+                               annihilator_frame, involutivity_constant)
 from contfrob.odelab import _OFFSET
 from contfrob.surface import (MAX_TIME, FlowConfig, _integrate,
                               build_surface, converge_surfaces, flow,
@@ -892,6 +893,30 @@ def test_pushforward_bound_trivial_times():
                                   np.array([0.0, 0.0, 1.0]), CFG, m_const)
     assert chk.passed
     assert chk.lhs == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("scale, error, text", [
+    ("x", TransversalityError, "frame loses transversality"),
+    ("log(x^2)", EvalDomainError, "frame is not finite")])
+def test_pushforward_bound_checks_the_endpoint_frame_alone(
+        monkeypatch, scale, error, text):
+    # the check reads only ||(A|_Y)^{-1}|| at the endpoints: A is checked
+    # there as every frame is, by row, and dA is never evaluated
+    d = involutive()
+    frame = annihilator_frame(d).scale(parse_field(scale))
+
+    def unread(*args):
+        raise AssertionError("dA evaluated")
+    monkeypatch.setattr(FrameSection, "d_matrices_at", unread)
+    x0 = np.array([[0.1, 0.0, 0.0], [0.0, 0.2, 0.0]])
+    Y0 = np.array([[0.0, 0.0, 1.0]] * 2)
+    with pytest.raises(error, match=re.escape(
+            f"{text} at frame 0, lattice point 1 [0.0, 0.2, 0.0]")):
+        pushforward_bound_check(d, frame, x0, np.zeros((2, 2)), Y0, CFG,
+                                1.0)
+    checks = pushforward_bound_check(d, annihilator_frame(d), x0,
+                                     np.zeros((2, 2)), Y0, CFG, 1.0)
+    assert [c.passed for c in checks] == [True, True]
 
 
 def test_pushforward_bound_randomized():
