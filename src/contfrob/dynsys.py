@@ -17,15 +17,15 @@ stacked.congruence over every step and point.
 
 Cost model: every orbit and jacobian product comes from a Cocycle, which
 evaluates phi once per orbit step over a fixed point set, Dphi once on
-the stacked orbit, and keeps the cumulative products Dphi^k.  A report,
-a transport sweep or a splitting pipeline up to k_max therefore makes
-k_max map evaluations and one jacobian evaluation.
+the stacked orbit, and builds the cumulative products Dphi^k when first
+read.  A report, a transport sweep or a splitting pipeline up to k_max
+therefore makes k_max map evaluations and one jacobian evaluation.
 Cocycle.pullback_values evaluates the base frame of all its pullback
-frames with one matrix_at and one d_matrices_at on the stacked orbit
-points phi^k(p).  The matrix work is O(k_max^2) in arithmetic but
-O(k_max) in library calls: every E_k comes from one backward sweep over
-the chains with k > j, which takes one stacked.inverse of the jacobians
-and makes no LAPACK solve.  Its step j multiplies the live chains side
+frames with one matrices_at on the stacked orbit points phi^k(p).  The
+matrix work is O(k_max^2) in arithmetic but O(k_max) in library calls:
+every E_k comes from one backward sweep over the chains with k > j,
+which takes one stacked.inverse of the jacobians and makes no LAPACK
+solve.  Its step j multiplies the live chains side
 by side by the inverse at phi^j(p), one stacked.product, and takes one
 QR of the stack, signed_qr's Gram-Schmidt closed form.  The forward
 chains Dphi^k E_k, Dphi^k F and Dphi^k Y advance together with one
@@ -42,6 +42,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -117,9 +118,10 @@ class Cocycle:
 
     orbit[j] = phi^j(p) for j = 0..k_max, jacobians[j] = Dphi at phi^j(p)
     for j < k_max, as one (k_max, N, d, d) array from one jacobian call
-    on the stacked orbit, and products[k] = Dphi^k_p, built as P_0 = I
-    and P_k = J_{k-1} @ P_{k-1}.  Everything that needs phi^k or Dphi^k
-    over these points, for any k <= k_max, reads it from here.
+    on the stacked orbit, and products[k] = Dphi^k_p, built on first
+    read as P_0 = I and P_k = J_{k-1} @ P_{k-1}.  Everything that needs
+    phi^k or Dphi^k over these points, for any k <= k_max, reads it
+    from here.
     """
 
     def __init__(self, phi: DiffeoSpec, points, k_max):
@@ -133,11 +135,18 @@ class Cocycle:
         self.jacobians = phi.jacobian(
             self.orbit[:-1].reshape(-1, phi.dim)).reshape(
                 (self.k_max,) + shape)
-        P = np.broadcast_to(np.eye(phi.dim), shape).copy()
-        self.products = [P]
+
+    @cached_property
+    def products(self):
+        """[Dphi^k_p for k = 0..k_max], built on first read: only
+        pullback_values needs them, so a transport builds none."""
+        P = np.broadcast_to(np.eye(self.phi.dim),
+                            self.jacobians.shape[1:]).copy()
+        out = [P]
         for J in self.jacobians:
             P = J @ P
-            self.products.append(P)
+            out.append(P)
+        return out
 
     def transports(self, e0_bases, ks):
         """E_k for each k of the increasing steps ks: (len(ks), N, d, r).
@@ -192,16 +201,16 @@ class Cocycle:
         frame-major rows.
 
         The base is evaluated once on the stacked orbit points phi^k(p):
-        one matrix_at gives A = C_0(phi^k p) Dphi^k_p, and one
-        d_matrices_at the pullback of dC_0 (zero when C_0 is constant),
-        from jacobian products rather than composed expression trees.
+        one matrices_at gives A = C_0(phi^k p) Dphi^k_p and the pullback
+        of dC_0 (zero when C_0 is constant), from jacobian products
+        rather than composed expression trees.
         """
         ks = self._steps(ks)
         dim = self.phi.dim
         ends = self.orbit[ks].reshape(-1, dim)
         J = np.stack([self.products[k] for k in ks]).reshape(-1, dim, dim)
-        return frame_values(self.points, base.matrix_at(ends) @ J,
-                            congruence(J, base.d_matrices_at(ends), J),
+        A, dA = base.matrices_at(ends)
+        return frame_values(self.points, A @ J, congruence(J, dA, J),
                             base.y_indices)
 
     def _steps(self, ks):

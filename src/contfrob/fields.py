@@ -175,7 +175,10 @@ class SplineLeaf(Field):
     d(d(omega)) = 0 exact for forms with interpolated coefficients.  The
     interning table holds its leaves weakly: a leaf and its derivatives
     form no reference cycle, so a frame's spline data is freed with the
-    frame, not at the next cyclic collection.
+    frame, not at the next cyclic collection.  The evaluator answers
+    ev(args, orders), which evaluate calls, and locate(args) and
+    poly(block, offsets, orders), which compiled code calls (see
+    compile_fields).
     """
 
     __slots__ = ("evaluator", "vars", "orders", "label", "_base_id", "_derived")
@@ -603,10 +606,17 @@ def compile_fields(fields, coords):
     the ufuncs and the 0*inf guard of Mul are those of the reference,
     and every domain check that depends on data stays a per-call check
     with the reference's EvalDomainError text; a check on a constant
-    exponent is decided here.  Mul, Pow and Unary statements that follow
-    each other share one np.errstate(all="ignore") block; Add and spline
-    calls stay outside, as in the reference, so an array inf + -inf still
-    warns, and a list without ops enters no block.
+    exponent is decided here.  A spline leaf reads its evaluator through
+    two statements: one locate(columns), where the first leaf over that
+    evaluator and coordinates comes, which checks the domain (with the
+    reference's text), clips and finds the points' cells, and one
+    poly(block, offsets, orders) per partial, which every leaf over that
+    evaluator shares whatever its label or base; so the partials of one
+    spline share one cell search, and equal leaves one value.  Mul, Pow
+    and Unary statements that follow each other share one
+    np.errstate(all="ignore") block; Add and spline statements stay
+    outside, as in the reference, so an array inf + -inf still warns,
+    and a list without ops enters no block.
 
     Two caches of _CACHE_SIZE entries each, least recently used out,
     stand between a call and compile().  The first holds functions,
@@ -671,8 +681,8 @@ def compile_rk4_run(fields, coords, variational=False):
     * one, for n = 1, steps the row as Python floats: the same operations
       in the same order, +, - and * on floats with Mul's guard (0.0 where
       a factor == 0.0), and Pow, Unary and spline statements calling the
-      same ufunc or ev on the float, whose bits are those of an array
-      row.  The loop runs inside one np.errstate(all="ignore"), so its
+      same ufunc, locate or poly on the float, whose bits are those of an
+      array row.  The loop runs inside one np.errstate(all="ignore"), so its
       floats warn of nothing.  Hand-off rule: rows owns the edges.  From
       the first step whose statements raise EvalDomainError, or that
       makes a non-finite statement value, stage-point x column or new
@@ -767,6 +777,8 @@ class _Source:
         self.values = []  # the names the statements assign, in order
         self.names = {}  # _key -> operand text
         self.known = {}  # literal operand text -> its value
+        self.located = {}  # (evaluator id, coordinates) -> (name, results)
+        self.partials = {}  # (evaluator id, coordinates, orders) -> value
         self.ids = itertools.count()
 
     def emit(self, guarded, statement, scalar=None):
@@ -829,14 +841,10 @@ class _Source:
             if f.name not in self.coords:
                 return self.raise_(f"unbound coordinate {f.name!r}")
             return self.load(f.name)
-        v = f"v{next(self.ids)}"
         if isinstance(f, SplineLeaf):
-            ev = self.bind(f.evaluator, "_s")
-            call = (f"{ev}.ev([{', '.join(self.load(n) for n in f.vars)}], "
-                    f"{f.orders!r})")
-            self.emit(False, f"{v} = _asarray({call}, dtype=float)",
-                      f"{v} = {call}")
-        elif isinstance(f, Add):
+            return self.spline(f)
+        v = f"v{next(self.ids)}"
+        if isinstance(f, Add):
             ops = [self.operand(t) for t in f.terms]
             for s in _chain(v, "+", ops):
                 self.emit(False, s)
@@ -861,6 +869,29 @@ class _Source:
             u = f"_{f.fn.name}"
             self.ns[u] = f.fn.ufunc
             self.emit(True, f"{v} = {u}({a})", f"{v} = float({u}({a}))")
+        self.values.append(v)
+        return v
+
+    def spline(self, f):
+        """A spline leaf's statement: one locate per evaluator and
+        coordinates, where the first such leaf comes, and one poly per
+        partial, which every leaf over that evaluator and coordinates
+        shares whatever its label or base."""
+        key = (id(f.evaluator), f.vars)
+        v = self.partials.get(key + (f.orders,))
+        if v is not None:
+            return v
+        if key not in self.located:
+            s = self.bind(f.evaluator, "_s")
+            at = f"b{len(self.located)}, o{len(self.located)}"
+            self.located[key] = (s, at)
+            self.emit(False, f"{at} = {s}.locate("
+                             f"[{', '.join(self.load(n) for n in f.vars)}])")
+        s, at = self.located[key]
+        v = self.partials[key + (f.orders,)] = f"v{next(self.ids)}"
+        call = f"{s}.poly({at}, {f.orders!r})"
+        self.emit(False, f"{v} = _asarray({call}, dtype=float)",
+                  f"{v} = {call}")
         self.values.append(v)
         return v
 

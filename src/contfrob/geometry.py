@@ -25,19 +25,20 @@ transversality check.  It takes K frames over one lattice of N points
 as K*N frame-major rows and computes the singular values and the inverse
 of A|_Y for all of them at once with stacked.py's kernels (see there for
 their closed forms, error bounds and the matrices LAPACK takes instead).
-evaluate_frames fills those rows with each frame's matrix_at and
-d_matrices_at once, one frame as a list of one; dynsys's
-Cocycle.pullback_values fills them for a whole pullback family with one
-call of each on the base frame.  The sup kernels contract dA with
-stacked.congruence and compute per-row values over the whole stack in
-one call each, and reduce them per frame segment (the n == r == 2 M_A
-root-finds only the rows whose upper bound reaches their segment's
-largest lower bound, typically a handful), so a trace makes the
-same number of library calls for K frames as for one, and a tangency
-bound or a wrapper such as involutivity_constant evaluates its frame
-exactly once.  matrix_at evaluates all entries of the rows in one
-fields.eval_fields call, and d_matrices_at one per row of d(rows): one
-compiled function each instead of a tree walk per entry.
+evaluate_frames fills those rows with each frame's matrices_at once,
+one frame as a list of one; dynsys's Cocycle.pullback_values fills them
+for a whole pullback family with one call on the base frame.  The sup
+kernels contract dA with stacked.congruence and compute per-row values
+over the whole stack in one call each, and reduce them per frame
+segment (the n == r == 2 M_A root-finds only the rows whose upper bound
+reaches their segment's largest lower bound, typically a handful), so a
+trace makes the same number of library calls for K frames as for one,
+and a tangency bound or a wrapper such as involutivity_constant
+evaluates its frame exactly once.  matrices_at evaluates every entry
+of the rows and of d(rows) in one fields.eval_fields call, and
+matrix_at the rows' alone: one compiled function each instead of a tree
+walk per entry, so the partials of a spline leaf share its cell search
+(see compile_fields).
 """
 
 from __future__ import annotations
@@ -179,13 +180,31 @@ class FrameSection:
                              range(self.dim)] for row in self.rows],
                            self.coords, pts)
 
-    def d_matrices_at(self, points):
-        """(N, n, dim, dim) antisymmetric matrices of d(rows)."""
+    def matrices_at(self, points):
+        """(N, n, dim) component matrices of the rows and (N, n, dim, dim)
+        antisymmetric matrices of d(rows), every entry of both from one
+        compiled function."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        out = np.zeros((len(pts), self.n, self.dim, self.dim))
-        for r, dr in enumerate(self.d_rows()):
-            out[:, r] = dr.two_form_matrices_at(pts)
-        return out
+        entries, (r, a, b) = self._entries
+        vals = eval_fields(entries, self.coords, pts)
+        split = self.n * self.dim
+        A = np.ascontiguousarray(vals[:, :split]).reshape(
+            len(pts), self.n, self.dim)
+        dA = np.zeros((len(pts), self.n, self.dim, self.dim))
+        dA[:, r, a, b] = vals[:, split:]
+        dA[:, r, b, a] = -vals[:, split:]
+        return A, dA
+
+    @cached_property
+    def _entries(self):
+        """The fields of matrices_at, the rows' components and then each
+        d(row)'s, and the (row, i, j) index of each d(row) component."""
+        comps = [(r, i, j, f) for r, dr in enumerate(self.d_rows())
+                 for (i, j), f in dr.comps.items()]
+        fields = [row.comps.get((i,), ZERO) for row in self.rows
+                  for i in range(self.dim)] + [f for *_, f in comps]
+        index = np.array([c[:3] for c in comps], dtype=int).reshape(-1, 3)
+        return fields, tuple(index.T)
 
     def scale(self, c):
         return FrameSection(tuple(r.scale(c) for r in self.rows),
@@ -252,17 +271,16 @@ class FrameValues:
 
 def evaluate_frames(frames, points) -> FrameValues:
     """The frames on one lattice as one FrameValues: each frame's
-    matrix_at and d_matrices_at once, stacked frame-major, then
-    frame_values.  The frames must share their rows, coordinates and
-    vertical axes."""
+    matrices_at once, stacked frame-major, then frame_values.  The
+    frames must share their rows, coordinates and vertical axes."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     shapes = {(f.n, tuple(f.coords), tuple(f.y_indices)) for f in frames}
     if len(shapes) != 1:
         raise RangeError(f"frames stacked on one lattice must share rows, "
                          f"coordinates and vertical axes, got {shapes}")
-    A = np.concatenate([f.matrix_at(pts) for f in frames])
-    dA = np.concatenate([f.d_matrices_at(pts) for f in frames])
-    return frame_values(pts, A, dA, frames[0].y_indices)
+    A, dA = zip(*(f.matrices_at(pts) for f in frames))
+    return frame_values(pts, np.concatenate(A), np.concatenate(dA),
+                        frames[0].y_indices)
 
 
 def frame_values(points, A, dA, y_indices) -> FrameValues:

@@ -256,13 +256,20 @@ def _rules():
     return np.polynomial.legendre.leggauss(10), (x, 2.0 / (132.0 * p(x) ** 2))
 
 
+_TRAPEZOID = (np.array([-1.0, 1.0]), np.array([1.0, 1.0]))
+
+
 def _rule(f, lo, hi, rule):
     """The (nodes, weights) rule of f on each [lo[i], hi[i]]; a value that
     is not finite is a SingularIntegrandError naming its interval."""
     half = 0.5 * (hi - lo)
+    x = (lo + half)[:, None] + half[:, None] * rule[0]
+    # the end nodes of a Lobatto rule are the ends themselves: lo + 2 half
+    # can round an ulp inside hi and miss a kink there
+    x[:, rule[0] == -1.0] = lo[:, None]
+    x[:, rule[0] == 1.0] = hi[:, None]
     with np.errstate(all="ignore"):
-        vals = half * (f((lo + half)[:, None] + half[:, None] * rule[0])
-                       @ rule[1])
+        vals = half * (f(x) @ rule[1])
     bad = np.flatnonzero(~np.isfinite(vals))
     if len(bad):
         i = bad[0]
@@ -284,10 +291,16 @@ def _integrals(f, edges):
     while len(owner):
         mid = 0.5 * (lo + hi)
         halves = _rule(f, lo, mid, gauss) + _rule(f, mid, hi, gauss)
+        # no float lies inside an interval whose midpoint rounds to an
+        # end: f is known there at its ends only, and the trapezoid reads
+        # both, where the collapsed Gauss nodes read one of them
+        tight = (mid == lo) | (mid == hi)
+        if tight.any():
+            halves[tight] = _rule(f, lo[tight], hi[tight], _TRAPEZOID)
         estimate = total + np.bincount(owner, halves, len(total))
         gap = np.maximum(np.abs(_rule(f, lo, hi, gauss) - halves),
                          np.abs(_rule(f, lo, hi, lobatto) - halves))
-        split = ~(gap <= _QUAD_RTOL * np.abs(estimate[owner]))
+        split = ~((gap <= _QUAD_RTOL * np.abs(estimate[owner])) | tight)
         total += np.bincount(owner[~split], halves[~split], len(total))
         pieces += 2 * np.count_nonzero(split)
         if pieces > _QUAD_MAX_PIECES:

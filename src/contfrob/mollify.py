@@ -16,7 +16,13 @@ pass over one contiguous slice of the flattened grid.
 `to_spline_field` fits the trusted samples of 1 or 2 axes with the
 not-a-knot cubic spline (the interpolant of FITPACK and CubicSpline, to
 rounding), held as per-cell polynomial coefficients, and wraps it as a
-SplineLeaf.
+SplineLeaf.  The evaluator's protocol, which compiled field code calls,
+is two steps: locate(args) checks the points against the valid region,
+clips them and takes each point's cell coefficients, the block, and its
+offsets in the cell; poly(block, offsets, orders) runs Horner's rule for
+one partial.  ev(args, orders) is the two in a row, the reference that
+SplineLeaf.evaluate calls.  A 2-D fit writes each cell pass in place
+and reuses the slope operator of knots it has seen.
 
 `verify_bounds` measures |f^eps - f| and |d f^eps / dx_j| against the
 scaled integrals (1/eps^d) int_0^eps s^{d-1} w(s) ds  and
@@ -28,6 +34,7 @@ inequality hold across the sweep.
 from __future__ import annotations
 
 import math
+from collections import OrderedDict
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -69,8 +76,7 @@ class GridFunction:
                              f"not match axes of lengths {axes_shape}")
         for a in self.axes:
             d = np.diff(a)
-            if not (len(d) >= 1 and np.allclose(d, d[0], rtol=1e-9)
-                    and d[0] > 0.0):
+            if not (len(d) >= 1 and d[0] > 0.0 and _uniform(d)):
                 raise RangeError("grid axes must be uniform and increasing, "
                                  "with at least 2 points")
 
@@ -95,6 +101,16 @@ class GridFunction:
                 raise MarginError("margin consumes the whole grid")
             out.append(slice(k, len(a) - k if k else None))
         return tuple(out)
+
+
+def _uniform(d):
+    """np.allclose(d, d[0], rtol=1e-9) as one elementwise test: every
+    spacing within 1e-8 + 1e-9 |d[0]| of a finite d[0], or equal to one
+    that is not finite."""
+    s = d[0]
+    if math.isfinite(s):
+        return bool(np.all(np.abs(d - s) <= 1e-8 + 1e-9 * abs(s)))
+    return bool(np.all(d == s))
 
 
 def grid_from_field(f, box: Box, n):
@@ -333,18 +349,23 @@ def _slopes(x, secants):
     return s
 
 
-def _cells(x, y, s):
-    """Per-cell coefficients (4, ..., n - 1) of the cubics with values y
-    and slopes s at the knots x along the last axis, lowest power of
-    x - x[i] first."""
-    inv_h = 1.0 / np.diff(x)
-    slope = np.diff(y) * inv_h
-    c = np.empty((4,) + slope.shape)
-    c[0] = y[..., :-1]
-    c[1] = s[..., :-1]
-    np.subtract(slope, c[1], out=c[2])
+def _cells(x, y, s, axis=-1):
+    """Per-cell coefficients (4,) + the shape of y with its knot axis one
+    shorter, of the cubics with values y and slopes s at the knots x
+    along that axis (the last, or axis=-2), lowest power of x - x[i]
+    first.  Written in place into the one output: no temporaries, and y
+    and s may be strided views."""
+    head = (slice(None),) * (y.ndim + axis)
+    left, right = head + (slice(None, -1),), head + (slice(1, None),)
+    inv_h = (1.0 / np.diff(x)).reshape((-1,) + (1,) * (-1 - axis))
+    c = np.empty((4,) + y[left].shape)
+    c[0] = y[left]
+    c[1] = s[left]
+    np.subtract(y[right], c[0], out=c[2])
+    c[2] *= inv_h  # the secant slope
     # t = (s[i] + s[i + 1] - 2 slope) / h, then c2 = (slope - s[i]) / h - t
-    np.subtract(s[..., 1:], slope, out=c[3])
+    np.subtract(s[right], c[2], out=c[3])
+    c[2] -= c[1]
     c[3] -= c[2]
     c[3] *= inv_h
     c[2] *= inv_h
@@ -361,12 +382,17 @@ _FALLING = {1: np.array([1.0, 2.0, 3.0]), 2: np.array([2.0, 6.0]),
 class _SplineEvaluator:
     """Not-a-knot cubic spline on 1 or 2 axes (the interpolant FITPACK
     and CubicSpline fit), held as per-cell polynomial coefficients: the
-    tensor product of one cubic per axis, evaluated by a cell search and
-    Horner's rule.  A partial of order 4 or more is 0.  Points within
-    1e-9 of the widest extent outside an axis are clipped onto it;
-    farther out they raise.  A sample that is not finite, which would
-    spread through its whole axis's solve, is a RangeError naming its
-    grid index."""
+    tensor product of one cubic per axis.  A partial of order 4 or more
+    is 0.  Points within 1e-9 of the widest extent outside an axis are
+    clipped onto it; farther out they raise.  A sample that is not
+    finite, which would spread through its whole axis's solve, is a
+    RangeError naming its grid index.
+
+    Evaluation has two steps, the protocol of compiled spline
+    statements: locate(args) finds the points' cells once, and
+    poly(block, offsets, orders) evaluates one partial there, so the
+    partials of one spline at one point set share one cell search.
+    ev(args, orders) is the two in a row."""
 
     def __init__(self, axes, values):
         if len(axes) not in (1, 2):
@@ -387,39 +413,51 @@ class _SplineEvaluator:
         else:
             # the slopes are linear in the secants: one operator per axis,
             # whose products give the slopes along x, along y and across
-            # both, from which the cells' bicubics follow
+            # both; the cubics along y of the values and the x-slopes,
+            # then along x of their coefficients, give the bicubics
             x1 = self.axes[1]
-            k0 = _slopes(x0, np.eye(len(x0) - 1))
-            k1 = k0 if np.array_equal(x0, x1) else _slopes(
-                x1, np.eye(len(x1) - 1))
-            sx = k0 @ (np.diff(v, axis=0) / h0)
-            sy = (np.diff(v) / np.diff(x1)) @ k1.T
-            sxy = k0 @ (np.diff(sy, axis=0) / h0)
-            c = _cells(x1, np.stack([v, sx]), np.stack([sy, sxy]))
-            c = c.transpose(1, 0, 3, 2).copy()      # (2, 4, n1 - 1, n0)
-            c = _cells(x0, c[0], c[1])              # (4, 4, n1 - 1, n0 - 1)
-        # one power index per axis, then the cells with axis 0 fastest
+            k0, k1 = _slope_operator(x0), _slope_operator(x1)
+            y = np.empty((2,) + v.shape)  # values, x-slopes
+            s = np.empty((2,) + v.shape)  # y-slopes, cross slopes
+            y[0] = v
+            np.matmul(k0, np.diff(v, axis=0) / h0, out=y[1])
+            np.matmul(np.diff(v) / np.diff(x1), k1.T, out=s[0])
+            np.matmul(k0, np.diff(s[0], axis=0) / h0, out=s[1])
+            c = _cells(x1, y, s)  # (4, 2, n0, n1 - 1)
+            c = _cells(x0, c[:, 0], c[:, 1], axis=-2)  # (4, 4, n0-1, n1-1)
+        # one power index per axis, then the cells with the last axis
+        # fastest
         self.coef = c.reshape(c.shape[:len(axes)] + (-1,))
         self.bounds = [(a[0], a[-1]) for a in self.axes]
         self.tol = 1e-9 * max(a[-1] - a[0] for a in self.axes)
 
-    def ev(self, args, orders):
+    def locate(self, args):
+        """(block, offsets) of the points args, one array or float per
+        axis: the check against the valid region, the clip, and per
+        point the coefficients of its cell and its offsets from the
+        cell's lower knots."""
         args = np.broadcast_arrays(*[np.asarray(t, float) for t in args])
         for t, (lo, hi) in zip(args, self.bounds):
             if np.any(t < lo - self.tol) or np.any(t > hi + self.tol):
                 raise EvalDomainError("point outside the spline's valid region")
-        shape = args[0].shape
-        if max(orders) > 3:
-            return 0.0 if shape == () else np.zeros(shape)
         cell, offsets = 0, []
-        for t, x in zip(args[::-1], self.axes[::-1]):
-            t = np.clip(t.ravel(), x[0], x[-1])
+        for t, x in zip(args, self.axes):
+            t = np.clip(t, x[0], x[-1])
             # the cell whose left knot is the last one at or below t; the
             # last knot belongs to the last cell
             i = np.searchsorted(x[1:-1], t, side="right")
-            offsets.insert(0, t - x[i])
+            offsets.append(t - x[i])
             cell = cell * (len(x) - 1) + i
-        c = self.coef.take(cell, axis=-1)
+        return self.coef.take(cell, axis=-1), offsets
+
+    def poly(self, block, offsets, orders):
+        """The partial of the given orders at located points: Horner's
+        rule along each axis in turn, a float for a point given as
+        floats."""
+        if max(orders) > 3:
+            shape = np.shape(offsets[0])
+            return 0.0 if shape == () else np.zeros(shape)
+        c = block
         for u, p in zip(offsets, orders):
             if p:
                 c = c[p:] * _FALLING[p].reshape((-1,) + (1,) * (c.ndim - 1))
@@ -427,7 +465,32 @@ class _SplineEvaluator:
             for k in range(len(c) - 2, -1, -1):
                 out = out * u + c[k]
             c = out
-        return float(c[0]) if shape == () else c.reshape(shape)
+        return c if np.ndim(c) else float(c)
+
+    def ev(self, args, orders):
+        return self.poly(*self.locate(args), orders)
+
+
+_OPERATORS = OrderedDict()  # knots' bytes -> slope operator, LRU first
+_OPERATORS_SIZE = 4
+
+
+def _slope_operator(x):
+    """The (n, n - 1) matrix taking secant slopes to knot slopes on the
+    knots x, _slopes of the identity.  It depends on the knots alone, so
+    the last _OPERATORS_SIZE knot vectors keep theirs, read-only, each
+    the size of one n x n sample grid: a fit over a grid seen before
+    solves nothing."""
+    key = x.tobytes()
+    k = _OPERATORS.get(key)
+    if k is None:
+        k = _OPERATORS[key] = _slopes(x, np.eye(len(x) - 1))
+        k.flags.writeable = False
+        while len(_OPERATORS) > _OPERATORS_SIZE:
+            _OPERATORS.popitem(last=False)
+    else:
+        _OPERATORS.move_to_end(key)
+    return k
 
 
 def to_spline_field(gf: GridFunction, names, label="spl"):

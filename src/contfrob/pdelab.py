@@ -233,16 +233,19 @@ class _SeparableComponent:
         mid = 0.5 * (a + b)
         live = (mid != a) & (mid != b)
         while np.any(live):
-            below = self.sign * self.phi.ev([mid], (0,)) < t
+            below = self._signed_phi(mid) < t
             a = np.where(live & below, mid, a)
             b = np.where(live & ~below, mid, b)
             mid = 0.5 * (a + b)
             live = (mid != a) & (mid != b)
         # of the two adjacent floats, the one whose Phi is nearer
-        miss_a, miss_b = (np.abs(self.sign * self.phi.ev([y], (0,)) - t)
-                          for y in (a, b))
+        miss_a, miss_b = (np.abs(self._signed_phi(y) - t) for y in (a, b))
         return np.where(delta_h == 0.0, self.y0,
                         np.where(miss_a < miss_b, a, b))
+
+    def _signed_phi(self, y):
+        """sign * Phi at the points y: one cell search, one value."""
+        return self.sign * self.phi.poly(*self.phi.locate([y]), (0,))
 
 
 def _cumulative_quadrature(xs, vals):

@@ -73,8 +73,10 @@ def loop_calls(monkeypatch):
 class FitpackSpline:
     """FITPACK reference of contfrob.mollify's spline leaf evaluator:
     scipy's CubicSpline on one axis, RectBivariateSpline(kx=3, ky=3) on
-    two, behind the same ev(args, orders), valid region, clip and error
-    text.  SciPy is imported here, by the tests only."""
+    two, behind the same locate(args), poly(block, offsets, orders) and
+    ev(args, orders), valid region, clip and error text: locate checks
+    and clips the points, which poly evaluates.  SciPy is imported here,
+    by the tests only."""
 
     def __init__(self, axes, values):
         from scipy.interpolate import CubicSpline, RectBivariateSpline
@@ -86,13 +88,19 @@ class FitpackSpline:
         self.bounds = [(a[0], a[-1]) for a in axes]
         self.tol = 1e-9 * max(a[-1] - a[0] for a in axes)
 
-    def ev(self, args, orders):
+    def locate(self, args):
         args = np.broadcast_arrays(*[np.asarray(t, float) for t in args])
         for t, (lo, hi) in zip(args, self.bounds):
             if np.any(t < lo - self.tol) or np.any(t > hi + self.tol):
                 raise EvalDomainError("point outside the spline's valid "
                                       "region")
-        t = [np.clip(t, lo, hi) for t, (lo, hi) in zip(args, self.bounds)]
+        return None, [np.clip(t, lo, hi)
+                      for t, (lo, hi) in zip(args, self.bounds)]
+
+    def ev(self, args, orders):
+        return self.poly(*self.locate(args), orders)
+
+    def poly(self, block, t, orders):
         if len(t) == 1:
             out = self.spline(t[0], nu=orders[0])
         else:

@@ -6,6 +6,7 @@ each workload and runs one task of it with tracing off, so a broken call
 fails here instead.
 """
 
+import contextlib
 import importlib.util
 import sys
 from pathlib import Path
@@ -27,6 +28,20 @@ def _load(name):
 
 workloads = _load("workloads")
 spans = _load("spans")
+
+
+class _Spans:
+    """A tracer that only keeps the name of the span it is in."""
+
+    current = None
+
+    @contextlib.contextmanager
+    def span(self, name):
+        self.current = name
+        try:
+            yield
+        finally:
+            self.current = None
 
 
 @pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
@@ -62,13 +77,25 @@ def test_surface_frames_task_work_counts(monkeypatch, loop_calls):
     # bound reaches the lattice's largest lower bound are root-found.
     # The build's 16 layer flows are the task's RK4 runs, each a batch
     # on the array loop: none takes the float loop, so none hands a row
-    # off or replays a step
+    # off or replays a step.  The regularity trace evaluates its frame in
+    # one compiled function: one cell search per spline (G_1, G_2 and
+    # the one H shared by the equal H_1 and H_2) and one poly per
+    # partial it reads (G_i, G_i' and the two first partials of H)
     import contfrob.pdelab as pdelab
+    spline = importlib.import_module("contfrob.mollify")._SplineEvaluator
     wl = workloads.WORKLOADS["surface-frames"]()
     ctx = wl.build()
     inp = wl.inputs(ctx, np.random.default_rng([1, 2, 0]))
     mollified, root_rows = [], []
     mollify, eigvals = pdelab.mollify, np.linalg.eigvals
+    tr = _Spans()
+    spline_calls = {}
+    for name in ("locate", "poly"):
+        def counted(self, *args, _inner=getattr(spline, name), _name=name):
+            key = (tr.current, _name)
+            spline_calls[key] = spline_calls.get(key, 0) + 1
+            return _inner(self, *args)
+        monkeypatch.setattr(spline, name, counted)
 
     def counted_mollify(*args, **kwargs):
         mollified.append(args)
@@ -80,11 +107,14 @@ def test_surface_frames_task_work_counts(monkeypatch, loop_calls):
 
     monkeypatch.setattr(pdelab, "mollify", counted_mollify)
     monkeypatch.setattr(np.linalg, "eigvals", counted_eigvals)
-    assert wl.run(ctx, inp, spans.NULL).problems == []
+    assert wl.run(ctx, inp, tr).problems == []
     assert len(ctx["lattice"]) == 625
     assert len(mollified) == 3
     assert sum(root_rows) < 32
     assert loop_calls == {"rows": 16}
+    trace = "geometry.regularity_trace"
+    assert {k: n for k, n in spline_calls.items() if k[0] == trace} == {
+        (trace, "locate"): 3, (trace, "poly"): 6}
 
 
 def test_second_surface_frames_task_compiles_nothing(code_compiles):

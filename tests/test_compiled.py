@@ -1,6 +1,7 @@
 """The compiled evaluator against its reference, Field.evaluate."""
 
 import gc
+import itertools
 import math
 import warnings
 import weakref
@@ -18,6 +19,7 @@ from contfrob.fields import (ONE, ZERO, Const, Coord, SplineLeaf,
                              compile_fields, compile_rk4_run, eval_fields,
                              exp, log, parse_field, sin)
 from contfrob.geometry import annihilator_frame, evaluate_frames
+from contfrob.mollify import _SplineEvaluator
 from contfrob.odelab import extend, funnel, funnel_to_csv
 from contfrob.pdelab import (SpecialFormSpec, hat_matrix,
                              involutive_mollified_frames)
@@ -215,15 +217,24 @@ def test_constant_exponents_inf_and_nan_compile():
 
 
 class _CountingSpline:
-    """Stand-in spline evaluator that counts its calls."""
+    """Stand-in spline evaluator that counts its calls: locate, poly,
+    and ev (the reference walk's) as one of each."""
 
     def __init__(self):
-        self.calls = 0
+        self.calls = {"locate": 0, "poly": 0}
+
+    def locate(self, args):
+        self.calls["locate"] += 1
+        t, = args
+        return None, [2.0 * np.asarray(t, float)]
+
+    def poly(self, block, offsets, orders):
+        self.calls["poly"] += 1
+        out = offsets[0] + orders[0]
+        return out if np.ndim(out) else float(out)
 
     def ev(self, args, orders):
-        self.calls += 1
-        t, = args
-        return 2.0 * t + orders[0]
+        return self.poly(*self.locate(args), orders)
 
 
 def test_shared_subexpression_is_evaluated_once():
@@ -233,13 +244,15 @@ def test_shared_subexpression_is_evaluated_once():
     pts = np.array([[0.5, 2.0], [1.0, -1.0]])
     fn = compile_fields(flat, XY)
     got = fn(pts)
-    assert ev.calls == 1
+    assert ev.calls == {"locate": 1, "poly": 1}
     want = reference(flat, XY, pts)
-    assert ev.calls == 1 + len(flat)  # the walk: once per field
+    # the walk: once per field
+    assert ev.calls == {"locate": 1 + len(flat), "poly": 1 + len(flat)}
     assert got.tobytes() == want.tobytes()
-    ev.calls = 0
+    ev.calls = {"locate": 0, "poly": 0}
     compile_fields(with_partials(flat, XY), XY)(pts)
-    assert ev.calls == 2  # the leaf and its x-derivative
+    # one cell search, shared by the leaf and its x-derivative
+    assert ev.calls == {"locate": 1, "poly": 2}
 
 
 # ---------------------------------------------------------------------------
@@ -461,3 +474,126 @@ def test_long_sums_and_products_keep_their_order():
     assert len(total.terms) == 40 and len(product.factors) == 40
     pts = np.linspace(-1.5, 1.5, 31)[:, None]
     assert_matches([total, product], ("x",), pts, jacobian=True)
+
+
+# ---------------------------------------------------------------------------
+# spline leaves: one locate per spline, one poly per partial
+
+
+def _spline_partials(dim):
+    """A fitted spline on dim axes over x (and y), and every partial of
+    orders 0..4 along each axis of two leaves over it, the second with a
+    label and base of its own (as pdelab gives equal H_i)."""
+    rng = np.random.default_rng(dim)
+    axes = [np.linspace(-1.0, 1.0, 9), np.linspace(0.0, 2.0, 7)][:dim]
+    ev = _SplineEvaluator(axes, rng.normal(size=[len(a) for a in axes]))
+    out = []
+    for leaf in (SplineLeaf(ev, XY[:dim]),
+                 SplineLeaf(ev, XY[:dim], label="twin")):
+        for orders in itertools.product(range(5), repeat=dim):
+            f = leaf
+            for c, o in zip(XY, orders):
+                for _ in range(o):
+                    f = f.diff(c)
+            out.append(f)
+    return ev, out
+
+
+def _spline_points(ev):
+    """Per axis: the knots, the last knot, points inside the clip band
+    (1e-9 of the widest extent) on both sides, and points beyond it."""
+    out = []
+    for a in ev.axes:
+        inside = [a[0] - 0.5 * ev.tol, a[-1] + 0.5 * ev.tol]
+        beyond = [a[0] - 2.0 * ev.tol, a[-1] + 2.0 * ev.tol]
+        out.append((np.concatenate([a, [a[-1]], inside,
+                                    0.5 * (a[1:] + a[:-1])]), beyond))
+    return out
+
+
+def _float_rk4(flat, coords, z, h, steps):
+    """RK4 on one row of Python floats, each stage's velocity from the
+    tree walk: the steps taken, z after them and the EvalDomainError
+    text of the next step, if it raises."""
+    z = [float(v) for v in z]
+    half, sixth = 0.5 * h, h / 6.0
+
+    def velocity(p):
+        return reference(flat, coords, np.array(p)).tolist()
+
+    for k in range(steps):
+        try:
+            k1 = velocity(z)
+            k2 = velocity([a + half * b for a, b in zip(z, k1)])
+            k3 = velocity([a + half * b for a, b in zip(z, k2)])
+            k4 = velocity([a + h * b for a, b in zip(z, k3)])
+        except EvalDomainError as err:
+            return k, z, str(err)
+        z = [a + sixth * (((b + 2.0 * c) + 2.0 * d) + e)
+             for a, b, c, d, e in zip(z, k1, k2, k3, k4)]
+    return steps, z, None
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_compiled_spline_statements_are_the_leaves_bits(dim):
+    ev, flat = _spline_partials(dim)
+    coords = XY[:dim]
+    (xs, x_out), *rest = _spline_points(ev)
+    if dim == 1:
+        pts, outside = xs[:, None], [[x] for x in x_out]
+    else:
+        (ys, y_out), = rest
+        pts = np.stack(np.meshgrid(xs, ys, indexing="ij"), -1).reshape(-1, 2)
+        outside = [[x, ys[3]] for x in x_out] + [[xs[3], y] for y in y_out]
+    assert_matches(flat, coords, pts)
+    for p in list(pts[::5]) + [np.array(p) for p in outside]:
+        assert_matches(flat, coords, p)
+    for p in outside:  # the one error text, on a batch as alone
+        assert_matches(flat, coords, np.vstack([pts[:3], [p]]))
+        with pytest.raises(EvalDomainError,
+                           match="point outside the spline's valid region"):
+            eval_fields(flat, coords, p)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_float_loop_spline_statements_are_the_leaves_bits(dim):
+    # one row steps on floats; a start in the clip band, and one whose
+    # stage points leave the valid region, hand off as the tree walk
+    # raises
+    ev, flat = _spline_partials(dim)
+    coords = XY[:dim]
+    scale = [Const(1e-6 * (k + 1)) for k in range(len(flat))]
+    velocity = [fl.add(*(c * f for c, f in zip(scale, flat)))]
+    velocity += [flat[1]] * (dim - 1)
+    run = compile_rk4_run(velocity, coords)
+    (xs, x_out), *rest = _spline_points(ev)
+    starts = [[x] + [ys[4] for ys, _ in rest]
+              for x in np.concatenate([xs, x_out])]
+    h = 1e-3
+    stops = set()
+    for z0 in starts:
+        want = _float_rk4(velocity, coords, z0, h, 3)
+        z = np.array([z0])
+        done, err, _ = run(z, 3, np.array([[h]]), None)
+        assert (done, z[0].tobytes(), None if err is None else str(err)) \
+            == (want[0], np.array(want[1]).tobytes(), want[2])
+        stops.add(done)
+    assert {0, 3} <= stops  # some raise at once, some step through
+
+
+def test_one_locate_per_spline_and_one_poly_per_partial(monkeypatch):
+    # 2 leaves x 25 partials over one spline: one cell search, and one
+    # poly per distinct orders, whatever the leaf's label
+    counts = {"locate": 0, "poly": 0}
+    for name in counts:
+        inner = getattr(_SplineEvaluator, name)
+
+        def counted(self, *args, _inner=inner, _name=name):
+            counts[_name] += 1
+            return _inner(self, *args)
+        monkeypatch.setattr(_SplineEvaluator, name, counted)
+    _, flat = _spline_partials(2)
+    fn = compile_fields(flat, XY)
+    assert counts == {"locate": 0, "poly": 0}
+    fn(np.array([[0.1, 0.2], [0.3, 0.4]]))
+    assert counts == {"locate": 1, "poly": 25}

@@ -71,6 +71,24 @@ def test_transport_converges_to_contracting_direction():
     assert np.max(ang) < 1e-3
 
 
+def test_transport_builds_no_product_chain(monkeypatch):
+    # only pullback_values reads Dphi^k; a transport, by inverse steps,
+    # multiplies no chain of jacobians, and its bases are unchanged
+    pts = torus_lattice(3)
+    e0 = skew_seed_bases()
+    want = transport(skew_product(), e0, 8, pts).bases
+
+    def unread(self):
+        raise AssertionError("product chain built")
+    monkeypatch.setattr(Cocycle, "products", property(unread))
+    got = transport(skew_product(), e0, 8, pts).bases
+    assert got.tobytes() == want.tobytes()
+    with pytest.raises(AssertionError, match="product chain built"):
+        Cocycle(skew_product(), pts, 8).pullback_values(
+            constant_annihilator_frame(np.array([[0.0, 1.0, 0.0]]),
+                                       skew_product().coords, ("x2",)), [1])
+
+
 def test_transport_cocycle_property():
     phi = cat_map()
     pts = torus_lattice(2, res=3)
@@ -309,9 +327,8 @@ def reference_product(phi, pts, bases, k):
 def reference_frame_matrices(phi, base, k, pts):
     eye = np.broadcast_to(np.eye(phi.dim), (len(pts), phi.dim, phi.dim))
     end, J = reference_product(phi, pts, eye, k)
-    A = base.matrix_at(end) @ J
-    dA = congruence(J, base.d_matrices_at(end), J)
-    return A, dA
+    A, dA = base.matrices_at(end)
+    return A @ J, congruence(J, dA, J)
 
 
 class ReferenceFrame:
@@ -323,13 +340,9 @@ class ReferenceFrame:
         self.n, self.coords = base.n, base.coords
         self.y_indices = base.y_indices
 
-    def matrix_at(self, points):
+    def matrices_at(self, points):
         return reference_frame_matrices(self.phi, self.base, self.k,
-                                        points)[0]
-
-    def d_matrices_at(self, points):
-        return reference_frame_matrices(self.phi, self.base, self.k,
-                                        points)[1]
+                                        points)
 
 
 DYN_CASES = ["cat-map", "skew-product"]
@@ -556,7 +569,7 @@ def test_pipeline_evaluates_the_frame_family_once(monkeypatch, name):
         monkeypatch.setattr(owner, method, wrapper)
 
     counted(FrameSection, "matrix_at")
-    counted(FrameSection, "d_matrices_at")
+    counted(FrameSection, "matrices_at")
     # frame_values holds the one transversality check; the traces must
     # not evaluate frames again
     counted(dynsys, "frame_values")
@@ -566,7 +579,7 @@ def test_pipeline_evaluates_the_frame_family_once(monkeypatch, name):
     assert rep.dominated and len(asym) == len(ext) == k_max
     # the base frame is evaluated once on the stacked orbit points, and
     # both traces read the one FrameValues
-    assert calls == {"matrix_at": 1, "d_matrices_at": 1, "frame_values": 1}
+    assert calls == {"matrices_at": 1, "frame_values": 1}
 
 
 @pytest.mark.parametrize("name", DYN_CASES)

@@ -659,8 +659,7 @@ def test_involutivity_constant_against_brute_force():
 
     rng = np.random.default_rng(7)
     bases = d.orthonormal_bases_at(pts)
-    dA = frame.d_matrices_at(pts)
-    A = frame.matrix_at(pts)
+    A, dA = frame.matrices_at(pts)
     y_idx = list(frame.y_indices)
     inv = np.linalg.inv(A[:, :, y_idx])
     brute = 0.0
@@ -824,8 +823,7 @@ def test_codim_one_sups_are_exact(dist):
     frame = annihilator_frame(dist)
     pts = dist.domain.lattice(3)
     bases = dist.orthonormal_bases_at(pts)
-    dA = frame.d_matrices_at(pts)
-    A = frame.matrix_at(pts)
+    A, dA = frame.matrices_at(pts)
     y_idx = list(frame.y_indices)
     U = np.zeros((len(pts), dist.dim, 1))
     U[:, y_idx, :] = np.linalg.inv(A[:, :, y_idx])

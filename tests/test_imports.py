@@ -9,12 +9,13 @@ a module's `__all__` must resolve, and every name the package imports
 from a module with an `__all__` must be listed there.  The same ast scan
 keeps the library off the reference tree walk: only fields.py calls
 `.evaluate(`, only surface.py calls `compile_rk4_run`, only
-`fields._Source.define` calls the builtin `compile`, every LAPACK call
-site is in one census (SVD, QR, the inverse and the eigenvalues only in
-stacked.py's kernels, no solve in dynsys), as is every np.einsum (only
-a QR's diagonal), and no library module imports a private name of
-stacked.py; and it keeps
-the PDE certificates off the ODE module: pdelab does not import odelab,
+`fields._Source.define` calls the builtin `compile`, only
+`SplineLeaf.evaluate` calls a spline's `ev` (generated code calls its
+`locate` and `poly`), every LAPACK call site is in one census (SVD, QR,
+the inverse and the eigenvalues only in stacked.py's kernels, no solve
+in dynsys), as is every np.einsum (only a QR's diagonal), and no
+library module imports a private name of stacked.py; and it keeps the
+PDE certificates off the ODE module: pdelab does not import odelab,
 and ModuliDecl lives in moduli.py.  Every exported name is used, not
 only imported or listed, by the library, the benchmark or the
 acceptance criteria; a use counts for the module the name was imported
@@ -138,6 +139,24 @@ def _calls(tree, scope=()):
 def _scopes_calling(tree, name):
     """The scope of each call name(...) in tree."""
     return [scope for callee, scope in _calls(tree) if callee == name]
+
+
+def test_splines_are_read_through_locate_and_poly():
+    # ev, one cell search and one partial, is called only by the tree
+    # walk; the generated code calls a bound object's methods only in the
+    # spline statements, one locate per spline and one poly per partial
+    calls = [(p.name, scope) for p in MODULES
+             for callee, scope in _calls(_tree(p.name))
+             if callee.endswith(".ev")]
+    assert calls == [("fields.py", "SplineLeaf.evaluate")]
+    generated = []
+    for node in ast.walk(_tree("fields.py")):
+        if isinstance(node, ast.JoinedStr):
+            for a, b in zip(node.values, node.values[1:]):
+                if isinstance(a, ast.FormattedValue) and \
+                        isinstance(b, ast.Constant):
+                    generated += re.findall(r"^\.(\w+)\(", b.value)
+    assert sorted(generated) == ["locate", "poly"]
 
 
 def test_only_source_define_compiles():

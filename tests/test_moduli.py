@@ -207,6 +207,25 @@ def test_moment_quadrature_against_closed_forms(case):
     assert err <= max(abs(ref - exact), 1e-15 * exact)
 
 
+def test_moment_sees_a_kink_in_the_last_ulp():
+    # eps is one ulp above the first breakpoint, and all of the integral
+    # but 4e-71 lies in that ulp: with the Lobatto end node an ulp inside
+    # eps the rule read 4.4e-71 for 5.1e-31
+    bp, eps = 0.49343970687901695, 0.493439706879017
+    assert eps == math.nextafter(bp, 1.0)
+    w = Tabulated(((bp, 5.4e-70), (0.5, 4.36)))
+
+    def moment(bp, v1, b2, v2, eps):
+        # int_0^eps s w(s) ds, w = v1 s / bp up to bp, then the line on
+        # to (b2, v2)
+        slope = (v2 - v1) / (b2 - bp)
+        return (v1 * bp ** 2 / 3
+                + (v1 - slope * bp) * (eps ** 2 - bp ** 2) / 2
+                + slope * (eps ** 3 - bp ** 3) / 3)
+    exact = _exact(moment, bp, 5.4e-70, 0.5, 4.36, eps)
+    assert abs(_moment(w, 2, eps) - exact) <= 1e-14 * exact
+
+
 def test_osgood_singular_integrand():
     w = Tabulated(((0.01, 0.0), (0.5, 1.0)))  # vanishes below s = 0.01
     with pytest.raises(SingularIntegrandError):

@@ -3,14 +3,17 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from contfrob.boxes import Box
 from contfrob.errors import (EvalDomainError, MarginError, RangeError,
                              ResolutionError)
 from contfrob.fields import parse_field
 from contfrob.moduli import Hoelder, Lipschitz
-from contfrob.mollify import (GridFunction, grid_from_field, kernel, mollify,
-                              to_spline_field, verify_bounds)
+from contfrob.mollify import (GridFunction, _uniform, grid_from_field,
+                              kernel, mollify, to_spline_field,
+                              verify_bounds)
 
 
 def _line_grid(n=801, lo=-1.0, hi=1.0, fn=np.abs):
@@ -325,6 +328,51 @@ def test_grid_values_against_axes_is_range_error():
     with pytest.raises(RangeError, match=r"shape \(4,\) do not match axes "
                                          r"of lengths \(5,\)"):
         GridFunction((xs,), np.zeros(4))
+
+
+_SPACINGS = st.sampled_from([0.0, 1e-10, 1e-8, 1e-3, 0.1, 1.0, 3.0, 1e6,
+                             -0.1, math.inf, -math.inf, math.nan])
+# offsets around the 1e-8 absolute and 1e-9 relative tolerance
+_JITTER = st.sampled_from([0.0, 5e-9, 1e-8, 1.0000001e-8, 2e-8, -1e-8,
+                           1e-9, 1e-3, math.inf, math.nan])
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.floats(-1e3, 1e3) | st.sampled_from([0.0, 1e300, -math.inf]),
+       _SPACINGS | st.floats(allow_nan=True, allow_infinity=True),
+       st.lists(_JITTER | st.floats(-1e-6, 1e-6), min_size=1, max_size=6),
+       st.floats(0.5, 2.0))
+def test_uniform_axes_are_allclose_ones(x0, h, jitter, scale):
+    # GridFunction accepts exactly the axes it accepted when the check was
+    # np.allclose(d, d[0], rtol=1e-9) (atol 1e-8) and d[0] > 0
+    with np.errstate(all="ignore"):
+        axis = x0 + h * np.arange(len(jitter)) + scale * np.array(jitter)
+        d = np.diff(axis)
+        want = bool(len(d) >= 1 and np.allclose(d, d[0], rtol=1e-9)
+                    and d[0] > 0.0)
+        try:
+            GridFunction((axis,), np.zeros(len(axis)))
+            got = True
+        except RangeError:
+            got = False
+    assert got == want
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from([1e-300, 1e-9, 0.1, 1.0, 3.0, 1e6, 0.0, -1.0,
+                        math.inf, -math.inf, math.nan])
+       | st.floats(allow_nan=True, allow_infinity=True),
+       st.lists(st.sampled_from([0.0, 0.5, 1.0, -1.0, 2.0, math.inf,
+                                 -math.inf, math.nan]), max_size=4),
+       st.sampled_from([1.0, 1.0 + 2.0 ** -52, 1.0 - 2.0 ** -53]))
+def test_uniform_spacings_are_allclose_ones(d0, factors, nudge):
+    # spacings at, just inside and just past the tolerance 1e-8 + 1e-9 |d0|
+    # of d0, and non-finite ones, through the same rule as the axes
+    with np.errstate(all="ignore"):
+        tol = nudge * (1e-8 + 1e-9 * abs(d0))
+        d = np.array([d0] + [d0 + f * tol for f in factors])
+        want = bool(np.allclose(d, d[0], rtol=1e-9) and d[0] > 0.0)
+        assert bool(d[0] > 0.0 and _uniform(d)) == want
 
 
 def test_verify_bounds_counts_moduli_per_axis():

@@ -907,7 +907,7 @@ def test_pushforward_bound_checks_the_endpoint_frame_alone(
 
     def unread(*args):
         raise AssertionError("dA evaluated")
-    monkeypatch.setattr(FrameSection, "d_matrices_at", unread)
+    monkeypatch.setattr(FrameSection, "matrices_at", unread)
     x0 = np.array([[0.1, 0.0, 0.0], [0.0, 0.2, 0.0]])
     Y0 = np.array([[0.0, 0.0, 1.0]] * 2)
     with pytest.raises(error, match=re.escape(
@@ -1047,8 +1047,7 @@ def test_tangency_bound_evaluates_frame_once(monkeypatch):
     patch = build_surface(dist, np.zeros(3), 0.1, 5,
                           FlowConfig(step=0.1 / 16))
     counted(geometry.FrameSection, "matrix_at")
-    counted(geometry.FrameSection, "d_matrices_at")
+    counted(geometry.FrameSection, "matrices_at")
     counted(surface, "evaluate_frames")
     tangency_defect(patch, dist, sup_res=5)
-    assert calls == {"matrix_at": 1, "d_matrices_at": 1,
-                     "evaluate_frames": 1}
+    assert calls == {"matrices_at": 1, "evaluate_frames": 1}
