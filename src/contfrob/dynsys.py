@@ -25,13 +25,16 @@ frames with one matrices_at on the stacked orbit points phi^k(p).  The
 matrix work is O(k_max^2) in arithmetic but O(k_max) in library calls:
 every E_k comes from one backward sweep over the chains with k > j,
 which takes one stacked.inverse of the jacobians and makes no LAPACK
-solve.  Its step j multiplies the live chains side
-by side by the inverse at phi^j(p), one stacked.product, and takes one
-QR of the stack, signed_qr's Gram-Schmidt closed form.  The forward
-chains Dphi^k E_k, Dphi^k F and Dphi^k Y advance together with one
-matmul per family and step, and each family's singular values are one
-call of stacked.py's closed forms: sigma_max of a d x 2 from its R, the
-norm of a d x 1 column (see there for their error bounds and the
+solve.  The sweep keeps its chains entry-major, (d, r, chain, point),
+and transposes three times in all: the seed Q (one QR per point for a
+constant E_0, broadcast to every chain), the inverses and the result.
+Its step j is one stacked.transport_step: the live chains side by side
+times the inverse at phi^j(p), by stacked.product's arithmetic, then
+their signed Q, signed_qr's Gram-Schmidt closed form, in place.  The
+forward chains Dphi^k E_k, Dphi^k F and Dphi^k Y advance together with
+one matmul per family and step, and each family's singular values are
+one call of stacked.py's closed forms: sigma_max of a d x 2 from its R,
+the norm of a d x 1 column (see there for their error bounds and the
 matrices LAPACK takes instead).  Every kernel acts elementwise over its
 stack, and a matrix LAPACK takes gets the bits of a call of its own, so
 the stacked sweep gives the per-k results bit for bit.
@@ -53,8 +56,8 @@ from .geometry import (FrameSection, asymptotic_involutivity_trace,
                        exterior_regularity_trace, frame_values,
                        max_principal_angle, scaled_exp)
 from .report import csv_text
-from .stacked import (congruence, inverse, product, sigma_max, signed_qr,
-                      singular_values)
+from .stacked import (congruence, inverse, sigma_max, signed_qr,
+                      singular_values, transport_step)
 
 __all__ = [
     "DiffeoSpec", "Cocycle", "PlaneFieldSamples", "SplittingReport",
@@ -155,8 +158,12 @@ class Cocycle:
         step j, from max(ks) - 1 down to 0, multiplies the chains with
         ks[i] > j, side by side, by the inverse of Dphi at phi^j(p), from
         one inverse of the jacobians of every step, and takes one QR
-        over them.  Every chain meets the products and QRs of a lone
-        transport in the same order, so each E_k equals it bit for bit.
+        over them, both in one stacked.transport_step on the chains kept
+        entry-major; the seed Q, the inverses and the result are each
+        transposed once, and a constant E_0 takes one QR per point,
+        broadcast to every chain.  Every chain meets the products and
+        QRs of a lone transport in the same order, so each E_k equals it
+        bit for bit.
         A chain that meets a singular Dphi or loses transversality
         raises ConeError; of several, the one with the smallest k, as a
         loop over k would find first.
@@ -164,22 +171,25 @@ class Cocycle:
         ks = self._steps(ks)
         if not ks or any(a >= b for a, b in zip(ks, ks[1:])):
             raise StepCountError(f"transport steps must increase, got {ks}")
-        B, bad = signed_qr(self._seeds(e0_bases, ks))
+        chains, bad = self._seed_chains(e0_bases, ks)
         # chains [lo, hi) are live: started (ks > j) and below any failure;
         # a chain with a degenerate seed stops there, as a lone one would
         hi = seed_hi = _first_bad_chain(bad) if bad.any() else len(ks)
         failure = None
         inv, singular = inverse(self.jacobians[:ks[-1]])
+        stuck = singular.any(axis=1)
+        # entry-major (d, d, step, 1, N), as transport_step takes them
+        inv = np.ascontiguousarray(inv.transpose(2, 3, 0, 1))[:, :, :, None]
         for j in range(ks[-1] - 1, -1, -1):
             lo = bisect_right(ks, j)
             if lo >= hi:
                 continue
-            if singular[j].any():
+            if stuck[j]:
                 failure = (lo, j, int(np.argmax(singular[j])),
                            "Singular matrix")
                 hi = lo
                 continue
-            B[lo:hi], bad = signed_qr(product(inv[j], B[lo:hi]))
+            bad = transport_step(inv[:, :, j], chains[:, :, lo:hi])
             if bad.any():
                 i = lo + _first_bad_chain(bad)
                 failure = (i, j, int(np.argmax(bad[i - lo])),
@@ -193,7 +203,7 @@ class Cocycle:
                             f"{point.tolist()})", point=point)
         if seed_hi < len(ks):
             raise DegenerateSubspaceError("rank-deficient subspace basis")
-        return B
+        return np.ascontiguousarray(chains.transpose(2, 3, 0, 1))
 
     def pullback_values(self, base: FrameSection, ks):
         """The pullback frames (phi^k)^* C_0 of the base frame C_0 for
@@ -222,15 +232,21 @@ class Cocycle:
                                      f"got {k}")
         return ks
 
-    def _seeds(self, e0_bases, ks):
-        """E_0 at phi^k(p) for each k of ks: (len(ks), N, d, r)."""
+    def _seed_chains(self, e0_bases, ks):
+        """The signed Q of E_0 at phi^k(p) for each k of ks, entry-major
+        (d, r, len(ks), N), and its rank mask (len(ks), N).  A constant
+        E_0 takes one QR per point, broadcast to every chain."""
         if callable(e0_bases):
             seeds = [np.asarray(e0_bases(self.orbit[k]), dtype=float)
                      for k in ks]
         else:
-            seeds = [np.asarray(e0_bases, dtype=float)] * len(ks)
+            seeds = [np.asarray(e0_bases, dtype=float)]
         shape = (len(self.points),) + seeds[0].shape[-2:]
-        return np.stack([np.broadcast_to(b, shape) for b in seeds])
+        Q, bad = signed_qr(np.stack([np.broadcast_to(b, shape)
+                                     for b in seeds]))
+        return (np.broadcast_to(Q.transpose(2, 3, 0, 1),
+                                Q.shape[2:] + (len(ks), shape[0])).copy(),
+                np.broadcast_to(bad, (len(ks), shape[0])))
 
 
 def _first_bad_chain(bad):

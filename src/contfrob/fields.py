@@ -471,6 +471,10 @@ def mul(*factors):
     return Mul(out)
 
 
+def _even_integer(c):
+    return math.isfinite(c) and c == round(c) and int(round(c)) % 2 == 0
+
+
 def pow_(base, exponent):
     base = _as_field(base)
     exponent = _as_field(exponent)
@@ -494,9 +498,7 @@ def pow_(base, exponent):
             c1, c2 = base.exponent.value, exponent.value
             # (b^c1)^c2 = b^(c1*c2) is wrong for even c1 with fractional c2
             # (it would drop the absolute value), so only fold safe cases
-            even_inner = (math.isfinite(c1) and c1 == round(c1)
-                          and int(round(c1)) % 2 == 0)
-            if not (even_inner and c2 != np.round(c2)):
+            if not (_even_integer(c1) and c2 != np.round(c2)):
                 return pow_(base.base, Const(c1 * c2))
     return Pow(base, exponent)
 
@@ -861,7 +863,7 @@ class _Source:
             self.emit(True, f"if _count(zero): {v} = _where(zero, 0.0, {v})",
                       f"if {' or '.join(zeros)}: {v} = 0.0")
         elif isinstance(f, Pow):
-            self.power(v, self.operand(f.base), self.operand(f.exponent))
+            self.power(v, f)
         else:  # Unary
             a = self.operand(f.arg)
             if f.fn.domain_error is not None:
@@ -895,14 +897,19 @@ class _Source:
         self.values.append(v)
         return v
 
-    def power(self, v, b, e):
-        """Pow.evaluate's two domain checks, then np.power."""
+    def power(self, v, f):
+        """Pow.evaluate's two domain checks, then np.power.  A base that is
+        a power with a constant even integer exponent is >= 0, inf or nan,
+        so it takes no sign check."""
+        b, e = self.operand(f.base), self.operand(f.exponent)
         kb, ke = self.known.get(b), self.known.get(e)
         b_known, e_known = b in self.known, e in self.known
+        even = (isinstance(f.base, Pow) and isinstance(f.base.exponent, Const)
+                and _even_integer(f.base.exponent.value))
         self.check([
             not bool(np.round(ke) == ke) if e_known
             else f"{e} != _round({e})",
-            bool(kb < 0.0) if b_known else f"{b} < 0.0",
+            not even and (bool(kb < 0.0) if b_known else f"{b} < 0.0"),
         ], "fractional power of a negative base")
         self.check([
             bool(kb == 0.0) if b_known else f"{b} == 0.0",

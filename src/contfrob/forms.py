@@ -207,11 +207,20 @@ def numeric_wedge_with_two_form(rows, two_form):
                 continue
             rest = [J[q] for q in range(k) if q not in (pa, pb)]
             sign = -1.0 if (pa + pb - 1) % 2 else 1.0
-            minor = np.linalg.det(rows[:, rest]) if n else 1.0
-            total += sign * minor * t
+            total += sign * _minor(rows[:, rest]) * t
         indices.append(J)
         coeffs.append(total)
     return indices, np.asarray(coeffs)
+
+
+def _minor(block):
+    """det of the (..., n, n) block: 1 for n = 0, and the entry itself
+    for n = 1, where np.linalg.det's sign * exp(log|a|) can miss it by
+    a few ulps."""
+    n = block.shape[-1]
+    if n == 0:
+        return 1.0
+    return block[..., 0, 0] if n == 1 else np.linalg.det(block)
 
 
 def numeric_wedge_norm(rows, two_form):
@@ -239,7 +248,7 @@ def stacked_wedge_norms(rows, two_forms):
         for pa, pb in combinations(range(k), 2):
             rest = [J[q] for q in range(k) if q not in (pa, pb)]
             sign = -1.0 if (pa + pb - 1) % 2 else 1.0
-            minor = np.linalg.det(rows[:, :, rest])[:, None] if n else 1.0
+            minor = _minor(rows[:, None, :, rest])
             t = T[:, :, J[pa], J[pb]]
             # adding an exact 0 where the reference skips a zero t
             total += np.where(t == 0.0, 0.0, sign * minor * t)

@@ -1,6 +1,7 @@
 """Kernels for stacks of tiny matrices: singular values, signed QR, the
-inverse, the 2 x 2 pencil sup, and the product A B and congruence
-L^T D_j R, each over a whole (..., m, n) stack.
+inverse, the 2 x 2 pencil sup, the product A B and congruence
+L^T D_j R, each over a whole (..., m, n) stack, and the fused step of a
+backward transport sweep.
 
 np.linalg's QR and SVD pay a fixed cost per matrix, which is most of the
 time on the stacks of 1 x 1, 3 x 1, 1 x 2, 2 x 2 and 3 x 2 matrices that
@@ -20,7 +21,10 @@ where it is finite and its largest |entry| (each column's, for d x 2 QR)
 lies in [2^-459, 2^459] or is 0: outside that range LAPACK's SVD
 rescales, which moves the last bit of some 1 x 1 results, and inside it
 the closed forms' squares and products neither overflow nor leave the
-normal range.  The other matrices of a stack, and each 2 x 2 whose
+normal range.  One scalar test takes a whole stack at once when the
+least and the largest of those maxima lie in the range; a nan or a 0
+fails it, and only then is the per-matrix mask built.  The other
+matrices of a stack, and each 2 x 2 whose
 sigma_min is asked for and whose determinant cancels, go to LAPACK in
 one call, which gives each the bits of a call of its own (a nan raises,
 as there).  Larger shapes take LAPACK whole.
@@ -43,6 +47,12 @@ congruence is T = D_j R, then L^T T: their bits depend on no BLAS kernel
 or einsum path.  Where no partial sum overflows, each entry of L^T D_j R
 is within (a + b + 1) u S + (a + b sum_c |L_cl|) 2^-1074 of the exact
 one, with u = 2^-53 and S = sum_{c,d} |L_cl| |D_jcd| |R_dr|.
+
+transport_step is one step of a backward transport sweep on chains kept
+entry-major, (d, r, chain, point): product's arithmetic by the step's
+inverse, then signed_qr's, whose Q goes straight back into the chains.
+A sweep of them transposes nothing per step, and gives each chain
+signed_qr(product(inv, chain)) bit for bit.
 """
 
 from __future__ import annotations
@@ -50,7 +60,7 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = ["singular_values", "sigma_max", "signed_qr", "inverse",
-           "product", "congruence", "pencil_sigma_max"]
+           "product", "congruence", "transport_step", "pencil_sigma_max"]
 
 # the closed forms' range and bounds (see above); LAPACK's SVD rescales
 # outside [sqrt(tiny) / eps, eps / sqrt(tiny)]
@@ -76,12 +86,16 @@ def _entry_major(stack):
 
 def _in_range(E, columns=False):
     """Mask (...,) of the matrices of the entry-major stack E that the
-    closed forms take: finite, with the largest |entry| in _UNSCALED or 0
-    (np.maximum keeps a nan).  With columns, the largest |entry| of each
-    column, as _gram_schmidt needs: a column of tiny entries beside a
-    large one has a squared norm below the normal range, which costs its
-    q and r bits."""
+    closed forms take, or np.True_ for all of them: finite, with the
+    largest |entry| in _UNSCALED or 0 (np.maximum keeps a nan).  With
+    columns, the largest |entry| of each column, as _gram_schmidt needs:
+    a column of tiny entries beside a large one has a squared norm below
+    the normal range, which costs its q and r bits."""
     big = np.maximum.reduce(np.abs(E)) if columns else _entry_max(np.abs(E))
+    # every matrix, when the least and largest maxima lie in range (a nan
+    # or a 0 fails this and takes the mask)
+    if big.size and _UNSCALED[0] <= big.min() and big.max() <= _UNSCALED[1]:
+        return np.True_
     ok = (big <= _UNSCALED[1]) & ((big >= _UNSCALED[0]) | (big == 0.0))
     return np.logical_and.reduce(ok) if columns else ok
 
@@ -115,18 +129,19 @@ def _normalized(v):
 def _gram_schmidt(E):
     """Thin QR of the entry-major stack E (d, c, ...), c <= 2, by
     Gram-Schmidt with one re-orthogonalisation pass: the columns of Q,
-    diag(R) >= 0 and R_12 (None for c = 1).  Q R = a within a few u |a|,
-    and Q^T Q = I within a few u where diag(R) is well away from 0."""
+    the entries of diag(R) >= 0 and R_12 (None for c = 1).  Q R = a
+    within a few u |a|, and Q^T Q = I within a few u where diag(R) is
+    well away from 0."""
     q, r11 = _normalized(E[:, 0])
     if E.shape[1] == 1:
-        return [q], r11[..., None], None
+        return [q], [r11], None
     v, r12 = E[:, 1], 0.0
     for _ in range(2):
         c = _dot(q, v)
         v = v - c * q
         r12 = r12 + c
     q2, r22 = _normalized(v)
-    return [q, q2], np.stack([r11, r22], -1), r12
+    return [q, q2], [r11, r22], r12
 
 
 def _lapack_signed_qr(bases):
@@ -136,13 +151,26 @@ def _lapack_signed_qr(bases):
             np.any(np.abs(diag) < _RANK_TOL, axis=-1))
 
 
-def _signed_gram_schmidt(E):
-    cols, diag, _ = _gram_schmidt(E)
-    Q = np.empty(E.shape[2:] + E.shape[:2])
-    for j, col in enumerate(cols):
-        for i, entry in enumerate(col):
-            Q[..., i, j] = entry
-    return Q, np.any(diag < _RANK_TOL, axis=-1)
+def _signed_qr_into(E, Q):
+    """signed_qr of the entry-major stack E (d, r, ...), r <= d, written
+    into the entry-major Q of E's shape; returns the rank mask (...,).
+    Where _in_range holds, and r <= 2, _gram_schmidt's columns go
+    straight into Q; the other matrices take LAPACK's signed Q from one
+    call."""
+    ok = _in_range(E, columns=True) if E.shape[1] <= 2 else np.False_
+    every, some = ok.all(), ok.any()
+    bad = np.empty(E.shape[2:], bool)
+    if some:
+        at = ... if every else ok
+        cols, diag, _ = _gram_schmidt(E[:, :, at])
+        for j, col in enumerate(cols):
+            Q[:, j, at] = col
+        bad[at] = np.logical_or.reduce([r < _RANK_TOL for r in diag])
+    if not every:
+        at = ~ok if some else ...
+        q, bad[at] = _lapack_signed_qr(_standard(E[:, :, at]))
+        Q[:, :, at] = _entry_major(q)
+    return bad
 
 
 def signed_qr(bases):
@@ -154,8 +182,17 @@ def signed_qr(bases):
     if bases.shape[-1] > 2 or bases.shape[-2] < bases.shape[-1]:
         return _lapack_signed_qr(bases)
     E = _entry_major(bases)
-    return _by_rows(_in_range(E, columns=True), bases, E,
-                    _signed_gram_schmidt, _lapack_signed_qr)
+    Q = np.empty(E.shape)
+    bad = _signed_qr_into(E, Q)
+    return np.ascontiguousarray(_standard(Q)), bad
+
+
+def transport_step(inv, chains):
+    """One step of a backward transport sweep, in place on entry-major
+    stacks: the chains (d, r, c, N) become the signed Q of inv @ chains,
+    for the inverses inv (d, d, 1, N), by product's and signed_qr's
+    arithmetic with no transpose.  Returns signed_qr's rank mask (c, N)."""
+    return _signed_qr_into(_product(inv, chains), chains)
 
 
 def _two_by_two(a, b, c, d, smallest):
@@ -191,8 +228,8 @@ def _closed_svals(E, smallest):
     if m == 2:
         (a, b), (c, d) = E
         return (_two_by_two(a, b, c, d, smallest),)
-    _, diag, r12 = _gram_schmidt(E)
-    return (_two_by_two(diag[..., 0], r12, 0.0, diag[..., 1], smallest),)
+    _, (r11, r22), r12 = _gram_schmidt(E)
+    return (_two_by_two(r11, r12, 0.0, r22, smallest),)
 
 
 def singular_values(stack, smallest=True):
@@ -289,12 +326,17 @@ def product(A, B):
     broadcast, each entry summed in index order over entry-major arrays:
     (A_i0 B_0s + A_i1 B_1s) + ..."""
     rank = max(A.ndim, B.ndim)
-    A, B = (_entry_major(X.reshape((1,) * (rank - X.ndim) + X.shape))
-            for X in (A, B))
+    return _standard(_product(*(
+        _entry_major(X.reshape((1,) * (rank - X.ndim) + X.shape))
+        for X in (A, B))))
+
+
+def _product(A, B):
+    """A B of the entry-major stacks A (m, k, ...) and B (k, n, ...)."""
     out = A[:, 0, None] * B[0]
     for k in range(1, len(B)):
         out += A[:, k, None] * B[k]
-    return _standard(out)
+    return out
 
 
 def congruence(L, D, R):

@@ -66,9 +66,10 @@ def test_torus_splitting_task_linalg_calls(linalg_calls):
     assert wl.run(ctx, inp, spans.NULL).problems == []
     assert linalg_calls["qr"] == linalg_calls["svd"] == 0
     assert linalg_calls["solve"] == linalg_calls["inv"] == 0
-    # the growth fit, the wedge determinants and norms of the traces
-    assert dict(linalg_calls) == {"lstsq": 1, "det": 3, "norm": 3}
-    assert sum(linalg_calls.values()) == 7
+    # the growth fit and the norms of the traces; the wedges' 1 x 1
+    # minors are their entries, with no determinant call
+    assert dict(linalg_calls) == {"lstsq": 1, "norm": 3}
+    assert sum(linalg_calls.values()) == 4
 
 
 def test_surface_frames_task_work_counts(monkeypatch, loop_calls):

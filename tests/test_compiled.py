@@ -216,6 +216,39 @@ def test_constant_exponents_inf_and_nan_compile():
     assert vals[0, 0] == math.inf and vals[3, 0] == 0.0
 
 
+@pytest.mark.parametrize("text, checked", [
+    ("(x^2)^0.3333333333333333", False),
+    ("(x^4)^0.5", False),
+    ("(x^2)^(x^3)", False),
+    ("(x^3)^0.5", True),  # folds to x^1.5
+    ("(x^3)^(x^2)", True),
+])
+def test_even_power_bases_take_no_sign_check(code_compiles, text, checked):
+    # b^2 and b^4 are >= 0, inf or nan, so a power of them generates no
+    # negative-base test, and still gives the tree walk's bits at -0.0,
+    # +-inf, nan and subnormals, on arrays and on floats; an odd power
+    # keeps its test and its text
+    f = parse_field(text)
+    edges = [-0.0, 0.0, -math.inf, math.inf, math.nan, 5e-324, -5e-324,
+             -2.5e-310, 2.5e-310, -1.5, 0.7]
+    for pts in [np.array(edges)[:, None]] + [np.array([p]) for p in edges]:
+        assert_matches([f], ("x",), pts)
+    run = compile_rk4_run([f], ("x",))
+    for x0 in edges:
+        if x0 == -math.inf:  # its first stage point is -inf + inf
+            continue
+        z = np.array([[x0]])
+        done, err, _ = run(z, 2, np.array([[1e-3]]), None)
+        want = _float_rk4([f], ("x",), [x0], 1e-3, 2)
+        assert (done, z[0].tobytes(), None if err is None else str(err)) \
+            == (want[0], np.array(want[1]).tobytes(), want[2])
+    message = "fractional power of a negative base"
+    assert any(message in src for src in code_compiles) == checked
+    if checked:
+        with pytest.raises(EvalDomainError, match=message):
+            eval_fields([f], ("x",), np.array([-1.5]))
+
+
 class _CountingSpline:
     """Stand-in spline evaluator that counts its calls: locate, poly,
     and ev (the reference walk's) as one of each."""

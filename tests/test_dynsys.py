@@ -20,7 +20,9 @@ from contfrob.presets import (cat_contracting_direction, cat_eigenvalues,
                               constant_annihilator_frame,
                               skew_center_stable_bases, skew_product,
                               skew_seed_bases)
-from contfrob.stacked import congruence, inverse, product, singular_values
+from contfrob import dynsys, stacked
+from contfrob.stacked import (congruence, inverse, product, signed_qr,
+                              singular_values, transport_step)
 
 LAM_MINUS, LAM_PLUS = cat_eigenvalues()
 
@@ -382,6 +384,22 @@ def test_cocycle_transport_equals_per_k_reference(name):
         cc.transports(e0, [3, 3])
 
 
+def test_constant_seed_takes_one_qr_per_point(monkeypatch):
+    # a constant E_0 is QR'd once, as one stack of N bases, and broadcast
+    # to every chain; a pointwise one once per chain and point
+    phi, e0, _, _, _, pts = dyn_case("skew-product")
+    shapes = []
+
+    def recorded(bases):
+        shapes.append(bases.shape)
+        return signed_qr(bases)
+    monkeypatch.setattr(dynsys, "signed_qr", recorded)
+    cc = Cocycle(phi, pts, 4)
+    for seed in (e0, pointwise_seed(e0)):
+        cc.transports(seed, range(1, 5))
+    assert shapes == [(1, len(pts), 3, 2), (4, len(pts), 3, 2)]
+
+
 def column_shift_map():
     """(x1 + 1/4, h(x1) x2) with h(x1) = 1 - cos(2 pi (x1 - 1/2)): Dphi is
     singular exactly where x1 = 1/2.  Only transport is run on it, which
@@ -446,6 +464,150 @@ def test_singular_step_raises_only_where_a_chain_reaches_it():
                               "matrix (depth k = 5, lattice point 2 at "
                               "[0.0, 0.3])")
     assert np.array_equal(err.value.point, pts[2])
+
+
+# ---------------------------------------------------------------------------
+# the fused transport step at the edges of its closed forms
+
+
+def scaled_shear_map():
+    """(x1 + 0.15, s (x2 + 0.3 x3), s x3 + 0.2 x2) with s = exp(370
+    cos(2 pi x1) - 330): Dphi^{-1} scales the (x2, x3) plane by about
+    1 / s, which runs from e^-40 to e^700, so at one step the products
+    of some points leave the closed forms' range [2^-459, 2^459] while
+    others stay in it, and where s > 1e12 a product falls below the
+    QR's rank threshold.  Only transport is run on it, which never reads
+    the inverse, so the spec repeats the forward fields."""
+    s = "exp(370*cos(6.283185307179586*x1) - 330)"
+    fwd = [parse_field("x1 + 0.15"), parse_field(f"{s}*(x2 + 0.3*x3)"),
+           parse_field(f"{s}*x3 + 0.2*x2")]
+    return DiffeoSpec(("x1", "x2", "x3"), fwd, fwd)
+
+
+SHEAR_POINTS = np.array([[0.05, 0.2, 0.7], [0.3, 0.6, 0.1],
+                         [0.55, 0.4, 0.4], [0.8, 0.9, 0.3],
+                         [0.62, 0.1, 0.9]])
+SHEAR_SEED = np.array([[1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]) / math.sqrt(2.0)
+
+
+def broken_seed(e0):
+    """e0 at every point, but with a nan in point 1's first row, and a
+    zero second column wherever x1 > 0.9."""
+    def bases(pts):
+        out = np.broadcast_to(e0, (len(pts),) + e0.shape).copy()
+        out[1, 0, 0] = math.nan
+        out[pts[:, 0] > 0.9, :, 1] = 0.0
+        return out
+    return bases
+
+
+def lone_outcome(phi, e0, k, pts):
+    """A lone transport to depth k from the orbit and jacobians redone,
+    one inverse, product and signed_qr per step: E_k as (shape, bytes),
+    or the type, text and point of the error it raises."""
+    orbit = phi.orbit(pts, k)
+    if callable(e0):
+        e0 = e0(orbit[k])
+    B, bad = signed_qr(np.broadcast_to(e0, (len(pts),) + e0.shape[-2:])
+                       .copy())
+    if bad.any():
+        return DegenerateSubspaceError, "rank-deficient subspace basis", None
+    for j in range(k - 1, -1, -1):
+        inv, bad = inverse(phi.jacobian(orbit[j]))
+        err = "Singular matrix"
+        if not bad.any():
+            B, bad = signed_qr(product(inv, B))
+            err = "rank-deficient subspace basis"
+        if bad.any():
+            row = int(np.argmax(bad))
+            return (ConeError, f"transversality lost at step {j}: {err} "
+                    f"(depth k = {k}, lattice point {row} at "
+                    f"{pts[row].tolist()})", pts[row].tobytes())
+    return B.shape, B.tobytes()
+
+
+def sweep_outcome(cc, e0, ks):
+    """cc.transports(e0, ks) as lone_outcome gives a stack of them."""
+    try:
+        out = cc.transports(e0, ks)
+    except ConeError as err:
+        return ConeError, str(err), err.point.tobytes()
+    except DegenerateSubspaceError as err:
+        return DegenerateSubspaceError, str(err), None
+    return out.shape, out.tobytes()
+
+
+@pytest.mark.parametrize("seed", ["constant", "pointwise", "broken"])
+def test_fused_sweep_equals_lone_transports_at_the_edges(seed):
+    phi, pts, e0 = scaled_shear_map(), SHEAR_POINTS, SHEAR_SEED
+    seed = {"constant": e0, "pointwise": pointwise_seed(e0),
+            "broken": broken_seed(e0)}[seed]
+    cc = Cocycle(phi, pts, 9)
+    lone = [lone_outcome(phi, seed, k, pts) for k in range(10)]
+    for ks in [[k] for k in range(10)] + [range(10), range(1, 4), [0, 3],
+                                          [0, 2, 3], [2, 5, 9], range(5, 10)]:
+        # a sweep gives the error of its shallowest failing depth, or
+        # every E_k bit for bit
+        errors = [lone[k] for k in ks if len(lone[k]) == 3]
+        want = errors[0] if errors else (
+            (len(ks),) + lone[ks[0]][0],
+            b"".join(lone[k][1] for k in ks))
+        assert sweep_outcome(cc, seed, ks) == want
+
+
+def test_fused_sweep_meets_every_edge():
+    # the cases above take LAPACK for some products of a step and the
+    # closed forms for others, pass nan rows on, fail on rank deficiency
+    # and on degenerate seeds, and still reach depths past those of some
+    # failures
+    phi, pts, e0 = scaled_shear_map(), SHEAR_POINTS, SHEAR_SEED
+    B = np.broadcast_to(e0, (len(pts), 3, 2))
+    ok = stacked._in_range(stacked._entry_major(product(
+        inverse(phi.jacobian(pts))[0], B)), columns=True)
+    assert ok.tolist() == [True, False, False, True, False]
+    kinds = [[o[0] if len(o) == 3 else "E" for o in
+              (lone_outcome(phi, s, k, pts) for k in range(10))]
+             for s in (e0, broken_seed(e0))]
+    assert kinds[0] == ["E"] * 4 + [ConeError] * 6
+    assert "E" in kinds[1][1:] and DegenerateSubspaceError in kinds[1]
+    stack = Cocycle(phi, pts, 3).transports(broken_seed(e0), [0, 3])
+    assert np.isnan(stack[:, 1]).all()
+    assert np.isfinite(np.delete(stack, 1, axis=1)).all()
+
+
+@pytest.mark.parametrize("case", ["inside", "mixed", "above", "below",
+                                  "three"])
+def test_transport_step_is_signed_qr_of_the_product(linalg_calls, case):
+    # the fused step writes signed_qr(product(inv, B))'s Q into the
+    # entry-major chains and returns its rank mask, bit for bit: on a
+    # stack the closed forms take whole, on one that mixes products past
+    # 2^459 and below 2^-459, zero columns, nan rows and a rank-deficient
+    # matrix, on ones LAPACK takes whole, and on d x 3 chains
+    rng = np.random.default_rng(7)
+    r = 3 if case == "three" else 2
+    inv, B = rng.normal(size=(6, 3, 3)), rng.normal(size=(4, 6, 3, r))
+    if case == "mixed":
+        inv[1] *= 2.0 ** 500
+        inv[2] *= 2.0 ** -500
+        B[1, 3] *= 2.0 ** 480
+        B[2, 4, :, 0] = 0.0
+        B[3, 5, 1] = math.nan
+        B[0, 0, :, 1] = B[0, 0, :, 0]
+    if case in ("above", "below"):
+        inv *= 2.0 ** (600 if case == "above" else -600)
+    linalg_calls.clear()
+    Q, bad = signed_qr(product(inv, B))
+    calls = dict(linalg_calls)
+    assert calls == ({} if case == "inside" else {"qr": 1})
+    chains = np.ascontiguousarray(B.transpose(2, 3, 0, 1))
+    linalg_calls.clear()
+    got = transport_step(np.ascontiguousarray(
+        inv.transpose(1, 2, 0))[:, :, None], chains)
+    assert dict(linalg_calls) == calls
+    assert (got.tobytes(), chains.transpose(2, 3, 0, 1).tobytes()) == \
+        (bad.tobytes(), np.ascontiguousarray(Q).tobytes())
+    if case == "mixed":  # a nan is not flagged
+        assert bad[0, 0] and bad[2, 4] and not bad[3, 5]
 
 
 def _restricted_norms(name, k_max, svals):
@@ -594,13 +756,13 @@ def test_pipeline_linalg_calls_grow_linearly(linalg_calls, name):
         # no solve: the inverses and QRs are stacked.py's kernels
         assert "solve" not in linalg_calls and "inv" not in linalg_calls
         rest.append(dict(linalg_calls))
-    # every other call (the wedge determinants, the growth fit, the
-    # norms) is made once per pipeline, whatever k_max.  The SVDs are
-    # kernels too, the cat map's 1 x 1 restrictions of the closed
-    # dC_0 = 0 among them: |0| = 0 is LAPACK's value
+    # every other call (the growth fit, the norms) is made once per
+    # pipeline, whatever k_max.  The SVDs are kernels too, the cat map's
+    # 1 x 1 restrictions of the closed dC_0 = 0 among them: |0| = 0 is
+    # LAPACK's value; the skew product's 1 x 1 wedge minors are their
+    # entries, with no determinant call
     assert rest[0] == rest[1] == rest[2]
-    assert rest[0] == {"lstsq": 1, "norm": 3,
-                       **({} if name == "cat-map" else {"det": 3})}
+    assert rest[0] == {"lstsq": 1, "norm": 3}
 
 
 @pytest.mark.parametrize("name", DYN_CASES)

@@ -179,8 +179,7 @@ LAPACK_CALLS = {
     "np.linalg.eigvals": [("stacked.py", "_root_real_parts")],
     "np.roots": [("stacked.py", "_root_real_parts")],
     "np.linalg.solve": [("mollify.py", "_cyclic_reduction")],
-    "np.linalg.det": [("forms.py", "numeric_wedge_with_two_form"),
-                      ("forms.py", "stacked_wedge_norms")],
+    "np.linalg.det": [("forms.py", "_minor")],
     "np.linalg.lstsq": [("dynsys.py", "_domination")],
     # not LAPACK, but censused alike: the one einsum reads a QR's
     # diagonal, and congruence sums in its own fixed order
