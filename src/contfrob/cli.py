@@ -31,11 +31,12 @@ from .errors import ContfrobError, EscapeError, ParseError
 from .fields import Add, Coord, Mul, expand, mul, parse_field
 from .forms import one_form
 from .geometry import FrameSection, frobenius_defect, max_principal_angle
-from .moduli import (fit_loglog_slope, limit_condition_check, osgood_check,
-                     parse_modulus)
+from .moduli import (FAILS, HOLDS, fit_loglog_slope, limit_condition_check,
+                     osgood_check, parse_modulus)
 from .mollify import grid_from_field, verify_bounds
 from .odelab import funnel, funnel_to_csv, theorem1_check
-from .pdelab import involutive_mollified_frames, special_solve, theorem2_check
+from .pdelab import (WEDGE_TOL, involutive_mollified_frames, special_solve,
+                     theorem2_check)
 from .surface import (FlowConfig, _check_eps1, build_surface, patch_to_csv,
                       tangency_defect)
 from .dynsys import (Cocycle, PlaneFieldSamples, domination_report,
@@ -256,7 +257,7 @@ def _run_mollify_verify(cfg, p):
              "fitted_K"], rows))
     ok = all(r.ok() for r in reports)
     print(f"mollify bounds hold={ok} fitted_K={reports[0].fitted_K:.6g}")
-    return "Holds" if ok else "Fails"
+    return HOLDS if ok else FAILS
 
 
 def _parse_one_form_text(text):
@@ -296,7 +297,7 @@ def _run_frobenius(cfg, p):
     _write(cfg, "frobenius.csv", csv_text([], coords + ("defect",), rows))
     print(f"frobenius defect: max={np.max(defect):.6g} "
           f"min={np.min(defect):.6g} points={len(pts)}")
-    return "Holds" if np.max(defect) <= 1e-10 else "Fails"
+    return HOLDS if np.max(defect) <= WEDGE_TOL else FAILS
 
 
 _ODE_EXAMPLES = {
@@ -374,7 +375,7 @@ def _run_pde_solve_special(cfg, p):
         [], sf.x_names + sf.y_names + ("max_residual",), rows))
     print(f"solved {len(targets)} targets, max residual "
           f"{result.max_residual:.3g}")
-    return "Holds" if result.max_residual <= 1e-6 else "Fails"
+    return HOLDS if result.max_residual <= 1e-6 else FAILS
 
 
 def _run_pde_frames(cfg, p):
@@ -385,7 +386,7 @@ def _run_pde_frames(cfg, p):
         [(float(fam.eps), float(fam.wedge_sup)) for fam in fams]))
     worst = max(f.wedge_sup for f in fams)
     print(f"{len(fams)} frames, wedge sup {worst:.3g}")
-    return "Holds" if worst <= 1e-10 else "Fails"
+    return HOLDS if worst <= WEDGE_TOL else FAILS
 
 
 _SURFACE_EXAMPLES = {
@@ -406,7 +407,7 @@ def _run_surface(cfg, p):
     _write(cfg, "surface.csv", patch_to_csv(patch, rep))
     print(f"surface nodes={patch.points.size // len(dist.coords)} "
           f"max_defect={rep.max_defect:.6g} rhs={rep.rhs:.6g} ok={rep.ok()}")
-    return "Holds" if rep.ok() else "Fails"
+    return HOLDS if rep.ok() else FAILS
 
 
 def _cat_map():
@@ -464,7 +465,7 @@ def _run_dyn_dominate(cfg, p):
     _write(cfg, "dyn_dominate.csv", splitting_report_to_csv(rep))
     print(f"dominated={rep.dominated} growth C={rep.growth_C:.4f} "
           f"D={rep.growth_D:.4f}")
-    return "Holds" if rep.dominated else "Fails"
+    return HOLDS if rep.dominated else FAILS
 
 
 def _run_dyn_traces(cfg, p):
@@ -481,7 +482,7 @@ def _run_dyn_traces(cfg, p):
         [], ["k", "q_asym", "strong_asym", "q_ext"], rows))
     decay = ext[-1].q <= ext[0].q / 10.0 and asym[-1].q <= asym[0].q / 10.0
     print(f"traces decay={decay} q_ext: {ext[0].q:.3g} -> {ext[-1].q:.3g}")
-    return "Holds" if decay else "Fails"
+    return HOLDS if decay else FAILS
 
 
 class _Kind(NamedTuple):

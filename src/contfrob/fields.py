@@ -587,6 +587,8 @@ def is_zero_field(f):
 # ---------------------------------------------------------------------------
 # compiled evaluation
 
+# LRUs by hand, not functools: a _COMPILED entry dies with its fields,
+# and each store reads _CACHE_SIZE, which a test may shrink at run time
 _CACHE_SIZE = 64
 _COMPILED = OrderedDict()  # key -> (function, finalizers), LRU first
 _CODE = OrderedDict()  # generated source -> its code object, LRU first

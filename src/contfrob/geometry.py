@@ -77,8 +77,6 @@ class Distribution(GraphForm):
     y_names: tuple
     coeffs: list  # coeffs[i][j]: coefficient of d/dy_j in X_i
     domain: Box
-    _annihilator: "FrameSection" = field(default=None, init=False,
-                                         repr=False, compare=False)
 
     def __post_init__(self):
         self.x_names = tuple(self.x_names)
@@ -115,6 +113,16 @@ class Distribution(GraphForm):
     def orthonormal_bases_at(self, points):
         return orthonormalize(self.spanning_matrix_at(points))
 
+    @cached_property
+    def _annihilator(self):
+        rows = []
+        for j, y in enumerate(self.y_names):
+            comps = {y: Const(1.0)}
+            for i, x in enumerate(self.x_names):
+                comps[x] = neg(self.coeffs[i][j])
+            rows.append(one_form(self.coords, comps))
+        return FrameSection(tuple(rows), self.coords, self.y_names)
+
 
 def orthonormalize(bases):
     """Per-point QR orthonormalization of (..., dim, r) basis stacks."""
@@ -143,8 +151,6 @@ class FrameSection:
     rows: tuple  # KForm degree 1
     coords: tuple
     y_names: tuple
-    _d_rows: tuple = field(default=None, init=False, repr=False,
-                           compare=False)
 
     def __post_init__(self):
         self.rows = tuple(self.rows)
@@ -168,10 +174,9 @@ class FrameSection:
     def y_indices(self):
         return tuple(self.coords.index(y) for y in self.y_names)
 
+    @cached_property
     def d_rows(self):
-        if self._d_rows is None:
-            self._d_rows = tuple(exterior_derivative(r) for r in self.rows)
-        return self._d_rows
+        return tuple(exterior_derivative(r) for r in self.rows)
 
     def matrix_at(self, points):
         """(N, n, dim) component matrices of the rows."""
@@ -199,7 +204,7 @@ class FrameSection:
     def _entries(self):
         """The fields of matrices_at, the rows' components and then each
         d(row)'s, and the (row, i, j) index of each d(row) component."""
-        comps = [(r, i, j, f) for r, dr in enumerate(self.d_rows())
+        comps = [(r, i, j, f) for r, dr in enumerate(self.d_rows)
                  for (i, j), f in dr.comps.items()]
         fields = [row.comps.get((i,), ZERO) for row in self.rows
                   for i in range(self.dim)] + [f for *_, f in comps]
@@ -215,15 +220,6 @@ def annihilator_frame(dist: Distribution) -> FrameSection:
     """Rows eta_j = dy_j - sum_i a_ij dx_i; kills X_i by cancellation.
     Built once per distribution, so a check that asks for it on every
     call reuses its fields, their compiled functions and its d_rows."""
-    if dist._annihilator is None:
-        rows = []
-        for j, y in enumerate(dist.y_names):
-            comps = {y: Const(1.0)}
-            for i, x in enumerate(dist.x_names):
-                comps[x] = neg(dist.coeffs[i][j])
-            rows.append(one_form(dist.coords, comps))
-        dist._annihilator = FrameSection(tuple(rows), dist.coords,
-                                         dist.y_names)
     return dist._annihilator
 
 
@@ -232,7 +228,7 @@ def frobenius_defect(frame, points):
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     base = wedge_all(list(frame.rows))
     out = np.zeros(len(pts))
-    for dr in frame.d_rows():
+    for dr in frame.d_rows:
         w = wedge(base, dr)
         out = np.maximum(out, w.norm_at(pts))
     return out

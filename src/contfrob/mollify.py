@@ -22,7 +22,8 @@ clips them and takes each point's cell coefficients, the block, and its
 offsets in the cell; poly(block, offsets, orders) runs Horner's rule for
 one partial.  ev(args, orders) is the two in a row, the reference that
 SplineLeaf.evaluate calls.  A 2-D fit writes each cell pass in place
-and reuses the slope operator of knots it has seen.
+and reuses the read-only slope operators of its last four knot vectors
+(one functools.lru_cache, keyed on their bytes).
 
 `verify_bounds` measures |f^eps - f| and |d f^eps / dx_j| against the
 scaled integrals (1/eps^d) int_0^eps s^{d-1} w(s) ds  and
@@ -34,8 +35,8 @@ inequality hold across the sweep.
 from __future__ import annotations
 
 import math
-from collections import OrderedDict
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -416,7 +417,7 @@ class _SplineEvaluator:
             # both; the cubics along y of the values and the x-slopes,
             # then along x of their coefficients, give the bicubics
             x1 = self.axes[1]
-            k0, k1 = _slope_operator(x0), _slope_operator(x1)
+            k0, k1 = (_slope_operator(x.tobytes()) for x in (x0, x1))
             y = np.empty((2,) + v.shape)  # values, x-slopes
             s = np.empty((2,) + v.shape)  # y-slopes, cross slopes
             y[0] = v
@@ -471,25 +472,16 @@ class _SplineEvaluator:
         return self.poly(*self.locate(args), orders)
 
 
-_OPERATORS = OrderedDict()  # knots' bytes -> slope operator, LRU first
-_OPERATORS_SIZE = 4
-
-
-def _slope_operator(x):
+@lru_cache(maxsize=4)
+def _slope_operator(knots):
     """The (n, n - 1) matrix taking secant slopes to knot slopes on the
-    knots x, _slopes of the identity.  It depends on the knots alone, so
-    the last _OPERATORS_SIZE knot vectors keep theirs, read-only, each
-    the size of one n x n sample grid: a fit over a grid seen before
-    solves nothing."""
-    key = x.tobytes()
-    k = _OPERATORS.get(key)
-    if k is None:
-        k = _OPERATORS[key] = _slopes(x, np.eye(len(x) - 1))
-        k.flags.writeable = False
-        while len(_OPERATORS) > _OPERATORS_SIZE:
-            _OPERATORS.popitem(last=False)
-    else:
-        _OPERATORS.move_to_end(key)
+    knots whose float64 bytes are knots, _slopes of the identity.  It
+    depends on the knots alone, so the last 4 knot vectors keep theirs,
+    read-only, each the size of one n x n sample grid: a fit over a grid
+    seen before solves nothing."""
+    x = np.frombuffer(knots)
+    k = _slopes(x, np.eye(len(x) - 1))
+    k.flags.writeable = False
     return k
 
 

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -31,7 +32,7 @@ from .boxes import Box, GraphForm
 from .errors import RangeError
 from .fields import ONE, ZERO, Coord, add, eval_fields
 from .moduli import (NONZERO_THRESHOLD, CriterionReport, ModuliDecl, Modulus,
-                     declared_limit_check)
+                     declared_limit_check, fit_loglog_slope)
 from .report import cells, csv_text
 from .surface import FlowConfig, _integrate
 
@@ -50,8 +51,6 @@ class OdeSpec(GraphForm):
     F: list          # n fields over (t, y_1..y_n)
     domain: Box      # over (t,) + y_names
     moduli: ModuliDecl = None
-    _funnel_fields: list = field(default=None, init=False, repr=False,
-                                 compare=False)
 
     def __post_init__(self):
         self.y_names = tuple(self.y_names)
@@ -63,6 +62,12 @@ class OdeSpec(GraphForm):
     @property
     def x_names(self):
         return (self.t_name,)
+
+    @cached_property
+    def _funnel_fields(self):
+        """(1, F + off, 0): the funnel's fields, compiled once per spec."""
+        off = Coord(_OFFSET)
+        return [ONE] + [add(f, off) for f in self.F] + [ZERO]
 
 
 def extend(spec: OdeSpec):
@@ -157,15 +162,12 @@ def funnel(spec: OdeSpec, xi0, T, delta_list, ensemble=8,
         starts += [xi0, xi0]
         offsets += [delta, -delta]
     states = np.column_stack([np.asarray(starts), offsets])
-    if spec._funnel_fields is None:  # once per spec: one compiled function
-        off = Coord(_OFFSET)
-        spec._funnel_fields = [ONE] + [add(f, off) for f in spec.F] + [ZERO]
-    fields = spec._funnel_fields
     dom = spec.domain
     box = Box(dom.names + (_OFFSET,), dom.lows + (-math.inf,),
               dom.highs + (math.inf,))
     inside = dom.contains(states[:, :-1], tol=1e-12)
-    run = _integrate(fields, box.names, states[inside], T, cfg.step, box)
+    run = _integrate(spec._funnel_fields, box.names, states[inside], T,
+                     cfg.step, box)
     done = np.zeros(len(states), dtype=bool)
     done[inside] = np.isnan(run.exit_time)
     ends = np.zeros_like(states)
@@ -195,14 +197,11 @@ def funnel(spec: OdeSpec, xi0, T, delta_list, ensemble=8,
 def _classify_dispersion(deltas, dispersions):
     """UniqueLike when dispersion ~ delta (exponent >= 0.9); funnel when it
     plateaus above 1e3 times the smallest probe."""
-    d = np.asarray(deltas)
     v = np.asarray(dispersions)
-    good = v > 0.0
-    if np.count_nonzero(good) < 2:
-        return "Inconclusive", math.nan
-    p = float(np.polyfit(np.log(d[good]), np.log(v[good]), 1)[0])
-    plateau_floor = 1.0e3 * d[-1]
-    if np.all(v[good] >= plateau_floor) and p < 0.5:
+    p = fit_loglog_slope(np.column_stack([deltas, v]))
+    if math.isnan(p):
+        return "Inconclusive", p
+    if np.all(v[v > 0.0] >= 1.0e3 * deltas[-1]) and p < 0.5:
         return "FunnelDetected", p
     if p >= 0.9:
         return "UniqueLike", p

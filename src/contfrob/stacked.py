@@ -59,6 +59,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import RangeError
+
 __all__ = ["singular_values", "sigma_max", "signed_qr", "inverse",
            "product", "congruence", "transport_step", "pencil_sigma_max"]
 
@@ -146,7 +148,7 @@ def _gram_schmidt(E):
 
 def _lapack_signed_qr(bases):
     q, r = np.linalg.qr(bases)
-    diag = np.einsum("...ii->...i", r)
+    diag = np.diagonal(r, axis1=-2, axis2=-1)
     return (q * np.sign(diag)[..., None, :],
             np.any(np.abs(diag) < _RANK_TOL, axis=-1))
 
@@ -178,8 +180,12 @@ def signed_qr(bases):
     the rank-deficient bases (some |R_ii| < 1e-12).  d x 1 and d x 2
     bases take _gram_schmidt where _in_range holds, and LAPACK's QR
     elsewhere; a zero or degenerate column sets the mask, and Q is then
-    unspecified there."""
-    if bases.shape[-1] > 2 or bases.shape[-2] < bases.shape[-1]:
+    unspecified there.  Bases with more columns than rows are a
+    RangeError."""
+    if bases.shape[-2] < bases.shape[-1]:
+        raise RangeError(f"signed_qr needs bases (..., d, r) with r <= d, "
+                         f"got shape {bases.shape}")
+    if bases.shape[-1] > 2:
         return _lapack_signed_qr(bases)
     E = _entry_major(bases)
     Q = np.empty(E.shape)

@@ -93,7 +93,7 @@ def _preset_lists():
                 ([[r.comps.get((i,), ZERO) for i in range(frame.dim)]
                   for r in frame.rows], dist.coords, dist.domain)]
         out += [(list(dr.comps.values()), dist.coords, dist.domain)
-                for dr in frame.d_rows() if dr.comps]
+                for dr in frame.d_rows if dr.comps]
     for phi in (presets.cat_map(), presets.skew_product()):
         box = Box(phi.coords, (0.0,) * phi.dim, (1.0,) * phi.dim)
         out += [(phi.forward, phi.coords, box), (phi.inverse, phi.coords, box)]

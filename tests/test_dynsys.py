@@ -843,3 +843,40 @@ def test_diffeo_spec_mismatch_is_range_error():
     with pytest.raises(RangeError, match="one forward and one inverse field "
                        "per coordinate"):
         DiffeoSpec(("x", "y"), [x, x], [x])
+
+
+def test_seed_with_more_columns_than_rows_is_range_error():
+    # LAPACK's R of a 2 x 3 seed has no square diagonal to read
+    pts = torus_lattice(2, res=3)
+    with pytest.raises(RangeError, match=r"signed_qr needs bases \(\.\.\., d, "
+                       r"r\) with r <= d, got shape \(1, 9, 2, 3\)"):
+        transport(cat_map(), np.ones((2, 3)), 3, pts)
+    with pytest.raises(RangeError, match=r"got shape \(4, 2, 3\)"):
+        signed_qr(np.ones((4, 2, 3)))
+
+
+def test_seed_with_other_than_d_rows_is_range_error():
+    pts = torus_lattice(2, res=3)
+    with pytest.raises(RangeError, match=r"e0_bases must have d = 2 rows, "
+                                         r"got shape \(3, 1\)"):
+        transport(cat_map(), np.ones((3, 1)), 2, pts)
+    with pytest.raises(RangeError, match=r"got shape \(9, 3, 1\)"):
+        transport(cat_map(), lambda p: np.ones((len(p), 3, 1)), 2, pts)
+
+
+def test_complement_for_another_lattice_is_range_error():
+    pts = torus_lattice(2, res=3)
+    e_s = cat_contracting_direction()[:, None]
+    e_u = cat_expanding_direction()[:, None]
+    two = PlaneFieldSamples(pts[:2], np.stack([e_u, e_u]))
+    with pytest.raises(RangeError, match=r"f_samples must be d = 2 row bases, "
+                       r"one for all 9 lattice points or one for each, got "
+                       r"shape \(2, 2, 1\)"):
+        domination_report(cat_map(), e_s, two, 3, pts)
+    with pytest.raises(RangeError, match=r"got shape \(3, 1\)"):
+        domination_report(cat_map(), e_s, np.ones((3, 1)), 3, pts)
+    # a constant complement and one per point are taken alike
+    one = domination_report(cat_map(), e_s, e_u, 3, pts)
+    each = domination_report(cat_map(), e_s, PlaneFieldSamples(
+        pts, np.broadcast_to(e_u, (9, 2, 1))), 3, pts)
+    assert splitting_report_to_csv(one) == splitting_report_to_csv(each)

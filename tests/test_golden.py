@@ -42,9 +42,14 @@ the angles above 1e-3 moved by at most 1e-13 relative.
 """
 
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import contfrob
 from contfrob.cli import ExperimentConfig, main
 
 GOLDEN = [
@@ -93,6 +98,28 @@ def test_cli_report_digest(tmp_path, args, name, digest):
     assert main(args + ["--out", str(tmp_path)]) == 0
     data = (tmp_path / name).read_bytes()
     assert hashlib.sha256(data).hexdigest() == digest
+
+
+def test_reports_do_not_depend_on_blas_threads(tmp_path):
+    # every GOLDEN command, all in one fresh process per OpenBLAS thread
+    # count: the reports are the same bytes, and the golden ones
+    reports = {}
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (
+            str(Path(contfrob.__file__).parent.parent),
+            env.get("PYTHONPATH"))))
+        subprocess.run([sys.executable, "-c", f"""
+from contfrob.cli import main
+for i, args in enumerate({[args for args, _, _ in GOLDEN]!r}):
+    assert main(args + ["--out", {str(out)!r} + "/" + str(i)]) == 0
+"""], env=env, check=True, capture_output=True)
+        reports[threads] = [(out / str(i) / name).read_bytes()
+                            for i, (_, name, _) in enumerate(GOLDEN)]
+    assert reports["2"] == reports["1"]
+    assert [hashlib.sha256(data).hexdigest() for data in reports["1"]] == \
+        [digest for *_, digest in GOLDEN]
 
 
 def test_config_file_report_digest(tmp_path):

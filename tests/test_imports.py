@@ -13,7 +13,8 @@ keeps the library off the reference tree walk: only fields.py calls
 `SplineLeaf.evaluate` calls a spline's `ev` (generated code calls its
 `locate` and `poly`), every LAPACK call site is in one census (SVD, QR,
 the inverse and the eigenvalues only in stacked.py's kernels, no solve
-in dynsys), as is every np.einsum (only a QR's diagonal), and no
+in dynsys), every matrix product is in another, with the reason it is
+not stacked.product (the library makes no np.einsum call), and no
 library module imports a private name of stacked.py; and it keeps the
 PDE certificates off the ODE module: pdelab does not import odelab,
 and ModuliDecl lives in moduli.py.  Every exported name is used, not
@@ -122,18 +123,23 @@ def test_only_surface_compiles_rk4_runs():
     assert [name for name, lines in calls.items() if lines] == ["surface.py"]
 
 
-def _calls(tree, scope=()):
-    """(callee, scope) of each call in tree: the callee as written, as
-    np.linalg.svd, and the dotted class and function scope of the call,
-    outermost first."""
+def _scoped(tree, scope=()):
+    """(node, scope) of each node in tree: the dotted class and function
+    scope of the node, outermost first."""
     for node in ast.iter_child_nodes(tree):
-        if isinstance(node, ast.Call):
-            yield ast.unparse(node.func), ".".join(scope)
+        yield node, ".".join(scope)
         inner = scope
         if isinstance(node, (ast.ClassDef, ast.FunctionDef,
                              ast.AsyncFunctionDef)):
             inner = scope + (node.name,)
-        yield from _calls(node, inner)
+        yield from _scoped(node, inner)
+
+
+def _calls(tree):
+    """(callee, scope) of each call in tree, the callee as written, as
+    np.linalg.svd."""
+    return [(ast.unparse(node.func), scope) for node, scope in _scoped(tree)
+            if isinstance(node, ast.Call)]
 
 
 def _scopes_calling(tree, name):
@@ -181,9 +187,6 @@ LAPACK_CALLS = {
     "np.linalg.solve": [("mollify.py", "_cyclic_reduction")],
     "np.linalg.det": [("forms.py", "_minor")],
     "np.linalg.lstsq": [("dynsys.py", "_domination")],
-    # not LAPACK, but censused alike: the one einsum reads a QR's
-    # diagonal, and congruence sums in its own fixed order
-    "np.einsum": [("stacked.py", "_lapack_signed_qr")],
 }
 
 
@@ -193,7 +196,7 @@ def test_lapack_svd_and_qr_are_only_fallbacks():
     calls = {}
     for p in MODULES:
         for callee, scope in _calls(_tree(p.name)):
-            if re.fullmatch(r"np\.roots|np\.einsum|np\.linalg\.\w+", callee) \
+            if re.fullmatch(r"np\.roots|np\.linalg\.\w+", callee) \
                     and callee != "np.linalg.norm":
                 calls.setdefault(callee, []).append((p.name, scope))
     assert calls == LAPACK_CALLS
@@ -202,6 +205,48 @@ def test_lapack_svd_and_qr_are_only_fallbacks():
                if isinstance(node, (ast.Import, ast.ImportFrom))
                and re.search("linalg|roots|einsum", ast.unparse(node))]
     assert aliases == []
+
+
+# every matrix product of the library, by (module, scope): (how many, why
+# it is not stacked.product's sum in index order).  Each reason is a
+# measurement of routing that site through product or an ordered sum
+_MOVES_BYTES = ("ordered sums here moved dyn_transport.csv's angles (by "
+                "up to 1.1e-10 relative, at 4e-8 rad), dyn_traces.csv's "
+                "q_ext (by up to 2.5e-11), a pinned trace and the "
+                "torus-splitting digests, and read torus-splitting about "
+                "4 % slower")
+_MOVES_NOTHING = "an ordered sum moved no byte; one BLAS call is less code"
+PRODUCTS = {
+    ("dynsys.py", "Cocycle.products"): (1, _MOVES_BYTES),
+    ("dynsys.py", "Cocycle.pullback_values"): (1, _MOVES_BYTES),
+    ("dynsys.py", "_domination"): (3, _MOVES_BYTES),
+    ("geometry.py", "max_principal_angle"): (2, _MOVES_BYTES),
+    ("geometry.py", "exterior_regularity_trace"): (1, _MOVES_BYTES),
+    ("moduli.py", "_rule"): (1, _MOVES_NOTHING),
+    ("surface.py", "pushforward_bound_check"): (1, _MOVES_NOTHING),
+    ("forms.py", "stacked_wedge_norms"): (
+        1, "a row times a column is np.linalg.norm's dot product of a "
+           "vector; a sum over the last axis rounds differently"),
+    ("mollify.py", "_convolve"): (
+        2, "offsets times strides in integers, exact in any order"),
+    ("mollify.py", "_SplineEvaluator.__init__"): (
+        3, "three _slopes solves take about 0.7 ms per 82 x 82 grid, the "
+           "products with the cached operators about 0.14 ms (one thread "
+           "of a 2-CPU Xeon); their bits follow the BLAS thread count"),
+}
+
+
+def test_every_matrix_product_is_censused():
+    # each @ or @=, and each call of a numpy product function
+    sites = {}
+    for p in MODULES:
+        for node, scope in _scoped(_tree(p.name)):
+            if isinstance(getattr(node, "op", None), ast.MatMult) or \
+                    isinstance(node, ast.Call) and ast.unparse(node.func) in (
+                        "np.matmul", "np.dot", "np.inner", "np.einsum",
+                        "np.tensordot"):
+                sites[p.name, scope] = sites.get((p.name, scope), 0) + 1
+    assert sites == {site: n for site, (n, _) in PRODUCTS.items()}
 
 
 def test_bounds_and_traces_weigh_only_by_scaled_exp():
