@@ -661,27 +661,26 @@ def compile_rk4_run(fields, coords, variational=False):
 
     Both loops are generated from one statement list, that of
     compile_fields for the fields (and, with variational, their partials
-    along coords), and run dispatches on n:
+    along coords), and write one velocity list: the varying field
+    columns and, with variational, row i of J.Y as the one text
+    J_i0 * y0 + J_i1 * y1 + ..., each row summed in column order (a
+    matmul's bits would depend on the BLAS kernel).  run dispatches on n:
 
     * rows, for n > 1, steps arrays.  Each call allocates its scratch
-      once: the stage velocities k1..k4 (n, width), with variational the
-      Jacobian J (n, d, d) and the product T (n, d, d), the constant
-      columns and entries filled once; one stage-point and one sum
-      scratch; h, half = 0.5*h and sixth = h/6.0 broadcast to the
-      state's width; and with bounds, lo and hi broadcast to (n, d) and
-      the mask of the box test.  The four stages are written inline:
-      each reads its point's columns, runs the statements, and writes
-      the velocity columns.  The carried part is T = J*Y[:, None, :],
-      then (T[..., 0] + T[..., 1]) + T[..., 2] ..., d ufunc calls, so
-      each row of J.Y sums in column order; a matmul's bits would depend
-      on the BLAS kernel.  The stage points are z + half*k1, z + half*k2
-      and z + h*k3 and the new state is z + sixth*(((k1 + 2.0*k2) +
-      2.0*k3) + k4), each operation a ufunc with out=, in that order,
-      the operations of an RK4 step on x and on Y taken separately,
-      element for element, so every bit is theirs.  No constant is folded
-      in that arithmetic: x + h*0.0 is not x when x is -0.0, and 0.0*Y is
-      not 0 when Y is inf.  It stays outside np.errstate, as Add
-      statements do, so its warnings still fire.
+      once: the stage velocities k1..k4 (n, width), their constant
+      columns filled once; one stage-point and one sum scratch; h,
+      half = 0.5*h and sixth = h/6.0 broadcast to the state's width; and
+      with bounds, lo and hi broadcast to (n, d) and the mask of the box
+      test.  The four stages are written inline: each reads its point's
+      columns, runs the statements, and writes the velocity columns.
+      The stage points are z + half*k1, z + half*k2 and z + h*k3 and the
+      new state is z + sixth*(((k1 + 2.0*k2) + 2.0*k3) + k4), each
+      operation a ufunc with out=, in that order, the operations of an
+      RK4 step on x and on Y taken separately, element for element, so
+      every bit is theirs.  No constant is folded in that arithmetic:
+      x + h*0.0 is not x when x is -0.0, and 0.0*Y is not 0 when Y is
+      inf.  It stays outside np.errstate, as Add statements do, so its
+      warnings still fire.
     * one, for n = 1, steps the row as Python floats: the same operations
       in the same order, +, - and * on floats with Mul's guard (0.0 where
       a factor == 0.0), and Pow, Unary and spline statements calling the
@@ -993,13 +992,24 @@ class _Source:
             return rows(z, steps, step, bounds)
         return run
 
+    def velocities(self, cols, ys):
+        """(column, source text) of every velocity a stage writes: the
+        varying field operands, then, when Y is carried, row i of J.Y as
+        J_i0 * y0 + J_i1 * y1 + ..., summed in column order over the texts
+        ys of Y's columns, with no constant folded (0.0 * inf is nan)."""
+        d = len(self.coords)
+        out = [(j, op) for j, op in enumerate(cols[0]) if op not in self.known]
+        if len(cols) == 2:
+            out += [(d + i, " + ".join(f"{cols[1][i * d + j]} * {ys[j]}"
+                                       for j in range(d))) for i in range(d)]
+        return out
+
     def rows_loop(self, cols):
         """The loop on arrays: its scratch allocated once per call, then
         the statements once per stage, over z in stage 1 and the stage
         point za after it.  Every view the loop reads or writes is taken
         once per call."""
         d = len(self.coords)
-        variational = len(cols) == 2
         width = d * len(cols)
         velocity = self.constants(cols[0], d)
         lines = ["def rows(z, steps, step, bounds):", "    n = len(z)"]
@@ -1007,13 +1017,6 @@ class _Source:
             lines.append(f"    {k} = _empty((n, {width}))")
             if velocity is not None:
                 lines.append(f"    {k}[:, :{d}] = {velocity}")
-        if variational:
-            lines.append(f"    J = _empty((n, {d}, {d}))")
-            jac = self.constants(cols[1], (d, d))
-            if jac is not None:
-                lines.append(f"    J[:] = {jac}")
-            if d > 1:
-                lines.append(f"    T = _empty((n, {d}, {d}))")
         lines += [f"    za = _empty((n, {width}))",
                   f"    acc = _empty((n, {width}))",
                   f"    h = _empty((n, {width}))",
@@ -1041,24 +1044,9 @@ class _Source:
             body += [f"{name} = {view(f'{src}[:, {i}]')}"
                      for i, name in sorted(self.loads.items())]
             body += stage
-            body += [f"{view(f'{k}[:, {j}]')}[...] = {op}"
-                     for j, op in enumerate(cols[0]) if op not in self.known]
-            if not variational:
-                continue
-            body += [f"{view(f'J[:, {j // d}, {j % d}]')}[...] = {op}"
-                     for j, op in enumerate(cols[1]) if op not in self.known]
-            # J.Y as T = J*Y then (T[.., 0] + T[.., 1]) + ..., in order
-            carried = view(f"{k}[:, {d}:]")
-            ys = view(f"{src}[:, None, {d}:]")
-            if d == 1:
-                body.append(f"_multiply(J, {ys}, out="
-                            f"{view(f'{k}[:, {d}:, None]')})")
-                continue
-            terms = [view(f"T[:, :, {j}]") for j in range(d)]
-            body.append(f"_multiply(J, {ys}, out=T)")
-            body.append(f"_add({terms[0]}, {terms[1]}, out={carried})")
-            body += [f"_add({carried}, {t}, out={carried})"
-                     for t in terms[2:]]
+            ys = [view(f"{src}[:, {i}]") for i in range(d, width)]
+            body += [f"{view(f'{k}[:, {j}]')}[...] = {text}"
+                     for j, text in self.velocities(cols, ys)]
         lines += [f"    {name} = {text}" for text, name in views.items()]
         lines += ["    for k in range(steps):", "        try:"]
         lines += ["            " + line for line in body]
@@ -1111,12 +1099,8 @@ class _Source:
             body += [f"{name} = {point[i]}"
                      for i, name in sorted(self.loads.items())]
             body += stage
-            body += [f"k{s}_{j} = {op}" for j, op in enumerate(cols[0])
-                     if op not in self.known]
-            if len(cols) == 2:  # J.Y, each row summed in column order
-                body += [f"k{s}_{d + i} = " + " + ".join(
-                    f"{cols[1][i * d + j]} * {point[d + j]}"
-                    for j in range(d)) for i in range(d)]
+            body += [f"k{s}_{j} = {text}"
+                     for j, text in self.velocities(cols, point[d:])]
             parts = (point[:d] if scale is not None else []) + self.values
             if parts:
                 body += _chain(f"c{s}", "+", parts)

@@ -406,13 +406,21 @@ def involutivity_constant(frame, dist_or_bases, points, *, n_dirs=None,
     the cfbench workloads still pass them.
     """
     v = evaluate_frames([frame], points)
-    return _mixing_sups(v, _as_bases(dist_or_bases, v.points))[0]
+    bases = _as_bases(dist_or_bases, v.points, "dist_or_bases")
+    return _mixing_sups(v, bases)[0]
 
 
-def _as_bases(dist_or_bases, points):
+def _as_bases(dist_or_bases, points, name):
+    """The bases of a distribution at points, or given bases (N, D, r),
+    one per point, with 1 <= r <= D for points of width D; name is the
+    argument's, for the RangeError.  Orthonormality is not checked."""
     if isinstance(dist_or_bases, Distribution):
         return dist_or_bases.orthonormal_bases_at(points)
     b = np.asarray(dist_or_bases, dtype=float)
+    width = points.shape[-1]
+    if b.ndim != 3 or b.shape[1] != width or not 1 <= b.shape[2] <= width:
+        raise RangeError(f"{name} must be bases of shape (N, {width}, r) "
+                         f"with 1 <= r <= {width}, got {b.shape}")
     if b.shape[0] != len(points):
         raise RangeError(f"bases for {b.shape[0]} points given on a lattice "
                          f"of {len(points)} points")
@@ -472,7 +480,7 @@ def asymptotic_involutivity_trace(frames, dists, eps, points):
         return []
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     values = _frame_values(frames, pts)
-    bases = np.concatenate([_as_bases(d, pts) for d in dists])
+    bases = np.concatenate([_as_bases(d, pts, "dists") for d in dists])
     wedge_sups = _segment_max(stacked_wedge_norms(values.A, values.dA),
                               values.frames).tolist()
     out = []
@@ -501,7 +509,7 @@ def exterior_regularity_trace(frames, limit, eps, points, *, n_dirs=None,
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     values = _frame_values(frames, pts)
     K, N = values.frames, len(pts)
-    bases = _as_bases(limit, pts)
+    bases = _as_bases(limit, pts, "limit")
     A = values.A.reshape((K, N) + values.A.shape[1:])
     restr = _segment_max(sigma_max(A @ bases), K).tolist()
     inv_norm = _segment_max(values.inv_norms, K).tolist()

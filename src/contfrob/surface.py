@@ -24,16 +24,16 @@ lattice node (flow index, grid index) being filled.  The steps run in
 stretches: a stretch ends where a row has taken its steps or stops, and
 each is one call of the run from fields.compile_rk4_run, cached on the
 field objects.  The run holds two loops generated from one statement
-list and takes one by the stretch's row count.  A batch steps one array
-state z = [x | Y] in place, its scratch allocated once per call, the
-field statements (and, with a carried vector, the Jacobian J and the
-product J.Y, each row summed in column order, (J_i0 Y_0 + J_i1 Y_1) +
-J_i2 Y_2) inline in the four stages.  A single row, such as each
-pushforward check, steps as Python floats through the same operations
-in the same order, so it has the batch's bits without numpy's cost per
-call; from its first step that raises, or that makes a value that is
-not finite, the row steps on arrays, which own every edge: error texts,
-warnings and the bits of inf and nan.  Either loop returns before the
+list and takes one by the stretch's row count; both write one velocity
+list, with a carried vector each row of J.Y as one expression summed in
+column order, (J_i0 * Y_0 + J_i1 * Y_1) + J_i2 * Y_2.  A batch steps
+one array state z = [x | Y] in place, its scratch allocated once per
+call, the field statements inline in the four stages.  A single row,
+such as each pushforward check, steps as Python floats through the same
+operations in the same order, so it has the batch's bits without
+numpy's cost per call; from its first step that raises, or that makes a
+value that is not finite, the row steps on arrays, which own every
+edge: error texts, warnings and the bits of inf and nan.  Either loop returns before the
 stage that raises, or after the step that leaves the box with the mask
 of the rows outside it, the engine's only box test.  So a second flow of
 the same fields takes no symbolic derivative and compiles nothing, and

@@ -10,10 +10,12 @@ import math
 import numpy as np
 
 from contfrob.cli import main as cli_main
-from contfrob.fields import Coord, exp as fexp, log as flog, sin as fsin
+from contfrob.fields import (Coord, cos as fcos, exp as fexp, log as flog,
+                             sin as fsin)
 from contfrob.forms import exterior_derivative, one_form
-from contfrob.geometry import (annihilator_frame, frobenius_defect,
-                               involutivity_constant, max_principal_angle)
+from contfrob.geometry import (FrameSection, annihilator_frame,
+                               frobenius_defect, involutivity_constant,
+                               max_principal_angle)
 from contfrob.moduli import FAILS, HOLDS
 from contfrob.mollify import GridFunction, verify_bounds
 from contfrob.odelab import funnel, funnel_to_csv, theorem1_check
@@ -25,10 +27,10 @@ from contfrob.presets import (cat_contracting_direction, cat_eigenvalues,
                               ode_peano, pde_example_2, skew_center_stable_bases,
                               skew_product, skew_seed_bases)
 from contfrob.surface import (FlowConfig, build_surface, converge_surfaces,
-                              pushforward_bound_check, tangency_defect,
+                              flow, pushforward_bound_check, tangency_defect,
                               variational_flow)
-from contfrob.dynsys import (domination_report, splitting_involutivity_pipeline,
-                             transport)
+from contfrob.dynsys import (PlaneFieldSamples, domination_report,
+                             splitting_involutivity_pipeline, transport)
 
 
 def _report(name, ok, detail=""):
@@ -271,9 +273,54 @@ def test_c9_skew_product_growth_and_traces():
     _report("C9 skew-product", ok, " ".join(details))
 
 
+def _per_step_rate(values, ks):
+    """exp of the least-squares slope of log(values) against ks, or 0.0
+    when a value is not positive."""
+    values = np.asarray(values)
+    if not np.all(values > 0.0):
+        return 0.0
+    return math.exp(np.polyfit(ks, np.log(values), 1)[0])
+
+
+def test_c9b_non_closed_frame_decays_at_the_stable_rate():
+    """A base frame with d(eta) != 0: q > 0, and q and the restricted
+    d(eta) fall at lambda_s^2 and lambda_s per step within 1 %."""
+    phi = skew_product()
+    pts = _torus_lattice(3, 4)  # {k/4}^3, invariant under the cat map
+    k_max = 10
+    coords = ("x1", "x2", "x3")
+    g = 0.3 * fsin(2.0 * math.pi * Coord("x1"))
+    base = FrameSection((one_form(coords, {"x2": fcos(g), "x3": fsin(g)}),),
+                        coords, ("x2",))
+    eu = np.concatenate([cat_expanding_direction(), [0.0]])[:, None]
+    f_samples = PlaneFieldSamples(
+        pts, transport(phi.inverted(), eu, k_max, pts).bases)
+    lim = np.broadcast_to(skew_center_stable_bases(), (len(pts), 3, 2)).copy()
+    lam_s = cat_eigenvalues()[0]
+    ks = np.arange(5, k_max + 1)
+    ok, details = True, []
+    for eps in (0.1, 0.5, 1.0):
+        _, asym, ext = splitting_involutivity_pipeline(
+            phi, skew_seed_bases(), base, f_samples, k_max, eps, pts,
+            limit=lim)
+        late = asym[ks[0] - 1:]  # entry i is step i + 1
+        q_rate = _per_step_rate([e.q for e in late], ks)
+        d_rate = _per_step_rate([e.parts["d_restricted"] for e in late], ks)
+        ok = (ok and asym[0].q > 0.0
+              and abs(q_rate / lam_s ** 2 - 1.0) <= 0.01
+              and abs(d_rate / lam_s - 1.0) <= 0.01
+              and asym[-1].q <= asym[0].q / 10.0
+              and ext[-1].q <= ext[0].q / 10.0)
+        details.append(f"eps={eps}: q0={asym[0].q:.3g} "
+                       f"q-rate={q_rate:.5f}~{lam_s ** 2:.5f} "
+                       f"d-rate={d_rate:.5f}~{lam_s:.5f}")
+    _report("C9b non-closed skew-product frame", ok, " ".join(details))
+
+
 def test_c10_invariant_suites(tmp_path):
     """Cross-module property checks: d(d(.)) = 0, annihilation, vertical
-    invariance, cocycle, conorm duality, report determinism."""
+    invariance, linearization, cocycle, conorm duality, report
+    determinism."""
     x, y, z = Coord("x"), Coord("y"), Coord("z")
     rng = np.random.default_rng(1)
 
@@ -299,6 +346,24 @@ def test_c10_invariant_suites(tmp_path):
         _, Y = variational_flow(dist.spanning_fields()[0], dist.coords,
                                 x0, 0.2, Y0, cfg)
         vert_ok &= bool(np.max(np.abs(Y[:2])) <= 1e-10)
+
+    # linearization: Y is the derivative of the flow along Y0, on a
+    # distribution whose coefficients depend on the vertical coordinates
+    lin_rng = np.random.default_rng(10)
+    pde_dist = pde_example_2()[1].distribution()
+    inner, h, lin_err = pde_dist.domain.shrink(0.1), 1e-6, 0.0
+    lin_cfg = FlowConfig(step=2.5e-3)
+    for _ in range(5):
+        x0 = inner.sample(lin_rng, 1)[0]
+        Y0 = lin_rng.uniform(-1.0, 1.0, pde_dist.dim)
+        Y0 /= np.linalg.norm(Y0)
+        for X in pde_dist.spanning_fields():
+            _, Y = variational_flow(X, pde_dist.coords, x0, 0.1, Y0, lin_cfg)
+            ahead, behind = (flow(X, pde_dist.coords, x0 + s * h * Y0, 0.1,
+                                  lin_cfg) for s in (1.0, -1.0))
+            lin_err = max(lin_err, float(np.max(np.abs(
+                Y - (ahead - behind) / (2.0 * h)))))
+    lin_ok = lin_err <= 1e-8
 
     phi = cat_map()
     tpts = _torus_lattice(2, 3)
@@ -326,7 +391,9 @@ def test_c10_invariant_suites(tmp_path):
                 cfg=FlowConfig(step=2e-3), seed=5)
     det_ok = funnel_to_csv(r1) == funnel_to_csv(r2)
 
-    ok = dd_ok and ann_ok and vert_ok and cocycle_ok and conorm_ok and det_ok
+    ok = (dd_ok and ann_ok and vert_ok and lin_ok and cocycle_ok
+          and conorm_ok and det_ok)
     _report("C10 invariant suites", ok,
             f"dd={dd_ok} annihilation={annihilation:.1e} vert={vert_ok} "
-            f"cocycle={cocycle_ok} conorm={conorm_ok} determinism={det_ok}")
+            f"linearization={lin_err:.1e} cocycle={cocycle_ok} "
+            f"conorm={conorm_ok} determinism={det_ok}")

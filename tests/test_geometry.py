@@ -1402,3 +1402,18 @@ def test_bases_for_another_lattice_are_range_error():
     with pytest.raises(RangeError, match="bases for 5 points given on a "
                                          "lattice of 27 points"):
         involutivity_constant(annihilator_frame(d), bases, pts)
+
+
+def test_bases_of_another_shape_are_range_error():
+    # both calls returned a value before bases were checked by shape
+    d = contact_distribution()
+    pts = BOX3.lattice(3)
+    frame = annihilator_frame(d)
+    with pytest.raises(RangeError, match=re.escape(
+            "dist_or_bases must be bases of shape (N, 3, r) with "
+            "1 <= r <= 3, got (1, 3, 5)")):
+        involutivity_constant(frame, np.ones((1, 3, 5)), pts[:1])
+    with pytest.raises(RangeError, match=re.escape(
+            "limit must be bases of shape (N, 3, r) with 1 <= r <= 3, "
+            "got (27, 3, 4)")):
+        exterior_regularity_trace([frame], np.ones((27, 3, 4)), 1.0, pts)

@@ -337,8 +337,27 @@ def test_engine_matches_the_reference_with_an_inf_in_y0():
                                    None, Y0)
 
 
+@pytest.mark.parametrize("texts, coords", [
+    (["-2*x + x^3"], ("x",)), (["1"], ("x",)), (["sin(x)"], ("x",)),
+    # row 0 of J has a constant and a varying partial
+    (["3*x + y^2", "-y"], ("x", "y"))])
+def test_engine_matches_the_reference_with_non_finite_and_signed_zero_y0(
+        texts, coords):
+    # a batch and each row alone, with 0 * inf and 0 * nan in J.Y
+    fields = [parse_field(t) for t in texts]
+    x0 = np.array([[0.3, -0.2], [-0.5, 0.4], [-0.0, -0.0], [1.1, 0.1]])
+    Y0 = np.array([[math.inf, 0.5], [math.nan, -math.inf], [-0.0, math.nan],
+                   [0.7, -0.0]])
+    x0, Y0 = x0[:, :len(coords)], Y0[:, :len(coords)]
+    times = np.array([0.05, -0.04, 0.03, 0.05])
+    assert_engine_is_reference(fields, coords, x0, times, 0.01, None, Y0)
+    for i in range(len(x0)):
+        assert_engine_is_reference(fields, coords, x0[i:i + 1], times[i],
+                                   0.01, None, Y0[i:i + 1])
+
+
 XY = ("x", "y")
-_AXIS = np.array([-2.0, -0.5, -0.0, 0.0, 0.25, 0.5, 1.0, 3.0])
+_AXIS =np.array([-2.0, -0.5, -0.0, 0.0, 0.25, 0.5, 1.0, 3.0])
 # starts that make the float loop hand a row to the arrays.  In numpy's
 # add and multiply the nan of two nans of opposite sign follows the
 # element's place in an array of more than 8, so a batch row's nan need
