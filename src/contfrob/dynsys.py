@@ -318,6 +318,12 @@ def _domination(cc: Cocycle, e0_bases, f_samples, eps_list, y_indices):
     f_bases = np.broadcast_to(f_bases, (len(points),) + f_bases.shape[-2:])
     ks = list(range(1, cc.k_max + 1))
     e_bases = cc.transports(e0_bases, ks)
+    # transports passes non-finite rows on; no singular value may see one
+    for name, bases in (("e0_bases", e_bases), ("f_samples", f_bases)):
+        if not np.isfinite(bases).all():
+            p = int(np.nonzero(~np.isfinite(bases).all((-2, -1)))[-1].min())
+            raise RangeError(f"{name} give non-finite bases at lattice "
+                             f"point {p} {points[p].tolist()}")
     # one forward sweep: row k - 1 of M becomes Dphi^k E_k, and F_k
     # collects Dphi^k F, k = 1..k_max, one jacobian at a time: on the cat
     # map's 5 x 5 lattice, products P_k E_k miss a 60-digit reference by

@@ -252,6 +252,11 @@ class FrameValues:
 
     @property
     def frames(self):
+        """K, the number of frames; a RangeError on an empty lattice,
+        whose sups would be empty."""
+        if not len(self.points):
+            raise RangeError(f"a lattice sup needs points, got points of "
+                             f"shape {self.points.shape}")
         return len(self.A) // len(self.points)
 
     @cached_property
@@ -325,10 +330,11 @@ class SupEstimate:
     protocol: dict = field(default_factory=dict)
 
 
-def _lattice_sups(vals, pts, protocol):
-    """Per frame segment of the frame-major per-row values, their max
-    over the lattice pts with its point."""
-    per_frame = np.reshape(vals, (-1, len(pts)))
+def _lattice_sups(vals, values, protocol):
+    """Per frame segment of the per-row values on the rows of the
+    FrameValues values, their max over its lattice with its point."""
+    pts = values.points
+    per_frame = np.reshape(vals, (values.frames, -1))
     return [SupEstimate(float(row[i]), pts[i], dict(protocol))
             for row, i in zip(per_frame, np.argmax(per_frame, axis=1))]
 
@@ -378,7 +384,7 @@ def _mixing(dA, U, bases, segment):
 
 def _mixing_sups(values, bases):
     vals, how = _mixing(values.dA, values.U, bases, len(values.points))
-    return _lattice_sups(vals, values.points, {
+    return _lattice_sups(vals, values, {
         "points": len(values.points), "kind": "lower-bound",
         "w_maximization": "exact-svd", "u_maximization": how})
 
@@ -390,9 +396,10 @@ def bound_parts(values: FrameValues, bases):
     pts = values.points
     d_vals, how = _d_restricted(values.dA, bases)
     return list(zip(
-        _lattice_sups(d_vals, pts, {"points": len(pts), "kind": "lower-bound",
-                                    "u_maximization": how}),
-        _lattice_sups(values.inv_norms, pts, {"points": len(pts)}),
+        _lattice_sups(d_vals, values, {"points": len(pts),
+                                       "kind": "lower-bound",
+                                       "u_maximization": how}),
+        _lattice_sups(values.inv_norms, values, {"points": len(pts)}),
         _mixing_sups(values, bases)))
 
 

@@ -416,6 +416,9 @@ def limit_condition_check(w1, w2):
 def fit_loglog_slope(trace, window=None):
     """Least-squares slope of log q against log s, optionally windowed."""
     trace = np.asarray(trace, dtype=float)
+    if trace.ndim != 2 or trace.shape[1] != 2:
+        raise RangeError(f"trace must be (K, 2) rows of (s, q), got shape "
+                         f"{trace.shape}")
     s, q = trace[:, 0], trace[:, 1]
     if window is not None:
         lo, hi = window

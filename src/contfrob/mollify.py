@@ -141,6 +141,9 @@ def kernel(eps, spacings):
     spacings = tuple(float(h) for h in spacings)
     _check_eps([eps])
     for h in spacings:
+        if not 0.0 < h < math.inf:
+            raise RangeError(f"spacings must be positive and finite, got "
+                             f"{spacings}")
         if eps / h < _MIN_CELLS_PER_RADIUS:
             raise ResolutionError(
                 f"grid spacing {h:g} under-resolves radius {eps:g} "

@@ -142,6 +142,8 @@ def funnel(spec: OdeSpec, xi0, T, delta_list, ensemble=8,
     cfg = cfg or FlowConfig()
     if not T > 0.0:
         raise RangeError(f"horizon T must be positive, got {T}")
+    if ensemble < 0:
+        raise RangeError(f"ensemble must be a count >= 0, got {ensemble}")
     delta_list = sorted((float(d) for d in delta_list), reverse=True)
     if not (len(delta_list) >= 2 and delta_list[0] > delta_list[-1]):
         raise RangeError(f"deltas must hold at least two distinct values, "

@@ -362,6 +362,9 @@ def involutive_mollified_frames(sf: SpecialFormSpec, eps_list, pad=None,
     scale: its sup may not exceed WEDGE_TOL.
     """
     eps_list = [float(e) for e in eps_list]
+    if not eps_list:
+        raise RangeError("eps_list must hold at least one smoothing scale, "
+                         "got none")
     _check_eps(eps_list)
     if pad is None:
         pad = max(eps_list) * (1.0 + 1.0 / cells_per_radius)

@@ -23,11 +23,12 @@ rescales, which moves the last bit of some 1 x 1 results, and inside it
 the closed forms' squares and products neither overflow nor leave the
 normal range.  One scalar test takes a whole stack at once when the
 least and the largest of those maxima lie in the range; a nan or a 0
-fails it, and only then is the per-matrix mask built.  The other
-matrices of a stack, and each 2 x 2 whose
-sigma_min is asked for and whose determinant cancels, go to LAPACK in
-one call, which gives each the bits of a call of its own (a nan raises,
-as there).  Larger shapes take LAPACK whole.
+fails it, and only then is the per-matrix mask built.  Each kernel has
+one shape: its closed form runs over the whole stack (silently, unless
+that test passed), then one LAPACK call takes the matrices the rule
+names (the others, and each 2 x 2 whose sigma_min is asked for and whose
+determinant cancels) and writes over theirs, each with the bits of its
+own call (a nan raises, as there).  Larger shapes take LAPACK whole.
 
 The inverse of an n x n matrix, n <= 3, is adj / det, with 2 x 2
 cofactors and det expanded along the first row.  Its conditioning test
@@ -56,6 +57,8 @@ signed_qr(product(inv, chain)) bit for bit.
 """
 
 from __future__ import annotations
+
+from contextlib import nullcontext
 
 import numpy as np
 
@@ -94,27 +97,10 @@ def _in_range(E, columns=False):
     a column of tiny entries beside a large one has a squared norm below
     the normal range, which costs its q and r bits."""
     big = np.maximum.reduce(np.abs(E)) if columns else _entry_max(np.abs(E))
-    # every matrix, when the least and largest maxima lie in range (a nan
-    # or a 0 fails this and takes the mask)
     if big.size and _UNSCALED[0] <= big.min() and big.max() <= _UNSCALED[1]:
         return np.True_
     ok = (big <= _UNSCALED[1]) & ((big >= _UNSCALED[0]) | (big == 0.0))
     return np.logical_and.reduce(ok) if columns else ok
-
-
-def _by_rows(ok, stack, E, kernel, lapack):
-    """The tuple kernel(E) gives on the matrices where ok holds and
-    lapack(stack) on the others, merged matrix by matrix."""
-    if ok.all():
-        return kernel(E)
-    if not ok.any():
-        return lapack(stack)
-    out = []
-    for k, f in zip(kernel(E[:, :, ok]), lapack(stack[~ok])):
-        merged = np.empty(ok.shape + k.shape[1:], np.result_type(k, f))
-        merged[ok], merged[~ok] = k, f
-        out.append(merged)
-    return tuple(out)
 
 
 def _dot(u, v):
@@ -156,20 +142,18 @@ def _lapack_signed_qr(bases):
 def _signed_qr_into(E, Q):
     """signed_qr of the entry-major stack E (d, r, ...), r <= d, written
     into the entry-major Q of E's shape; returns the rank mask (...,).
-    Where _in_range holds, and r <= 2, _gram_schmidt's columns go
-    straight into Q; the other matrices take LAPACK's signed Q from one
-    call."""
-    ok = _in_range(E, columns=True) if E.shape[1] <= 2 else np.False_
-    every, some = ok.all(), ok.any()
-    bad = np.empty(E.shape[2:], bool)
-    if some:
-        at = ... if every else ok
-        cols, diag, _ = _gram_schmidt(E[:, :, at])
+    _gram_schmidt fills Q for r <= 2; then one call's LAPACK signed Q
+    overwrites the matrices outside _in_range (all of them for r > 2)."""
+    ok, bad = np.False_, np.empty(E.shape[2:], bool)
+    if E.shape[1] <= 2:
+        ok = _in_range(E, columns=True)
+        with nullcontext() if ok is np.True_ else np.errstate(all="ignore"):
+            cols, diag, _ = _gram_schmidt(E)
         for j, col in enumerate(cols):
-            Q[:, j, at] = col
-        bad[at] = np.logical_or.reduce([r < _RANK_TOL for r in diag])
-    if not every:
-        at = ~ok if some else ...
+            Q[:, j] = col
+        bad[...] = np.logical_or.reduce([r < _RANK_TOL for r in diag])
+    if not ok.all():
+        at = ~ok if ok.ndim else ...  # a bare matrix's mask is 0-d
         q, bad[at] = _lapack_signed_qr(_standard(E[:, :, at]))
         Q[:, :, at] = _entry_major(q)
     return bad
@@ -185,8 +169,6 @@ def signed_qr(bases):
     if bases.shape[-2] < bases.shape[-1]:
         raise RangeError(f"signed_qr needs bases (..., d, r) with r <= d, "
                          f"got shape {bases.shape}")
-    if bases.shape[-1] > 2:
-        return _lapack_signed_qr(bases)
     E = _entry_major(bases)
     Q = np.empty(E.shape)
     bad = _signed_qr_into(E, Q)
@@ -230,12 +212,12 @@ def _closed_svals(E, smallest):
     the R of a d x 2 stack's _gram_schmidt."""
     m, n = E.shape[:2]
     if n == 1:
-        return (np.sqrt(_dot(E[:, 0], E[:, 0]))[..., None],)
+        return np.sqrt(_dot(E[:, 0], E[:, 0]))[..., None]
     if m == 2:
         (a, b), (c, d) = E
-        return (_two_by_two(a, b, c, d, smallest),)
+        return _two_by_two(a, b, c, d, smallest)
     _, (r11, r22), r12 = _gram_schmidt(E)
-    return (_two_by_two(r11, r12, 0.0, r22, smallest),)
+    return _two_by_two(r11, r12, 0.0, r22, smallest)
 
 
 def singular_values(stack, smallest=True):
@@ -245,18 +227,22 @@ def singular_values(stack, smallest=True):
     ((..., 1)) unless smallest."""
     def lapack(s):
         vals = np.linalg.svd(s, compute_uv=False)
-        return (vals if smallest else vals[..., :1],)
+        return vals if smallest else vals[..., :1]
 
     if min(stack.shape[-2:]) > 2:
-        return lapack(stack)[0]
+        return lapack(stack)
     E = _entry_major(stack)
     if E.shape[0] < E.shape[1]:
         E = E.swapaxes(0, 1)  # the values of A^T
     ok = _in_range(E, columns=E.shape[0] > 2)
     if smallest and E.shape[:2] == (2, 2):
         ok &= _min_resolved(E)
-    return _by_rows(ok, stack, E, lambda e: _closed_svals(e, smallest),
-                    lapack)[0]
+    with nullcontext() if ok is np.True_ else np.errstate(all="ignore"):
+        vals = _closed_svals(E, smallest)
+    if not ok.all():
+        at = ~ok if ok.ndim else ...
+        vals[at] = lapack(stack[at])
+    return vals
 
 
 def sigma_max(stack):
@@ -318,7 +304,8 @@ def inverse(stack):
     inv = _standard(inv)
     singular = np.zeros(ok.shape, bool)
     if not ok.all():
-        inv[~ok], singular[~ok] = _lapack_inverse(stack[~ok])
+        at = ~ok if ok.ndim else ...
+        inv[at], singular[at] = _lapack_inverse(stack[at])
     return inv, singular
 
 

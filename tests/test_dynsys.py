@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -880,3 +881,29 @@ def test_complement_for_another_lattice_is_range_error():
     each = domination_report(cat_map(), e_s, PlaneFieldSamples(
         pts, np.broadcast_to(e_u, (9, 2, 1))), 3, pts)
     assert splitting_report_to_csv(one) == splitting_report_to_csv(each)
+
+
+def test_non_finite_bases_are_range_errors_before_any_svd(linalg_calls):
+    # a non-finite E_k or F would reach LAPACK's SVD, which cannot
+    # converge; the error names the argument and the first bad point.
+    # (An inf seed is no such case: LAPACK's QR reads [inf, 0] as [1, 0].)
+    pts = torus_lattice(2, res=3)
+    e_s = cat_contracting_direction()[:, None]
+    e_u = cat_expanding_direction()[:, None]
+    with pytest.raises(RangeError, match=r"^e0_bases give non-finite bases "
+                       r"at lattice point 0 \[0\.0, 0\.0\]$"):
+        domination_report(cat_map(), np.array([[math.nan], [0.0]]),
+                          [[0.0], [1.0]], 3, pts)
+    f = np.broadcast_to(e_u, (9, 2, 1)).copy()
+    f[5, 1, 0], f[7, 0, 0] = math.inf, math.nan  # the later one is not named
+    where = re.escape(str(pts[5].tolist()))
+    with pytest.raises(RangeError, match=rf"^f_samples give non-finite bases "
+                       rf"at lattice point 5 {where}$"):
+        domination_report(cat_map(), e_s, f, 3, pts)
+    # a seed that is nan where x > 1/2 reaches E_3 at point 1, (0, 1/3),
+    # whose phi^3 image is (2/3, 1/3): the first bad point of any E_k
+    seed = lambda p: np.where(p[:, :1, None] > 0.5, math.nan, e_s)
+    with pytest.raises(RangeError, match=r"^e0_bases give non-finite bases "
+                       r"at lattice point 1 \[0\.0, 0\.333"):
+        domination_report(cat_map(), seed, e_u, 3, pts)
+    assert "svd" not in linalg_calls

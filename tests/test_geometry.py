@@ -29,7 +29,7 @@ from contfrob.odelab import funnel
 from contfrob.presets import contact_distribution, ode_peano
 from contfrob.stacked import (congruence, inverse, pencil_sigma_max,
                               product, sigma_max, signed_qr,
-                              singular_values)
+                              singular_values, transport_step)
 
 x, y, z = Coord("x"), Coord("y"), Coord("z")
 
@@ -324,25 +324,41 @@ def test_signed_qr_kernel_against_lapack(A):
 def test_kernels_send_unsafe_matrices_to_lapack(linalg_calls):
     # matrices whose largest |entry| leaves [2^-459, 2^459], or that hold
     # inf, take LAPACK's values in one call; the others keep the closed
-    # forms' bits
-    A = np.random.default_rng(5).normal(size=(6, 3, 2))
-    A[1] *= 2.0 ** 500
-    A[3] *= 2.0 ** -500
-    A[4, 2, 1] = math.inf
+    # forms' bits.  The same three square matrices fail the inverse's
+    # range (2^200) or determinant floor (2^-600), and take one inv call
+    rng = np.random.default_rng(5)
+    A, S = rng.normal(size=(6, 3, 2)), rng.normal(size=(6, 3, 3))
+    for M in (A, S):
+        M[1] *= 2.0 ** 500
+        M[3] *= 2.0 ** -500
+        M[4, 2, 1] = math.inf
     unsafe, safe = [1, 3, 4], [0, 2, 5]
     linalg_calls.clear()
-    s, (q, bad) = singular_values(A), signed_qr(A)
-    assert dict(linalg_calls) == {"svd": 1, "qr": 1}
+    s, (q, bad), (inv, _) = singular_values(A), signed_qr(A), inverse(S)
+    assert dict(linalg_calls) == {"svd": 1, "qr": 1, "inv": 1}
     linalg_calls.clear()
-    alone = singular_values(A[safe]), signed_qr(A[safe])
+    alone = singular_values(A[safe]), signed_qr(A[safe]), inverse(S[safe])
     assert not linalg_calls
     assert s[safe].tobytes() == alone[0].tobytes()
     assert q[safe].tobytes() == alone[1][0].tobytes()
+    assert inv[safe].tobytes() == alone[2][0].tobytes()
     assert s[unsafe].tobytes() == \
         np.linalg.svd(A[unsafe], compute_uv=False).tobytes()
     q_ref, r_ref = np.linalg.qr(A[unsafe])
     assert q[unsafe].tobytes() == (q_ref * np.sign(
         np.einsum("...ii->...i", r_ref))[:, None, :]).tobytes()
+    assert inv[unsafe].tobytes() == np.linalg.inv(S[unsafe]).tobytes()
+    # the fused transport step by the identity: its products are A's
+    # matrices bit for bit where finite (0 * inf makes the inf one nan)
+    chains = np.ascontiguousarray(A.transpose(1, 2, 0)[:, :, None])
+    eye = np.broadcast_to(np.eye(3)[:, :, None, None], (3, 3, 1, 6))
+    linalg_calls.clear()
+    with np.errstate(invalid="ignore"):
+        transport_step(eye, chains)
+    assert dict(linalg_calls) == {"qr": 1}
+    got = chains[:, :, 0].transpose(2, 0, 1)
+    assert got[safe].tobytes() == alone[1][0].tobytes()
+    assert got[unsafe[:2]].tobytes() == q[unsafe[:2]].tobytes()
     # nan: LAPACK's SVD does not converge, as on the whole stack
     A[4, 2, 1] = math.nan
     with pytest.raises(np.linalg.LinAlgError):
@@ -593,6 +609,26 @@ _EDGE_ENTRIES = [0.0, -0.0, 5e-324, -(2.0 ** -1030), 2.0 ** -459,
                  -math.inf]
 
 
+def _outcome(kernel, A):
+    """The arrays kernel(A) returns, as bytes with every nan as one, or
+    the LinAlgError it raises (LAPACK's SVD of a nan).  A nan's sign bit
+    is not kept: signed_qr's sign product of a nan Q sets it differently
+    in a stack and alone."""
+    try:
+        out = kernel(A)
+    except np.linalg.LinAlgError:
+        return np.linalg.LinAlgError
+    return [np.where(np.isnan(x), np.nan, x).tobytes() if x.dtype.kind == "f"
+            else np.ascontiguousarray(x).tobytes()
+            for x in map(np.asarray,
+                         out if isinstance(out, tuple) else (out,))]
+
+
+# a nan, a huge and a tiny entry, and a matrix of tiny entries: as bare
+# matrices, whose fallback mask is 0-d, and in one stack
+_ODD = [math.nan, 2.0 ** 500, 2.0 ** -500]
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.sampled_from([(1, 1), (2, 1), (3, 1), (2, 2), (3, 2), (4, 2)])
        .flatmap(lambda shape: arrays(
@@ -601,17 +637,52 @@ _EDGE_ENTRIES = [0.0, -0.0, 5e-324, -(2.0 ** -1030), 2.0 ** -459,
            elements=st.floats(-1e3, 1e3, width=64)
            | st.sampled_from(_EDGE_ENTRIES))))
 @example(np.array([[[0.0]], [[2.0]], [[-0.0]], [[5e-324]], [[math.inf]]]))
+@example(np.array([[[v]] for v in _ODD]))
+@example(np.array([[[v, 0.0], [1.0, 1.0]] for v in _ODD]
+                  + [np.diag([2.0 ** -500] * 2)]))
+@example(np.array([[[v, 0.0], [1.0, 1.0], [0.0, 2.0]] for v in _ODD]
+                  + [np.eye(3, 2) * 2.0 ** -500]))
 def test_each_matrix_takes_the_fallback_rule_alone(A):
-    # the rule is per matrix: in a stack, each matrix's singular values
-    # are those of its own call, whatever its neighbours, and a 1 x 1's
-    # are LAPACK's bits
-    for kernel in (singular_values, sigma_max):
-        stacked = kernel(A)
-        alone = np.stack([kernel(M[None])[0] for M in A])
-        assert stacked.tobytes() == alone.tobytes()
+    # the rule is per matrix: in a stack, each matrix's singular values,
+    # signed Q and inverse are those of its own call, whatever its
+    # neighbours, and a bare matrix's are those of its one-matrix stack;
+    # a 1 x 1's singular values are LAPACK's bits
+    kernels = [singular_values, sigma_max, signed_qr]
+    if A.shape[1] == A.shape[2]:
+        kernels.append(inverse)
+    for kernel in kernels:
+        alone = [_outcome(kernel, M[None]) for M in A]
+        assert [_outcome(kernel, M) for M in A] == alone
+        if np.linalg.LinAlgError in alone:
+            assert _outcome(kernel, A) is np.linalg.LinAlgError
+        else:
+            assert _outcome(kernel, A) == [b"".join(x) for x in zip(*alone)]
     if A.shape[1:] == (1, 1):
-        assert singular_values(A).tobytes() == \
-            np.linalg.svd(A, compute_uv=False).tobytes()
+        assert _outcome(singular_values, A) == _outcome(
+            lambda a: np.linalg.svd(a, compute_uv=False), A)
+
+
+@pytest.mark.parametrize("sup", [
+    lambda d, f, pts: involutivity_constant(f, d, pts),
+    lambda d, f, pts: bound_parts(evaluate_frames([f], pts),
+                                  d.orthonormal_bases_at(pts)),
+    lambda d, f, pts: asymptotic_involutivity_trace([f], [d], 0.1, pts),
+    lambda d, f, pts: asymptotic_involutivity_trace(
+        evaluate_frames([f], pts), [d], 0.1, pts),
+    lambda d, f, pts: exterior_regularity_trace([f], d, 0.1, pts),
+], ids=["involutivity_constant", "bound_parts", "asymptotic_trace",
+        "asymptotic_trace_of_values", "exterior_trace"])
+def test_sup_over_an_empty_lattice_is_range_error(sup):
+    # a sup over no points has no value; an empty pushforward batch,
+    # which evaluates its frame the same way but takes no sup, is []
+    from contfrob.surface import FlowConfig, pushforward_bound_check
+    d = contact_distribution()
+    frame, pts = annihilator_frame(d), np.zeros((0, 3))
+    with pytest.raises(RangeError, match=r"^a lattice sup needs points, got "
+                                         r"points of shape \(0, 3\)$"):
+        sup(d, frame, pts)
+    assert pushforward_bound_check(d, frame, pts, np.zeros((0, 2)), pts,
+                                   FlowConfig(), 1.0) == []
 
 
 def test_involutivity_constant_involutive_is_zero():

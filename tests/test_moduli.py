@@ -366,6 +366,13 @@ def test_fit_loglog_slope_window():
     assert fit_loglog_slope(trace, (1e-8, 1e-3)) == pytest.approx(0.4)
 
 
+@pytest.mark.parametrize("shape", [(5,), (5, 3), (2, 5, 2)])
+def test_fit_loglog_slope_needs_two_column_trace(shape):
+    with pytest.raises(RangeError, match=rf"^trace must be \(K, 2\) rows "
+                       rf"of \(s, q\), got shape {re.escape(str(shape))}$"):
+        fit_loglog_slope(np.ones(shape))
+
+
 def test_empty_criterion_trace_is_range_error():
     with pytest.raises(RangeError, match="osgood report needs a nonempty"):
         CriterionReport("osgood", HOLDS, np.zeros((0, 2)))

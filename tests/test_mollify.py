@@ -47,6 +47,14 @@ def test_kernel_resolution_error():
         kernel(0.1, (0.05,))
 
 
+@pytest.mark.parametrize("h", [0.0, -0.01, math.nan, math.inf])
+def test_kernel_bad_spacing_is_range_error(h):
+    # a zero spacing divided by zero, a nan one reached int(nan)
+    with pytest.raises(RangeError, match=rf"^spacings must be positive and "
+                                         rf"finite, got \(0\.01, {h!r}\)$"):
+        kernel(0.1, [0.01, h])
+
+
 @pytest.mark.parametrize("eps", [0.0, -0.1])
 def test_kernel_non_positive_eps_is_range_error(eps):
     with pytest.raises(RangeError, match=rf"^eps must be positive, got "

@@ -14,7 +14,7 @@ import inspect
 import pytest
 
 import test_acceptance as acceptance
-from contfrob import dynsys, fields
+from contfrob import dynsys, fields, stacked
 
 
 def _zero_pullback_of_d_eta(monkeypatch):
@@ -34,6 +34,17 @@ def _zero_carried_jy(monkeypatch):
     monkeypatch.setattr(fields._Source, "velocities", velocities)
 
 
+def _transposed_closed_inverse(monkeypatch):
+    """stacked._closed_inverse's adj / det transposed: each closed-form
+    2 x 2 and 3 x 3 inverse becomes the inverse of the transpose."""
+    inner = stacked._closed_inverse
+
+    def closed_inverse(E):
+        inv, ok = inner(E)
+        return inv.swapaxes(0, 1), ok
+    monkeypatch.setattr(stacked, "_closed_inverse", closed_inverse)
+
+
 MUTATIONS = [
     ("pullback of d(eta) zeroed", _zero_pullback_of_d_eta,
      [acceptance.test_c9b_non_closed_frame_decays_at_the_stable_rate],
@@ -41,6 +52,9 @@ MUTATIONS = [
      [acceptance.test_c9_skew_product_growth_and_traces]),
     ("carried J.Y zeroed", _zero_carried_jy,
      [acceptance.test_c10_invariant_suites], []),
+    ("closed-form inverse transposed", _transposed_closed_inverse,
+     [acceptance.test_c9_skew_product_growth_and_traces,
+      acceptance.test_c9b_non_closed_frame_decays_at_the_stable_rate], []),
 ]
 
 

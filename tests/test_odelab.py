@@ -141,6 +141,12 @@ def test_funnel_is_one_engine_call(monkeypatch):
     assert calls == [1 + 3 * (4 + 2)]
 
 
+def test_funnel_rejects_negative_ensemble():
+    with pytest.raises(RangeError, match=r"^ensemble must be a count >= 0, "
+                                         r"got -1$"):
+        funnel(ode_peano(), [0.0, 0.0], 0.5, [1e-3, 1e-4], ensemble=-1)
+
+
 def test_ode_spec_mismatch_is_range_error():
     box = Box.from_dict({"t": (0.0, 1.0), "y": (-1.0, 1.0)})
     with pytest.raises(RangeError, match="one field per state variable"):

@@ -100,6 +100,13 @@ def test_theorem2_lipschitz_identity_block():
     assert cert.verdict == HOLDS
 
 
+def test_mollified_frames_need_a_scale():
+    sf, _ = pde_example_2()
+    with pytest.raises(RangeError, match="^eps_list must hold at least one "
+                                         "smoothing scale, got none$"):
+        involutive_mollified_frames(sf, [])
+
+
 def test_theorem2_point_of_wrong_length_is_range_error():
     _, spec = pde_example_2()
     with pytest.raises(RangeError, match=r"need 4 coordinates, got 3$"):
