@@ -235,9 +235,10 @@ def singular_values(stack, smallest=True):
     if E.shape[0] < E.shape[1]:
         E = E.swapaxes(0, 1)  # the values of A^T
     ok = _in_range(E, columns=E.shape[0] > 2)
+    quiet = ok is np.True_  # in range, the closed forms cannot warn
     if smallest and E.shape[:2] == (2, 2):
-        ok &= _min_resolved(E)
-    with nullcontext() if ok is np.True_ else np.errstate(all="ignore"):
+        ok = ok & _min_resolved(E)
+    with nullcontext() if quiet else np.errstate(all="ignore"):
         vals = _closed_svals(E, smallest)
     if not ok.all():
         at = ~ok if ok.ndim else ...

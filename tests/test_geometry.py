@@ -610,18 +610,20 @@ _EDGE_ENTRIES = [0.0, -0.0, 5e-324, -(2.0 ** -1030), 2.0 ** -459,
 
 
 def _outcome(kernel, A):
-    """The arrays kernel(A) returns, as bytes with every nan as one, or
-    the LinAlgError it raises (LAPACK's SVD of a nan).  A nan's sign bit
-    is not kept: signed_qr's sign product of a nan Q sets it differently
-    in a stack and alone."""
+    """The arrays kernel(A) returns, as bytes, or the LinAlgError that
+    LAPACK's SVD raises on a nan (a matrix without one may not raise).
+    signed_qr's Q keeps no nan's sign bit: its sign product of a nan Q
+    sets it differently in a stack and alone."""
     try:
         out = kernel(A)
     except np.linalg.LinAlgError:
+        if not np.isnan(A).any():
+            raise
         return np.linalg.LinAlgError
-    return [np.where(np.isnan(x), np.nan, x).tobytes() if x.dtype.kind == "f"
-            else np.ascontiguousarray(x).tobytes()
-            for x in map(np.asarray,
-                         out if isinstance(out, tuple) else (out,))]
+    out = list(out) if isinstance(out, tuple) else [out]
+    if kernel is signed_qr:
+        out[0] = np.where(np.isnan(out[0]), np.nan, out[0])
+    return [np.ascontiguousarray(x).tobytes() for x in out]
 
 
 # a nan, a huge and a tiny entry, and a matrix of tiny entries: as bare
